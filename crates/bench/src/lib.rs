@@ -19,10 +19,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod json;
-pub mod latency;
-pub mod scaling;
-
 use std::fs;
 use std::path::PathBuf;
 

@@ -7,11 +7,12 @@
 //! checksum), and defines what it means for a sampler to be resumable:
 //!
 //! * [`Checkpointable`] — a [`Sampler`] that can write its complete
-//!   resumable state (assignments, counts, RNG stream, iteration counter)
-//!   into an [`Encoder`] and restore it from a [`Decoder`]. For WarpLDA
-//!   (serial and parallel) restoration is **bit-identical**: a run that is
-//!   saved, loaded into a freshly constructed sampler and continued produces
-//!   exactly the same assignments as an uninterrupted run.
+//!   resumable state (assignments, counts, RNG stream or seed, iteration
+//!   counter) into an [`Encoder`] and restore it from a [`Decoder`]. For
+//!   WarpLDA restoration is **bit-identical** under every driver: a run that
+//!   is saved, loaded into a freshly constructed sampler — serial, threaded
+//!   or a process cluster's replica — and continued produces exactly the
+//!   same assignments as an uninterrupted run.
 //! * [`save_checkpoint`] / [`load_checkpoint`] — one-file persistence of a
 //!   sampler plus (optionally) the corpus [`Vocabulary`], so a checkpoint can
 //!   be inspected (top words per topic) without the original corpus files.

@@ -24,9 +24,35 @@
 //!    `c_d` and `c_k`), then draw fresh document proposals
 //!    `q_doc(k) ∝ C_dk + α` by random positioning.
 //!
-//! The global vector `c_k` is re-accumulated during each phase and swapped in
-//! at the phase boundary (delayed update), which is what makes the reordering
-//! legal.
+//! The global vector `c_k` is read-only within a phase; the counts of the
+//! visited entities accumulate into a *partial* `c_k` that is installed at
+//! the phase boundary (delayed update), which is what makes the reordering
+//! legal — and what makes the algorithm parallelize: nothing but `c_k` is
+//! shared between entities.
+//!
+//! # One state type, one visit, several drivers
+//!
+//! [`WarpLda`] is the only sampler state. A visit of one entity (a column in
+//! the word phase, a row in the doc phase) is a pure function of that
+//! entity's records, the installed `c_k` and an RNG stream derived from
+//! `(seed, iteration, phase, entity)` via [`split_seed`]; `visit_column` /
+//! `visit_row` are the only code that performs one. Who calls them, in which
+//! order, on how many threads or processes, cannot change a sampled value:
+//!
+//! * [`Sampler::run_iteration`] on a [`WarpLda`] visits every column, then
+//!   every row, on the calling thread. This is the **reference mode** every
+//!   other driver is differential-tested against, and the only one generic
+//!   over a [`MemoryProbe`].
+//! * [`parallel::ParallelWarpLda`] visits the same entities from a thread
+//!   pool.
+//! * [`WarpLda::run_word_phase_shard`] / [`WarpLda::run_doc_phase_shard`]
+//!   visit a caller-chosen subset; with [`WarpLda::install_topic_counts`],
+//!   [`WarpLda::export_records`] / [`WarpLda::import_records`] and
+//!   [`WarpLda::advance_iteration`] they are the phase API the multi-process
+//!   runtime in `warplda-dist` drives replicas through.
+//!
+//! All of them produce bit-identical assignments and `c_k` from one seed,
+//! and share one checkpoint kind.
 //!
 //! Steady-state iterations perform **no heap allocation**: the count vectors
 //! come from a per-sampler [`CountPool`], the word-proposal alias table is
@@ -36,17 +62,16 @@
 //! runs allocation-free (pinned by the `zero_alloc` integration suite).
 
 pub mod parallel;
-pub mod shard;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use warplda_cachesim::{MemoryProbe, NoProbe, RegionId};
 use warplda_corpus::{Corpus, DocMajorView};
-use warplda_sampling::{new_rng, AliasBuildScratch, Dice, SparseAliasTable};
-use warplda_sparse::{PackedRecords, TokenMatrix};
+use warplda_sampling::{new_rng, split_seed, AliasBuildScratch, Dice, SparseAliasTable};
+use warplda_sparse::{PackedRecords, SendPtr, TokenMatrix};
 
-use crate::checkpoint::{self, Checkpointable};
+use crate::checkpoint::Checkpointable;
 use crate::counts::{CountPool, TopicCounts};
 use crate::params::ModelParams;
 use crate::sampler::Sampler;
@@ -78,66 +103,377 @@ impl WarpLdaConfig {
     }
 }
 
-/// Reusable per-phase working state: pooled count vectors plus the
-/// word-proposal alias table and its build buffers, all pre-sized so
-/// steady-state iterations allocate nothing. The serial sampler owns one;
-/// the parallel driver owns one per worker.
+/// The word-proposal distribution `q_word(k) ∝ C_wk + β` of the column being
+/// visited: an alias table rebuilt in place per word, plus its build buffers.
+struct WordProposals {
+    /// `(topic, count)` pairs of the current word, staged for the alias build.
+    pairs: Vec<(u32, f64)>,
+    table: SparseAliasTable,
+    build: AliasBuildScratch,
+}
+
+impl WordProposals {
+    fn rebuild<C: TopicCounts>(&mut self, cw: &C) {
+        self.pairs.clear();
+        cw.for_each(|t, c| self.pairs.push((t, c as f64)));
+        self.table.rebuild(&self.pairs, &mut self.build);
+    }
+}
+
+/// Reusable working state of whoever performs visits: pooled count vectors
+/// plus the word-proposal table, all pre-sized so steady-state iterations
+/// allocate nothing. The sampler owns one; the parallel driver owns one per
+/// worker.
 pub(crate) struct PhaseScratch {
     /// Pooled `c_d` / `c_w` count vectors.
-    pub counts: CountPool,
-    /// `(topic, count)` pairs of the current word, staged for the alias build.
-    pub pairs: Vec<(u32, f64)>,
-    /// The word-proposal alias table, rebuilt in place per word.
-    pub alias: SparseAliasTable,
-    /// Worklists of the in-place alias build.
-    pub alias_build: AliasBuildScratch,
+    counts: CountPool,
+    proposals: WordProposals,
 }
 
 impl PhaseScratch {
     /// Scratch for `num_topics` topics where no row/column exceeds
     /// `max_len` entries (so at most `min{K, max_len}` distinct topics).
-    pub fn new(num_topics: usize, max_len: usize) -> Self {
+    pub(crate) fn new(num_topics: usize, max_len: usize) -> Self {
         let cap = num_topics.min(max_len).max(1);
         Self {
             counts: CountPool::new(num_topics),
-            pairs: Vec::with_capacity(cap),
-            alias: SparseAliasTable::with_capacity(cap),
-            alias_build: AliasBuildScratch::with_capacity(cap),
+            proposals: WordProposals {
+                pairs: Vec::with_capacity(cap),
+                table: SparseAliasTable::with_capacity(cap),
+                build: AliasBuildScratch::with_capacity(cap),
+            },
         }
     }
 }
 
-/// The WarpLDA sampler, generic over an optional memory probe.
+/// What every visit needs and no iteration changes: the hyper-parameters with
+/// their sums precomputed, the count-representation switch and the probe
+/// regions.
+#[derive(Debug, Clone, Copy)]
+struct VisitCtx {
+    k: usize,
+    m: usize,
+    alpha: f64,
+    alpha_bar: f64,
+    beta: f64,
+    beta_bar: f64,
+    use_hash: bool,
+    region_cd: RegionId,
+    region_cw: RegionId,
+    region_ck: RegionId,
+}
+
+/// The two passes of Algorithm 2. The discriminant is the phase's slot in an
+/// iteration's seed schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PhaseKind {
+    /// `VisitByColumn`: consumes doc proposals, produces word proposals.
+    Word = 0,
+    /// `VisitByRow`: consumes word proposals, produces doc proposals.
+    Doc = 1,
+}
+
+/// A raw view over the packed records. Columns own contiguous blocks but
+/// rows reach their entries through the row-pointer indirection, so the
+/// entries of different rows interleave in memory and cannot be handed out
+/// as disjoint slices.
+#[derive(Clone, Copy)]
+struct RecPtr {
+    base: SendPtr<u32>,
+    stride: usize,
+}
+
+impl RecPtr {
+    /// Word `slot` of entry `e`'s record: slot 0 is the assignment, slot
+    /// `1 + i` proposal `i`.
+    ///
+    /// # Safety
+    /// `e` must be an entry id of the records this view was created from and
+    /// `slot` at most `M`. Dereferencing the result additionally requires
+    /// that no other thread accesses that record.
+    #[inline]
+    unsafe fn at(self, e: u32, slot: usize) -> *mut u32 {
+        self.base.0.add(e as usize * self.stride + slot)
+    }
+}
+
+/// One phase of one iteration as its visits see it: everything the entities
+/// of the phase share (matrix structure, the installed `c_k`, the stream
+/// root) plus the record view. `Copy`, so every worker of a driver holds one.
+#[derive(Clone, Copy)]
+pub(crate) struct Phase<'a> {
+    kind: PhaseKind,
+    ctx: VisitCtx,
+    matrix: &'a TokenMatrix<()>,
+    recs: RecPtr,
+    ck: &'a [u32],
+    /// Stream root of this `(seed, iteration, phase)`; per-entity streams
+    /// hang off it, so results are independent of visiting order.
+    seed: u64,
+}
+
+impl Phase<'_> {
+    /// Visits entity `id` — a column in the word phase, a row in the doc
+    /// phase — accumulating its updated counts into `partial_ck`.
+    ///
+    /// # Safety
+    /// No other thread may visit the same entity of this phase at the same
+    /// time. Distinct entities of one phase own disjoint records, so any
+    /// number of them may be visited concurrently.
+    #[inline]
+    pub(crate) unsafe fn visit<P: MemoryProbe>(
+        &self,
+        id: u32,
+        partial_ck: &mut [u32],
+        scratch: &mut PhaseScratch,
+        probe: &mut P,
+    ) {
+        match self.kind {
+            PhaseKind::Word => self.visit_column(id, partial_ck, scratch, probe),
+            PhaseKind::Doc => self.visit_row(id, partial_ck, scratch, probe),
+        }
+    }
+
+    /// One column of the word phase. Picks the hash or dense representation
+    /// of `c_w` per the paper's heuristic, then runs the monomorphized
+    /// kernel. Performs no heap allocation once the scratch buffers have
+    /// grown to the column's size.
+    ///
+    /// # Safety
+    /// Same contract as [`visit`](Self::visit).
+    unsafe fn visit_column<P: MemoryProbe>(
+        &self,
+        w: u32,
+        partial_ck: &mut [u32],
+        scratch: &mut PhaseScratch,
+        probe: &mut P,
+    ) {
+        let range = self.matrix.col_entry_range(w);
+        let len = range.len();
+        if len == 0 {
+            return;
+        }
+        let mut rng = new_rng(split_seed(self.seed, w as u64));
+        // SAFETY: column w's records are the contiguous block of its entry
+        // range, which lies inside the records `recs` views because those
+        // are the records of `matrix`; the caller guarantees that nobody
+        // else touches them during the visit. The whole visit is therefore a
+        // single sequential stream over `len * (M + 1)` words.
+        let block = std::slice::from_raw_parts_mut(
+            self.recs.at(range.start as u32, 0),
+            len * self.recs.stride,
+        );
+        probe.begin_scope();
+        let PhaseScratch { counts, proposals } = scratch;
+        if self.ctx.use_hash && counts.prefers_hash(len) {
+            let cw = counts.hash_for(len);
+            self.word_column_kernel(block, partial_ck, cw, proposals, &mut rng, probe);
+        } else {
+            self.word_column_kernel(block, partial_ck, counts.dense(), proposals, &mut rng, probe);
+        }
+        probe.end_scope();
+    }
+
+    fn word_column_kernel<C: TopicCounts, P: MemoryProbe>(
+        &self,
+        block: &mut [u32],
+        next_ck: &mut [u32],
+        cw: &mut C,
+        proposals: &mut WordProposals,
+        rng: &mut SmallRng,
+        probe: &mut P,
+    ) {
+        let VisitCtx { k, m, beta, beta_bar, region_cw, region_ck, .. } = self.ctx;
+        let ck = self.ck;
+        let stride = m + 1;
+        debug_assert!(!block.is_empty() && block.len().is_multiple_of(stride));
+        let len = block.len() / stride;
+
+        // c_w on the fly.
+        for rec in block.chunks_exact(stride) {
+            let t = rec[0];
+            cw.increment(t);
+            probe.write(region_cw, t as usize);
+        }
+
+        // Simulate the q_doc chains with the proposals drawn last doc phase.
+        for rec in block.chunks_exact_mut(stride) {
+            let mut z = rec[0];
+            for &t in &rec[1..] {
+                if t != z {
+                    probe.read(region_cw, t as usize);
+                    probe.read(region_cw, z as usize);
+                    probe.read(region_ck, t as usize);
+                    probe.read(region_ck, z as usize);
+                    let ratio = (cw.get(t) as f64 + beta) / (cw.get(z) as f64 + beta)
+                        * (ck[z as usize] as f64 + beta_bar)
+                        / (ck[t as usize] as f64 + beta_bar);
+                    if ratio >= 1.0 || rng.gen::<f64>() < ratio {
+                        z = t;
+                    }
+                }
+            }
+            rec[0] = z;
+        }
+
+        // Recompute c_w from the updated assignments (Algorithm 2 "Update Cwk"),
+        // accumulate it into the next c_k, and rebuild the alias table of
+        // q_word(k) ∝ C_wk + β in place.
+        cw.clear();
+        for rec in block.chunks_exact(stride) {
+            let t = rec[0];
+            cw.increment(t);
+            probe.write(region_cw, t as usize);
+            next_ck[t as usize] += 1;
+        }
+        proposals.rebuild(cw);
+        // Mixture weights of q_word: counts part (mass L_w) vs smoothing part
+        // (mass K·β).
+        let count_mass = len as f64;
+        let smooth_mass = k as f64 * beta;
+        let p_count = count_mass / (count_mass + smooth_mass);
+
+        for rec in block.chunks_exact_mut(stride) {
+            for slot in &mut rec[1..] {
+                *slot = if rng.gen::<f64>() < p_count {
+                    proposals.table.sample(rng)
+                } else {
+                    rng.dice(k) as u32
+                };
+            }
+        }
+    }
+
+    /// One row of the doc phase. Picks the hash or dense representation of
+    /// `c_d` per the paper's heuristic, then runs the monomorphized kernel.
+    /// Allocation-free.
+    ///
+    /// # Safety
+    /// Same contract as [`visit`](Self::visit).
+    unsafe fn visit_row<P: MemoryProbe>(
+        &self,
+        d: u32,
+        partial_ck: &mut [u32],
+        scratch: &mut PhaseScratch,
+        probe: &mut P,
+    ) {
+        let entries = self.matrix.row_entry_ids(d);
+        let len = entries.len();
+        if len == 0 {
+            return;
+        }
+        let mut rng = new_rng(split_seed(self.seed, d as u64));
+        probe.begin_scope();
+        let counts = &mut scratch.counts;
+        if self.ctx.use_hash && counts.prefers_hash(len) {
+            self.doc_row_kernel(entries, partial_ck, counts.hash_for(len), &mut rng, probe);
+        } else {
+            self.doc_row_kernel(entries, partial_ck, counts.dense(), &mut rng, probe);
+        }
+        probe.end_scope();
+    }
+
+    /// # Safety
+    /// `entries` must be the entry ids of one row of `self.matrix`, and no
+    /// other thread may touch those records for the duration of the call.
+    unsafe fn doc_row_kernel<C: TopicCounts, P: MemoryProbe>(
+        &self,
+        entries: &[u32],
+        next_ck: &mut [u32],
+        cd: &mut C,
+        rng: &mut SmallRng,
+        probe: &mut P,
+    ) {
+        let VisitCtx { k, m, alpha, alpha_bar, beta_bar, region_cd, region_ck, .. } = self.ctx;
+        let (recs, ck) = (self.recs, self.ck);
+        let len = entries.len();
+
+        // c_d on the fly.
+        for &e in entries {
+            let t = *recs.at(e, 0);
+            cd.increment(t);
+            probe.write(region_cd, t as usize);
+        }
+
+        // Simulate the q_word chains with the proposals drawn last word phase.
+        for &e in entries {
+            let old = *recs.at(e, 0);
+            let mut cur = old;
+            for i in 0..m {
+                let t = *recs.at(e, 1 + i);
+                if t != cur {
+                    probe.read(region_cd, t as usize);
+                    probe.read(region_cd, cur as usize);
+                    probe.read(region_ck, t as usize);
+                    probe.read(region_ck, cur as usize);
+                    let ratio = (cd.get(t) as f64 + alpha) / (cd.get(cur) as f64 + alpha)
+                        * (ck[cur as usize] as f64 + beta_bar)
+                        / (ck[t as usize] as f64 + beta_bar);
+                    if ratio >= 1.0 || rng.gen::<f64>() < ratio {
+                        cur = t;
+                    }
+                }
+            }
+            if cur != old {
+                // Keep c_d in sync so the upcoming random positioning reflects
+                // the updated assignments of this document.
+                cd.decrement(old);
+                cd.increment(cur);
+                *recs.at(e, 0) = cur;
+            }
+        }
+
+        // Accumulate the updated c_d into the next c_k.
+        cd.for_each(|t, c| next_ck[t as usize] += c);
+
+        // Draw the doc proposals q_doc(k) ∝ C_dk + α by random positioning: with
+        // probability L_d/(L_d + ᾱ) reuse the topic of a uniformly chosen token
+        // of this document, otherwise a uniform topic.
+        let p_count = len as f64 / (len as f64 + alpha_bar);
+        for &e in entries {
+            for i in 0..m {
+                let t = if rng.gen::<f64>() < p_count {
+                    *recs.at(entries[rng.dice(len)], 0)
+                } else {
+                    rng.dice(k) as u32
+                };
+                *recs.at(e, 1 + i) = t;
+            }
+        }
+    }
+}
+
+/// The WarpLDA sampler state, generic over an optional memory probe.
 pub struct WarpLda<P: MemoryProbe = NoProbe> {
     params: ModelParams,
     config: WarpLdaConfig,
+    ctx: VisitCtx,
     /// D × V matrix, structure only (offsets + row pointers; no entry data).
     matrix: TokenMatrix<()>,
     /// Packed per-entry records `[z | M proposals]`, stride `M + 1`, indexed
     /// by entry id (CSC position).
     records: PackedRecords,
-    /// Global topic counts used (read-only) during the current phase.
+    /// Global topic counts as of the last installed phase boundary; read-only
+    /// during a phase.
     topic_counts: Vec<u32>,
-    /// Global topic counts being accumulated for the next phase.
-    next_topic_counts: Vec<u32>,
     /// Entry id of each doc-major token index (for exporting assignments).
     entry_of_token: Vec<u32>,
-    rng: SmallRng,
+    /// Root of every RNG stream of the chain (and of the initial state).
+    seed: u64,
     iterations: u64,
-    beta_bar: f64,
-    vocab_size: usize,
     /// Largest row or column of the corpus; sizes phase/worker scratch.
     max_visit_len: usize,
     scratch: PhaseScratch,
-    /// Wall seconds of the most recent word phase.
-    last_word_phase_secs: f64,
-    /// Wall seconds of the most recent doc phase.
-    last_doc_phase_secs: f64,
+    /// Partial `c_k` of the serial driver, kept so it allocates nothing.
+    partial_ck: Vec<u32>,
+    /// Wall seconds the most recent `run_iteration` spent in its two phases.
+    last_phase_secs: f64,
     probe: P,
-    region_cd: RegionId,
-    region_cw: RegionId,
-    region_ck: RegionId,
 }
+
+/// The replica type of the multi-process runtime, which is the sampler
+/// itself. Kept as a forwarding alias for code that names it.
+pub type ShardedWarpLda = WarpLda;
 
 impl WarpLda<NoProbe> {
     /// Creates an uninstrumented WarpLDA sampler with random initial topics.
@@ -148,6 +484,9 @@ impl WarpLda<NoProbe> {
 
 impl<P: MemoryProbe> WarpLda<P> {
     /// Creates a sampler whose count-vector accesses are reported to `probe`.
+    /// The initial state is a pure function of the arguments: every process
+    /// of a cluster that calls this with the same corpus, parameters,
+    /// configuration and seed starts from bit-identical replicas.
     ///
     /// Only the count structures are probed (`c_d`, `c_w`, `c_k`): the packed
     /// token records are scanned strictly sequentially by construction and
@@ -209,30 +548,34 @@ impl<P: MemoryProbe> WarpLda<P> {
             }
         }
 
-        let region_cd = probe.register_region("cd vector", k, 4);
-        let region_cw = probe.register_region("cw vector", k, 4);
-        let region_ck = probe.register_region("ck vector", k, 4);
+        let ctx = VisitCtx {
+            k,
+            m,
+            alpha: params.alpha,
+            alpha_bar: params.alpha_bar(),
+            beta: params.beta,
+            beta_bar: params.beta_bar(vocab_size),
+            use_hash: config.use_hash_counts,
+            region_cd: probe.register_region("cd vector", k, 4),
+            region_cw: probe.register_region("cw vector", k, 4),
+            region_ck: probe.register_region("ck vector", k, 4),
+        };
 
         Self {
             params,
             config,
+            ctx,
             matrix,
             records,
             topic_counts,
-            next_topic_counts: vec![0u32; k],
             entry_of_token,
-            rng,
+            seed,
             iterations: 0,
-            beta_bar: params.beta_bar(vocab_size),
-            vocab_size,
             max_visit_len,
             scratch: PhaseScratch::new(k, max_visit_len),
-            last_word_phase_secs: 0.0,
-            last_doc_phase_secs: 0.0,
+            partial_ck: vec![0u32; k],
+            last_phase_secs: 0.0,
             probe,
-            region_cd,
-            region_cw,
-            region_ck,
         }
     }
 
@@ -246,435 +589,207 @@ impl<P: MemoryProbe> WarpLda<P> {
         &self.probe
     }
 
-    /// The global topic counts as of the last completed phase.
+    /// The seed every RNG stream of the chain derives from.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The global topic counts as of the last installed phase boundary.
     pub fn topic_counts(&self) -> &[u32] {
         &self.topic_counts
     }
 
-    /// Wall seconds of the most recent `(word phase, doc phase)`, measured
-    /// inside [`run_iteration`](Sampler::run_iteration).
-    pub fn last_phase_seconds(&self) -> (f64, f64) {
-        (self.last_word_phase_secs, self.last_doc_phase_secs)
+    /// Number of documents (matrix rows).
+    pub fn num_docs(&self) -> usize {
+        self.matrix.num_rows()
     }
 
-    /// Swaps in the freshly accumulated `c_k` at a phase boundary.
-    fn swap_topic_counts(&mut self) {
-        std::mem::swap(&mut self.topic_counts, &mut self.next_topic_counts);
-        self.next_topic_counts.fill(0);
+    /// Number of vocabulary words (matrix columns).
+    pub fn num_words(&self) -> usize {
+        self.matrix.num_cols()
     }
 
-    /// The **word phase**: `VisitByColumn`, consuming doc proposals and
-    /// producing word proposals.
-    fn word_phase(&mut self) {
-        let k = self.params.num_topics;
-        let m = self.config.mh_steps;
-        let beta = self.params.beta;
-        let beta_bar = self.beta_bar;
-        let use_hash = self.config.use_hash_counts;
-        let region_cw = self.region_cw;
-        let region_ck = self.region_ck;
-
-        let Self { matrix, records, topic_counts, next_topic_counts, rng, probe, scratch, .. } =
-            self;
-
-        for w in 0..matrix.num_cols() as u32 {
-            let range = matrix.col_entry_range(w);
-            let len = range.len();
-            if len == 0 {
-                continue;
-            }
-            probe.begin_scope();
-            // A column's records are one contiguous block: the whole visit is
-            // a single sequential stream over `len * (M + 1)` words.
-            let block = records.block_mut(range);
-            process_word_column(
-                block,
-                m,
-                k,
-                beta,
-                beta_bar,
-                topic_counts,
-                next_topic_counts,
-                scratch,
-                use_hash,
-                rng,
-                probe,
-                region_cw,
-                region_ck,
-            );
-            probe.end_scope();
-        }
-
-        self.swap_topic_counts();
+    /// Number of token entries.
+    pub fn num_entries(&self) -> usize {
+        self.matrix.num_entries()
     }
 
-    /// The **document phase**: `VisitByRow`, consuming word proposals and
-    /// producing doc proposals.
-    fn doc_phase(&mut self) {
-        let k = self.params.num_topics;
-        let alpha = self.params.alpha;
-        let alpha_bar = self.params.alpha_bar();
-        let beta_bar = self.beta_bar;
-        let use_hash = self.config.use_hash_counts;
-        let region_cd = self.region_cd;
-        let region_ck = self.region_ck;
-
-        let Self { matrix, records, topic_counts, next_topic_counts, rng, probe, scratch, .. } =
-            self;
-        let recs = RecPtr::new(records);
-
-        for d in 0..matrix.num_rows() as u32 {
-            let entries = matrix.row_entry_ids(d);
-            let len = entries.len();
-            if len == 0 {
-                continue;
-            }
-            probe.begin_scope();
-            // SAFETY: `recs` wraps the exclusively borrowed `records` and this
-            // loop visits each row (disjoint entry sets) once, serially.
-            unsafe {
-                process_doc_row(
-                    entries,
-                    recs,
-                    k,
-                    alpha,
-                    alpha_bar,
-                    beta_bar,
-                    topic_counts,
-                    next_topic_counts,
-                    scratch,
-                    use_hash,
-                    rng,
-                    probe,
-                    region_cd,
-                    region_ck,
-                );
-            }
-            probe.end_scope();
-        }
-
-        self.swap_topic_counts();
-    }
-}
-
-/// One column of the word phase, shared by the serial and parallel drivers:
-/// recompute `c_w`, run the MH chains over the packed records, accumulate the
-/// updated counts into `next_ck`, rebuild the word-proposal alias table in
-/// place and draw fresh proposals. Picks the hash or dense count
-/// representation per the paper's heuristic, then runs the monomorphized
-/// kernel. Performs no heap allocation once the scratch buffers have grown
-/// to the column's size.
-#[allow(clippy::too_many_arguments)]
-fn process_word_column<P: MemoryProbe>(
-    block: &mut [u32],
-    m: usize,
-    k: usize,
-    beta: f64,
-    beta_bar: f64,
-    ck: &[u32],
-    next_ck: &mut [u32],
-    scratch: &mut PhaseScratch,
-    use_hash: bool,
-    rng: &mut SmallRng,
-    probe: &mut P,
-    region_cw: RegionId,
-    region_ck: RegionId,
-) {
-    let len = block.len() / (m + 1);
-    let PhaseScratch { counts, pairs, alias, alias_build } = scratch;
-    if use_hash && counts.prefers_hash(len) {
-        word_column_kernel(
-            block,
-            m,
-            k,
-            beta,
-            beta_bar,
-            ck,
-            next_ck,
-            counts.hash_for(len),
-            pairs,
-            alias,
-            alias_build,
-            rng,
-            probe,
-            region_cw,
-            region_ck,
-        );
-    } else {
-        word_column_kernel(
-            block,
-            m,
-            k,
-            beta,
-            beta_bar,
-            ck,
-            next_ck,
-            counts.dense(),
-            pairs,
-            alias,
-            alias_build,
-            rng,
-            probe,
-            region_cw,
-            region_ck,
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn word_column_kernel<C: TopicCounts, P: MemoryProbe>(
-    block: &mut [u32],
-    m: usize,
-    k: usize,
-    beta: f64,
-    beta_bar: f64,
-    ck: &[u32],
-    next_ck: &mut [u32],
-    cw: &mut C,
-    pairs: &mut Vec<(u32, f64)>,
-    alias: &mut SparseAliasTable,
-    alias_build: &mut AliasBuildScratch,
-    rng: &mut SmallRng,
-    probe: &mut P,
-    region_cw: RegionId,
-    region_ck: RegionId,
-) {
-    let stride = m + 1;
-    debug_assert!(!block.is_empty() && block.len().is_multiple_of(stride));
-    let len = block.len() / stride;
-
-    // c_w on the fly.
-    for rec in block.chunks_exact(stride) {
-        let t = rec[0];
-        cw.increment(t);
-        probe.write(region_cw, t as usize);
+    /// Words per packed record (`M + 1`).
+    pub fn stride(&self) -> usize {
+        self.records.stride()
     }
 
-    // Simulate the q_doc chains with the proposals drawn last doc phase.
-    for rec in block.chunks_exact_mut(stride) {
-        let mut z = rec[0];
-        for &t in &rec[1..] {
-            if t != z {
-                probe.read(region_cw, t as usize);
-                probe.read(region_cw, z as usize);
-                probe.read(region_ck, t as usize);
-                probe.read(region_ck, z as usize);
-                let ratio = (cw.get(t) as f64 + beta) / (cw.get(z) as f64 + beta)
-                    * (ck[z as usize] as f64 + beta_bar)
-                    / (ck[t as usize] as f64 + beta_bar);
-                if ratio >= 1.0 || rng.gen::<f64>() < ratio {
-                    z = t;
-                }
-            }
-        }
-        rec[0] = z;
+    /// Entry ids of document `d`, in row order.
+    pub fn row_entry_ids(&self, d: u32) -> &[u32] {
+        self.matrix.row_entry_ids(d)
     }
 
-    // Recompute c_w from the updated assignments (Algorithm 2 "Update Cwk"),
-    // accumulate it into the next c_k, and rebuild the alias table of
-    // q_word(k) ∝ C_wk + β in place.
-    cw.clear();
-    for rec in block.chunks_exact(stride) {
-        let t = rec[0];
-        cw.increment(t);
-        probe.write(region_cw, t as usize);
-        next_ck[t as usize] += 1;
-    }
-    pairs.clear();
-    cw.for_each(|t, c| pairs.push((t, c as f64)));
-    alias.rebuild(pairs, alias_build);
-    // Mixture weights of q_word: counts part (mass L_w) vs smoothing part
-    // (mass K·β).
-    let count_mass = len as f64;
-    let smooth_mass = k as f64 * beta;
-    let p_count = count_mass / (count_mass + smooth_mass);
-
-    for rec in block.chunks_exact_mut(stride) {
-        for slot in &mut rec[1..] {
-            *slot = if rng.gen::<f64>() < p_count { alias.sample(rng) } else { rng.dice(k) as u32 };
-        }
-    }
-}
-
-/// A copyable raw view over packed records for row visits, which reach
-/// entries through the row-pointer indirection. Both the serial driver
-/// (exclusive borrow) and the parallel driver (disjoint rows per worker)
-/// funnel through this so the doc-phase kernel exists once.
-#[derive(Clone, Copy)]
-pub(crate) struct RecPtr {
-    ptr: *mut u32,
-    stride: usize,
-}
-
-// SAFETY: a `RecPtr` is only dereferenced at the entry ids of rows the
-// holding thread owns; the drivers guarantee each row is visited by exactly
-// one thread (see `process_doc_row`).
-unsafe impl Send for RecPtr {}
-unsafe impl Sync for RecPtr {}
-
-impl RecPtr {
-    pub(crate) fn new(records: &mut PackedRecords) -> Self {
-        Self { ptr: records.as_mut_ptr(), stride: records.stride() }
+    /// Word id of each entry of document `d`, aligned with
+    /// [`row_entry_ids`](Self::row_entry_ids).
+    pub fn row_entry_cols(&self, d: u32) -> &[u32] {
+        self.matrix.row_entry_cols(d)
     }
 
-    #[inline]
-    unsafe fn z(&self, e: u32) -> u32 {
-        *self.ptr.add(e as usize * self.stride)
+    /// The contiguous entry-id range of word `w`'s column.
+    pub fn col_entry_range(&self, w: u32) -> std::ops::Range<usize> {
+        self.matrix.col_entry_range(w)
     }
 
-    #[inline]
-    unsafe fn set_z(&self, e: u32, v: u32) {
-        *self.ptr.add(e as usize * self.stride) = v;
+    /// Document id of each entry of word `w`'s column, in entry order.
+    pub fn col_entry_rows(&self, w: u32) -> &[u32] {
+        self.matrix.col_entry_rows(w)
     }
 
-    #[inline]
-    unsafe fn proposal(&self, e: u32, i: usize) -> u32 {
-        *self.ptr.add(e as usize * self.stride + 1 + i)
+    /// The full packed record buffer (for building resume payloads).
+    pub fn records_slice(&self) -> &[u32] {
+        self.records.as_slice()
     }
 
-    #[inline]
-    unsafe fn set_proposal(&self, e: u32, i: usize, v: u32) {
-        *self.ptr.add(e as usize * self.stride + 1 + i) = v;
-    }
-}
-
-/// One row of the doc phase, shared by the serial and parallel drivers:
-/// recompute `c_d`, run the MH chains, accumulate into `next_ck`, draw fresh
-/// doc proposals by random positioning. Picks the hash or dense count
-/// representation per the paper's heuristic, then runs the monomorphized
-/// kernel. Allocation-free.
-///
-/// # Safety
-/// `entries` must be the entry ids of one row of the matrix `recs` was
-/// created from, every id in range, and no other thread may touch those
-/// records for the duration of the call.
-#[allow(clippy::too_many_arguments)]
-unsafe fn process_doc_row<P: MemoryProbe>(
-    entries: &[u32],
-    recs: RecPtr,
-    k: usize,
-    alpha: f64,
-    alpha_bar: f64,
-    beta_bar: f64,
-    ck: &[u32],
-    next_ck: &mut [u32],
-    scratch: &mut PhaseScratch,
-    use_hash: bool,
-    rng: &mut SmallRng,
-    probe: &mut P,
-    region_cd: RegionId,
-    region_ck: RegionId,
-) {
-    let len = entries.len();
-    let counts = &mut scratch.counts;
-    if use_hash && counts.prefers_hash(len) {
-        doc_row_kernel(
-            entries,
+    /// Opens phase `kind` of the current iteration. The returned view holds
+    /// the exclusive borrow of the sampler, which is what makes it the only
+    /// route to the records while the phase runs.
+    pub(crate) fn phase(&mut self, kind: PhaseKind) -> (Phase<'_>, &mut PhaseScratch, &mut P) {
+        let recs =
+            RecPtr { base: SendPtr(self.records.as_mut_ptr()), stride: self.records.stride() };
+        let phase = Phase {
+            kind,
+            ctx: self.ctx,
+            matrix: &self.matrix,
             recs,
-            k,
-            alpha,
-            alpha_bar,
-            beta_bar,
-            ck,
-            next_ck,
-            counts.hash_for(len),
-            rng,
-            probe,
-            region_cd,
-            region_ck,
-        );
-    } else {
-        doc_row_kernel(
-            entries,
-            recs,
-            k,
-            alpha,
-            alpha_bar,
-            beta_bar,
-            ck,
-            next_ck,
-            counts.dense(),
-            rng,
-            probe,
-            region_cd,
-            region_ck,
-        );
-    }
-}
-
-/// # Safety
-/// Same contract as [`process_doc_row`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn doc_row_kernel<C: TopicCounts, P: MemoryProbe>(
-    entries: &[u32],
-    recs: RecPtr,
-    k: usize,
-    alpha: f64,
-    alpha_bar: f64,
-    beta_bar: f64,
-    ck: &[u32],
-    next_ck: &mut [u32],
-    cd: &mut C,
-    rng: &mut SmallRng,
-    probe: &mut P,
-    region_cd: RegionId,
-    region_ck: RegionId,
-) {
-    let len = entries.len();
-    let m = recs.stride - 1;
-
-    // c_d on the fly.
-    for &e in entries {
-        let t = recs.z(e);
-        cd.increment(t);
-        probe.write(region_cd, t as usize);
+            ck: &self.topic_counts,
+            seed: split_seed(self.seed, self.iterations * 2 + kind as u64),
+        };
+        (phase, &mut self.scratch, &mut self.probe)
     }
 
-    // Simulate the q_word chains with the proposals drawn last word phase.
-    for &e in entries {
-        let old = recs.z(e);
-        let mut cur = old;
-        for i in 0..m {
-            let t = recs.proposal(e, i);
-            if t != cur {
-                probe.read(region_cd, t as usize);
-                probe.read(region_cd, cur as usize);
-                probe.read(region_ck, t as usize);
-                probe.read(region_ck, cur as usize);
-                let ratio = (cd.get(t) as f64 + alpha) / (cd.get(cur) as f64 + alpha)
-                    * (ck[cur as usize] as f64 + beta_bar)
-                    / (ck[t as usize] as f64 + beta_bar);
-                if ratio >= 1.0 || rng.gen::<f64>() < ratio {
-                    cur = t;
-                }
+    /// The serial driver of one phase: visits `entities` in order on the
+    /// calling thread, accumulating their counts into `partial_ck` (zeroed
+    /// first).
+    fn run_phase(
+        &mut self,
+        kind: PhaseKind,
+        entities: impl Iterator<Item = u32>,
+        partial_ck: &mut [u32],
+    ) {
+        assert_eq!(partial_ck.len(), self.ctx.k, "partial c_k must have one slot per topic");
+        partial_ck.fill(0);
+        let (phase, scratch, probe) = self.phase(kind);
+        for id in entities {
+            // SAFETY: the sampler is exclusively borrowed and the loop is
+            // serial, so no two visits ever overlap.
+            unsafe { phase.visit(id, partial_ck, scratch, probe) };
+        }
+    }
+
+    /// Runs the word phase over the columns `words` only, accumulating the
+    /// updated counts of those columns into `partial_ck` (zeroed first).
+    /// The global `c_k` read by the MH chains is whatever the last
+    /// [`install_topic_counts`](Self::install_topic_counts) installed.
+    /// `words` must be distinct; results are independent of their order and
+    /// of which other columns any other replica visits.
+    pub fn run_word_phase_shard(&mut self, words: &[u32], partial_ck: &mut [u32]) {
+        self.run_phase(PhaseKind::Word, words.iter().copied(), partial_ck);
+    }
+
+    /// Runs the doc phase over the rows `docs` only. Same contract as
+    /// [`run_word_phase_shard`](Self::run_word_phase_shard).
+    pub fn run_doc_phase_shard(&mut self, docs: &[u32], partial_ck: &mut [u32]) {
+        self.run_phase(PhaseKind::Doc, docs.iter().copied(), partial_ck);
+    }
+
+    /// Installs the global `c_k` of a phase boundary: the sum of the partial
+    /// `c_k` of every shard of the phase that just ran.
+    pub fn install_topic_counts(&mut self, ck: &[u32]) {
+        assert_eq!(ck.len(), self.ctx.k, "c_k must have one slot per topic");
+        self.topic_counts.copy_from_slice(ck);
+    }
+
+    /// Advances the iteration counter once both phases of an iteration have
+    /// run and their boundaries were installed.
+    pub fn advance_iteration(&mut self) {
+        self.iterations += 1;
+    }
+
+    /// Appends the packed records of `entries` (in that order) to `out`
+    /// (cleared first): `entries.len() × stride` words.
+    pub fn export_records(&self, entries: &[u32], out: &mut Vec<u32>) {
+        out.clear();
+        out.reserve(entries.len() * self.stride());
+        for &e in entries {
+            out.extend_from_slice(self.records.record(e as usize));
+        }
+    }
+
+    /// Overwrites the packed records of `entries` (in that order) with
+    /// `words`, the wire form produced by
+    /// [`export_records`](Self::export_records) on the owning peer. Length
+    /// and topic-range mismatches are typed corruption errors — this is the
+    /// validation gate for record payloads arriving off the wire.
+    pub fn import_records(&mut self, entries: &[u32], words: &[u32]) -> CodecResult<()> {
+        let stride = self.stride();
+        if words.len() != entries.len() * stride {
+            return Err(CodecError::Corrupt(format!(
+                "record delta holds {} words but {} entries × stride {stride} need {}",
+                words.len(),
+                entries.len(),
+                entries.len() * stride,
+            )));
+        }
+        self.check_topics(words)?;
+        for (rec, &e) in words.chunks_exact(stride).zip(entries) {
+            self.records.record_mut(e as usize).copy_from_slice(rec);
+        }
+        Ok(())
+    }
+
+    fn check_topics(&self, words: &[u32]) -> CodecResult<()> {
+        let k = self.ctx.k;
+        match words.iter().find(|&&t| t as usize >= k) {
+            Some(bad) => {
+                Err(CodecError::Corrupt(format!("record topic {bad} out of range (K = {k})")))
             }
-        }
-        if cur != old {
-            // Keep c_d in sync so the upcoming random positioning reflects
-            // the updated assignments of this document.
-            cd.decrement(old);
-            cd.increment(cur);
-            recs.set_z(e, cur);
+            None => Ok(()),
         }
     }
 
-    // Accumulate the updated c_d into the next c_k.
-    cd.for_each(|t, c| next_ck[t as usize] += c);
-
-    // Draw the doc proposals q_doc(k) ∝ C_dk + α by random positioning: with
-    // probability L_d/(L_d + ᾱ) reuse the topic of a uniformly chosen token
-    // of this document, otherwise a uniform topic.
-    let p_count = len as f64 / (len as f64 + alpha_bar);
-    for &e in entries {
-        for i in 0..m {
-            let t = if rng.gen::<f64>() < p_count {
-                let pos = rng.dice(len);
-                recs.z(entries[pos])
-            } else {
-                rng.dice(k) as u32
-            };
-            recs.set_proposal(e, i, t);
+    /// Replaces the full sampler state (iteration counter, packed records,
+    /// `c_k`) — how a checkpoint is adopted and how a worker of the
+    /// multi-process runtime rejoins an iteration boundary. Nothing is
+    /// modified unless the state is structurally valid for this corpus and
+    /// configuration.
+    pub fn restore(
+        &mut self,
+        iterations: u64,
+        records: &[u32],
+        topic_counts: &[u32],
+    ) -> CodecResult<()> {
+        let stride = self.stride();
+        let entries = self.num_entries();
+        let k = self.ctx.k;
+        if records.len() != entries * stride {
+            return Err(CodecError::Corrupt(format!(
+                "state holds {} record words but the corpus needs {} \
+                 ({entries} entries × stride {stride})",
+                records.len(),
+                entries * stride,
+            )));
         }
+        self.check_topics(records)?;
+        // The delayed-update invariant between iterations: c_k is exactly the
+        // topic histogram of the assignments.
+        let mut hist = vec![0u32; k];
+        for &t in records.iter().step_by(stride) {
+            hist[t as usize] += 1;
+        }
+        if topic_counts != hist {
+            return Err(CodecError::Corrupt(
+                "topic counts do not match the assignment histogram".to_string(),
+            ));
+        }
+        self.records.as_mut_slice().copy_from_slice(records);
+        self.topic_counts = hist;
+        self.iterations = iterations;
+        Ok(())
     }
 }
 
@@ -687,15 +802,18 @@ impl<P: MemoryProbe> Sampler for WarpLda<P> {
         &self.params
     }
 
+    /// The reference mode: every column, then every row, on this thread.
     fn run_iteration(&mut self) {
-        // Algorithm 2: word phase first, then document phase.
         let t0 = std::time::Instant::now();
-        self.word_phase();
-        self.last_word_phase_secs = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
-        self.doc_phase();
-        self.last_doc_phase_secs = t1.elapsed().as_secs_f64();
-        self.iterations += 1;
+        let mut partial = std::mem::take(&mut self.partial_ck);
+        // Algorithm 2: word phase first, then document phase.
+        self.run_phase(PhaseKind::Word, 0..self.num_words() as u32, &mut partial);
+        self.install_topic_counts(&partial);
+        self.run_phase(PhaseKind::Doc, 0..self.num_docs() as u32, &mut partial);
+        self.install_topic_counts(&partial);
+        self.partial_ck = partial;
+        self.advance_iteration();
+        self.last_phase_secs = t0.elapsed().as_secs_f64();
     }
 
     fn iterations(&self) -> u64 {
@@ -707,7 +825,7 @@ impl<P: MemoryProbe> Sampler for WarpLda<P> {
     }
 
     fn last_iteration_phase_seconds(&self) -> Option<f64> {
-        Some(self.last_word_phase_secs + self.last_doc_phase_secs)
+        Some(self.last_phase_secs)
     }
 }
 
@@ -716,23 +834,20 @@ impl<P: MemoryProbe> Checkpointable for WarpLda<P> {
         "warplda"
     }
 
+    /// The chain is a pure function of `(seed, iteration, records, c_k)`, so
+    /// that is the whole payload: any driver resumes what any driver wrote.
     fn write_state(&self, enc: &mut Encoder<'_>) -> CodecResult<()> {
+        enc.write_u64(self.seed)?;
         enc.write_u64(self.iterations)?;
-        checkpoint::write_rng(enc, &self.rng)?;
         enc.write_usize(self.config.mh_steps)?;
         enc.write_bool(self.config.use_hash_counts)?;
-        // Format v2: the packed records as one interleaved slice
-        // (assignment + M proposals per entry), replacing the v1 pair of
-        // separate assignment/proposal arrays.
         enc.write_u32_slice(self.records.as_slice())?;
         enc.write_u32_slice(&self.topic_counts)
     }
 
     fn read_state(&mut self, dec: &mut Decoder<'_>) -> CodecResult<()> {
-        let k = self.params.num_topics;
-        let entries = self.matrix.num_entries();
+        let seed = dec.read_u64()?;
         let iterations = dec.read_u64()?;
-        let rng = checkpoint::read_rng(dec)?;
         let mh_steps = dec.read_usize()?;
         let use_hash = dec.read_bool()?;
         if mh_steps != self.config.mh_steps || use_hash != self.config.use_hash_counts {
@@ -742,49 +857,13 @@ impl<P: MemoryProbe> Checkpointable for WarpLda<P> {
                 self.config.mh_steps, self.config.use_hash_counts,
             )));
         }
-        let stride = mh_steps + 1;
-        let data = dec.read_u32_vec()?;
-        if data.len() != entries * stride {
-            return Err(CodecError::Corrupt(format!(
-                "checkpoint holds {} record words but the corpus needs {} \
-                 ({entries} entries × stride {stride})",
-                data.len(),
-                entries * stride,
-            )));
-        }
-        if let Some(&bad) = data.iter().find(|&&t| t as usize >= k) {
-            return Err(CodecError::Corrupt(format!("record topic {bad} out of range (K = {k})")));
-        }
+        let records = dec.read_u32_vec()?;
         let topic_counts = dec.read_u32_vec()?;
-        // The delayed-update invariant between iterations: c_k is exactly the
-        // topic histogram of the assignments.
-        let mut hist = vec![0u32; k];
-        for &t in data.iter().step_by(stride) {
-            hist[t as usize] += 1;
-        }
-        if topic_counts != hist {
-            return Err(CodecError::Corrupt(
-                "topic counts do not match the assignment histogram".to_string(),
-            ));
-        }
-        self.records = PackedRecords::from_raw(data, stride);
-        self.topic_counts = topic_counts;
-        self.next_topic_counts.fill(0);
-        self.rng = rng;
-        self.iterations = iterations;
+        self.restore(iterations, &records, &topic_counts)?;
+        // The checkpoint's seed, not the constructor's, governs continuation.
+        self.seed = seed;
         Ok(())
     }
-}
-
-/// Sanity helper shared by the serial and parallel test suites: recomputes the
-/// global topic histogram straight from the packed records.
-#[cfg(test)]
-pub(crate) fn topic_histogram<P: MemoryProbe>(s: &WarpLda<P>) -> Vec<u32> {
-    let mut hist = vec![0u32; s.params.num_topics];
-    for t in s.records.primaries() {
-        hist[t as usize] += 1;
-    }
-    hist
 }
 
 #[cfg(test)]
@@ -802,6 +881,15 @@ mod tests {
             b.push_text_doc(["desert", "sand", "dune", "cactus", "desert", "heat"]);
         }
         b.build().unwrap()
+    }
+
+    /// The global topic histogram straight from the packed records.
+    fn topic_histogram(s: &WarpLda) -> Vec<u32> {
+        let mut hist = vec![0u32; s.params.num_topics];
+        for t in s.records.primaries() {
+            hist[t as usize] += 1;
+        }
+        hist
     }
 
     fn ll_of<S: Sampler>(s: &S, corpus: &Corpus) -> f64 {
@@ -941,6 +1029,21 @@ mod tests {
         let stats = s.probe().stats();
         assert!(stats.accesses > 0);
         assert!(stats.l3_miss_rate() < 0.3, "WarpLDA working set should fit the cache: {stats:?}");
+
+        // The probe sees the same visits through the phase API, here over a
+        // strict subset of the entities (every other word, every third doc).
+        let words: Vec<u32> = (0..s.num_words() as u32).step_by(2).collect();
+        let docs: Vec<u32> = (0..s.num_docs() as u32).step_by(3).collect();
+        let mut partial = vec![0u32; 1024];
+        s.run_word_phase_shard(&words, &mut partial);
+        let after_words = s.probe().stats().accesses;
+        assert!(after_words > stats.accesses, "the word shard must be probed");
+        s.run_doc_phase_shard(&docs, &mut partial);
+        let shard_stats = s.probe().stats();
+        assert!(shard_stats.accesses > after_words, "the doc shard must be probed");
+        assert!(shard_stats.l3_miss_rate() < 0.3, "{shard_stats:?}");
+        let visited: usize = docs.iter().map(|&d| s.row_entry_ids(d).len()).sum();
+        assert_eq!(partial.iter().sum::<u32>() as usize, visited, "only the subset was visited");
     }
 
     #[test]
@@ -959,6 +1062,38 @@ mod tests {
         for (token, &e) in s.entry_of_token.iter().enumerate() {
             assert_eq!(z[token], s.records.primary(e as usize));
         }
+    }
+
+    #[test]
+    fn malformed_deltas_and_resume_states_are_typed_errors_that_change_nothing() {
+        let corpus = DatasetPreset::Tiny.generate_scaled(4);
+        let params = ModelParams::new(6, 0.5, 0.1);
+        let mut s = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(2), 5);
+        let stride = s.stride();
+        let before = s.records_slice().to_vec();
+        // Wrong length.
+        let err = s.import_records(&[0, 1], &vec![0u32; stride]).unwrap_err();
+        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+        // Topic out of range.
+        let err = s.import_records(&[0], &vec![params.num_topics as u32; stride]).unwrap_err();
+        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+        // Restore with a c_k that is not the assignment histogram, with a
+        // short record buffer, and with a c_k of the wrong width.
+        let mut bad_ck = s.topic_counts().to_vec();
+        bad_ck[0] = bad_ck[0].wrapping_add(1);
+        let good_ck = s.topic_counts().to_vec();
+        for (records, ck) in [
+            (&before[..], &bad_ck[..]),
+            (&before[..before.len() - 1], &good_ck[..]),
+            (&before[..], &good_ck[..good_ck.len() - 1]),
+        ] {
+            let err = s.restore(9, records, ck).unwrap_err();
+            assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+        }
+        assert_eq!(s.records_slice(), &before[..], "rejected input must not be applied");
+        assert_eq!(s.iterations(), 0);
+        s.restore(9, &before, &good_ck).unwrap();
+        assert_eq!(s.iterations(), 9);
     }
 
     #[test]

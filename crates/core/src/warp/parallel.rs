@@ -1,20 +1,18 @@
-//! Multi-threaded WarpLDA (Section 5.3.1).
+//! Multi-threaded WarpLDA (Section 5.3.1): a thread pool over the visits of
+//! [`WarpLda`].
 //!
 //! WarpLDA parallelizes trivially because workers own disjoint documents
 //! (doc phase) or words (word phase) and the only shared state — the global
 //! topic vector `c_k` — is read-only within a phase and merged at the phase
-//! boundary. This driver reproduces the paper's shared-memory setup with
-//! three deliberate mechanics:
+//! boundary. This driver adds exactly two mechanics to the sampler's visits:
 //!
 //! * **Chunked work queue.** Workers pull contiguous column/row chunks from a
 //!   [`ChunkCursor`] instead of receiving a static partition, so the tail
 //!   imbalance a power-law head word leaves in any up-front split disappears:
-//!   whoever finishes early claims the next chunk.
-//! * **Per-entity RNG streams.** Every column (word phase) and row (doc
-//!   phase) derives its own stream from `(seed, iteration, phase, entity)`
-//!   via [`warplda_sampling::split_seed`]. Results therefore do not depend
-//!   on which worker claims which chunk — a run is **bit-identical for any
-//!   thread count**, including one.
+//!   whoever finishes early claims the next chunk. Every entity draws from
+//!   its own RNG stream, so which worker claims which chunk cannot show up in
+//!   the result — a run is **bit-identical to the serial sampler for any
+//!   thread count**.
 //! * **Striped phase-boundary reduction.** The per-worker partial `c_k`
 //!   vectors are merged by workers owning contiguous topic stripes (falling
 //!   back to an inline merge when `K` is too small to amortize a spawn), so
@@ -23,49 +21,33 @@
 //! Worker scratch (count pools, alias tables, partial `c_k`) persists across
 //! iterations, so apart from the scoped-thread spawns themselves the phases
 //! perform no steady-state heap allocation.
-//!
-//! Sharing the entry data is sound for the same reason as in
-//! [`warplda_sparse::parallel`]: a column's records are a contiguous block
-//! claimed by exactly one worker, and each row's entry ids are touched by
-//! exactly one worker ([`RecPtr`]'s disjointness argument).
-
-use crossbeam::thread;
 
 use warplda_cachesim::NoProbe;
 use warplda_corpus::Corpus;
-use warplda_sampling::{new_rng, split_seed};
-use warplda_sparse::{ChunkCursor, SendPtr};
+use warplda_sparse::ChunkCursor;
 
 use crate::checkpoint::Checkpointable;
 use crate::params::ModelParams;
 use crate::sampler::Sampler;
 use warplda_corpus::io::codec::{CodecResult, Decoder, Encoder};
 
-use super::{process_word_column, PhaseScratch, RecPtr, WarpLda, WarpLdaConfig};
+use super::{PhaseKind, PhaseScratch, WarpLda, WarpLdaConfig};
 
-/// Reusable per-worker state: the shared phase scratch plus the worker's
-/// partial `c_k` accumulator. Persists across iterations.
+/// Reusable per-worker state: the phase scratch plus the worker's partial
+/// `c_k` accumulator. Persists across iterations.
 struct WorkerScratch {
     partial_ck: Vec<u32>,
     scratch: PhaseScratch,
 }
 
-impl WorkerScratch {
-    fn new(num_topics: usize, max_len: usize) -> Self {
-        Self { partial_ck: vec![0; num_topics], scratch: PhaseScratch::new(num_topics, max_len) }
-    }
-}
-
 /// Multi-threaded WarpLDA driver (Figure 9a).
 pub struct ParallelWarpLda {
     inner: WarpLda<NoProbe>,
-    num_threads: usize,
-    seed: u64,
     workers: Vec<WorkerScratch>,
-    col_cursor: ChunkCursor,
-    row_cursor: ChunkCursor,
-    /// Wall seconds of the most recent (word phase, doc phase).
-    last_phase_secs: (f64, f64),
+    /// Work queues over the columns and the rows, indexed by [`PhaseKind`].
+    cursors: [ChunkCursor; 2],
+    /// Wall seconds the most recent iteration spent in its two phases.
+    last_phase_secs: f64,
 }
 
 impl ParallelWarpLda {
@@ -80,210 +62,94 @@ impl ParallelWarpLda {
         assert!(num_threads >= 1, "need at least one worker thread");
         let inner = WarpLda::new(corpus, params, config, seed);
         let workers = (0..num_threads)
-            .map(|_| WorkerScratch::new(params.num_topics, inner.max_visit_len))
+            .map(|_| WorkerScratch {
+                partial_ck: vec![0; params.num_topics],
+                scratch: PhaseScratch::new(params.num_topics, inner.max_visit_len),
+            })
             .collect();
-        let col_cursor = ChunkCursor::for_workers(inner.vocab_size, num_threads);
-        let row_cursor = ChunkCursor::for_workers(inner.matrix.num_rows(), num_threads);
-        Self {
-            inner,
-            num_threads,
-            seed,
-            workers,
-            col_cursor,
-            row_cursor,
-            last_phase_secs: (0.0, 0.0),
-        }
+        let cursors = [
+            ChunkCursor::for_workers(inner.num_words(), num_threads),
+            ChunkCursor::for_workers(inner.num_docs(), num_threads),
+        ];
+        Self { inner, workers, cursors, last_phase_secs: 0.0 }
     }
 
     /// Number of worker threads.
     pub fn num_threads(&self) -> usize {
-        self.num_threads
-    }
-
-    /// Read-only access to the wrapped serial sampler.
-    pub fn inner(&self) -> &WarpLda<NoProbe> {
-        &self.inner
+        self.workers.len()
     }
 
     /// The global topic counts `c_k`.
     pub fn topic_counts(&self) -> &[u32] {
-        &self.inner.topic_counts
+        self.inner.topic_counts()
     }
 
-    /// Wall seconds of the most recent `(word phase, doc phase)`.
-    pub fn last_phase_seconds(&self) -> (f64, f64) {
-        self.last_phase_secs
-    }
-
-    fn parallel_word_phase(&mut self) {
-        let k = self.inner.params.num_topics;
-        let m = self.inner.config.mh_steps;
-        let stride = m + 1;
-        let beta = self.inner.params.beta;
-        let beta_bar = self.inner.beta_bar;
-        let use_hash = self.inner.config.use_hash_counts;
-        // Word-phase stream root for this iteration; per-column streams hang
-        // off it, so results are independent of chunk scheduling.
-        let phase_seed = split_seed(self.seed, self.inner.iterations * 2);
-
-        self.col_cursor.reset();
-        let Self { inner, workers, col_cursor, .. } = self;
-        let region_cw = inner.region_cw;
-        let region_ck = inner.region_ck;
-        let matrix = &inner.matrix;
-        let ck: &[u32] = &inner.topic_counts;
-        let rec_ptr = SendPtr(inner.records.as_mut_ptr());
-
-        thread::scope(|scope| {
+    /// One phase on the thread pool: every worker claims chunks of entities
+    /// until the queue is dry, then the partial `c_k` are merged and
+    /// installed.
+    fn run_phase(&mut self, kind: PhaseKind) {
+        let Self { inner, workers, cursors, .. } = self;
+        let cursor = &mut cursors[kind as usize];
+        cursor.reset();
+        let cursor = &*cursor;
+        let (phase, ..) = inner.phase(kind);
+        std::thread::scope(|scope| {
             for ws in workers.iter_mut() {
-                let cursor = &*col_cursor;
-                scope.spawn(move |_| {
-                    let rec_ptr = rec_ptr;
-                    let mut probe = NoProbe;
+                scope.spawn(move || {
                     ws.partial_ck.fill(0);
                     while let Some(chunk) = cursor.claim() {
-                        for w in chunk {
-                            let range = matrix.col_entry_range(w as u32);
-                            let len = range.len();
-                            if len == 0 {
-                                continue;
-                            }
-                            let mut rng = new_rng(split_seed(phase_seed, w as u64));
-                            // SAFETY: column w's records are the contiguous
-                            // block `range.start * stride ..`, and every
-                            // column is claimed by exactly one worker.
-                            let block = unsafe {
-                                std::slice::from_raw_parts_mut(
-                                    rec_ptr.0.add(range.start * stride),
-                                    len * stride,
-                                )
-                            };
-                            process_word_column(
-                                block,
-                                m,
-                                k,
-                                beta,
-                                beta_bar,
-                                ck,
-                                &mut ws.partial_ck,
-                                &mut ws.scratch,
-                                use_hash,
-                                &mut rng,
-                                &mut probe,
-                                region_cw,
-                                region_ck,
-                            );
-                        }
-                    }
-                });
-            }
-        })
-        .expect("word-phase worker panicked");
-
-        reduce_partials(&mut self.inner.next_topic_counts, &self.workers, self.num_threads);
-        self.inner.swap_topic_counts();
-    }
-
-    fn parallel_doc_phase(&mut self) {
-        let k = self.inner.params.num_topics;
-        let alpha = self.inner.params.alpha;
-        let alpha_bar = self.inner.params.alpha_bar();
-        let beta_bar = self.inner.beta_bar;
-        let use_hash = self.inner.config.use_hash_counts;
-        let phase_seed = split_seed(self.seed, self.inner.iterations * 2 + 1);
-
-        self.row_cursor.reset();
-        let Self { inner, workers, row_cursor, .. } = self;
-        let region_cd = inner.region_cd;
-        let region_ck = inner.region_ck;
-        let matrix = &inner.matrix;
-        let ck: &[u32] = &inner.topic_counts;
-        let recs = RecPtr::new(&mut inner.records);
-
-        thread::scope(|scope| {
-            for ws in workers.iter_mut() {
-                let cursor = &*row_cursor;
-                scope.spawn(move |_| {
-                    let recs = recs;
-                    let mut probe = NoProbe;
-                    ws.partial_ck.fill(0);
-                    while let Some(chunk) = cursor.claim() {
-                        for d in chunk {
-                            let entries = matrix.row_entry_ids(d as u32);
-                            let len = entries.len();
-                            if len == 0 {
-                                continue;
-                            }
-                            let mut rng = new_rng(split_seed(phase_seed, d as u64));
-                            // SAFETY: every entry id belongs to exactly one
-                            // row and each row is claimed by exactly one
-                            // worker, so no record is touched by two threads.
+                        for id in chunk {
+                            // SAFETY: the cursor hands every entity to
+                            // exactly one worker, and `phase` holds the
+                            // sampler's exclusive borrow for the whole scope.
                             unsafe {
-                                super::process_doc_row(
-                                    entries,
-                                    recs,
-                                    k,
-                                    alpha,
-                                    alpha_bar,
-                                    beta_bar,
-                                    ck,
+                                phase.visit(
+                                    id as u32,
                                     &mut ws.partial_ck,
                                     &mut ws.scratch,
-                                    use_hash,
-                                    &mut rng,
-                                    &mut probe,
-                                    region_cd,
-                                    region_ck,
+                                    &mut NoProbe,
                                 );
                             }
                         }
                     }
                 });
             }
-        })
-        .expect("doc-phase worker panicked");
-
-        reduce_partials(&mut self.inner.next_topic_counts, &self.workers, self.num_threads);
-        self.inner.swap_topic_counts();
+        });
+        reduce_partials(&mut inner.topic_counts, workers);
     }
 }
 
-/// Merges the per-worker partial `c_k` vectors into `next` by a striped
-/// reduction: each reducer owns a contiguous stripe of topics and sums every
-/// worker's partial over it, so the phase-boundary merge parallelizes across
-/// `num_threads` instead of serializing on one core. Integer addition
-/// commutes, so the result is identical to a serial merge. Small topic
-/// vectors are merged inline — a thread spawn costs more than the merge.
-fn reduce_partials(next: &mut [u32], workers: &[WorkerScratch], num_threads: usize) {
-    let k = next.len();
+/// Replaces `ck` with the sum of the per-worker partial `c_k` vectors by a
+/// striped reduction: each reducer owns a contiguous stripe of topics and
+/// sums every worker's partial over it, so the phase-boundary merge
+/// parallelizes across the workers instead of serializing on one core.
+/// Integer addition commutes, so the result is identical to a serial merge.
+/// Small topic vectors are merged inline — a thread spawn costs more than the
+/// merge.
+fn reduce_partials(ck: &mut [u32], workers: &[WorkerScratch]) {
+    ck.fill(0);
+    let merge_stripe = |stripe: &mut [u32], offset: usize| {
+        for ws in workers {
+            let src = &ws.partial_ck[offset..offset + stripe.len()];
+            for (dst, &s) in stripe.iter_mut().zip(src) {
+                *dst += s;
+            }
+        }
+    };
     // Below this many total additions the spawns dominate the merge itself:
     // a scoped-thread spawn plus join costs on the order of 10^2 µs while
     // the inline merge moves ~4 additions per nanosecond, so the crossover
     // sits in the millions of additions, not thousands.
     const PARALLEL_REDUCE_MIN: usize = 1 << 22;
-    if num_threads == 1 || k * workers.len() < PARALLEL_REDUCE_MIN {
-        for ws in workers {
-            for (dst, &src) in next.iter_mut().zip(&ws.partial_ck) {
-                *dst += src;
-            }
-        }
-        return;
+    if workers.len() == 1 || ck.len() * workers.len() < PARALLEL_REDUCE_MIN {
+        return merge_stripe(ck, 0);
     }
-    let stripe = k.div_ceil(num_threads);
-    thread::scope(|scope| {
-        for (i, chunk) in next.chunks_mut(stripe).enumerate() {
-            let offset = i * stripe;
-            scope.spawn(move |_| {
-                for ws in workers {
-                    let src = &ws.partial_ck[offset..offset + chunk.len()];
-                    for (dst, &s) in chunk.iter_mut().zip(src) {
-                        *dst += s;
-                    }
-                }
-            });
+    let stripe = ck.len().div_ceil(workers.len());
+    std::thread::scope(|scope| {
+        for (i, chunk) in ck.chunks_mut(stripe).enumerate() {
+            scope.spawn(move || merge_stripe(chunk, i * stripe));
         }
-    })
-    .expect("reduction worker panicked");
+    });
 }
 
 impl Sampler for ParallelWarpLda {
@@ -292,21 +158,19 @@ impl Sampler for ParallelWarpLda {
     }
 
     fn params(&self) -> &ModelParams {
-        &self.inner.params
+        self.inner.params()
     }
 
     fn run_iteration(&mut self) {
         let t0 = std::time::Instant::now();
-        self.parallel_word_phase();
-        self.last_phase_secs.0 = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
-        self.parallel_doc_phase();
-        self.last_phase_secs.1 = t1.elapsed().as_secs_f64();
-        self.inner.iterations += 1;
+        self.run_phase(PhaseKind::Word);
+        self.run_phase(PhaseKind::Doc);
+        self.inner.advance_iteration();
+        self.last_phase_secs = t0.elapsed().as_secs_f64();
     }
 
     fn iterations(&self) -> u64 {
-        self.inner.iterations
+        self.inner.iterations()
     }
 
     fn assignments(&self) -> Vec<u32> {
@@ -314,55 +178,30 @@ impl Sampler for ParallelWarpLda {
     }
 
     fn last_iteration_phase_seconds(&self) -> Option<f64> {
-        Some(self.last_phase_secs.0 + self.last_phase_secs.1)
+        Some(self.last_phase_secs)
     }
 }
 
+/// The thread count is not part of the state: a checkpoint is the sampler's,
+/// under the sampler's kind, and resumes under any driver.
 impl Checkpointable for ParallelWarpLda {
     fn checkpoint_kind(&self) -> &'static str {
-        "warplda-parallel"
+        self.inner.checkpoint_kind()
     }
 
     fn write_state(&self, enc: &mut Encoder<'_>) -> CodecResult<()> {
-        enc.write_u64(self.seed)?;
         self.inner.write_state(enc)
     }
 
     fn read_state(&mut self, dec: &mut Decoder<'_>) -> CodecResult<()> {
-        // Per-entity RNG streams are a pure function of (seed, iteration,
-        // phase, entity), so continuation is bit-identical under *any*
-        // thread count — unlike the v1 format, which had per-worker streams
-        // and had to reject thread-count mismatches.
-        let seed = dec.read_u64()?;
-        self.inner.read_state(dec)?;
-        self.seed = seed;
-        Ok(())
+        self.inner.read_state(dec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::log_joint_likelihood;
-    use warplda_corpus::{CorpusBuilder, DatasetPreset, DocMajorView, WordMajorView};
-
-    fn themed_corpus() -> Corpus {
-        let mut b = CorpusBuilder::new();
-        for i in 0..40 {
-            if i % 2 == 0 {
-                b.push_text_doc(["wine", "grape", "cellar", "cork", "wine", "vineyard"]);
-            } else {
-                b.push_text_doc(["code", "bug", "compile", "test", "code", "debug"]);
-            }
-        }
-        b.build().unwrap()
-    }
-
-    fn ll_of<S: Sampler>(s: &S, corpus: &Corpus) -> f64 {
-        let dv = DocMajorView::build(corpus);
-        let wv = WordMajorView::build(corpus, &dv);
-        log_joint_likelihood(corpus, &dv, &wv, s.params(), &s.assignments())
-    }
+    use warplda_corpus::DatasetPreset;
 
     #[test]
     fn topic_counts_match_assignments_after_parallel_iterations() {
@@ -371,94 +210,21 @@ mod tests {
         let mut s = ParallelWarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(2), 3, 4);
         for _ in 0..3 {
             s.run_iteration();
-            let hist = super::super::topic_histogram(s.inner());
-            assert_eq!(s.inner().topic_counts(), &hist[..]);
-        }
-    }
-
-    #[test]
-    fn parallel_converges_like_serial() {
-        let corpus = themed_corpus();
-        let params = ModelParams::new(2, 0.5, 0.1);
-        let mut serial = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(4), 7);
-        let mut parallel =
-            ParallelWarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(4), 7, 4);
-        for _ in 0..40 {
-            serial.run_iteration();
-            parallel.run_iteration();
-        }
-        let ll_s = ll_of(&serial, &corpus);
-        let ll_p = ll_of(&parallel, &corpus);
-        assert!(
-            (ll_s - ll_p).abs() < 0.05 * ll_s.abs(),
-            "parallel ({ll_p}) should converge like serial ({ll_s})"
-        );
-    }
-
-    #[test]
-    fn thread_count_does_not_change_assignments() {
-        // Per-entity RNG streams make the execution independent of both the
-        // worker count and the chunk scheduling: any thread count produces
-        // bit-identical assignments.
-        let corpus = DatasetPreset::Tiny.generate_scaled(8);
-        let params = ModelParams::new(5, 0.5, 0.1);
-        let mut reference = ParallelWarpLda::new(&corpus, params, WarpLdaConfig::default(), 11, 1);
-        for _ in 0..2 {
-            reference.run_iteration();
-        }
-        for threads in [2usize, 3, 8] {
-            let mut other =
-                ParallelWarpLda::new(&corpus, params, WarpLdaConfig::default(), 11, threads);
-            for _ in 0..2 {
-                other.run_iteration();
+            let mut hist = [0u32; 8];
+            for t in s.assignments() {
+                hist[t as usize] += 1;
             }
-            assert_eq!(
-                reference.assignments(),
-                other.assignments(),
-                "{threads} threads must match 1 thread bit for bit"
-            );
+            assert_eq!(s.topic_counts(), &hist[..]);
         }
-    }
-
-    #[test]
-    fn deterministic_for_fixed_seed_and_thread_count() {
-        let corpus = DatasetPreset::Tiny.generate_scaled(8);
-        let params = ModelParams::new(5, 0.5, 0.1);
-        let mut a = ParallelWarpLda::new(&corpus, params, WarpLdaConfig::default(), 13, 3);
-        let mut b = ParallelWarpLda::new(&corpus, params, WarpLdaConfig::default(), 13, 3);
-        for _ in 0..2 {
-            a.run_iteration();
-            b.run_iteration();
-        }
-        assert_eq!(a.assignments(), b.assignments());
-    }
-
-    #[test]
-    fn checkpoint_resumes_under_a_different_thread_count() {
-        use crate::checkpoint::{read_checkpoint, write_checkpoint};
-        let corpus = DatasetPreset::Tiny.generate_scaled(4);
-        let params = ModelParams::new(4, 0.5, 0.1);
-        let mut a = ParallelWarpLda::new(&corpus, params, WarpLdaConfig::default(), 1, 3);
-        a.run_iteration();
-        let mut buf = Vec::new();
-        write_checkpoint(&a, None, &mut buf).unwrap();
-        // Per-entity streams make continuation thread-count independent: the
-        // 2-thread resume must continue exactly like the 3-thread original.
-        let mut b = ParallelWarpLda::new(&corpus, params, WarpLdaConfig::default(), 99, 2);
-        read_checkpoint(&mut b, &mut buf.as_slice()).unwrap();
-        assert_eq!(a.assignments(), b.assignments());
-        a.run_iteration();
-        b.run_iteration();
-        assert_eq!(a.assignments(), b.assignments(), "continuation must be bit-identical");
     }
 
     #[test]
     fn striped_reduction_matches_inline_merge() {
         // Large enough that k * workers crosses PARALLEL_REDUCE_MIN, so the
         // striped (spawning) branch actually runs, including its ragged
-        // final stripe (num_threads does not divide k).
-        let k = 1 << 21;
-        let workers: Vec<WorkerScratch> = (0..2u32)
+        // final stripe (the worker count does not divide k).
+        let k = (1 << 21) + 1;
+        let workers: Vec<WorkerScratch> = (0..3u32)
             .map(|w| WorkerScratch {
                 partial_ck: (0..k as u32).map(|t| t.wrapping_mul(w + 1) % 97).collect(),
                 scratch: PhaseScratch::new(4, 1),
@@ -470,8 +236,9 @@ mod tests {
                 *dst += src;
             }
         }
-        let mut striped = vec![0u32; k];
-        reduce_partials(&mut striped, &workers, 3);
+        // Stale content must be replaced, not added to.
+        let mut striped = vec![7u32; k];
+        reduce_partials(&mut striped, &workers);
         assert_eq!(striped, expected);
     }
 

@@ -13,7 +13,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"WLDACKPT"
-//! 8       4     format version (currently 2)
+//! 8       4     format version (currently 3)
 //! 12      8     payload length in bytes
 //! 20      8     FNV-1a 64 checksum of the payload
 //! 28      n     payload
@@ -21,12 +21,19 @@
 //!
 //! **Format history.** Version 1 stored WarpLDA's per-token state as two
 //! separate arrays (assignments, then a flat proposal array). Version 2
-//! stores the packed per-entry records (assignment + `M` proposals
-//! interleaved) and drops the parallel driver's worker-count field, whose
-//! continuation is now thread-count independent. v1 files are rejected with
-//! the typed [`CodecError::LegacyVersion`] — re-save the model under the
-//! current format; there is no in-place migration because v1 payloads do not
-//! record which layout their sampler section uses.
+//! stored the packed per-entry records (assignment + `M` proposals
+//! interleaved) under two WarpLDA checkpoint kinds, one of which continued
+//! from a saved sequential RNG state. Version 3 has one WarpLDA kind whose
+//! payload is `(seed, iteration, M, hash-counts flag, records, c_k)`: every
+//! driver derives its RNG streams from `(seed, iteration, phase, entity)`,
+//! so no RNG state is stored and any driver resumes what any driver wrote.
+//! v1 and v2 files are rejected with the typed [`CodecError::LegacyVersion`]
+//! — re-train or re-save under the current format. There is no in-place
+//! migration: a v2 serial checkpoint can only be continued by the sequential
+//! stream it saved, which no sampler draws from any more, so resuming it
+//! would silently run a different chain than the one that was saved. The
+//! version is the container's, so v2 serving models are refused with it and
+//! are re-frozen from their sampler.
 //!
 //! The payload itself is written by the caller via an [`Encoder`]; the
 //! checkpoint layer in `warplda-core` composes sampler state, model
@@ -54,7 +61,7 @@ pub const MODEL_MAGIC: [u8; 8] = *b"WLDAMODL";
 /// Current format version of the framed container. Bump when the payload
 /// layout changes incompatibly; readers reject versions they do not know.
 /// See the module docs for the format history.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Longest string (in bytes) the decoder will allocate for; guards against
 /// reading a length field from a corrupt file and allocating gigabytes.
@@ -70,7 +77,7 @@ pub enum CodecError {
     /// The file's format version is newer than this reader understands.
     UnsupportedVersion(u32),
     /// The file uses a superseded format this reader deliberately no longer
-    /// decodes (v1 predates the packed token-record layout). Re-save the
+    /// decodes (see the format history in the module docs). Re-save the
     /// model with the current code.
     LegacyVersion(u32),
     /// The payload's checksum does not match the header.
@@ -98,8 +105,9 @@ impl std::fmt::Display for CodecError {
             CodecError::LegacyVersion(v) => {
                 write!(
                     f,
-                    "checkpoint format version {v} is superseded (current: {FORMAT_VERSION}); \
-                     v1 predates the packed token-record layout — re-train or re-save the model"
+                    "checkpoint format version {v} is superseded (current: {FORMAT_VERSION}): \
+                     v1 predates the packed token-record layout, v2 the per-entity RNG streams \
+                     every sampler now draws from — re-train or re-save the model"
                 )
             }
             CodecError::ChecksumMismatch { expected, found } => {
@@ -374,9 +382,9 @@ pub fn read_framed_section(r: &mut dyn Read, expected_magic: [u8; 8]) -> CodecRe
         return Err(CodecError::BadMagic);
     }
     let version = dec.read_u32()?;
-    // Only version 1 ever shipped before the current format; anything else
-    // (0, or a future number) is unknown, not legacy.
-    if version == 1 {
+    // Versions 1 and 2 shipped before the current format; anything else (0,
+    // or a future number) is unknown, not legacy.
+    if (1..FORMAT_VERSION).contains(&version) {
         return Err(CodecError::LegacyVersion(version));
     }
     if version != FORMAT_VERSION {
@@ -559,13 +567,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_rejected_with_typed_error() {
-        let mut file = Vec::new();
-        write_framed(&mut file, b"x").unwrap();
-        file[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let err = read_framed(&mut file.as_slice()).unwrap_err();
-        assert!(matches!(err, CodecError::LegacyVersion(1)), "{err}");
-        assert!(err.to_string().contains("packed token-record"), "{err}");
+    fn legacy_versions_rejected_with_typed_error() {
+        for (legacy, reason) in [(1u32, "packed token-record"), (2, "per-entity RNG streams")] {
+            let mut file = Vec::new();
+            write_framed(&mut file, b"x").unwrap();
+            file[8..12].copy_from_slice(&legacy.to_le_bytes());
+            let err = read_framed(&mut file.as_slice()).unwrap_err();
+            assert!(matches!(err, CodecError::LegacyVersion(v) if v == legacy), "{err}");
+            assert!(err.to_string().contains(reason), "{err}");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use warplda_core::{ModelParams, ShardedWarpLda, WarpLdaConfig};
+use warplda_core::{ModelParams, Sampler, WarpLda, WarpLdaConfig};
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
 use warplda_dist::fault::{FaultAction, FaultPhase, FaultTimeline};
 use warplda_dist::plan::ShardPlan;
@@ -234,7 +234,7 @@ fn run(addr: &str, worker_id: u32) -> Result<()> {
 
 /// Rebuilds the deterministic replica + exchange plan from the `Setup`
 /// payload, applying resume state when present.
-fn build_replica(setup: &Setup) -> Result<(ShardedWarpLda, ShardPlan)> {
+fn build_replica(setup: &Setup) -> Result<(WarpLda, ShardPlan)> {
     let corpus: &Corpus = &setup.corpus;
     let params = ModelParams::new(setup.num_topics as usize, setup.alpha, setup.beta);
     let config =
@@ -249,7 +249,7 @@ fn build_replica(setup: &Setup) -> Result<(ShardedWarpLda, ShardPlan)> {
         PartitionStrategy::Greedy,
         PartitionStrategy::Dynamic,
     );
-    let mut sampler = ShardedWarpLda::new(corpus, params, config, setup.seed);
+    let mut sampler = WarpLda::new(corpus, params, config, setup.seed);
     if let Some(resume) = &setup.resume {
         sampler.restore(resume.iterations, &resume.records, &resume.topic_counts)?;
     }
@@ -302,7 +302,7 @@ fn execute_fault(action: FaultAction, heartbeat: Option<&Heartbeat>) -> Option<F
 fn serve(
     reader: &mut Reader,
     writer: &SharedWriter,
-    sampler: &mut ShardedWarpLda,
+    sampler: &mut WarpLda,
     plan: &ShardPlan,
     id: usize,
     faults: &mut FaultTimeline,
@@ -393,7 +393,7 @@ fn serve(
 fn apply_sync(
     reader: &mut Reader,
     writer: &SharedWriter,
-    sampler: &mut ShardedWarpLda,
+    sampler: &mut WarpLda,
     entries: &[u32],
     epoch: u64,
     k: usize,

@@ -1,15 +1,14 @@
 //! The distributed WarpLDA driver.
 //!
 //! [`DistributedWarpLda`] executes the sampler exactly as the shared-memory
-//! [`ParallelWarpLda`] does — each simulated machine is one worker with a
-//! disjoint document shard (doc phases) and word shard (word phases) and its
-//! own deterministic RNG stream — and adds the distributed bookkeeping on
-//! top: the P×P [`GridPartition`] says which tokens cross machine boundaries
+//! [`ParallelWarpLda`] does — each simulated machine is one worker visiting
+//! disjoint documents (doc phases) and words (word phases) — and adds the
+//! distributed bookkeeping on top: the P×P [`GridPartition`] says which tokens cross machine boundaries
 //! at each phase switch, and the [`ClusterConfig`] prices that exchange.
 //!
 //! Because the execution *is* the shared-memory execution, the assignments
-//! after any number of iterations are bit-identical to `ParallelWarpLda` with
-//! the same seed and worker count; the integration suite
+//! after any number of iterations are bit-identical to the serial `WarpLda`
+//! with the same seed, for any worker count; the integration suite
 //! (`tests/distributed_consistency.rs`) pins that property down.
 
 use std::time::Instant;

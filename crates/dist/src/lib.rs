@@ -19,12 +19,12 @@
 //!   `u32` topic assignment plus `M` `u32` proposals).
 //! * [`DistributedWarpLda`] — the driver. Each simulated machine maps onto one
 //!   worker of the shared-memory [`warplda_core::ParallelWarpLda`] sampler,
-//!   which already gives every worker a disjoint document/word shard and its
-//!   own deterministic RNG stream; the merged assignments are therefore
-//!   **bit-identical** to a `ParallelWarpLda` run with the same seed and
-//!   worker count (the simulation only adds accounting). Every iteration
-//!   returns an [`IterationReport`] with tokens sampled, bytes exchanged, and
-//!   modeled communication/wall times.
+//!   whose workers visit disjoint documents/words and whose every visit draws
+//!   from its entity's own RNG stream; the merged assignments are therefore
+//!   **bit-identical** to the serial [`warplda_core::WarpLda`] with the same
+//!   seed, for any worker count (the simulation only adds accounting). Every
+//!   iteration returns an [`IterationReport`] with tokens sampled, bytes
+//!   exchanged, and modeled communication/wall times.
 //! * [`runner`] — the modeled scaling sweep behind the Figure 9b style
 //!   machine-count curves.
 //!
@@ -37,10 +37,10 @@
 //!   entry lists both sides derive independently from the [`GridPartition`];
 //! * [`ProcessCluster`] — the coordinator: spawns N `warplda-dist-worker`
 //!   OS processes, drives iterations over loopback TCP, and keeps a replica
-//!   whose merged state is bit-identical to the simulated
-//!   [`DistributedWarpLda`] (and hence to
-//!   [`warplda_core::ParallelWarpLda`]) after every iteration — the
-//!   simulation is retained as the correctness oracle for the real thing.
+//!   whose merged state is bit-identical to the serial
+//!   [`warplda_core::WarpLda`] (and hence to the simulated
+//!   [`DistributedWarpLda`] and to [`warplda_core::ParallelWarpLda`]) after
+//!   every iteration.
 //!
 //! ```
 //! use warplda_corpus::DatasetPreset;

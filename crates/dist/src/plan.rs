@@ -23,7 +23,7 @@
 //! matrix order within an entity), which is what makes the plan identical on
 //! every process without coordination.
 
-use warplda_core::ShardedWarpLda;
+use warplda_core::WarpLda;
 
 use crate::grid::GridPartition;
 
@@ -49,7 +49,7 @@ impl ShardPlan {
     /// Builds the plan for `grid.workers()` workers over `sampler`'s matrix.
     /// Deterministic: every process building from the same corpus and worker
     /// count gets the identical plan.
-    pub fn build(sampler: &ShardedWarpLda, grid: &GridPartition) -> Self {
+    pub fn build(sampler: &WarpLda, grid: &GridPartition) -> Self {
         let p = grid.workers();
         let mut owned_words: Vec<Vec<u32>> = vec![Vec::new(); p];
         for w in 0..sampler.num_words() as u32 {
@@ -112,7 +112,7 @@ mod tests {
     use warplda_corpus::{Corpus, DatasetPreset, DocMajorView, WordMajorView};
     use warplda_sparse::PartitionStrategy;
 
-    fn build_all(corpus: &Corpus, workers: usize) -> (ShardedWarpLda, GridPartition, ShardPlan) {
+    fn build_all(corpus: &Corpus, workers: usize) -> (WarpLda, GridPartition, ShardPlan) {
         let dv = DocMajorView::build(corpus);
         let wv = WordMajorView::build(corpus, &dv);
         let grid = GridPartition::build_with(
@@ -123,12 +123,8 @@ mod tests {
             PartitionStrategy::Greedy,
             PartitionStrategy::Dynamic,
         );
-        let sampler = ShardedWarpLda::new(
-            corpus,
-            ModelParams::new(5, 0.5, 0.1),
-            WarpLdaConfig::with_mh_steps(2),
-            7,
-        );
+        let sampler =
+            WarpLda::new(corpus, ModelParams::new(5, 0.5, 0.1), WarpLdaConfig::with_mh_steps(2), 7);
         let plan = ShardPlan::build(&sampler, &grid);
         (sampler, grid, plan)
     }

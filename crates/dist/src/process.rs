@@ -1,7 +1,7 @@
 //! The real multi-process training backend: a coordinator that spawns
 //! `warplda-dist-worker` processes and drives them over loopback TCP.
 //!
-//! The coordinator owns a full [`ShardedWarpLda`] replica of its own. Every
+//! The coordinator owns a full [`WarpLda`] replica of its own. Every
 //! iteration it broadcasts `RunIteration`, collects each worker's phase
 //! [`Delta`](crate::protocol::Delta) (owned-entry records + partial `c_k`),
 //! merges the partials, imports the records — at which point its replica *is*
@@ -11,9 +11,10 @@
 //! ([`assignments`](ProcessCluster::assignments),
 //! [`topic_counts`](ProcessCluster::topic_counts)) and checkpointable without
 //! touching the workers, and — by the per-entity RNG stream argument spelled
-//! out in `warplda_core::warp::shard` — bit-identical to a simulated
-//! [`DistributedWarpLda`](crate::DistributedWarpLda) and an in-process
-//! [`ParallelWarpLda`](warplda_core::ParallelWarpLda) run of the same seed.
+//! out in `warplda_core::warp` — bit-identical to the serial [`WarpLda`], a
+//! simulated [`DistributedWarpLda`](crate::DistributedWarpLda) and an
+//! in-process [`ParallelWarpLda`](warplda_core::ParallelWarpLda) run of the
+//! same seed.
 //!
 //! # Supervision
 //!
@@ -54,7 +55,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use warplda_core::{ModelParams, Sampler, ShardedWarpLda, WarpLdaConfig};
+use warplda_core::{ModelParams, Sampler, WarpLda, WarpLdaConfig};
 use warplda_corpus::io::codec::CodecError;
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
 use warplda_net::{write_frame, FrameBuffer, PollFrame, WireError};
@@ -168,9 +169,9 @@ pub struct ProcessClusterConfig {
     pub io_timeout: Duration,
     /// Explicit path to the `warplda-dist-worker` binary; when `None` the
     /// `WARPLDA_DIST_WORKER` environment variable is consulted, then the
-    /// directories around the current executable (which covers `cargo test`
-    /// and `cargo run`, whose binaries sit in or one level below the
-    /// directory the worker bin lands in).
+    /// directories around the current executable (which covers `cargo run`,
+    /// whose binaries sit in or one level below the directory the worker bin
+    /// lands in — once the worker has been built into the same profile).
     pub worker_binary: Option<PathBuf>,
     /// Interval between worker heartbeats.
     pub heartbeat_interval: Duration,
@@ -236,24 +237,34 @@ struct BoundarySnapshot {
     topic_counts: Vec<u32>,
 }
 
-/// Locates the worker binary next to (or one/two levels above) the current
-/// executable — `cargo test` binaries live in `target/<profile>/deps/` while
-/// bins land in `target/<profile>/`.
-fn default_worker_binary() -> Option<PathBuf> {
-    if let Ok(path) = std::env::var("WARPLDA_DIST_WORKER") {
-        return Some(PathBuf::from(path));
-    }
-    let exe = std::env::current_exe().ok()?;
+/// Resolves the worker binary: the configured path, else the
+/// `WARPLDA_DIST_WORKER` environment variable, else a search next to (or
+/// one/two levels above) the current executable — `cargo run` binaries and
+/// examples live in or below the `target/<profile>/` directory bins land in.
+/// A path that names no file is an `Io` error of kind `NotFound` that says
+/// how to build the binary.
+fn locate_worker_binary(configured: Option<&Path>) -> Result<PathBuf, DistError> {
     let name = format!("warplda-dist-worker{}", std::env::consts::EXE_SUFFIX);
-    let mut dir = exe.parent()?;
-    for _ in 0..3 {
-        let candidate = dir.join(&name);
-        if candidate.is_file() {
-            return Some(candidate);
-        }
-        dir = dir.parent()?;
+    let candidate = configured
+        .map(Path::to_path_buf)
+        .or_else(|| std::env::var_os("WARPLDA_DIST_WORKER").map(PathBuf::from))
+        .or_else(|| {
+            let exe = std::env::current_exe().ok()?;
+            exe.ancestors().skip(1).take(3).map(|dir| dir.join(&name)).find(|c| c.is_file())
+        });
+    match candidate {
+        Some(path) if path.is_file() => Ok(path),
+        missing => Err(DistError::Io(std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            format!(
+                "cannot locate the {name} binary{}; build it with `cargo build --release \
+                 -p warplda-dist --bin warplda-dist-worker` (it lands in target/release/, where \
+                 a caller running from the same directory finds it), or point \
+                 ProcessClusterConfig::worker_binary or WARPLDA_DIST_WORKER at it",
+                missing.map_or(String::new(), |p| format!(" at {}", p.display())),
+            ),
+        ))),
     }
-    None
 }
 
 fn spawn_worker(binary: &Path, addr: &SocketAddr, id: u32) -> std::io::Result<Child> {
@@ -269,7 +280,7 @@ fn spawn_worker(binary: &Path, addr: &SocketAddr, id: u32) -> std::io::Result<Ch
 
 /// A coordinator over `workers` spawned `warplda-dist-worker` processes.
 pub struct ProcessCluster {
-    sampler: ShardedWarpLda,
+    sampler: WarpLda,
     grid: GridPartition,
     plan: ShardPlan,
     conns: Vec<Conn>,
@@ -297,17 +308,17 @@ impl ProcessCluster {
         seed: u64,
         cfg: ProcessClusterConfig,
     ) -> Result<Self, DistError> {
-        Self::from_sampler(corpus, ShardedWarpLda::new(corpus, params, config, seed), cfg)
+        Self::from_sampler(corpus, WarpLda::new(corpus, params, config, seed), cfg)
     }
 
     /// Spawns the workers around an existing replica — how training resumes
-    /// from a checkpoint: load it into a [`ShardedWarpLda`] first, then hand
+    /// from a checkpoint: load it into a [`WarpLda`] first, then hand
     /// it here and the workers adopt its full state before the first
     /// iteration. The worker count is free to differ from the one that wrote
     /// the checkpoint; continuation is bit-identical either way.
     pub fn from_sampler(
         corpus: &Corpus,
-        sampler: ShardedWarpLda,
+        sampler: WarpLda,
         cfg: ProcessClusterConfig,
     ) -> Result<Self, DistError> {
         if cfg.workers == 0 {
@@ -328,13 +339,7 @@ impl ProcessCluster {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let binary = cfg.worker_binary.clone().or_else(default_worker_binary).ok_or_else(|| {
-            DistError::Protocol(
-                "cannot locate the warplda-dist-worker binary; build it or set \
-                 WARPLDA_DIST_WORKER"
-                    .into(),
-            )
-        })?;
+        let binary = locate_worker_binary(cfg.worker_binary.as_deref())?;
 
         let mut children = Vec::with_capacity(cfg.workers);
         for id in 0..cfg.workers {
@@ -509,7 +514,7 @@ impl ProcessCluster {
     /// The coordinator's replica — checkpoint it with
     /// `warplda_core::checkpoint::write_checkpoint` to persist the cluster's
     /// state.
-    pub fn sampler(&self) -> &ShardedWarpLda {
+    pub fn sampler(&self) -> &WarpLda {
         &self.sampler
     }
 

@@ -1,15 +1,16 @@
 //! Real multi-process distributed training, differentially tested against the
-//! simulated cluster oracle.
+//! serial sampler.
 //!
 //! [`ProcessCluster`] spawns genuine `warplda-dist-worker` OS processes and
-//! exchanges deltas over loopback TCP; the simulated
-//! [`DistributedWarpLda`] and the in-process [`ParallelWarpLda`] advance the
-//! same model without any wire. Because WarpLDA derives every phase's
-//! randomness from per-entity RNG streams and merges partial `c_k` by
-//! commutative integer sums, all three backends must agree **bit-for-bit**
-//! after every iteration — assignments, global topic counts and therefore
-//! perplexity. These tests enforce that, plus checkpoint resume across
-//! changing worker counts and typed (non-hanging) failure on worker death.
+//! exchanges deltas over loopback TCP; the serial [`WarpLda`] — the reference
+//! mode of every driver — and the simulated [`DistributedWarpLda`] advance
+//! the same model without any wire. Because a visit's randomness derives
+//! from per-entity RNG streams and partial `c_k` merge by commutative integer
+//! sums, all of them must agree **bit-for-bit** after every iteration —
+//! assignments, global topic counts and therefore perplexity. These tests
+//! enforce that, plus the cluster's row and column of the checkpoint matrix
+//! (any driver resumes any driver's checkpoint, under any worker count) and
+//! typed (non-hanging) failure on worker death.
 //!
 //! The fault-tolerance half drives the same differential argument through
 //! scripted failures: a worker killed or hung mid-iteration is detected
@@ -18,20 +19,32 @@
 //! so the *final* model after recovery equals the fault-free oracle's
 //! exactly. With recovery disabled, the same faults surface as fast typed
 //! errors, and a dropped cluster never leaves zombie worker processes.
+//!
+//! The suite lives in the crate that owns the worker binary so that cargo
+//! builds exactly the binary under test and hands over its path: no test
+//! here depends on what an earlier build left in `target/`.
 
 use std::time::Duration;
 
-use warplda::prelude::*;
+use warplda_core::checkpoint::{read_checkpoint, write_checkpoint};
+use warplda_core::eval::{log_joint_likelihood, perplexity_per_token};
+use warplda_core::{Checkpointable, ModelParams, ParallelWarpLda, Sampler, WarpLda, WarpLdaConfig};
+use warplda_corpus::{Corpus, DatasetPreset, DocMajorView, WordMajorView};
+use warplda_dist::{
+    ClusterConfig, DistError, DistributedWarpLda, FaultPhase, FaultPlan, ProcessCluster,
+    ProcessClusterConfig,
+};
 
 fn process_config(workers: usize) -> ProcessClusterConfig {
     let mut cfg = ProcessClusterConfig::new(workers);
+    cfg.worker_binary = Some(env!("CARGO_BIN_EXE_warplda-dist-worker").into());
     // CI boxes are slow but a minute is still far beyond any healthy
     // exchange on a loopback socket.
     cfg.io_timeout = Duration::from_secs(60);
     cfg
 }
 
-/// Per-iteration differential run: multi-process vs. simulated vs. parallel.
+/// Per-iteration differential run: multi-process vs. simulated vs. serial.
 fn assert_backends_agree(
     corpus: &Corpus,
     num_topics: usize,
@@ -53,31 +66,31 @@ fn assert_backends_agree(
         ClusterConfig::tianhe2_like(workers, config.mh_steps),
         seed,
     );
-    let mut parallel = ParallelWarpLda::new(corpus, params, config, seed, workers);
+    let mut serial = WarpLda::new(corpus, params, config, seed);
 
     for iter in 1..=iters {
         let report = cluster.run_iteration().expect("distributed iteration");
         assert_eq!(report.iteration, iter);
         simulated.run_iteration(corpus, false);
-        parallel.run_iteration();
+        serial.run_iteration();
 
         let z = cluster.assignments();
         assert_eq!(z, simulated.assignments(), "iteration {iter}, {workers} workers: simulated");
-        assert_eq!(z, parallel.assignments(), "iteration {iter}, {workers} workers: parallel");
+        assert_eq!(z, serial.assignments(), "iteration {iter}, {workers} workers: serial");
         assert_eq!(
             cluster.topic_counts(),
-            parallel.topic_counts(),
+            serial.topic_counts(),
             "iteration {iter}, {workers} workers: c_k"
         );
 
         let ll = log_joint_likelihood(corpus, &doc_view, &word_view, &params, &z);
-        let ll_parallel =
-            log_joint_likelihood(corpus, &doc_view, &word_view, &params, &parallel.assignments());
+        let ll_serial =
+            log_joint_likelihood(corpus, &doc_view, &word_view, &params, &serial.assignments());
         let ppl = perplexity_per_token(ll, corpus.num_tokens()).unwrap();
-        let ppl_parallel = perplexity_per_token(ll_parallel, corpus.num_tokens()).unwrap();
+        let ppl_serial = perplexity_per_token(ll_serial, corpus.num_tokens()).unwrap();
         assert_eq!(
             ppl.to_bits(),
-            ppl_parallel.to_bits(),
+            ppl_serial.to_bits(),
             "iteration {iter}, {workers} workers: perplexity bits"
         );
     }
@@ -100,43 +113,104 @@ fn multi_process_training_matches_the_oracles_on_nytimes_like() {
     }
 }
 
+/// The cluster's row and column of the checkpoint matrix (the in-process
+/// drivers' any-writer → any-reader block is in `warplda-core`'s
+/// `differential` suite): a checkpoint of the coordinator replica resumes
+/// under every in-process driver, and every driver's checkpoint — the
+/// cluster's own included — resumes under `ProcessCluster::from_sampler`
+/// with a different worker count. Continuation is bit-identical to the
+/// uninterrupted serial run either way.
 #[test]
-fn resume_from_checkpoint_is_bit_identical_across_worker_counts() {
+fn cluster_checkpoints_resume_anywhere_and_any_checkpoint_resumes_on_a_cluster() {
     let corpus = DatasetPreset::Tiny.generate_scaled(2);
     let params = ModelParams::paper_defaults(10);
     let config = WarpLdaConfig::with_mh_steps(2);
     let seed = 23;
-    let dir = std::env::temp_dir().join(format!("warplda-dist-resume-{}", std::process::id()));
-    let path = dir.join("cluster.ckpt");
+    let (split, total) = (3, 6);
 
-    // Train 3 iterations on 2 processes, checkpoint the coordinator replica.
-    let mut first =
-        ProcessCluster::new(&corpus, params, config, seed, process_config(2)).expect("spawn");
-    for _ in 0..3 {
-        first.run_iteration().expect("iteration");
-    }
-    save_checkpoint(first.sampler(), None, &path).expect("save checkpoint");
-    first.shutdown().expect("shutdown");
-
-    // Resume on 4 processes for 3 more iterations.
-    let mut resumed = ShardedWarpLda::new(&corpus, params, config, seed);
-    load_checkpoint(&mut resumed, &path).expect("load checkpoint");
-    assert_eq!(resumed.iterations(), 3);
-    let mut second =
-        ProcessCluster::from_sampler(&corpus, resumed, process_config(4)).expect("respawn");
-    for _ in 0..3 {
-        second.run_iteration().expect("iteration");
-    }
-
-    // The uninterrupted single-machine run is the oracle for the whole span.
-    let mut oracle = ParallelWarpLda::new(&corpus, params, config, seed, 2);
-    for _ in 0..6 {
+    // The uninterrupted serial run is the oracle for the whole span.
+    let mut oracle = WarpLda::new(&corpus, params, config, seed);
+    for _ in 0..total {
         oracle.run_iteration();
     }
-    assert_eq!(second.assignments(), oracle.assignments());
-    assert_eq!(second.topic_counts(), oracle.topic_counts());
-    second.shutdown().expect("shutdown");
-    let _ = std::fs::remove_dir_all(&dir);
+
+    // One checkpoint at `split` per writer.
+    let mut serial = WarpLda::new(&corpus, params, config, seed);
+    let mut parallel = ParallelWarpLda::new(&corpus, params, config, seed, 3);
+    let mut cluster =
+        ProcessCluster::new(&corpus, params, config, seed, process_config(2)).expect("spawn");
+    for _ in 0..split {
+        serial.run_iteration();
+        parallel.run_iteration();
+        cluster.run_iteration().expect("iteration");
+    }
+    let writers: [(&str, &dyn Checkpointable); 3] =
+        [("serial", &serial), ("parallel(3)", &parallel), ("cluster(2)", cluster.sampler())];
+    let files: Vec<(&str, Vec<u8>)> = writers
+        .iter()
+        .map(|&(name, writer)| {
+            assert_eq!(writer.checkpoint_kind(), "warplda", "{name}");
+            let mut file = Vec::new();
+            write_checkpoint(writer, None, &mut file).expect("checkpoint writes");
+            (name, file)
+        })
+        .collect();
+    cluster.shutdown().expect("shutdown");
+
+    // Every file resumes on a cluster of a worker count nobody wrote with.
+    // The replica is built under another seed: the checkpoint's governs.
+    for (workers, (name, file)) in [4usize, 1, 3].into_iter().zip(&files) {
+        let mut replica = WarpLda::new(&corpus, params, config, seed + 1);
+        read_checkpoint(&mut replica, &mut file.as_slice()).expect("checkpoint reads");
+        assert_eq!(replica.iterations(), split);
+        let mut resumed = ProcessCluster::from_sampler(&corpus, replica, process_config(workers))
+            .expect("respawn");
+        for _ in split..total {
+            resumed.run_iteration().expect("iteration");
+        }
+        assert_eq!(resumed.assignments(), oracle.assignments(), "{name} → cluster({workers})");
+        assert_eq!(resumed.topic_counts(), oracle.topic_counts(), "{name} → cluster({workers})");
+        resumed.shutdown().expect("shutdown");
+    }
+
+    // The cluster's file resumes under the in-process drivers.
+    let cluster_file = &files[2].1;
+    let mut readers: [Box<dyn Checkpointable>; 2] = [
+        Box::new(WarpLda::new(&corpus, params, config, seed + 1)),
+        Box::new(ParallelWarpLda::new(&corpus, params, config, seed + 1, 2)),
+    ];
+    for reader in &mut readers {
+        read_checkpoint(reader.as_mut(), &mut cluster_file.as_slice()).expect("checkpoint reads");
+        for _ in split..total {
+            reader.run_iteration();
+        }
+        assert_eq!(reader.assignments(), oracle.assignments(), "cluster(2) → {}", reader.name());
+    }
+}
+
+#[test]
+fn a_missing_worker_binary_is_a_typed_error_naming_the_build_command() {
+    let corpus = DatasetPreset::Tiny.generate_scaled(2);
+    let mut cfg = process_config(2);
+    cfg.worker_binary = Some("/nonexistent/warplda-dist-worker".into());
+    let err = ProcessCluster::new(
+        &corpus,
+        ModelParams::paper_defaults(4),
+        WarpLdaConfig::default(),
+        1,
+        cfg,
+    )
+    .err()
+    .expect("no worker binary, no cluster");
+    match &err {
+        DistError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
+        other => panic!("expected Io(NotFound), got {other}"),
+    }
+    let message = err.to_string();
+    assert!(
+        message.contains("cargo build --release -p warplda-dist --bin warplda-dist-worker"),
+        "{message}"
+    );
 }
 
 #[test]
@@ -168,7 +242,7 @@ fn killed_worker_surfaces_as_a_typed_error_not_a_hang() {
 
 /// Runs `iters` iterations under `plan`, asserting that every scripted fault
 /// auto-recovers and that the final model — assignments, `c_k`, perplexity —
-/// is bit-identical to a fault-free [`ParallelWarpLda`] run of the same seed.
+/// is bit-identical to a fault-free serial [`WarpLda`] run of the same seed.
 fn assert_recovery_is_bit_identical(
     workers: usize,
     plan: FaultPlan,
@@ -189,7 +263,7 @@ fn assert_recovery_is_bit_identical(
     cfg.fault_plan = plan;
     let mut cluster =
         ProcessCluster::new(&corpus, params, config, seed, cfg).expect("spawn cluster");
-    let mut oracle = ParallelWarpLda::new(&corpus, params, config, seed, workers);
+    let mut oracle = WarpLda::new(&corpus, params, config, seed);
     let mut recoveries_seen = 0u64;
     for _ in 0..iters {
         let report = cluster.run_iteration().expect("iteration must survive scripted faults");
@@ -257,7 +331,7 @@ fn delayed_but_heartbeating_worker_is_not_declared_hung() {
     cfg.heartbeat_interval = Duration::from_millis(100);
     cfg.fault_plan = FaultPlan::new().delay(1, 2, FaultPhase::Word, 3_000);
     let mut cluster = ProcessCluster::new(&corpus, params, config, 5, cfg).expect("spawn");
-    let mut oracle = ParallelWarpLda::new(&corpus, params, config, 5, 2);
+    let mut oracle = WarpLda::new(&corpus, params, config, 5);
     for _ in 0..3 {
         cluster.run_iteration().expect("a slow worker is not a dead worker");
         oracle.run_iteration();
@@ -316,8 +390,8 @@ fn process_is_live_or_zombie(pid: u32) -> bool {
 
 #[test]
 fn malformed_delta_payloads_are_rejected_with_typed_codec_errors() {
-    use warplda::corpus::io::codec::CodecError;
-    use warplda::dist::protocol::{decode_message, encode_message, Delta, Message};
+    use warplda_corpus::io::codec::CodecError;
+    use warplda_dist::protocol::{decode_message, encode_message, Delta, Message};
 
     let delta = Message::WordDelta(Delta {
         worker_id: 0,
@@ -342,7 +416,7 @@ fn malformed_delta_payloads_are_rejected_with_typed_codec_errors() {
     // list (wrong length / out-of-range topic) is rejected by the replica.
     let corpus = DatasetPreset::Tiny.generate_scaled(2);
     let mut sampler =
-        ShardedWarpLda::new(&corpus, ModelParams::paper_defaults(6), WarpLdaConfig::default(), 3);
+        WarpLda::new(&corpus, ModelParams::paper_defaults(6), WarpLdaConfig::default(), 3);
     let entries = [0u32, 1];
     assert!(sampler.import_records(&entries, &[0u32; 5]).is_err(), "wrong length");
     let bad_topic = vec![6u32; 2 * (WarpLdaConfig::default().mh_steps + 1)];
@@ -351,7 +425,7 @@ fn malformed_delta_payloads_are_rejected_with_typed_codec_errors() {
 
 #[test]
 fn truncated_frames_and_oversized_prefixes_are_typed_wire_errors() {
-    use warplda::net::{FrameBuffer, WireError};
+    use warplda_net::{FrameBuffer, WireError};
 
     // A frame cut mid-payload is Malformed, not a hang or a panic.
     let mut buf = FrameBuffer::new(64);

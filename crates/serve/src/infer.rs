@@ -294,10 +294,10 @@ impl<'m> InferenceEngine<'m> {
         } else {
             let cursor = ChunkCursor::for_workers(n, num_threads);
             let flat_ptr = SendPtr(flat.as_mut_ptr());
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for _ in 0..num_threads {
                     let cursor = &cursor;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let flat_ptr = flat_ptr;
                         let mut scratch = InferScratch::new();
                         while let Some(chunk) = cursor.claim() {
@@ -318,8 +318,7 @@ impl<'m> InferenceEngine<'m> {
                         }
                     });
                 }
-            })
-            .expect("batch inference worker panicked");
+            });
         }
         flat.chunks_exact(k).map(<[f64]>::to_vec).collect()
     }

@@ -21,8 +21,8 @@
 //!   Figure 4, and the [`ChunkCursor`] atomic work queue that removes the
 //!   tail imbalance static partitions leave behind.
 //! * [`parallel`] — multi-threaded `VisitByRow` / `VisitByColumn` built on
-//!   crossbeam scoped threads over the chunked work queue, mirroring the
-//!   paper's shared-memory parallelization (Section 5.3.1).
+//!   scoped threads over the chunked work queue, mirroring the paper's
+//!   shared-memory parallelization (Section 5.3.1).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -2,11 +2,11 @@
 //!
 //! The paper calls WarpLDA "embarrassingly parallel because the workers
 //! operate on disjoint sets of data": a row (document) belongs to exactly one
-//! worker, and so does a column (word). We reproduce that here with crossbeam
-//! scoped threads pulling contiguous row/column chunks from a
-//! [`ChunkCursor`] work queue — an up-front static partition would leave a
-//! tail imbalance whenever the size estimate is off (power-law column
-//! sizes), while the queue lets early finishers keep claiming work.
+//! worker, and so does a column (word). We reproduce that here with scoped
+//! threads pulling contiguous row/column chunks from a [`ChunkCursor`] work
+//! queue — an up-front static partition would leave a tail imbalance whenever
+//! the size estimate is off (power-law column sizes), while the queue lets
+//! early finishers keep claiming work.
 //!
 //! Disjointness is what makes the shared mutation sound:
 //!
@@ -19,8 +19,6 @@
 //!   that every entry id belongs to exactly one row, and each row is claimed
 //!   by exactly one worker. This is the same argument the paper's C++
 //!   implementation relies on.
-
-use crossbeam::thread;
 
 use crate::matrix::TokenMatrix;
 use crate::partition::ChunkCursor;
@@ -101,11 +99,11 @@ where
     let row_ptr = parts.row_ptr;
     let row_cols = parts.row_cols;
 
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..num_threads {
             let cursor = &cursor;
             let op = &op;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 // Capture the whole wrapper (edition-2021 closures would otherwise
                 // capture only the raw-pointer field, which is not `Send`).
                 let data_ptr = data_ptr;
@@ -122,8 +120,7 @@ where
                 }
             });
         }
-    })
-    .expect("row visit worker panicked");
+    });
 }
 
 /// Serial fallback with the same closure signature as
@@ -207,11 +204,11 @@ where
     let col_offsets = parts.col_offsets;
     let entry_rows = parts.entry_rows;
 
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..num_threads {
             let cursor = &cursor;
             let op = &op;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let data_ptr = data_ptr;
                 while let Some(chunk) = cursor.claim() {
                     for w in chunk {
@@ -232,8 +229,7 @@ where
                 }
             });
         }
-    })
-    .expect("column visit worker panicked");
+    });
 }
 
 /// Copyable wrapper making a raw pointer `Send`/`Sync` for the scoped threads.

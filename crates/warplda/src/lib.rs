@@ -65,8 +65,8 @@ pub mod prelude {
     pub use warplda_core::{
         load_checkpoint, save_checkpoint, AliasLda, Checkpointable, CollapsedGibbs, FPlusLda,
         IterationLog, IterationRecord, LightLda, LightLdaVariant, ModelParams, ParallelWarpLda,
-        Sampler, SamplerState, ShardedWarpLda, SparseLda, TrainOutcome, Trainer, TrainerConfig,
-        WarpLda, WarpLdaConfig,
+        Sampler, SamplerState, SparseLda, TrainOutcome, Trainer, TrainerConfig, WarpLda,
+        WarpLdaConfig,
     };
     pub use warplda_corpus::{
         Corpus, CorpusBuilder, CorpusStats, DatasetPreset, DocMajorView, Document, LdaGenerator,

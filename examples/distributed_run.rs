@@ -6,12 +6,14 @@
 //! With `--process`, the same corpus is additionally trained on a **real**
 //! 2-process cluster (`warplda-dist-worker` children over loopback TCP) and
 //! checked bit-for-bit against the simulated run. The worker binary must be
-//! built first: `cargo build --release -p warplda-dist`.
+//! built first (`cargo build --release -p warplda-dist --bin
+//! warplda-dist-worker`); without it the cluster refuses to start with an
+//! error that says so.
 //!
 //! With `--fault-smoke`, a 4-process cluster is trained under a scripted
 //! fault plan — one worker killed outright, another hung mid-iteration — and
 //! the run must recover both and still finish bit-identical to the fault-free
-//! in-process oracle. CI runs this as the fault-injection smoke test.
+//! serial sampler. CI runs this as the fault-injection smoke test.
 //!
 //! ```bash
 //! cargo run --release --example distributed_run
@@ -90,7 +92,7 @@ fn run_fault_smoke(corpus: &Corpus, config: WarpLdaConfig, seed: u64) {
         eprintln!("cannot spawn the process cluster: {e}");
         std::process::exit(1);
     });
-    let mut oracle = ParallelWarpLda::new(corpus, params, config, seed, workers);
+    let mut oracle = WarpLda::new(corpus, params, config, seed);
     for _ in 0..iterations {
         let report = cluster.run_iteration().unwrap_or_else(|e| {
             eprintln!("iteration did not survive the scripted faults: {e}");

@@ -1,20 +1,17 @@
 //! End-to-end serving demo: train a tiny model, freeze it to a `WLDAMODL`
 //! artifact, serve it over loopback TCP, query unseen documents, hot-swap
-//! the model, and emit a latency report in the bench JSON schema.
+//! the model, and print the server's latency summary.
 //!
 //! ```bash
-//! cargo run --release --example serving_demo -- --out target/serving_demo.json
+//! cargo run --release --example serving_demo
 //! ```
 //!
-//! CI runs exactly that and then schema-validates the report with
-//! `perf_report --validate-latency target/serving_demo.json`.
+//! Measured serving numbers come from `bash benchmark/run.sh`, not from here.
 
 use std::sync::Arc;
 
 use warplda::prelude::*;
 use warplda::serve::wire::Response;
-use warplda_bench::json::Json;
-use warplda_bench::latency::LatencySummary;
 
 /// Three planted themes; the model should recover one topic per theme.
 fn training_corpus() -> Corpus {
@@ -39,13 +36,6 @@ const QUERIES: [&str; 6] = [
 ];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "target/serving_demo.json".to_string());
-
     // 1. Train.
     let corpus = training_corpus();
     let params = ModelParams::paper_defaults(3);
@@ -113,33 +103,11 @@ fn main() {
     println!("hot-swapped model; same connection now serves epoch {}", reply.model_epoch);
     assert_eq!(reply.model_epoch, 1, "swap must be visible");
 
-    // 6. Emit the latency report in the bench JSON schema.
+    // 6. The server's own view of the latencies it delivered.
     let stats = handle.latency();
     println!(
-        "latency over {} requests: p50 {}µs, p95 {}µs, p99 {}µs, max {}µs",
-        stats.count, stats.p50_us, stats.p95_us, stats.p99_us, stats.max_us
+        "latency over {} requests: mean {:.0}µs, p50 {}µs, p95 {}µs, p99 {}µs, max {}µs",
+        stats.count, stats.mean_us, stats.p50_us, stats.p95_us, stats.p99_us, stats.max_us
     );
-    let summary = LatencySummary {
-        count: stats.count,
-        mean_us: stats.mean_us,
-        p50_us: stats.p50_us,
-        p95_us: stats.p95_us,
-        p99_us: stats.p99_us,
-        max_us: stats.max_us,
-    };
-    let mut report = Json::obj();
-    report.set("schema", Json::Str("warplda-serve-report/1".into()));
-    report.set("workers", Json::Num(2.0));
-    report.set("queries", Json::Num(stats.count as f64));
-    report.set("model_epoch", Json::Num(handle.model_epoch() as f64));
-    report.set("latency", summary.to_json());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create output directory");
-        }
-    }
-    warplda::corpus::io::atomic_write_bytes(std::path::Path::new(&out), report.render().as_bytes())
-        .expect("write serve report");
-    println!("wrote {out}");
     handle.shutdown();
 }

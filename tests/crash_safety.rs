@@ -35,7 +35,7 @@ fn interrupted_checkpoint_save_never_corrupts_the_previous_checkpoint() {
     let path = dir.join("training.ckpt");
     let corpus = DatasetPreset::Tiny.generate_scaled(2);
     let params = ModelParams::paper_defaults(8);
-    let mut sampler = ShardedWarpLda::new(&corpus, params, WarpLdaConfig::default(), 17);
+    let mut sampler = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 17);
     sampler.run_iteration();
 
     // A good checkpoint exists.
@@ -64,12 +64,12 @@ fn interrupted_checkpoint_save_never_corrupts_the_previous_checkpoint() {
     }
 
     // The original still loads, and a retry with the fault gone replaces it.
-    let mut reloaded = ShardedWarpLda::new(&corpus, params, WarpLdaConfig::default(), 17);
+    let mut reloaded = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 17);
     load_checkpoint(&mut reloaded, &path).expect("previous checkpoint loads");
     assert_eq!(reloaded.iterations(), 1);
 
     save_checkpoint(&sampler, Some(corpus.vocab()), &path).expect("retry succeeds");
-    let mut latest = ShardedWarpLda::new(&corpus, params, WarpLdaConfig::default(), 17);
+    let mut latest = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 17);
     load_checkpoint(&mut latest, &path).expect("new checkpoint loads");
     assert_eq!(latest.iterations(), 2);
     assert_eq!(latest.assignments(), sampler.assignments());

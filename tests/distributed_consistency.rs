@@ -1,6 +1,6 @@
-//! Distributed-vs-shared-memory consistency: the simulated cluster must learn
-//! exactly the same model as the multi-threaded sampler (the simulation only
-//! adds accounting), the grid partition must stay balanced, and the
+//! Distributed-vs-serial consistency: the simulated cluster must learn
+//! exactly the same model as the serial reference sampler (the simulation
+//! only adds accounting), the grid partition must stay balanced, and the
 //! communication volume must match the analytical bound.
 
 use warplda::prelude::*;
@@ -10,7 +10,7 @@ fn corpus() -> Corpus {
 }
 
 #[test]
-fn distributed_assignments_match_shared_memory_run() {
+fn distributed_assignments_match_the_serial_sampler() {
     let corpus = corpus();
     let params = ModelParams::paper_defaults(12);
     let config = WarpLdaConfig::with_mh_steps(2);
@@ -23,12 +23,12 @@ fn distributed_assignments_match_shared_memory_run() {
         ClusterConfig::tianhe2_like(workers, config.mh_steps),
         31,
     );
-    let mut shared = ParallelWarpLda::new(&corpus, params, config, 31, workers);
-    for _ in 0..5 {
+    let mut serial = WarpLda::new(&corpus, params, config, 31);
+    for iter in 1..=5 {
         dist.run_iteration(&corpus, false);
-        shared.run_iteration();
+        serial.run_iteration();
+        assert_eq!(dist.assignments(), serial.assignments(), "iteration {iter}");
     }
-    assert_eq!(dist.assignments(), shared.assignments());
 }
 
 #[test]

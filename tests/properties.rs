@@ -339,7 +339,7 @@ proptest! {
 
         // Ownership through the exchange plan: in each phase the per-worker
         // delta entry lists are an exact partition of the token matrix.
-        let sampler = ShardedWarpLda::new(
+        let sampler = WarpLda::new(
             &corpus,
             ModelParams::new(4, 0.5, 0.1),
             WarpLdaConfig::with_mh_steps(1),

@@ -2,7 +2,8 @@
 //! every sampler in the workspace saves and reloads losslessly, corrupted
 //! files are rejected by the framed container (magic + version + checksum),
 //! and a saved WarpLDA run — serial and parallel — continues bit-identically
-//! to an uninterrupted one. The UCI text format round-trips are retained from
+//! to an uninterrupted one (the any-writer → any-reader matrix across drivers
+//! is in `crates/core/tests/differential.rs`). The UCI text format round-trips are retained from
 //! the original suite.
 
 use warplda::corpus::io::codec::CodecError;
@@ -128,12 +129,15 @@ fn corrupted_checkpoints_are_rejected() {
         Err(CodecError::UnsupportedVersion(42))
     ));
 
-    // A legacy v1 file (split assignment/proposal arrays, pre-packed-record
-    // layout): rejected with the dedicated typed error, not misread.
-    let mut legacy = buf.clone();
-    legacy[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let err = read_checkpoint(&mut target, &mut legacy.as_slice()).unwrap_err();
-    assert!(matches!(err, CodecError::LegacyVersion(1)), "{err}");
+    // Legacy files — v1 (split assignment/proposal arrays) and v2 (serial
+    // checkpoints continuing from a saved sequential RNG state): rejected
+    // with the dedicated typed error, not misread.
+    for version in [1u32, 2] {
+        let mut legacy = buf.clone();
+        legacy[8..12].copy_from_slice(&version.to_le_bytes());
+        let err = read_checkpoint(&mut target, &mut legacy.as_slice()).unwrap_err();
+        assert!(matches!(err, CodecError::LegacyVersion(v) if v == version), "{err}");
+    }
 
     // None of the rejections left the target partially overwritten in a way
     // that breaks it: it still runs.
@@ -154,7 +158,7 @@ fn assert_resume_is_bit_identical<S: Checkpointable>(
     trainer.train(&TrainerConfig::sampling_only(total), "continuous", &mut continuous);
 
     // The interrupted run: train to `split`, checkpoint, reload into a fresh
-    // sampler (different seed — the checkpoint must carry the RNG), continue.
+    // sampler (different seed — the checkpoint must carry the seed), continue.
     let mut first_half = make(11);
     trainer.train(&TrainerConfig::sampling_only(split), "first-half", &mut first_half);
     let mut buf = Vec::new();
