@@ -25,7 +25,7 @@ fn main() {
     // Distributed WarpLDA, M = 4: driven by the distributed runtime, reported
     // through the same IterationLog pipeline as every other run.
     let config = WarpLdaConfig::with_mh_steps(4);
-    let cluster = ClusterConfig::tianhe2_like(workers, config.mh_steps);
+    let cluster = ClusterConfig::tianhe2_like(workers);
     let mut warp = DistributedWarpLda::new(&corpus, params, config, cluster, 3);
     warp.run(&corpus, iterations, 5);
     let warp_log = warp.iteration_log("WarpLDA (M=4, dist)");

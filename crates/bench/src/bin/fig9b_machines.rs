@@ -47,10 +47,16 @@ fn main() {
     let mut baseline = None;
     for &p in &worker_counts {
         let grid = GridPartition::build(&corpus, doc_view, word_view, p, PartitionStrategy::Greedy);
-        let cluster = ClusterConfig::tianhe2_like(p, config.mh_steps);
+        let cluster = ClusterConfig::tianhe2_like(p);
         // The canonical cost model shared with `warplda::dist::runner`.
-        let point =
-            warplda::dist::runner::model_point(corpus.num_tokens(), single_tps, &grid, &cluster);
+        let point = warplda::dist::runner::model_point(
+            corpus.num_tokens(),
+            single_tps,
+            &grid,
+            &cluster,
+            &params,
+            &config,
+        );
         let (tps, compute_sec, comm_sec) =
             (point.tokens_per_sec, point.compute_sec, point.comm_sec);
         let base = *baseline.get_or_insert(tps);

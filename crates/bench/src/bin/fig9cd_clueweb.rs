@@ -25,7 +25,7 @@ fn main() {
     let workers = 16;
     let params = ModelParams::new(k, 50.0 / k as f64, 0.001); // beta = 0.001 as in Section 6.4
     let config = WarpLdaConfig::with_mh_steps(1);
-    let cluster = ClusterConfig::tianhe2_like(workers, config.mh_steps);
+    let cluster = ClusterConfig::tianhe2_like(workers);
     println!("corpus: {}", corpus.stats().table_row("ClueWeb12-like (scaled)"));
     println!("K = {k}, M = 1, beta = 0.001, {workers} simulated machines\n");
 

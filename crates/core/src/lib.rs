@@ -63,4 +63,4 @@ pub use sparselda::SparseLda;
 pub use state::SamplerState;
 pub use trainer::{IterationLog, IterationRecord, TrainOutcome, Trainer, TrainerConfig};
 pub use warp::parallel::ParallelWarpLda;
-pub use warp::{ShardedWarpLda, WarpLda, WarpLdaConfig};
+pub use warp::{topic_wire_width, ShardedWarpLda, WarpLda, WarpLdaConfig};

@@ -47,7 +47,8 @@
 //!   pool.
 //! * [`WarpLda::run_word_phase_shard`] / [`WarpLda::run_doc_phase_shard`]
 //!   visit a caller-chosen subset; with [`WarpLda::install_topic_counts`],
-//!   [`WarpLda::export_records`] / [`WarpLda::import_records`] and
+//!   [`WarpLda::export_records`] / [`WarpLda::import_records`] (or their
+//!   `_packed` forms, [`topic_wire_width`] bytes per topic) and
 //!   [`WarpLda::advance_iteration`] they are the phase API the multi-process
 //!   runtime in `warplda-dist` drives replicas through.
 //!
@@ -443,6 +444,73 @@ impl Phase<'_> {
     }
 }
 
+/// Bytes one topic id of a `num_topics`-topic model takes in the packed wire
+/// form of records: `⌈log₂₅₆ K⌉` rounded up to 1, 2 or 4. Both ends of a
+/// connection derive it from `K`, so it is never configured.
+pub fn topic_wire_width(num_topics: usize) -> usize {
+    match num_topics {
+        0..=0x100 => 1,
+        0x101..=0x1_0000 => 2,
+        _ => 4,
+    }
+}
+
+/// A topic id in transit: a host `u32`, or its low `W ≤ 4` little-endian
+/// bytes. What lets every record width share one gather and one scatter loop.
+trait WireTopic: Copy {
+    fn pack(topic: u32) -> Self;
+    fn unpack(self) -> u32;
+}
+
+impl WireTopic for u32 {
+    #[inline]
+    fn pack(topic: u32) -> Self {
+        topic
+    }
+
+    #[inline]
+    fn unpack(self) -> u32 {
+        self
+    }
+}
+
+impl<const W: usize> WireTopic for [u8; W] {
+    #[inline]
+    fn pack(topic: u32) -> Self {
+        let bytes = topic.to_le_bytes();
+        std::array::from_fn(|i| bytes[i])
+    }
+
+    #[inline]
+    fn unpack(self) -> u32 {
+        let mut bytes = [0u8; 4];
+        bytes[..W].copy_from_slice(&self);
+        u32::from_le_bytes(bytes)
+    }
+}
+
+/// Evaluates `$body` with the const `$W` bound to the record width `$width`;
+/// any width but 1, 2 or 4 is a typed corruption error.
+macro_rules! for_width {
+    ($width:expr, $W:ident => $body:expr) => {
+        match $width {
+            1 => {
+                const $W: usize = 1;
+                $body
+            }
+            2 => {
+                const $W: usize = 2;
+                $body
+            }
+            4 => {
+                const $W: usize = 4;
+                $body
+            }
+            w => Err(CodecError::Corrupt(format!("record width {w} is not 1, 2 or 4 bytes"))),
+        }
+    };
+}
+
 /// The WarpLDA sampler state, generic over an optional memory probe.
 pub struct WarpLda<P: MemoryProbe = NoProbe> {
     params: ModelParams,
@@ -710,46 +778,118 @@ impl<P: MemoryProbe> WarpLda<P> {
         self.iterations += 1;
     }
 
-    /// Appends the packed records of `entries` (in that order) to `out`
+    /// Writes the packed records of `entries` (in that order) to `out`
     /// (cleared first): `entries.len() × stride` words.
     pub fn export_records(&self, entries: &[u32], out: &mut Vec<u32>) {
         out.clear();
-        out.reserve(entries.len() * self.stride());
-        for &e in entries {
-            out.extend_from_slice(self.records.record(e as usize));
-        }
+        out.resize(entries.len() * self.stride(), 0);
+        self.gather(entries, out);
     }
 
     /// Overwrites the packed records of `entries` (in that order) with
     /// `words`, the wire form produced by
     /// [`export_records`](Self::export_records) on the owning peer. Length
-    /// and topic-range mismatches are typed corruption errors — this is the
-    /// validation gate for record payloads arriving off the wire.
+    /// and topic-range mismatches are typed corruption errors that leave the
+    /// records untouched.
     pub fn import_records(&mut self, entries: &[u32], words: &[u32]) -> CodecResult<()> {
-        let stride = self.stride();
-        if words.len() != entries.len() * stride {
-            return Err(CodecError::Corrupt(format!(
-                "record delta holds {} words but {} entries × stride {stride} need {}",
-                words.len(),
-                entries.len(),
-                entries.len() * stride,
-            )));
-        }
-        self.check_topics(words)?;
-        for (rec, &e) in words.chunks_exact(stride).zip(entries) {
-            self.records.record_mut(e as usize).copy_from_slice(rec);
-        }
+        self.check_wire(entries.len(), words)?;
+        self.scatter(entries, words);
         Ok(())
     }
 
-    fn check_topics(&self, words: &[u32]) -> CodecResult<()> {
-        let k = self.ctx.k;
-        match words.iter().find(|&&t| t as usize >= k) {
-            Some(bad) => {
-                Err(CodecError::Corrupt(format!("record topic {bad} out of range (K = {k})")))
+    /// [`export_records`](Self::export_records) at `width` bytes per topic
+    /// (little-endian), appended to `out`: the form records travel in between
+    /// processes.
+    ///
+    /// # Panics
+    /// Panics if `width` is not 1, 2 or 4, or is narrower than
+    /// [`topic_wire_width`] of this model's `K`.
+    pub fn export_records_packed(&self, entries: &[u32], width: usize, out: &mut Vec<u8>) {
+        assert!(width >= topic_wire_width(self.ctx.k), "width {width} cannot hold every topic");
+        let at = out.len();
+        out.resize(at + entries.len() * self.stride() * width, 0);
+        let dst = &mut out[at..];
+        for_width!(width, W => {
+            self.gather(entries, dst.as_chunks_mut::<W>().0);
+            Ok(())
+        })
+        .expect("export width is chosen by this program");
+    }
+
+    /// Validates `bytes` as the packed records of `entries` entries at
+    /// `width` bytes per topic without applying them: the width is 1, 2 or 4,
+    /// the length is exact and every topic is below `K`. This is the
+    /// validation gate for record payloads arriving off the wire.
+    pub fn check_records_packed(
+        &self,
+        entries: usize,
+        width: usize,
+        bytes: &[u8],
+    ) -> CodecResult<()> {
+        for_width!(width, W => {
+            let (topics, tail) = bytes.as_chunks::<W>();
+            if !tail.is_empty() {
+                return Err(CodecError::Corrupt(format!(
+                    "{} record bytes do not divide into {W}-byte topics",
+                    bytes.len()
+                )));
             }
-            None => Ok(()),
+            self.check_wire(entries, topics)
+        })
+    }
+
+    /// [`import_records`](Self::import_records) from the packed form of
+    /// [`export_records_packed`](Self::export_records_packed). Nothing is
+    /// written unless [`check_records_packed`](Self::check_records_packed)
+    /// accepts the payload.
+    pub fn import_records_packed(
+        &mut self,
+        entries: &[u32],
+        width: usize,
+        bytes: &[u8],
+    ) -> CodecResult<()> {
+        self.check_records_packed(entries.len(), width, bytes)?;
+        for_width!(width, W => {
+            self.scatter(entries, bytes.as_chunks::<W>().0);
+            Ok(())
+        })
+    }
+
+    /// The one gather loop: the records of `entries`, in order, into `out`.
+    fn gather<T: WireTopic>(&self, entries: &[u32], out: &mut [T]) {
+        for (dst, &e) in out.chunks_exact_mut(self.stride()).zip(entries) {
+            for (slot, &t) in dst.iter_mut().zip(self.records.record(e as usize)) {
+                *slot = T::pack(t);
+            }
         }
+    }
+
+    /// The one scatter loop: `src` over the records of `entries`, in order.
+    /// The caller has validated `src` with [`check_wire`](Self::check_wire).
+    fn scatter<T: WireTopic>(&mut self, entries: &[u32], src: &[T]) {
+        for (rec, &e) in src.chunks_exact(self.stride()).zip(entries) {
+            for (slot, t) in self.records.record_mut(e as usize).iter_mut().zip(rec) {
+                *slot = t.unpack();
+            }
+        }
+    }
+
+    /// Length and topic-range check of the wire form of `entries` records.
+    fn check_wire<T: WireTopic>(&self, entries: usize, src: &[T]) -> CodecResult<()> {
+        let (stride, k) = (self.stride(), self.ctx.k);
+        if src.len() != entries * stride {
+            return Err(CodecError::Corrupt(format!(
+                "record payload holds {} topics but {entries} entries × stride {stride} need {}",
+                src.len(),
+                entries * stride,
+            )));
+        }
+        // A branch-free maximum, so the scan vectorizes.
+        let max = src.iter().fold(0, |max, t| max.max(t.unpack()));
+        if max as usize >= k {
+            return Err(CodecError::Corrupt(format!("record topic {max} out of range (K = {k})")));
+        }
+        Ok(())
     }
 
     /// Replaces the full sampler state (iteration counter, packed records,
@@ -764,17 +904,8 @@ impl<P: MemoryProbe> WarpLda<P> {
         topic_counts: &[u32],
     ) -> CodecResult<()> {
         let stride = self.stride();
-        let entries = self.num_entries();
         let k = self.ctx.k;
-        if records.len() != entries * stride {
-            return Err(CodecError::Corrupt(format!(
-                "state holds {} record words but the corpus needs {} \
-                 ({entries} entries × stride {stride})",
-                records.len(),
-                entries * stride,
-            )));
-        }
-        self.check_topics(records)?;
+        self.check_wire(self.num_entries(), records)?;
         // The delayed-update invariant between iterations: c_k is exactly the
         // topic histogram of the assignments.
         let mut hist = vec![0u32; k];

@@ -6,8 +6,10 @@
 //! frame, rebuilds the *same* replica and [`ShardPlan`] the coordinator holds
 //! (both are deterministic functions of the corpus, seed and worker count),
 //! then serves `RunIteration` requests: advance the owned shard of a phase,
-//! report the owned records plus a partial `c_k`, and absorb the merged
-//! `c_k` plus the cross-owner records the plan says this worker lacks.
+//! report a partial `c_k` plus one record segment per destination worker
+//! (built in place in a reused frame buffer), and absorb the merged `c_k`
+//! plus the segments the peers addressed to this worker (applied in place
+//! from the receive buffer). A healthy iteration allocates nothing.
 //!
 //! Once `Ready` is sent, a side thread pulses `Heartbeat` frames every
 //! `Setup.heartbeat_interval_ms` so the coordinator can tell a slow worker
@@ -35,12 +37,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use warplda_core::{ModelParams, Sampler, WarpLda, WarpLdaConfig};
+use warplda_core::{topic_wire_width, ModelParams, Sampler, WarpLda, WarpLdaConfig};
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
 use warplda_dist::fault::{FaultAction, FaultPhase, FaultTimeline};
 use warplda_dist::plan::ShardPlan;
 use warplda_dist::protocol::{
-    decode_message, encode_message, Delta, Message, Setup, DIST_MAX_FRAME_BYTES,
+    begin_delta_frame, decode_message, encode_message, sync_tag, Message, ResumeState, Setup,
+    DIST_MAX_FRAME_BYTES,
 };
 use warplda_dist::GridPartition;
 use warplda_net::{connect_within, write_frame, FrameBuffer};
@@ -97,23 +100,9 @@ impl SharedWriter {
         Ok(())
     }
 
-    /// Scripted `CorruptDelta`: flips the tag byte so the coordinator's
-    /// decode fails with a typed corrupt-payload error.
-    fn send_corrupted(&self, msg: &Message) -> Result<()> {
-        let mut payload = encode_message(msg);
-        payload[0] ^= 0xFF;
-        write_frame(&mut *self.lock(), &payload)?;
-        Ok(())
-    }
-
-    /// Scripted `TruncateDelta`: a full length prefix but only half the
-    /// payload — the coordinator sees the connection close mid-frame.
-    fn send_truncated(&self, msg: &Message) -> Result<()> {
-        let payload = encode_message(msg);
-        let mut stream = self.lock();
-        stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-        stream.write_all(&payload[..payload.len() / 2])?;
-        stream.flush()?;
+    /// Writes an already-framed message (length prefix included).
+    fn send_framed(&self, frame: &[u8]) -> Result<()> {
+        self.lock().write_all(frame)?;
         Ok(())
     }
 }
@@ -125,9 +114,10 @@ struct Reader {
 }
 
 impl Reader {
-    fn recv(&mut self) -> Result<Message> {
+    /// The next frame's payload, valid until the next call.
+    fn recv(&mut self) -> Result<&[u8]> {
         match self.buf.read_frame(&mut self.stream)? {
-            Some(range) => Ok(decode_message(self.buf.payload(range))?),
+            Some(range) => Ok(self.buf.payload(range)),
             None => Err("coordinator closed the connection".into()),
         }
     }
@@ -192,7 +182,7 @@ fn run(addr: &str, worker_id: u32) -> Result<()> {
     };
 
     writer.send(&Message::Hello { worker_id })?;
-    let setup = match reader.recv()? {
+    let setup = match decode_message(reader.recv()?)? {
         Message::Setup(setup) => *setup,
         other => return Err(format!("expected Setup, got {other:?}").into()),
     };
@@ -216,7 +206,9 @@ fn run(addr: &str, worker_id: u32) -> Result<()> {
     });
 
     let id = worker_id as usize;
-    match serve(&mut reader, &writer, &mut sampler, &plan, id, &mut faults, heartbeat.as_ref()) {
+    let mut buffers = Buffers { counts: vec![0; setup.num_topics as usize], frame: Vec::new() };
+    let link = Link { reader: &mut reader, writer: &writer, heartbeat: heartbeat.as_ref() };
+    match serve(link, &mut sampler, &plan, id, &mut faults, &mut buffers) {
         Ok(()) => {
             if let Some(hb) = &heartbeat {
                 hb.stop();
@@ -257,17 +249,19 @@ fn build_replica(setup: &Setup) -> Result<(WarpLda, ShardPlan)> {
     Ok((sampler, plan))
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SyncKind {
-    Word,
-    Doc,
+/// The connection as the iteration loop sees it.
+struct Link<'a> {
+    reader: &'a mut Reader,
+    writer: &'a SharedWriter,
+    heartbeat: Option<&'a Heartbeat>,
 }
 
-/// What a phase-boundary wait produced: the expected sync, or a `Restore`
-/// that abandons the iteration.
-enum Flow {
-    Synced,
-    Restored,
+/// What the iteration loop reuses every phase, so it never allocates.
+struct Buffers {
+    /// A `c_k`: the partial one going out, then the merged one coming in.
+    counts: Vec<u32>,
+    /// The delta frame being built, length prefix included.
+    frame: Vec<u8>,
 }
 
 /// Executes a scripted fault action at its firing point. Crash and the
@@ -294,29 +288,35 @@ fn execute_fault(action: FaultAction, heartbeat: Option<&Heartbeat>) -> Option<F
     }
 }
 
+/// Adopts the boundary state of a `Restore` and acknowledges it.
+fn restore(
+    writer: &SharedWriter,
+    sampler: &mut WarpLda,
+    id: usize,
+    state: &ResumeState,
+) -> Result<()> {
+    sampler.restore(state.iterations, &state.records, &state.topic_counts)?;
+    writer.send(&Message::Ready { worker_id: id as u32 })
+}
+
 /// The iteration loop: word shard → delta → sync, doc shard → delta → sync,
 /// until `Shutdown`. A `Restore` at any receive point abandons the current
 /// iteration (no advance), reinstalls the boundary state and re-enters the
 /// loop with a fresh `Ready`.
-#[allow(clippy::too_many_arguments)]
 fn serve(
-    reader: &mut Reader,
-    writer: &SharedWriter,
+    link: Link<'_>,
     sampler: &mut WarpLda,
     plan: &ShardPlan,
     id: usize,
     faults: &mut FaultTimeline,
-    heartbeat: Option<&Heartbeat>,
+    buffers: &mut Buffers,
 ) -> Result<()> {
-    let k = sampler.params().num_topics;
-    let mut partial = vec![0u32; k];
-    let mut records = Vec::new();
+    let width = topic_wire_width(sampler.params().num_topics);
     'session: loop {
-        let epoch = match reader.recv()? {
+        let epoch = match decode_message(link.reader.recv()?)? {
             Message::RunIteration { epoch } => epoch,
-            Message::Restore(r) => {
-                sampler.restore(r.iterations, &r.records, &r.topic_counts)?;
-                writer.send(&Message::Ready { worker_id: id as u32 })?;
+            Message::Restore(state) => {
+                restore(link.writer, sampler, id, &state)?;
                 continue;
             }
             Message::Shutdown => return Ok(()),
@@ -334,89 +334,51 @@ fn serve(
             .into());
         }
 
-        for kind in [SyncKind::Word, SyncKind::Doc] {
-            let phase = match kind {
-                SyncKind::Word => FaultPhase::Word,
-                SyncKind::Doc => FaultPhase::Doc,
-            };
+        for phase in [FaultPhase::Word, FaultPhase::Doc] {
             let sabotage =
-                faults.fire(epoch, phase).and_then(|action| execute_fault(action, heartbeat));
+                faults.fire(epoch, phase).and_then(|action| execute_fault(action, link.heartbeat));
 
-            match kind {
-                SyncKind::Word => sampler.run_word_phase_shard(&plan.owned_words[id], &mut partial),
-                SyncKind::Doc => sampler.run_doc_phase_shard(&plan.owned_docs[id], &mut partial),
+            let partial = &mut buffers.counts;
+            match phase {
+                FaultPhase::Word => sampler.run_word_phase_shard(&plan.owned_words[id], partial),
+                FaultPhase::Doc => sampler.run_doc_phase_shard(&plan.owned_docs[id], partial),
             }
-            let delta_entries = match kind {
-                SyncKind::Word => &plan.word_delta_entries[id],
-                SyncKind::Doc => &plan.doc_delta_entries[id],
-            };
-            sampler.export_records(delta_entries, &mut records);
-            let delta = Delta {
-                worker_id: id as u32,
-                epoch,
-                records: records.clone(),
-                partial_ck: partial.clone(),
-            };
-            let msg = match kind {
-                SyncKind::Word => Message::WordDelta(delta),
-                SyncKind::Doc => Message::DocDelta(delta),
-            };
+            let exchange = plan.phase(phase);
+            let entries = &exchange.delta_entries[id];
+            let frame = &mut buffers.frame;
+            let values = entries.len() * sampler.stride();
+            begin_delta_frame(frame, phase, id as u32, epoch, width, partial, values);
+            sampler.export_records_packed(entries, width, frame);
             match sabotage {
-                Some(FaultAction::CorruptDelta) => writer.send_corrupted(&msg)?,
+                Some(FaultAction::CorruptDelta) => {
+                    // Flip the tag byte (right after the length prefix) so
+                    // the coordinator's decode fails with a typed error.
+                    frame[4] ^= 0xFF;
+                    link.writer.send_framed(frame)?;
+                }
                 Some(FaultAction::TruncateDelta) => {
-                    writer.send_truncated(&msg)?;
-                    // The frame is unfinishable; exiting here is the fault.
+                    // A full length prefix but only half the payload, then
+                    // exit: the coordinator sees the connection close
+                    // mid-frame.
+                    link.writer.send_framed(&frame[..4 + (frame.len() - 4) / 2])?;
                     std::process::exit(4);
                 }
-                _ => writer.send(&msg)?,
+                _ => link.writer.send_framed(frame)?,
             }
 
-            let sync_entries = match kind {
-                SyncKind::Word => &plan.word_sync_entries[id],
-                SyncKind::Doc => &plan.doc_sync_entries[id],
-            };
-            match apply_sync(reader, writer, sampler, sync_entries, epoch, k, kind, id)? {
-                Flow::Synced => {}
-                Flow::Restored => continue 'session,
+            // The boundary: the expected sync, applied where it lies, or a
+            // `Restore` because a peer failed mid-iteration.
+            let payload = link.reader.recv()?;
+            if payload.first() != Some(&sync_tag(phase)) {
+                match decode_message(payload)? {
+                    Message::Restore(state) => restore(link.writer, sampler, id, &state)?,
+                    other => return Err(format!("expected {phase:?} sync, got {other:?}").into()),
+                }
+                continue 'session;
             }
+            exchange.apply_sync(sampler, id, epoch, payload, &mut buffers.counts)?;
         }
 
         sampler.advance_iteration();
     }
-}
-
-/// Receives the expected phase-boundary sync, installs the merged `c_k` and
-/// imports the cross-owner records this worker does not advance itself. A
-/// `Restore` here means a peer failed mid-iteration: adopt the boundary
-/// state, acknowledge with `Ready` and report [`Flow::Restored`].
-#[allow(clippy::too_many_arguments)]
-fn apply_sync(
-    reader: &mut Reader,
-    writer: &SharedWriter,
-    sampler: &mut WarpLda,
-    entries: &[u32],
-    epoch: u64,
-    k: usize,
-    kind: SyncKind,
-    id: usize,
-) -> Result<Flow> {
-    let sync = match (kind, reader.recv()?) {
-        (SyncKind::Word, Message::WordSync(sync)) => sync,
-        (SyncKind::Doc, Message::DocSync(sync)) => sync,
-        (_, Message::Restore(r)) => {
-            sampler.restore(r.iterations, &r.records, &r.topic_counts)?;
-            writer.send(&Message::Ready { worker_id: id as u32 })?;
-            return Ok(Flow::Restored);
-        }
-        (_, other) => return Err(format!("expected {kind:?} sync, got {other:?}").into()),
-    };
-    if sync.epoch != epoch {
-        return Err(format!("{kind:?} sync for epoch {} at epoch {epoch}", sync.epoch).into());
-    }
-    if sync.topic_counts.len() != k {
-        return Err(format!("merged c_k has {} slots for K = {k}", sync.topic_counts.len()).into());
-    }
-    sampler.install_topic_counts(&sync.topic_counts);
-    sampler.import_records(entries, &sync.records)?;
-    Ok(Flow::Synced)
 }

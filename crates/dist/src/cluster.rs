@@ -2,9 +2,12 @@
 //!
 //! The paper's distributed experiments run on Tianhe-2: 12-core Ivy Bridge
 //! nodes on a TH Express-2 fat tree. For the simulation only two properties of
-//! the network matter: how many bytes a phase switch must move (a function of
-//! the grid partition and the MH step count) and how long the all-to-all
+//! the network matter: how many bytes a phase switch must move
+//! ([`exchange_bytes_per_iteration`]: the grid partition's off-diagonal tokens
+//! at the record size the real protocol ships) and how long the all-to-all
 //! exchange of those bytes takes (a function of link bandwidth and latency).
+
+use crate::protocol::record_wire_bytes;
 
 /// Simulated cluster: worker count plus the parameters of the all-to-all
 /// exchange cost model.
@@ -16,38 +19,36 @@ pub struct ClusterConfig {
     pub link_bandwidth_bytes_per_sec: f64,
     /// One-way message latency of the interconnect, seconds.
     pub link_latency_sec: f64,
-    /// Bytes shipped per off-diagonal token at one phase switch:
-    /// `(M + 1) * 4` — the `u32` topic assignment plus `M` `u32` proposals.
-    pub bytes_per_token: u64,
+}
+
+/// Total bytes one iteration ships across the network:
+/// `tokens_crossing_per_switch` off-diagonal tokens, each a record of
+/// [`record_wire_bytes`]`(K, M)` — the topic assignment plus `M` proposals at
+/// the width `K` needs — exchanged at both phase switches (doc → word and
+/// word → doc).
+///
+/// This is the single pricing formula shared by
+/// [`DistributedWarpLda`](crate::DistributedWarpLda)'s per-iteration reports
+/// and [`runner::model_point`](crate::runner::model_point), and it is exactly
+/// what [`ProcessCluster`](crate::ProcessCluster) forwards to workers as
+/// record segments.
+pub fn exchange_bytes_per_iteration(
+    tokens_crossing_per_switch: u64,
+    num_topics: usize,
+    mh_steps: usize,
+) -> u64 {
+    tokens_crossing_per_switch * record_wire_bytes(num_topics, mh_steps) * 2
 }
 
 impl ClusterConfig {
     /// A Tianhe-2-like configuration: TH Express-2 class links (~6 GB/s
-    /// effective per node, microsecond-scale latency) and the WarpLDA message
-    /// format of `(mh_steps + 1) * 4` bytes per shipped token.
+    /// effective per node, microsecond-scale latency).
     ///
     /// # Panics
-    /// Panics if `workers` is zero or `mh_steps` is zero.
-    pub fn tianhe2_like(workers: usize, mh_steps: usize) -> Self {
+    /// Panics if `workers` is zero.
+    pub fn tianhe2_like(workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
-        assert!(mh_steps >= 1, "need at least one MH proposal per token");
-        Self {
-            workers,
-            link_bandwidth_bytes_per_sec: 6.0e9,
-            link_latency_sec: 5.0e-6,
-            bytes_per_token: (mh_steps as u64 + 1) * 4,
-        }
-    }
-
-    /// Total bytes one iteration ships across the network:
-    /// `tokens_crossing_per_switch` off-diagonal tokens at `bytes_per_token`
-    /// each, exchanged at both phase switches (doc → word and word → doc).
-    ///
-    /// This is the single pricing formula shared by
-    /// [`DistributedWarpLda`](crate::DistributedWarpLda)'s per-iteration
-    /// reports and [`runner::model_point`](crate::runner::model_point).
-    pub fn bytes_per_iteration(&self, tokens_crossing_per_switch: u64) -> u64 {
-        tokens_crossing_per_switch * self.bytes_per_token * 2
+        Self { workers, link_bandwidth_bytes_per_sec: 6.0e9, link_latency_sec: 5.0e-6 }
     }
 
     /// Modeled wall time of an all-to-all exchange of `bytes` total bytes.
@@ -71,16 +72,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn message_size_is_assignment_plus_proposals() {
-        for m in 1..=16 {
-            let c = ClusterConfig::tianhe2_like(8, m);
-            assert_eq!(c.bytes_per_token, (m as u64 + 1) * 4);
+    fn message_size_is_assignment_plus_proposals_at_the_width_k_needs() {
+        for m in 1..=16u64 {
+            for (k, width) in [(2, 1), (256, 1), (257, 2), (65_536, 2), (65_537, 4)] {
+                assert_eq!(
+                    exchange_bytes_per_iteration(10, k, m as usize),
+                    10 * (m + 1) * width * 2
+                );
+            }
         }
     }
 
     #[test]
     fn exchange_time_grows_with_volume_and_is_positive() {
-        let c = ClusterConfig::tianhe2_like(4, 2);
+        let c = ClusterConfig::tianhe2_like(4);
         let small = c.exchange_time_sec(1_000);
         let large = c.exchange_time_sec(1_000_000_000);
         assert!(small > 0.0);
@@ -91,14 +96,14 @@ mod tests {
 
     #[test]
     fn single_machine_pays_no_communication() {
-        let c = ClusterConfig::tianhe2_like(1, 4);
+        let c = ClusterConfig::tianhe2_like(1);
         assert_eq!(c.exchange_time_sec(0), 0.0);
         assert_eq!(c.exchange_time_sec(1_000_000), 0.0);
     }
 
     #[test]
     fn latency_dominates_empty_exchanges() {
-        let c = ClusterConfig::tianhe2_like(16, 1);
+        let c = ClusterConfig::tianhe2_like(16);
         let t = c.exchange_time_sec(0);
         assert!((t - 15.0 * c.link_latency_sec).abs() < 1e-12);
     }
@@ -106,12 +111,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
-        let _ = ClusterConfig::tianhe2_like(0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one MH proposal")]
-    fn zero_mh_steps_rejected() {
-        let _ = ClusterConfig::tianhe2_like(2, 0);
+        let _ = ClusterConfig::tianhe2_like(0);
     }
 }

@@ -18,7 +18,7 @@ use warplda_core::{ModelParams, ParallelWarpLda, Sampler, WarpLdaConfig};
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
 use warplda_sparse::PartitionStrategy;
 
-use crate::cluster::ClusterConfig;
+use crate::cluster::{exchange_bytes_per_iteration, ClusterConfig};
 use crate::grid::GridPartition;
 
 /// Accounting for one distributed iteration.
@@ -30,7 +30,8 @@ pub struct IterationReport {
     /// phase and again in the doc phase, so `2 * T`.
     pub tokens_sampled: u64,
     /// Bytes crossing the network this iteration: the off-diagonal tokens of
-    /// the grid, `(M + 1) * 4` bytes each, shipped at both phase switches.
+    /// the grid, one wire record each, shipped at both phase switches
+    /// ([`exchange_bytes_per_iteration`]).
     pub bytes_exchanged: u64,
     /// Measured sampling time of the iteration on this host, seconds.
     pub compute_sec: f64,
@@ -50,6 +51,8 @@ pub struct DistributedWarpLda {
     shared: ParallelWarpLda,
     grid: GridPartition,
     cluster: ClusterConfig,
+    /// What every iteration ships: the grid is static.
+    bytes_per_iteration: u64,
     doc_view: DocMajorView,
     word_view: WordMajorView,
     reports: Vec<IterationReport>,
@@ -65,11 +68,6 @@ impl DistributedWarpLda {
     /// accounting prices exactly the execution that runs. The underlying
     /// sampler state is identical to
     /// `ParallelWarpLda::new(corpus, params, config, seed, workers)`.
-    ///
-    /// # Panics
-    /// Panics if the cluster's per-token message size disagrees with the
-    /// sampler's MH step count (`(M + 1) * 4` bytes): a mismatch would
-    /// silently mis-price every exchange.
     pub fn new(
         corpus: &Corpus,
         params: ModelParams,
@@ -77,13 +75,6 @@ impl DistributedWarpLda {
         cluster: ClusterConfig,
         seed: u64,
     ) -> Self {
-        assert_eq!(
-            cluster.bytes_per_token,
-            (config.mh_steps as u64 + 1) * 4,
-            "cluster message size must match the sampler's MH step count \
-             (expected (M + 1) * 4 bytes per token for M = {})",
-            config.mh_steps,
-        );
         let doc_view = DocMajorView::build(corpus);
         let word_view = WordMajorView::build(corpus, &doc_view);
         let grid = GridPartition::build_with(
@@ -94,8 +85,21 @@ impl DistributedWarpLda {
             PartitionStrategy::Greedy,
             PartitionStrategy::Dynamic,
         );
+        let bytes_per_iteration = exchange_bytes_per_iteration(
+            grid.tokens_exchanged_per_phase_switch(),
+            params.num_topics,
+            config.mh_steps,
+        );
         let shared = ParallelWarpLda::new(corpus, params, config, seed, cluster.workers);
-        Self { shared, grid, cluster, doc_view, word_view, reports: Vec::new() }
+        Self {
+            shared,
+            grid,
+            cluster,
+            bytes_per_iteration,
+            doc_view,
+            word_view,
+            reports: Vec::new(),
+        }
     }
 
     /// The grid partition in use.
@@ -137,8 +141,7 @@ impl DistributedWarpLda {
         let compute_sec = start.elapsed().as_secs_f64().max(1e-9);
 
         let tokens_sampled = corpus.num_tokens() * 2;
-        let bytes_exchanged =
-            self.cluster.bytes_per_iteration(self.grid.tokens_exchanged_per_phase_switch());
+        let bytes_exchanged = self.bytes_per_iteration;
         let comm_sec = self.cluster.exchange_time_sec(bytes_exchanged);
         let wall_sec = compute_sec + comm_sec;
 
@@ -224,7 +227,7 @@ mod tests {
         let corpus = DatasetPreset::Tiny.generate_scaled(8);
         let params = ModelParams::paper_defaults(6);
         let config = WarpLdaConfig::with_mh_steps(mh_steps);
-        let cluster = ClusterConfig::tianhe2_like(workers, mh_steps);
+        let cluster = ClusterConfig::tianhe2_like(workers);
         let d = DistributedWarpLda::new(&corpus, params, config, cluster, seed);
         (corpus, d)
     }
@@ -246,18 +249,18 @@ mod tests {
     #[test]
     fn communication_volume_sweep_matches_analytical_bound() {
         // Property-style sweep over workers x mh_steps: the reported volume
-        // must equal (off-diagonal tokens) * (M + 1) * 4 bytes * 2 switches,
-        // for every configuration.
+        // must equal (off-diagonal tokens) * (M + 1) one-byte topics (K = 4)
+        // * 2 switches, for every configuration.
         let corpus = DatasetPreset::Tiny.generate_scaled(8);
         let params = ModelParams::paper_defaults(4);
         for workers in [1usize, 2, 3, 4, 6, 8] {
             for mh_steps in [1usize, 2, 3, 4, 8] {
                 let config = WarpLdaConfig::with_mh_steps(mh_steps);
-                let cluster = ClusterConfig::tianhe2_like(workers, mh_steps);
+                let cluster = ClusterConfig::tianhe2_like(workers);
                 let mut d = DistributedWarpLda::new(&corpus, params, config, cluster, 5);
                 let r = d.run_iteration(&corpus, false);
                 let expected =
-                    d.grid().tokens_exchanged_per_phase_switch() * (mh_steps as u64 + 1) * 4 * 2;
+                    d.grid().tokens_exchanged_per_phase_switch() * (mh_steps as u64 + 1) * 2;
                 assert_eq!(
                     r.bytes_exchanged, expected,
                     "workers = {workers}, mh_steps = {mh_steps}"
@@ -311,19 +314,6 @@ mod tests {
         assert!(reports[0].log_likelihood.is_none());
         assert!(reports[1].log_likelihood.is_none());
         assert!(reports[2].log_likelihood.is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "message size must match")]
-    fn mismatched_message_size_rejected() {
-        let corpus = DatasetPreset::Tiny.generate_scaled(16);
-        let _ = DistributedWarpLda::new(
-            &corpus,
-            ModelParams::paper_defaults(4),
-            WarpLdaConfig::with_mh_steps(4),
-            ClusterConfig::tianhe2_like(2, 1),
-            1,
-        );
     }
 
     #[test]

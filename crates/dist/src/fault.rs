@@ -11,8 +11,8 @@
 //!
 //! Determinism is the whole point: the same plan against the same seed
 //! produces the same failure, the same recovery path and — because recovery
-//! replays from a boundary snapshot with per-entity RNG streams — the same
-//! final model, bit for bit. That makes "the cluster survived a crash" an
+//! replays from the coordinator's replica with per-entity RNG streams — the
+//! same final model, bit for bit. That makes "the cluster survived a crash" an
 //! exact equality assertion instead of a flaky integration hope.
 //!
 //! Replay safety: when a worker is respawned and replays iterations it

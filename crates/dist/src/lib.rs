@@ -15,8 +15,9 @@
 //!   different machines (an *off-diagonal* grid cell) must cross the network
 //!   at every phase switch.
 //! * [`ClusterConfig`] — the network model: worker count, per-link bandwidth
-//!   and latency, and the per-token message size of `(M + 1) * 4` bytes (the
-//!   `u32` topic assignment plus `M` `u32` proposals).
+//!   and latency. The per-token message size is not configured: it is
+//!   [`protocol::record_wire_bytes`]`(K, M)`, the topic assignment plus `M`
+//!   proposals at the 1, 2 or 4 bytes per topic the real protocol ships.
 //! * [`DistributedWarpLda`] — the driver. Each simulated machine maps onto one
 //!   worker of the shared-memory [`warplda_core::ParallelWarpLda`] sampler,
 //!   whose workers visit disjoint documents/words and whose every visit draws
@@ -33,10 +34,12 @@
 //! * [`protocol`] — the framed wire protocol (over [`warplda_net`]) the
 //!   coordinator and workers speak: corpus/hyperparameter setup, per-phase
 //!   record deltas with partial `c_k`, merged boundary syncs, clean shutdown;
-//! * [`ShardPlan`] — the deterministic per-worker ownership and exchange
-//!   entry lists both sides derive independently from the [`GridPartition`];
+//! * [`ShardPlan`] — the deterministic per-worker ownership and the
+//!   per-destination record segments both sides derive independently from
+//!   the [`GridPartition`];
 //! * [`ProcessCluster`] — the coordinator: spawns N `warplda-dist-worker`
-//!   OS processes, drives iterations over loopback TCP, and keeps a replica
+//!   OS processes, drives iterations over loopback TCP by routing those
+//!   segments between workers as bytes, and keeps a replica
 //!   whose merged state is bit-identical to the serial
 //!   [`warplda_core::WarpLda`] (and hence to the simulated
 //!   [`DistributedWarpLda`] and to [`warplda_core::ParallelWarpLda`]) after
@@ -49,7 +52,7 @@
 //!
 //! let corpus = DatasetPreset::Tiny.generate_scaled(10);
 //! let config = WarpLdaConfig::with_mh_steps(2);
-//! let cluster = ClusterConfig::tianhe2_like(4, config.mh_steps);
+//! let cluster = ClusterConfig::tianhe2_like(4);
 //! let mut driver =
 //!     DistributedWarpLda::new(&corpus, ModelParams::paper_defaults(8), config, cluster, 42);
 //! let report = driver.run_iteration(&corpus, true);
@@ -69,7 +72,7 @@ pub mod process;
 pub mod protocol;
 pub mod runner;
 
-pub use cluster::ClusterConfig;
+pub use cluster::{exchange_bytes_per_iteration, ClusterConfig};
 pub use driver::{DistributedWarpLda, IterationReport};
 pub use fault::{FaultAction, FaultEvent, FaultPhase, FaultPlan};
 pub use grid::GridPartition;

@@ -6,43 +6,214 @@
 //! frame carries only packed records, and both ends already agree — in order
 //! — on which entries those records belong to.
 //!
-//! Per worker `i` the plan holds:
+//! Per worker `i` the plan holds the columns/rows it advances
+//! (`owned_words[i]` / `owned_docs[i]`) and, per phase, a [`PhasePlan`]: the
+//! entries whose records worker `i` reports after the phase, laid out as one
+//! contiguous **segment** per destination worker.
 //!
-//! * `owned_words[i]` / `owned_docs[i]` — the columns/rows worker `i`
-//!   advances in the word/doc phase.
-//! * `word_delta_entries[i]` / `doc_delta_entries[i]` — the entries whose
-//!   records worker `i` *reports* after each phase (all entries of its owned
-//!   columns/rows).
-//! * `word_sync_entries[i]` — the entries worker `i` must *receive* after
-//!   the word phase: entries of its owned rows whose word lives on another
-//!   worker (it needs their fresh word-phase output before its doc phase).
-//! * `doc_sync_entries[i]` — the mirror image after the doc phase: entries
-//!   of its owned columns whose document lives elsewhere.
+//! * Segment `i → j` (`j ≠ i`) holds the entries worker `i` just advanced
+//!   that worker `j` advances in the *next* phase: entries of `i`'s columns
+//!   in `j`'s rows after a word phase, entries of `i`'s rows in `j`'s columns
+//!   after a doc phase. Cross-owner segments come first, by ascending `j`.
+//! * After a doc phase one trailing *own* segment `i → i` follows, which
+//!   only the coordinator's replica needs (it is how the replica learns the
+//!   iteration's result). After a word phase the own segment is empty: the
+//!   replica is not touched mid-iteration, and worker `i` already has it.
 //!
-//! All lists are in ascending entity order (entities ascending, entries in
-//! matrix order within an entity), which is what makes the plan identical on
-//! every process without coordination.
+//! The sync worker `j` receives at a boundary is therefore the
+//! concatenation of the segments `i → j` over the senders `i ≠ j`,
+//! ascending — byte ranges of the senders' deltas, which is what lets the
+//! coordinator route a boundary without decoding it.
+//!
+//! Within a segment entries keep the sender's visiting order (entities
+//! ascending, entries in matrix order within an entity), which is what makes
+//! the plan identical on every process without coordination.
 
-use warplda_core::WarpLda;
+use std::ops::Range;
 
+use warplda_core::{topic_wire_width, WarpLda};
+use warplda_corpus::io::codec::{CodecError, CodecResult};
+
+use crate::fault::FaultPhase;
 use crate::grid::GridPartition;
+use crate::protocol::{
+    delta_head_bytes, parse_delta, parse_sync, record_wire_bytes, sync_head_bytes, Blocks,
+    RUN_ITERATION_BYTES,
+};
 
-/// Per-worker ownership and exchange entry lists (see the module docs).
+/// The exchange layout of one phase (see the module docs).
+#[derive(Debug, Clone)]
+pub struct PhasePlan {
+    phase: FaultPhase,
+    /// `delta_entries[i]`: the entries worker `i` reports after the phase,
+    /// its segments concatenated.
+    pub delta_entries: Vec<Vec<u32>>,
+    /// `segments[i][j]`: the range of `delta_entries[i]` that is segment
+    /// `i → j`.
+    segments: Vec<Vec<Range<usize>>>,
+    /// Tokens worker `i` advances in the phase: what its partial `c_k` sums
+    /// to.
+    shard_tokens: Vec<u64>,
+}
+
+impl PhasePlan {
+    /// Lays out one phase. `visit_shard(i, emit)` must call
+    /// `emit(entry, consumer)` for every entry worker `i` advances, in
+    /// visiting order, naming the worker that advances the entry next phase.
+    fn build(
+        phase: FaultPhase,
+        workers: usize,
+        mut visit_shard: impl FnMut(usize, &mut dyn FnMut(u32, u32)),
+    ) -> Self {
+        let mut plan = Self {
+            phase,
+            delta_entries: Vec::with_capacity(workers),
+            segments: Vec::with_capacity(workers),
+            shard_tokens: Vec::with_capacity(workers),
+        };
+        for i in 0..workers {
+            let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); workers];
+            visit_shard(i, &mut |entry, consumer| buckets[consumer as usize].push(entry));
+            plan.shard_tokens.push(buckets.iter().map(|b| b.len() as u64).sum());
+            if phase == FaultPhase::Word {
+                buckets[i].clear();
+            }
+            let mut entries = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
+            let mut ranges = vec![0..0; workers];
+            for j in (0..workers).filter(|&j| j != i).chain([i]) {
+                ranges[j] = entries.len()..entries.len() + buckets[j].len();
+                entries.extend_from_slice(&buckets[j]);
+            }
+            plan.delta_entries.push(entries);
+            plan.segments.push(ranges);
+        }
+        plan
+    }
+
+    /// Segment `from → to`: its range within `delta_entries[from]`.
+    pub fn segment(&self, from: usize, to: usize) -> Range<usize> {
+        self.segments[from][to].clone()
+    }
+
+    /// The senders whose segments make up worker `to`'s sync, in wire order.
+    pub fn sync_sources(&self, to: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.segments.len()).filter(move |&from| from != to)
+    }
+
+    /// Entries in worker `to`'s sync: the segments `from → to` of every
+    /// other worker.
+    pub fn sync_len(&self, to: usize) -> usize {
+        self.sync_sources(to).map(|from| self.segments[from][to].len()).sum()
+    }
+
+    /// The coordinator's gate for worker `sender`'s delta `payload`: it is a
+    /// delta of this phase and of `epoch`, from `sender`, at the width `K`
+    /// dictates, with exactly the plan's record count, every topic below `K`
+    /// and a partial `c_k` that sums to the sender's shard. On success the
+    /// partial `c_k` is added into `merged` and the record bytes are
+    /// returned; on failure `merged` is untouched.
+    pub fn check_delta<'a>(
+        &self,
+        replica: &WarpLda,
+        sender: usize,
+        epoch: u64,
+        payload: &'a [u8],
+        merged: &mut [u32],
+    ) -> CodecResult<&'a [u8]> {
+        let delta = parse_delta(payload)?;
+        if (delta.phase, delta.worker_id as usize, delta.epoch) != (self.phase, sender, epoch) {
+            return Err(CodecError::Corrupt(format!(
+                "{:?} delta of worker {} for epoch {} where worker {sender}'s {:?} delta for \
+                 epoch {epoch} was due",
+                delta.phase, delta.worker_id, delta.epoch, self.phase
+            )));
+        }
+        let entries = self.delta_entries[sender].len();
+        self.check_blocks(replica, &delta.blocks, entries, self.shard_tokens[sender])?;
+        for (m, c) in merged.iter_mut().zip(delta.blocks.counts()) {
+            *m += c;
+        }
+        Ok(delta.blocks.records)
+    }
+
+    /// What a delta and a sync have in common: the wire width of `K`, one
+    /// count per topic summing to `tokens`, and `entries` valid records.
+    fn check_blocks(
+        &self,
+        replica: &WarpLda,
+        blocks: &Blocks<'_>,
+        entries: usize,
+        tokens: u64,
+    ) -> CodecResult<()> {
+        let k = replica.topic_counts().len();
+        if blocks.width != topic_wire_width(k) {
+            return Err(CodecError::Corrupt(format!(
+                "records at {} bytes per topic where K = {k} travels at {}",
+                blocks.width,
+                topic_wire_width(k)
+            )));
+        }
+        let counts = blocks.counts();
+        if counts.len() != k {
+            return Err(CodecError::Corrupt(format!("c_k has {} slots for K = {k}", counts.len())));
+        }
+        let sum: u64 = counts.map(u64::from).sum();
+        if sum != tokens {
+            return Err(CodecError::Corrupt(format!("c_k sums to {sum} over {tokens} tokens")));
+        }
+        replica.check_records_packed(entries, blocks.width, blocks.records)
+    }
+
+    /// The worker side of a boundary: validates the sync `payload` addressed
+    /// to worker `me` like [`check_delta`](Self::check_delta) validates a
+    /// delta, then installs the merged `c_k` and scatters each sender's
+    /// segment. Nothing is modified unless the whole payload is valid.
+    /// `counts` is a `K`-slot scratch buffer.
+    pub fn apply_sync(
+        &self,
+        replica: &mut WarpLda,
+        me: usize,
+        epoch: u64,
+        payload: &[u8],
+        counts: &mut [u32],
+    ) -> CodecResult<()> {
+        let sync = parse_sync(payload)?;
+        if (sync.phase, sync.epoch) != (self.phase, epoch) {
+            return Err(CodecError::Corrupt(format!(
+                "{:?} sync for epoch {} where the {:?} sync for epoch {epoch} was due",
+                sync.phase, sync.epoch, self.phase
+            )));
+        }
+        let tokens = replica.num_entries() as u64;
+        self.check_blocks(replica, &sync.blocks, self.sync_len(me), tokens)?;
+        for (slot, c) in counts.iter_mut().zip(sync.blocks.counts()) {
+            *slot = c;
+        }
+        replica.install_topic_counts(counts);
+        let record_bytes = replica.stride() * sync.blocks.width;
+        let mut rest = sync.blocks.records;
+        for from in self.sync_sources(me) {
+            let entries = &self.delta_entries[from][self.segment(from, me)];
+            let (bytes, tail) = rest.split_at(entries.len() * record_bytes);
+            replica.import_records_packed(entries, sync.blocks.width, bytes)?;
+            rest = tail;
+        }
+        Ok(())
+    }
+}
+
+/// Per-worker ownership and the two phases' exchange layouts (see the module
+/// docs).
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
-    workers: usize,
     /// Columns worker `i` advances in word phases.
     pub owned_words: Vec<Vec<u32>>,
     /// Rows worker `i` advances in doc phases.
     pub owned_docs: Vec<Vec<u32>>,
-    /// Entries worker `i` reports after a word phase.
-    pub word_delta_entries: Vec<Vec<u32>>,
-    /// Entries worker `i` reports after a doc phase.
-    pub doc_delta_entries: Vec<Vec<u32>>,
-    /// Entries worker `i` receives at the word→doc boundary.
-    pub word_sync_entries: Vec<Vec<u32>>,
-    /// Entries worker `i` receives at the doc→word boundary.
-    pub doc_sync_entries: Vec<Vec<u32>>,
+    /// What moves after a word phase.
+    pub word: PhasePlan,
+    /// What moves after a doc phase.
+    pub doc: PhasePlan,
 }
 
 impl ShardPlan {
@@ -60,48 +231,53 @@ impl ShardPlan {
             owned_docs[grid.doc_owner(d) as usize].push(d);
         }
 
-        let mut word_delta_entries: Vec<Vec<u32>> = vec![Vec::new(); p];
-        let mut doc_sync_entries: Vec<Vec<u32>> = vec![Vec::new(); p];
-        for (i, words) in owned_words.iter().enumerate() {
-            for &w in words {
-                let range = sampler.col_entry_range(w);
-                word_delta_entries[i].extend(range.clone().map(|e| e as u32));
-                for (e, &d) in range.zip(sampler.col_entry_rows(w)) {
-                    if grid.doc_owner(d) as usize != i {
-                        doc_sync_entries[i].push(e as u32);
-                    }
+        let word = PhasePlan::build(FaultPhase::Word, p, |i, emit| {
+            for &w in &owned_words[i] {
+                for (e, &d) in sampler.col_entry_range(w).zip(sampler.col_entry_rows(w)) {
+                    emit(e as u32, grid.doc_owner(d));
                 }
             }
-        }
-
-        let mut doc_delta_entries: Vec<Vec<u32>> = vec![Vec::new(); p];
-        let mut word_sync_entries: Vec<Vec<u32>> = vec![Vec::new(); p];
-        for (i, docs) in owned_docs.iter().enumerate() {
-            for &d in docs {
-                let entries = sampler.row_entry_ids(d);
-                doc_delta_entries[i].extend_from_slice(entries);
-                for (&e, &w) in entries.iter().zip(sampler.row_entry_cols(d)) {
-                    if grid.word_owner(w) as usize != i {
-                        word_sync_entries[i].push(e);
-                    }
+        });
+        let doc = PhasePlan::build(FaultPhase::Doc, p, |i, emit| {
+            for &d in &owned_docs[i] {
+                for (&e, &w) in sampler.row_entry_ids(d).iter().zip(sampler.row_entry_cols(d)) {
+                    emit(e, grid.word_owner(w));
                 }
             }
-        }
-
-        Self {
-            workers: p,
-            owned_words,
-            owned_docs,
-            word_delta_entries,
-            doc_delta_entries,
-            word_sync_entries,
-            doc_sync_entries,
-        }
+        });
+        Self { owned_words, owned_docs, word, doc }
     }
 
     /// Cluster size `P`.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.owned_words.len()
+    }
+
+    /// The exchange layout of `phase`.
+    pub fn phase(&self, phase: FaultPhase) -> &PhasePlan {
+        match phase {
+            FaultPhase::Word => &self.word,
+            FaultPhase::Doc => &self.doc,
+        }
+    }
+
+    /// Frame bytes (length prefixes included) a healthy iteration puts on
+    /// the sockets, both directions: one `RunIteration` per worker and, per
+    /// phase, every worker's delta and sync. Pure arithmetic over the plan —
+    /// what `ProcessIterationReport::bytes_exchanged` must equal.
+    pub fn iteration_wire_bytes(&self, num_topics: usize, mh_steps: usize) -> u64 {
+        let record = record_wire_bytes(num_topics, mh_steps);
+        let frames = |head: usize, entries: usize| 4 + head as u64 + entries as u64 * record;
+        let exchanged: u64 = [&self.word, &self.doc]
+            .into_iter()
+            .flat_map(|phase| {
+                (0..self.workers()).map(move |i| {
+                    frames(delta_head_bytes(num_topics), phase.delta_entries[i].len())
+                        + frames(sync_head_bytes(num_topics), phase.sync_len(i))
+                })
+            })
+            .sum();
+        self.workers() as u64 * (4 + RUN_ITERATION_BYTES as u64) + exchanged
     }
 }
 
@@ -129,44 +305,102 @@ mod tests {
         (sampler, grid, plan)
     }
 
+    /// `(doc owner, word owner)` of every entry.
+    fn owners(sampler: &WarpLda, grid: &GridPartition) -> Vec<(usize, usize)> {
+        let mut owners = vec![(0, 0); sampler.num_entries()];
+        for d in 0..sampler.num_docs() as u32 {
+            for (&e, &w) in sampler.row_entry_ids(d).iter().zip(sampler.row_entry_cols(d)) {
+                owners[e as usize] = (grid.doc_owner(d) as usize, grid.word_owner(w) as usize);
+            }
+        }
+        owners
+    }
+
     #[test]
-    fn delta_entries_partition_the_matrix_exactly_once() {
+    fn doc_phase_segments_partition_the_matrix_exactly_once() {
         let corpus = DatasetPreset::Tiny.generate_scaled(4);
         for workers in [1usize, 2, 3, 4] {
-            let (sampler, _, plan) = build_all(&corpus, workers);
-            for lists in [&plan.word_delta_entries, &plan.doc_delta_entries] {
-                let mut seen = vec![false; sampler.num_entries()];
-                for list in lists {
-                    for &e in list {
-                        assert!(!seen[e as usize], "entry {e} owned twice ({workers} workers)");
+            let (sampler, grid, plan) = build_all(&corpus, workers);
+            let owners = owners(&sampler, &grid);
+            let mut seen = vec![false; sampler.num_entries()];
+            for from in 0..workers {
+                let mut covered = 0;
+                for to in (0..workers).filter(|&to| to != from).chain([from]) {
+                    // Segments tile the delta in wire order, the own one last.
+                    let range = plan.doc.segment(from, to);
+                    assert_eq!(range.start, covered, "{from} → {to} ({workers} workers)");
+                    covered = range.end;
+                    for &e in &plan.doc.delta_entries[from][range] {
+                        assert!(!seen[e as usize], "entry {e} reported twice ({workers} workers)");
                         seen[e as usize] = true;
+                        assert_eq!(owners[e as usize], (from, to), "entry {e}");
                     }
                 }
-                assert!(seen.iter().all(|&s| s), "some entry unowned ({workers} workers)");
+                assert_eq!(covered, plan.doc.delta_entries[from].len());
+                assert_eq!(plan.doc.shard_tokens[from], grid.doc_phase_loads()[from]);
+            }
+            assert!(seen.iter().all(|&s| s), "some entry unreported ({workers} workers)");
+        }
+    }
+
+    #[test]
+    fn word_phase_segments_are_exactly_the_cross_owner_entries() {
+        let corpus = DatasetPreset::Tiny.generate_scaled(4);
+        for workers in [1usize, 2, 3, 4] {
+            let (sampler, grid, plan) = build_all(&corpus, workers);
+            let owners = owners(&sampler, &grid);
+            let mut seen = vec![false; sampler.num_entries()];
+            for from in 0..workers {
+                assert!(plan.word.segment(from, from).is_empty(), "no own segment mid-iteration");
+                for to in plan.word.sync_sources(from) {
+                    for &e in &plan.word.delta_entries[from][plan.word.segment(from, to)] {
+                        assert!(!seen[e as usize], "entry {e} reported twice");
+                        seen[e as usize] = true;
+                        assert_eq!(owners[e as usize], (to, from), "entry {e}");
+                    }
+                }
+                assert_eq!(plan.word.shard_tokens[from], grid.word_phase_loads()[from]);
+            }
+            for (e, &(doc_owner, word_owner)) in owners.iter().enumerate() {
+                assert_eq!(seen[e], doc_owner != word_owner, "entry {e} ({workers} workers)");
             }
         }
     }
 
     #[test]
-    fn sync_entries_are_exactly_the_cross_owner_entries() {
+    fn a_sync_is_the_concatenation_of_the_segments_addressed_to_its_receiver() {
         let corpus = DatasetPreset::Tiny.generate_scaled(4);
-        let (sampler, grid, plan) = build_all(&corpus, 3);
-        // Word→doc boundary: worker i receives exactly the entries of its
-        // rows whose column it does not own; summed over workers that is the
-        // grid's off-diagonal token count.
-        let total: usize = plan.word_sync_entries.iter().map(|l| l.len()).sum();
-        assert_eq!(total as u64, grid.tokens_exchanged_per_phase_switch());
-        let total: usize = plan.doc_sync_entries.iter().map(|l| l.len()).sum();
-        assert_eq!(total as u64, grid.tokens_exchanged_per_phase_switch());
-        for (i, list) in plan.word_sync_entries.iter().enumerate() {
-            for &e in list {
-                assert!(plan.word_delta_entries[i].binary_search(&e).is_err());
+        for workers in [1usize, 2, 3] {
+            let (sampler, grid, plan) = build_all(&corpus, workers);
+            let owners = owners(&sampler, &grid);
+            for (phase, consumer_of) in [
+                (&plan.word, (|o: (usize, usize)| (o.1, o.0)) as fn((usize, usize)) -> _),
+                (&plan.doc, |o| o),
+            ] {
+                let mut total = 0;
+                for to in 0..workers {
+                    // What `to` must receive: everything it advances next
+                    // phase that someone else advanced in this one.
+                    let mut due: Vec<u32> = (0..sampler.num_entries() as u32)
+                        .filter(|&e| {
+                            let (producer, consumer) = consumer_of(owners[e as usize]);
+                            consumer == to && producer != to
+                        })
+                        .collect();
+                    let mut sync: Vec<u32> = phase
+                        .sync_sources(to)
+                        .flat_map(|from| &phase.delta_entries[from][phase.segment(from, to)])
+                        .copied()
+                        .collect();
+                    assert_eq!(sync.len(), phase.sync_len(to));
+                    assert!(phase.sync_sources(to).is_sorted());
+                    sync.sort_unstable();
+                    due.sort_unstable();
+                    assert_eq!(sync, due, "worker {to} of {workers}");
+                    total += sync.len();
+                }
+                assert_eq!(total as u64, grid.tokens_exchanged_per_phase_switch());
             }
         }
-        // One worker owns everything → nothing to sync.
-        let (_, _, solo) = build_all(&corpus, 1);
-        assert!(solo.word_sync_entries[0].is_empty());
-        assert!(solo.doc_sync_entries[0].is_empty());
-        let _ = sampler;
     }
 }

@@ -1,13 +1,22 @@
 //! The real multi-process training backend: a coordinator that spawns
 //! `warplda-dist-worker` processes and drives them over loopback TCP.
 //!
-//! The coordinator owns a full [`WarpLda`] replica of its own. Every
-//! iteration it broadcasts `RunIteration`, collects each worker's phase
-//! [`Delta`](crate::protocol::Delta) (owned-entry records + partial `c_k`),
-//! merges the partials, imports the records — at which point its replica *is*
-//! the globally advanced state — and answers each worker with the merged
-//! `c_k` plus exactly the records that worker lacks (per the shared
-//! [`ShardPlan`]). The replica is therefore always inspectable
+//! The coordinator **routes** the phase exchange rather than reprocessing
+//! it. Every iteration it broadcasts `RunIteration` and, per phase, collects
+//! each worker's delta frame (partial `c_k` plus one record segment per
+//! destination worker, per the shared [`ShardPlan`]), validates it in place
+//! as it arrives, sums the partial `c_k`, and answers each worker with a sync
+//! head, the merged `c_k` and the segments addressed to it — byte ranges
+//! written straight out of the senders' receive buffers (see
+//! [`protocol`](crate::protocol) for the layouts). No record is decoded on
+//! that path and, after warm-up, nothing is allocated.
+//!
+//! The coordinator also owns a full [`WarpLda`] replica, and **the replica is
+//! the snapshot**: it is not touched at the word boundary, and at the doc
+//! boundary it absorbs the workers' doc deltas (which carry every record)
+//! only after all of them validated and every sync was written. A failed
+//! attempt therefore never leaves a mark on it — it is always exactly the
+//! last iteration boundary, inspectable
 //! ([`assignments`](ProcessCluster::assignments),
 //! [`topic_counts`](ProcessCluster::topic_counts)) and checkpointable without
 //! touching the workers, and — by the per-entity RNG stream argument spelled
@@ -30,13 +39,12 @@
 //!   running past the overall `io_timeout` → typed
 //!   [`DistError::WorkerHung`]). A slow worker that keeps heartbeating is
 //!   *not* declared hung.
-//! * **Recovery.** After every successful iteration (and the initial
-//!   handshake) the coordinator captures a boundary snapshot of its replica —
-//!   epoch, packed records, `c_k`; cheap in-memory copies. When a worker dies
-//!   or hangs mid-iteration, [`run_iteration`](ProcessCluster::run_iteration)
-//!   kills and respawns the process, replays `Setup` with the snapshot as
-//!   resume state, resets every survivor to the same boundary with a
-//!   `Restore` frame, and retries the iteration — up to
+//! * **Recovery.** When a worker dies, hangs or sends a delta that does not
+//!   validate, [`run_iteration`](ProcessCluster::run_iteration) kills and
+//!   respawns the process, encodes the replica once as a resume payload,
+//!   replays `Setup` with that payload as its tail, resets every survivor to
+//!   the same boundary with the same bytes in a `Restore` frame, and retries
+//!   the iteration — up to
 //!   [`max_recoveries`](ProcessClusterConfig::max_recoveries) times across
 //!   the cluster's lifetime. Because every phase derives its randomness from
 //!   per-entity RNG streams keyed on (seed, iteration, phase, entity), the
@@ -50,22 +58,25 @@
 //! Every receive is bounded and every failure is typed — the coordinator
 //! never hangs on a dead worker.
 
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use warplda_core::{ModelParams, Sampler, WarpLda, WarpLdaConfig};
+use warplda_core::{topic_wire_width, ModelParams, Sampler, WarpLda, WarpLdaConfig};
 use warplda_corpus::io::codec::CodecError;
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
-use warplda_net::{write_frame, FrameBuffer, PollFrame, WireError};
+use warplda_net::{FrameBuffer, PollFrame, WireError};
 use warplda_sparse::PartitionStrategy;
 
-use crate::fault::FaultPlan;
+use crate::fault::{FaultEvent, FaultPhase, FaultPlan};
 use crate::grid::GridPartition;
 use crate::plan::ShardPlan;
 use crate::protocol::{
-    decode_message, encode_message, Message, ResumeState, Setup, Sync, DIST_MAX_FRAME_BYTES,
+    begin_sync_frame, decode_message, delta_tag, encode_message_into, encode_resume,
+    encode_setup_head, Message, Setup, DIST_MAX_FRAME_BYTES, TAG_FAULT, TAG_HEARTBEAT, TAG_RESTORE,
 };
 
 /// How long one poll slice waits before the liveness checks interleave.
@@ -212,8 +223,11 @@ pub struct ProcessIterationReport {
     /// Measured wall seconds of the full iteration (compute + real loopback
     /// communication + merges, including any recovery work).
     pub wall_sec: f64,
-    /// Frame bytes crossing the sockets this iteration (deltas + syncs, both
-    /// directions, including length prefixes and recovery traffic).
+    /// Frame bytes of protocol traffic crossing the sockets this iteration
+    /// (both directions, including length prefixes and recovery traffic).
+    /// Heartbeats are not counted — they are proportional to time, not to
+    /// work — so a healthy iteration reports exactly
+    /// [`ShardPlan::iteration_wire_bytes`].
     pub bytes_exchanged: u64,
     /// Worker recoveries performed while completing this iteration (0 on a
     /// healthy run).
@@ -226,15 +240,32 @@ struct Conn {
     /// When this connection last produced a frame (heartbeats included)
     /// while being waited on — the liveness clock.
     last_heard: Instant,
+    /// Where in `buf` the record bytes of this phase's validated delta sit,
+    /// until the next frame is read.
+    delta: Range<usize>,
 }
 
-/// The coordinator replica's state at an iteration boundary: what recovery
-/// rolls everything back to. Cheap to capture (two buffer copies) relative
-/// to an iteration's sampling work.
-struct BoundarySnapshot {
-    epoch: u64,
-    records: Vec<u32>,
-    topic_counts: Vec<u32>,
+impl Conn {
+    /// The record bytes of this phase's validated delta.
+    fn delta_records(&self) -> &[u8] {
+        self.buf.payload(self.delta.clone())
+    }
+
+    /// Writes one frame whose payload is the concatenation of `parts` and
+    /// returns the bytes put on the wire.
+    fn send_frame(&self, parts: &[&[u8]]) -> std::io::Result<u64> {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        let mut stream = &self.stream;
+        stream.write_all(&(len as u32).to_le_bytes())?;
+        for part in parts {
+            stream.write_all(part)?;
+        }
+        Ok(len as u64 + 4)
+    }
+}
+
+fn worker_failed(worker: usize, message: String) -> DistError {
+    DistError::WorkerFailed { worker: worker as u32, message }
 }
 
 /// Resolves the worker binary: the configured path, else the
@@ -291,10 +322,13 @@ pub struct ProcessCluster {
     /// respawned worker's connection.
     listener: TcpListener,
     binary: PathBuf,
-    /// Retained for respawn `Setup` frames (every replica holds a copy
-    /// anyway).
-    corpus: Corpus,
-    snapshot: BoundarySnapshot,
+    /// The `Setup` every worker is sent, bar its id, faults and resume tail.
+    /// Holds the corpus, retained for respawns.
+    setup: Setup,
+    /// The `c_k` being merged at the current boundary.
+    merged: Vec<u32>,
+    /// Reused for control messages and sync frame heads.
+    scratch: Vec<u8>,
     recoveries: u64,
 }
 
@@ -346,6 +380,21 @@ impl ProcessCluster {
             children.push(spawn_worker(&binary, &addr, id as u32)?);
         }
 
+        let (params, config) = (*sampler.params(), *sampler.config());
+        let setup = Setup {
+            workers: cfg.workers as u32,
+            worker_id: 0,
+            seed: sampler.seed(),
+            num_topics: params.num_topics as u64,
+            alpha: params.alpha,
+            beta: params.beta,
+            mh_steps: config.mh_steps as u64,
+            use_hash_counts: config.use_hash_counts,
+            corpus: corpus.clone(),
+            resume: None,
+            heartbeat_interval_ms: cfg.heartbeat_interval.as_millis() as u64,
+            faults: Vec::new(),
+        };
         let mut cluster = Self {
             sampler,
             grid,
@@ -356,15 +405,13 @@ impl ProcessCluster {
             bytes_this_iteration: 0,
             listener,
             binary,
-            corpus: corpus.clone(),
-            snapshot: BoundarySnapshot { epoch: 0, records: Vec::new(), topic_counts: Vec::new() },
+            setup,
+            merged: vec![0; params.num_topics],
+            scratch: Vec::new(),
             recoveries: 0,
         };
         match cluster.handshake() {
-            Ok(()) => {
-                cluster.capture_snapshot();
-                Ok(cluster)
-            }
+            Ok(()) => Ok(cluster),
             Err(e) => {
                 cluster.kill_all();
                 Err(e)
@@ -390,15 +437,10 @@ impl ProcessCluster {
         }
         self.conns = slots.into_iter().map(|s| s.expect("all slots filled")).collect();
 
+        let resume = (self.sampler.iterations() > 0).then(|| self.encode_replica());
         for i in 0..workers {
-            let resume = (self.sampler.iterations() > 0).then(|| ResumeState {
-                iterations: self.sampler.iterations(),
-                records: self.sampler.records_slice().to_vec(),
-                topic_counts: self.sampler.topic_counts().to_vec(),
-            });
             let faults = self.cfg.fault_plan.for_worker(i as u32);
-            let setup = self.make_setup(i as u32, resume, faults);
-            self.send(i, &setup)?;
+            self.send_setup(i, faults, resume.as_deref())?;
         }
         for i in 0..workers {
             self.await_ready(i)?;
@@ -419,6 +461,7 @@ impl ProcessCluster {
                         stream,
                         buf: FrameBuffer::with_max_frame(1 << 16, DIST_MAX_FRAME_BYTES),
                         last_heard: Instant::now(),
+                        delta: 0..0,
                     };
                     return match recv_on(&mut conn)? {
                         Some(Message::Hello { worker_id }) => Ok((worker_id, conn)),
@@ -450,28 +493,29 @@ impl ProcessCluster {
         }
     }
 
-    fn make_setup(
-        &self,
-        worker_id: u32,
-        resume: Option<ResumeState>,
-        faults: Vec<crate::fault::FaultEvent>,
-    ) -> Message {
-        let params = *self.sampler.params();
-        let config = *self.sampler.config();
-        Message::Setup(Box::new(Setup {
-            workers: self.cfg.workers as u32,
-            worker_id,
-            seed: self.sampler.seed(),
-            num_topics: params.num_topics as u64,
-            alpha: params.alpha,
-            beta: params.beta,
-            mh_steps: config.mh_steps as u64,
-            use_hash_counts: config.use_hash_counts,
-            corpus: self.corpus.clone(),
-            resume,
-            heartbeat_interval_ms: self.cfg.heartbeat_interval.as_millis() as u64,
-            faults,
-        }))
+    /// The replica — always exactly the last iteration boundary — as one
+    /// resume payload at the wire width of `K`.
+    fn encode_replica(&self) -> Vec<u8> {
+        encode_resume(
+            self.sampler.iterations(),
+            self.sampler.records_slice(),
+            topic_wire_width(self.sampler.params().num_topics),
+            self.sampler.topic_counts(),
+        )
+    }
+
+    /// Sends worker `i` its `Setup`, with `resume` (an
+    /// [`encode_replica`](Self::encode_replica) payload) as its tail.
+    fn send_setup(
+        &mut self,
+        i: usize,
+        faults: Vec<FaultEvent>,
+        resume: Option<&[u8]>,
+    ) -> Result<(), DistError> {
+        self.setup.worker_id = i as u32;
+        self.setup.faults = faults;
+        let head = encode_setup_head(&self.setup, resume.is_some());
+        self.send_parts(i, &[&head, resume.unwrap_or_default()])
     }
 
     /// Cluster size `P`.
@@ -482,6 +526,11 @@ impl ProcessCluster {
     /// The grid partition driving shard ownership.
     pub fn grid(&self) -> &GridPartition {
         &self.grid
+    }
+
+    /// The exchange plan the coordinator and every worker derived.
+    pub fn plan(&self) -> &ShardPlan {
+        &self.plan
     }
 
     /// Completed iterations.
@@ -518,118 +567,134 @@ impl ProcessCluster {
         &self.sampler
     }
 
-    fn send(&mut self, i: usize, msg: &Message) -> Result<(), DistError> {
-        let payload = encode_message(msg);
-        self.bytes_this_iteration += payload.len() as u64 + 4;
-        write_frame(&mut self.conns[i].stream, &payload).map_err(|e| {
-            // A worker that died mid-iteration surfaces here as a broken
-            // pipe; report *which* worker instead of a bare I/O error.
-            DistError::WorkerFailed { worker: i as u32, message: format!("send failed: {e}") }
-        })
+    /// Writes one frame — the concatenation of `parts` — to worker `i`.
+    fn send_parts(&mut self, i: usize, parts: &[&[u8]]) -> Result<(), DistError> {
+        // A worker that died mid-iteration surfaces here as a broken pipe;
+        // report *which* worker instead of a bare I/O error.
+        let sent = self.conns[i]
+            .send_frame(parts)
+            .map_err(|e| worker_failed(i, format!("send failed: {e}")))?;
+        self.bytes_this_iteration += sent;
+        Ok(())
     }
 
-    /// Receives the next protocol message from worker `i`, interleaving the
-    /// supervision checks between short poll slices: heartbeats refresh the
-    /// liveness clock and are consumed here (never surfaced), a dead child or
-    /// closed connection is a typed `WorkerFailed`, heartbeat silence beyond
-    /// the liveness timeout (when `liveness` is on) or a phase overrunning
-    /// `io_timeout` is a typed `WorkerHung`. `liveness` is off for waits
-    /// that are legitimately quiet — replica builds after `Setup`/`Restore`,
-    /// which run before the worker's heartbeat thread has anything to prove.
-    fn recv(&mut self, i: usize, liveness: bool) -> Result<Message, DistError> {
+    /// Sends a control message through the reused scratch buffer.
+    fn send(&mut self, i: usize, msg: &Message) -> Result<(), DistError> {
+        let mut payload = std::mem::take(&mut self.scratch);
+        payload.clear();
+        encode_message_into(msg, &mut payload);
+        let sent = self.send_parts(i, &[&payload]);
+        self.scratch = payload;
+        sent
+    }
+
+    /// Waits at most `wait` for worker `i`'s next protocol frame and returns
+    /// its tag and payload range, or `None` when the worker stayed quiet.
+    /// Heartbeats refresh the liveness clock and are consumed here (never
+    /// surfaced, never counted as traffic); a `Fault` frame, a closed
+    /// connection and everything the wire can throw on one worker's
+    /// connection — mid-frame truncation, an oversized length prefix, a
+    /// socket error — is that worker's failure and therefore recoverable.
+    fn poll(&mut self, i: usize, wait: Duration) -> Result<Option<(u8, Range<usize>)>, DistError> {
+        loop {
+            let conn = &mut self.conns[i];
+            let range = match conn.buf.poll_frame(&mut conn.stream, wait) {
+                Ok(PollFrame::Frame(range)) => range,
+                Ok(PollFrame::Idle) => return Ok(None),
+                Ok(PollFrame::Eof) => {
+                    return Err(worker_failed(i, "connection closed unexpectedly".into()))
+                }
+                Err(e) => return Err(worker_failed(i, format!("wire error: {e}"))),
+            };
+            conn.last_heard = Instant::now();
+            let payload = conn.buf.payload(range.clone());
+            match payload.first().copied() {
+                Some(TAG_HEARTBEAT) => continue,
+                Some(TAG_FAULT) => {
+                    return Err(match decode_message(payload) {
+                        Ok(Message::Fault { worker_id, message }) => {
+                            DistError::WorkerFailed { worker: worker_id, message }
+                        }
+                        _ => worker_failed(i, "malformed Fault frame".into()),
+                    })
+                }
+                tag => {
+                    self.bytes_this_iteration += range.len() as u64 + 4;
+                    // No valid tag is 0; an empty payload fails to decode.
+                    return Ok(Some((tag.unwrap_or(0), range)));
+                }
+            }
+        }
+    }
+
+    /// Receives the next protocol frame from worker `i`, interleaving the
+    /// supervision checks between short poll slices: a dead child is a typed
+    /// `WorkerFailed`, heartbeat silence beyond the liveness timeout (when
+    /// `liveness` is on) or a phase overrunning `io_timeout` is a typed
+    /// `WorkerHung`. `liveness` is off for waits that are legitimately quiet
+    /// — replica builds after `Setup`/`Restore`, which run before the
+    /// worker's heartbeat thread has anything to prove.
+    fn recv_frame(&mut self, i: usize, liveness: bool) -> Result<(u8, Range<usize>), DistError> {
         let deadline = Instant::now() + self.cfg.io_timeout;
         // The liveness clock measures silence *while watched*: heartbeats
         // that piled up in the socket buffer while the coordinator serviced
         // other workers drain on the first poll slices below.
         self.conns[i].last_heard = Instant::now();
         loop {
-            let polled = {
-                let conn = &mut self.conns[i];
-                conn.buf.poll_frame(&mut conn.stream, POLL_SLICE)
-            };
-            match polled {
-                Ok(PollFrame::Frame(range)) => {
-                    self.bytes_this_iteration += range.len() as u64 + 4;
-                    self.conns[i].last_heard = Instant::now();
-                    let msg = decode_message(self.conns[i].buf.payload(range)).map_err(|e| {
-                        DistError::WorkerFailed {
-                            worker: i as u32,
-                            message: format!("malformed frame: {e}"),
-                        }
-                    })?;
-                    match msg {
-                        Message::Heartbeat { .. } => continue,
-                        Message::Fault { worker_id, message } => {
-                            return Err(DistError::WorkerFailed { worker: worker_id, message })
-                        }
-                        msg => return Ok(msg),
-                    }
-                }
-                Ok(PollFrame::Idle) => {
-                    if let Some(status) = self.children[i].try_wait()? {
-                        return Err(DistError::WorkerFailed {
-                            worker: i as u32,
-                            message: format!("process exited: {status}"),
-                        });
-                    }
-                    let silence = self.conns[i].last_heard.elapsed();
-                    if liveness && silence > self.cfg.liveness_timeout {
-                        return Err(DistError::WorkerHung {
-                            worker: i as u32,
-                            message: format!(
-                                "no heartbeat for {silence:?} (liveness timeout {:?})",
-                                self.cfg.liveness_timeout
-                            ),
-                        });
-                    }
-                    if Instant::now() > deadline {
-                        return Err(DistError::WorkerHung {
-                            worker: i as u32,
-                            message: format!("phase deadline {:?} exceeded", self.cfg.io_timeout),
-                        });
-                    }
-                }
-                Ok(PollFrame::Eof) => {
-                    return Err(DistError::WorkerFailed {
-                        worker: i as u32,
-                        message: "connection closed unexpectedly".into(),
-                    })
-                }
-                Err(e) => {
-                    // Everything the wire can throw on one worker's
-                    // connection — mid-frame truncation, an oversized length
-                    // prefix, a socket error — is that worker's failure and
-                    // therefore recoverable.
-                    return Err(DistError::WorkerFailed {
-                        worker: i as u32,
-                        message: format!("wire error: {e}"),
-                    });
-                }
+            if let Some(frame) = self.poll(i, POLL_SLICE)? {
+                return Ok(frame);
+            }
+            if let Some(status) = self.children[i].try_wait()? {
+                return Err(worker_failed(i, format!("process exited: {status}")));
+            }
+            let silence = self.conns[i].last_heard.elapsed();
+            if liveness && silence > self.cfg.liveness_timeout {
+                return Err(DistError::WorkerHung {
+                    worker: i as u32,
+                    message: format!(
+                        "no heartbeat for {silence:?} (liveness timeout {:?})",
+                        self.cfg.liveness_timeout
+                    ),
+                });
+            }
+            if Instant::now() > deadline {
+                return Err(DistError::WorkerHung {
+                    worker: i as u32,
+                    message: format!("phase deadline {:?} exceeded", self.cfg.io_timeout),
+                });
             }
         }
     }
 
-    /// Waits for worker `i`'s `Ready`, discarding stale deltas a survivor
-    /// had already put on the wire before a `Restore` reached it.
+    /// Decodes a control frame of worker `i` into its owning form.
+    fn decode(&self, i: usize, range: Range<usize>) -> Result<Message, DistError> {
+        decode_message(self.conns[i].buf.payload(range))
+            .map_err(|e| worker_failed(i, format!("malformed frame: {e}")))
+    }
+
+    /// Waits for worker `i`'s `Ready`, skipping — by tag, undecoded — stale
+    /// deltas a survivor had already put on the wire before a `Restore`
+    /// reached it.
     fn await_ready(&mut self, i: usize) -> Result<(), DistError> {
         loop {
-            match self.recv(i, false)? {
-                Message::Ready { worker_id } if worker_id as usize == i => return Ok(()),
-                Message::WordDelta(_) | Message::DocDelta(_) => continue,
-                other => {
-                    return Err(DistError::Protocol(format!(
-                        "expected Ready from worker {i}, got {}",
-                        kind_of(&other)
-                    )))
-                }
+            let (tag, range) = self.recv_frame(i, false)?;
+            if is_delta(tag) {
+                continue;
             }
+            return match self.decode(i, range)? {
+                Message::Ready { worker_id } if worker_id as usize == i => Ok(()),
+                other => Err(DistError::Protocol(format!(
+                    "expected Ready from worker {i}, got {}",
+                    kind_of(&other)
+                ))),
+            };
         }
     }
 
     /// Runs one distributed iteration: word phase (deltas in, boundary out),
     /// then doc phase, each a barrier across all workers. A worker failure
-    /// mid-iteration triggers recovery — respawn, roll everyone back to the
-    /// last boundary snapshot, retry — until the iteration completes or the
+    /// mid-iteration triggers recovery — respawn, reset everyone to the
+    /// replica's boundary, retry — until the iteration completes or the
     /// recovery budget is exhausted. The completed iteration is bit-identical
     /// to a fault-free run.
     pub fn run_iteration(&mut self) -> Result<ProcessIterationReport, DistError> {
@@ -639,7 +704,6 @@ impl ProcessCluster {
         loop {
             let mut err = match self.attempt_iteration() {
                 Ok(()) => {
-                    self.capture_snapshot();
                     return Ok(ProcessIterationReport {
                         iteration: self.sampler.iterations(),
                         wall_sec: t0.elapsed().as_secs_f64(),
@@ -670,98 +734,94 @@ impl ProcessCluster {
         }
     }
 
-    /// One try at an iteration; leaves the replica mid-state on failure (the
-    /// caller rolls back via the boundary snapshot).
+    /// One try at an iteration. The replica is modified only by the very last
+    /// step, which cannot fail: whatever goes wrong before it, the replica
+    /// still is the boundary the iteration started from.
     fn attempt_iteration(&mut self) -> Result<(), DistError> {
         let epoch = self.sampler.iterations();
-        let k = self.sampler.params().num_topics;
         for i in 0..self.workers() {
             self.send(i, &Message::RunIteration { epoch })?;
         }
-
-        for phase in [Phase::Word, Phase::Doc] {
-            let mut merged = vec![0u32; k];
+        for phase in [FaultPhase::Word, FaultPhase::Doc] {
+            self.merged.fill(0);
             for i in 0..self.workers() {
-                let delta = match (phase, self.recv(i, true)?) {
-                    (Phase::Word, Message::WordDelta(d)) => d,
-                    (Phase::Doc, Message::DocDelta(d)) => d,
-                    (_, other) => {
-                        return Err(DistError::Protocol(format!(
-                            "expected {phase:?} delta from worker {i}, got {}",
-                            kind_of(&other)
-                        )))
-                    }
-                };
-                if delta.worker_id != i as u32 || delta.epoch != epoch {
-                    return Err(DistError::Protocol(format!(
-                        "delta from worker {} for epoch {} on worker {i}'s connection at \
-                         epoch {epoch}",
-                        delta.worker_id, delta.epoch
-                    )));
-                }
-                if delta.partial_ck.len() != k {
-                    return Err(DistError::Codec(CodecError::Corrupt(format!(
-                        "partial c_k has {} slots for K = {k}",
-                        delta.partial_ck.len()
-                    ))));
-                }
-                for (m, &p) in merged.iter_mut().zip(&delta.partial_ck) {
-                    *m += p;
-                }
-                let entries = match phase {
-                    Phase::Word => &self.plan.word_delta_entries[i],
-                    Phase::Doc => &self.plan.doc_delta_entries[i],
-                };
-                self.sampler.import_records(entries, &delta.records)?;
+                self.absorb_delta(i, phase, epoch)?;
             }
-            self.sampler.install_topic_counts(&merged);
-            for i in 0..self.workers() {
-                let entries = match phase {
-                    Phase::Word => &self.plan.word_sync_entries[i],
-                    Phase::Doc => &self.plan.doc_sync_entries[i],
-                };
-                let mut records = Vec::new();
-                self.sampler.export_records(entries, &mut records);
-                let sync = Sync { epoch, topic_counts: merged.clone(), records };
-                let msg = match phase {
-                    Phase::Word => Message::WordSync(sync),
-                    Phase::Doc => Message::DocSync(sync),
-                };
-                self.send(i, &msg)?;
+            for j in 0..self.workers() {
+                self.forward_sync(j, phase, epoch)?;
             }
         }
 
+        // Every doc delta validated and every worker has its boundary: the
+        // doc deltas carry each record exactly once, so importing them makes
+        // the replica the state after this iteration.
+        let width = topic_wire_width(self.merged.len());
+        for (i, conn) in self.conns.iter().enumerate() {
+            let entries = &self.plan.doc.delta_entries[i];
+            self.sampler.import_records_packed(entries, width, conn.delta_records())?;
+        }
+        self.sampler.install_topic_counts(&self.merged);
         self.sampler.advance_iteration();
         Ok(())
     }
 
-    fn capture_snapshot(&mut self) {
-        self.snapshot = BoundarySnapshot {
-            epoch: self.sampler.iterations(),
-            records: self.sampler.records_slice().to_vec(),
-            topic_counts: self.sampler.topic_counts().to_vec(),
+    /// Receives worker `i`'s delta of `phase` and validates it where it lies
+    /// (see [`validate_delta`]), adding its partial `c_k` into the merge. The
+    /// frame stays in the connection's buffer for
+    /// [`forward_sync`](Self::forward_sync) to route from.
+    fn absorb_delta(&mut self, i: usize, phase: FaultPhase, epoch: u64) -> Result<(), DistError> {
+        let (tag, range) = self.recv_frame(i, true)?;
+        if tag != delta_tag(phase) {
+            let other = self.decode(i, range)?;
+            return Err(DistError::Protocol(format!(
+                "expected {phase:?} delta from worker {i}, got {}",
+                kind_of(&other)
+            )));
+        }
+        let payload = self.conns[i].buf.payload(range.start..range.end);
+        let records =
+            validate_delta(&self.sampler, &self.plan, phase, i, epoch, payload, &mut self.merged)?;
+        let at = range.end - records.len();
+        self.conns[i].delta = at..range.end;
+        Ok(())
+    }
+
+    /// Answers worker `j` at `phase`'s boundary: a sync head with the merged
+    /// `c_k`, then the segments addressed to `j`, written straight from the
+    /// buffers their senders' deltas were received into.
+    fn forward_sync(&mut self, j: usize, phase: FaultPhase, epoch: u64) -> Result<(), DistError> {
+        let Self { conns, plan, scratch, merged, sampler, bytes_this_iteration, .. } = self;
+        let plan = plan.phase(phase);
+        let width = topic_wire_width(merged.len());
+        let record_bytes = sampler.stride() * width;
+        begin_sync_frame(scratch, phase, epoch, width, merged, plan.sync_len(j) * sampler.stride());
+        let mut sent = scratch.len();
+        let mut stream = &conns[j].stream;
+        let mut write = |bytes: &[u8]| {
+            stream.write_all(bytes).map_err(|e| worker_failed(j, format!("send failed: {e}")))
         };
+        write(scratch)?;
+        for from in plan.sync_sources(j) {
+            let segment = plan.segment(from, j);
+            let bytes = &conns[from].delta_records()
+                [segment.start * record_bytes..segment.end * record_bytes];
+            write(bytes)?;
+            sent += bytes.len();
+        }
+        *bytes_this_iteration += sent as u64;
+        Ok(())
     }
 
     /// Recovers from worker `dead`'s failure: kill and reap the process
-    /// (it may be hung-alive, not dead), roll the coordinator replica back
-    /// to the boundary snapshot, respawn the worker with the snapshot as its
-    /// resume state, and reset every survivor to the same boundary. On
-    /// return the whole cluster sits at the snapshot's epoch, exactly as if
-    /// the failed iteration had never started.
+    /// (it may be hung-alive, not dead), respawn it with the replica as its
+    /// resume state, and reset every survivor to the same boundary. The
+    /// replica needs no rollback — a failed attempt never modified it — so
+    /// on return the whole cluster sits at the replica's epoch, exactly as
+    /// if the failed iteration had never started.
     fn recover(&mut self, dead: u32) -> Result<(), DistError> {
         let dead = dead as usize;
         let _ = self.children[dead].kill();
         let _ = self.children[dead].wait();
-
-        // The failed attempt may have imported some deltas already; the
-        // replica must rejoin the boundary before re-serving as the merge
-        // point.
-        self.sampler.restore(
-            self.snapshot.epoch,
-            &self.snapshot.records,
-            &self.snapshot.topic_counts,
-        )?;
 
         let addr = self.listener.local_addr()?;
         self.children[dead] = spawn_worker(&self.binary, &addr, dead as u32)?;
@@ -774,17 +834,14 @@ impl ProcessCluster {
         }
         self.conns[dead] = conn;
 
-        let resume = ResumeState {
-            iterations: self.snapshot.epoch,
-            records: self.snapshot.records.clone(),
-            topic_counts: self.snapshot.topic_counts.clone(),
-        };
+        // Encoded once; the same bytes go to the respawned worker and to
+        // every survivor.
+        let resume = self.encode_replica();
         // Events at or before the replay point must not ship again: the
         // crash that killed this worker would otherwise re-fire on every
         // respawn and recovery would loop until the budget ran out.
-        let faults = self.cfg.fault_plan.surviving(dead as u32, self.snapshot.epoch);
-        let setup = self.make_setup(dead as u32, Some(resume.clone()), faults);
-        self.send(dead, &setup)?;
+        let faults = self.cfg.fault_plan.surviving(dead as u32, self.sampler.iterations());
+        self.send_setup(dead, faults, Some(&resume))?;
         self.await_ready(dead)?;
 
         for j in 0..self.workers() {
@@ -796,7 +853,7 @@ impl ProcessCluster {
             // Restore frame: sending first against a survivor itself blocked
             // mid-delta on a full socket buffer could deadlock.
             self.drain_to_idle(j)?;
-            self.send(j, &Message::Restore(resume.clone()))?;
+            self.send_parts(j, &[&[TAG_RESTORE], &resume])?;
             self.await_ready(j)?;
         }
         Ok(())
@@ -807,49 +864,16 @@ impl ProcessCluster {
     /// subsequent drain-until-`Ready` sound: anything sent before the
     /// worker's `Ready` reply is stale by definition.
     fn drain_to_idle(&mut self, j: usize) -> Result<(), DistError> {
-        loop {
-            let polled = {
-                let conn = &mut self.conns[j];
-                conn.buf.poll_frame(&mut conn.stream, Duration::from_millis(50))
-            };
-            match polled {
-                Ok(PollFrame::Frame(range)) => {
-                    let msg = decode_message(self.conns[j].buf.payload(range)).map_err(|e| {
-                        DistError::WorkerFailed {
-                            worker: j as u32,
-                            message: format!("malformed frame: {e}"),
-                        }
-                    })?;
-                    match msg {
-                        Message::Heartbeat { .. }
-                        | Message::WordDelta(_)
-                        | Message::DocDelta(_) => continue,
-                        Message::Fault { worker_id, message } => {
-                            return Err(DistError::WorkerFailed { worker: worker_id, message })
-                        }
-                        other => {
-                            return Err(DistError::Protocol(format!(
-                                "unexpected {} from worker {j} during recovery",
-                                kind_of(&other)
-                            )))
-                        }
-                    }
-                }
-                Ok(PollFrame::Idle) => return Ok(()),
-                Ok(PollFrame::Eof) => {
-                    return Err(DistError::WorkerFailed {
-                        worker: j as u32,
-                        message: "connection closed unexpectedly".into(),
-                    })
-                }
-                Err(e) => {
-                    return Err(DistError::WorkerFailed {
-                        worker: j as u32,
-                        message: format!("wire error: {e}"),
-                    })
-                }
+        while let Some((tag, range)) = self.poll(j, Duration::from_millis(50))? {
+            if !is_delta(tag) {
+                let other = self.decode(j, range)?;
+                return Err(DistError::Protocol(format!(
+                    "unexpected {} from worker {j} during recovery",
+                    kind_of(&other)
+                )));
             }
         }
+        Ok(())
     }
 
     /// Kills worker `i` outright — the fault-injection hook: the next
@@ -866,14 +890,16 @@ impl ProcessCluster {
     pub fn shutdown(mut self) -> Result<(), DistError> {
         let mut first_err = None;
         for i in 0..self.conns.len() {
-            let result =
-                self.send(i, &Message::Shutdown).and_then(|()| match self.recv(i, false)? {
+            let result = self.send(i, &Message::Shutdown).and_then(|()| {
+                let (_, range) = self.recv_frame(i, false)?;
+                match self.decode(i, range)? {
                     Message::Bye { .. } => Ok(()),
                     other => Err(DistError::Protocol(format!(
                         "expected Bye from worker {i}, got {}",
                         kind_of(&other)
                     ))),
-                });
+                }
+            });
             if let Err(e) = result {
                 let _ = self.children[i].kill();
                 first_err.get_or_insert(e);
@@ -905,10 +931,29 @@ impl Drop for ProcessCluster {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Word,
-    Doc,
+fn is_delta(tag: u8) -> bool {
+    tag == delta_tag(FaultPhase::Word) || tag == delta_tag(FaultPhase::Doc)
+}
+
+/// The coordinator's gate for the `phase` delta `payload` it received on
+/// worker `sender`'s connection
+/// ([`PhasePlan::check_delta`](crate::plan::PhasePlan::check_delta)):
+/// returns the record bytes and adds the partial `c_k` into `merged`. Every
+/// defect — including an out-of-range topic in a segment that would only be
+/// forwarded to a peer — is the **sender's** recoverable failure; the
+/// replica is not touched either way.
+pub fn validate_delta<'a>(
+    replica: &WarpLda,
+    plan: &ShardPlan,
+    phase: FaultPhase,
+    sender: usize,
+    epoch: u64,
+    payload: &'a [u8],
+    merged: &mut [u32],
+) -> Result<&'a [u8], DistError> {
+    plan.phase(phase)
+        .check_delta(replica, sender, epoch, payload, merged)
+        .map_err(|e| worker_failed(sender, format!("malformed delta: {e}")))
 }
 
 /// Receives one message on a connection; `Ok(None)` is a clean disconnect.

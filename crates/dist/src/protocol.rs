@@ -1,9 +1,9 @@
 //! The coordinator↔worker wire protocol of multi-process training.
 //!
-//! Every message is one `warplda_net` frame whose payload starts with a
-//! one-byte tag. Payload encoding rides on the same [`Encoder`]/[`Decoder`]
-//! primitives as the on-disk checkpoint codec, so malformed payloads surface
-//! as the same typed [`CodecError`]s the rest of the workspace handles.
+//! Every message is one `warplda_net` frame (`u32` little-endian payload
+//! length, then the payload) whose payload starts with a one-byte tag.
+//! Malformed payloads surface as the same typed [`CodecError`]s the rest of
+//! the workspace handles.
 //!
 //! A training session is:
 //!
@@ -14,35 +14,82 @@
 //! Ready{id}     →                  (replica built, bit-identical start)
 //! per iteration (epoch = completed iterations, a barrier per phase):
 //!               ←  RunIteration{epoch}
-//! WordDelta     →                  (owned-column records + partial c_k)
-//!               ←  WordSync        (merged c_k + the records this worker lacks)
-//! DocDelta      →
+//! WordDelta     →                  (partial c_k + one record segment per peer)
+//!               ←  WordSync        (merged c_k + the segments addressed to this worker)
+//! DocDelta      →                  (partial c_k + a segment per peer + the own segment)
 //!               ←  DocSync
 //! shutdown:
 //!               ←  Shutdown
 //! Bye{id}       →
 //! ```
 //!
+//! # The phase exchange is routed, not reprocessed
+//!
+//! Records are the only bulk data, and the coordinator moves them as bytes.
+//! The [`ShardPlan`](crate::ShardPlan) orders every worker's delta as one
+//! contiguous **segment** per destination worker, so the sync for worker `j`
+//! is the concatenation of the segments `i → j` of all senders `i ≠ j`,
+//! ascending: the coordinator writes a sync head and then those byte ranges
+//! straight out of the senders' receive buffers. With `P = 2` an iteration
+//! moves 2.5 records per token (word phase: the cross-owner half up and down;
+//! doc phase: everything up — the coordinator's replica needs it — and the
+//! cross-owner half down).
+//!
+//! ```text
+//! payload layouts (all integers little-endian)
+//!
+//! delta    tag:u8  worker_id:u32  epoch:u64  counts  records
+//! sync     tag:u8                 epoch:u64  counts  records
+//! resume   iterations:u64                    counts  records
+//! Restore  tag:u8  resume
+//! Setup    tag:u8  …head…  has_resume:u8  [resume]
+//!
+//! counts   K:u64      K × u32                    (a partial or merged c_k)
+//! records  width:u8   n:u64   n × width bytes    (n topic ids, stride M + 1 per entry)
+//! ```
+//!
+//! `width` is [`topic_wire_width`]`(K)` — 1, 2 or 4 bytes per topic — on every
+//! frame of a training session; both ends derive it from `K` and refuse any
+//! other value. The segment table is not on the wire: both ends compute the
+//! same plan, so a frame carries only the record bytes and the plan says
+//! which entries they belong to.
+//!
+//! **Who validates what.** The coordinator checks every delta in place
+//! before a byte of it is forwarded or imported
+//! ([`PhasePlan::check_delta`](crate::plan::PhasePlan::check_delta)): sender
+//! id, epoch, width, record count against the plan, every topic `< K`, and
+//! `Σ partial c_k` against the sender's shard. A defect is the **sender's**
+//! failure, never the receiver's. Workers check a sync the same way before
+//! applying it ([`PhasePlan::apply_sync`](crate::plan::PhasePlan::apply_sync)).
+//!
+//! The owning [`Delta`], [`Sync`] and [`ResumeState`] forms use the same
+//! layouts; their encoder picks the narrowest width that holds every value.
+//! They are the cold/test form — the healthy path of neither process builds
+//! one.
+//!
+//! # Liveness and recovery
+//!
 //! Workers that hit an error mid-protocol send [`Message::Fault`] on a
 //! best-effort basis before exiting, so the coordinator can report *why* a
-//! worker died instead of just a closed connection.
-//!
-//! Liveness and recovery ride on two extra messages. Workers pulse
+//! worker died instead of just a closed connection. Workers pulse
 //! [`Message::Heartbeat`] from a side thread every
 //! `Setup.heartbeat_interval_ms`, which is how the coordinator tells a
 //! *hung* worker (process alive, socket open, nothing flowing) from a slow
-//! one. When a worker dies mid-iteration the coordinator respawns it with
-//! `Setup.resume` set to the last boundary snapshot and sends every survivor
-//! [`Message::Restore`] with the same snapshot; survivors abandon the
-//! in-flight iteration, reinstall the boundary state and answer `Ready`.
-//! Because per-entity RNG streams are keyed on (seed, iteration, phase,
-//! entity), the replay is bit-identical to the run that failed.
+//! one. When a worker dies mid-iteration the coordinator encodes its replica
+//! — always exactly the last iteration boundary — as one resume payload,
+//! respawns the worker with that payload as the tail of its `Setup` and
+//! sends every survivor the same bytes in a [`Message::Restore`]; survivors
+//! abandon the in-flight iteration, reinstall the boundary state and answer
+//! `Ready`. Because per-entity RNG streams are keyed on (seed, iteration,
+//! phase, entity), the replay is bit-identical to the run that failed.
 
-use crate::fault::{read_fault_events, write_fault_events, FaultEvent};
+use crate::fault::{read_fault_events, write_fault_events, FaultEvent, FaultPhase};
+use warplda_core::topic_wire_width;
 use warplda_corpus::io::codec::{
     read_corpus, write_corpus, CodecError, CodecResult, Decoder, Encoder,
 };
 use warplda_corpus::Corpus;
+use warplda_net::{PayloadReader, WireError};
 
 /// Frame-size bound of distributed-training connections: Setup frames carry
 /// the whole corpus and resume payloads carry the full packed records, both
@@ -59,9 +106,54 @@ const TAG_DOC_DELTA: u8 = 7;
 const TAG_DOC_SYNC: u8 = 8;
 const TAG_SHUTDOWN: u8 = 9;
 const TAG_BYE: u8 = 10;
-const TAG_FAULT: u8 = 11;
-const TAG_HEARTBEAT: u8 = 12;
-const TAG_RESTORE: u8 = 13;
+/// Tag of a [`Message::Fault`] frame.
+pub const TAG_FAULT: u8 = 11;
+/// Tag of a [`Message::Heartbeat`] frame.
+pub const TAG_HEARTBEAT: u8 = 12;
+/// Tag of a [`Message::Restore`] frame.
+pub const TAG_RESTORE: u8 = 13;
+
+/// Tag of the delta frame a worker sends after `phase`.
+pub const fn delta_tag(phase: FaultPhase) -> u8 {
+    match phase {
+        FaultPhase::Word => TAG_WORD_DELTA,
+        FaultPhase::Doc => TAG_DOC_DELTA,
+    }
+}
+
+/// Tag of the sync frame the coordinator answers `phase`'s deltas with.
+pub const fn sync_tag(phase: FaultPhase) -> u8 {
+    match phase {
+        FaultPhase::Word => TAG_WORD_SYNC,
+        FaultPhase::Doc => TAG_DOC_SYNC,
+    }
+}
+
+/// Bytes one token's record (`z` plus `M` proposals) takes on the wire: the
+/// single pricing of the exchange, shared by the real protocol and the
+/// simulated cluster's cost model.
+pub fn record_wire_bytes(num_topics: usize, mh_steps: usize) -> u64 {
+    (topic_wire_width(num_topics) * (mh_steps + 1)) as u64
+}
+
+/// Payload bytes of a `RunIteration` message: tag + epoch.
+pub const RUN_ITERATION_BYTES: usize = 1 + 8;
+
+/// Bytes of a `counts` block plus the `width` and `n` fields of the
+/// `records` block that follows it.
+const fn blocks_head_bytes(num_topics: usize) -> usize {
+    8 + 4 * num_topics + 1 + 8
+}
+
+/// Payload bytes of a delta before its record bytes.
+pub const fn delta_head_bytes(num_topics: usize) -> usize {
+    1 + 4 + 8 + blocks_head_bytes(num_topics)
+}
+
+/// Payload bytes of a sync before its record bytes.
+pub const fn sync_head_bytes(num_topics: usize) -> usize {
+    1 + 8 + blocks_head_bytes(num_topics)
+}
 
 /// Everything a worker needs to build its replica: the corpus, the model, the
 /// seed and (when resuming) the full sampler state to adopt.
@@ -107,8 +199,8 @@ pub struct ResumeState {
     pub topic_counts: Vec<u32>,
 }
 
-/// A worker's phase result: the packed records of its owned entries (in the
-/// deterministic plan order) plus its partial `c_k`.
+/// A worker's phase result in owning form: the packed records of its delta
+/// entries (in the deterministic plan order) plus its partial `c_k`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delta {
     /// Sender's worker id.
@@ -121,8 +213,8 @@ pub struct Delta {
     pub partial_ck: Vec<u32>,
 }
 
-/// The coordinator's phase-boundary broadcast: the merged global `c_k` plus
-/// the packed records of the entries the receiver does not own.
+/// The coordinator's phase-boundary answer in owning form: the merged global
+/// `c_k` plus the packed records of the segments addressed to the receiver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sync {
     /// Epoch the boundary belongs to.
@@ -185,193 +277,419 @@ pub enum Message {
     },
     /// Coordinator → worker: a peer failed; abandon the current iteration,
     /// reinstall this boundary state and reply `Ready`. Sent to *surviving*
-    /// workers during recovery (the respawned worker gets the same state via
-    /// `Setup.resume`).
+    /// workers during recovery (the respawned worker gets the same bytes as
+    /// the tail of its `Setup`).
     Restore(ResumeState),
 }
 
-fn write_resume(enc: &mut Encoder<'_>, r: &ResumeState) -> CodecResult<()> {
-    enc.write_u64(r.iterations)?;
-    enc.write_u32_slice(&r.records)?;
-    enc.write_u32_slice(&r.topic_counts)
+// ---------------------------------------------------------------------------
+// The counts and records blocks
+// ---------------------------------------------------------------------------
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn read_resume(dec: &mut Decoder<'_>) -> CodecResult<ResumeState> {
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `counts` block and the `width`/`n` fields of the `records`
+/// block that follows; the caller appends the `n × width` record bytes.
+fn put_blocks_head(out: &mut Vec<u8>, counts: &[u32], width: usize, values: usize) {
+    put_u64(out, counts.len() as u64);
+    for &c in counts {
+        put_u32(out, c);
+    }
+    out.push(width as u8);
+    put_u64(out, values as u64);
+}
+
+/// The narrowest record width that holds every value of `values`.
+fn narrowest_width(values: &[u32]) -> usize {
+    topic_wire_width(values.iter().copied().max().map_or(0, |max| max as usize + 1))
+}
+
+/// Appends `values` at `width` (1, 2 or 4) bytes each.
+fn put_topics(out: &mut Vec<u8>, values: &[u32], width: usize) {
+    fn put<const W: usize>(dst: &mut [u8], values: &[u32]) {
+        for (slot, v) in dst.as_chunks_mut::<W>().0.iter_mut().zip(values) {
+            slot.copy_from_slice(&v.to_le_bytes()[..W]);
+        }
+    }
+    let at = out.len();
+    out.resize(at + values.len() * width, 0);
+    match width {
+        1 => put::<1>(&mut out[at..], values),
+        2 => put::<2>(&mut out[at..], values),
+        _ => put::<4>(&mut out[at..], values),
+    }
+}
+
+/// Appends `counts` and all of `records` at `width` bytes per topic.
+fn put_blocks(out: &mut Vec<u8>, counts: &[u32], records: &[u32], width: usize) {
+    put_blocks_head(out, counts, width, records.len());
+    put_topics(out, records, width);
+}
+
+fn corrupt(e: WireError) -> CodecError {
+    CodecError::Corrupt(e.to_string())
+}
+
+/// A `counts` block and a `records` block, borrowed from a payload.
+#[derive(Debug, Clone, Copy)]
+pub struct Blocks<'a> {
+    /// The `K × u32` little-endian bytes of the `c_k` vector.
+    pub counts: &'a [u8],
+    /// Bytes per topic of `records`, as announced by the frame.
+    pub width: usize,
+    /// The packed record bytes.
+    pub records: &'a [u8],
+}
+
+impl<'a> Blocks<'a> {
+    /// Takes the two blocks off `r`. Lengths are checked against the bytes
+    /// actually present before anything is sliced.
+    fn take(r: &mut PayloadReader<'a>) -> CodecResult<Self> {
+        let oversized = || CodecError::Corrupt("block length overflows the payload".into());
+        let k = usize::try_from(r.u64().map_err(corrupt)?).map_err(|_| oversized())?;
+        let counts = r.bytes(k.checked_mul(4).ok_or_else(oversized)?).map_err(corrupt)?;
+        let width = r.u8().map_err(corrupt)? as usize;
+        if !matches!(width, 1 | 2 | 4) {
+            return Err(CodecError::Corrupt(format!("record width {width} is not 1, 2 or 4")));
+        }
+        let n = usize::try_from(r.u64().map_err(corrupt)?).map_err(|_| oversized())?;
+        let records = r.bytes(n.checked_mul(width).ok_or_else(oversized)?).map_err(corrupt)?;
+        Ok(Self { counts, width, records })
+    }
+
+    /// The `c_k` values, in order.
+    pub fn counts(&self) -> impl ExactSizeIterator<Item = u32> + 'a {
+        self.counts.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
+    }
+
+    fn records_vec(&self) -> Vec<u32> {
+        fn widen<const W: usize>(bytes: &[u8]) -> Vec<u32> {
+            let widen = |b: &[u8; W]| {
+                let mut word = [0u8; 4];
+                word[..W].copy_from_slice(b);
+                u32::from_le_bytes(word)
+            };
+            bytes.as_chunks::<W>().0.iter().map(widen).collect()
+        }
+        match self.width {
+            1 => widen::<1>(self.records),
+            2 => widen::<2>(self.records),
+            _ => widen::<4>(self.records),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Phase frames, in place (the healthy path of both processes)
+// ---------------------------------------------------------------------------
+
+/// Starts a complete delta **frame** in `out` (cleared first): the length
+/// prefix, the head, `partial_ck` and the record count. The caller appends
+/// exactly `values × width` record bytes.
+pub fn begin_delta_frame(
+    out: &mut Vec<u8>,
+    phase: FaultPhase,
+    worker_id: u32,
+    epoch: u64,
+    width: usize,
+    partial_ck: &[u32],
+    values: usize,
+) {
+    out.clear();
+    put_u32(out, (delta_head_bytes(partial_ck.len()) + values * width) as u32);
+    out.push(delta_tag(phase));
+    put_u32(out, worker_id);
+    put_u64(out, epoch);
+    put_blocks_head(out, partial_ck, width, values);
+}
+
+/// Starts a complete sync **frame** in `out` (cleared first), as
+/// [`begin_delta_frame`] does for deltas.
+pub fn begin_sync_frame(
+    out: &mut Vec<u8>,
+    phase: FaultPhase,
+    epoch: u64,
+    width: usize,
+    merged_ck: &[u32],
+    values: usize,
+) {
+    out.clear();
+    put_u32(out, (sync_head_bytes(merged_ck.len()) + values * width) as u32);
+    out.push(sync_tag(phase));
+    put_u64(out, epoch);
+    put_blocks_head(out, merged_ck, width, values);
+}
+
+/// A delta payload parsed in place.
+#[derive(Debug, Clone, Copy)]
+pub struct DeltaView<'a> {
+    /// The phase the tag names.
+    pub phase: FaultPhase,
+    /// Sender's worker id.
+    pub worker_id: u32,
+    /// Epoch the phase belongs to.
+    pub epoch: u64,
+    /// The partial `c_k` and the record bytes.
+    pub blocks: Blocks<'a>,
+}
+
+/// A sync payload parsed in place.
+#[derive(Debug, Clone, Copy)]
+pub struct SyncView<'a> {
+    /// The phase the tag names.
+    pub phase: FaultPhase,
+    /// Epoch the boundary belongs to.
+    pub epoch: u64,
+    /// The merged `c_k` and the record bytes.
+    pub blocks: Blocks<'a>,
+}
+
+fn finish(r: PayloadReader<'_>) -> CodecResult<()> {
+    r.finish().map_err(corrupt)
+}
+
+/// Parses a delta payload without copying it. Anything but a well-formed
+/// delta — wrong tag, short or trailing bytes, a bad width — is a typed
+/// error.
+pub fn parse_delta(payload: &[u8]) -> CodecResult<DeltaView<'_>> {
+    let mut r = PayloadReader::new(payload);
+    let phase = match r.u8().map_err(corrupt)? {
+        TAG_WORD_DELTA => FaultPhase::Word,
+        TAG_DOC_DELTA => FaultPhase::Doc,
+        other => return Err(CodecError::Corrupt(format!("tag {other:#04x} is not a delta"))),
+    };
+    let worker_id = r.u32().map_err(corrupt)?;
+    let epoch = r.u64().map_err(corrupt)?;
+    let blocks = Blocks::take(&mut r)?;
+    finish(r)?;
+    Ok(DeltaView { phase, worker_id, epoch, blocks })
+}
+
+/// Parses a sync payload without copying it; the mirror of [`parse_delta`].
+pub fn parse_sync(payload: &[u8]) -> CodecResult<SyncView<'_>> {
+    let mut r = PayloadReader::new(payload);
+    let phase = match r.u8().map_err(corrupt)? {
+        TAG_WORD_SYNC => FaultPhase::Word,
+        TAG_DOC_SYNC => FaultPhase::Doc,
+        other => return Err(CodecError::Corrupt(format!("tag {other:#04x} is not a sync"))),
+    };
+    let epoch = r.u64().map_err(corrupt)?;
+    let blocks = Blocks::take(&mut r)?;
+    finish(r)?;
+    Ok(SyncView { phase, epoch, blocks })
+}
+
+// ---------------------------------------------------------------------------
+// Resume payloads and Setup
+// ---------------------------------------------------------------------------
+
+/// Encodes a resume payload at `width` bytes per topic. The coordinator
+/// encodes its replica once per recovery and writes these bytes into every
+/// `Restore` frame and the respawned worker's `Setup` tail.
+pub fn encode_resume(
+    iterations: u64,
+    records: &[u32],
+    width: usize,
+    topic_counts: &[u32],
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + blocks_head_bytes(topic_counts.len()) + records.len());
+    put_u64(&mut out, iterations);
+    put_blocks(&mut out, topic_counts, records, width);
+    out
+}
+
+fn encode_owned_resume(r: &ResumeState) -> Vec<u8> {
+    encode_resume(r.iterations, &r.records, narrowest_width(&r.records), &r.topic_counts)
+}
+
+fn take_resume(r: &mut PayloadReader<'_>) -> CodecResult<ResumeState> {
+    let iterations = r.u64().map_err(corrupt)?;
+    let blocks = Blocks::take(r)?;
     Ok(ResumeState {
-        iterations: dec.read_u64()?,
-        records: dec.read_u32_vec()?,
-        topic_counts: dec.read_u32_vec()?,
+        iterations,
+        records: blocks.records_vec(),
+        topic_counts: blocks.counts().collect(),
     })
 }
 
-fn write_delta(enc: &mut Encoder<'_>, d: &Delta) -> CodecResult<()> {
-    enc.write_u32(d.worker_id)?;
-    enc.write_u64(d.epoch)?;
-    enc.write_u32_slice(&d.records)?;
-    enc.write_u32_slice(&d.partial_ck)
+/// Encodes a `Setup` payload up to and including its `has_resume` flag,
+/// ignoring `setup.resume`: with `resuming` set, the payload is completed by
+/// appending an [`encode_resume`] payload.
+pub fn encode_setup_head(setup: &Setup, resuming: bool) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_setup_head(&mut out, setup, resuming);
+    out
 }
 
-fn read_delta(dec: &mut Decoder<'_>) -> CodecResult<Delta> {
-    Ok(Delta {
-        worker_id: dec.read_u32()?,
-        epoch: dec.read_u64()?,
-        records: dec.read_u32_vec()?,
-        partial_ck: dec.read_u32_vec()?,
-    })
+fn put_setup_head(out: &mut Vec<u8>, setup: &Setup, resuming: bool) {
+    let mut enc = Encoder::new(out);
+    (|| -> CodecResult<()> {
+        enc.write_u8(TAG_SETUP)?;
+        enc.write_u32(setup.workers)?;
+        enc.write_u32(setup.worker_id)?;
+        enc.write_u64(setup.seed)?;
+        enc.write_u64(setup.num_topics)?;
+        enc.write_f64(setup.alpha)?;
+        enc.write_f64(setup.beta)?;
+        enc.write_u64(setup.mh_steps)?;
+        enc.write_bool(setup.use_hash_counts)?;
+        write_corpus(&mut enc, &setup.corpus)?;
+        enc.write_u64(setup.heartbeat_interval_ms)?;
+        write_fault_events(&mut enc, &setup.faults)?;
+        enc.write_bool(resuming)
+    })()
+    .expect("encoding to a Vec cannot fail");
 }
 
-fn write_sync(enc: &mut Encoder<'_>, s: &Sync) -> CodecResult<()> {
-    enc.write_u64(s.epoch)?;
-    enc.write_u32_slice(&s.topic_counts)?;
-    enc.write_u32_slice(&s.records)
+fn decode_setup(mut cursor: &[u8]) -> CodecResult<Message> {
+    let mut dec = Decoder::new(&mut cursor);
+    let workers = dec.read_u32()?;
+    let worker_id = dec.read_u32()?;
+    let seed = dec.read_u64()?;
+    let num_topics = dec.read_u64()?;
+    let alpha = dec.read_f64()?;
+    let beta = dec.read_f64()?;
+    let mh_steps = dec.read_u64()?;
+    let use_hash_counts = dec.read_bool()?;
+    let corpus = read_corpus(&mut dec)?;
+    let heartbeat_interval_ms = dec.read_u64()?;
+    let faults = read_fault_events(&mut dec)?;
+    let resuming = dec.read_bool()?;
+    let mut r = PayloadReader::new(cursor);
+    let resume = if resuming { Some(take_resume(&mut r)?) } else { None };
+    finish(r)?;
+    Ok(Message::Setup(Box::new(Setup {
+        workers,
+        worker_id,
+        seed,
+        num_topics,
+        alpha,
+        beta,
+        mh_steps,
+        use_hash_counts,
+        corpus,
+        resume,
+        heartbeat_interval_ms,
+        faults,
+    })))
 }
 
-fn read_sync(dec: &mut Decoder<'_>) -> CodecResult<Sync> {
-    Ok(Sync {
-        epoch: dec.read_u64()?,
-        topic_counts: dec.read_u32_vec()?,
-        records: dec.read_u32_vec()?,
-    })
-}
+// ---------------------------------------------------------------------------
+// Owning encode / decode
+// ---------------------------------------------------------------------------
 
 /// Encodes a message into a frame payload (send it with
 /// [`warplda_net::write_frame`]).
 pub fn encode_message(msg: &Message) -> Vec<u8> {
     let mut out = Vec::new();
-    let mut enc = Encoder::new(&mut out);
-    // Writing to a Vec cannot fail; unwrap keeps the call sites clean.
-    (|| -> CodecResult<()> {
-        match msg {
-            Message::Hello { worker_id } => {
-                enc.write_u8(TAG_HELLO)?;
-                enc.write_u32(*worker_id)
-            }
-            Message::Setup(s) => {
-                enc.write_u8(TAG_SETUP)?;
-                enc.write_u32(s.workers)?;
-                enc.write_u32(s.worker_id)?;
-                enc.write_u64(s.seed)?;
-                enc.write_u64(s.num_topics)?;
-                enc.write_f64(s.alpha)?;
-                enc.write_f64(s.beta)?;
-                enc.write_u64(s.mh_steps)?;
-                enc.write_bool(s.use_hash_counts)?;
-                write_corpus(&mut enc, &s.corpus)?;
-                match &s.resume {
-                    None => enc.write_bool(false)?,
-                    Some(r) => {
-                        enc.write_bool(true)?;
-                        write_resume(&mut enc, r)?;
-                    }
-                }
-                enc.write_u64(s.heartbeat_interval_ms)?;
-                write_fault_events(&mut enc, &s.faults)
-            }
-            Message::Ready { worker_id } => {
-                enc.write_u8(TAG_READY)?;
-                enc.write_u32(*worker_id)
-            }
-            Message::RunIteration { epoch } => {
-                enc.write_u8(TAG_RUN_ITERATION)?;
-                enc.write_u64(*epoch)
-            }
-            Message::WordDelta(d) => {
-                enc.write_u8(TAG_WORD_DELTA)?;
-                write_delta(&mut enc, d)
-            }
-            Message::WordSync(s) => {
-                enc.write_u8(TAG_WORD_SYNC)?;
-                write_sync(&mut enc, s)
-            }
-            Message::DocDelta(d) => {
-                enc.write_u8(TAG_DOC_DELTA)?;
-                write_delta(&mut enc, d)
-            }
-            Message::DocSync(s) => {
-                enc.write_u8(TAG_DOC_SYNC)?;
-                write_sync(&mut enc, s)
-            }
-            Message::Shutdown => enc.write_u8(TAG_SHUTDOWN),
-            Message::Bye { worker_id } => {
-                enc.write_u8(TAG_BYE)?;
-                enc.write_u32(*worker_id)
-            }
-            Message::Fault { worker_id, message } => {
-                enc.write_u8(TAG_FAULT)?;
-                enc.write_u32(*worker_id)?;
-                enc.write_str(message)
-            }
-            Message::Heartbeat { worker_id } => {
-                enc.write_u8(TAG_HEARTBEAT)?;
-                enc.write_u32(*worker_id)
-            }
-            Message::Restore(r) => {
-                enc.write_u8(TAG_RESTORE)?;
-                write_resume(&mut enc, r)
-            }
-        }
-    })()
-    .expect("encoding to a Vec cannot fail");
+    encode_message_into(msg, &mut out);
     out
 }
 
-/// Decodes one frame payload. Unknown tags and trailing bytes are typed
-/// [`CodecError::Corrupt`] — the rejection gate for malformed deltas.
-pub fn decode_message(payload: &[u8]) -> CodecResult<Message> {
-    let mut cursor = payload;
-    let msg = {
-        let mut dec = Decoder::new(&mut cursor);
-        let tag = dec.read_u8()?;
-        match tag {
-            TAG_HELLO => Message::Hello { worker_id: dec.read_u32()? },
-            TAG_SETUP => {
-                let workers = dec.read_u32()?;
-                let worker_id = dec.read_u32()?;
-                let seed = dec.read_u64()?;
-                let num_topics = dec.read_u64()?;
-                let alpha = dec.read_f64()?;
-                let beta = dec.read_f64()?;
-                let mh_steps = dec.read_u64()?;
-                let use_hash_counts = dec.read_bool()?;
-                let corpus = read_corpus(&mut dec)?;
-                let resume = if dec.read_bool()? { Some(read_resume(&mut dec)?) } else { None };
-                let heartbeat_interval_ms = dec.read_u64()?;
-                let faults = read_fault_events(&mut dec)?;
-                Message::Setup(Box::new(Setup {
-                    workers,
-                    worker_id,
-                    seed,
-                    num_topics,
-                    alpha,
-                    beta,
-                    mh_steps,
-                    use_hash_counts,
-                    corpus,
-                    resume,
-                    heartbeat_interval_ms,
-                    faults,
-                }))
-            }
-            TAG_READY => Message::Ready { worker_id: dec.read_u32()? },
-            TAG_RUN_ITERATION => Message::RunIteration { epoch: dec.read_u64()? },
-            TAG_WORD_DELTA => Message::WordDelta(read_delta(&mut dec)?),
-            TAG_WORD_SYNC => Message::WordSync(read_sync(&mut dec)?),
-            TAG_DOC_DELTA => Message::DocDelta(read_delta(&mut dec)?),
-            TAG_DOC_SYNC => Message::DocSync(read_sync(&mut dec)?),
-            TAG_SHUTDOWN => Message::Shutdown,
-            TAG_BYE => Message::Bye { worker_id: dec.read_u32()? },
-            TAG_FAULT => Message::Fault { worker_id: dec.read_u32()?, message: dec.read_string()? },
-            TAG_HEARTBEAT => Message::Heartbeat { worker_id: dec.read_u32()? },
-            TAG_RESTORE => Message::Restore(read_resume(&mut dec)?),
-            other => return Err(CodecError::Corrupt(format!("unknown message tag {other:#04x}"))),
-        }
+/// Appends the payload of `msg` to `out`; [`encode_message`] into a buffer
+/// the caller reuses.
+pub fn encode_message_into(msg: &Message, out: &mut Vec<u8>) {
+    let tagged_id = |out: &mut Vec<u8>, tag: u8, worker_id: u32| {
+        out.push(tag);
+        put_u32(out, worker_id);
     };
-    if !cursor.is_empty() {
-        return Err(CodecError::Corrupt(format!(
-            "{} trailing bytes after message payload",
-            cursor.len()
-        )));
+    let delta = |out: &mut Vec<u8>, phase, d: &Delta| {
+        out.push(delta_tag(phase));
+        put_u32(out, d.worker_id);
+        put_u64(out, d.epoch);
+        put_blocks(out, &d.partial_ck, &d.records, narrowest_width(&d.records));
+    };
+    let sync = |out: &mut Vec<u8>, phase, s: &Sync| {
+        out.push(sync_tag(phase));
+        put_u64(out, s.epoch);
+        put_blocks(out, &s.topic_counts, &s.records, narrowest_width(&s.records));
+    };
+    match msg {
+        Message::Hello { worker_id } => tagged_id(out, TAG_HELLO, *worker_id),
+        Message::Setup(s) => {
+            put_setup_head(out, s, s.resume.is_some());
+            if let Some(r) = &s.resume {
+                out.extend_from_slice(&encode_owned_resume(r));
+            }
+        }
+        Message::Ready { worker_id } => tagged_id(out, TAG_READY, *worker_id),
+        Message::RunIteration { epoch } => {
+            out.push(TAG_RUN_ITERATION);
+            put_u64(out, *epoch);
+        }
+        Message::WordDelta(d) => delta(out, FaultPhase::Word, d),
+        Message::WordSync(s) => sync(out, FaultPhase::Word, s),
+        Message::DocDelta(d) => delta(out, FaultPhase::Doc, d),
+        Message::DocSync(s) => sync(out, FaultPhase::Doc, s),
+        Message::Shutdown => out.push(TAG_SHUTDOWN),
+        Message::Bye { worker_id } => tagged_id(out, TAG_BYE, *worker_id),
+        Message::Fault { worker_id, message } => {
+            tagged_id(out, TAG_FAULT, *worker_id);
+            put_u64(out, message.len() as u64);
+            out.extend_from_slice(message.as_bytes());
+        }
+        Message::Heartbeat { worker_id } => tagged_id(out, TAG_HEARTBEAT, *worker_id),
+        Message::Restore(r) => {
+            out.push(TAG_RESTORE);
+            out.extend_from_slice(&encode_owned_resume(r));
+        }
     }
+}
+
+/// Decodes one frame payload. Unknown tags and trailing bytes are typed
+/// [`CodecError::Corrupt`] — the rejection gate for malformed frames.
+pub fn decode_message(payload: &[u8]) -> CodecResult<Message> {
+    let Some((&tag, body)) = payload.split_first() else {
+        return Err(CodecError::Corrupt("empty message payload".into()));
+    };
+    let owned_delta = || {
+        let d = parse_delta(payload)?;
+        Ok(Delta {
+            worker_id: d.worker_id,
+            epoch: d.epoch,
+            records: d.blocks.records_vec(),
+            partial_ck: d.blocks.counts().collect(),
+        })
+    };
+    let owned_sync = || {
+        let s = parse_sync(payload)?;
+        Ok(Sync {
+            epoch: s.epoch,
+            topic_counts: s.blocks.counts().collect(),
+            records: s.blocks.records_vec(),
+        })
+    };
+    let mut r = PayloadReader::new(body);
+    let msg = match tag {
+        TAG_SETUP => return decode_setup(body),
+        TAG_WORD_DELTA => return owned_delta().map(Message::WordDelta),
+        TAG_DOC_DELTA => return owned_delta().map(Message::DocDelta),
+        TAG_WORD_SYNC => return owned_sync().map(Message::WordSync),
+        TAG_DOC_SYNC => return owned_sync().map(Message::DocSync),
+        TAG_HELLO => Message::Hello { worker_id: r.u32().map_err(corrupt)? },
+        TAG_READY => Message::Ready { worker_id: r.u32().map_err(corrupt)? },
+        TAG_RUN_ITERATION => Message::RunIteration { epoch: r.u64().map_err(corrupt)? },
+        TAG_SHUTDOWN => Message::Shutdown,
+        TAG_BYE => Message::Bye { worker_id: r.u32().map_err(corrupt)? },
+        TAG_FAULT => {
+            let worker_id = r.u32().map_err(corrupt)?;
+            let len = usize::try_from(r.u64().map_err(corrupt)?)
+                .map_err(|_| CodecError::Corrupt("fault message length overflows".into()))?;
+            let text = std::str::from_utf8(r.bytes(len).map_err(corrupt)?)
+                .map_err(|e| CodecError::Corrupt(format!("fault message is not UTF-8: {e}")))?;
+            Message::Fault { worker_id, message: text.to_owned() }
+        }
+        TAG_HEARTBEAT => Message::Heartbeat { worker_id: r.u32().map_err(corrupt)? },
+        TAG_RESTORE => Message::Restore(take_resume(&mut r)?),
+        other => return Err(CodecError::Corrupt(format!("unknown message tag {other:#04x}"))),
+    };
+    finish(r)?;
     Ok(msg)
 }
 
@@ -421,11 +739,25 @@ mod tests {
             })),
             Message::Ready { worker_id: 1 },
             Message::RunIteration { epoch: 42 },
+            // One delta per record width: the encoder picks the narrowest
+            // that holds every value.
             Message::WordDelta(Delta {
                 worker_id: 0,
                 epoch: 5,
-                records: vec![1, 2, 3],
+                records: vec![1, 2, 255],
                 partial_ck: vec![4, 5],
+            }),
+            Message::WordDelta(Delta {
+                worker_id: 0,
+                epoch: 5,
+                records: vec![1, 256, 65_535],
+                partial_ck: vec![4, 5],
+            }),
+            Message::DocDelta(Delta {
+                worker_id: 1,
+                epoch: 5,
+                records: vec![65_536, u32::MAX],
+                partial_ck: vec![0, u32::MAX],
             }),
             Message::WordSync(Sync { epoch: 5, topic_counts: vec![9, 9], records: vec![7] }),
             Message::DocDelta(Delta {
@@ -441,7 +773,7 @@ mod tests {
             Message::Heartbeat { worker_id: 3 },
             Message::Restore(ResumeState {
                 iterations: 9,
-                records: vec![5, 4, 3],
+                records: vec![5, 4, 300],
                 topic_counts: vec![1, 1, 1],
             }),
         ];
@@ -497,23 +829,73 @@ mod tests {
     }
 
     #[test]
+    fn in_place_frames_are_the_owning_forms_wire_layout() {
+        // A frame built with begin_delta_frame + raw record bytes decodes to
+        // the owning Delta, and its size is the closed form the byte counter
+        // is tested against.
+        let (k, values) = (300usize, [7u32, 299, 0, 256]);
+        let partial: Vec<u32> = (0..k as u32).collect();
+        let width = topic_wire_width(k);
+        assert_eq!(width, 2);
+        let mut frame = Vec::new();
+        begin_delta_frame(&mut frame, FaultPhase::Doc, 3, 11, width, &partial, values.len());
+        put_topics(&mut frame, &values, width);
+        let payload = &frame[4..];
+        assert_eq!(u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize, payload.len());
+        assert_eq!(payload.len(), delta_head_bytes(k) + values.len() * width);
+        match decode_message(payload).unwrap() {
+            Message::DocDelta(d) => {
+                assert_eq!((d.worker_id, d.epoch), (3, 11));
+                assert_eq!(d.records, values);
+                assert_eq!(d.partial_ck, partial);
+            }
+            other => panic!("expected DocDelta, got {other:?}"),
+        }
+
+        begin_sync_frame(&mut frame, FaultPhase::Word, 11, width, &partial, values.len());
+        put_topics(&mut frame, &values, width);
+        assert_eq!(frame.len() - 4, sync_head_bytes(k) + values.len() * width);
+        let view = parse_sync(&frame[4..]).unwrap();
+        assert_eq!((view.phase, view.epoch, view.blocks.width), (FaultPhase::Word, 11, 2));
+        assert!(view.blocks.counts().eq(partial.iter().copied()));
+        assert_eq!(record_wire_bytes(k, 2), 6);
+        assert_eq!(RUN_ITERATION_BYTES, encode_message(&Message::RunIteration { epoch: 1 }).len());
+    }
+
+    #[test]
     fn malformed_payloads_are_typed_codec_errors() {
-        // Empty payload.
-        assert!(matches!(decode_message(&[]), Err(CodecError::Io(_))));
-        // Unknown tag.
-        assert!(matches!(decode_message(&[0xEE]), Err(CodecError::Corrupt(_))));
+        let corrupt = |payload: &[u8]| match decode_message(payload) {
+            Err(CodecError::Corrupt(_)) => {}
+            other => panic!("expected Corrupt for {payload:?}, got {other:?}"),
+        };
+        // Empty payload, unknown tag.
+        corrupt(&[]);
+        corrupt(&[0xEE]);
         // Truncated delta: announced lengths larger than the payload.
-        let mut payload = encode_message(&Message::WordDelta(Delta {
+        let delta = encode_message(&Message::WordDelta(Delta {
             worker_id: 0,
             epoch: 1,
             records: vec![1, 2, 3, 4],
             partial_ck: vec![1],
         }));
-        payload.truncate(payload.len() - 6);
-        assert!(matches!(decode_message(&payload), Err(CodecError::Io(_))));
-        // Trailing garbage after a well-formed message.
-        let mut payload = encode_message(&Message::Shutdown);
+        corrupt(&delta[..delta.len() - 2]);
+        // Trailing garbage after well-formed messages.
+        for msg in [Message::Shutdown, Message::Ready { worker_id: 1 }] {
+            let mut payload = encode_message(&msg);
+            payload.push(0);
+            corrupt(&payload);
+        }
+        let mut payload = delta.clone();
         payload.push(0);
-        assert!(matches!(decode_message(&payload), Err(CodecError::Corrupt(_))));
+        corrupt(&payload);
+        // A width byte outside {1, 2, 4}; a record count that overflows.
+        let width_at = 1 + 4 + 8 + 8 + 4;
+        let mut payload = delta.clone();
+        assert_eq!(payload[width_at], 1);
+        payload[width_at] = 3;
+        corrupt(&payload);
+        let mut payload = delta;
+        payload[width_at + 1..width_at + 9].copy_from_slice(&u64::MAX.to_le_bytes());
+        corrupt(&payload);
     }
 }

@@ -18,7 +18,7 @@ use warplda_core::{ModelParams, Trainer, WarpLda, WarpLdaConfig};
 use warplda_corpus::Corpus;
 use warplda_sparse::PartitionStrategy;
 
-use crate::cluster::ClusterConfig;
+use crate::cluster::{exchange_bytes_per_iteration, ClusterConfig};
 use crate::grid::GridPartition;
 
 /// One machine count of a scaling sweep.
@@ -52,11 +52,17 @@ pub fn model_point(
     single_tokens_per_sec: f64,
     grid: &GridPartition,
     cluster: &ClusterConfig,
+    params: &ModelParams,
+    config: &WarpLdaConfig,
 ) -> ScalingPoint {
     let max_doc = grid.doc_phase_loads().iter().copied().max().unwrap_or(0) as f64;
     let max_word = grid.word_phase_loads().iter().copied().max().unwrap_or(0) as f64;
     let compute_sec = (max_doc + max_word) / single_tokens_per_sec;
-    let bytes = cluster.bytes_per_iteration(grid.tokens_exchanged_per_phase_switch());
+    let bytes = exchange_bytes_per_iteration(
+        grid.tokens_exchanged_per_phase_switch(),
+        params.num_topics,
+        config.mh_steps,
+    );
     let comm_sec = cluster.exchange_time_sec(bytes);
     let wall = (compute_sec.max(comm_sec) + comm_sec / cluster.workers as f64).max(1e-12);
     ScalingPoint {
@@ -107,8 +113,9 @@ pub fn scaling_sweep(
             workers,
             PartitionStrategy::Greedy,
         );
-        let cluster = ClusterConfig::tianhe2_like(workers, config.mh_steps);
-        let mut point = model_point(corpus.num_tokens(), single_tps, &grid, &cluster);
+        let cluster = ClusterConfig::tianhe2_like(workers);
+        let mut point =
+            model_point(corpus.num_tokens(), single_tps, &grid, &cluster, &params, &config);
         let base = *baseline.get_or_insert(point.tokens_per_sec);
         point.speedup = point.tokens_per_sec / base;
         points.push(point);

@@ -15,10 +15,15 @@
 //! The fault-tolerance half drives the same differential argument through
 //! scripted failures: a worker killed or hung mid-iteration is detected
 //! (child exit / heartbeat silence), respawned from the coordinator's
-//! boundary snapshot, and the retried iteration replays bit-identically —
+//! replica, and the retried iteration replays bit-identically —
 //! so the *final* model after recovery equals the fault-free oracle's
 //! exactly. With recovery disabled, the same faults surface as fast typed
 //! errors, and a dropped cluster never leaves zombie worker processes.
+//!
+//! The wire half pins the exchange's arithmetic: the bytes a healthy
+//! iteration reports are a closed form of the plan, `K` and `M`, identical
+//! from run to run, and the record bytes forwarded to workers are exactly
+//! what the simulated cluster's cost model charges.
 //!
 //! The suite lives in the crate that owns the worker binary so that cargo
 //! builds exactly the binary under test and hands over its path: no test
@@ -30,6 +35,8 @@ use warplda_core::checkpoint::{read_checkpoint, write_checkpoint};
 use warplda_core::eval::{log_joint_likelihood, perplexity_per_token};
 use warplda_core::{Checkpointable, ModelParams, ParallelWarpLda, Sampler, WarpLda, WarpLdaConfig};
 use warplda_corpus::{Corpus, DatasetPreset, DocMajorView, WordMajorView};
+use warplda_dist::process::validate_delta;
+use warplda_dist::protocol::{begin_delta_frame, record_wire_bytes};
 use warplda_dist::{
     ClusterConfig, DistError, DistributedWarpLda, FaultPhase, FaultPlan, ProcessCluster,
     ProcessClusterConfig,
@@ -59,13 +66,8 @@ fn assert_backends_agree(
 
     let mut cluster = ProcessCluster::new(corpus, params, config, seed, process_config(workers))
         .expect("spawn cluster");
-    let mut simulated = DistributedWarpLda::new(
-        corpus,
-        params,
-        config,
-        ClusterConfig::tianhe2_like(workers, config.mh_steps),
-        seed,
-    );
+    let mut simulated =
+        DistributedWarpLda::new(corpus, params, config, ClusterConfig::tianhe2_like(workers), seed);
     let mut serial = WarpLda::new(corpus, params, config, seed);
 
     for iter in 1..=iters {
@@ -188,6 +190,94 @@ fn cluster_checkpoints_resume_anywhere_and_any_checkpoint_resumes_on_a_cluster()
     }
 }
 
+/// `bytes_exchanged` of a healthy iteration is arithmetic: one `RunIteration`
+/// per worker plus, per phase, every worker's delta and sync frame — spelled
+/// out here byte by byte from the plan's segment lengths, for every worker
+/// count and every record width. Two clusters of one seed report the same.
+#[test]
+fn healthy_iterations_exchange_exactly_the_closed_form_byte_count() {
+    let corpus = DatasetPreset::Tiny.generate_scaled(4);
+    let config = WarpLdaConfig::with_mh_steps(2);
+    let stride = config.mh_steps as u64 + 1;
+    for (k, width) in [(6usize, 1u64), (300, 2), (70_000, 4)] {
+        let params = ModelParams::paper_defaults(k);
+        for workers in 1usize..=4 {
+            let mut reported = Vec::new();
+            for _ in 0..2 {
+                let mut cluster =
+                    ProcessCluster::new(&corpus, params, config, 13, process_config(workers))
+                        .expect("spawn cluster");
+                let plan = cluster.plan().clone();
+                let counts = 8 + 4 * k as u64; // K, then K × u32
+                let records = |entries: usize| 1 + 8 + entries as u64 * stride * width;
+                let mut expected = workers as u64 * (4 + 1 + 8); // RunIteration{epoch}
+                for phase in [&plan.word, &plan.doc] {
+                    for i in 0..workers {
+                        let reported = phase.delta_entries[i].len();
+                        expected += 4 + (1 + 4 + 8) + counts + records(reported); // delta
+                        expected += 4 + (1 + 8) + counts + records(phase.sync_len(i));
+                        // sync
+                    }
+                }
+                assert_eq!(plan.iteration_wire_bytes(k, config.mh_steps), expected);
+                // Up: the cross-owner entries, then everything. Down: the
+                // cross-owner entries, twice.
+                let cross = cluster.grid().tokens_exchanged_per_phase_switch();
+                let up: usize = [&plan.word, &plan.doc]
+                    .iter()
+                    .flat_map(|p| &p.delta_entries)
+                    .map(Vec::len)
+                    .sum();
+                assert_eq!(up as u64, cross + corpus.num_tokens());
+                for _ in 0..3 {
+                    let report = cluster.run_iteration().expect("healthy iteration");
+                    assert_eq!(report.bytes_exchanged, expected, "K = {k}, {workers} workers");
+                    reported.push(report.bytes_exchanged);
+                }
+                cluster.shutdown().expect("clean shutdown");
+            }
+            assert!(reported.windows(2).all(|w| w[0] == w[1]), "{reported:?}");
+        }
+    }
+}
+
+/// The simulated cluster's cost model and the real protocol price the
+/// exchange with one function: what `DistributedWarpLda` charges per
+/// iteration is exactly the record-segment bytes `ProcessCluster` forwards
+/// to its workers over the same grid.
+#[test]
+fn the_simulated_cost_model_charges_exactly_the_forwarded_record_bytes() {
+    let corpus = DatasetPreset::Tiny.generate_scaled(4);
+    let config = WarpLdaConfig::with_mh_steps(2);
+    for k in [50usize, 300] {
+        let params = ModelParams::paper_defaults(k);
+        for workers in [2usize, 3] {
+            let cluster = ProcessCluster::new(&corpus, params, config, 5, process_config(workers))
+                .expect("spawn cluster");
+            let plan = cluster.plan();
+            let forwarded: usize = [&plan.word, &plan.doc]
+                .iter()
+                .flat_map(|phase| (0..workers).map(|j| phase.sync_len(j)))
+                .sum();
+            let mut simulated = DistributedWarpLda::new(
+                &corpus,
+                params,
+                config,
+                ClusterConfig::tianhe2_like(workers),
+                5,
+            );
+            let modelled = simulated.run_iteration(&corpus, false).bytes_exchanged;
+            assert!(modelled > 0);
+            assert_eq!(
+                modelled,
+                forwarded as u64 * record_wire_bytes(k, config.mh_steps),
+                "K = {k}, {workers} workers"
+            );
+            cluster.shutdown().expect("clean shutdown");
+        }
+    }
+}
+
 #[test]
 fn a_missing_worker_binary_is_a_typed_error_naming_the_build_command() {
     let corpus = DatasetPreset::Tiny.generate_scaled(2);
@@ -292,6 +382,89 @@ fn killed_worker_recovers_bit_identically() {
         let plan = FaultPlan::new().crash(1, 2, FaultPhase::Word);
         assert_recovery_is_bit_identical(workers, plan, 4, 1);
     }
+}
+
+/// The replica is the snapshot: a failed attempt leaves no mark on it, so
+/// after a worker dies *past the word boundary* of iteration 3 the
+/// coordinator still holds exactly the state after iteration 2 — with
+/// recovery disabled, so nothing could have rolled it back — and with
+/// recovery enabled the same crash ends bit-identical to a fault-free run.
+#[test]
+fn a_worker_killed_after_the_word_boundary_leaves_the_replica_at_the_last_iteration_boundary() {
+    let corpus = DatasetPreset::Tiny.generate_scaled(2);
+    let params = ModelParams::paper_defaults(10);
+    let config = WarpLdaConfig::with_mh_steps(2);
+    let plan = FaultPlan::new().crash(1, 3, FaultPhase::Doc);
+
+    let mut cfg = process_config(2);
+    cfg.max_recoveries = 0;
+    cfg.fault_plan = plan.clone();
+    let mut cluster = ProcessCluster::new(&corpus, params, config, 71, cfg).expect("spawn");
+    let mut oracle = WarpLda::new(&corpus, params, config, 71);
+    for _ in 0..2 {
+        cluster.run_iteration().expect("healthy iteration");
+        oracle.run_iteration();
+    }
+    match cluster.run_iteration().expect_err("worker 1 dies in iteration 3's doc phase") {
+        DistError::WorkerFailed { worker, .. } => assert_eq!(worker, 1),
+        other => panic!("expected WorkerFailed, got {other}"),
+    }
+    assert_eq!(cluster.iterations(), 2);
+    assert_eq!(cluster.assignments(), oracle.assignments(), "replica after the failed attempt");
+    assert_eq!(cluster.topic_counts(), oracle.topic_counts());
+    drop(cluster);
+
+    assert_recovery_is_bit_identical(2, plan, 4, 1);
+}
+
+/// A delta whose *forwarded* segment carries an out-of-range topic is the
+/// sender's failure — caught by the coordinator before a byte is routed,
+/// not by the peer that would have imported it — and, like every other
+/// defect of a delta, leaves the replica and the `c_k` merge untouched.
+#[test]
+fn a_poisoned_forwarded_segment_is_blamed_on_its_sender() {
+    let corpus = DatasetPreset::Tiny.generate_scaled(2);
+    let (k, config, seed) = (10usize, WarpLdaConfig::with_mh_steps(2), 7);
+    let params = ModelParams::paper_defaults(k);
+    let cluster =
+        ProcessCluster::new(&corpus, params, config, seed, process_config(2)).expect("spawn");
+    let (replica, plan) = (cluster.sampler(), cluster.plan());
+
+    // Worker 1's word delta, built the way the worker binary builds it.
+    let sender = 1;
+    let mut worker = WarpLda::new(&corpus, params, config, seed);
+    let mut partial = vec![0u32; k];
+    worker.run_word_phase_shard(&plan.owned_words[sender], &mut partial);
+    let entries = &plan.word.delta_entries[sender];
+    assert!(!plan.word.segment(sender, 0).is_empty(), "worker 1 has records for worker 0");
+    let mut frame = Vec::new();
+    let values = entries.len() * worker.stride();
+    begin_delta_frame(&mut frame, FaultPhase::Word, sender as u32, 0, 1, &partial, values);
+    worker.export_records_packed(entries, 1, &mut frame);
+
+    let mut merged = vec![0u32; k];
+    let records =
+        validate_delta(replica, plan, FaultPhase::Word, sender, 0, &frame[4..], &mut merged)
+            .expect("the honest delta validates");
+    assert_eq!(records.len(), values);
+    assert_eq!(merged, partial);
+
+    // Poison one topic of the segment addressed to worker 0.
+    let before = (replica.records_slice().to_vec(), replica.topic_counts().to_vec());
+    let at = frame.len() - values + plan.word.segment(sender, 0).start * worker.stride();
+    frame[at] = k as u8;
+    merged.fill(0);
+    match validate_delta(replica, plan, FaultPhase::Word, sender, 0, &frame[4..], &mut merged) {
+        Err(DistError::WorkerFailed { worker, message }) => {
+            assert_eq!(worker as usize, sender);
+            assert!(message.contains("out of range"), "{message}");
+        }
+        other => panic!("expected WorkerFailed, got {other:?}"),
+    }
+    assert!(merged.iter().all(|&c| c == 0), "a rejected delta must not reach the merge");
+    assert_eq!(before.0, replica.records_slice());
+    assert_eq!(before.1, replica.topic_counts());
+    cluster.shutdown().expect("clean shutdown");
 }
 
 #[test]

@@ -5,7 +5,9 @@
 //!
 //! With `--process`, the same corpus is additionally trained on a **real**
 //! 2-process cluster (`warplda-dist-worker` children over loopback TCP) and
-//! checked bit-for-bit against the simulated run. The worker binary must be
+//! checked bit-for-bit against the simulated run; the bytes every iteration
+//! puts on the sockets must equal the closed form of the exchange plan, or
+//! the run exits non-zero. The worker binary must be
 //! built first (`cargo build --release -p warplda-dist --bin
 //! warplda-dist-worker`); without it the cluster refuses to start with an
 //! error that says so.
@@ -36,14 +38,11 @@ fn run_process_backend(corpus: &Corpus, params: ModelParams, config: WarpLdaConf
                 eprintln!("cannot spawn the process cluster: {e}");
                 std::process::exit(1);
             });
-    let mut simulated = DistributedWarpLda::new(
-        corpus,
-        params,
-        config,
-        ClusterConfig::tianhe2_like(workers, config.mh_steps),
-        seed,
-    );
-    println!("{:<6} {:>14} {:>14}", "iter", "Mtokens/s", "wire KB");
+    let mut simulated =
+        DistributedWarpLda::new(corpus, params, config, ClusterConfig::tianhe2_like(workers), seed);
+    let tokens = corpus.num_tokens() as f64;
+    let expected = cluster.plan().iteration_wire_bytes(params.num_topics, config.mh_steps);
+    println!("{:<6} {:>14} {:>14} {:>14}", "iter", "Mtokens/s", "wire KB", "wire B/token");
     for _ in 0..iterations {
         let report = cluster.run_iteration().unwrap_or_else(|e| {
             eprintln!("distributed iteration failed: {e}");
@@ -51,12 +50,28 @@ fn run_process_backend(corpus: &Corpus, params: ModelParams, config: WarpLdaConf
         });
         simulated.run_iteration(corpus, false);
         println!(
-            "{:<6} {:>14.2} {:>14.1}",
+            "{:<6} {:>14.2} {:>14.1} {:>14.3}",
             report.iteration,
-            corpus.num_tokens() as f64 / report.wall_sec.max(1e-12) / 1e6,
+            tokens / report.wall_sec.max(1e-12) / 1e6,
             report.bytes_exchanged as f64 / 1e3,
+            report.bytes_exchanged as f64 / tokens,
         );
+        if report.bytes_exchanged != expected {
+            eprintln!(
+                "iteration {} exchanged {} bytes but the plan's closed form says {expected}",
+                report.iteration, report.bytes_exchanged
+            );
+            std::process::exit(1);
+        }
     }
+    println!(
+        "every iteration exchanged the closed form of the plan: {expected} B = {:.3} B/token \
+         ({} B records, {} of {} tokens cross owners)",
+        expected as f64 / tokens,
+        warplda::dist::protocol::record_wire_bytes(params.num_topics, config.mh_steps),
+        cluster.grid().tokens_exchanged_per_phase_switch(),
+        corpus.num_tokens(),
+    );
     assert_eq!(
         cluster.assignments(),
         simulated.assignments(),
@@ -133,7 +148,7 @@ fn main() {
     }
 
     // --- One distributed run with 4 simulated machines -------------------
-    let cluster = ClusterConfig::tianhe2_like(4, config.mh_steps);
+    let cluster = ClusterConfig::tianhe2_like(4);
     let mut driver = DistributedWarpLda::new(&corpus, params, config, cluster, 7);
     let grid = driver.grid();
     println!(

@@ -16,13 +16,8 @@ fn distributed_assignments_match_the_serial_sampler() {
     let config = WarpLdaConfig::with_mh_steps(2);
     let workers = 4;
 
-    let mut dist = DistributedWarpLda::new(
-        &corpus,
-        params,
-        config,
-        ClusterConfig::tianhe2_like(workers, config.mh_steps),
-        31,
-    );
+    let mut dist =
+        DistributedWarpLda::new(&corpus, params, config, ClusterConfig::tianhe2_like(workers), 31);
     let mut serial = WarpLda::new(&corpus, params, config, 31);
     for iter in 1..=5 {
         dist.run_iteration(&corpus, false);
@@ -63,12 +58,13 @@ fn communication_volume_matches_grid_bound() {
     let corpus = corpus();
     let params = ModelParams::paper_defaults(8);
     let config = WarpLdaConfig::with_mh_steps(3);
-    let cluster = ClusterConfig::tianhe2_like(4, config.mh_steps);
+    let cluster = ClusterConfig::tianhe2_like(4);
     let mut dist = DistributedWarpLda::new(&corpus, params, config, cluster, 3);
     let report = dist.run_iteration(&corpus, false);
-    // (M + 1) * 4 bytes per off-diagonal token, two exchanges per iteration.
+    // One (M + 1)-topic record per off-diagonal token — a byte per topic at
+    // K = 8 — and two exchanges per iteration.
     let expected =
-        dist.grid().tokens_exchanged_per_phase_switch() * (config.mh_steps as u64 + 1) * 4 * 2;
+        dist.grid().tokens_exchanged_per_phase_switch() * (config.mh_steps as u64 + 1) * 2;
     assert_eq!(report.bytes_exchanged, expected);
     assert!(report.comm_sec > 0.0);
     assert!(report.tokens_per_sec > 0.0);
@@ -79,13 +75,8 @@ fn distributed_convergence_improves_likelihood() {
     let corpus = corpus();
     let params = ModelParams::paper_defaults(12);
     let config = WarpLdaConfig::with_mh_steps(2);
-    let mut dist = DistributedWarpLda::new(
-        &corpus,
-        params,
-        config,
-        ClusterConfig::tianhe2_like(8, config.mh_steps),
-        5,
-    );
+    let mut dist =
+        DistributedWarpLda::new(&corpus, params, config, ClusterConfig::tianhe2_like(8), 5);
     let first = dist.run_iteration(&corpus, true).log_likelihood.unwrap();
     let reports = dist.run(&corpus, 20, 20);
     let last = reports.last().unwrap().log_likelihood.unwrap();
@@ -102,7 +93,7 @@ fn more_workers_do_not_change_total_work() {
             &corpus,
             params,
             config,
-            ClusterConfig::tianhe2_like(workers, 1),
+            ClusterConfig::tianhe2_like(workers),
             7,
         );
         let r = dist.run_iteration(&corpus, false);

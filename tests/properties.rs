@@ -337,8 +337,10 @@ proptest! {
             prop_assert!((grid.word_owner(w) as usize) < workers);
         }
 
-        // Ownership through the exchange plan: in each phase the per-worker
-        // delta entry lists are an exact partition of the token matrix.
+        // Ownership through the exchange plan: the doc-phase deltas are an
+        // exact partition of the token matrix (they are how the coordinator's
+        // replica learns an iteration), the word-phase deltas hold exactly
+        // the cross-owner entries, each once.
         let sampler = WarpLda::new(
             &corpus,
             ModelParams::new(4, 0.5, 0.1),
@@ -346,16 +348,361 @@ proptest! {
             11,
         );
         let plan = ShardPlan::build(&sampler, &grid);
-        for lists in [&plan.word_delta_entries, &plan.doc_delta_entries] {
+        for (phase, reported) in [
+            (&plan.doc, sampler.num_entries() as u64),
+            (&plan.word, grid.tokens_exchanged_per_phase_switch()),
+        ] {
             let mut seen = vec![false; sampler.num_entries()];
-            for list in lists.iter() {
+            for list in &phase.delta_entries {
                 for &e in list {
-                    prop_assert!(!seen[e as usize], "entry {} owned twice", e);
+                    prop_assert!(!seen[e as usize], "entry {} reported twice", e);
                     seen[e as usize] = true;
                 }
             }
-            prop_assert!(seen.iter().all(|&s| s), "some entry unowned");
+            prop_assert_eq!(seen.iter().filter(|&&s| s).count() as u64, reported);
+            let synced: usize = (0..workers).map(|j| phase.sync_len(j)).sum();
+            prop_assert_eq!(synced as u64, grid.tokens_exchanged_per_phase_switch());
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Packed records: for any entry list and any width that can hold K, what one
+// replica exports another imports, and the `u32` pair is the width-4 case.
+// ---------------------------------------------------------------------------
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn packed_records_round_trip_at_every_width(
+        k in 2usize..70_000,
+        m in 1usize..4,
+        picks in prop::collection::vec(0usize..1_000_000, 0..300),
+        widen in 0usize..3,
+    ) {
+        use warplda::lda::topic_wire_width;
+
+        let corpus = DatasetPreset::Tiny.generate_scaled(16);
+        let config = WarpLdaConfig::with_mh_steps(m);
+        let params = ModelParams::new(k, 0.5, 0.1);
+        let source = WarpLda::new(&corpus, params, config, 3);
+        let mut sink = WarpLda::new(&corpus, params, config, 4);
+        let entries: Vec<u32> =
+            picks.iter().map(|p| (p % source.num_entries()) as u32).collect();
+        let width = [1usize, 2, 4]
+            .into_iter()
+            .filter(|&w| w >= topic_wire_width(k))
+            .nth(widen)
+            .unwrap_or(4);
+
+        let mut wire = vec![0xAB; 5];
+        source.export_records_packed(&entries, width, &mut wire);
+        let stride = source.stride();
+        prop_assert_eq!(wire.len(), 5 + entries.len() * stride * width, "appends exactly");
+        let mut words = Vec::new();
+        source.export_records(&entries, &mut words);
+        let widened: Vec<u32> = wire[5..]
+            .chunks_exact(width)
+            .map(|b| b.iter().rev().fold(0, |acc, &byte| acc << 8 | u32::from(byte)))
+            .collect();
+        prop_assert_eq!(&widened, &words, "one loop, whatever the width");
+
+        sink.import_records_packed(&entries, width, &wire[5..]).expect("a peer's export imports");
+        for &e in &entries {
+            let at = e as usize * stride..(e as usize + 1) * stride;
+            prop_assert_eq!(&sink.records_slice()[at.clone()], &source.records_slice()[at]);
+        }
+
+        // Anything but the exact byte count, and any topic >= K, changes nothing.
+        let before = sink.records_slice().to_vec();
+        let mut long = wire[5..].to_vec();
+        long.push(0);
+        prop_assert!(sink.import_records_packed(&entries, width, &long).is_err());
+        prop_assert!(sink.import_records_packed(&entries, 3, &wire[5..]).is_err());
+        if !entries.is_empty() {
+            prop_assert!(sink.import_records_packed(&entries, width, &long[1..]).is_err());
+            let mut poisoned = wire[5..].to_vec();
+            let last = poisoned.len() - width;
+            poisoned[last..].copy_from_slice(&(k as u32).to_le_bytes()[..width]);
+            if width == 4 || k < 1 << (8 * width) {
+                prop_assert!(sink.import_records_packed(&entries, width, &poisoned).is_err());
+            }
+        }
+        prop_assert_eq!(sink.records_slice(), &before[..]);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Phase exchange: a boundary routed as bytes delivers every record, and no
+// mutation of a delta or sync payload — wrong segment length, bad or too
+// narrow width, topic >= K, partial c_k off by one, truncation, trailing
+// bytes, arbitrary byte damage — panics or leaves a mark on a replica.
+// ---------------------------------------------------------------------------
+mod exchange {
+    use super::*;
+    use warplda::dist::plan::PhasePlan;
+    use warplda::dist::protocol::{begin_delta_frame, begin_sync_frame, delta_head_bytes};
+    use warplda::lda::topic_wire_width;
+
+    /// One replica per worker plus the coordinator's, at a phase boundary.
+    pub struct Boundary {
+        pub plan: ShardPlan,
+        pub phase: FaultPhase,
+        pub replicas: Vec<WarpLda>,
+        pub coordinator: WarpLda,
+        /// Each worker's delta payload, as put on the wire.
+        pub deltas: Vec<Vec<u8>>,
+    }
+
+    impl Boundary {
+        /// Runs `phase` on every worker's shard and encodes the deltas.
+        pub fn reach(workers: usize, k: usize, phase: FaultPhase) -> Self {
+            let corpus = DatasetPreset::Tiny.generate_scaled(16);
+            let doc_view = DocMajorView::build(&corpus);
+            let word_view = WordMajorView::build(&corpus, &doc_view);
+            let grid = GridPartition::build_with(
+                &corpus,
+                &doc_view,
+                &word_view,
+                workers,
+                PartitionStrategy::Greedy,
+                PartitionStrategy::Dynamic,
+            );
+            let replica = || {
+                let config = WarpLdaConfig::with_mh_steps(2);
+                WarpLda::new(&corpus, ModelParams::new(k, 0.5, 0.1), config, 9)
+            };
+            let coordinator = replica();
+            let plan = ShardPlan::build(&coordinator, &grid);
+            let mut replicas: Vec<WarpLda> = (0..workers).map(|_| replica()).collect();
+            let width = topic_wire_width(k);
+            let mut partial = vec![0u32; k];
+            let deltas = replicas
+                .iter_mut()
+                .enumerate()
+                .map(|(i, replica)| {
+                    match phase {
+                        FaultPhase::Word => {
+                            replica.run_word_phase_shard(&plan.owned_words[i], &mut partial)
+                        }
+                        FaultPhase::Doc => {
+                            replica.run_doc_phase_shard(&plan.owned_docs[i], &mut partial)
+                        }
+                    }
+                    let entries = &plan.phase(phase).delta_entries[i];
+                    let values = entries.len() * replica.stride();
+                    let mut frame = Vec::new();
+                    begin_delta_frame(&mut frame, phase, i as u32, 0, width, &partial, values);
+                    replica.export_records_packed(entries, width, &mut frame);
+                    frame.split_off(4)
+                })
+                .collect();
+            Self { plan, phase, replicas, coordinator, deltas }
+        }
+
+        pub fn exchange(&self) -> &PhasePlan {
+            self.plan.phase(self.phase)
+        }
+
+        /// What the coordinator does with valid deltas: checks each, merges
+        /// the partial `c_k` and routes the segments into one sync payload
+        /// per worker.
+        pub fn route(&self) -> Vec<Vec<u8>> {
+            let k = self.coordinator.topic_counts().len();
+            let exchange = self.exchange();
+            let mut merged = vec![0u32; k];
+            let records: Vec<&[u8]> = (0..self.deltas.len())
+                .map(|i| {
+                    exchange
+                        .check_delta(&self.coordinator, i, 0, &self.deltas[i], &mut merged)
+                        .expect("an honest delta validates")
+                })
+                .collect();
+            let stride = self.coordinator.stride();
+            let width = topic_wire_width(k);
+            (0..self.deltas.len())
+                .map(|j| {
+                    let values = exchange.sync_len(j) * stride;
+                    let mut frame = Vec::new();
+                    begin_sync_frame(&mut frame, self.phase, 0, width, &merged, values);
+                    for from in exchange.sync_sources(j) {
+                        let segment = exchange.segment(from, j);
+                        let bytes = stride * width;
+                        frame.extend_from_slice(
+                            &records[from][segment.start * bytes..segment.end * bytes],
+                        );
+                    }
+                    frame.split_off(4)
+                })
+                .collect()
+        }
+    }
+
+    /// The state a rejected payload must leave untouched.
+    pub fn state(replica: &WarpLda) -> (Vec<u32>, Vec<u32>, u64) {
+        (replica.records_slice().to_vec(), replica.topic_counts().to_vec(), replica.iterations())
+    }
+
+    /// Damages `payload`, whose `counts` block starts at `counts_at`, in the
+    /// way `kind` names. Returns whether the result is certainly invalid
+    /// (arbitrary byte damage may happen to produce another valid payload).
+    pub fn damage(
+        payload: &mut Vec<u8>,
+        counts_at: usize,
+        k: usize,
+        record_bytes: usize,
+        kind: usize,
+        at: usize,
+    ) -> bool {
+        let width_at = counts_at + 8 + 4 * k;
+        let n_at = width_at + 1;
+        let records_at = n_at + 8;
+        let n = u64::from_le_bytes(payload[n_at..n_at + 8].try_into().unwrap());
+        match kind {
+            // Arbitrary byte damage.
+            0 => {
+                let at = at % payload.len();
+                payload[at] ^= 1 << (at % 8);
+                false
+            }
+            // Truncation anywhere; trailing bytes.
+            1 => {
+                payload.truncate(at % payload.len());
+                true
+            }
+            2 => {
+                payload.push(at as u8);
+                true
+            }
+            // A width byte outside {1, 2, 4}.
+            3 => {
+                payload[width_at] = [0, 3, 5, 8, 255][at % 5];
+                true
+            }
+            // A partial / merged c_k that no longer sums to the tokens.
+            4 => {
+                payload[counts_at + 8 + 4 * (at % k)] ^= 1;
+                true
+            }
+            // A topic >= K in some record (all-ones is >= K at every width
+            // the K of this test travels at).
+            5 if n > 0 => {
+                let width = payload[width_at] as usize;
+                let value = records_at + (at % n as usize) * width;
+                payload[value..value + width].fill(0xFF);
+                true
+            }
+            // A segment one record short, with a consistent count: it parses,
+            // and only the plan knows it is wrong.
+            6 if n > 0 => {
+                payload.truncate(payload.len() - record_bytes);
+                let shorter = n - (record_bytes / payload[width_at] as usize) as u64;
+                payload[n_at..n_at + 8].copy_from_slice(&shorter.to_le_bytes());
+                true
+            }
+            // The right shape for the wrong epoch.
+            _ => {
+                payload[counts_at - 8] ^= 1;
+                true
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn routed_boundaries_deliver_and_damaged_payloads_change_nothing(
+            workers in 1usize..5,
+            k_pick in 0usize..3,
+            doc in prop::bool::ANY,
+            kind in 0usize..8,
+            at in 0usize..1_000_000,
+            victim in 0usize..4,
+        ) {
+            // One K per wire width.
+            let k = [6usize, 300, 70_000][k_pick];
+            let phase = if doc { FaultPhase::Doc } else { FaultPhase::Word };
+            let mut boundary = Boundary::reach(workers, k, phase);
+            let syncs = boundary.route();
+            let victim = victim % workers;
+            let stride = boundary.coordinator.stride();
+            let record_bytes = stride * topic_wire_width(k);
+            let mut counts = vec![0u32; k];
+
+            // A damaged delta is a typed error that leaves the merge alone
+            // (the coordinator's replica is not even mutably borrowed).
+            let mut delta = boundary.deltas[victim].clone();
+            let counts_at = delta_head_bytes(k) - (8 + 4 * k + 1 + 8);
+            let certainly = damage(&mut delta, counts_at, k, record_bytes, kind, at);
+            let mut merged = vec![7u32; k];
+            let checked = boundary.exchange().check_delta(
+                &boundary.coordinator, victim, 0, &delta, &mut merged,
+            );
+            prop_assert!(!(certainly && checked.is_ok()), "damage {} went unnoticed", kind);
+            if checked.is_err() {
+                prop_assert!(merged.iter().all(|&c| c == 7), "a rejected delta touched the merge");
+            }
+
+            // A damaged sync is a typed error that leaves the replica alone.
+            let mut sync = syncs[victim].clone();
+            let certainly = damage(&mut sync, counts_at - 4, k, record_bytes, kind, at);
+            let exchange = boundary.plan.phase(phase);
+            let before = state(&boundary.replicas[victim]);
+            let applied =
+                exchange.apply_sync(&mut boundary.replicas[victim], victim, 0, &sync, &mut counts);
+            prop_assert!(!(certainly && applied.is_ok()), "damage {} went unnoticed", kind);
+            if applied.is_err() {
+                prop_assert!(state(&boundary.replicas[victim]) == before, "a rejected sync left a mark");
+            }
+
+            // The honest syncs apply, and deliver every sender's records.
+            for (j, sync) in syncs.iter().enumerate() {
+                if j == victim && applied.is_ok() {
+                    continue;
+                }
+                exchange
+                    .apply_sync(&mut boundary.replicas[j], j, 0, sync, &mut counts)
+                    .expect("an honest sync applies");
+            }
+            for j in (0..workers).filter(|&j| !(j == victim && applied.is_ok())) {
+                for from in exchange.sync_sources(j) {
+                    for &e in &exchange.delta_entries[from][exchange.segment(from, j)] {
+                        let at = e as usize * stride..(e as usize + 1) * stride;
+                        prop_assert_eq!(
+                            &boundary.replicas[j].records_slice()[at.clone()],
+                            &boundary.replicas[from].records_slice()[at],
+                            "entry {} from worker {} to worker {}", e, from, j
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_width_too_narrow_for_k_is_refused_even_when_every_value_fits() {
+        // K = 300 travels at two bytes per topic. A delta of the right shape
+        // at one byte per topic — all zeros, so every value is in range and
+        // the partial c_k can be honest — is still not this session's format.
+        let boundary = Boundary::reach(2, 300, FaultPhase::Doc);
+        let exchange = boundary.exchange();
+        let entries = &exchange.delta_entries[0];
+        let values = entries.len() * boundary.coordinator.stride();
+        let mut partial = vec![0u32; 300];
+        partial[0] = boundary.plan.owned_docs[0]
+            .iter()
+            .map(|&d| boundary.coordinator.row_entry_ids(d).len() as u32)
+            .sum();
+        let mut frame = Vec::new();
+        begin_delta_frame(&mut frame, FaultPhase::Doc, 0, 0, 1, &partial, values);
+        frame.resize(frame.len() + values, 0);
+        let mut merged = vec![0u32; 300];
+        let err = exchange
+            .check_delta(&boundary.coordinator, 0, 0, &frame[4..], &mut merged)
+            .expect_err("one byte per topic cannot be K = 300's format");
+        assert!(err.to_string().contains("bytes per topic"), "{err}");
+        assert!(merged.iter().all(|&c| c == 0));
     }
 }
 
