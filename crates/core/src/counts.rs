@@ -74,7 +74,12 @@ impl HashCounts {
     /// Creates a table sized for `expected` distinct topics by the paper's
     /// rule (Section 5.4): the minimum power of two above `min{K, 2·L}`.
     pub fn with_expected(expected: usize, num_topics: usize) -> Self {
-        let capacity = Self::capacity_for(expected, num_topics);
+        Self::with_capacity(Self::capacity_for(expected, num_topics))
+    }
+
+    /// An empty table of `capacity` slots (a power of two).
+    fn with_capacity(capacity: usize) -> Self {
+        debug_assert!(capacity.is_power_of_two());
         Self {
             keys: vec![EMPTY; capacity],
             values: vec![0; capacity],
@@ -98,6 +103,11 @@ impl HashCounts {
     /// Current slot capacity.
     pub fn capacity(&self) -> usize {
         self.keys.len()
+    }
+
+    /// Bytes of heap the table holds.
+    pub fn heap_bytes(&self) -> usize {
+        4 * (self.keys.capacity() + self.values.capacity() + self.occupied.capacity())
     }
 
     #[inline]
@@ -225,7 +235,8 @@ impl DenseCounts {
     pub fn new(num_topics: usize) -> Self {
         Self {
             values: vec![0; num_topics],
-            touched: Vec::new(),
+            // Room for every topic, so no visit ever grows the list.
+            touched: Vec::with_capacity(num_topics),
             listed: vec![false; num_topics],
             total: 0,
         }
@@ -234,6 +245,11 @@ impl DenseCounts {
     /// The underlying dense slice.
     pub fn as_slice(&self) -> &[u32] {
         &self.values
+    }
+
+    /// Bytes of heap the vector holds.
+    pub fn heap_bytes(&self) -> usize {
+        4 * (self.values.capacity() + self.touched.capacity()) + self.listed.capacity()
     }
 }
 
@@ -363,9 +379,11 @@ impl TopicCounts for CountVector {
 ///
 /// The sampling hot paths ask for a cleared table per document/word; the pool
 /// hands back the cached instance of the right class instead of allocating.
-/// Classes are built on first use, and because a row/column's length — and
-/// therefore its class — never changes, every class a corpus needs exists
-/// after one full pass: steady-state iterations hit only cached tables.
+/// A row/column's length — and therefore its class — never changes, so an
+/// owner that knows its lengths builds the tables they use up front
+/// ([`reserve_hash_for`](Self::reserve_hash_for)) and never allocates again;
+/// a class asked for without that is built on first use and grows on
+/// demand.
 #[derive(Debug)]
 pub struct CountPool {
     num_topics: usize,
@@ -386,16 +404,41 @@ impl CountPool {
         }
     }
 
+    /// The capacity class (log₂ of the slot count) a row/column of `len`
+    /// entries is served from when the paper's heuristic picks the hash
+    /// representation for it (`2·L < K`); `None` when it picks the dense
+    /// vector.
+    fn hash_class(len: usize, num_topics: usize) -> Option<u32> {
+        (len.saturating_mul(2) < num_topics)
+            .then(|| HashCounts::capacity_for(len, num_topics).trailing_zeros())
+    }
+
     /// Returns `true` when the paper's heuristic picks the hash
     /// representation for a row/column of `len` entries (`2·L < K`).
     pub fn prefers_hash(&self, len: usize) -> bool {
-        len.saturating_mul(2) < self.num_topics
+        Self::hash_class(len, self.num_topics).is_some()
     }
 
     /// The cleared dense vector over all topics.
     pub fn dense(&mut self) -> &mut DenseCounts {
         self.dense.clear();
         &mut self.dense
+    }
+
+    /// Makes sure rows/columns of `len` entries never allocate: builds their
+    /// table unless the pool has it, with room for `keys` distinct topics
+    /// between two clears at the load factor the table keeps (it doubles
+    /// beyond 1/2). `keys` is `len` for a table that is only counted into; a
+    /// user that also moves counts from one topic to another can touch up to
+    /// `2 · len` topics, and zero-count keys stay until the clear. No-op when
+    /// the heuristic serves `len` from the dense vector.
+    pub fn reserve_hash_for(&mut self, len: usize, keys: usize) {
+        let Some(class) = Self::hash_class(len, self.num_topics) else { return };
+        let slots = (1usize << class).max((2 * keys).next_power_of_two());
+        let table = &mut self.hash[class as usize];
+        if table.as_ref().is_none_or(|t| t.capacity() < slots) {
+            *table = Some(HashCounts::with_capacity(slots));
+        }
     }
 
     /// A cleared hash table sized by the paper's rule for a row/column of
@@ -406,6 +449,13 @@ impl CountPool {
             self.hash[class].get_or_insert_with(|| HashCounts::with_expected(len, self.num_topics));
         table.clear();
         table
+    }
+
+    /// Bytes of heap the pool holds.
+    pub fn heap_bytes(&self) -> usize {
+        self.dense.heap_bytes()
+            + self.hash.capacity() * std::mem::size_of::<Option<HashCounts>>()
+            + self.hash.iter().flatten().map(HashCounts::heap_bytes).sum::<usize>()
     }
 }
 

@@ -10,16 +10,90 @@
 //!
 //! Only non-zero counts contribute to the inner sums, so the cost is
 //! O(non-zeros), not O(DK + KV).
+//!
+//! Evaluating assignments does not materialize `C_d` or `C_w` (Section 4.4
+//! holds for evaluation as it does for sampling): [`log_joint_likelihood`]
+//! counts one document, then one word, at a time into a single reusable
+//! vector ([`LikelihoodSum`]) and allocates O(K), whatever D and V are.
+//! [`log_joint_likelihood_of_state`] is for callers that hold the count
+//! tables anyway; both add the same terms in the same order and return the
+//! same bits.
 
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
 
-use crate::counts::TopicCounts;
+use crate::counts::{DenseCounts, TopicCounts};
 use crate::math::ln_gamma_ratio;
 use crate::params::ModelParams;
 use crate::state::SamplerState;
 
+/// The log joint likelihood as a running sum over entities visited one at a
+/// time: every document ([`doc`](Self::doc)), then every word
+/// ([`word`](Self::word)), then [`finish`](Self::finish). One count vector
+/// serves them all. Topics of an entity must arrive in token order: counts
+/// are added up in order of first touch, which is the order a
+/// [`SamplerState`]'s tables iterate in, so the floating-point sum equals
+/// [`log_joint_likelihood_of_state`]'s bit for bit.
+pub(crate) struct LikelihoodSum {
+    alpha: f64,
+    alpha_bar: f64,
+    beta: f64,
+    beta_bar: f64,
+    counts: DenseCounts,
+    /// `c_k`, accumulated over the words.
+    topic_counts: Vec<u32>,
+    ll: f64,
+}
+
+impl LikelihoodSum {
+    pub(crate) fn new(params: &ModelParams, vocab_size: usize) -> Self {
+        Self {
+            alpha: params.alpha,
+            alpha_bar: params.alpha_bar(),
+            beta: params.beta,
+            beta_bar: params.beta_bar(vocab_size),
+            counts: DenseCounts::new(params.num_topics),
+            topic_counts: vec![0; params.num_topics],
+            ll: 0.0,
+        }
+    }
+
+    /// Adds one document's term given the topics of its tokens.
+    pub(crate) fn doc(&mut self, topics: impl Iterator<Item = u32>) {
+        self.counts.clear();
+        for t in topics {
+            self.counts.increment(t);
+        }
+        self.ll -= ln_gamma_ratio(self.alpha_bar, self.counts.total());
+        let (alpha, ll) = (self.alpha, &mut self.ll);
+        self.counts.for_each(|_, c| *ll += ln_gamma_ratio(alpha, c as u64));
+    }
+
+    /// Adds one word's term given the topics of its occurrences.
+    pub(crate) fn word(&mut self, topics: impl Iterator<Item = u32>) {
+        self.counts.clear();
+        for t in topics {
+            self.counts.increment(t);
+            self.topic_counts[t as usize] += 1;
+        }
+        let (beta, ll) = (self.beta, &mut self.ll);
+        self.counts.for_each(|_, c| *ll += ln_gamma_ratio(beta, c as u64));
+    }
+
+    /// Adds the per-topic terms and returns the sum.
+    pub(crate) fn finish(mut self) -> f64 {
+        for &ck in &self.topic_counts {
+            self.ll -= ln_gamma_ratio(self.beta_bar, ck as u64);
+        }
+        self.ll
+    }
+}
+
 /// Computes `log p(W, Z | α, β)` for arbitrary topic assignments `z`
-/// (doc-major token order).
+/// (doc-major token order), streaming: no count table outlives the document
+/// or word it belongs to.
+///
+/// # Panics
+/// Panics if `z` does not hold one topic below `K` per token.
 pub fn log_joint_likelihood(
     corpus: &Corpus,
     doc_view: &DocMajorView,
@@ -27,8 +101,16 @@ pub fn log_joint_likelihood(
     params: &ModelParams,
     z: &[u32],
 ) -> f64 {
-    let state = SamplerState::from_assignments(corpus, doc_view, word_view, *params, z.to_vec());
-    log_joint_likelihood_of_state(doc_view, word_view, &state)
+    debug_assert_eq!(corpus.vocab_size(), word_view.num_words());
+    assert_eq!(z.len(), doc_view.num_tokens(), "one topic per token required");
+    let mut sum = LikelihoodSum::new(params, word_view.num_words());
+    for d in 0..doc_view.num_docs() as u32 {
+        sum.doc(z[doc_view.doc_range(d)].iter().copied());
+    }
+    for w in 0..word_view.num_words() as u32 {
+        sum.word(word_view.word_token_indices(w).iter().map(|&i| z[i as usize]));
+    }
+    sum.finish()
 }
 
 /// Computes the log joint likelihood from an existing [`SamplerState`]

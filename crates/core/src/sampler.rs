@@ -89,15 +89,25 @@ pub trait Sampler {
         SamplerState::from_assignments(corpus, doc_view, word_view, *self.params(), z)
     }
 
-    /// Log joint likelihood of the current assignments.
+    /// Log joint likelihood of the current assignments, computed without
+    /// building count tables ([`eval::log_joint_likelihood`]); samplers that
+    /// store their assignments in another order stream them from where they
+    /// lie instead of gathering a copy.
     fn log_likelihood(
         &self,
         corpus: &Corpus,
         doc_view: &DocMajorView,
         word_view: &WordMajorView,
     ) -> f64 {
-        let state = self.snapshot_state(corpus, doc_view, word_view);
-        eval::log_joint_likelihood_of_state(doc_view, word_view, &state)
+        let gathered;
+        let z = match self.assignments_slice() {
+            Some(z) => z,
+            None => {
+                gathered = self.assignments();
+                &gathered
+            }
+        };
+        eval::log_joint_likelihood(corpus, doc_view, word_view, self.params(), z)
     }
 }
 

@@ -10,7 +10,34 @@
 //! stream instead of two parallel ones. Neither `Cd` nor `Cw` is ever
 //! materialized — each row/column count vector is recomputed on the fly while
 //! its document/word is being visited and discarded afterwards (Section 4.4,
-//! M-step).
+//! M-step) — and that holds for evaluation too:
+//! [`Sampler::log_likelihood`] streams the same on-the-fly counts through one
+//! reusable vector.
+//!
+//! # Memory: `T · (4 + (M + 1) · w)` bytes plus O(D + V + K)
+//!
+//! Per token the sampler holds one row pointer (4 bytes) and one record of
+//! `M + 1` topic ids at `w =` [`topic_wire_width`]`(K)` bytes each — 1 byte
+//! up to 256 topics, 2 up to 65 536, 4 beyond — and nothing else
+//! ([`WarpLda::heap_bytes`] adds it up; the `memory_footprint` suite pins
+//! it). The width is derived from `K`, never configured, and it is the width
+//! records travel at between processes and rest at in a checkpoint, so those
+//! paths copy bytes instead of repacking them.
+//!
+//! **Width dispatch.** [`Phase::visit`] turns the width into a type once per
+//! visited entity ([`with_topic_type!`]) and runs the one column kernel or
+//! the one row kernel monomorphized over [`Topic`]; the bulk operations
+//! (initialization, [`Sampler::assignments`], the validation scan of
+//! [`WarpLda::check_records_packed`], the likelihood) dispatch once per call.
+//! Nothing matches on the width per token.
+//!
+//! **Who validates what.** [`PackedRecords`] guarantees shape only; that
+//! every stored id is below `K` is this module's invariant, established by
+//! construction and kept by the kernels. Record bytes from outside — a
+//! peer's delta or sync, a resume payload, a checkpoint — enter through
+//! [`WarpLda::check_records_packed`] (width equals [`topic_wire_width`]`(K)`,
+//! exact length, every id `< K`) before a byte of them is copied, so a
+//! rejected payload leaves the sampler untouched.
 //!
 //! One iteration is two passes (Algorithm 2):
 //!
@@ -58,9 +85,9 @@
 //! Steady-state iterations perform **no heap allocation**: the count vectors
 //! come from a per-sampler [`CountPool`], the word-proposal alias table is
 //! rebuilt in place ([`SparseAliasTable::rebuild`]), and all buffers are
-//! pre-sized at construction for the largest row/column of the corpus. The
-//! first iteration populates the pool's capacity classes; everything after it
-//! runs allocation-free (pinned by the `zero_alloc` integration suite).
+//! pre-sized at construction for the largest row/column of the corpus, the
+//! pool with exactly the capacity classes the corpus's row and column lengths
+//! use (pinned by the `zero_alloc` integration suite).
 
 pub mod parallel;
 
@@ -68,12 +95,13 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use warplda_cachesim::{MemoryProbe, NoProbe, RegionId};
-use warplda_corpus::{Corpus, DocMajorView};
+use warplda_corpus::{Corpus, DocMajorView, Document, WordMajorView};
 use warplda_sampling::{new_rng, split_seed, AliasBuildScratch, Dice, SparseAliasTable};
-use warplda_sparse::{PackedRecords, SendPtr, TokenMatrix};
+use warplda_sparse::{with_topic_type, PackedRecords, SendPtr, TokenMatrix, Topic};
 
 use crate::checkpoint::Checkpointable;
 use crate::counts::{CountPool, TopicCounts};
+use crate::eval::LikelihoodSum;
 use crate::params::ModelParams;
 use crate::sampler::Sampler;
 use warplda_corpus::io::codec::{CodecError, CodecResult, Decoder, Encoder};
@@ -145,6 +173,34 @@ impl PhaseScratch {
             },
         }
     }
+
+    /// Scratch complete for every row and column of `matrix`: their lengths
+    /// never change, so every buffer is at its high-water mark and every hash
+    /// table a visit will ask for exists at its final size. Whoever visits
+    /// whichever entity with it never allocates.
+    fn for_matrix(num_topics: usize, use_hash: bool, matrix: &TokenMatrix<()>) -> Self {
+        fn lens(offsets: &[u32]) -> impl Iterator<Item = usize> + '_ {
+            offsets.windows(2).map(|w| (w[1] - w[0]) as usize)
+        }
+        let (rows, cols) = (matrix.row_offsets(), matrix.col_offsets());
+        let max_len = lens(rows).chain(lens(cols)).max().unwrap_or(0);
+        let mut scratch = Self::new(num_topics, max_len);
+        if use_hash {
+            // A column is counted, cleared and recounted; a row's table also
+            // keeps the topics its tokens moved away from.
+            lens(cols).for_each(|len| scratch.counts.reserve_hash_for(len, len));
+            lens(rows).for_each(|len| scratch.counts.reserve_hash_for(len, 2 * len));
+        }
+        scratch
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let WordProposals { pairs, table, build } = &self.proposals;
+        self.counts.heap_bytes()
+            + std::mem::size_of::<(u32, f64)>() * pairs.capacity()
+            + table.heap_bytes()
+            + build.heap_bytes()
+    }
 }
 
 /// What every visit needs and no iteration changes: the hyper-parameters with
@@ -180,12 +236,22 @@ pub(crate) enum PhaseKind {
 /// as disjoint slices.
 #[derive(Clone, Copy)]
 struct RecPtr {
-    base: SendPtr<u32>,
+    base: SendPtr<u8>,
+    /// Ids per record.
+    stride: usize,
+    /// Bytes per id; picks the [`Topic`] type of a visit.
+    width: usize,
+}
+
+/// [`RecPtr`] once a visit has turned the width into a type.
+#[derive(Clone, Copy)]
+struct TypedRecs<T> {
+    base: *mut T,
     stride: usize,
 }
 
-impl RecPtr {
-    /// Word `slot` of entry `e`'s record: slot 0 is the assignment, slot
+impl<T: Topic> TypedRecs<T> {
+    /// Id `slot` of entry `e`'s record: slot 0 is the assignment, slot
     /// `1 + i` proposal `i`.
     ///
     /// # Safety
@@ -193,8 +259,8 @@ impl RecPtr {
     /// `slot` at most `M`. Dereferencing the result additionally requires
     /// that no other thread accesses that record.
     #[inline]
-    unsafe fn at(self, e: u32, slot: usize) -> *mut u32 {
-        self.base.0.add(e as usize * self.stride + slot)
+    unsafe fn at(self, e: u32, slot: usize) -> *mut T {
+        self.base.add(e as usize * self.stride + slot)
     }
 }
 
@@ -215,7 +281,9 @@ pub(crate) struct Phase<'a> {
 
 impl Phase<'_> {
     /// Visits entity `id` — a column in the word phase, a row in the doc
-    /// phase — accumulating its updated counts into `partial_ck`.
+    /// phase — accumulating its updated counts into `partial_ck`. This is
+    /// where the record width becomes a type: once per entity, outside the
+    /// token loops.
     ///
     /// # Safety
     /// No other thread may visit the same entity of this phase at the same
@@ -229,21 +297,26 @@ impl Phase<'_> {
         scratch: &mut PhaseScratch,
         probe: &mut P,
     ) {
-        match self.kind {
-            PhaseKind::Word => self.visit_column(id, partial_ck, scratch, probe),
-            PhaseKind::Doc => self.visit_row(id, partial_ck, scratch, probe),
-        }
+        with_topic_type!(self.recs.width, T => {
+            // The store is 4-byte aligned and holds ids of this width.
+            let recs = TypedRecs::<T> { base: self.recs.base.0.cast(), stride: self.recs.stride };
+            match self.kind {
+                PhaseKind::Word => self.visit_column(recs, id, partial_ck, scratch, probe),
+                PhaseKind::Doc => self.visit_row(recs, id, partial_ck, scratch, probe),
+            }
+        })
     }
 
     /// One column of the word phase. Picks the hash or dense representation
     /// of `c_w` per the paper's heuristic, then runs the monomorphized
-    /// kernel. Performs no heap allocation once the scratch buffers have
-    /// grown to the column's size.
+    /// kernel. Performs no heap allocation.
     ///
     /// # Safety
-    /// Same contract as [`visit`](Self::visit).
-    unsafe fn visit_column<P: MemoryProbe>(
+    /// Same contract as [`visit`](Self::visit); `recs` views this phase's
+    /// records at their width.
+    unsafe fn visit_column<T: Topic, P: MemoryProbe>(
         &self,
+        recs: TypedRecs<T>,
         w: u32,
         partial_ck: &mut [u32],
         scratch: &mut PhaseScratch,
@@ -259,11 +332,9 @@ impl Phase<'_> {
         // range, which lies inside the records `recs` views because those
         // are the records of `matrix`; the caller guarantees that nobody
         // else touches them during the visit. The whole visit is therefore a
-        // single sequential stream over `len * (M + 1)` words.
-        let block = std::slice::from_raw_parts_mut(
-            self.recs.at(range.start as u32, 0),
-            len * self.recs.stride,
-        );
+        // single sequential stream over `len * (M + 1)` ids.
+        let block =
+            std::slice::from_raw_parts_mut(recs.at(range.start as u32, 0), len * recs.stride);
         probe.begin_scope();
         let PhaseScratch { counts, proposals } = scratch;
         if self.ctx.use_hash && counts.prefers_hash(len) {
@@ -275,9 +346,9 @@ impl Phase<'_> {
         probe.end_scope();
     }
 
-    fn word_column_kernel<C: TopicCounts, P: MemoryProbe>(
+    fn word_column_kernel<T: Topic, C: TopicCounts, P: MemoryProbe>(
         &self,
-        block: &mut [u32],
+        block: &mut [T],
         next_ck: &mut [u32],
         cw: &mut C,
         proposals: &mut WordProposals,
@@ -292,15 +363,16 @@ impl Phase<'_> {
 
         // c_w on the fly.
         for rec in block.chunks_exact(stride) {
-            let t = rec[0];
+            let t = rec[0].get();
             cw.increment(t);
             probe.write(region_cw, t as usize);
         }
 
         // Simulate the q_doc chains with the proposals drawn last doc phase.
         for rec in block.chunks_exact_mut(stride) {
-            let mut z = rec[0];
-            for &t in &rec[1..] {
+            let mut z = rec[0].get();
+            for slot in &rec[1..] {
+                let t = slot.get();
                 if t != z {
                     probe.read(region_cw, t as usize);
                     probe.read(region_cw, z as usize);
@@ -314,7 +386,7 @@ impl Phase<'_> {
                     }
                 }
             }
-            rec[0] = z;
+            rec[0] = T::put(z);
         }
 
         // Recompute c_w from the updated assignments (Algorithm 2 "Update Cwk"),
@@ -322,7 +394,7 @@ impl Phase<'_> {
         // q_word(k) ∝ C_wk + β in place.
         cw.clear();
         for rec in block.chunks_exact(stride) {
-            let t = rec[0];
+            let t = rec[0].get();
             cw.increment(t);
             probe.write(region_cw, t as usize);
             next_ck[t as usize] += 1;
@@ -336,11 +408,11 @@ impl Phase<'_> {
 
         for rec in block.chunks_exact_mut(stride) {
             for slot in &mut rec[1..] {
-                *slot = if rng.gen::<f64>() < p_count {
+                *slot = T::put(if rng.gen::<f64>() < p_count {
                     proposals.table.sample(rng)
                 } else {
                     rng.dice(k) as u32
-                };
+                });
             }
         }
     }
@@ -350,9 +422,10 @@ impl Phase<'_> {
     /// Allocation-free.
     ///
     /// # Safety
-    /// Same contract as [`visit`](Self::visit).
-    unsafe fn visit_row<P: MemoryProbe>(
+    /// Same contract as [`visit_column`](Self::visit_column).
+    unsafe fn visit_row<T: Topic, P: MemoryProbe>(
         &self,
+        recs: TypedRecs<T>,
         d: u32,
         partial_ck: &mut [u32],
         scratch: &mut PhaseScratch,
@@ -367,18 +440,20 @@ impl Phase<'_> {
         probe.begin_scope();
         let counts = &mut scratch.counts;
         if self.ctx.use_hash && counts.prefers_hash(len) {
-            self.doc_row_kernel(entries, partial_ck, counts.hash_for(len), &mut rng, probe);
+            self.doc_row_kernel(recs, entries, partial_ck, counts.hash_for(len), &mut rng, probe);
         } else {
-            self.doc_row_kernel(entries, partial_ck, counts.dense(), &mut rng, probe);
+            self.doc_row_kernel(recs, entries, partial_ck, counts.dense(), &mut rng, probe);
         }
         probe.end_scope();
     }
 
     /// # Safety
-    /// `entries` must be the entry ids of one row of `self.matrix`, and no
-    /// other thread may touch those records for the duration of the call.
-    unsafe fn doc_row_kernel<C: TopicCounts, P: MemoryProbe>(
+    /// `entries` must be the entry ids of one row of `self.matrix`, `recs` a
+    /// view of this phase's records at their width, and no other thread may
+    /// touch those records for the duration of the call.
+    unsafe fn doc_row_kernel<T: Topic, C: TopicCounts, P: MemoryProbe>(
         &self,
+        recs: TypedRecs<T>,
         entries: &[u32],
         next_ck: &mut [u32],
         cd: &mut C,
@@ -386,22 +461,22 @@ impl Phase<'_> {
         probe: &mut P,
     ) {
         let VisitCtx { k, m, alpha, alpha_bar, beta_bar, region_cd, region_ck, .. } = self.ctx;
-        let (recs, ck) = (self.recs, self.ck);
+        let ck = self.ck;
         let len = entries.len();
 
         // c_d on the fly.
         for &e in entries {
-            let t = *recs.at(e, 0);
+            let t = (*recs.at(e, 0)).get();
             cd.increment(t);
             probe.write(region_cd, t as usize);
         }
 
         // Simulate the q_word chains with the proposals drawn last word phase.
         for &e in entries {
-            let old = *recs.at(e, 0);
+            let old = (*recs.at(e, 0)).get();
             let mut cur = old;
             for i in 0..m {
-                let t = *recs.at(e, 1 + i);
+                let t = (*recs.at(e, 1 + i)).get();
                 if t != cur {
                     probe.read(region_cd, t as usize);
                     probe.read(region_cd, cur as usize);
@@ -420,7 +495,7 @@ impl Phase<'_> {
                 // the updated assignments of this document.
                 cd.decrement(old);
                 cd.increment(cur);
-                *recs.at(e, 0) = cur;
+                *recs.at(e, 0) = T::put(cur);
             }
         }
 
@@ -433,12 +508,11 @@ impl Phase<'_> {
         let p_count = len as f64 / (len as f64 + alpha_bar);
         for &e in entries {
             for i in 0..m {
-                let t = if rng.gen::<f64>() < p_count {
+                *recs.at(e, 1 + i) = if rng.gen::<f64>() < p_count {
                     *recs.at(entries[rng.dice(len)], 0)
                 } else {
-                    rng.dice(k) as u32
+                    T::put(rng.dice(k) as u32)
                 };
-                *recs.at(e, 1 + i) = t;
             }
         }
     }
@@ -455,82 +529,25 @@ pub fn topic_wire_width(num_topics: usize) -> usize {
     }
 }
 
-/// A topic id in transit: a host `u32`, or its low `W ≤ 4` little-endian
-/// bytes. What lets every record width share one gather and one scatter loop.
-trait WireTopic: Copy {
-    fn pack(topic: u32) -> Self;
-    fn unpack(self) -> u32;
-}
-
-impl WireTopic for u32 {
-    #[inline]
-    fn pack(topic: u32) -> Self {
-        topic
-    }
-
-    #[inline]
-    fn unpack(self) -> u32 {
-        self
-    }
-}
-
-impl<const W: usize> WireTopic for [u8; W] {
-    #[inline]
-    fn pack(topic: u32) -> Self {
-        let bytes = topic.to_le_bytes();
-        std::array::from_fn(|i| bytes[i])
-    }
-
-    #[inline]
-    fn unpack(self) -> u32 {
-        let mut bytes = [0u8; 4];
-        bytes[..W].copy_from_slice(&self);
-        u32::from_le_bytes(bytes)
-    }
-}
-
-/// Evaluates `$body` with the const `$W` bound to the record width `$width`;
-/// any width but 1, 2 or 4 is a typed corruption error.
-macro_rules! for_width {
-    ($width:expr, $W:ident => $body:expr) => {
-        match $width {
-            1 => {
-                const $W: usize = 1;
-                $body
-            }
-            2 => {
-                const $W: usize = 2;
-                $body
-            }
-            4 => {
-                const $W: usize = 4;
-                $body
-            }
-            w => Err(CodecError::Corrupt(format!("record width {w} is not 1, 2 or 4 bytes"))),
-        }
-    };
-}
-
 /// The WarpLDA sampler state, generic over an optional memory probe.
 pub struct WarpLda<P: MemoryProbe = NoProbe> {
     params: ModelParams,
     config: WarpLdaConfig,
     ctx: VisitCtx,
-    /// D × V matrix, structure only (offsets + row pointers; no entry data).
+    /// D × V matrix, structure only: column offsets, row offsets and one row
+    /// pointer per token. The pointers are in doc-major token order, so they
+    /// also map a token index to its entry id.
     matrix: TokenMatrix<()>,
     /// Packed per-entry records `[z | M proposals]`, stride `M + 1`, indexed
-    /// by entry id (CSC position).
+    /// by entry id (CSC position), at [`topic_wire_width`]`(K)` bytes per id.
+    /// Every id in it is below `K`.
     records: PackedRecords,
     /// Global topic counts as of the last installed phase boundary; read-only
     /// during a phase.
     topic_counts: Vec<u32>,
-    /// Entry id of each doc-major token index (for exporting assignments).
-    entry_of_token: Vec<u32>,
     /// Root of every RNG stream of the chain (and of the initial state).
     seed: u64,
     iterations: u64,
-    /// Largest row or column of the corpus; sizes phase/worker scratch.
-    max_visit_len: usize,
     scratch: PhaseScratch,
     /// Partial `c_k` of the serial driver, kept so it allocates nothing.
     partial_ck: Vec<u32>,
@@ -550,11 +567,36 @@ impl WarpLda<NoProbe> {
     }
 }
 
+/// The random initial state: every assignment first, then every proposal,
+/// all from the one stream `rng` (the order the golden hash pins).
+fn init_records<T: Topic>(
+    ids: &mut [T],
+    stride: usize,
+    k: usize,
+    rng: &mut SmallRng,
+    topic_counts: &mut [u32],
+) {
+    for rec in ids.chunks_exact_mut(stride) {
+        let t = rng.dice(k);
+        rec[0] = T::put(t as u32);
+        topic_counts[t] += 1;
+    }
+    for rec in ids.chunks_exact_mut(stride) {
+        for slot in &mut rec[1..] {
+            *slot = T::put(rng.dice(k) as u32);
+        }
+    }
+}
+
 impl<P: MemoryProbe> WarpLda<P> {
     /// Creates a sampler whose count-vector accesses are reported to `probe`.
     /// The initial state is a pure function of the arguments: every process
     /// of a cluster that calls this with the same corpus, parameters,
     /// configuration and seed starts from bit-identical replicas.
+    ///
+    /// Construction allocates what the sampler keeps and nothing per token
+    /// besides: the row pointers come from one counting sort over the
+    /// corpus's own token arrays.
     ///
     /// Only the count structures are probed (`c_d`, `c_w`, `c_k`): the packed
     /// token records are scanned strictly sequentially by construction and
@@ -568,53 +610,22 @@ impl<P: MemoryProbe> WarpLda<P> {
         mut probe: P,
     ) -> Self {
         assert!(config.mh_steps >= 1, "need at least one MH proposal per token");
-        let doc_view = DocMajorView::build(corpus);
-        let num_docs = corpus.num_docs();
         let vocab_size = corpus.vocab_size();
         let k = params.num_topics;
         let m = config.mh_steps;
 
-        // Build the token matrix: one entry per token, in doc-major order so
-        // the row slices keep the original token order.
-        let mut entries = Vec::with_capacity(doc_view.num_tokens());
-        for d in 0..num_docs {
-            for i in doc_view.doc_range(d as u32) {
-                entries.push((d as u32, doc_view.word_of(i)));
-            }
-        }
-        let matrix: TokenMatrix<()> = TokenMatrix::from_entries(num_docs, vocab_size, &entries);
+        // One entry per token; a row keeps its document's token order.
+        let matrix: TokenMatrix<()> =
+            TokenMatrix::from_rows(vocab_size, corpus.docs().iter().map(Document::tokens));
         let num_entries = matrix.num_entries();
-
-        // Map each doc-major token index to its entry id.
-        let mut entry_of_token = vec![0u32; num_entries];
-        {
-            let mut cursor = 0usize;
-            for d in 0..num_docs {
-                for &e in matrix.row_entry_ids(d as u32) {
-                    entry_of_token[cursor] = e;
-                    cursor += 1;
-                }
-            }
-        }
-
-        let max_col_len = (0..vocab_size).map(|w| matrix.col_len(w as u32)).max().unwrap_or(0);
-        let max_row_len = (0..num_docs).map(|d| matrix.row_len(d as u32)).max().unwrap_or(0);
-        let max_visit_len = max_col_len.max(max_row_len);
 
         // Random initial topics + proposals, packed per entry.
         let mut rng = new_rng(seed);
-        let mut records = PackedRecords::new(num_entries, m + 1);
+        let mut records = PackedRecords::new(num_entries, m + 1, topic_wire_width(k));
         let mut topic_counts = vec![0u32; k];
-        for e in 0..num_entries {
-            let t = rng.dice(k) as u32;
-            records.set_primary(e, t);
-            topic_counts[t as usize] += 1;
-        }
-        for e in 0..num_entries {
-            for slot in &mut records.record_mut(e)[1..] {
-                *slot = rng.dice(k) as u32;
-            }
-        }
+        with_topic_type!(records.width(), T => {
+            init_records::<T>(records.ids_mut(), m + 1, k, &mut rng, &mut topic_counts)
+        });
 
         let ctx = VisitCtx {
             k,
@@ -633,14 +644,12 @@ impl<P: MemoryProbe> WarpLda<P> {
             params,
             config,
             ctx,
-            matrix,
             records,
             topic_counts,
-            entry_of_token,
             seed,
             iterations: 0,
-            max_visit_len,
-            scratch: PhaseScratch::new(k, max_visit_len),
+            scratch: PhaseScratch::for_matrix(k, config.use_hash_counts, &matrix),
+            matrix,
             partial_ck: vec![0u32; k],
             last_phase_secs: 0.0,
             probe,
@@ -682,43 +691,72 @@ impl<P: MemoryProbe> WarpLda<P> {
         self.matrix.num_entries()
     }
 
-    /// Words per packed record (`M + 1`).
+    /// Topic ids per packed record (`M + 1`).
     pub fn stride(&self) -> usize {
         self.records.stride()
     }
 
-    /// Entry ids of document `d`, in row order.
+    /// Bytes per topic id of the records: [`topic_wire_width`]`(K)`.
+    pub fn record_width(&self) -> usize {
+        self.records.width()
+    }
+
+    /// Entry ids of document `d`, in token order.
     pub fn row_entry_ids(&self, d: u32) -> &[u32] {
         self.matrix.row_entry_ids(d)
     }
 
-    /// Word id of each entry of document `d`, aligned with
-    /// [`row_entry_ids`](Self::row_entry_ids).
-    pub fn row_entry_cols(&self, d: u32) -> &[u32] {
-        self.matrix.row_entry_cols(d)
-    }
-
-    /// The contiguous entry-id range of word `w`'s column.
+    /// The contiguous entry-id range of word `w`'s column. Within it entries
+    /// ascend by document and keep token order inside a document, which is
+    /// the occurrence order of a [`WordMajorView`].
     pub fn col_entry_range(&self, w: u32) -> std::ops::Range<usize> {
         self.matrix.col_entry_range(w)
     }
 
-    /// Document id of each entry of word `w`'s column, in entry order.
-    pub fn col_entry_rows(&self, w: u32) -> &[u32] {
-        self.matrix.col_entry_rows(w)
+    /// Prefix sums of the lengths of `kind`'s entities (columns for the word
+    /// phase, rows for the doc phase): what a driver cuts token-balanced work
+    /// chunks from.
+    pub(crate) fn entity_offsets(&self, kind: PhaseKind) -> &[u32] {
+        match kind {
+            PhaseKind::Word => self.matrix.col_offsets(),
+            PhaseKind::Doc => self.matrix.row_offsets(),
+        }
     }
 
-    /// The full packed record buffer (for building resume payloads).
-    pub fn records_slice(&self) -> &[u32] {
-        self.records.as_slice()
+    /// Scratch for one more visitor of this sampler's entities (a pool
+    /// worker), pre-sized like the sampler's own.
+    pub(crate) fn new_scratch(&self) -> PhaseScratch {
+        PhaseScratch::for_matrix(self.ctx.k, self.ctx.use_hash, &self.matrix)
+    }
+
+    /// The full packed record buffer as little-endian bytes at
+    /// [`record_width`](Self::record_width) per id — the form records travel
+    /// and rest in, so resume payloads and checkpoints borrow it as is.
+    pub fn records_bytes(&self) -> &[u8] {
+        self.records.as_bytes()
+    }
+
+    /// Bytes of heap this sampler holds: the sum of its own buffers'
+    /// capacities. `T · (4 + (M + 1) · w)` for the row pointers and the
+    /// records, `4 · (D + V + 2)` for the offsets, and O(K) of scratch (count
+    /// vectors, alias table, the two `c_k`) — the claim of the module docs as
+    /// a number.
+    pub fn heap_bytes(&self) -> usize {
+        self.matrix.heap_bytes()
+            + self.records.heap_bytes()
+            + 4 * (self.topic_counts.capacity() + self.partial_ck.capacity())
+            + self.scratch.heap_bytes()
     }
 
     /// Opens phase `kind` of the current iteration. The returned view holds
     /// the exclusive borrow of the sampler, which is what makes it the only
     /// route to the records while the phase runs.
     pub(crate) fn phase(&mut self, kind: PhaseKind) -> (Phase<'_>, &mut PhaseScratch, &mut P) {
-        let recs =
-            RecPtr { base: SendPtr(self.records.as_mut_ptr()), stride: self.records.stride() };
+        let recs = RecPtr {
+            base: SendPtr(self.records.as_mut_ptr()),
+            stride: self.records.stride(),
+            width: self.records.width(),
+        };
         let phase = Phase {
             kind,
             ctx: self.ctx,
@@ -778,70 +816,73 @@ impl<P: MemoryProbe> WarpLda<P> {
         self.iterations += 1;
     }
 
-    /// Writes the packed records of `entries` (in that order) to `out`
-    /// (cleared first): `entries.len() × stride` words.
-    pub fn export_records(&self, entries: &[u32], out: &mut Vec<u32>) {
-        out.clear();
-        out.resize(entries.len() * self.stride(), 0);
-        self.gather(entries, out);
-    }
-
-    /// Overwrites the packed records of `entries` (in that order) with
-    /// `words`, the wire form produced by
-    /// [`export_records`](Self::export_records) on the owning peer. Length
-    /// and topic-range mismatches are typed corruption errors that leave the
-    /// records untouched.
-    pub fn import_records(&mut self, entries: &[u32], words: &[u32]) -> CodecResult<()> {
-        self.check_wire(entries.len(), words)?;
-        self.scatter(entries, words);
-        Ok(())
-    }
-
-    /// [`export_records`](Self::export_records) at `width` bytes per topic
-    /// (little-endian), appended to `out`: the form records travel in between
-    /// processes.
-    ///
-    /// # Panics
-    /// Panics if `width` is not 1, 2 or 4, or is narrower than
-    /// [`topic_wire_width`] of this model's `K`.
-    pub fn export_records_packed(&self, entries: &[u32], width: usize, out: &mut Vec<u8>) {
-        assert!(width >= topic_wire_width(self.ctx.k), "width {width} cannot hold every topic");
-        let at = out.len();
-        out.resize(at + entries.len() * self.stride() * width, 0);
-        let dst = &mut out[at..];
-        for_width!(width, W => {
-            self.gather(entries, dst.as_chunks_mut::<W>().0);
-            Ok(())
-        })
-        .expect("export width is chosen by this program");
+    /// Appends the packed records of `entries` (in that order) to `out`:
+    /// `entries.len() × stride × record_width` bytes, the form records travel
+    /// in between processes. Storage and wire share one layout, so this is a
+    /// byte copy — one `memcpy` per run of consecutive entry ids, hence one
+    /// for a whole column.
+    pub fn export_records_packed(&self, entries: &[u32], out: &mut Vec<u8>) {
+        let rb = self.records.record_bytes();
+        let src = self.records.as_bytes();
+        out.reserve(entries.len() * rb);
+        let mut rest = entries;
+        while let Some((&first, _)) = rest.split_first() {
+            let run = 1 + rest.windows(2).take_while(|p| p[1] == p[0] + 1).count();
+            out.extend_from_slice(&src[first as usize * rb..][..run * rb]);
+            rest = &rest[run..];
+        }
     }
 
     /// Validates `bytes` as the packed records of `entries` entries at
-    /// `width` bytes per topic without applying them: the width is 1, 2 or 4,
-    /// the length is exact and every topic is below `K`. This is the
-    /// validation gate for record payloads arriving off the wire.
+    /// `width` bytes per topic without applying them: the width is the one
+    /// `K` dictates, the length is exact and every topic is below `K`. This
+    /// is the validation gate for record bytes from outside — off the wire or
+    /// out of a file.
     pub fn check_records_packed(
         &self,
         entries: usize,
         width: usize,
         bytes: &[u8],
     ) -> CodecResult<()> {
-        for_width!(width, W => {
-            let (topics, tail) = bytes.as_chunks::<W>();
-            if !tail.is_empty() {
-                return Err(CodecError::Corrupt(format!(
-                    "{} record bytes do not divide into {W}-byte topics",
-                    bytes.len()
-                )));
-            }
-            self.check_wire(entries, topics)
-        })
+        let (stride, k) = (self.stride(), self.ctx.k);
+        if width != self.records.width() {
+            return Err(CodecError::Corrupt(format!(
+                "records at {width} bytes per topic where K = {k} is stored at {}",
+                self.records.width()
+            )));
+        }
+        if bytes.len() != entries * stride * width {
+            return Err(CodecError::Corrupt(format!(
+                "record payload holds {} bytes but {entries} entries × stride {stride} × \
+                 {width} need {}",
+                bytes.len(),
+                entries * stride * width,
+            )));
+        }
+        // A branch-free maximum over unaligned ids, so the scan vectorizes.
+        fn max_id<const W: usize>(bytes: &[u8]) -> u32 {
+            bytes.as_chunks::<W>().0.iter().fold(0, |max, id| {
+                let mut word = [0u8; 4];
+                word[..W].copy_from_slice(id);
+                max.max(u32::from_le_bytes(word))
+            })
+        }
+        let max = match width {
+            1 => max_id::<1>(bytes),
+            2 => max_id::<2>(bytes),
+            _ => max_id::<4>(bytes),
+        };
+        if max as usize >= k {
+            return Err(CodecError::Corrupt(format!("record topic {max} out of range (K = {k})")));
+        }
+        Ok(())
     }
 
-    /// [`import_records`](Self::import_records) from the packed form of
-    /// [`export_records_packed`](Self::export_records_packed). Nothing is
-    /// written unless [`check_records_packed`](Self::check_records_packed)
-    /// accepts the payload.
+    /// Overwrites the packed records of `entries` (in that order) with
+    /// `bytes`, the form [`export_records_packed`](Self::export_records_packed)
+    /// produced on the owning peer. Nothing is written unless
+    /// [`check_records_packed`](Self::check_records_packed) accepts the
+    /// payload; after it, the import is a byte copy per entry.
     pub fn import_records_packed(
         &mut self,
         entries: &[u32],
@@ -849,78 +890,60 @@ impl<P: MemoryProbe> WarpLda<P> {
         bytes: &[u8],
     ) -> CodecResult<()> {
         self.check_records_packed(entries.len(), width, bytes)?;
-        for_width!(width, W => {
-            self.scatter(entries, bytes.as_chunks::<W>().0);
-            Ok(())
-        })
-    }
-
-    /// The one gather loop: the records of `entries`, in order, into `out`.
-    fn gather<T: WireTopic>(&self, entries: &[u32], out: &mut [T]) {
-        for (dst, &e) in out.chunks_exact_mut(self.stride()).zip(entries) {
-            for (slot, &t) in dst.iter_mut().zip(self.records.record(e as usize)) {
-                *slot = T::pack(t);
-            }
-        }
-    }
-
-    /// The one scatter loop: `src` over the records of `entries`, in order.
-    /// The caller has validated `src` with [`check_wire`](Self::check_wire).
-    fn scatter<T: WireTopic>(&mut self, entries: &[u32], src: &[T]) {
-        for (rec, &e) in src.chunks_exact(self.stride()).zip(entries) {
-            for (slot, t) in self.records.record_mut(e as usize).iter_mut().zip(rec) {
-                *slot = t.unpack();
-            }
-        }
-    }
-
-    /// Length and topic-range check of the wire form of `entries` records.
-    fn check_wire<T: WireTopic>(&self, entries: usize, src: &[T]) -> CodecResult<()> {
-        let (stride, k) = (self.stride(), self.ctx.k);
-        if src.len() != entries * stride {
-            return Err(CodecError::Corrupt(format!(
-                "record payload holds {} topics but {entries} entries × stride {stride} need {}",
-                src.len(),
-                entries * stride,
-            )));
-        }
-        // A branch-free maximum, so the scan vectorizes.
-        let max = src.iter().fold(0, |max, t| max.max(t.unpack()));
-        if max as usize >= k {
-            return Err(CodecError::Corrupt(format!("record topic {max} out of range (K = {k})")));
+        let rb = self.records.record_bytes();
+        let dst = self.records.as_bytes_mut();
+        for (rec, &e) in bytes.chunks_exact(rb).zip(entries) {
+            dst[e as usize * rb..][..rb].copy_from_slice(rec);
         }
         Ok(())
     }
 
     /// Replaces the full sampler state (iteration counter, packed records,
     /// `c_k`) — how a checkpoint is adopted and how a worker of the
-    /// multi-process runtime rejoins an iteration boundary. Nothing is
-    /// modified unless the state is structurally valid for this corpus and
-    /// configuration.
+    /// multi-process runtime rejoins an iteration boundary. `bytes` is the
+    /// whole record buffer at `width` bytes per topic; it is validated where
+    /// it lies and then copied in one piece. Nothing is modified unless the
+    /// state is structurally valid for this corpus and configuration.
     pub fn restore(
         &mut self,
         iterations: u64,
-        records: &[u32],
+        width: usize,
+        bytes: &[u8],
         topic_counts: &[u32],
     ) -> CodecResult<()> {
-        let stride = self.stride();
-        let k = self.ctx.k;
-        self.check_wire(self.num_entries(), records)?;
+        self.check_records_packed(self.num_entries(), width, bytes)?;
         // The delayed-update invariant between iterations: c_k is exactly the
         // topic histogram of the assignments.
-        let mut hist = vec![0u32; k];
-        for &t in records.iter().step_by(stride) {
-            hist[t as usize] += 1;
+        let mut hist = vec![0u32; self.ctx.k];
+        for rec in bytes.chunks_exact(self.records.record_bytes()) {
+            let mut primary = [0u8; 4];
+            primary[..width].copy_from_slice(&rec[..width]);
+            hist[u32::from_le_bytes(primary) as usize] += 1;
         }
         if topic_counts != hist {
             return Err(CodecError::Corrupt(
                 "topic counts do not match the assignment histogram".to_string(),
             ));
         }
-        self.records.as_mut_slice().copy_from_slice(records);
+        self.records.as_bytes_mut().copy_from_slice(bytes);
         self.topic_counts = hist;
         self.iterations = iterations;
         Ok(())
+    }
+
+    /// Feeds `sum` the topics of every document, then of every word, in
+    /// token order, straight off the records.
+    fn stream_likelihood<T: Topic>(&self, sum: &mut LikelihoodSum) {
+        let ids = self.records.ids::<T>();
+        let stride = self.stride();
+        for d in 0..self.num_docs() as u32 {
+            sum.doc(self.row_entry_ids(d).iter().map(|&e| ids[e as usize * stride].get()));
+        }
+        for w in 0..self.num_words() as u32 {
+            let range = self.col_entry_range(w);
+            let block = &ids[range.start * stride..range.end * stride];
+            sum.word(block.iter().step_by(stride).map(|t| t.get()));
+        }
     }
 }
 
@@ -952,11 +975,33 @@ impl<P: MemoryProbe> Sampler for WarpLda<P> {
     }
 
     fn assignments(&self) -> Vec<u32> {
-        self.entry_of_token.iter().map(|&e| self.records.primary(e as usize)).collect()
+        let mut z = Vec::new();
+        self.write_assignments_into(&mut z);
+        z
+    }
+
+    /// Gathers the primaries through the row pointers, which are in
+    /// doc-major token order.
+    fn write_assignments_into(&self, out: &mut Vec<u32>) {
+        let stride = self.stride();
+        out.clear();
+        with_topic_type!(self.records.width(), T => {
+            let ids = self.records.ids::<T>();
+            out.extend(self.matrix.row_ptr().iter().map(|&e| ids[e as usize * stride].get()));
+        });
     }
 
     fn last_iteration_phase_seconds(&self) -> Option<f64> {
         Some(self.last_phase_secs)
+    }
+
+    /// The sampler's own on-the-fly counting: one reusable count vector over
+    /// the rows and columns of the records, no copy of the assignments and no
+    /// count tables. Bit-identical to evaluating a snapshot.
+    fn log_likelihood(&self, _: &Corpus, _: &DocMajorView, _: &WordMajorView) -> f64 {
+        let mut sum = LikelihoodSum::new(&self.params, self.num_words());
+        with_topic_type!(self.records.width(), T => self.stream_likelihood::<T>(&mut sum));
+        sum.finish()
     }
 }
 
@@ -967,12 +1012,16 @@ impl<P: MemoryProbe> Checkpointable for WarpLda<P> {
 
     /// The chain is a pure function of `(seed, iteration, records, c_k)`, so
     /// that is the whole payload: any driver resumes what any driver wrote.
+    /// The records are written as they are stored — `width:u8, n:u64, n ×
+    /// width` bytes, the layout they also cross the wire in.
     fn write_state(&self, enc: &mut Encoder<'_>) -> CodecResult<()> {
         enc.write_u64(self.seed)?;
         enc.write_u64(self.iterations)?;
         enc.write_usize(self.config.mh_steps)?;
         enc.write_bool(self.config.use_hash_counts)?;
-        enc.write_u32_slice(self.records.as_slice())?;
+        enc.write_u8(self.records.width() as u8)?;
+        enc.write_usize(self.num_entries() * self.stride())?;
+        enc.write_bytes(self.records.as_bytes())?;
         enc.write_u32_slice(&self.topic_counts)
     }
 
@@ -988,9 +1037,20 @@ impl<P: MemoryProbe> Checkpointable for WarpLda<P> {
                 self.config.mh_steps, self.config.use_hash_counts,
             )));
         }
-        let records = dec.read_u32_vec()?;
+        // Shape first, so a damaged header cannot ask for a huge read.
+        let width = dec.read_u8()? as usize;
+        let ids = dec.read_usize()?;
+        if width != self.records.width() || ids != self.num_entries() * self.stride() {
+            return Err(CodecError::Corrupt(format!(
+                "checkpoint holds {ids} topic ids at {width} bytes where the sampler holds {} \
+                 at {}",
+                self.num_entries() * self.stride(),
+                self.records.width(),
+            )));
+        }
+        let records = dec.read_byte_vec(ids * width)?;
         let topic_counts = dec.read_u32_vec()?;
-        self.restore(iterations, &records, &topic_counts)?;
+        self.restore(iterations, width, &records, &topic_counts)?;
         // The checkpoint's seed, not the constructor's, governs continuation.
         self.seed = seed;
         Ok(())
@@ -1017,7 +1077,7 @@ mod tests {
     /// The global topic histogram straight from the packed records.
     fn topic_histogram(s: &WarpLda) -> Vec<u32> {
         let mut hist = vec![0u32; s.params.num_topics];
-        for t in s.records.primaries() {
+        for &t in s.records.to_u32_vec().iter().step_by(s.stride()) {
             hist[t as usize] += 1;
         }
         hist
@@ -1185,14 +1245,21 @@ mod tests {
         let params = ModelParams::new(6, 0.5, 0.1);
         let mut s = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(3), 23);
         s.run_iteration();
-        assert_eq!(s.records.stride(), 4);
+        assert_eq!((s.records.stride(), s.records.width()), (4, 1));
         assert_eq!(s.records.num_records() as u64, corpus.num_tokens());
-        assert!(s.records.as_slice().iter().all(|&t| t < 6), "every word is a topic id");
-        // The primaries are exactly the assignments, entry-indexed.
+        let ids = s.records.to_u32_vec();
+        assert!(ids.iter().all(|&t| t < 6), "every id is a topic");
+        // The primaries are exactly the assignments, reached through the row
+        // pointers in doc-major token order.
         let z = s.assignments();
-        for (token, &e) in s.entry_of_token.iter().enumerate() {
-            assert_eq!(z[token], s.records.primary(e as usize));
+        let mut token = 0;
+        for d in 0..s.num_docs() as u32 {
+            for &e in s.row_entry_ids(d) {
+                assert_eq!(z[token], ids[e as usize * 4]);
+                token += 1;
+            }
         }
+        assert_eq!(token, z.len());
     }
 
     #[test]
@@ -1201,13 +1268,16 @@ mod tests {
         let params = ModelParams::new(6, 0.5, 0.1);
         let mut s = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(2), 5);
         let stride = s.stride();
-        let before = s.records_slice().to_vec();
-        // Wrong length.
-        let err = s.import_records(&[0, 1], &vec![0u32; stride]).unwrap_err();
-        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
-        // Topic out of range.
-        let err = s.import_records(&[0], &vec![params.num_topics as u32; stride]).unwrap_err();
-        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+        let before = s.records_bytes().to_vec();
+        // Wrong length, wrong width, topic out of range.
+        for (entries, width, bytes) in [
+            (&[0u32, 1][..], 1, vec![0u8; stride]),
+            (&[0][..], 2, vec![0u8; 2 * stride]),
+            (&[0][..], 1, vec![params.num_topics as u8; stride]),
+        ] {
+            let err = s.import_records_packed(entries, width, &bytes).unwrap_err();
+            assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+        }
         // Restore with a c_k that is not the assignment histogram, with a
         // short record buffer, and with a c_k of the wrong width.
         let mut bad_ck = s.topic_counts().to_vec();
@@ -1218,13 +1288,53 @@ mod tests {
             (&before[..before.len() - 1], &good_ck[..]),
             (&before[..], &good_ck[..good_ck.len() - 1]),
         ] {
-            let err = s.restore(9, records, ck).unwrap_err();
+            let err = s.restore(9, 1, records, ck).unwrap_err();
             assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
         }
-        assert_eq!(s.records_slice(), &before[..], "rejected input must not be applied");
+        assert_eq!(s.records_bytes(), &before[..], "rejected input must not be applied");
         assert_eq!(s.iterations(), 0);
-        s.restore(9, &before, &good_ck).unwrap();
+        s.restore(9, 1, &before, &good_ck).unwrap();
         assert_eq!(s.iterations(), 9);
+    }
+
+    #[test]
+    fn a_whole_column_exports_as_its_byte_range_at_every_width() {
+        let corpus = DatasetPreset::Tiny.generate_scaled(4);
+        for k in [6usize, 300, 70_000] {
+            let width = topic_wire_width(k);
+            let params = ModelParams::new(k, 0.5, 0.1);
+            let mut source = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(2), 5);
+            source.run_iteration();
+            assert_eq!(source.record_width(), width);
+            let rb = source.stride() * width;
+            // The longest column: its export is the buffer's byte range.
+            let w = (0..source.num_words() as u32)
+                .max_by_key(|&w| source.col_entry_range(w).len())
+                .unwrap();
+            let range = source.col_entry_range(w);
+            let column: Vec<u32> = range.clone().map(|e| e as u32).collect();
+            let mut wire = vec![0xAA];
+            source.export_records_packed(&column, &mut wire);
+            assert_eq!(wire[0], 0xAA, "export appends");
+            assert_eq!(&wire[1..], &source.records_bytes()[range.start * rb..range.end * rb]);
+
+            // A scattered row round-trips into a fresh replica, and only it.
+            let d = (0..source.num_docs() as u32)
+                .max_by_key(|&d| source.row_entry_ids(d).len())
+                .unwrap();
+            let row = source.row_entry_ids(d).to_vec();
+            let mut sink = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(2), 5);
+            let untouched = sink.records_bytes().to_vec();
+            wire.clear();
+            source.export_records_packed(&row, &mut wire);
+            sink.import_records_packed(&row, width, &wire).unwrap();
+            for e in 0..sink.num_entries() {
+                let at = e * rb..(e + 1) * rb;
+                let from =
+                    if row.contains(&(e as u32)) { source.records_bytes() } else { &untouched };
+                assert_eq!(&sink.records_bytes()[at.clone()], &from[at], "entry {e}, K = {k}");
+            }
+        }
     }
 
     #[test]

@@ -9,21 +9,27 @@
 //! * **Chunked work queue.** Workers pull contiguous column/row chunks from a
 //!   [`ChunkCursor`] instead of receiving a static partition, so the tail
 //!   imbalance a power-law head word leaves in any up-front split disappears:
-//!   whoever finishes early claims the next chunk. Every entity draws from
-//!   its own RNG stream, so which worker claims which chunk cannot show up in
-//!   the result — a run is **bit-identical to the serial sampler for any
-//!   thread count**.
+//!   whoever finishes early claims the next chunk. Chunks are cut at about
+//!   equal *token* mass, once, from the matrix offsets
+//!   ([`ChunkCursor::by_mass`]) — cut by entity count, the first chunk of a
+//!   Zipf vocabulary holds more than half of all tokens and no thread count
+//!   runs the word phase faster than twice one thread. Every entity draws
+//!   from its own RNG stream, so which worker claims which chunk cannot show
+//!   up in the result — a run is **bit-identical to the serial sampler for
+//!   any thread count**.
 //! * **Striped phase-boundary reduction.** The per-worker partial `c_k`
 //!   vectors are merged by workers owning contiguous topic stripes (falling
 //!   back to an inline merge when `K` is too small to amortize a spawn), so
 //!   the merge scales instead of serializing on one core at every boundary.
 //!
 //! Worker scratch (count pools, alias tables, partial `c_k`) persists across
-//! iterations, so apart from the scoped-thread spawns themselves the phases
-//! perform no steady-state heap allocation.
+//! iterations and is sized at construction for every row and column length
+//! of the corpus, so the scoped-thread spawns are the phases' only heap
+//! allocations — the same number every iteration, whichever worker claims
+//! which chunk.
 
 use warplda_cachesim::NoProbe;
-use warplda_corpus::Corpus;
+use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
 use warplda_sparse::ChunkCursor;
 
 use crate::checkpoint::Checkpointable;
@@ -64,13 +70,11 @@ impl ParallelWarpLda {
         let workers = (0..num_threads)
             .map(|_| WorkerScratch {
                 partial_ck: vec![0; params.num_topics],
-                scratch: PhaseScratch::new(params.num_topics, inner.max_visit_len),
+                scratch: inner.new_scratch(),
             })
             .collect();
-        let cursors = [
-            ChunkCursor::for_workers(inner.num_words(), num_threads),
-            ChunkCursor::for_workers(inner.num_docs(), num_threads),
-        ];
+        let cursors = [PhaseKind::Word, PhaseKind::Doc]
+            .map(|kind| ChunkCursor::by_mass(inner.entity_offsets(kind), num_threads));
         Self { inner, workers, cursors, last_phase_secs: 0.0 }
     }
 
@@ -177,8 +181,16 @@ impl Sampler for ParallelWarpLda {
         self.inner.assignments()
     }
 
+    fn write_assignments_into(&self, out: &mut Vec<u32>) {
+        self.inner.write_assignments_into(out);
+    }
+
     fn last_iteration_phase_seconds(&self) -> Option<f64> {
         Some(self.last_phase_secs)
+    }
+
+    fn log_likelihood(&self, corpus: &Corpus, dv: &DocMajorView, wv: &WordMajorView) -> f64 {
+        self.inner.log_likelihood(corpus, dv, wv)
     }
 }
 

@@ -4,21 +4,25 @@
 //! the chain — a thread pool of any size, any partition of the entities
 //! across replicas driven through the phase API with record exchange, a
 //! checkpoint written by one driver and resumed by another — must reproduce
-//! its assignments **and** `c_k` bit for bit after every iteration. A golden
-//! hash additionally pins the chain itself across commits.
+//! its assignments **and** `c_k` bit for bit after every iteration, at every
+//! record width (1, 2 and 4 bytes per topic id). A golden hash additionally
+//! pins the chain itself across commits.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use warplda_core::checkpoint::{read_checkpoint, write_checkpoint};
-use warplda_core::{Checkpointable, ModelParams, ParallelWarpLda, Sampler, WarpLda, WarpLdaConfig};
-use warplda_corpus::io::codec::fnv1a64;
+use warplda_core::{
+    topic_wire_width, Checkpointable, ModelParams, ParallelWarpLda, Sampler, WarpLda, WarpLdaConfig,
+};
+use warplda_corpus::io::codec::{fnv1a64, CodecError, MAGIC};
 use warplda_corpus::{Corpus, DatasetPreset};
 
 const ITERATIONS: usize = 3;
 
 /// One row of the differential table.
+#[derive(Clone, Copy)]
 struct Case {
     preset: DatasetPreset,
     scale: usize,
@@ -43,12 +47,29 @@ impl Case {
 
 /// Small K exercises the dense count path, K above twice the row/column
 /// lengths the hash path; M = 1 has a single proposal slot per record.
-static TABLE: [Case; 4] = [
+const BASE: [Case; 4] = [
     Case { preset: DatasetPreset::Tiny, scale: 4, k: 6, m: 2, seed: 21 },
     Case { preset: DatasetPreset::Tiny, scale: 8, k: 5, m: 1, seed: 11 },
     Case { preset: DatasetPreset::Tiny, scale: 2, k: 300, m: 3, seed: 33 },
     Case { preset: DatasetPreset::NyTimesLike, scale: 200, k: 64, m: 2, seed: 97 },
 ];
+
+/// One K per record width: topic ids of 1, 2 and 4 bytes.
+const WIDTH_KS: [usize; 3] = [6, 300, 70_000];
+
+/// The base rows, then every base row again at each K of [`WIDTH_KS`] it is
+/// not already at — so each corpus shape and M runs through the width-generic
+/// kernels at all three widths.
+fn table() -> &'static [Case] {
+    static TABLE: OnceLock<Vec<Case>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let widened =
+            BASE.iter().flat_map(|case| WIDTH_KS.iter().map(move |&k| Case { k, ..*case })).filter(
+                |case| !BASE.iter().any(|b| (b.scale, b.k, b.m) == (case.scale, case.k, case.m)),
+            );
+        BASE.iter().copied().chain(widened).collect()
+    })
+}
 
 /// `(assignments, c_k)` after each iteration.
 type Trajectory = Vec<(Vec<u32>, Vec<u32>)>;
@@ -57,7 +78,7 @@ type Trajectory = Vec<(Vec<u32>, Vec<u32>)>;
 fn oracle(row: usize) -> &'static Trajectory {
     static ORACLES: OnceLock<Vec<Trajectory>> = OnceLock::new();
     &ORACLES.get_or_init(|| {
-        TABLE
+        table()
             .iter()
             .map(|case| {
                 let mut serial =
@@ -75,7 +96,7 @@ fn oracle(row: usize) -> &'static Trajectory {
 
 #[test]
 fn every_thread_count_reproduces_the_serial_sampler() {
-    for (row, case) in TABLE.iter().enumerate() {
+    for (row, case) in table().iter().enumerate() {
         let corpus = case.corpus();
         for threads in [1usize, 2, 3, 8] {
             let mut parallel =
@@ -106,14 +127,18 @@ fn exchange_phase(
         run(replica, shard, &mut partial);
         merged.iter_mut().zip(&partial).for_each(|(m, p)| *m += p);
     }
+    let width = topic_wire_width(k);
     let mut wire = Vec::new();
     for (owner, shard) in shards.iter().enumerate() {
         let entries: Vec<u32> =
             shard.iter().flat_map(|&id| entries_of(&replicas[owner], id)).collect();
-        replicas[owner].export_records(&entries, &mut wire);
+        wire.clear();
+        replicas[owner].export_records_packed(&entries, &mut wire);
         for (peer, replica) in replicas.iter_mut().enumerate() {
             if peer != owner {
-                replica.import_records(&entries, &wire).expect("a peer's export imports");
+                replica
+                    .import_records_packed(&entries, width, &wire)
+                    .expect("a peer's export imports");
             }
         }
     }
@@ -131,43 +156,65 @@ fn partition(n: usize, shards: usize, owners: &[usize]) -> Vec<Vec<u32>> {
     lists
 }
 
+/// Drives `shards` replicas of table row `row` through the phase API under
+/// the given ownership and compares every replica with the serial oracle
+/// after every iteration.
+fn phase_api_reproduces_the_oracle(
+    row: usize,
+    shards: usize,
+    word_owners: &[usize],
+    doc_owners: &[usize],
+) -> Result<(), String> {
+    let case = &table()[row];
+    let corpus = case.corpus();
+    let mut replicas: Vec<WarpLda> = (0..shards)
+        .map(|_| WarpLda::new(&corpus, case.params(), case.config(), case.seed))
+        .collect();
+    let words = partition(replicas[0].num_words(), shards, word_owners);
+    let docs = partition(replicas[0].num_docs(), shards, doc_owners);
+
+    for (it, (z, ck)) in oracle(row).iter().enumerate() {
+        exchange_phase(
+            &mut replicas,
+            &words,
+            |s, w| s.col_entry_range(w).map(|e| e as u32).collect(),
+            |s, shard, partial| s.run_word_phase_shard(shard, partial),
+        );
+        exchange_phase(
+            &mut replicas,
+            &docs,
+            |s, d| s.row_entry_ids(d).to_vec(),
+            |s, shard, partial| s.run_doc_phase_shard(shard, partial),
+        );
+        for replica in &mut replicas {
+            replica.advance_iteration();
+            if &replica.assignments() != z || replica.topic_counts() != &ck[..] {
+                return Err(format!("row {row}, {shards} shards: diverged in iteration {it}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn the_phase_api_reproduces_the_serial_sampler_on_every_row() {
+    for row in 0..table().len() {
+        phase_api_reproduces_the_oracle(row, 3, &[0, 1, 2, 1], &[2, 0, 1]).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn any_partition_through_the_phase_api_reproduces_the_serial_sampler(
-        row in 0usize..TABLE.len(),
+        row in 0usize..table().len(),
         shards in 1usize..6,
         word_owners in prop::collection::vec(0usize..60, 7..97),
         doc_owners in prop::collection::vec(0usize..60, 5..89),
     ) {
-        let case = &TABLE[row];
-        let corpus = case.corpus();
-        let mut replicas: Vec<WarpLda> = (0..shards)
-            .map(|_| WarpLda::new(&corpus, case.params(), case.config(), case.seed))
-            .collect();
-        let words = partition(replicas[0].num_words(), shards, &word_owners);
-        let docs = partition(replicas[0].num_docs(), shards, &doc_owners);
-
-        for (z, ck) in oracle(row) {
-            exchange_phase(
-                &mut replicas,
-                &words,
-                |s, w| s.col_entry_range(w).map(|e| e as u32).collect(),
-                |s, shard, partial| s.run_word_phase_shard(shard, partial),
-            );
-            exchange_phase(
-                &mut replicas,
-                &docs,
-                |s, d| s.row_entry_ids(d).to_vec(),
-                |s, shard, partial| s.run_doc_phase_shard(shard, partial),
-            );
-            for replica in &mut replicas {
-                replica.advance_iteration();
-                prop_assert_eq!(&replica.assignments(), z);
-                prop_assert_eq!(replica.topic_counts(), &ck[..]);
-            }
-        }
+        let outcome = phase_api_reproduces_the_oracle(row, shards, &word_owners, &doc_owners);
+        prop_assert!(outcome.is_ok(), "{:?}", outcome);
     }
 }
 
@@ -179,7 +226,7 @@ proptest! {
 #[test]
 fn the_chain_is_pinned_across_commits() {
     const GOLDEN: u64 = 0xd5f7_b5d9_f92b_f1d3;
-    let case = &TABLE[0];
+    let case = &table()[0];
     let mut s = ParallelWarpLda::new(&case.corpus(), case.params(), case.config(), case.seed, 3);
     for _ in 0..3 {
         s.run_iteration();
@@ -201,34 +248,121 @@ fn driver(case: &Case, corpus: &Corpus, which: usize, seed: u64) -> Box<dyn Chec
     }
 }
 
-#[test]
-fn any_driver_resumes_any_drivers_checkpoint_bit_identically() {
-    let case = &TABLE[0];
-    let corpus = case.corpus();
-    let (split, total) = (1, ITERATIONS);
-    for writer in 0..3 {
-        let mut first = driver(case, &corpus, writer, case.seed);
-        for _ in 0..split {
-            first.run_iteration();
-        }
-        assert_eq!(first.checkpoint_kind(), "warplda", "one kind for every driver");
-        let mut file = Vec::new();
-        write_checkpoint(first.as_ref(), None, &mut file).unwrap();
+/// Table row 0 at K = `k`, and its serial trajectory.
+fn row0_at(k: usize) -> (Case, &'static Trajectory) {
+    let row = table().iter().position(|c| (c.scale, c.k, c.m) == (4, k, 2)).expect("in the table");
+    (table()[row], oracle(row))
+}
 
-        for reader in 0..3 {
-            // Built under another seed: the checkpoint's governs continuation.
-            let mut resumed = driver(case, &corpus, reader, case.seed + 1000);
-            read_checkpoint(resumed.as_mut(), &mut file.as_slice()).unwrap();
-            assert_eq!(resumed.iterations(), split as u64);
-            assert_eq!(resumed.assignments(), oracle(0)[split - 1].0);
-            for it in split..total {
-                resumed.run_iteration();
-                assert_eq!(
-                    resumed.assignments(),
-                    oracle(0)[it].0,
-                    "writer {writer} → reader {reader}, iteration {it}"
-                );
+#[test]
+fn any_driver_resumes_any_drivers_checkpoint_bit_identically_at_every_width() {
+    for k in WIDTH_KS {
+        let (case, oracle) = row0_at(k);
+        let corpus = case.corpus();
+        let (split, total) = (1, ITERATIONS);
+        for writer in 0..3 {
+            let mut first = driver(&case, &corpus, writer, case.seed);
+            for _ in 0..split {
+                first.run_iteration();
+            }
+            assert_eq!(first.checkpoint_kind(), "warplda", "one kind for every driver");
+            let mut file = Vec::new();
+            write_checkpoint(first.as_ref(), None, &mut file).unwrap();
+            assert_eq!(&file[8..12], &4u32.to_le_bytes(), "container format version");
+
+            for reader in 0..3 {
+                // Built under another seed: the checkpoint's governs continuation.
+                let mut resumed = driver(&case, &corpus, reader, case.seed + 1000);
+                read_checkpoint(resumed.as_mut(), &mut file.as_slice()).unwrap();
+                assert_eq!(resumed.iterations(), split as u64);
+                assert_eq!(resumed.assignments(), oracle[split - 1].0);
+                for (it, (z, _)) in oracle.iter().enumerate().take(total).skip(split) {
+                    resumed.run_iteration();
+                    assert_eq!(
+                        &resumed.assignments(),
+                        z,
+                        "K = {k}, writer {writer} → reader {reader}, iteration {it}"
+                    );
+                }
             }
         }
     }
+}
+
+/// Re-frames `payload` as a checkpoint file with a valid checksum, so only
+/// the payload's content can be what a reader objects to.
+fn reframe(payload: &[u8], version: u32) -> Vec<u8> {
+    let mut file = MAGIC.to_vec();
+    file.extend_from_slice(&version.to_le_bytes());
+    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    file.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    file.extend_from_slice(payload);
+    file
+}
+
+#[test]
+fn a_checkpoint_is_the_records_at_their_width_and_damage_is_typed_and_harmless() {
+    const HEADER: usize = 28;
+    let mut sizes = Vec::new();
+    for k in WIDTH_KS {
+        let (case, _) = row0_at(k);
+        let corpus = case.corpus();
+        let width = topic_wire_width(k);
+        let mut writer = WarpLda::new(&corpus, case.params(), case.config(), case.seed);
+        writer.run_iteration();
+        let mut file = Vec::new();
+        write_checkpoint(&writer, None, &mut file).unwrap();
+        sizes.push(file.len());
+
+        // Payload: kind, K, α, β, seed, iteration, M, hash flag, then the
+        // record section `width:u8, n:u64, n × width bytes` — the sampler's
+        // buffer, byte for byte.
+        let payload = &file[HEADER..];
+        let width_at = (8 + "warplda".len()) + 3 * 8 + 2 * 8 + 8 + 1;
+        let ids = writer.num_entries() * writer.stride();
+        assert_eq!(payload[width_at] as usize, width);
+        assert_eq!(payload[width_at + 1..width_at + 9], (ids as u64).to_le_bytes());
+        let records_at = width_at + 9;
+        assert_eq!(&payload[records_at..records_at + ids * width], writer.records_bytes());
+
+        let mut reader = WarpLda::new(&corpus, case.params(), case.config(), case.seed + 1);
+        let untouched = (reader.records_bytes().to_vec(), reader.topic_counts().to_vec());
+        let mut refuse = |file: &[u8], what: &str| {
+            let err = read_checkpoint(&mut reader, &mut &file[..]).unwrap_err();
+            assert_eq!(reader.records_bytes(), &untouched.0[..], "{what}: records changed");
+            assert_eq!(reader.topic_counts(), &untouched.1[..], "{what}: c_k changed");
+            assert_eq!((reader.iterations(), reader.seed()), (0, case.seed + 1), "{what}");
+            err
+        };
+
+        // The previous format is refused by version, whatever it holds.
+        let err = refuse(&reframe(payload, 3), "v3");
+        assert!(matches!(err, CodecError::LegacyVersion(3)), "{err}");
+
+        // A width byte that disagrees with topic_wire_width(K).
+        let mut damaged = payload.to_vec();
+        damaged[width_at] = if width == 4 { 2 } else { 2 * width as u8 };
+        let err = refuse(&reframe(&damaged, 4), "width");
+        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+
+        // A short record section: the count says one id fewer.
+        let mut damaged = payload.to_vec();
+        damaged[width_at + 1..width_at + 9].copy_from_slice(&(ids as u64 - 1).to_le_bytes());
+        let err = refuse(&reframe(&damaged, 4), "length");
+        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+
+        // A topic id ≥ K in the last record.
+        let mut damaged = payload.to_vec();
+        let last = records_at + (ids - 1) * width;
+        damaged[last..last + width].copy_from_slice(&(k as u32).to_le_bytes()[..width]);
+        let err = refuse(&reframe(&damaged, 4), "topic range");
+        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+
+        // And the undamaged file still loads into that same sampler.
+        read_checkpoint(&mut reader, &mut file.as_slice()).unwrap();
+        assert_eq!(reader.assignments(), writer.assignments());
+    }
+    // Same corpus, same M: the files differ by the record width alone
+    // (and the K-slot c_k).
+    assert!(sizes[0] < sizes[1] && sizes[1] < sizes[2], "{sizes:?}");
 }

@@ -13,7 +13,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"WLDACKPT"
-//! 8       4     format version (currently 3)
+//! 8       4     format version (currently 4)
 //! 12      8     payload length in bytes
 //! 20      8     FNV-1a 64 checksum of the payload
 //! 28      n     payload
@@ -27,13 +27,21 @@
 //! payload is `(seed, iteration, M, hash-counts flag, records, c_k)`: every
 //! driver derives its RNG streams from `(seed, iteration, phase, entity)`,
 //! so no RNG state is stored and any driver resumes what any driver wrote.
-//! v1 and v2 files are rejected with the typed [`CodecError::LegacyVersion`]
-//! — re-train or re-save under the current format. There is no in-place
-//! migration: a v2 serial checkpoint can only be continued by the sequential
-//! stream it saved, which no sampler draws from any more, so resuming it
-//! would silently run a different chain than the one that was saved. The
-//! version is the container's, so v2 serving models are refused with it and
-//! are re-frozen from their sampler.
+//! Version 4 keeps that payload but writes the records as the sampler stores
+//! them and as they cross the wire — `width:u8, n:u64, n × width` bytes, with
+//! `width` the 1, 2 or 4 bytes a topic id of a `K`-topic model needs —
+//! where v3 wrote a length-prefixed `u32` array (a quarter of the bytes at
+//! `K ≤ 256`).
+//! v1, v2 and v3 files are rejected with the typed
+//! [`CodecError::LegacyVersion`] — re-train or re-save under the current
+//! format. There is no in-place migration and no second reader: a v2 serial
+//! checkpoint can only be continued by the sequential stream it saved, which
+//! no sampler draws from any more, so resuming it would silently run a
+//! different chain than the one that was saved; a v3 file could be widened,
+//! but a reader kept for files only this repository's own runs ever wrote
+//! is a second code path with no user. The version is the container's, so
+//! older serving models are refused with it and are re-frozen from their
+//! sampler.
 //!
 //! The payload itself is written by the caller via an [`Encoder`]; the
 //! checkpoint layer in `warplda-core` composes sampler state, model
@@ -61,7 +69,7 @@ pub const MODEL_MAGIC: [u8; 8] = *b"WLDAMODL";
 /// Current format version of the framed container. Bump when the payload
 /// layout changes incompatibly; readers reject versions they do not know.
 /// See the module docs for the format history.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Longest string (in bytes) the decoder will allocate for; guards against
 /// reading a length field from a corrupt file and allocating gigabytes.
@@ -107,7 +115,8 @@ impl std::fmt::Display for CodecError {
                     f,
                     "checkpoint format version {v} is superseded (current: {FORMAT_VERSION}): \
                      v1 predates the packed token-record layout, v2 the per-entity RNG streams \
-                     every sampler now draws from — re-train or re-save the model"
+                     every sampler now draws from, v3 the width-native records — re-train or \
+                     re-save the model"
                 )
             }
             CodecError::ChecksumMismatch { expected, found } => {
@@ -327,6 +336,22 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
+    /// Reads exactly `len` raw bytes (the mirror of
+    /// [`Encoder::write_bytes`]; the caller read `len` from a header it has
+    /// already checked). The buffer grows in megabyte steps, so a length the
+    /// data does not back fails at the first short chunk instead of
+    /// allocating it all upfront.
+    pub fn read_byte_vec(&mut self, len: usize) -> CodecResult<Vec<u8>> {
+        const CHUNK: usize = 1 << 20;
+        let mut out = Vec::with_capacity(len.min(CHUNK));
+        while out.len() < len {
+            let start = out.len();
+            out.resize(len.min(start + CHUNK), 0);
+            self.read_exact(&mut out[start..])?;
+        }
+        Ok(out)
+    }
+
     /// Reads a length-prefixed `u64` vector (chunked like
     /// [`read_u32_vec`](Self::read_u32_vec)).
     pub fn read_u64_vec(&mut self) -> CodecResult<Vec<u64>> {
@@ -382,8 +407,8 @@ pub fn read_framed_section(r: &mut dyn Read, expected_magic: [u8; 8]) -> CodecRe
         return Err(CodecError::BadMagic);
     }
     let version = dec.read_u32()?;
-    // Versions 1 and 2 shipped before the current format; anything else (0,
-    // or a future number) is unknown, not legacy.
+    // Versions below the current one shipped before it; anything else (0, or
+    // a future number) is unknown, not legacy.
     if (1..FORMAT_VERSION).contains(&version) {
         return Err(CodecError::LegacyVersion(version));
     }
@@ -392,20 +417,10 @@ pub fn read_framed_section(r: &mut dyn Read, expected_magic: [u8; 8]) -> CodecRe
     }
     let len = dec.read_usize()?;
     let expected = dec.read_u64()?;
-    // Grow the payload buffer chunk by chunk instead of trusting the header's
-    // length field with one upfront allocation: a corrupt length over a short
-    // file then fails with a typed I/O error at the first missing chunk
-    // rather than aborting the process on an absurd allocation.
-    const CHUNK: usize = 1 << 20;
-    let mut payload = Vec::with_capacity(len.min(CHUNK));
-    let mut remaining = len;
-    while remaining > 0 {
-        let n = remaining.min(CHUNK);
-        let start = payload.len();
-        payload.resize(start + n, 0);
-        dec.read_exact(&mut payload[start..])?;
-        remaining -= n;
-    }
+    // Not one upfront allocation of the header's length field: a corrupt
+    // length over a short file then fails with a typed I/O error at the
+    // first missing chunk rather than aborting the process.
+    let payload = dec.read_byte_vec(len)?;
     let found = fnv1a64(&payload);
     if found != expected {
         return Err(CodecError::ChecksumMismatch { expected, found });
@@ -568,7 +583,11 @@ mod tests {
 
     #[test]
     fn legacy_versions_rejected_with_typed_error() {
-        for (legacy, reason) in [(1u32, "packed token-record"), (2, "per-entity RNG streams")] {
+        for (legacy, reason) in [
+            (1u32, "packed token-record"),
+            (2, "per-entity RNG streams"),
+            (3, "width-native records"),
+        ] {
             let mut file = Vec::new();
             write_framed(&mut file, b"x").unwrap();
             file[8..12].copy_from_slice(&legacy.to_le_bytes());

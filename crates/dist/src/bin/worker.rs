@@ -243,9 +243,9 @@ fn build_replica(setup: &Setup) -> Result<(WarpLda, ShardPlan)> {
     );
     let mut sampler = WarpLda::new(corpus, params, config, setup.seed);
     if let Some(resume) = &setup.resume {
-        sampler.restore(resume.iterations, &resume.records, &resume.topic_counts)?;
+        sampler.restore(resume.iterations, resume.width, &resume.records, &resume.topic_counts)?;
     }
-    let plan = ShardPlan::build(&sampler, &grid);
+    let plan = ShardPlan::build(&sampler, &grid, &doc_view, &word_view);
     Ok((sampler, plan))
 }
 
@@ -295,7 +295,7 @@ fn restore(
     id: usize,
     state: &ResumeState,
 ) -> Result<()> {
-    sampler.restore(state.iterations, &state.records, &state.topic_counts)?;
+    sampler.restore(state.iterations, state.width, &state.records, &state.topic_counts)?;
     writer.send(&Message::Ready { worker_id: id as u32 })
 }
 
@@ -348,7 +348,7 @@ fn serve(
             let frame = &mut buffers.frame;
             let values = entries.len() * sampler.stride();
             begin_delta_frame(frame, phase, id as u32, epoch, width, partial, values);
-            sampler.export_records_packed(entries, width, frame);
+            sampler.export_records_packed(entries, frame);
             match sabotage {
                 Some(FaultAction::CorruptDelta) => {
                     // Flip the tag byte (right after the length prefix) so

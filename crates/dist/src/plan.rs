@@ -1,8 +1,8 @@
 //! The deterministic per-worker exchange plan of multi-process training.
 //!
 //! The coordinator and every worker build the *same* [`ShardPlan`] from the
-//! same inputs (the replica's token-matrix structure plus the
-//! [`GridPartition`]), so entry lists never cross the wire: a delta or sync
+//! same inputs (the replica's token-matrix structure, the corpus views and
+//! the [`GridPartition`]), so entry lists never cross the wire: a delta or sync
 //! frame carries only packed records, and both ends already agree — in order
 //! — on which entries those records belong to.
 //!
@@ -33,6 +33,7 @@ use std::ops::Range;
 
 use warplda_core::{topic_wire_width, WarpLda};
 use warplda_corpus::io::codec::{CodecError, CodecResult};
+use warplda_corpus::{DocMajorView, WordMajorView};
 
 use crate::fault::FaultPhase;
 use crate::grid::GridPartition;
@@ -220,7 +221,19 @@ impl ShardPlan {
     /// Builds the plan for `grid.workers()` workers over `sampler`'s matrix.
     /// Deterministic: every process building from the same corpus and worker
     /// count gets the identical plan.
-    pub fn build(sampler: &WarpLda, grid: &GridPartition) -> Self {
+    ///
+    /// The sampler keeps no per-entry row or column ids; which document an
+    /// entry of a column belongs to, and which word an entry of a row, is
+    /// read off the views of the sampler's corpus (the ones the grid was
+    /// built from), whose orders are the matrix's: a word's occurrences are
+    /// its column's entries, a document's tokens its row's.
+    pub fn build(
+        sampler: &WarpLda,
+        grid: &GridPartition,
+        doc_view: &DocMajorView,
+        word_view: &WordMajorView,
+    ) -> Self {
+        assert_eq!(doc_view.num_tokens(), sampler.num_entries(), "views of another corpus");
         let p = grid.workers();
         let mut owned_words: Vec<Vec<u32>> = vec![Vec::new(); p];
         for w in 0..sampler.num_words() as u32 {
@@ -233,14 +246,14 @@ impl ShardPlan {
 
         let word = PhasePlan::build(FaultPhase::Word, p, |i, emit| {
             for &w in &owned_words[i] {
-                for (e, &d) in sampler.col_entry_range(w).zip(sampler.col_entry_rows(w)) {
+                for (e, &d) in sampler.col_entry_range(w).zip(word_view.word_docs(w)) {
                     emit(e as u32, grid.doc_owner(d));
                 }
             }
         });
         let doc = PhasePlan::build(FaultPhase::Doc, p, |i, emit| {
             for &d in &owned_docs[i] {
-                for (&e, &w) in sampler.row_entry_ids(d).iter().zip(sampler.row_entry_cols(d)) {
+                for (&e, &w) in sampler.row_entry_ids(d).iter().zip(doc_view.doc_words(d)) {
                     emit(e, grid.word_owner(w));
                 }
             }
@@ -288,7 +301,10 @@ mod tests {
     use warplda_corpus::{Corpus, DatasetPreset, DocMajorView, WordMajorView};
     use warplda_sparse::PartitionStrategy;
 
-    fn build_all(corpus: &Corpus, workers: usize) -> (WarpLda, GridPartition, ShardPlan) {
+    /// Sampler, grid, plan, and the `(doc owner, word owner)` of every entry.
+    type Built = (WarpLda, GridPartition, ShardPlan, Vec<(usize, usize)>);
+
+    fn build_all(corpus: &Corpus, workers: usize) -> Built {
         let dv = DocMajorView::build(corpus);
         let wv = WordMajorView::build(corpus, &dv);
         let grid = GridPartition::build_with(
@@ -301,27 +317,24 @@ mod tests {
         );
         let sampler =
             WarpLda::new(corpus, ModelParams::new(5, 0.5, 0.1), WarpLdaConfig::with_mh_steps(2), 7);
-        let plan = ShardPlan::build(&sampler, &grid);
-        (sampler, grid, plan)
-    }
-
-    /// `(doc owner, word owner)` of every entry.
-    fn owners(sampler: &WarpLda, grid: &GridPartition) -> Vec<(usize, usize)> {
-        let mut owners = vec![(0, 0); sampler.num_entries()];
-        for d in 0..sampler.num_docs() as u32 {
-            for (&e, &w) in sampler.row_entry_ids(d).iter().zip(sampler.row_entry_cols(d)) {
-                owners[e as usize] = (grid.doc_owner(d) as usize, grid.word_owner(w) as usize);
+        let plan = ShardPlan::build(&sampler, &grid, &dv, &wv);
+        // Independently of the plan's own derivation: an entry is a slot of
+        // the word-major view.
+        let mut owners = Vec::with_capacity(sampler.num_entries());
+        for w in 0..sampler.num_words() as u32 {
+            assert_eq!(sampler.col_entry_range(w), wv.word_range(w));
+            for &d in wv.word_docs(w) {
+                owners.push((grid.doc_owner(d) as usize, grid.word_owner(w) as usize));
             }
         }
-        owners
+        (sampler, grid, plan, owners)
     }
 
     #[test]
     fn doc_phase_segments_partition_the_matrix_exactly_once() {
         let corpus = DatasetPreset::Tiny.generate_scaled(4);
         for workers in [1usize, 2, 3, 4] {
-            let (sampler, grid, plan) = build_all(&corpus, workers);
-            let owners = owners(&sampler, &grid);
+            let (sampler, grid, plan, owners) = build_all(&corpus, workers);
             let mut seen = vec![false; sampler.num_entries()];
             for from in 0..workers {
                 let mut covered = 0;
@@ -347,8 +360,7 @@ mod tests {
     fn word_phase_segments_are_exactly_the_cross_owner_entries() {
         let corpus = DatasetPreset::Tiny.generate_scaled(4);
         for workers in [1usize, 2, 3, 4] {
-            let (sampler, grid, plan) = build_all(&corpus, workers);
-            let owners = owners(&sampler, &grid);
+            let (sampler, grid, plan, owners) = build_all(&corpus, workers);
             let mut seen = vec![false; sampler.num_entries()];
             for from in 0..workers {
                 assert!(plan.word.segment(from, from).is_empty(), "no own segment mid-iteration");
@@ -371,8 +383,7 @@ mod tests {
     fn a_sync_is_the_concatenation_of_the_segments_addressed_to_its_receiver() {
         let corpus = DatasetPreset::Tiny.generate_scaled(4);
         for workers in [1usize, 2, 3] {
-            let (sampler, grid, plan) = build_all(&corpus, workers);
-            let owners = owners(&sampler, &grid);
+            let (sampler, grid, plan, owners) = build_all(&corpus, workers);
             for (phase, consumer_of) in [
                 (&plan.word, (|o: (usize, usize)| (o.1, o.0)) as fn((usize, usize)) -> _),
                 (&plan.doc, |o| o),

@@ -368,7 +368,7 @@ impl ProcessCluster {
             PartitionStrategy::Greedy,
             PartitionStrategy::Dynamic,
         );
-        let plan = ShardPlan::build(&sampler, &grid);
+        let plan = ShardPlan::build(&sampler, &grid, &doc_view, &word_view);
 
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
@@ -494,12 +494,13 @@ impl ProcessCluster {
     }
 
     /// The replica — always exactly the last iteration boundary — as one
-    /// resume payload at the wire width of `K`.
+    /// resume payload around its record buffer, which already is at the wire
+    /// width of `K`.
     fn encode_replica(&self) -> Vec<u8> {
         encode_resume(
             self.sampler.iterations(),
-            self.sampler.records_slice(),
-            topic_wire_width(self.sampler.params().num_topics),
+            self.sampler.records_bytes(),
+            self.sampler.record_width(),
             self.sampler.topic_counts(),
         )
     }

@@ -62,10 +62,13 @@
 //! failure, never the receiver's. Workers check a sync the same way before
 //! applying it ([`PhasePlan::apply_sync`](crate::plan::PhasePlan::apply_sync)).
 //!
-//! The owning [`Delta`], [`Sync`] and [`ResumeState`] forms use the same
-//! layouts; their encoder picks the narrowest width that holds every value.
-//! They are the cold/test form — the healthy path of neither process builds
-//! one.
+//! The owning [`Delta`] and [`Sync`] forms use the same layouts; their
+//! encoder picks the narrowest width that holds every value. They are the
+//! cold/test form — the healthy path of neither process builds one. A
+//! [`ResumeState`] owns its records as the bytes they travelled in: the
+//! sampler stores records at the wire width, so a resume payload is its
+//! buffer borrowed as is on one end and validated where it lies, then copied
+//! once, on the other.
 //!
 //! # Liveness and recovery
 //!
@@ -193,8 +196,10 @@ pub struct Setup {
 pub struct ResumeState {
     /// Completed iterations at the resume point.
     pub iterations: u64,
-    /// The full packed record buffer.
-    pub records: Vec<u32>,
+    /// Bytes per topic id of `records`, as announced by the payload.
+    pub width: usize,
+    /// The full packed record buffer, `width` little-endian bytes per id.
+    pub records: Vec<u8>,
     /// The global `c_k` at the resume point.
     pub topic_counts: Vec<u32>,
 }
@@ -305,11 +310,6 @@ fn put_blocks_head(out: &mut Vec<u8>, counts: &[u32], width: usize, values: usiz
     put_u64(out, values as u64);
 }
 
-/// The narrowest record width that holds every value of `values`.
-fn narrowest_width(values: &[u32]) -> usize {
-    topic_wire_width(values.iter().copied().max().map_or(0, |max| max as usize + 1))
-}
-
 /// Appends `values` at `width` (1, 2 or 4) bytes each.
 fn put_topics(out: &mut Vec<u8>, values: &[u32], width: usize) {
     fn put<const W: usize>(dst: &mut [u8], values: &[u32]) {
@@ -326,8 +326,10 @@ fn put_topics(out: &mut Vec<u8>, values: &[u32], width: usize) {
     }
 }
 
-/// Appends `counts` and all of `records` at `width` bytes per topic.
-fn put_blocks(out: &mut Vec<u8>, counts: &[u32], records: &[u32], width: usize) {
+/// Appends `counts` and all of `records` at the narrowest width that holds
+/// every value.
+fn put_blocks(out: &mut Vec<u8>, counts: &[u32], records: &[u32]) {
+    let width = topic_wire_width(records.iter().copied().max().map_or(0, |max| max as usize + 1));
     put_blocks_head(out, counts, width, records.len());
     put_topics(out, records, width);
 }
@@ -489,23 +491,35 @@ pub fn parse_sync(payload: &[u8]) -> CodecResult<SyncView<'_>> {
 // Resume payloads and Setup
 // ---------------------------------------------------------------------------
 
-/// Encodes a resume payload at `width` bytes per topic. The coordinator
-/// encodes its replica once per recovery and writes these bytes into every
-/// `Restore` frame and the respawned worker's `Setup` tail.
+/// Encodes a resume payload around `records`, a sampler's record buffer as
+/// it is stored (`width` bytes per topic id — storage and wire share the
+/// layout, so the bytes are appended as they are). The coordinator encodes
+/// its replica once per recovery and writes these bytes into every `Restore`
+/// frame and the respawned worker's `Setup` tail.
+///
+/// # Panics
+/// Panics if `width` is not 1, 2 or 4 or `records` is not a whole number of
+/// ids of that width.
 pub fn encode_resume(
     iterations: u64,
-    records: &[u32],
+    records: &[u8],
     width: usize,
     topic_counts: &[u32],
 ) -> Vec<u8> {
+    assert!(
+        matches!(width, 1 | 2 | 4) && records.len().is_multiple_of(width),
+        "{} bytes are not ids of width {width}",
+        records.len()
+    );
     let mut out = Vec::with_capacity(8 + blocks_head_bytes(topic_counts.len()) + records.len());
     put_u64(&mut out, iterations);
-    put_blocks(&mut out, topic_counts, records, width);
+    put_blocks_head(&mut out, topic_counts, width, records.len() / width);
+    out.extend_from_slice(records);
     out
 }
 
 fn encode_owned_resume(r: &ResumeState) -> Vec<u8> {
-    encode_resume(r.iterations, &r.records, narrowest_width(&r.records), &r.topic_counts)
+    encode_resume(r.iterations, &r.records, r.width, &r.topic_counts)
 }
 
 fn take_resume(r: &mut PayloadReader<'_>) -> CodecResult<ResumeState> {
@@ -513,7 +527,8 @@ fn take_resume(r: &mut PayloadReader<'_>) -> CodecResult<ResumeState> {
     let blocks = Blocks::take(r)?;
     Ok(ResumeState {
         iterations,
-        records: blocks.records_vec(),
+        width: blocks.width,
+        records: blocks.records.to_vec(),
         topic_counts: blocks.counts().collect(),
     })
 }
@@ -603,12 +618,12 @@ pub fn encode_message_into(msg: &Message, out: &mut Vec<u8>) {
         out.push(delta_tag(phase));
         put_u32(out, d.worker_id);
         put_u64(out, d.epoch);
-        put_blocks(out, &d.partial_ck, &d.records, narrowest_width(&d.records));
+        put_blocks(out, &d.partial_ck, &d.records);
     };
     let sync = |out: &mut Vec<u8>, phase, s: &Sync| {
         out.push(sync_tag(phase));
         put_u64(out, s.epoch);
-        put_blocks(out, &s.topic_counts, &s.records, narrowest_width(&s.records));
+        put_blocks(out, &s.topic_counts, &s.records);
     };
     match msg {
         Message::Hello { worker_id } => tagged_id(out, TAG_HELLO, *worker_id),
@@ -726,6 +741,7 @@ mod tests {
                 corpus: tiny_corpus(),
                 resume: Some(ResumeState {
                     iterations: 7,
+                    width: 1,
                     records: vec![0, 1, 2, 1, 0, 2],
                     topic_counts: vec![2, 2, 2],
                 }),
@@ -771,9 +787,11 @@ mod tests {
             Message::Bye { worker_id: 0 },
             Message::Fault { worker_id: 2, message: "shard went sideways".into() },
             Message::Heartbeat { worker_id: 3 },
+            // Ids 5, 4 and 300 at two bytes each.
             Message::Restore(ResumeState {
                 iterations: 9,
-                records: vec![5, 4, 300],
+                width: 2,
+                records: vec![5, 0, 4, 0, 0x2c, 0x01],
                 topic_counts: vec![1, 1, 1],
             }),
         ];

@@ -440,7 +440,7 @@ fn a_poisoned_forwarded_segment_is_blamed_on_its_sender() {
     let mut frame = Vec::new();
     let values = entries.len() * worker.stride();
     begin_delta_frame(&mut frame, FaultPhase::Word, sender as u32, 0, 1, &partial, values);
-    worker.export_records_packed(entries, 1, &mut frame);
+    worker.export_records_packed(entries, &mut frame);
 
     let mut merged = vec![0u32; k];
     let records =
@@ -450,7 +450,7 @@ fn a_poisoned_forwarded_segment_is_blamed_on_its_sender() {
     assert_eq!(merged, partial);
 
     // Poison one topic of the segment addressed to worker 0.
-    let before = (replica.records_slice().to_vec(), replica.topic_counts().to_vec());
+    let before = (replica.records_bytes().to_vec(), replica.topic_counts().to_vec());
     let at = frame.len() - values + plan.word.segment(sender, 0).start * worker.stride();
     frame[at] = k as u8;
     merged.fill(0);
@@ -462,7 +462,7 @@ fn a_poisoned_forwarded_segment_is_blamed_on_its_sender() {
         other => panic!("expected WorkerFailed, got {other:?}"),
     }
     assert!(merged.iter().all(|&c| c == 0), "a rejected delta must not reach the merge");
-    assert_eq!(before.0, replica.records_slice());
+    assert_eq!(before.0, replica.records_bytes());
     assert_eq!(before.1, replica.topic_counts());
     cluster.shutdown().expect("clean shutdown");
 }
@@ -591,9 +591,9 @@ fn malformed_delta_payloads_are_rejected_with_typed_codec_errors() {
     let mut sampler =
         WarpLda::new(&corpus, ModelParams::paper_defaults(6), WarpLdaConfig::default(), 3);
     let entries = [0u32, 1];
-    assert!(sampler.import_records(&entries, &[0u32; 5]).is_err(), "wrong length");
-    let bad_topic = vec![6u32; 2 * (WarpLdaConfig::default().mh_steps + 1)];
-    assert!(sampler.import_records(&entries, &bad_topic).is_err(), "topic out of range");
+    assert!(sampler.import_records_packed(&entries, 1, &[0u8; 5]).is_err(), "wrong length");
+    let bad_topic = vec![6u8; 2 * (WarpLdaConfig::default().mh_steps + 1)];
+    assert!(sampler.import_records_packed(&entries, 1, &bad_topic).is_err(), "topic out of range");
 }
 
 #[test]

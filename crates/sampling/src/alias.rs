@@ -38,6 +38,12 @@ impl AliasBuildScratch {
             weights: Vec::with_capacity(n),
         }
     }
+
+    /// Bytes of heap the scratch holds.
+    pub fn heap_bytes(&self) -> usize {
+        8 * (self.scaled.capacity() + self.weights.capacity())
+            + 4 * (self.small.capacity() + self.large.capacity())
+    }
 }
 
 /// An alias table over outcomes `0..len`.
@@ -147,6 +153,11 @@ impl AliasTable {
         Self::new(&weights)
     }
 
+    /// Bytes of heap the table holds.
+    pub fn heap_bytes(&self) -> usize {
+        8 * self.prob.capacity() + 4 * self.alias.capacity()
+    }
+
     /// Number of outcomes.
     pub fn len(&self) -> usize {
         self.prob.len()
@@ -240,6 +251,11 @@ impl SparseAliasTable {
         weights.extend(entries.iter().map(|&(_, w)| w));
         self.table.rebuild(&weights, scratch);
         scratch.weights = weights;
+    }
+
+    /// Bytes of heap the table holds.
+    pub fn heap_bytes(&self) -> usize {
+        4 * self.labels.capacity() + self.table.heap_bytes()
     }
 
     /// Number of (label, weight) entries.

@@ -3,8 +3,14 @@
 //! The matrix structure (which cells contain entries) is fixed at
 //! construction; only the per-entry data is mutated by visits. Each entry has
 //! a stable **entry id** — its position in the CSC data array — which callers
-//! can use to maintain auxiliary per-token arrays (WarpLDA stores its MH
-//! proposals this way).
+//! can use to maintain auxiliary per-token arrays (WarpLDA keeps its packed
+//! records this way).
+//!
+//! The structure is **pointer-only**: per entry it keeps the row pointer
+//! (4 bytes) and nothing else. Which row a CSC position belongs to, or which
+//! column a row slot lands in, is not stored — no visit needs it, and a
+//! caller that does (the exchange plan of the multi-process runtime) reads
+//! it off the corpus views it already holds.
 
 /// A sparse `rows × cols` matrix with one data item of type `T` per entry.
 ///
@@ -12,7 +18,7 @@
 ///   contiguous and sorted by row id, so `VisitByColumn` makes purely
 ///   sequential accesses.
 /// * Row access goes through a pointer array (`PCSR`): for each row, the list
-///   of CSC positions of its entries, in column order. `VisitByRow` therefore
+///   of CSC positions of its entries, in input order. `VisitByRow` therefore
 ///   performs indirect accesses into the CSC data — but, because every
 ///   column's entries are sorted by row, those indirect accesses sweep each
 ///   column's region monotonically, which is the cache-line reuse argument of
@@ -23,17 +29,12 @@ pub struct TokenMatrix<T> {
     num_cols: usize,
     /// `col_offsets[w]..col_offsets[w+1]` is the CSC range of column `w`.
     col_offsets: Vec<u32>,
-    /// Row id of each entry, in CSC order.
-    entry_rows: Vec<u32>,
     /// Per-entry data, in CSC order.
     data: Vec<T>,
     /// `row_offsets[d]..row_offsets[d+1]` is the range of `row_ptr` for row `d`.
     row_offsets: Vec<u32>,
-    /// CSC positions of each row's entries, grouped by row, column-ascending.
+    /// CSC positions of each row's entries, grouped by row, in input order.
     row_ptr: Vec<u32>,
-    /// Column id of each entry of `row_ptr` (parallel array), so row visits
-    /// know which column an entry belongs to without touching `col_offsets`.
-    row_cols: Vec<u32>,
 }
 
 impl<T: Default + Clone> TokenMatrix<T> {
@@ -41,64 +42,64 @@ impl<T: Default + Clone> TokenMatrix<T> {
     /// allowed — a word occurring twice in a document is two entries), with
     /// default-initialized data.
     pub fn from_entries(num_rows: usize, num_cols: usize, entries: &[(u32, u32)]) -> Self {
-        for &(r, c) in entries {
+        for &(r, _) in entries {
             assert!((r as usize) < num_rows, "row {r} out of range ({num_rows} rows)");
-            assert!((c as usize) < num_cols, "col {c} out of range ({num_cols} cols)");
         }
-        let nnz = entries.len();
+        // Group the column ids by row (stable within a row = input order).
+        let mut row_offsets = vec![0u32; num_rows + 1];
+        for &(r, _) in entries {
+            row_offsets[r as usize + 1] += 1;
+        }
+        for d in 0..num_rows {
+            row_offsets[d + 1] += row_offsets[d];
+        }
+        let mut cols_by_row = vec![0u32; entries.len()];
+        let mut cursor = row_offsets.clone();
+        for &(r, c) in entries {
+            cols_by_row[cursor[r as usize] as usize] = c;
+            cursor[r as usize] += 1;
+        }
+        let rows = row_offsets.windows(2).map(|w| &cols_by_row[w[0] as usize..w[1] as usize]);
+        Self::from_rows(num_cols, rows)
+    }
 
-        // Column offsets (counting sort by column).
+    /// Builds the matrix from its rows, each given as the column ids of its
+    /// entries in order (a document's tokens, in WarpLDA's use). One counting
+    /// sort over the column ids: besides the matrix itself nothing per entry
+    /// is allocated, so construction costs no more memory than the result.
+    pub fn from_rows<'a>(num_cols: usize, rows: impl Iterator<Item = &'a [u32]> + Clone) -> Self {
         let mut col_offsets = vec![0u32; num_cols + 1];
-        for &(_, c) in entries {
-            col_offsets[c as usize + 1] += 1;
+        let mut row_offsets = Vec::with_capacity(rows.size_hint().0 + 1);
+        row_offsets.push(0u32);
+        let mut nnz = 0usize;
+        for row in rows.clone() {
+            for &c in row {
+                assert!((c as usize) < num_cols, "col {c} out of range ({num_cols} cols)");
+                col_offsets[c as usize + 1] += 1;
+            }
+            nnz += row.len();
+            row_offsets.push(u32::try_from(nnz).expect("entry ids are 32-bit"));
         }
         for w in 0..num_cols {
             col_offsets[w + 1] += col_offsets[w];
         }
-
-        // Fill CSC arrays. Iterating entries sorted by row first guarantees that
-        // within each column the rows are ascending (the property Section 5.2
-        // relies on); we do that by a counting pass over rows.
-        let mut row_counts = vec![0u32; num_rows + 1];
-        for &(r, _) in entries {
-            row_counts[r as usize + 1] += 1;
-        }
-        for d in 0..num_rows {
-            row_counts[d + 1] += row_counts[d];
-        }
-        let row_offsets = row_counts.clone();
-        // Entries ordered by row (stable within a row = input order).
-        let mut by_row: Vec<(u32, u32)> = vec![(0, 0); nnz];
-        {
-            let mut cursor = row_counts.clone();
-            for &(r, c) in entries {
-                let slot = cursor[r as usize] as usize;
-                by_row[slot] = (r, c);
-                cursor[r as usize] += 1;
+        // Visiting rows in ascending order hands each column its positions in
+        // ascending row order (the property Section 5.2 relies on).
+        let mut col_cursor = col_offsets[..num_cols].to_vec();
+        let mut row_ptr = Vec::with_capacity(nnz);
+        for row in rows {
+            for &c in row {
+                row_ptr.push(col_cursor[c as usize]);
+                col_cursor[c as usize] += 1;
             }
         }
-
-        let mut entry_rows = vec![0u32; nnz];
-        let mut row_ptr = vec![0u32; nnz];
-        let mut row_cols = vec![0u32; nnz];
-        let mut col_cursor = col_offsets.clone();
-        for (row_slot, &(r, c)) in by_row.iter().enumerate() {
-            let pos = col_cursor[c as usize];
-            col_cursor[c as usize] += 1;
-            entry_rows[pos as usize] = r;
-            row_ptr[row_slot] = pos;
-            row_cols[row_slot] = c;
-        }
-
         Self {
-            num_rows,
+            num_rows: row_offsets.len() - 1,
             num_cols,
             col_offsets,
-            entry_rows,
             data: vec![T::default(); nnz],
             row_offsets,
             row_ptr,
-            row_cols,
         }
     }
 }
@@ -116,7 +117,7 @@ impl<T> TokenMatrix<T> {
 
     /// Number of entries (tokens).
     pub fn num_entries(&self) -> usize {
-        self.data.len()
+        self.row_ptr.len()
     }
 
     /// Number of entries in row `d` (`L_d`).
@@ -131,6 +132,24 @@ impl<T> TokenMatrix<T> {
         (self.col_offsets[c + 1] - self.col_offsets[c]) as usize
     }
 
+    /// `col_offsets[w]..col_offsets[w + 1]` is the entry-id range of column
+    /// `w`: the prefix sums of the column lengths.
+    pub fn col_offsets(&self) -> &[u32] {
+        &self.col_offsets
+    }
+
+    /// The prefix sums of the row lengths; `row_offsets[d]` is also the
+    /// position of row `d`'s first entry in input (row-major) order.
+    pub fn row_offsets(&self) -> &[u32] {
+        &self.row_offsets
+    }
+
+    /// Entry id of every entry in input order: rows ascending, entries of a
+    /// row in the order they were given.
+    pub fn row_ptr(&self) -> &[u32] {
+        &self.row_ptr
+    }
+
     /// The per-entry data, indexed by entry id (CSC position).
     pub fn data(&self) -> &[T] {
         &self.data
@@ -141,22 +160,10 @@ impl<T> TokenMatrix<T> {
         &mut self.data
     }
 
-    /// Row id of the entry with the given id.
-    pub fn entry_row(&self, entry_id: u32) -> u32 {
-        self.entry_rows[entry_id as usize]
-    }
-
-    /// Entry ids of row `d`, in column order.
+    /// Entry ids of row `d`, in input order.
     pub fn row_entry_ids(&self, row: u32) -> &[u32] {
         let r = row as usize;
         &self.row_ptr[self.row_offsets[r] as usize..self.row_offsets[r + 1] as usize]
-    }
-
-    /// Column ids of the entries of row `d` (parallel to
-    /// [`row_entry_ids`](Self::row_entry_ids)).
-    pub fn row_entry_cols(&self, row: u32) -> &[u32] {
-        let r = row as usize;
-        &self.row_cols[self.row_offsets[r] as usize..self.row_offsets[r + 1] as usize]
     }
 
     /// Entry-id range of column `w` (entry ids of a column are contiguous).
@@ -165,9 +172,10 @@ impl<T> TokenMatrix<T> {
         self.col_offsets[c] as usize..self.col_offsets[c + 1] as usize
     }
 
-    /// Row ids of the entries of column `w`, ascending.
-    pub fn col_entry_rows(&self, col: u32) -> &[u32] {
-        &self.entry_rows[self.col_entry_range(col)]
+    /// Bytes of heap the structure holds (capacities, not lengths).
+    pub fn heap_bytes(&self) -> usize {
+        4 * (self.col_offsets.capacity() + self.row_offsets.capacity() + self.row_ptr.capacity())
+            + std::mem::size_of::<T>() * self.data.capacity()
     }
 
     /// Visits every row in order, giving the closure mutable access to the
@@ -179,11 +187,7 @@ impl<T> TokenMatrix<T> {
         for d in 0..self.num_rows as u32 {
             let r = d as usize;
             let range = self.row_offsets[r] as usize..self.row_offsets[r + 1] as usize;
-            let view = RowEntriesMut {
-                entry_ids: &self.row_ptr[range.clone()],
-                cols: &self.row_cols[range],
-                data: &mut self.data,
-            };
+            let view = RowEntriesMut { entry_ids: &self.row_ptr[range], data: &mut self.data };
             op(d, view);
         }
     }
@@ -196,10 +200,8 @@ impl<T> TokenMatrix<T> {
     {
         for w in 0..self.num_cols as u32 {
             let range = self.col_entry_range(w);
-            let start = range.start;
             let view = ColumnEntriesMut {
-                first_entry_id: start as u32,
-                rows: &self.entry_rows[range.clone()],
+                first_entry_id: range.start as u32,
                 data: &mut self.data[range],
             };
             op(w, view);
@@ -212,10 +214,8 @@ impl<T> TokenMatrix<T> {
         RawParts {
             num_rows: self.num_rows,
             col_offsets: &self.col_offsets,
-            entry_rows: &self.entry_rows,
             row_offsets: &self.row_offsets,
             row_ptr: &self.row_ptr,
-            row_cols: &self.row_cols,
             data: &mut self.data,
         }
     }
@@ -225,10 +225,8 @@ impl<T> TokenMatrix<T> {
 pub(crate) struct RawParts<'a, T> {
     pub num_rows: usize,
     pub col_offsets: &'a [u32],
-    pub entry_rows: &'a [u32],
     pub row_offsets: &'a [u32],
     pub row_ptr: &'a [u32],
-    pub row_cols: &'a [u32],
     pub data: &'a mut [T],
 }
 
@@ -239,7 +237,6 @@ pub(crate) struct RawParts<'a, T> {
 /// view.
 pub struct RowEntriesMut<'a, T> {
     entry_ids: &'a [u32],
-    cols: &'a [u32],
     data: &'a mut [T],
 }
 
@@ -252,11 +249,6 @@ impl<'a, T> RowEntriesMut<'a, T> {
     /// Returns `true` when the row has no entries.
     pub fn is_empty(&self) -> bool {
         self.entry_ids.is_empty()
-    }
-
-    /// Column (word) of the `i`-th entry of the row.
-    pub fn col(&self, i: usize) -> u32 {
-        self.cols[i]
     }
 
     /// Stable entry id of the `i`-th entry of the row.
@@ -281,24 +273,18 @@ impl<'a, T> RowEntriesMut<'a, T> {
 /// directly for vectorizable scans.
 pub struct ColumnEntriesMut<'a, T> {
     first_entry_id: u32,
-    rows: &'a [u32],
     data: &'a mut [T],
 }
 
 impl<'a, T> ColumnEntriesMut<'a, T> {
     /// Number of entries in the column.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.data.len()
     }
 
     /// Returns `true` when the column has no entries.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Row (document) of the `i`-th entry of the column.
-    pub fn row(&self, i: usize) -> u32 {
-        self.rows[i]
+        self.data.is_empty()
     }
 
     /// Stable entry id of the `i`-th entry of the column.
@@ -355,11 +341,32 @@ mod tests {
 
     #[test]
     fn columns_are_sorted_by_row() {
-        let m: TokenMatrix<u32> = TokenMatrix::from_entries(3, 5, &fig1_entries());
-        for w in 0..5u32 {
-            let rows = m.col_entry_rows(w);
+        // Stamp every entry with its row through the row views; each column's
+        // contiguous data must then read ascending.
+        let mut m: TokenMatrix<u32> = TokenMatrix::from_entries(3, 5, &fig1_entries());
+        m.visit_by_row(|d, mut row| {
+            for i in 0..row.len() {
+                *row.get_mut(i) = d;
+            }
+        });
+        m.visit_by_column(|w, col| {
+            let rows = col.as_slice();
             assert!(rows.windows(2).all(|p| p[0] <= p[1]), "column {w}: {rows:?}");
-        }
+        });
+    }
+
+    #[test]
+    fn from_rows_equals_from_entries_on_row_grouped_input() {
+        let rows: [&[u32]; 3] = [&[0, 1], &[2, 3, 2, 0], &[2, 4]];
+        let a: TokenMatrix<()> = TokenMatrix::from_rows(5, rows.iter().copied());
+        let b: TokenMatrix<()> = TokenMatrix::from_entries(3, 5, &fig1_entries());
+        assert_eq!(a.row_ptr(), b.row_ptr());
+        assert_eq!(a.col_offsets(), b.col_offsets());
+        assert_eq!(a.row_offsets(), b.row_offsets());
+        // Row slots keep input order: doc 1 = apple iphone apple ios.
+        assert_eq!(a.row_entry_ids(1), &[3, 6, 4, 1]);
+        // Per entry the structure holds the row pointer and nothing else.
+        assert_eq!(a.heap_bytes(), 4 * (8 + 6 + 4));
     }
 
     #[test]
@@ -386,12 +393,15 @@ mod tests {
     }
 
     #[test]
-    fn row_visit_reports_correct_columns() {
+    fn row_entries_land_in_the_columns_they_were_given() {
         let mut m: TokenMatrix<u32> = TokenMatrix::from_entries(3, 5, &fig1_entries());
+        // The column of an entry is the one whose id range holds it.
+        let col_of = |offsets: &[u32], e: u32| offsets.partition_point(|&o| o <= e) as u32 - 1;
+        let offsets = m.col_offsets().to_vec();
         let mut per_row_cols: Vec<Vec<u32>> = vec![Vec::new(); 3];
         m.visit_by_row(|d, row| {
             for i in 0..row.len() {
-                per_row_cols[d as usize].push(row.col(i));
+                per_row_cols[d as usize].push(col_of(&offsets, row.entry_id(i)));
             }
         });
         let mut row1 = per_row_cols[1].clone();
@@ -434,11 +444,11 @@ mod tests {
         let mut seen = Vec::new();
         m.visit_by_column(|w, col| {
             for i in 0..col.len() {
-                seen.push((w, col.row(i), *col.get(i)));
+                seen.push((w, *col.get(i)));
             }
         });
         seen.sort_unstable();
-        assert_eq!(seen, vec![(0, 0, 10), (1, 0, 10), (1, 1, 11)]);
+        assert_eq!(seen, vec![(0, 10), (1, 10), (1, 11)]);
     }
 
     #[test]

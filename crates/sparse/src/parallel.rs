@@ -30,7 +30,6 @@ use crate::partition::ChunkCursor;
 /// argument).
 pub struct ParRowEntries<'a, T> {
     entry_ids: &'a [u32],
-    cols: &'a [u32],
     data: *mut T,
 }
 
@@ -47,11 +46,6 @@ impl<'a, T> ParRowEntries<'a, T> {
     /// Returns `true` when the row has no entries.
     pub fn is_empty(&self) -> bool {
         self.entry_ids.is_empty()
-    }
-
-    /// Column (word) of the `i`-th entry.
-    pub fn col(&self, i: usize) -> u32 {
-        self.cols[i]
     }
 
     /// Stable entry id of the `i`-th entry.
@@ -97,7 +91,6 @@ where
     let data_ptr = SendPtr(parts.data.as_mut_ptr());
     let row_offsets = parts.row_offsets;
     let row_ptr = parts.row_ptr;
-    let row_cols = parts.row_cols;
 
     std::thread::scope(|scope| {
         for _ in 0..num_threads {
@@ -110,11 +103,7 @@ where
                 while let Some(chunk) = cursor.claim() {
                     for d in chunk {
                         let range = row_offsets[d] as usize..row_offsets[d + 1] as usize;
-                        let view = ParRowEntries {
-                            entry_ids: &row_ptr[range.clone()],
-                            cols: &row_cols[range],
-                            data: data_ptr.0,
-                        };
+                        let view = ParRowEntries { entry_ids: &row_ptr[range], data: data_ptr.0 };
                         op(d as u32, view);
                     }
                 }
@@ -134,11 +123,7 @@ where
     let data_ptr = parts.data.as_mut_ptr();
     for d in 0..parts.num_rows {
         let range = parts.row_offsets[d] as usize..parts.row_offsets[d + 1] as usize;
-        let view = ParRowEntries {
-            entry_ids: &parts.row_ptr[range.clone()],
-            cols: &parts.row_cols[range],
-            data: data_ptr,
-        };
+        let view = ParRowEntries { entry_ids: &parts.row_ptr[range], data: data_ptr };
         op(d as u32, view);
     }
 }
@@ -146,24 +131,18 @@ where
 /// A view of one column's entries handed to parallel column visitors.
 pub struct ParColumnEntries<'a, T> {
     first_entry_id: u32,
-    rows: &'a [u32],
     data: &'a mut [T],
 }
 
 impl<'a, T> ParColumnEntries<'a, T> {
     /// Number of entries in the column.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.data.len()
     }
 
     /// Returns `true` when the column has no entries.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Row (document) of the `i`-th entry.
-    pub fn row(&self, i: usize) -> u32 {
-        self.rows[i]
+        self.data.is_empty()
     }
 
     /// Stable entry id of the `i`-th entry.
@@ -202,7 +181,6 @@ where
     let parts = matrix.raw_parts_mut();
     let data_ptr = SendPtr(parts.data.as_mut_ptr());
     let col_offsets = parts.col_offsets;
-    let entry_rows = parts.entry_rows;
 
     std::thread::scope(|scope| {
         for _ in 0..num_threads {
@@ -219,11 +197,7 @@ where
                         // exactly one worker, so these slices never overlap.
                         let data =
                             unsafe { std::slice::from_raw_parts_mut(data_ptr.0.add(lo), len) };
-                        let view = ParColumnEntries {
-                            first_entry_id: col_offsets[w],
-                            rows: &entry_rows[lo..lo + len],
-                            data,
-                        };
+                        let view = ParColumnEntries { first_entry_id: col_offsets[w], data };
                         op(w as u32, view);
                     }
                 }
@@ -294,12 +268,12 @@ mod tests {
         let mut b: TokenMatrix<u64> = TokenMatrix::from_entries(30, 25, &entries);
         a.visit_by_column(|w, mut col| {
             for i in 0..col.len() {
-                *col.get_mut(i) = (w as u64) * 1000 + col.row(i) as u64;
+                *col.get_mut(i) = (w as u64) * 1000 + col.entry_id(i) as u64;
             }
         });
         parallel_visit_by_column(&mut b, 3, |w, mut col| {
             for i in 0..col.len() {
-                *col.get_mut(i) = (w as u64) * 1000 + col.row(i) as u64;
+                *col.get_mut(i) = (w as u64) * 1000 + col.entry_id(i) as u64;
             }
         });
         assert_eq!(a.data(), b.data());
@@ -312,12 +286,12 @@ mod tests {
         let mut b: TokenMatrix<u64> = TokenMatrix::from_entries(40, 20, &entries);
         a.visit_by_row(|d, mut row| {
             for i in 0..row.len() {
-                *row.get_mut(i) = (d as u64) * 1000 + row.col(i) as u64;
+                *row.get_mut(i) = (d as u64) * 1000 + row.entry_id(i) as u64;
             }
         });
         parallel_visit_by_row(&mut b, 5, |d, row| {
             for i in 0..row.len() {
-                *row.get_mut(i) = (d as u64) * 1000 + row.col(i) as u64;
+                *row.get_mut(i) = (d as u64) * 1000 + row.entry_id(i) as u64;
             }
         });
         assert_eq!(a.data(), b.data());
@@ -341,12 +315,12 @@ mod tests {
         let mut b: TokenMatrix<u32> = TokenMatrix::from_entries(20, 20, &entries);
         serial_visit_by_row_shim(&mut a, |d, row| {
             for i in 0..row.len() {
-                *row.get_mut(i) = d + row.col(i);
+                *row.get_mut(i) = d + row.entry_id(i);
             }
         });
         parallel_visit_by_row(&mut b, 3, |d, row| {
             for i in 0..row.len() {
-                *row.get_mut(i) = d + row.col(i);
+                *row.get_mut(i) = d + row.entry_id(i);
             }
         });
         assert_eq!(a.data(), b.data());

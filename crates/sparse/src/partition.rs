@@ -108,11 +108,18 @@ pub fn partition_by_size(
 /// Unlike an up-front partition there is no tail imbalance: a worker that
 /// finishes early keeps claiming. Chunks keep claims contiguous (sequential
 /// memory access within a claim) and amortize the atomic increment.
+///
+/// Chunks hold either an equal *number* of indices ([`new`](Self::new),
+/// [`for_workers`](Self::for_workers)) or — when the indices are entities of
+/// very unequal size — an about equal *mass* ([`by_mass`](Self::by_mass)).
 #[derive(Debug)]
 pub struct ChunkCursor {
     next: AtomicUsize,
     len: usize,
     chunk: usize,
+    /// Chunk `i` is `bounds[i]..bounds[i + 1]` when chunks were cut by mass;
+    /// empty for equal-count chunks.
+    bounds: Vec<usize>,
 }
 
 impl ChunkCursor {
@@ -122,7 +129,7 @@ impl ChunkCursor {
     /// Panics if `chunk` is zero.
     pub fn new(len: usize, chunk: usize) -> Self {
         assert!(chunk >= 1, "chunks must hold at least one index");
-        Self { next: AtomicUsize::new(0), len, chunk }
+        Self { next: AtomicUsize::new(0), len, chunk, bounds: Vec::new() }
     }
 
     /// A cursor whose chunk size targets ~32 claims per worker — small
@@ -131,6 +138,35 @@ impl ChunkCursor {
     pub fn for_workers(len: usize, num_workers: usize) -> Self {
         let claims = num_workers.max(1) * 32;
         Self::new(len, (len.div_ceil(claims.max(1))).clamp(1, 1024))
+    }
+
+    /// A cursor over the entities `0..offsets.len() - 1`, entity `i` weighing
+    /// `offsets[i + 1] - offsets[i]` (prefix sums, e.g. a matrix's column
+    /// offsets), cut into chunks of about equal mass: no chunk exceeds
+    /// 1/(32 · `num_workers`) of the total unless it is a single entity that
+    /// alone weighs more, which then is a chunk of its own. Equal-count
+    /// chunks over a power-law vocabulary put half of all tokens into the
+    /// first chunk and cap a phase's speed-up below 2 on any thread count.
+    ///
+    /// # Panics
+    /// Panics if `offsets` is empty.
+    pub fn by_mass(offsets: &[u32], num_workers: usize) -> Self {
+        let len = offsets.len().checked_sub(1).expect("prefix sums start with a zero");
+        let total = (offsets[len] - offsets[0]) as usize;
+        let cap = total.div_ceil(num_workers.max(1) * 32).max(1);
+        let mut bounds = vec![0];
+        let mut start = 0;
+        for end in 1..=len {
+            // Close the chunk before the entity that would overfill it.
+            if end - 1 > start && (offsets[end] - offsets[start]) as usize > cap {
+                bounds.push(end - 1);
+                start = end - 1;
+            }
+        }
+        if len > 0 {
+            bounds.push(len);
+        }
+        Self { next: AtomicUsize::new(0), len, chunk: 1, bounds }
     }
 
     /// Total number of indices.
@@ -143,7 +179,8 @@ impl ChunkCursor {
         self.len == 0
     }
 
-    /// Indices per claim (the final claim may be shorter).
+    /// Indices per claim of an equal-count cursor (the final claim may be
+    /// shorter).
     pub fn chunk_size(&self) -> usize {
         self.chunk
     }
@@ -151,10 +188,10 @@ impl ChunkCursor {
     /// Claims the next chunk; `None` once the range is exhausted.
     pub fn claim(&self) -> Option<std::ops::Range<usize>> {
         let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-        if start >= self.len {
-            return None;
+        if self.bounds.is_empty() {
+            return (start < self.len).then(|| start..(start + self.chunk).min(self.len));
         }
-        Some(start..(start + self.chunk).min(self.len))
+        (start + 1 < self.bounds.len()).then(|| self.bounds[start]..self.bounds[start + 1])
     }
 
     /// Rewinds the cursor so the range can be drained again (requires
@@ -334,6 +371,58 @@ mod tests {
         assert_eq!(one.claim(), Some(0..1));
         // Huge ranges cap the chunk so claims stay balanced.
         assert_eq!(ChunkCursor::for_workers(10_000_000, 2).chunk_size(), 1024);
+    }
+
+    /// Drains `cursor`, returning its chunks in claim order.
+    fn chunks_of(cursor: &ChunkCursor) -> Vec<std::ops::Range<usize>> {
+        std::iter::from_fn(|| cursor.claim()).collect()
+    }
+
+    #[test]
+    fn mass_chunks_tile_the_range_and_none_is_overweight() {
+        // A Zipf vocabulary: equal-count chunks would put more than half of
+        // all tokens into the first of 64.
+        let sizes = zipf_sizes(8_000, 1.0, 1_500_000);
+        let mut offsets = vec![0u32];
+        for &s in &sizes {
+            offsets.push(offsets.last().unwrap() + s as u32);
+        }
+        let total = *offsets.last().unwrap() as u64;
+        let mass = |c: &std::ops::Range<usize>| (offsets[c.end] - offsets[c.start]) as u64;
+        let first_equal_count = ChunkCursor::for_workers(8_000, 2).claim().unwrap();
+        assert!(mass(&first_equal_count) * 2 > total, "the defect this cut exists for");
+
+        for workers in [1usize, 2, 3, 8] {
+            let mut cursor = ChunkCursor::by_mass(&offsets, workers);
+            let chunks = chunks_of(&cursor);
+            assert_eq!(chunks.first().unwrap().start, 0);
+            assert_eq!(chunks.last().unwrap().end, 8_000);
+            assert!(chunks.windows(2).all(|p| p[0].end == p[1].start), "chunks must tile");
+            assert!(chunks.iter().all(|c| !c.is_empty()));
+            let heaviest_entity = *sizes.iter().max().unwrap();
+            let mean = total / chunks.len() as u64;
+            let limit = (2 * mean).max(heaviest_entity);
+            for c in &chunks {
+                assert!(mass(c) <= limit, "{c:?} weighs {} > {limit} ({workers} workers)", mass(c));
+                let cap = total.div_ceil(32 * workers as u64);
+                assert!(mass(c) <= cap || c.len() == 1, "{c:?} is over the cap and not alone");
+            }
+            assert!(cursor.claim().is_none(), "exhausted cursors stay exhausted");
+            cursor.reset();
+            assert_eq!(cursor.claim(), Some(chunks[0].clone()));
+        }
+    }
+
+    #[test]
+    fn mass_chunks_edge_cases() {
+        assert!(ChunkCursor::by_mass(&[0], 4).claim().is_none());
+        assert!(ChunkCursor::by_mass(&[0], 4).is_empty());
+        // All-empty entities are one chunk; a lone giant is its own.
+        assert_eq!(chunks_of(&ChunkCursor::by_mass(&[0, 0, 0, 0], 2)), vec![0..3]);
+        assert_eq!(
+            chunks_of(&ChunkCursor::by_mass(&[0, 1, 1_000, 1_001], 1)),
+            vec![0..1, 1..2, 2..3]
+        );
     }
 
     #[test]

@@ -45,6 +45,14 @@ fn main() {
         outcome.log.mean_tokens_per_sec() / 1e6,
         outcome.checkpoints
     );
+    // One row pointer plus a record of M + 1 topic ids per token, one byte
+    // per id up to 256 topics; the rest is O(D + V + K).
+    println!(
+        "resident bytes/token: {:.2} ({} bytes held for {} tokens)",
+        sampler.heap_bytes() as f64 / corpus.num_tokens() as f64,
+        sampler.heap_bytes(),
+        corpus.num_tokens()
+    );
 
     // 4. Resume from the mid-run checkpoint: load it into a *fresh* sampler
     //    and continue the remaining 25 iterations. The result is

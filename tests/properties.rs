@@ -166,11 +166,21 @@ proptest! {
                 let v = *col.get(i) as usize;
                 assert!(!seen[v]);
                 seen[v] = true;
-                // Column w must actually contain an entry (row, w).
-                assert!(entries.iter().any(|&(r, c)| c == w && r == col.row(i)));
             }
+            // Column w holds exactly the entries that name it.
+            assert_eq!(col.len(), entries.iter().filter(|&&(_, c)| c == w).count());
         });
         prop_assert!(seen.iter().all(|&s| s));
+        // Row slots keep the order the entries were given in, and a row's
+        // entries sit in the columns they named.
+        let offsets = m.col_offsets().to_vec();
+        for d in 0..20u32 {
+            let given = entries.iter().filter(|&&(r, _)| r == d).map(|&(_, c)| c);
+            let stored = m.row_entry_ids(d).iter().map(|&e| {
+                offsets.partition_point(|&o| o <= e) as u32 - 1
+            });
+            prop_assert!(given.eq(stored), "row {}", d);
+        }
         // Row/column lengths add up.
         let row_total: usize = (0..20u32).map(|d| m.row_len(d)).sum();
         let col_total: usize = (0..15u32).map(|w| m.col_len(w)).sum();
@@ -347,7 +357,7 @@ proptest! {
             WarpLdaConfig::with_mh_steps(1),
             11,
         );
-        let plan = ShardPlan::build(&sampler, &grid);
+        let plan = ShardPlan::build(&sampler, &grid, &doc_view, &word_view);
         for (phase, reported) in [
             (&plan.doc, sampler.num_entries() as u64),
             (&plan.word, grid.tokens_exchanged_per_phase_switch()),
@@ -367,18 +377,18 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Packed records: for any entry list and any width that can hold K, what one
-// replica exports another imports, and the `u32` pair is the width-4 case.
+// Packed records: for any entry list, what one replica exports another
+// imports, at the one width K dictates — the width they are stored at, so the
+// export is the buffer's own bytes.
 // ---------------------------------------------------------------------------
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn packed_records_round_trip_at_every_width(
+    fn packed_records_round_trip_at_their_native_width(
         k in 2usize..70_000,
         m in 1usize..4,
         picks in prop::collection::vec(0usize..1_000_000, 0..300),
-        widen in 0usize..3,
     ) {
         use warplda::lda::topic_wire_width;
 
@@ -389,36 +399,34 @@ proptest! {
         let mut sink = WarpLda::new(&corpus, params, config, 4);
         let entries: Vec<u32> =
             picks.iter().map(|p| (p % source.num_entries()) as u32).collect();
-        let width = [1usize, 2, 4]
-            .into_iter()
-            .filter(|&w| w >= topic_wire_width(k))
-            .nth(widen)
-            .unwrap_or(4);
+        let width = topic_wire_width(k);
+        prop_assert_eq!(source.record_width(), width);
 
         let mut wire = vec![0xAB; 5];
-        source.export_records_packed(&entries, width, &mut wire);
-        let stride = source.stride();
-        prop_assert_eq!(wire.len(), 5 + entries.len() * stride * width, "appends exactly");
-        let mut words = Vec::new();
-        source.export_records(&entries, &mut words);
-        let widened: Vec<u32> = wire[5..]
-            .chunks_exact(width)
-            .map(|b| b.iter().rev().fold(0, |acc, &byte| acc << 8 | u32::from(byte)))
-            .collect();
-        prop_assert_eq!(&widened, &words, "one loop, whatever the width");
+        source.export_records_packed(&entries, &mut wire);
+        let record = source.stride() * width;
+        prop_assert_eq!(wire.len(), 5 + entries.len() * record, "appends exactly");
+        let of = |replica: &WarpLda, e: u32| {
+            replica.records_bytes()[e as usize * record..(e as usize + 1) * record].to_vec()
+        };
+        for (bytes, &e) in wire[5..].chunks_exact(record).zip(&entries) {
+            prop_assert_eq!(bytes, &of(&source, e)[..], "the export is the stored bytes");
+        }
 
         sink.import_records_packed(&entries, width, &wire[5..]).expect("a peer's export imports");
         for &e in &entries {
-            let at = e as usize * stride..(e as usize + 1) * stride;
-            prop_assert_eq!(&sink.records_slice()[at.clone()], &source.records_slice()[at]);
+            prop_assert_eq!(of(&sink, e), of(&source, e));
         }
 
-        // Anything but the exact byte count, and any topic >= K, changes nothing.
-        let before = sink.records_slice().to_vec();
+        // Anything but the exact byte count, any other width, and any topic
+        // >= K, changes nothing.
+        let before = sink.records_bytes().to_vec();
         let mut long = wire[5..].to_vec();
         long.push(0);
         prop_assert!(sink.import_records_packed(&entries, width, &long).is_err());
-        prop_assert!(sink.import_records_packed(&entries, 3, &wire[5..]).is_err());
+        for other in [1usize, 2, 3, 4].into_iter().filter(|&w| w != width) {
+            prop_assert!(sink.import_records_packed(&entries, other, &wire[5..]).is_err());
+        }
         if !entries.is_empty() {
             prop_assert!(sink.import_records_packed(&entries, width, &long[1..]).is_err());
             let mut poisoned = wire[5..].to_vec();
@@ -428,7 +436,7 @@ proptest! {
                 prop_assert!(sink.import_records_packed(&entries, width, &poisoned).is_err());
             }
         }
-        prop_assert_eq!(sink.records_slice(), &before[..]);
+        prop_assert_eq!(sink.records_bytes(), &before[..]);
     }
 }
 
@@ -473,7 +481,7 @@ mod exchange {
                 WarpLda::new(&corpus, ModelParams::new(k, 0.5, 0.1), config, 9)
             };
             let coordinator = replica();
-            let plan = ShardPlan::build(&coordinator, &grid);
+            let plan = ShardPlan::build(&coordinator, &grid, &doc_view, &word_view);
             let mut replicas: Vec<WarpLda> = (0..workers).map(|_| replica()).collect();
             let width = topic_wire_width(k);
             let mut partial = vec![0u32; k];
@@ -493,7 +501,7 @@ mod exchange {
                     let values = entries.len() * replica.stride();
                     let mut frame = Vec::new();
                     begin_delta_frame(&mut frame, phase, i as u32, 0, width, &partial, values);
-                    replica.export_records_packed(entries, width, &mut frame);
+                    replica.export_records_packed(entries, &mut frame);
                     frame.split_off(4)
                 })
                 .collect();
@@ -539,8 +547,8 @@ mod exchange {
     }
 
     /// The state a rejected payload must leave untouched.
-    pub fn state(replica: &WarpLda) -> (Vec<u32>, Vec<u32>, u64) {
-        (replica.records_slice().to_vec(), replica.topic_counts().to_vec(), replica.iterations())
+    pub fn state(replica: &WarpLda) -> (Vec<u8>, Vec<u32>, u64) {
+        (replica.records_bytes().to_vec(), replica.topic_counts().to_vec(), replica.iterations())
     }
 
     /// Damages `payload`, whose `counts` block starts at `counts_at`, in the
@@ -668,10 +676,10 @@ mod exchange {
             for j in (0..workers).filter(|&j| !(j == victim && applied.is_ok())) {
                 for from in exchange.sync_sources(j) {
                     for &e in &exchange.delta_entries[from][exchange.segment(from, j)] {
-                        let at = e as usize * stride..(e as usize + 1) * stride;
+                        let at = e as usize * record_bytes..(e as usize + 1) * record_bytes;
                         prop_assert_eq!(
-                            &boundary.replicas[j].records_slice()[at.clone()],
-                            &boundary.replicas[from].records_slice()[at],
+                            &boundary.replicas[j].records_bytes()[at.clone()],
+                            &boundary.replicas[from].records_bytes()[at],
                             "entry {} from worker {} to worker {}", e, from, j
                         );
                     }

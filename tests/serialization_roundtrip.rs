@@ -129,10 +129,11 @@ fn corrupted_checkpoints_are_rejected() {
         Err(CodecError::UnsupportedVersion(42))
     ));
 
-    // Legacy files — v1 (split assignment/proposal arrays) and v2 (serial
-    // checkpoints continuing from a saved sequential RNG state): rejected
-    // with the dedicated typed error, not misread.
-    for version in [1u32, 2] {
+    // Legacy files — v1 (split assignment/proposal arrays), v2 (serial
+    // checkpoints continuing from a saved sequential RNG state) and v3
+    // (records as a `u32` array): rejected with the dedicated typed error,
+    // not misread.
+    for version in [1u32, 2, 3] {
         let mut legacy = buf.clone();
         legacy[8..12].copy_from_slice(&version.to_le_bytes());
         let err = read_checkpoint(&mut target, &mut legacy.as_slice()).unwrap_err();

@@ -358,10 +358,11 @@ fn stalled_readers_are_disconnected_and_shutdown_stays_prompt() {
     use std::io::Write as _;
 
     let (corpus, model) = frozen_model();
+    let stall_timeout = Duration::from_millis(300);
     let config = ServerConfig {
         workers: 2,
         max_pending: 4096,
-        write_stall_timeout: Duration::from_millis(300),
+        write_stall_timeout: stall_timeout,
         ..ServerConfig::default()
     };
     let handle = Server::bind("127.0.0.1:0", Arc::clone(&model), config).expect("bind loopback");
@@ -369,35 +370,46 @@ fn stalled_readers_are_disconnected_and_shutdown_stays_prompt() {
 
     // A client that sends requests and never reads a byte: its responses pile
     // up until they overrun the socket buffers, the write stalls, and the
-    // server must disconnect it instead of wedging. Kernel socket buffering
-    // is host-tuned (tens of MB on some hosts), so clamp this client's
-    // receive buffer to keep the overrun cheap, and keep pumping bursts as a
-    // backstop until the stall registers.
+    // server must disconnect it instead of wedging. How many responses that
+    // takes is the kernel's business (socket buffers are host-tuned, tens of
+    // MB on some hosts), so clamp this client's receive buffer to keep the
+    // overrun cheap and send bursts of doubling size. After each burst the
+    // client goes quiet until the counter moves or the stall clock has had
+    // two timeouts' time to run out (a round that ends too early only costs
+    // the next one): a client that kept writing would keep the server's
+    // event loop reading and could hold the stall check off for as long as
+    // it writes.
     let mut stalled = std::net::TcpStream::connect(addr).expect("connect");
     clamp_recv_buffer(&stalled);
-    stalled.set_write_timeout(Some(Duration::from_millis(500))).expect("write timeout");
+    stalled.set_write_timeout(Some(Duration::from_secs(10))).expect("write timeout");
     let doc: Vec<u32> = queries(corpus.vocab_size(), 1).remove(0);
-    let mut burst = Vec::new();
-    for seed in 0..20_000u64 {
-        warplda::serve::wire::encode_request(
-            &Request { seed, top_n: 8, body: RequestBody::Tokens(doc.clone()) },
-            &mut burst,
-        );
-    }
-    let pump_deadline = Instant::now() + Duration::from_secs(30);
-    while Instant::now() < pump_deadline && handle.counters().stalled_disconnects == 0 {
-        match stalled.write(&burst) {
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+    let burst_of = |requests: usize| {
+        let mut burst = Vec::new();
+        for seed in 0..requests as u64 {
+            warplda::serve::wire::encode_request(
+                &Request { seed, top_n: 8, body: RequestBody::Tokens(doc.clone()) },
+                &mut burst,
+            );
+        }
+        burst
+    };
+    let disconnected = || handle.counters().stalled_disconnects >= 1;
+    let mut requests_to_stall = 0;
+    for round in 0..8 {
+        let requests = 4_000 << round;
+        match stalled.write_all(&burst_of(requests)) {
+            Ok(()) => requests_to_stall += requests,
             // Reset by the server: the disconnect already happened.
-            Err(_) => break,
+            Err(_) if disconnected() => break,
+            Err(e) => panic!("the server stopped reading from a client it still holds: {e}"),
+        }
+        if wait_until(2 * stall_timeout, disconnected) {
+            break;
         }
     }
     assert!(
-        wait_until(Duration::from_secs(10), || handle.counters().stalled_disconnects >= 1),
-        "stalled reader was not disconnected: {:?}",
+        wait_until(Duration::from_secs(10), disconnected),
+        "stalled reader was not disconnected after {requests_to_stall} unread responses: {:?}",
         handle.counters()
     );
 
@@ -411,10 +423,24 @@ fn stalled_readers_are_disconnected_and_shutdown_stays_prompt() {
 
     // Shutdown is prompt even with a fresh stalled reader attached — the
     // regression that motivated this PR: a worker stuck in write_all made
-    // ServerHandle::shutdown (and Drop) hang indefinitely.
+    // ServerHandle::shutdown (and Drop) hang indefinitely. The second reader
+    // sends what it took to stall the first on this host, then the test
+    // waits for the server to have answered all of it — responses nobody
+    // reads — before asking it to stop.
+    let answered = || {
+        let c = handle.counters();
+        handle.latency().count + c.shed_overload + c.deadline_expired
+    };
+    let owed = answered() + requests_to_stall as u64;
     let mut second = std::net::TcpStream::connect(addr).expect("connect");
-    second.write_all(&burst).expect("burst");
-    std::thread::sleep(Duration::from_millis(50)); // let responses queue
+    clamp_recv_buffer(&second);
+    second.set_write_timeout(Some(Duration::from_secs(10))).expect("write timeout");
+    second.write_all(&burst_of(requests_to_stall)).expect("the server reads what it is sent");
+    assert!(
+        wait_until(Duration::from_secs(30), || answered() >= owed),
+        "the server answered {} of the {owed} requests it was sent",
+        answered()
+    );
     let t0 = Instant::now();
     handle.shutdown();
     assert!(
