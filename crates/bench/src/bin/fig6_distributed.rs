@@ -5,6 +5,7 @@
 //! Expected shape: WarpLDA reaches any given likelihood roughly an order of
 //! magnitude sooner than LightLDA.
 
+use warplda::dist::runner::price_iteration_log;
 use warplda::prelude::*;
 use warplda_bench::{full_scale, logs_to_csv_rows, run_trace, write_csv};
 
@@ -22,13 +23,27 @@ fn main() {
     println!("corpus: {}", corpus.stats().table_row("ClueWeb12-subset-like"));
     println!("K = {k}, {workers} simulated machines\n");
 
-    // Distributed WarpLDA, M = 4: driven by the distributed runtime, reported
-    // through the same IterationLog pipeline as every other run.
+    // Distributed WarpLDA, M = 4: one sampler worker per simulated machine
+    // through the same Trainer pipeline as every other run, then priced with
+    // the cluster's exchange model.
     let config = WarpLdaConfig::with_mh_steps(4);
     let cluster = ClusterConfig::tianhe2_like(workers);
-    let mut warp = DistributedWarpLda::new(&corpus, params, config, cluster, 3);
-    warp.run(&corpus, iterations, 5);
-    let warp_log = warp.iteration_log("WarpLDA (M=4, dist)");
+    let trainer = Trainer::new(&corpus);
+    let mut warp = ParallelWarpLda::new(&corpus, params, config, 3, workers);
+    let measured = trainer.train(
+        &TrainerConfig::new(iterations).eval_every(5),
+        "WarpLDA (M=4, dist)",
+        &mut warp,
+    );
+    let grid = GridPartition::build_with(
+        &corpus,
+        trainer.doc_view(),
+        trainer.word_view(),
+        workers,
+        PartitionStrategy::Greedy,
+        PartitionStrategy::Dynamic,
+    );
+    let warp_log = price_iteration_log(&measured, &grid, &cluster, &params, &config);
 
     // LightLDA baseline, M = 16, single machine (measured time).
     let mut light = LightLda::new(&corpus, params, 16, 3);

@@ -8,6 +8,7 @@
 //! as the counts sparsify), which is what makes the time-to-converge
 //! predictable.
 
+use warplda::dist::runner::price_iteration_log;
 use warplda::prelude::*;
 use warplda_bench::{full_scale, write_csv};
 
@@ -29,11 +30,25 @@ fn main() {
     println!("corpus: {}", corpus.stats().table_row("ClueWeb12-like (scaled)"));
     println!("K = {k}, M = 1, beta = 0.001, {workers} simulated machines\n");
 
-    let mut driver = DistributedWarpLda::new(&corpus, params, config, cluster, 7);
-    // Evaluate on a 5-iteration cadence plus the very first iteration, so
-    // the convergence curve has its starting point.
-    driver.run_where(&corpus, iterations, |it| it == 1 || it % 5 == 0 || it == iterations);
-    let log = driver.iteration_log("WarpLDA (dist)");
+    // One sampler worker per simulated machine through the ordinary Trainer
+    // (evaluating every 5 iterations), priced with the cluster's exchange
+    // model.
+    let trainer = Trainer::new(&corpus);
+    let mut sampler = ParallelWarpLda::new(&corpus, params, config, 7, workers);
+    let measured = trainer.train(
+        &TrainerConfig::new(iterations).eval_every(5),
+        "WarpLDA (dist)",
+        &mut sampler,
+    );
+    let grid = GridPartition::build_with(
+        &corpus,
+        trainer.doc_view(),
+        trainer.word_view(),
+        workers,
+        PartitionStrategy::Greedy,
+        PartitionStrategy::Dynamic,
+    );
+    let log = price_iteration_log(&measured, &grid, &cluster, &params, &config);
 
     println!("{:>6} {:>14} {:>14} {:>18}", "iter", "time (s)", "Gtoken/s", "log likelihood");
     for p in log.eval_points() {
@@ -65,9 +80,9 @@ fn main() {
     // naive extrapolation to the paper's 256×24-core cluster is printed as an
     // upper bound only — the paper's run uses K = 10^6, where every MH step is
     // substantially more expensive than at the scaled K used here.
-    let reports = driver.reports();
+    let records = log.records();
     let mean_tps: f64 =
-        reports.iter().map(|r| r.tokens_per_sec).sum::<f64>() / reports.len().max(1) as f64;
+        records.iter().map(|r| r.tokens_per_sec).sum::<f64>() / records.len().max(1) as f64;
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let per_core = mean_tps / host_cores as f64;
     let extrapolated = per_core * 256.0 * 24.0 * 0.8;

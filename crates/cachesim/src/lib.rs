@@ -15,9 +15,8 @@
 //! rates of Table 4 and the estimated memory-stall cycles used in the
 //! analysis benchmarks.
 //!
-//! The crate also provides a [`WorkingSetProbe`] that measures the number of
-//! distinct bytes randomly accessed per document/word scope — the quantity
-//! tabulated in Table 2.
+//! The working-set sizes of Table 2 are not measured here: they follow from
+//! the corpus shape and `K`, and `warplda_core::access` tabulates them.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -25,9 +24,7 @@
 pub mod cache;
 pub mod hierarchy;
 pub mod probe;
-pub mod working_set;
 
 pub use cache::{AccessOutcome, SetAssociativeCache};
 pub use hierarchy::{CacheLevelConfig, HierarchyConfig, HierarchyStats, MemoryHierarchy};
 pub use probe::{CacheProbe, CountingProbe, MemoryProbe, NoProbe, RegionId};
-pub use working_set::{ScopeKind, WorkingSetProbe, WorkingSetReport};

@@ -3,8 +3,8 @@
 //!
 //! Samplers are generic over a probe type; the default [`NoProbe`] compiles to
 //! nothing, so uninstrumented runs pay zero cost. Instrumented runs plug in a
-//! [`CacheProbe`] (cache simulation, Table 4) or a
-//! [`crate::WorkingSetProbe`] (working-set measurement, Table 2).
+//! [`CacheProbe`] (cache simulation, Table 4) or a [`CountingProbe`] (access
+//! counts per region).
 //!
 //! Accesses are expressed as `(region, element index)` pairs; each region
 //! (e.g. "the Cw matrix", "the cd vector") is registered once with its element
@@ -30,13 +30,6 @@ pub trait MemoryProbe {
 
     /// Records a write of element `index` of `region`.
     fn write(&mut self, region: RegionId, index: usize);
-
-    /// Marks the start of a per-document or per-word scope (used by the
-    /// working-set probe; the cache probe ignores it).
-    fn begin_scope(&mut self) {}
-
-    /// Marks the end of the current scope.
-    fn end_scope(&mut self) {}
 }
 
 /// The no-op probe: every call is empty and inlined away.
@@ -296,8 +289,6 @@ mod tests {
         let r = p.register_region("x", 10, 4);
         p.read(r, 3);
         p.write(r, 3);
-        p.begin_scope();
-        p.end_scope();
     }
 
     #[test]

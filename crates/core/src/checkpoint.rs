@@ -16,9 +16,10 @@
 //! * [`save_checkpoint`] / [`load_checkpoint`] — one-file persistence of a
 //!   sampler plus (optionally) the corpus [`Vocabulary`], so a checkpoint can
 //!   be inspected (top words per topic) without the original corpus files.
-//! * [`write_state_snapshot`] / [`read_state_snapshot`] — persistence of a
-//!   bare [`SamplerState`] (a *model*, independent of which sampler produced
-//!   it), the exchange format for downstream consumers.
+//!
+//! There is no sampler-independent snapshot beside the checkpoint: a trained
+//! *model* for downstream consumers is the `WLDAMODL` file of
+//! `warplda_serve::TopicModel` (counts + vocabulary).
 //!
 //! A checkpoint can only be loaded into a sampler constructed over the same
 //! corpus with the same hyper-parameters and configuration; every mismatch
@@ -35,14 +36,11 @@ use rand::rngs::SmallRng;
 use warplda_corpus::io::codec::{
     read_framed, write_framed, CodecError, CodecResult, Decoder, Encoder,
 };
-use warplda_corpus::{DocMajorView, Vocabulary, WordMajorView};
+use warplda_corpus::Vocabulary;
 
 use crate::params::ModelParams;
 use crate::sampler::Sampler;
 use crate::state::SamplerState;
-
-/// Payload tag of a bare [`SamplerState`] snapshot (vs a live sampler).
-const STATE_SNAPSHOT_KIND: &str = "sampler-state";
 
 /// A sampler whose complete resumable state can be persisted.
 ///
@@ -177,58 +175,6 @@ pub fn load_checkpoint(
     read_checkpoint(sampler, &mut r)
 }
 
-/// Writes a bare [`SamplerState`] (model parameters + assignments, counts are
-/// recomputed on load) plus an optional vocabulary as one framed snapshot.
-pub fn write_state_snapshot(
-    state: &SamplerState,
-    vocab: Option<&Vocabulary>,
-    w: &mut dyn Write,
-) -> CodecResult<()> {
-    let mut payload = Vec::new();
-    {
-        let mut enc = Encoder::new(&mut payload);
-        enc.write_str(STATE_SNAPSHOT_KIND)?;
-        write_model_params(&mut enc, state.params())?;
-        enc.write_u32_slice(state.assignments())?;
-        match vocab {
-            Some(v) => {
-                enc.write_bool(true)?;
-                warplda_corpus::io::codec::write_vocab(&mut enc, v)?;
-            }
-            None => enc.write_bool(false)?,
-        }
-    }
-    write_framed(w, &payload)
-}
-
-/// Reads a snapshot written by [`write_state_snapshot`], rebuilding the count
-/// structures against the given corpus views.
-pub fn read_state_snapshot(
-    r: &mut dyn Read,
-    doc_view: &DocMajorView,
-    word_view: &WordMajorView,
-) -> CodecResult<(SamplerState, Option<Vocabulary>)> {
-    let payload = read_framed(r)?;
-    let mut cursor = payload.as_slice();
-    let mut dec = Decoder::new(&mut cursor);
-    let kind = dec.read_string()?;
-    if kind != STATE_SNAPSHOT_KIND {
-        return Err(CodecError::Corrupt(format!(
-            "expected a {STATE_SNAPSHOT_KIND:?} snapshot, found {kind:?}"
-        )));
-    }
-    let params = read_model_params(&mut dec)?;
-    let z = dec.read_u32_vec()?;
-    validate_assignments(&z, doc_view.num_tokens(), params.num_topics)?;
-    let vocab = if dec.read_bool()? {
-        Some(warplda_corpus::io::codec::read_vocab(&mut dec)?)
-    } else {
-        None
-    };
-    let state = SamplerState::from_assignments_with_views(doc_view, word_view, params, z);
-    Ok((state, vocab))
-}
-
 /// Checks a decoded assignment vector against the corpus shape.
 pub(crate) fn validate_assignments(
     z: &[u32],
@@ -305,23 +251,6 @@ mod tests {
             b.push_text_doc(["leaf", "tree", "root", "leaf"]);
         }
         b.build().unwrap()
-    }
-
-    #[test]
-    fn state_snapshot_round_trips_with_vocab() {
-        let corpus = tiny();
-        let dv = DocMajorView::build(&corpus);
-        let wv = WordMajorView::build(&corpus, &dv);
-        let params = ModelParams::new(3, 0.5, 0.1);
-        let z: Vec<u32> = (0..dv.num_tokens()).map(|i| (i % 3) as u32).collect();
-        let state = SamplerState::from_assignments(&corpus, &dv, &wv, params, z.clone());
-
-        let mut buf = Vec::new();
-        write_state_snapshot(&state, Some(corpus.vocab()), &mut buf).unwrap();
-        let (restored, vocab) = read_state_snapshot(&mut buf.as_slice(), &dv, &wv).unwrap();
-        restored.assert_consistent(&dv, &wv);
-        assert_eq!(restored.assignments(), &z[..]);
-        assert_eq!(vocab.unwrap().word(0), corpus.vocab().word(0));
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! The sampling hot paths never construct these per document/word: a
 //! [`CountPool`] keeps one reusable table per capacity class (plus one dense
 //! vector) per worker, so steady-state iterations perform no heap
-//! allocation.
+//! allocation. Which of the two serves a row/column is the pool's
+//! [`prefers_hash`](CountPool::prefers_hash) (`2·L < K`); the kernels branch
+//! on it once per visit and then run monomorphized over the chosen type —
+//! there is no enum that dispatches per operation.
 
 /// Common interface of the count-vector implementations.
 pub trait TopicCounts {
@@ -308,72 +311,6 @@ impl TopicCounts for DenseCounts {
     }
 }
 
-/// A count vector that picks the hash or dense representation depending on the
-/// expected number of distinct topics (the paper's `min{K, 2L}` heuristic).
-#[derive(Debug, Clone)]
-pub enum CountVector {
-    /// Hash-table backed (sparse) counts.
-    Hash(HashCounts),
-    /// Dense counts.
-    Dense(DenseCounts),
-}
-
-impl CountVector {
-    /// Chooses a representation: hash when `2·expected < num_topics`, dense
-    /// otherwise.
-    pub fn auto(expected: usize, num_topics: usize) -> Self {
-        if expected.saturating_mul(2) < num_topics {
-            CountVector::Hash(HashCounts::with_expected(expected, num_topics))
-        } else {
-            CountVector::Dense(DenseCounts::new(num_topics))
-        }
-    }
-}
-
-impl TopicCounts for CountVector {
-    fn get(&self, topic: u32) -> u32 {
-        match self {
-            CountVector::Hash(h) => h.get(topic),
-            CountVector::Dense(d) => d.get(topic),
-        }
-    }
-
-    fn add(&mut self, topic: u32, delta: i32) {
-        match self {
-            CountVector::Hash(h) => h.add(topic, delta),
-            CountVector::Dense(d) => d.add(topic, delta),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            CountVector::Hash(h) => h.clear(),
-            CountVector::Dense(d) => d.clear(),
-        }
-    }
-
-    fn for_each(&self, f: impl FnMut(u32, u32)) {
-        match self {
-            CountVector::Hash(h) => h.for_each(f),
-            CountVector::Dense(d) => d.for_each(f),
-        }
-    }
-
-    fn num_nonzero(&self) -> usize {
-        match self {
-            CountVector::Hash(h) => h.num_nonzero(),
-            CountVector::Dense(d) => d.num_nonzero(),
-        }
-    }
-
-    fn total(&self) -> u64 {
-        match self {
-            CountVector::Hash(h) => h.total(),
-            CountVector::Dense(d) => d.total(),
-        }
-    }
-}
-
 /// A per-worker pool of reusable count vectors: one [`DenseCounts`] over all
 /// topics plus one [`HashCounts`] per power-of-two capacity class.
 ///
@@ -514,15 +451,12 @@ mod tests {
     }
 
     #[test]
-    fn auto_counts_match_reference_model() {
-        reference_model(CountVector::auto(10, 10_000), &mixed_ops(3, 5000, 200));
-        reference_model(CountVector::auto(500, 100), &mixed_ops(4, 5000, 100));
-    }
-
-    #[test]
     fn auto_picks_hash_for_sparse_and_dense_for_long_docs() {
-        assert!(matches!(CountVector::auto(10, 10_000), CountVector::Hash(_)));
-        assert!(matches!(CountVector::auto(600, 1_000), CountVector::Dense(_)));
+        // The paper's rule: hash exactly when 2·L < K.
+        assert!(CountPool::new(10_000).prefers_hash(10));
+        assert!(!CountPool::new(1_000).prefers_hash(600));
+        let pool = CountPool::new(100);
+        assert!(pool.prefers_hash(49) && !pool.prefers_hash(50));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! Evaluating assignments does not materialize `C_d` or `C_w` (Section 4.4
 //! holds for evaluation as it does for sampling): [`log_joint_likelihood`]
 //! counts one document, then one word, at a time into a single reusable
-//! vector ([`LikelihoodSum`]) and allocates O(K), whatever D and V are.
+//! vector (`LikelihoodSum`) and allocates O(K), whatever D and V are.
 //! [`log_joint_likelihood_of_state`] is for callers that hold the count
 //! tables anyway; both add the same terms in the same order and return the
 //! same bits.

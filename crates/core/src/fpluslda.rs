@@ -141,7 +141,6 @@ impl<P: MemoryProbe> Sampler for FPlusLda<P> {
             if self.word_view.word_len(w) == 0 {
                 continue;
             }
-            self.probe.begin_scope();
             let mut tree = self.build_tree(w);
             // Sequential pass over this word's column when building the tree.
             for t in 0..k {
@@ -199,7 +198,6 @@ impl<P: MemoryProbe> Sampler for FPlusLda<P> {
                 self.probe.write(self.region_cw, w as usize * k + new as usize);
                 self.probe.write(self.region_ck, new as usize);
             }
-            self.probe.end_scope();
         }
         self.iterations += 1;
     }

@@ -318,7 +318,6 @@ impl<P: MemoryProbe> Sampler for LightLda<P> {
 
         for d in 0..self.doc_view.num_docs() {
             let d = d as u32;
-            self.probe.begin_scope();
             for i in self.doc_view.doc_range(d) {
                 let w = self.doc_view.word_of(i);
                 // Instant (ground-truth) counts always track the assignments; the
@@ -381,7 +380,6 @@ impl<P: MemoryProbe> Sampler for LightLda<P> {
                 self.probe.write(self.region_cw, w as usize * k + z as usize);
                 self.probe.write(self.region_ck, z as usize);
             }
-            self.probe.end_scope();
         }
         self.iterations += 1;
     }

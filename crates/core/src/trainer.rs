@@ -48,9 +48,6 @@ pub struct TrainerConfig {
     pub eval_every: usize,
     /// Always evaluate after the final iteration, regardless of `eval_every`.
     pub eval_final: bool,
-    /// Evaluate on a background worker so sampling is not stalled behind the
-    /// likelihood computation. Values are identical either way.
-    pub overlap_eval: bool,
     /// Save a checkpoint every `checkpoint_every` iterations (`0` means
     /// never; the final iteration is always saved when a cadence is set).
     pub checkpoint_every: usize,
@@ -65,7 +62,6 @@ impl Default for TrainerConfig {
             iterations: 100,
             eval_every: 10,
             eval_final: true,
-            overlap_eval: true,
             checkpoint_every: 0,
             checkpoint_dir: None,
         }
@@ -97,13 +93,6 @@ impl TrainerConfig {
         self
     }
 
-    /// Forces evaluations to run inline on the sampling thread (the
-    /// behaviour of the old hand-rolled loops).
-    pub fn inline_eval(mut self) -> Self {
-        self.overlap_eval = false;
-        self
-    }
-
     /// Enables checkpoints every `every` iterations into `dir`.
     pub fn checkpoint_into(mut self, dir: impl Into<PathBuf>, every: usize) -> Self {
         self.checkpoint_dir = Some(dir.into());
@@ -123,8 +112,8 @@ impl TrainerConfig {
     }
 }
 
-/// One trained iteration as recorded by the [`Trainer`] (or adapted from a
-/// distributed iteration report).
+/// One trained iteration as recorded by the [`Trainer`] (or re-priced from
+/// one by the cluster cost model of `warplda-dist`).
 #[derive(Debug, Clone, Copy)]
 pub struct IterationRecord {
     /// Absolute iteration number (1-based, continues across resumes).
@@ -195,7 +184,7 @@ impl IterationLog {
         &self.records
     }
 
-    /// Appends a record (used by adapters like the distributed driver).
+    /// Appends a record (used by the cluster cost model of `warplda-dist`).
     pub fn push(&mut self, record: IterationRecord) {
         self.records.push(record);
     }
@@ -387,9 +376,8 @@ impl<'a> Trainer<'a> {
 
     /// Runs `config.iterations` iterations of `sampler`, returning the log.
     ///
-    /// Evaluations follow `config`'s schedule and — unless
-    /// [`TrainerConfig::inline_eval`] — run on a background worker overlapped
-    /// with the next sampling iterations.
+    /// Evaluations follow `config`'s schedule and run on a background worker
+    /// overlapped with the next sampling iterations.
     pub fn train(
         &self,
         config: &TrainerConfig,
@@ -545,31 +533,20 @@ impl<'a> Trainer<'a> {
                 if config.wants_eval(it) {
                     let mut snapshot = Vec::new();
                     sampler.write_assignments_into(&mut snapshot);
-                    if config.overlap_eval {
-                        if let Some((i, handle)) = pending.take() {
-                            let (ll, held) = handle.join().expect("evaluation worker panicked");
-                            evals.push((i, ll, held));
-                        }
-                        let handle = scope.spawn(move || {
-                            evaluate(EvalInput {
-                                corpus,
-                                doc_view,
-                                word_view,
-                                params,
-                                assignments: &snapshot,
-                            })
-                        });
-                        pending = Some((iteration, handle));
-                    } else {
-                        let (ll, held) = evaluate(EvalInput {
+                    if let Some((i, handle)) = pending.take() {
+                        let (ll, held) = handle.join().expect("evaluation worker panicked");
+                        evals.push((i, ll, held));
+                    }
+                    let handle = scope.spawn(move || {
+                        evaluate(EvalInput {
                             corpus,
                             doc_view,
                             word_view,
                             params,
                             assignments: &snapshot,
-                        });
-                        evals.push((iteration, ll, held));
-                    }
+                        })
+                    });
+                    pending = Some((iteration, handle));
                 }
 
                 if let Some(saver) = saver {
@@ -663,18 +640,18 @@ mod tests {
 
         let mut a = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 3);
         let overlapped = trainer.train(&TrainerConfig::new(10).eval_every(2), "overlapped", &mut a);
-        let mut b = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 3);
-        let inline =
-            trainer.train(&TrainerConfig::new(10).eval_every(2).inline_eval(), "inline", &mut b);
-
-        let lls_a: Vec<(u64, f64)> =
+        let lls: Vec<(u64, f64)> =
             overlapped.eval_points().map(|r| (r.iteration, r.log_likelihood.unwrap())).collect();
-        let lls_b: Vec<(u64, f64)> =
-            inline.eval_points().map(|r| (r.iteration, r.log_likelihood.unwrap())).collect();
-        assert_eq!(lls_a.len(), 5, "iterations 2, 4, 6, 8, 10");
-        for ((ia, la), (ib, lb)) in lls_a.iter().zip(&lls_b) {
-            assert_eq!(ia, ib);
-            assert_eq!(la.to_bits(), lb.to_bits(), "iteration {ia}: {la} vs {lb}");
+        assert_eq!(lls.len(), 5, "iterations 2, 4, 6, 8, 10");
+
+        // The reference: the same chain by hand, evaluated inline.
+        let mut b = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 3);
+        for (it, ll) in lls {
+            b.run_iteration();
+            b.run_iteration();
+            assert_eq!(b.iterations(), it);
+            let inline = b.log_likelihood(&corpus, trainer.doc_view(), trainer.word_view());
+            assert_eq!(ll.to_bits(), inline.to_bits(), "iteration {it}: {ll} vs {inline}");
         }
         // Overlapped evaluation must not perturb the chain either.
         assert_eq!(a.assignments(), b.assignments());
@@ -701,30 +678,25 @@ mod tests {
         let log = trainer.train(&TrainerConfig::new(4).eval_every(2), "plain", &mut s);
         assert_eq!(log.held_out_points().count(), 0);
 
-        // With it, every evaluated iteration carries one, and the values are
-        // identical whether the evaluation is overlapped or inline (the
-        // metric is a pure function of the snapshot).
+        // With it, every evaluated iteration carries one, computed from that
+        // iteration's assignments (the metric is a pure function of the
+        // snapshot, so a hand loop over the same chain gives the same values).
         let metric: fn(EvalInput<'_>) -> f64 =
             |input| input.assignments.iter().map(|&t| t as f64).sum::<f64>();
-        let mut runs = Vec::new();
-        for inline in [false, true] {
-            let trainer = Trainer::new(&corpus).with_held_out_fn(Box::new(metric));
-            let mut s = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 3);
-            let mut config = TrainerConfig::new(4).eval_every(2);
-            if inline {
-                config = config.inline_eval();
-            }
-            let log = trainer.train(&config, "held-out", &mut s);
-            let points: Vec<(u64, f64)> =
-                log.held_out_points().map(|r| (r.iteration, r.held_out.unwrap())).collect();
-            assert_eq!(points.iter().map(|p| p.0).collect::<Vec<_>>(), vec![2, 4]);
-            for &(it, v) in &points {
-                assert!(log.likelihood_at(it).is_some());
-                assert!(v.is_finite(), "iteration {it}: {v}");
-            }
-            runs.push(points);
+        let trainer = Trainer::new(&corpus).with_held_out_fn(Box::new(metric));
+        let mut s = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 3);
+        let log = trainer.train(&TrainerConfig::new(4).eval_every(2), "held-out", &mut s);
+        let points: Vec<(u64, f64)> =
+            log.held_out_points().map(|r| (r.iteration, r.held_out.unwrap())).collect();
+        assert_eq!(points.iter().map(|p| p.0).collect::<Vec<_>>(), vec![2, 4]);
+        let mut by_hand = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 3);
+        for (it, v) in points {
+            assert!(log.likelihood_at(it).is_some());
+            by_hand.run_iteration();
+            by_hand.run_iteration();
+            let expected = by_hand.assignments().iter().map(|&t| t as f64).sum::<f64>();
+            assert_eq!(v, expected, "iteration {it}");
         }
-        assert_eq!(runs[0], runs[1], "overlapped and inline held-out values must agree");
     }
 
     #[test]

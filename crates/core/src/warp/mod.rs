@@ -2,10 +2,10 @@
 //! randomly accessed memory per document/word is a single O(K) vector.
 //!
 //! The sampler is built directly on the [`warplda_sparse::TokenMatrix`]
-//! framework of Section 5, used structure-only (offsets and row pointers);
-//! the per-token state lives in a [`PackedRecords`] buffer: one interleaved
-//! record per entry holding the current topic assignment followed by the `M`
-//! pending MH proposals. Assignment and proposals are always read and written
+//! structure of Section 5 (offsets and row pointers); the per-token state
+//! lives in a [`PackedRecords`] buffer: one interleaved record per entry
+//! holding the current topic assignment followed by the `M` pending MH
+//! proposals. Assignment and proposals are always read and written
 //! together, so packing them makes each token touch a single sequential
 //! stream instead of two parallel ones. Neither `Cd` nor `Cw` is ever
 //! materialized — each row/column count vector is recomputed on the fly while
@@ -24,7 +24,7 @@
 //! records travel at between processes and rest at in a checkpoint, so those
 //! paths copy bytes instead of repacking them.
 //!
-//! **Width dispatch.** [`Phase::visit`] turns the width into a type once per
+//! **Width dispatch.** `Phase::visit` turns the width into a type once per
 //! visited entity ([`with_topic_type!`]) and runs the one column kernel or
 //! the one row kernel monomorphized over [`Topic`]; the bulk operations
 //! (initialization, [`Sampler::assignments`], the validation scan of
@@ -41,13 +41,13 @@
 //!
 //! One iteration is two passes (Algorithm 2):
 //!
-//! 1. **Word phase** (`VisitByColumn`): for each word, compute `c_w`, run the
+//! 1. **Word phase** (a visit by column): for each word, compute `c_w`, run the
 //!    MH chains that consume the *document* proposals drawn in the previous
 //!    doc phase (their acceptance rate only needs `c_w` and `c_k`), then draw
 //!    fresh *word* proposals `q_word(k) ∝ C_wk + β` from an alias table over
 //!    the updated `c_w`.
-//! 2. **Document phase** (`VisitByRow`): for each document, compute `c_d`, run
-//!    the MH chains that consume the word proposals (acceptance needs only
+//! 2. **Document phase** (a visit by row): for each document, compute `c_d`,
+//!    run the MH chains that consume the word proposals (acceptance needs only
 //!    `c_d` and `c_k`), then draw fresh document proposals
 //!    `q_doc(k) ∝ C_dk + α` by random positioning.
 //!
@@ -74,8 +74,8 @@
 //!   pool.
 //! * [`WarpLda::run_word_phase_shard`] / [`WarpLda::run_doc_phase_shard`]
 //!   visit a caller-chosen subset; with [`WarpLda::install_topic_counts`],
-//!   [`WarpLda::export_records`] / [`WarpLda::import_records`] (or their
-//!   `_packed` forms, [`topic_wire_width`] bytes per topic) and
+//!   [`WarpLda::export_records_packed`] / [`WarpLda::import_records_packed`]
+//!   ([`topic_wire_width`] bytes per topic) and
 //!   [`WarpLda::advance_iteration`] they are the phase API the multi-process
 //!   runtime in `warplda-dist` drives replicas through.
 //!
@@ -178,7 +178,7 @@ impl PhaseScratch {
     /// never change, so every buffer is at its high-water mark and every hash
     /// table a visit will ask for exists at its final size. Whoever visits
     /// whichever entity with it never allocates.
-    fn for_matrix(num_topics: usize, use_hash: bool, matrix: &TokenMatrix<()>) -> Self {
+    fn for_matrix(num_topics: usize, use_hash: bool, matrix: &TokenMatrix) -> Self {
         fn lens(offsets: &[u32]) -> impl Iterator<Item = usize> + '_ {
             offsets.windows(2).map(|w| (w[1] - w[0]) as usize)
         }
@@ -224,9 +224,9 @@ struct VisitCtx {
 /// iteration's seed schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PhaseKind {
-    /// `VisitByColumn`: consumes doc proposals, produces word proposals.
+    /// Visit by column: consumes doc proposals, produces word proposals.
     Word = 0,
-    /// `VisitByRow`: consumes word proposals, produces doc proposals.
+    /// Visit by row: consumes word proposals, produces doc proposals.
     Doc = 1,
 }
 
@@ -271,7 +271,7 @@ impl<T: Topic> TypedRecs<T> {
 pub(crate) struct Phase<'a> {
     kind: PhaseKind,
     ctx: VisitCtx,
-    matrix: &'a TokenMatrix<()>,
+    matrix: &'a TokenMatrix,
     recs: RecPtr,
     ck: &'a [u32],
     /// Stream root of this `(seed, iteration, phase)`; per-entity streams
@@ -335,7 +335,6 @@ impl Phase<'_> {
         // single sequential stream over `len * (M + 1)` ids.
         let block =
             std::slice::from_raw_parts_mut(recs.at(range.start as u32, 0), len * recs.stride);
-        probe.begin_scope();
         let PhaseScratch { counts, proposals } = scratch;
         if self.ctx.use_hash && counts.prefers_hash(len) {
             let cw = counts.hash_for(len);
@@ -343,7 +342,6 @@ impl Phase<'_> {
         } else {
             self.word_column_kernel(block, partial_ck, counts.dense(), proposals, &mut rng, probe);
         }
-        probe.end_scope();
     }
 
     fn word_column_kernel<T: Topic, C: TopicCounts, P: MemoryProbe>(
@@ -437,14 +435,12 @@ impl Phase<'_> {
             return;
         }
         let mut rng = new_rng(split_seed(self.seed, d as u64));
-        probe.begin_scope();
         let counts = &mut scratch.counts;
         if self.ctx.use_hash && counts.prefers_hash(len) {
             self.doc_row_kernel(recs, entries, partial_ck, counts.hash_for(len), &mut rng, probe);
         } else {
             self.doc_row_kernel(recs, entries, partial_ck, counts.dense(), &mut rng, probe);
         }
-        probe.end_scope();
     }
 
     /// # Safety
@@ -537,7 +533,7 @@ pub struct WarpLda<P: MemoryProbe = NoProbe> {
     /// D × V matrix, structure only: column offsets, row offsets and one row
     /// pointer per token. The pointers are in doc-major token order, so they
     /// also map a token index to its entry id.
-    matrix: TokenMatrix<()>,
+    matrix: TokenMatrix,
     /// Packed per-entry records `[z | M proposals]`, stride `M + 1`, indexed
     /// by entry id (CSC position), at [`topic_wire_width`]`(K)` bytes per id.
     /// Every id in it is below `K`.
@@ -615,7 +611,7 @@ impl<P: MemoryProbe> WarpLda<P> {
         let m = config.mh_steps;
 
         // One entry per token; a row keeps its document's token order.
-        let matrix: TokenMatrix<()> =
+        let matrix: TokenMatrix =
             TokenMatrix::from_rows(vocab_size, corpus.docs().iter().map(Document::tokens));
         let num_entries = matrix.num_entries();
 

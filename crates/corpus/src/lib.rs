@@ -46,5 +46,3 @@ pub use vocab::Vocabulary;
 pub type WordId = u32;
 /// Identifier of a document.
 pub type DocId = u32;
-/// Identifier of a topic.
-pub type TopicId = u32;

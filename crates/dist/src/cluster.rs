@@ -28,8 +28,8 @@ pub struct ClusterConfig {
 /// word → doc).
 ///
 /// This is the single pricing formula shared by
-/// [`DistributedWarpLda`](crate::DistributedWarpLda)'s per-iteration reports
-/// and [`runner::model_point`](crate::runner::model_point), and it is exactly
+/// [`runner::price_iteration_log`](crate::runner::price_iteration_log) and
+/// [`runner::model_point`](crate::runner::model_point), and it is exactly
 /// what [`ProcessCluster`](crate::ProcessCluster) forwards to workers as
 /// record segments.
 pub fn exchange_bytes_per_iteration(

@@ -47,8 +47,7 @@ impl GridPartition {
     }
 
     /// Builds the grid with separate strategies for the document and word
-    /// shards. [`DistributedWarpLda`](crate::DistributedWarpLda) uses this to
-    /// mirror the shared-memory execution it accounts for, which greedy-shards
+    /// shards. [`ProcessCluster`](crate::ProcessCluster) greedy-shards
     /// documents but slices words into contiguous token-balanced ranges.
     ///
     /// # Panics

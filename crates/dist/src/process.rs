@@ -20,10 +20,9 @@
 //! ([`assignments`](ProcessCluster::assignments),
 //! [`topic_counts`](ProcessCluster::topic_counts)) and checkpointable without
 //! touching the workers, and — by the per-entity RNG stream argument spelled
-//! out in `warplda_core::warp` — bit-identical to the serial [`WarpLda`], a
-//! simulated [`DistributedWarpLda`](crate::DistributedWarpLda) and an
-//! in-process [`ParallelWarpLda`](warplda_core::ParallelWarpLda) run of the
-//! same seed.
+//! out in `warplda_core::warp` — bit-identical to the serial [`WarpLda`] and
+//! an in-process [`ParallelWarpLda`](warplda_core::ParallelWarpLda) run of
+//! the same seed.
 //!
 //! # Supervision
 //!
@@ -50,7 +49,7 @@
 //!   per-entity RNG streams keyed on (seed, iteration, phase, entity), the
 //!   retried iteration is **bit-identical** to the one that failed, so a
 //!   recovered run converges to exactly the fault-free model.
-//! * **Scripted faults.** A [`FaultPlan`](crate::FaultPlan) makes precise
+//! * **Scripted faults.** A [`FaultPlan`] makes precise
 //!   failures happen at precise moments (crash, hang, delay, corrupt or
 //!   truncated delta) so all of the above is exercised deterministically in
 //!   tests and CI instead of waiting for real crashes.

@@ -3,10 +3,10 @@
 //!
 //! [`ProcessCluster`] spawns genuine `warplda-dist-worker` OS processes and
 //! exchanges deltas over loopback TCP; the serial [`WarpLda`] — the reference
-//! mode of every driver — and the simulated [`DistributedWarpLda`] advance
-//! the same model without any wire. Because a visit's randomness derives
-//! from per-entity RNG streams and partial `c_k` merge by commutative integer
-//! sums, all of them must agree **bit-for-bit** after every iteration —
+//! mode of every driver — advances the same model without any wire. Because
+//! a visit's randomness derives from per-entity RNG streams and partial `c_k`
+//! merge by commutative integer sums, the two must agree **bit-for-bit** after
+//! every iteration —
 //! assignments, global topic counts and therefore perplexity. These tests
 //! enforce that, plus the cluster's row and column of the checkpoint matrix
 //! (any driver resumes any driver's checkpoint, under any worker count) and
@@ -38,7 +38,7 @@ use warplda_corpus::{Corpus, DatasetPreset, DocMajorView, WordMajorView};
 use warplda_dist::process::validate_delta;
 use warplda_dist::protocol::{begin_delta_frame, record_wire_bytes};
 use warplda_dist::{
-    ClusterConfig, DistError, DistributedWarpLda, FaultPhase, FaultPlan, ProcessCluster,
+    exchange_bytes_per_iteration, DistError, FaultPhase, FaultPlan, ProcessCluster,
     ProcessClusterConfig,
 };
 
@@ -51,7 +51,7 @@ fn process_config(workers: usize) -> ProcessClusterConfig {
     cfg
 }
 
-/// Per-iteration differential run: multi-process vs. simulated vs. serial.
+/// Per-iteration differential run: multi-process vs. serial.
 fn assert_backends_agree(
     corpus: &Corpus,
     num_topics: usize,
@@ -66,18 +66,14 @@ fn assert_backends_agree(
 
     let mut cluster = ProcessCluster::new(corpus, params, config, seed, process_config(workers))
         .expect("spawn cluster");
-    let mut simulated =
-        DistributedWarpLda::new(corpus, params, config, ClusterConfig::tianhe2_like(workers), seed);
     let mut serial = WarpLda::new(corpus, params, config, seed);
 
     for iter in 1..=iters {
         let report = cluster.run_iteration().expect("distributed iteration");
         assert_eq!(report.iteration, iter);
-        simulated.run_iteration(corpus, false);
         serial.run_iteration();
 
         let z = cluster.assignments();
-        assert_eq!(z, simulated.assignments(), "iteration {iter}, {workers} workers: simulated");
         assert_eq!(z, serial.assignments(), "iteration {iter}, {workers} workers: serial");
         assert_eq!(
             cluster.topic_counts(),
@@ -242,9 +238,9 @@ fn healthy_iterations_exchange_exactly_the_closed_form_byte_count() {
 }
 
 /// The simulated cluster's cost model and the real protocol price the
-/// exchange with one function: what `DistributedWarpLda` charges per
-/// iteration is exactly the record-segment bytes `ProcessCluster` forwards
-/// to its workers over the same grid.
+/// exchange with one function: what `exchange_bytes_per_iteration` charges
+/// per iteration is exactly the record-segment bytes `ProcessCluster`
+/// forwards to its workers over the same grid.
 #[test]
 fn the_simulated_cost_model_charges_exactly_the_forwarded_record_bytes() {
     let corpus = DatasetPreset::Tiny.generate_scaled(4);
@@ -259,14 +255,11 @@ fn the_simulated_cost_model_charges_exactly_the_forwarded_record_bytes() {
                 .iter()
                 .flat_map(|phase| (0..workers).map(|j| phase.sync_len(j)))
                 .sum();
-            let mut simulated = DistributedWarpLda::new(
-                &corpus,
-                params,
-                config,
-                ClusterConfig::tianhe2_like(workers),
-                5,
+            let modelled = exchange_bytes_per_iteration(
+                cluster.grid().tokens_exchanged_per_phase_switch(),
+                k,
+                config.mh_steps,
             );
-            let modelled = simulated.run_iteration(&corpus, false).bytes_exchanged;
             assert!(modelled > 0);
             assert_eq!(
                 modelled,

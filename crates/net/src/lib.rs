@@ -19,10 +19,9 @@
 //!   [`DEFAULT_MAX_FRAME_BYTES`], the distributed runtime raises it for
 //!   corpus and record-delta frames.
 //! * [`PayloadReader`] — a zero-copy bounds-checked cursor over one payload.
-//! * [`connect_with_retry`] / [`connect_within`] — TCP connect with jittered
-//!   exponential backoff, for clients and workers racing a listener that is
-//!   still coming up. `connect_within` bounds the whole dance by a wall-clock
-//!   deadline and surfaces exhaustion as a typed
+//! * [`connect_within`] — TCP connect with jittered exponential backoff, for
+//!   workers racing a listener that is still coming up, bounded by a
+//!   wall-clock deadline: exhaustion is a typed
 //!   [`WireError::ConnectTimedOut`] instead of retrying forever.
 //!
 //! Encoding is in-place: [`begin_frame`]/[`end_frame`] reserve and patch the
@@ -411,36 +410,6 @@ impl JitterRng {
     }
 }
 
-/// Connects to `addr`, retrying with bounded jittered exponential backoff:
-/// `attempts` tries, sleeping roughly `initial_backoff` after the first
-/// failure and doubling up to `max_backoff` between the rest (each sleep is
-/// jittered to `[base/2, base]` so a fleet of workers does not retry in
-/// lock-step). Returns the last connect error if every attempt fails. Used
-/// by clients of a server that is still coming up; workers racing the
-/// coordinator's listener use the deadline-bounded [`connect_within`].
-pub fn connect_with_retry<A: ToSocketAddrs>(
-    addr: A,
-    attempts: u32,
-    initial_backoff: Duration,
-    max_backoff: Duration,
-) -> std::io::Result<TcpStream> {
-    assert!(attempts >= 1, "need at least one connect attempt");
-    let mut rng = JitterRng::new();
-    let mut backoff = initial_backoff;
-    let mut last_err = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(rng.jittered(backoff));
-            backoff = (backoff * 2).min(max_backoff);
-        }
-        match TcpStream::connect(&addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(last_err.expect("at least one attempt was made"))
-}
-
 /// Connects to `addr`, retrying with jittered exponential backoff until an
 /// overall wall-clock `deadline` elapses, then returns a typed
 /// [`WireError::ConnectTimedOut`] instead of retrying forever against a
@@ -593,38 +562,6 @@ mod tests {
         assert!(matches!(r.u32(), Err(WireError::Malformed(_))));
         let r = PayloadReader::new(&[1]);
         assert!(matches!(r.finish(), Err(WireError::Malformed(_))));
-    }
-
-    #[test]
-    fn connect_with_retry_reaches_a_late_listener_and_gives_up_cleanly() {
-        use std::net::TcpListener;
-        // A port with no listener: bounded attempts fail with the last error.
-        let dead = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-            // listener dropped here
-        };
-        let start = std::time::Instant::now();
-        assert!(connect_with_retry(dead, 3, Duration::from_millis(5), Duration::from_millis(10))
-            .is_err());
-        assert!(start.elapsed() < Duration::from_secs(5), "backoff must be bounded");
-
-        // A listener that comes up after the first attempt is reached.
-        let addr = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = l.local_addr().unwrap();
-            drop(l);
-            addr
-        };
-        let accept = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            let l = TcpListener::bind(addr).unwrap();
-            let _ = l.accept();
-        });
-        let stream =
-            connect_with_retry(addr, 10, Duration::from_millis(10), Duration::from_millis(40));
-        accept.join().unwrap();
-        assert!(stream.is_ok(), "late listener should be reached: {stream:?}");
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Straightforward O(K) discrete samplers.
+//! The straightforward O(K) discrete sampler.
 //!
-//! These are the reference implementations: plain CGS uses them directly
-//! (that is what makes it O(K) per token), and the tests use them as ground
-//! truth for the O(1)/O(log K) structures.
+//! This is the reference implementation: plain CGS uses it directly (that is
+//! what makes it O(K) per token).
 
 use rand::Rng;
 
@@ -23,73 +22,6 @@ pub fn sample_unnormalized<R: Rng>(rng: &mut R, weights: &[f64]) -> usize {
         }
     }
     weights.len() - 1
-}
-
-/// Draws an index from an already-computed cumulative distribution (ascending
-/// partial sums of non-negative weights) by linear scan.
-pub fn sample_cdf_linear<R: Rng>(rng: &mut R, cdf: &[f64]) -> usize {
-    assert!(!cdf.is_empty(), "cannot sample from an empty CDF");
-    let total = *cdf.last().unwrap();
-    if total <= 0.0 {
-        return rng.gen_range(0..cdf.len());
-    }
-    let u = rng.gen::<f64>() * total;
-    for (i, &c) in cdf.iter().enumerate() {
-        if u < c {
-            return i;
-        }
-    }
-    cdf.len() - 1
-}
-
-/// A reusable cumulative sampler with binary-search draws (O(K) build,
-/// O(log K) per draw). SparseLDA-style samplers use it for the per-document
-/// bucket whose weights change only once per token.
-#[derive(Debug, Clone)]
-pub struct CumulativeSampler {
-    cdf: Vec<f64>,
-}
-
-impl CumulativeSampler {
-    /// Builds the sampler from unnormalized weights.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "cannot build a sampler over zero outcomes");
-        let mut cdf = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for &w in weights {
-            debug_assert!(w >= 0.0, "negative weight {w}");
-            acc += w.max(0.0);
-            cdf.push(acc);
-        }
-        Self { cdf }
-    }
-
-    /// Number of outcomes.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Returns `true` when there are no outcomes (never for constructed samplers).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Total unnormalized weight.
-    pub fn total(&self) -> f64 {
-        *self.cdf.last().unwrap()
-    }
-
-    /// Draws one outcome in O(log K).
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        let total = self.total();
-        if total <= 0.0 {
-            return rng.gen_range(0..self.cdf.len());
-        }
-        let u = rng.gen::<f64>() * total;
-        match self.cdf.binary_search_by(|x| x.partial_cmp(&u).unwrap()) {
-            Ok(i) | Err(i) => i.min(self.cdf.len() - 1),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -118,40 +50,12 @@ mod tests {
     }
 
     #[test]
-    fn cdf_linear_matches_weights() {
-        let weights = [2.0, 2.0, 4.0];
-        let cdf: Vec<f64> = weights
-            .iter()
-            .scan(0.0, |acc, &w| {
-                *acc += w;
-                Some(*acc)
-            })
-            .collect();
-        check_frequencies(|r| sample_cdf_linear(r, &cdf), &weights);
-    }
-
-    #[test]
-    fn cumulative_sampler_matches_weights() {
-        let weights = [0.1, 0.0, 0.4, 0.5, 1.0];
-        let s = CumulativeSampler::new(&weights);
-        assert_eq!(s.len(), 5);
-        assert!((s.total() - 2.0).abs() < 1e-12);
-        check_frequencies(|r| s.sample(r), &weights);
-    }
-
-    #[test]
     fn zero_total_weight_is_uniform() {
         let mut rng = new_rng(5);
         let weights = [0.0, 0.0];
         let mut seen = [false; 2];
         for _ in 0..100 {
             seen[sample_unnormalized(&mut rng, &weights)] = true;
-        }
-        assert!(seen[0] && seen[1]);
-        let s = CumulativeSampler::new(&weights);
-        let mut seen = [false; 2];
-        for _ in 0..100 {
-            seen[s.sample(&mut rng)] = true;
         }
         assert!(seen[0] && seen[1]);
     }
@@ -167,6 +71,5 @@ mod tests {
     fn single_outcome_always_returned() {
         let mut rng = new_rng(1);
         assert_eq!(sample_unnormalized(&mut rng, &[3.0]), 0);
-        assert_eq!(CumulativeSampler::new(&[3.0]).sample(&mut rng), 0);
     }
 }

@@ -6,16 +6,15 @@
 //! * [`FTree`] — the "F+ tree" used by F+LDA: a flat complete binary tree over
 //!   the topic weights supporting O(log K) point updates and O(log K) exact
 //!   draws from the current distribution.
-//! * [`discrete`] — straightforward cumulative-distribution samplers, used as
-//!   the O(K) reference (plain CGS) and as ground truth in tests.
-//! * [`mixture`] — sampling from a distribution expressed as the sum of two
-//!   unnormalized terms by ancestral sampling (first pick the mixture
-//!   component, then sample within it), exactly the construction in
-//!   Section 2.2.
-//! * [`mh`] — Metropolis–Hastings acceptance computations and a tiny chain
-//!   driver (Algorithm 1).
+//! * [`discrete`] — the straightforward O(K) linear-scan sampler plain CGS
+//!   draws with.
 //! * [`rng`] — deterministic RNG construction helpers shared by the samplers
 //!   and experiments.
+//!
+//! There is no shared Metropolis–Hastings kernel here: each sampler inlines
+//! its own accept test, because the ratios differ in what they exclude and
+//! look up (see the kernels in `warplda_core::warp` and
+//! `warplda_serve::infer`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -23,13 +22,9 @@
 pub mod alias;
 pub mod discrete;
 pub mod ftree;
-pub mod mh;
-pub mod mixture;
 pub mod rng;
 
 pub use alias::{AliasBuildScratch, AliasTable, SparseAliasTable};
-pub use discrete::{sample_cdf_linear, sample_unnormalized, CumulativeSampler};
+pub use discrete::sample_unnormalized;
 pub use ftree::FTree;
-pub use mh::{accept, MhChain};
-pub use mixture::TwoTermMixture;
 pub use rng::{new_rng, split_seed, Dice};

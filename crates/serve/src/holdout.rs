@@ -17,7 +17,6 @@ use std::sync::Arc;
 
 use warplda_core::eval::perplexity_per_token;
 use warplda_core::trainer::{EvalFn, EvalInput};
-use warplda_core::SamplerState;
 use warplda_corpus::Corpus;
 
 use crate::infer::{InferConfig, InferenceEngine};
@@ -93,18 +92,12 @@ pub fn fold_in_perplexity(
 
 /// Packages [`fold_in_perplexity`] as a [`Trainer`](warplda_core::Trainer)
 /// evaluation closure: at each evaluation point the current assignment
-/// snapshot is recounted into a [`SamplerState`], frozen into a
-/// [`TopicModel`], and scored on `set`. Runs on the trainer's overlapped
-/// background worker like any other metric.
+/// snapshot is frozen into a [`TopicModel`] and scored on `set`. Runs on the
+/// trainer's overlapped background worker like any other metric.
 pub fn held_out_eval_fn(set: Arc<HeldOutSet>, config: InferConfig, seed: u64) -> EvalFn {
     Box::new(move |input: EvalInput<'_>| {
-        let state = SamplerState::from_assignments_with_views(
-            input.doc_view,
-            input.word_view,
-            input.params,
-            input.assignments.to_vec(),
-        );
-        let model = TopicModel::freeze(&state, None);
+        let model =
+            TopicModel::from_assignments(input.params, input.word_view, input.assignments, None);
         fold_in_perplexity(&model, config, &set, seed, 1).unwrap_or(f64::NAN)
     })
 }

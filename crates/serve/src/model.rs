@@ -3,7 +3,8 @@
 //! Training state is write-optimized: counts live in per-row hash tables that
 //! samplers mutate millions of times a second. A serving model is the
 //! opposite — it is read by many threads, mutated never — so
-//! [`TopicModel::freeze`] converts the counts **once** into:
+//! [`TopicModel::from_assignments`] counts the topic assignments **once**
+//! into:
 //!
 //! * a CSR-style word→(topic, count) layout, sorted by topic within each
 //!   word, so `C_wk` lookups are a binary search over a contiguous slice;
@@ -19,6 +20,7 @@
 //! misread as a model. Alias tables are derived data and are rebuilt
 //! deterministically at load time rather than persisted.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
@@ -35,8 +37,8 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use warplda_core::checkpoint::{read_model_params, write_model_params};
-use warplda_core::counts::TopicCounts;
-use warplda_core::{ModelParams, Sampler, SamplerState};
+use warplda_core::counts::{DenseCounts, TopicCounts};
+use warplda_core::{ModelParams, Sampler};
 use warplda_sampling::{Dice, SparseAliasTable};
 
 /// Payload tag distinguishing model payloads from any future section kinds.
@@ -68,56 +70,80 @@ pub struct TopicModel {
 }
 
 impl TopicModel {
-    /// Freezes a trained [`SamplerState`] (counts included) into a serving
-    /// model. `vocab` enables raw-text queries; pass the training corpus
-    /// vocabulary (or the one embedded in a checkpoint).
+    /// Freezes topic assignments `z` (doc-major token order, as
+    /// [`Sampler::assignments`] returns them) into a serving model, streaming:
+    /// one word at a time is counted through a single reused
+    /// [`DenseCounts`] and appended to the CSR columns, so besides the model
+    /// itself the freeze holds O(K). `vocab` enables raw-text queries; pass
+    /// the training corpus vocabulary (or the one embedded in a checkpoint).
     ///
     /// # Panics
-    /// Panics if `vocab` is supplied but its size differs from the state's
-    /// word count — that is a model/vocabulary mix-up, not a runtime input.
-    pub fn freeze(state: &SamplerState, vocab: Option<&Vocabulary>) -> Self {
-        let params = *state.params();
-        let num_words = state.num_words();
+    /// Panics if `z` does not hold one topic below `K` per token of
+    /// `word_view`, or if `vocab` is supplied but its size differs from the
+    /// view's word count — a model/vocabulary mix-up, not a runtime input.
+    pub fn from_assignments(
+        params: ModelParams,
+        word_view: &WordMajorView,
+        z: &[u32],
+        vocab: Option<&Vocabulary>,
+    ) -> Self {
+        let num_words = word_view.num_words();
+        assert_eq!(z.len(), word_view.num_tokens(), "one topic per token required");
         if let Some(v) = vocab {
             assert_eq!(v.len(), num_words, "vocabulary size does not match the model's word count");
         }
+        let mut counts = DenseCounts::new(params.num_topics);
+        let mut topic_counts = vec![0u32; params.num_topics];
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
         let mut word_offsets = Vec::with_capacity(num_words + 1);
         let mut pair_topics = Vec::new();
         let mut pair_counts = Vec::new();
         word_offsets.push(0u32);
-        for w in 0..num_words {
-            let mut pairs = state.word_counts(w as u32).to_pairs();
+        for w in 0..num_words as u32 {
+            counts.clear();
+            for &i in word_view.word_token_indices(w) {
+                counts.increment(z[i as usize]);
+            }
+            pairs.clear();
+            counts.for_each(|t, c| pairs.push((t, c)));
             pairs.sort_unstable_by_key(|&(t, _)| t);
-            for (t, c) in pairs {
+            for &(t, c) in &pairs {
                 pair_topics.push(t);
                 pair_counts.push(c);
+                topic_counts[t as usize] += c;
             }
             word_offsets.push(pair_topics.len() as u32);
         }
         Self::from_parts(
             params,
-            state.topic_counts().to_vec(),
+            topic_counts,
             word_offsets,
             pair_topics,
             pair_counts,
             vocab.cloned(),
         )
-        .expect("a consistent SamplerState freezes cleanly")
+        .expect("counted assignments freeze cleanly")
     }
 
     /// Freezes the current state of any live [`Sampler`] trained on `corpus`
-    /// (snapshots assignments, recounts, embeds the corpus vocabulary). Also
-    /// the path for v2 checkpoints: load the checkpoint into a sampler over
-    /// its corpus, then freeze the sampler.
+    /// (its assignments through [`from_assignments`](Self::from_assignments),
+    /// with the corpus vocabulary embedded). Also the path for checkpoints:
+    /// load the checkpoint into a sampler over its corpus, then freeze the
+    /// sampler.
     pub fn freeze_sampler(sampler: &dyn Sampler, corpus: &Corpus) -> Self {
         let doc_view = DocMajorView::build(corpus);
         let word_view = WordMajorView::build(corpus, &doc_view);
-        let state = sampler.snapshot_state(corpus, &doc_view, &word_view);
-        Self::freeze(&state, Some(corpus.vocab()))
+        // Only the word view is read from here on.
+        drop(doc_view);
+        let z = sampler
+            .assignments_slice()
+            .map_or_else(|| Cow::Owned(sampler.assignments()), Cow::Borrowed);
+        Self::from_assignments(*sampler.params(), &word_view, &z, Some(corpus.vocab()))
     }
 
     /// Assembles (and fully validates) a model from its raw columns — the
-    /// shared back end of [`freeze`](Self::freeze) and the codec reader.
+    /// shared back end of [`from_assignments`](Self::from_assignments) and
+    /// the codec reader.
     fn from_parts(
         params: ModelParams,
         topic_counts: Vec<u32>,
@@ -485,6 +511,48 @@ mod tests {
         let tf = corpus.term_frequencies();
         for (w, &f) in tf.iter().enumerate() {
             assert_eq!(model.word_total(w as u32) as u64, f, "word {w}");
+        }
+    }
+
+    #[test]
+    fn the_streaming_freeze_writes_the_bytes_of_a_model_assembled_from_count_tables() {
+        use warplda_corpus::DatasetPreset;
+        let corpus = DatasetPreset::Tiny.generate_scaled(8);
+        let dv = DocMajorView::build(&corpus);
+        let wv = WordMajorView::build(&corpus, &dv);
+        // One- and two-byte records; at K = 300 most words have far fewer
+        // occurrences than topics.
+        for k in [6usize, 300] {
+            let params = ModelParams::paper_defaults(k);
+            let mut sampler = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(2), 13);
+            for _ in 0..3 {
+                sampler.run_iteration();
+            }
+            let mut streamed = Vec::new();
+            TopicModel::freeze_sampler(&sampler, &corpus).write(&mut streamed).unwrap();
+
+            let state = sampler.snapshot_state(&corpus, &dv, &wv);
+            let mut word_offsets = vec![0u32];
+            let (mut pair_topics, mut pair_counts) = (Vec::new(), Vec::new());
+            for w in 0..state.num_words() as u32 {
+                let mut pairs = state.word_counts(w).to_pairs();
+                pairs.sort_unstable_by_key(|&(t, _)| t);
+                pair_topics.extend(pairs.iter().map(|&(t, _)| t));
+                pair_counts.extend(pairs.iter().map(|&(_, c)| c));
+                word_offsets.push(pair_topics.len() as u32);
+            }
+            let assembled = TopicModel::from_parts(
+                params,
+                state.topic_counts().to_vec(),
+                word_offsets,
+                pair_topics,
+                pair_counts,
+                Some(corpus.vocab().clone()),
+            )
+            .unwrap();
+            let mut reference = Vec::new();
+            assembled.write(&mut reference).unwrap();
+            assert!(streamed == reference, "K = {k}: saved bytes differ");
         }
     }
 

@@ -1,10 +1,10 @@
-//! The [`TokenMatrix`]: CSC storage with row pointers (Section 5.2).
+//! The [`TokenMatrix`]: CSC entry ids with row pointers (Section 5.2).
 //!
-//! The matrix structure (which cells contain entries) is fixed at
-//! construction; only the per-entry data is mutated by visits. Each entry has
-//! a stable **entry id** — its position in the CSC data array — which callers
-//! can use to maintain auxiliary per-token arrays (WarpLDA keeps its packed
-//! records this way).
+//! The matrix holds structure only — which cells contain entries — and it is
+//! fixed at construction. Each entry has a stable **entry id**, its position
+//! in CSC order, which callers use to index the per-entry state they keep
+//! beside the matrix (WarpLDA keeps its
+//! [`PackedRecords`](crate::PackedRecords) this way).
 //!
 //! The structure is **pointer-only**: per entry it keeps the row pointer
 //! (4 bytes) and nothing else. Which row a CSC position belongs to, or which
@@ -12,57 +12,31 @@
 //! caller that does (the exchange plan of the multi-process runtime) reads
 //! it off the corpus views it already holds.
 
-/// A sparse `rows × cols` matrix with one data item of type `T` per entry.
+/// The structure of a sparse `rows × cols` matrix with one entry per token.
 ///
-/// * Column-major (CSC) storage of the data: the entries of column `w` are
-///   contiguous and sorted by row id, so `VisitByColumn` makes purely
-///   sequential accesses.
-/// * Row access goes through a pointer array (`PCSR`): for each row, the list
-///   of CSC positions of its entries, in input order. `VisitByRow` therefore
-///   performs indirect accesses into the CSC data — but, because every
+/// * Column-major (CSC) entry ids: the entries of column `w` are the
+///   contiguous id range [`col_entry_range`](Self::col_entry_range), sorted
+///   by row id, so a column visit streams per-entry state sequentially.
+/// * Row access goes through a pointer array (`PCSR`): for each row, the
+///   entry ids of its entries, in input order
+///   ([`row_entry_ids`](Self::row_entry_ids)). A row visit therefore makes
+///   indirect accesses into the per-entry state — but, because every
 ///   column's entries are sorted by row, those indirect accesses sweep each
 ///   column's region monotonically, which is the cache-line reuse argument of
 ///   Section 5.2.
 #[derive(Debug, Clone)]
-pub struct TokenMatrix<T> {
+pub struct TokenMatrix {
     num_rows: usize,
     num_cols: usize,
-    /// `col_offsets[w]..col_offsets[w+1]` is the CSC range of column `w`.
+    /// `col_offsets[w]..col_offsets[w+1]` is the entry-id range of column `w`.
     col_offsets: Vec<u32>,
-    /// Per-entry data, in CSC order.
-    data: Vec<T>,
     /// `row_offsets[d]..row_offsets[d+1]` is the range of `row_ptr` for row `d`.
     row_offsets: Vec<u32>,
-    /// CSC positions of each row's entries, grouped by row, in input order.
+    /// Entry ids of each row's entries, grouped by row, in input order.
     row_ptr: Vec<u32>,
 }
 
-impl<T: Default + Clone> TokenMatrix<T> {
-    /// Builds the matrix from `(row, col)` pairs (one per entry, duplicates
-    /// allowed — a word occurring twice in a document is two entries), with
-    /// default-initialized data.
-    pub fn from_entries(num_rows: usize, num_cols: usize, entries: &[(u32, u32)]) -> Self {
-        for &(r, _) in entries {
-            assert!((r as usize) < num_rows, "row {r} out of range ({num_rows} rows)");
-        }
-        // Group the column ids by row (stable within a row = input order).
-        let mut row_offsets = vec![0u32; num_rows + 1];
-        for &(r, _) in entries {
-            row_offsets[r as usize + 1] += 1;
-        }
-        for d in 0..num_rows {
-            row_offsets[d + 1] += row_offsets[d];
-        }
-        let mut cols_by_row = vec![0u32; entries.len()];
-        let mut cursor = row_offsets.clone();
-        for &(r, c) in entries {
-            cols_by_row[cursor[r as usize] as usize] = c;
-            cursor[r as usize] += 1;
-        }
-        let rows = row_offsets.windows(2).map(|w| &cols_by_row[w[0] as usize..w[1] as usize]);
-        Self::from_rows(num_cols, rows)
-    }
-
+impl TokenMatrix {
     /// Builds the matrix from its rows, each given as the column ids of its
     /// entries in order (a document's tokens, in WarpLDA's use). One counting
     /// sort over the column ids: besides the matrix itself nothing per entry
@@ -93,18 +67,9 @@ impl<T: Default + Clone> TokenMatrix<T> {
                 col_cursor[c as usize] += 1;
             }
         }
-        Self {
-            num_rows: row_offsets.len() - 1,
-            num_cols,
-            col_offsets,
-            data: vec![T::default(); nnz],
-            row_offsets,
-            row_ptr,
-        }
+        Self { num_rows: row_offsets.len() - 1, num_cols, col_offsets, row_offsets, row_ptr }
     }
-}
 
-impl<T> TokenMatrix<T> {
     /// Number of rows (documents).
     pub fn num_rows(&self) -> usize {
         self.num_rows
@@ -150,16 +115,6 @@ impl<T> TokenMatrix<T> {
         &self.row_ptr
     }
 
-    /// The per-entry data, indexed by entry id (CSC position).
-    pub fn data(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable access to the per-entry data.
-    pub fn data_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Entry ids of row `d`, in input order.
     pub fn row_entry_ids(&self, row: u32) -> &[u32] {
         let r = row as usize;
@@ -175,141 +130,6 @@ impl<T> TokenMatrix<T> {
     /// Bytes of heap the structure holds (capacities, not lengths).
     pub fn heap_bytes(&self) -> usize {
         4 * (self.col_offsets.capacity() + self.row_offsets.capacity() + self.row_ptr.capacity())
-            + std::mem::size_of::<T>() * self.data.capacity()
-    }
-
-    /// Visits every row in order, giving the closure mutable access to the
-    /// row's entries (`VisitByRow` of Figure 2).
-    pub fn visit_by_row<F>(&mut self, mut op: F)
-    where
-        F: FnMut(u32, RowEntriesMut<'_, T>),
-    {
-        for d in 0..self.num_rows as u32 {
-            let r = d as usize;
-            let range = self.row_offsets[r] as usize..self.row_offsets[r + 1] as usize;
-            let view = RowEntriesMut { entry_ids: &self.row_ptr[range], data: &mut self.data };
-            op(d, view);
-        }
-    }
-
-    /// Visits every column in order, giving the closure mutable access to the
-    /// column's entries (`VisitByColumn` of Figure 2).
-    pub fn visit_by_column<F>(&mut self, mut op: F)
-    where
-        F: FnMut(u32, ColumnEntriesMut<'_, T>),
-    {
-        for w in 0..self.num_cols as u32 {
-            let range = self.col_entry_range(w);
-            let view = ColumnEntriesMut {
-                first_entry_id: range.start as u32,
-                data: &mut self.data[range],
-            };
-            op(w, view);
-        }
-    }
-
-    /// Splits the matrix into per-column raw parts for the parallel visitor.
-    /// Internal to the crate.
-    pub(crate) fn raw_parts_mut(&mut self) -> RawParts<'_, T> {
-        RawParts {
-            num_rows: self.num_rows,
-            col_offsets: &self.col_offsets,
-            row_offsets: &self.row_offsets,
-            row_ptr: &self.row_ptr,
-            data: &mut self.data,
-        }
-    }
-}
-
-/// Borrowed raw parts used by the parallel visitors.
-pub(crate) struct RawParts<'a, T> {
-    pub num_rows: usize,
-    pub col_offsets: &'a [u32],
-    pub row_offsets: &'a [u32],
-    pub row_ptr: &'a [u32],
-    pub data: &'a mut [T],
-}
-
-/// Mutable view of one row's entries during `VisitByRow`.
-///
-/// Accesses go through the row-pointer indirection, exactly like the real
-/// layout: `get`/`get_mut` cost one extra index load compared to the column
-/// view.
-pub struct RowEntriesMut<'a, T> {
-    entry_ids: &'a [u32],
-    data: &'a mut [T],
-}
-
-impl<'a, T> RowEntriesMut<'a, T> {
-    /// Number of entries in the row.
-    pub fn len(&self) -> usize {
-        self.entry_ids.len()
-    }
-
-    /// Returns `true` when the row has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entry_ids.is_empty()
-    }
-
-    /// Stable entry id of the `i`-th entry of the row.
-    pub fn entry_id(&self, i: usize) -> u32 {
-        self.entry_ids[i]
-    }
-
-    /// Data of the `i`-th entry.
-    pub fn get(&self, i: usize) -> &T {
-        &self.data[self.entry_ids[i] as usize]
-    }
-
-    /// Mutable data of the `i`-th entry.
-    pub fn get_mut(&mut self, i: usize) -> &mut T {
-        &mut self.data[self.entry_ids[i] as usize]
-    }
-}
-
-/// Mutable view of one column's entries during `VisitByColumn`.
-///
-/// The column's data is a contiguous slice, so this view also exposes it
-/// directly for vectorizable scans.
-pub struct ColumnEntriesMut<'a, T> {
-    first_entry_id: u32,
-    data: &'a mut [T],
-}
-
-impl<'a, T> ColumnEntriesMut<'a, T> {
-    /// Number of entries in the column.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Returns `true` when the column has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Stable entry id of the `i`-th entry of the column.
-    pub fn entry_id(&self, i: usize) -> u32 {
-        self.first_entry_id + i as u32
-    }
-
-    /// Data of the `i`-th entry.
-    pub fn get(&self, i: usize) -> &T {
-        &self.data[i]
-    }
-
-    /// Mutable data of the `i`-th entry.
-    pub fn get_mut(&mut self, i: usize) -> &mut T {
-        &mut self.data[i]
-    }
-
-    /// The whole column's data as a contiguous slice.
-    pub fn as_slice(&self) -> &[T] {
-        self.data
-    }
-
-    /// The whole column's data as a contiguous mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        self.data
     }
 }
 
@@ -318,168 +138,107 @@ mod tests {
     use super::*;
 
     /// The Figure 1 matrix: 3 docs × 5 words, 8 tokens.
-    fn fig1_entries() -> Vec<(u32, u32)> {
-        // doc 0: ios(0) android(1)
-        // doc 1: apple(2) iphone(3) apple(2) ios(0)
-        // doc 2: apple(2) orange(4)
-        vec![(0, 0), (0, 1), (1, 2), (1, 3), (1, 2), (1, 0), (2, 2), (2, 4)]
+    /// doc 0: ios(0) android(1); doc 1: apple(2) iphone(3) apple(2) ios(0);
+    /// doc 2: apple(2) orange(4).
+    const FIG1: [&[u32]; 3] = [&[0, 1], &[2, 3, 2, 0], &[2, 4]];
+
+    fn fig1() -> TokenMatrix {
+        TokenMatrix::from_rows(5, FIG1.iter().copied())
+    }
+
+    /// An entry-id-indexed side array holding each entry's row, filled through
+    /// the row pointers (how WarpLDA addresses its records from a document).
+    fn row_of_entry(m: &TokenMatrix) -> Vec<u32> {
+        let mut rows = vec![u32::MAX; m.num_entries()];
+        for d in 0..m.num_rows() as u32 {
+            for &e in m.row_entry_ids(d) {
+                assert_eq!(rows[e as usize], u32::MAX, "entry {e} is in two rows");
+                rows[e as usize] = d;
+            }
+        }
+        rows
     }
 
     #[test]
     fn construction_counts_rows_and_cols() {
-        let m: TokenMatrix<u32> = TokenMatrix::from_entries(3, 5, &fig1_entries());
-        assert_eq!(m.num_rows(), 3);
-        assert_eq!(m.num_cols(), 5);
-        assert_eq!(m.num_entries(), 8);
-        assert_eq!(m.row_len(0), 2);
-        assert_eq!(m.row_len(1), 4);
-        assert_eq!(m.row_len(2), 2);
-        assert_eq!(m.col_len(0), 2); // ios
-        assert_eq!(m.col_len(2), 3); // apple
-        assert_eq!(m.col_len(4), 1); // orange
-    }
-
-    #[test]
-    fn columns_are_sorted_by_row() {
-        // Stamp every entry with its row through the row views; each column's
-        // contiguous data must then read ascending.
-        let mut m: TokenMatrix<u32> = TokenMatrix::from_entries(3, 5, &fig1_entries());
-        m.visit_by_row(|d, mut row| {
-            for i in 0..row.len() {
-                *row.get_mut(i) = d;
-            }
-        });
-        m.visit_by_column(|w, col| {
-            let rows = col.as_slice();
-            assert!(rows.windows(2).all(|p| p[0] <= p[1]), "column {w}: {rows:?}");
-        });
-    }
-
-    #[test]
-    fn from_rows_equals_from_entries_on_row_grouped_input() {
-        let rows: [&[u32]; 3] = [&[0, 1], &[2, 3, 2, 0], &[2, 4]];
-        let a: TokenMatrix<()> = TokenMatrix::from_rows(5, rows.iter().copied());
-        let b: TokenMatrix<()> = TokenMatrix::from_entries(3, 5, &fig1_entries());
-        assert_eq!(a.row_ptr(), b.row_ptr());
-        assert_eq!(a.col_offsets(), b.col_offsets());
-        assert_eq!(a.row_offsets(), b.row_offsets());
-        // Row slots keep input order: doc 1 = apple iphone apple ios.
-        assert_eq!(a.row_entry_ids(1), &[3, 6, 4, 1]);
+        let m = fig1();
+        assert_eq!((m.num_rows(), m.num_cols(), m.num_entries()), (3, 5, 8));
+        assert_eq!([m.row_len(0), m.row_len(1), m.row_len(2)], [2, 4, 2]);
+        assert_eq!([m.col_len(0), m.col_len(2), m.col_len(4)], [2, 3, 1]); // ios, apple, orange
+        assert_eq!(m.row_offsets(), &[0, 2, 6, 8]);
+        assert_eq!(m.col_offsets(), &[0, 2, 3, 6, 7, 8]);
         // Per entry the structure holds the row pointer and nothing else.
-        assert_eq!(a.heap_bytes(), 4 * (8 + 6 + 4));
+        assert_eq!(m.heap_bytes(), 4 * (8 + 6 + 4));
     }
 
     #[test]
     fn row_and_column_views_see_the_same_entries() {
-        let mut m: TokenMatrix<u32> = TokenMatrix::from_entries(3, 5, &fig1_entries());
-        // Stamp each entry with a unique value via column visits…
-        let mut counter = 0u32;
-        m.visit_by_column(|_, mut col| {
-            for i in 0..col.len() {
-                *col.get_mut(i) = counter;
-                counter += 1;
-            }
-        });
-        // …and verify row visits observe a permutation of exactly those values.
-        let mut seen = [false; 8];
-        m.visit_by_row(|_, row| {
-            for i in 0..row.len() {
-                let v = *row.get(i) as usize;
-                assert!(!seen[v], "value {v} seen twice");
-                seen[v] = true;
-            }
-        });
-        assert!(seen.iter().all(|&s| s));
+        let m = fig1();
+        // Every entry id is in exactly one row (`row_of_entry` asserts "at
+        // most", this "at least") and the column ranges tile the entry ids.
+        assert!(row_of_entry(&m).iter().all(|&d| d != u32::MAX));
+        let mut next = 0;
+        for w in 0..m.num_cols() as u32 {
+            let range = m.col_entry_range(w);
+            assert_eq!((range.start, range.len()), (next, m.col_len(w)));
+            next = range.end;
+        }
+        assert_eq!(next, m.num_entries());
     }
 
     #[test]
-    fn row_entries_land_in_the_columns_they_were_given() {
-        let mut m: TokenMatrix<u32> = TokenMatrix::from_entries(3, 5, &fig1_entries());
-        // The column of an entry is the one whose id range holds it.
-        let col_of = |offsets: &[u32], e: u32| offsets.partition_point(|&o| o <= e) as u32 - 1;
-        let offsets = m.col_offsets().to_vec();
-        let mut per_row_cols: Vec<Vec<u32>> = vec![Vec::new(); 3];
-        m.visit_by_row(|d, row| {
-            for i in 0..row.len() {
-                per_row_cols[d as usize].push(col_of(&offsets, row.entry_id(i)));
-            }
-        });
-        let mut row1 = per_row_cols[1].clone();
-        row1.sort_unstable();
-        assert_eq!(row1, vec![0, 2, 2, 3]);
-        let mut row2 = per_row_cols[2].clone();
-        row2.sort_unstable();
-        assert_eq!(row2, vec![2, 4]);
-    }
-
-    #[test]
-    fn entry_ids_are_stable_across_view_kinds() {
-        let mut m: TokenMatrix<u64> = TokenMatrix::from_entries(3, 5, &fig1_entries());
-        // Write entry_id into each entry via row visits.
-        m.visit_by_row(|_, mut row| {
-            for i in 0..row.len() {
-                *row.get_mut(i) = row.entry_id(i) as u64;
-            }
-        });
-        // Column visits must see data[i] == entry_id(i).
-        m.visit_by_column(|_, col| {
-            for i in 0..col.len() {
-                assert_eq!(*col.get(i), col.entry_id(i) as u64);
-            }
-        });
-        // And the flat data array is the identity permutation.
-        for (i, &v) in m.data().iter().enumerate() {
-            assert_eq!(v, i as u64);
+    fn columns_are_sorted_by_row() {
+        let m = fig1();
+        let rows = row_of_entry(&m);
+        for w in 0..m.num_cols() as u32 {
+            let col = &rows[m.col_entry_range(w)];
+            assert!(col.windows(2).all(|p| p[0] <= p[1]), "column {w}: {col:?}");
         }
     }
 
     #[test]
-    fn writes_from_one_view_are_visible_in_the_other() {
-        let mut m: TokenMatrix<u32> = TokenMatrix::from_entries(2, 2, &[(0, 0), (0, 1), (1, 1)]);
-        m.visit_by_row(|d, mut row| {
-            for i in 0..row.len() {
-                *row.get_mut(i) = d + 10;
+    fn row_slots_keep_input_order() {
+        let m = fig1();
+        // doc 1 = apple iphone apple ios: the two apples in input order.
+        assert_eq!(m.row_entry_ids(1), &[3, 6, 4, 1]);
+        assert_eq!(m.row_ptr(), &[0, 2, 3, 6, 4, 1, 5, 7]);
+    }
+
+    #[test]
+    fn row_entries_land_in_the_columns_they_were_given() {
+        let m = fig1();
+        for (d, cols) in FIG1.iter().enumerate() {
+            for (&e, &c) in m.row_entry_ids(d as u32).iter().zip(*cols) {
+                assert!(
+                    m.col_entry_range(c).contains(&(e as usize)),
+                    "entry {e} not in column {c}"
+                );
             }
-        });
-        let mut seen = Vec::new();
-        m.visit_by_column(|w, col| {
-            for i in 0..col.len() {
-                seen.push((w, *col.get(i)));
-            }
-        });
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(0, 10), (1, 10), (1, 11)]);
+        }
     }
 
     #[test]
     fn empty_matrix_and_empty_rows() {
-        let mut m: TokenMatrix<u8> = TokenMatrix::from_entries(3, 3, &[]);
-        assert_eq!(m.num_entries(), 0);
-        let mut rows_visited = 0;
-        m.visit_by_row(|_, row| {
-            assert!(row.is_empty());
-            rows_visited += 1;
-        });
-        assert_eq!(rows_visited, 3);
-        let mut cols_visited = 0;
-        m.visit_by_column(|_, col| {
-            assert!(col.is_empty());
-            cols_visited += 1;
-        });
-        assert_eq!(cols_visited, 3);
+        let rows: [&[u32]; 3] = [&[], &[], &[]];
+        let m = TokenMatrix::from_rows(3, rows.iter().copied());
+        assert_eq!((m.num_rows(), m.num_cols(), m.num_entries()), (3, 3, 0));
+        assert!((0..3).all(|i| m.row_entry_ids(i).is_empty() && m.col_entry_range(i).is_empty()));
+        let none = TokenMatrix::from_rows(0, std::iter::empty());
+        assert_eq!((none.num_rows(), none.num_entries()), (0, 0));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_entry_panics() {
-        let _: TokenMatrix<u8> = TokenMatrix::from_entries(2, 2, &[(2, 0)]);
+        let rows: [&[u32]; 1] = [&[0, 2]];
+        let _ = TokenMatrix::from_rows(2, rows.iter().copied());
     }
 
     #[test]
     fn duplicate_cells_are_distinct_entries() {
-        let m: TokenMatrix<u8> = TokenMatrix::from_entries(1, 1, &[(0, 0), (0, 0), (0, 0)]);
-        assert_eq!(m.num_entries(), 3);
-        assert_eq!(m.row_len(0), 3);
-        assert_eq!(m.col_len(0), 3);
+        let rows: [&[u32]; 1] = [&[0, 0, 0]];
+        let m = TokenMatrix::from_rows(1, rows.iter().copied());
+        assert_eq!((m.num_entries(), m.row_len(0), m.col_len(0)), (3, 3, 3));
+        assert_eq!(m.row_entry_ids(0), &[0, 1, 2]);
     }
 }

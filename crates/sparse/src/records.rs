@@ -2,8 +2,9 @@
 //! per matrix entry, stored at the narrowest width that holds every id.
 //!
 //! WarpLDA keeps a topic assignment *and* `M` pending MH proposals per token.
-//! Storing them as a [`TokenMatrix`](crate::TokenMatrix) data array plus a
-//! flat side array means every token touch streams two arrays at once —
+//! Storing the assignments in one array and the proposals in another, both
+//! indexed by [`TokenMatrix`](crate::TokenMatrix) entry id, means every token
+//! touch streams two arrays at once —
 //! twice the number of hardware prefetch streams and twice the TLB pressure
 //! for state that is always read and written together. A [`PackedRecords`]
 //! stores the whole per-token record contiguously instead:
@@ -210,6 +211,25 @@ impl PackedRecords {
         with_topic_type!(self.width, T => self.ids::<T>().iter().map(|t| t.get()).collect())
     }
 }
+
+/// A copyable raw-pointer wrapper for sharing a base pointer across scoped
+/// worker threads. The single home of the idiom used by every parallel
+/// driver in the workspace (parallel WarpLDA over
+/// [`PackedRecords::as_mut_ptr`], batch inference): each copy must only be
+/// dereferenced at indices the holding thread exclusively owns — disjoint
+/// rows/columns/chunks — which is what the `Send`/`Sync` impls rely on. A
+/// soundness argument accompanies every use site.
+pub struct SendPtr<T>(pub *mut T);
+impl<T> Clone for SendPtr<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<T> Copy for SendPtr<T> {}
+// SAFETY: the pointer is only dereferenced at indices owned by a single
+// thread; see the struct documentation.
+unsafe impl<T> Send for SendPtr<T> {}
+unsafe impl<T> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {

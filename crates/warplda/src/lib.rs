@@ -8,8 +8,8 @@
 //!
 //! * [`corpus`] — corpora, vocabularies, bag-of-words I/O, synthetic
 //!   generators and the Table 3 dataset presets;
-//! * [`sampling`] — alias tables, F+ trees and Metropolis–Hastings helpers;
-//! * [`sparse`] — the `VisitByRow`/`VisitByColumn` sparse-matrix framework and
+//! * [`sampling`] — alias tables, F+ trees and seeded RNG streams;
+//! * [`sparse`] — the token-matrix structure, packed per-token records and
 //!   balanced partitioning;
 //! * [`cachesim`] — the Ivy Bridge cache simulator and memory probes used by
 //!   the memory-efficiency experiments;
@@ -73,9 +73,8 @@ pub mod prelude {
         OovPolicy, SyntheticConfig, Vocabulary, WordMajorView, ZipfGenerator,
     };
     pub use warplda_dist::{
-        ClusterConfig, DistError, DistributedWarpLda, FaultAction, FaultEvent, FaultPhase,
-        FaultPlan, GridPartition, ProcessCluster, ProcessClusterConfig, ProcessIterationReport,
-        ShardPlan,
+        ClusterConfig, DistError, FaultAction, FaultEvent, FaultPhase, FaultPlan, GridPartition,
+        ProcessCluster, ProcessClusterConfig, ProcessIterationReport, ShardPlan,
     };
     pub use warplda_serve::{
         fold_in_perplexity, held_out_eval_fn, Client, HeldOutSet, InferConfig, InferScratch,

@@ -1,11 +1,12 @@
 //! Distributed WarpLDA on the simulated cluster: partition balance,
 //! communication volume and the modelled speedup curve (a miniature of
-//! Figures 6 and 9b). The per-iteration history flows through the same
-//! [`IterationLog`] pipeline as single-machine training.
+//! Figures 6 and 9b). The run is the ordinary [`Trainer`] over a
+//! [`ParallelWarpLda`] with one worker per simulated machine; the cluster's
+//! cost model then prices its [`IterationLog`].
 //!
 //! With `--process`, the same corpus is additionally trained on a **real**
 //! 2-process cluster (`warplda-dist-worker` children over loopback TCP) and
-//! checked bit-for-bit against the simulated run; the bytes every iteration
+//! checked bit-for-bit against the serial sampler; the bytes every iteration
 //! puts on the sockets must equal the closed form of the exchange plan, or
 //! the run exits non-zero. The worker binary must be
 //! built first (`cargo build --release -p warplda-dist --bin
@@ -25,7 +26,8 @@
 
 use std::time::Duration;
 
-use warplda::dist::runner::scaling_sweep;
+use warplda::dist::exchange_bytes_per_iteration;
+use warplda::dist::runner::{price_iteration_log, scaling_sweep};
 use warplda::prelude::*;
 
 fn run_process_backend(corpus: &Corpus, params: ModelParams, config: WarpLdaConfig, seed: u64) {
@@ -38,8 +40,7 @@ fn run_process_backend(corpus: &Corpus, params: ModelParams, config: WarpLdaConf
                 eprintln!("cannot spawn the process cluster: {e}");
                 std::process::exit(1);
             });
-    let mut simulated =
-        DistributedWarpLda::new(corpus, params, config, ClusterConfig::tianhe2_like(workers), seed);
+    let mut oracle = WarpLda::new(corpus, params, config, seed);
     let tokens = corpus.num_tokens() as f64;
     let expected = cluster.plan().iteration_wire_bytes(params.num_topics, config.mh_steps);
     println!("{:<6} {:>14} {:>14} {:>14}", "iter", "Mtokens/s", "wire KB", "wire B/token");
@@ -48,7 +49,7 @@ fn run_process_backend(corpus: &Corpus, params: ModelParams, config: WarpLdaConf
             eprintln!("distributed iteration failed: {e}");
             std::process::exit(1);
         });
-        simulated.run_iteration(corpus, false);
+        oracle.run_iteration();
         println!(
             "{:<6} {:>14.2} {:>14.1} {:>14.3}",
             report.iteration,
@@ -74,12 +75,12 @@ fn run_process_backend(corpus: &Corpus, params: ModelParams, config: WarpLdaConf
     );
     assert_eq!(
         cluster.assignments(),
-        simulated.assignments(),
-        "multi-process training diverged from the simulated oracle"
+        oracle.assignments(),
+        "multi-process training diverged from the serial oracle"
     );
     println!(
         "after {iterations} iterations the multi-process assignments are bit-identical \
-         to the simulated cluster's"
+         to the serial sampler's"
     );
     cluster.shutdown().unwrap_or_else(|e| {
         eprintln!("shutdown failed: {e}");
@@ -149,8 +150,15 @@ fn main() {
 
     // --- One distributed run with 4 simulated machines -------------------
     let cluster = ClusterConfig::tianhe2_like(4);
-    let mut driver = DistributedWarpLda::new(&corpus, params, config, cluster, 7);
-    let grid = driver.grid();
+    let trainer = Trainer::new(&corpus);
+    let grid = GridPartition::build_with(
+        &corpus,
+        trainer.doc_view(),
+        trainer.word_view(),
+        cluster.workers,
+        PartitionStrategy::Greedy,
+        PartitionStrategy::Dynamic,
+    );
     println!(
         "\n4-machine grid: doc-phase imbalance {:.4}, word-phase imbalance {:.4}, \
          {} of {} tokens cross the network per phase switch",
@@ -160,20 +168,28 @@ fn main() {
         grid.total_tokens(),
     );
 
-    driver.run(&corpus, 10, 2);
-    let log = driver.iteration_log("WarpLDA (4 machines)");
+    let mut sampler = ParallelWarpLda::new(&corpus, params, config, 7, cluster.workers);
+    let measured =
+        trainer.train(&TrainerConfig::new(10).eval_every(2), "WarpLDA (4 machines)", &mut sampler);
+    let log = price_iteration_log(&measured, &grid, &cluster, &params, &config);
+    // The grid is static: every iteration ships the same bytes.
+    let comm_sec = cluster.exchange_time_sec(exchange_bytes_per_iteration(
+        grid.tokens_exchanged_per_phase_switch(),
+        params.num_topics,
+        config.mh_steps,
+    ));
     println!(
         "\n{:<6} {:>16} {:>14} {:>12} {:>12}",
         "iter", "log-likelihood", "Mtokens/s", "compute ms", "comm ms"
     );
-    for (record, report) in log.records().iter().zip(driver.reports()) {
+    for record in log.records() {
         println!(
             "{:<6} {:>16} {:>14.2} {:>12.2} {:>12.3}",
             record.iteration,
             record.log_likelihood.map_or("-".to_string(), |l| format!("{l:.1}")),
             record.tokens_per_sec / 1e6,
-            report.compute_sec * 1e3,
-            report.comm_sec * 1e3,
+            record.phase_seconds.unwrap_or(0.0) * 1e3,
+            comm_sec * 1e3,
         );
     }
 

@@ -5,7 +5,7 @@
 //! This mirrors the motivating use of LDA in the paper's introduction
 //! (text analysis / document organization) on data small enough to read.
 //! After training (through the unified [`Trainer`]), the learned model is
-//! saved as a binary state snapshot — assignments plus vocabulary — and read
+//! frozen into a [`TopicModel`] — counts plus vocabulary — saved and read
 //! back, demonstrating the model exchange format.
 //!
 //! ```bash
@@ -13,7 +13,6 @@
 //! ```
 
 use warplda::corpus::io::{tokenize_text, DEFAULT_STOP_WORDS};
-use warplda::lda::checkpoint::{read_state_snapshot, write_state_snapshot};
 use warplda::prelude::*;
 
 /// Three desks, a handful of headline-like documents each. Every document is
@@ -60,26 +59,26 @@ fn main() {
     let trainer = Trainer::new(&corpus);
     trainer.train(&TrainerConfig::sampling_only(120), "news", &mut sampler);
 
-    // Save the trained model (assignments + vocabulary) as a binary snapshot
-    // and read it back — the exchange format for downstream consumers.
-    let state = sampler.snapshot_state(&corpus, trainer.doc_view(), trainer.word_view());
-    let mut snapshot = Vec::new();
-    write_state_snapshot(&state, Some(corpus.vocab()), &mut snapshot).expect("snapshot writes");
-    let (state, vocab) =
-        read_state_snapshot(&mut snapshot.as_slice(), trainer.doc_view(), trainer.word_view())
-            .expect("snapshot reads back");
-    println!(
-        "model snapshot: {} bytes on disk, vocabulary of {} words embedded",
-        snapshot.len(),
-        vocab.expect("vocab was embedded").len()
-    );
+    // Freeze the trained model (counts + vocabulary), save it and read it
+    // back — the artifact downstream consumers and the query server load.
+    let path = std::env::temp_dir().join(format!("warplda-news-{}.model", std::process::id()));
+    TopicModel::freeze_sampler(&sampler, &corpus).save(&path).expect("model saves");
+    let model = TopicModel::load(&path).expect("model loads back");
+    let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
+    let _ = std::fs::remove_file(&path);
+    let vocab = model.vocab().expect("vocab was embedded");
+    println!("model file: {bytes} bytes on disk, vocabulary of {} words embedded", vocab.len());
 
     // Show the topics from the reloaded model.
     println!("\ndiscovered topics:");
-    print!("{}", format_topics(&corpus, &state, 6));
+    for (topic, words) in model.top_words(6).iter().enumerate() {
+        let line: Vec<String> =
+            words.iter().map(|&(w, c)| format!("{}({c})", vocab.word(w).unwrap_or("?"))).collect();
+        println!("topic {topic:>4}: {}", line.join(" "));
+    }
 
     // Check how well topics align with desks: majority topic per desk.
-    let z = state.assignments();
+    let z = sampler.assignments();
     let mut votes = [[0u32; 3]; 3];
     for (d, &desk) in desk_of_doc.iter().enumerate() {
         for i in trainer.doc_view().doc_range(d as u32) {

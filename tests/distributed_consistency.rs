@@ -1,12 +1,40 @@
-//! Distributed-vs-serial consistency: the simulated cluster must learn
-//! exactly the same model as the serial reference sampler (the simulation
-//! only adds accounting), the grid partition must stay balanced, and the
-//! communication volume must match the analytical bound.
+//! Distributed-vs-serial consistency: the simulated cluster — the ordinary
+//! `Trainer` over a `ParallelWarpLda`, priced by the cluster's cost model —
+//! must learn exactly the same model as the serial reference sampler (the
+//! simulation only adds accounting), the grid partition must stay balanced,
+//! and the communication volume must match the analytical bound.
 
+use warplda::dist::runner::price_iteration_log;
 use warplda::prelude::*;
 
 fn corpus() -> Corpus {
     DatasetPreset::Tiny.generate_scaled(2)
+}
+
+/// Trains on `workers` simulated machines under `schedule` and prices the
+/// run; returns the sampler, the grid and the priced log.
+fn simulate(
+    corpus: &Corpus,
+    params: ModelParams,
+    config: WarpLdaConfig,
+    workers: usize,
+    seed: u64,
+    schedule: &TrainerConfig,
+) -> (ParallelWarpLda, GridPartition, IterationLog) {
+    let trainer = Trainer::new(corpus);
+    let mut sampler = ParallelWarpLda::new(corpus, params, config, seed, workers);
+    let measured = trainer.train(schedule, "dist", &mut sampler);
+    let grid = GridPartition::build_with(
+        corpus,
+        trainer.doc_view(),
+        trainer.word_view(),
+        workers,
+        PartitionStrategy::Greedy,
+        PartitionStrategy::Dynamic,
+    );
+    let cluster = ClusterConfig::tianhe2_like(workers);
+    let log = price_iteration_log(&measured, &grid, &cluster, &params, &config);
+    (sampler, grid, log)
 }
 
 #[test]
@@ -14,16 +42,15 @@ fn distributed_assignments_match_the_serial_sampler() {
     let corpus = corpus();
     let params = ModelParams::paper_defaults(12);
     let config = WarpLdaConfig::with_mh_steps(2);
-    let workers = 4;
 
-    let mut dist =
-        DistributedWarpLda::new(&corpus, params, config, ClusterConfig::tianhe2_like(workers), 31);
+    let (dist, _, log) = simulate(&corpus, params, config, 4, 31, &TrainerConfig::sampling_only(5));
     let mut serial = WarpLda::new(&corpus, params, config, 31);
-    for iter in 1..=5 {
-        dist.run_iteration(&corpus, false);
+    for _ in 0..5 {
         serial.run_iteration();
-        assert_eq!(dist.assignments(), serial.assignments(), "iteration {iter}");
     }
+    assert_eq!(log.records().len(), 5);
+    assert_eq!(dist.assignments(), serial.assignments());
+    assert_eq!(dist.topic_counts(), serial.topic_counts());
 }
 
 #[test]
@@ -58,16 +85,16 @@ fn communication_volume_matches_grid_bound() {
     let corpus = corpus();
     let params = ModelParams::paper_defaults(8);
     let config = WarpLdaConfig::with_mh_steps(3);
-    let cluster = ClusterConfig::tianhe2_like(4);
-    let mut dist = DistributedWarpLda::new(&corpus, params, config, cluster, 3);
-    let report = dist.run_iteration(&corpus, false);
+    let (_, grid, log) = simulate(&corpus, params, config, 4, 3, &TrainerConfig::sampling_only(1));
     // One (M + 1)-topic record per off-diagonal token — a byte per topic at
-    // K = 8 — and two exchanges per iteration.
-    let expected =
-        dist.grid().tokens_exchanged_per_phase_switch() * (config.mh_steps as u64 + 1) * 2;
-    assert_eq!(report.bytes_exchanged, expected);
-    assert!(report.comm_sec > 0.0);
-    assert!(report.tokens_per_sec > 0.0);
+    // K = 8 — and two exchanges per iteration, charged on top of the
+    // measured compute time.
+    let bytes = grid.tokens_exchanged_per_phase_switch() * (config.mh_steps as u64 + 1) * 2;
+    let comm_sec = ClusterConfig::tianhe2_like(4).exchange_time_sec(bytes);
+    assert!(bytes > 0 && comm_sec > 0.0);
+    let r = log.records()[0];
+    assert!((r.seconds - r.phase_seconds.unwrap() - comm_sec).abs() < 1e-12);
+    assert!(r.tokens_per_sec > 0.0);
 }
 
 #[test]
@@ -75,11 +102,9 @@ fn distributed_convergence_improves_likelihood() {
     let corpus = corpus();
     let params = ModelParams::paper_defaults(12);
     let config = WarpLdaConfig::with_mh_steps(2);
-    let mut dist =
-        DistributedWarpLda::new(&corpus, params, config, ClusterConfig::tianhe2_like(8), 5);
-    let first = dist.run_iteration(&corpus, true).log_likelihood.unwrap();
-    let reports = dist.run(&corpus, 20, 20);
-    let last = reports.last().unwrap().log_likelihood.unwrap();
+    let schedule = TrainerConfig::new(21).eval_every(1);
+    let (_, _, log) = simulate(&corpus, params, config, 8, 5, &schedule);
+    let (first, last) = (log.likelihood_at(1).unwrap(), log.final_ll());
     assert!(last > first, "distributed training should improve likelihood: {first} -> {last}");
 }
 
@@ -89,14 +114,8 @@ fn more_workers_do_not_change_total_work() {
     let params = ModelParams::paper_defaults(8);
     let config = WarpLdaConfig::with_mh_steps(1);
     for workers in [1usize, 2, 4] {
-        let mut dist = DistributedWarpLda::new(
-            &corpus,
-            params,
-            config,
-            ClusterConfig::tianhe2_like(workers),
-            7,
-        );
-        let r = dist.run_iteration(&corpus, false);
-        assert_eq!(r.tokens_sampled, corpus.num_tokens() * 2, "workers = {workers}");
+        let (_, _, log) =
+            simulate(&corpus, params, config, workers, 7, &TrainerConfig::sampling_only(1));
+        assert_eq!(log.tokens_per_iteration(), corpus.num_tokens() * 2, "workers = {workers}");
     }
 }

@@ -142,50 +142,46 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// TokenMatrix: row and column views are consistent permutations of the same
-// entries for arbitrary sparsity patterns.
+// TokenMatrix: for arbitrary sparsity patterns every entry id is in exactly
+// one row and one column, row slots keep input order and land in the columns
+// they named, columns ascend by row, and the lengths add up — checked through
+// an entry-id-indexed side array, which is how WarpLDA uses the structure.
 // ---------------------------------------------------------------------------
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn token_matrix_views_are_consistent(entries in prop::collection::vec((0u32..20, 0u32..15), 0..200)) {
-        let mut m: TokenMatrix<u32> = TokenMatrix::from_entries(20, 15, &entries);
-        prop_assert_eq!(m.num_entries(), entries.len());
-        // Stamp unique ids via rows, check via columns.
-        let mut counter = 0u32;
-        m.visit_by_row(|_, mut row| {
-            for i in 0..row.len() {
-                *row.get_mut(i) = counter;
-                counter += 1;
+    fn token_matrix_views_are_consistent(
+        rows in prop::collection::vec(prop::collection::vec(0u32..15, 0..12), 0..20),
+    ) {
+        let m = TokenMatrix::from_rows(15, rows.iter().map(Vec::as_slice));
+        let nnz: usize = rows.iter().map(Vec::len).sum();
+        prop_assert_eq!((m.num_rows(), m.num_cols(), m.num_entries()), (rows.len(), 15, nnz));
+        // Stamp each entry with its (row, column as given) through the rows…
+        let mut stamp = vec![None; nnz];
+        for (d, cols) in rows.iter().enumerate() {
+            let ids = m.row_entry_ids(d as u32);
+            prop_assert_eq!(ids.len(), cols.len());
+            prop_assert_eq!(m.row_len(d as u32), cols.len());
+            for (&e, &c) in ids.iter().zip(cols) {
+                prop_assert!(stamp[e as usize].is_none(), "entry {} is in two rows", e);
+                stamp[e as usize] = Some((d as u32, c));
             }
-        });
-        let mut seen = vec![false; entries.len()];
-        m.visit_by_column(|w, col| {
-            for i in 0..col.len() {
-                let v = *col.get(i) as usize;
-                assert!(!seen[v]);
-                seen[v] = true;
-            }
-            // Column w holds exactly the entries that name it.
-            assert_eq!(col.len(), entries.iter().filter(|&&(_, c)| c == w).count());
-        });
-        prop_assert!(seen.iter().all(|&s| s));
-        // Row slots keep the order the entries were given in, and a row's
-        // entries sit in the columns they named.
-        let offsets = m.col_offsets().to_vec();
-        for d in 0..20u32 {
-            let given = entries.iter().filter(|&&(r, _)| r == d).map(|&(_, c)| c);
-            let stored = m.row_entry_ids(d).iter().map(|&e| {
-                offsets.partition_point(|&o| o <= e) as u32 - 1
-            });
-            prop_assert!(given.eq(stored), "row {}", d);
         }
-        // Row/column lengths add up.
-        let row_total: usize = (0..20u32).map(|d| m.row_len(d)).sum();
-        let col_total: usize = (0..15u32).map(|w| m.col_len(w)).sum();
-        prop_assert_eq!(row_total, entries.len());
-        prop_assert_eq!(col_total, entries.len());
+        prop_assert!(stamp.iter().all(Option::is_some), "an entry is in no row");
+        // …and read them back through the columns: the ranges tile the entry
+        // ids, column w holds exactly the entries whose row slot named it (so
+        // row slots keep input order), and rows ascend within a column.
+        let mut next = 0;
+        for w in 0..15u32 {
+            let range = m.col_entry_range(w);
+            prop_assert_eq!((range.start, range.len()), (next, m.col_len(w)));
+            next = range.end;
+            let col: Vec<(u32, u32)> = stamp[range].iter().map(|s| s.unwrap()).collect();
+            prop_assert!(col.iter().all(|&(_, c)| c == w), "column {}: {:?}", w, col);
+            prop_assert!(col.windows(2).all(|p| p[0].0 <= p[1].0), "column {}: {:?}", w, col);
+        }
+        prop_assert_eq!(next, nnz);
     }
 }
 

@@ -8,9 +8,7 @@
 
 use warplda::corpus::io::codec::CodecError;
 use warplda::corpus::io::{read_uci_bag_of_words, write_uci_bag_of_words};
-use warplda::lda::checkpoint::{
-    read_checkpoint, read_state_snapshot, write_checkpoint, write_state_snapshot,
-};
+use warplda::lda::checkpoint::{read_checkpoint, write_checkpoint};
 use warplda::prelude::*;
 
 fn corpus() -> Corpus {
@@ -202,36 +200,6 @@ fn parallel_warplda_resume_equals_continuous_run() {
         3,
         7,
     );
-}
-
-#[test]
-fn state_snapshot_round_trips_a_trained_model() {
-    // A trained model can be exported as a binary state snapshot (assignments
-    // + vocabulary) and later re-imported without losing any counts.
-    let corpus = corpus();
-    let params = ModelParams::paper_defaults(8);
-    let trainer = Trainer::new(&corpus);
-    let mut sampler = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 17);
-    trainer.train(&TrainerConfig::sampling_only(10), "warp", &mut sampler);
-
-    let state = sampler.snapshot_state(&corpus, trainer.doc_view(), trainer.word_view());
-    let mut buf = Vec::new();
-    write_state_snapshot(&state, Some(corpus.vocab()), &mut buf).expect("snapshot writes");
-    let (restored, vocab) =
-        read_state_snapshot(&mut buf.as_slice(), trainer.doc_view(), trainer.word_view())
-            .expect("snapshot reads");
-    restored.assert_consistent(trainer.doc_view(), trainer.word_view());
-    assert_eq!(restored.assignments(), &sampler.assignments()[..]);
-    assert_eq!(vocab.expect("vocab embedded").len(), corpus.vocab_size());
-
-    // The restored state reproduces the exact same likelihood.
-    let from_sampler = sampler.log_likelihood(&corpus, trainer.doc_view(), trainer.word_view());
-    let from_restored = warplda::lda::eval::log_joint_likelihood_of_state(
-        trainer.doc_view(),
-        trainer.word_view(),
-        &restored,
-    );
-    assert!((from_sampler - from_restored).abs() < 1e-9);
 }
 
 #[test]

@@ -3,35 +3,65 @@
 //! evaluator — that sampling iterations are *not* serialized behind
 //! likelihood computation.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use warplda::prelude::*;
 
-type Spans = Arc<Mutex<Vec<(Instant, Instant)>>>;
+type Span = (Instant, Instant);
 
-/// A sampler whose iterations take a fixed, known wall time; used to measure
-/// the pipeline itself rather than any real sampler.
-struct SlowSampler {
+/// What the fake sampler and the fake evaluation tell each other, and the
+/// spans they record.
+#[derive(Default)]
+struct Progress {
+    sampling_started: u64,
+    evals_started: u64,
+    sampling_spans: Vec<Span>,
+    eval_spans: Vec<Span>,
+    timed_out: bool,
+}
+
+type Shared = Arc<(Mutex<Progress>, Condvar)>;
+
+/// Applies `update`, wakes the other side, then blocks until `ready` — for at
+/// most a generous bound, so a pipeline that does *not* overlap fails the
+/// test instead of hanging it.
+fn signal_and_wait(
+    shared: &Shared,
+    update: impl FnOnce(&mut Progress),
+    ready: impl Fn(&Progress) -> bool,
+) {
+    let (lock, wake) = &**shared;
+    let mut progress = lock.lock().unwrap();
+    update(&mut progress);
+    wake.notify_all();
+    let (mut progress, wait) =
+        wake.wait_timeout_while(progress, Duration::from_secs(20), |p| !ready(p)).unwrap();
+    progress.timed_out |= wait.timed_out();
+}
+
+/// A sampler that does no work: iteration `i` only waits until the
+/// evaluation of iteration `i − 1` has started, and records its span.
+struct WaitingSampler {
     params: ModelParams,
     z: Vec<u32>,
     iters: u64,
-    iteration_time: Duration,
-    sampling_spans: Spans,
+    shared: Shared,
 }
 
-impl Sampler for SlowSampler {
+impl Sampler for WaitingSampler {
     fn name(&self) -> &'static str {
-        "SlowSampler"
+        "WaitingSampler"
     }
     fn params(&self) -> &ModelParams {
         &self.params
     }
     fn run_iteration(&mut self) {
         let start = Instant::now();
-        std::thread::sleep(self.iteration_time);
         self.iters += 1;
-        self.sampling_spans.lock().unwrap().push((start, Instant::now()));
+        let i = self.iters;
+        signal_and_wait(&self.shared, |p| p.sampling_started = i, |p| p.evals_started >= i - 1);
+        self.shared.0.lock().unwrap().sampling_spans.push((start, Instant::now()));
     }
     fn iterations(&self) -> u64 {
         self.iters
@@ -44,79 +74,49 @@ impl Sampler for SlowSampler {
     }
 }
 
-/// Builds a trainer whose evaluation function takes `eval_time` and records
-/// its execution span, plus a slow sampler, over the given corpus.
-fn slow_setup(
-    corpus: &Corpus,
-    iteration_time: Duration,
-    eval_time: Duration,
-) -> (Trainer<'_>, SlowSampler, Spans, Spans) {
-    let sampling_spans: Spans = Arc::new(Mutex::new(Vec::new()));
-    let eval_spans: Spans = Arc::new(Mutex::new(Vec::new()));
-    let eval_spans_clone = Arc::clone(&eval_spans);
-    let trainer = Trainer::new(corpus).with_eval_fn(Box::new(move |input| {
-        let start = Instant::now();
-        std::thread::sleep(eval_time);
-        eval_spans_clone.lock().unwrap().push((start, Instant::now()));
-        input.assignments.len() as f64
-    }));
-    let sampler = SlowSampler {
-        params: ModelParams::paper_defaults(4),
-        z: vec![0; corpus.num_tokens() as usize],
-        iters: 0,
-        iteration_time,
-        sampling_spans: Arc::clone(&sampling_spans),
-    };
-    (trainer, sampler, sampling_spans, eval_spans)
-}
-
-fn spans_overlap(a: &[(Instant, Instant)], b: &[(Instant, Instant)]) -> bool {
-    a.iter().any(|&(a0, a1)| b.iter().any(|&(b0, b1)| a0 < b1 && b0 < a1))
-}
-
 #[test]
 fn overlapped_evaluation_does_not_serialize_sampling() {
     let corpus = DatasetPreset::Tiny.generate_scaled(32);
-    let iteration_time = Duration::from_millis(40);
-    let eval_time = Duration::from_millis(40);
-    let iterations = 4;
+    let iterations = 4u64;
+    let shared: Shared = Arc::default();
 
-    // Inline: every evaluation stalls the loop, so the wall time is at least
-    // iterations * (iteration + eval) and no spans ever overlap.
-    let (trainer, mut sampler, sampling_spans, eval_spans) =
-        slow_setup(&corpus, iteration_time, eval_time);
-    let t0 = Instant::now();
-    trainer.train(
-        &TrainerConfig::new(iterations).eval_every(1).inline_eval(),
-        "inline",
-        &mut sampler,
-    );
-    let inline_wall = t0.elapsed();
-    assert!(
-        !spans_overlap(&sampling_spans.lock().unwrap(), &eval_spans.lock().unwrap()),
-        "inline evaluation must never run concurrently with sampling"
-    );
-    assert!(
-        inline_wall >= Duration::from_millis(4 * (40 + 40)),
-        "inline evaluation serializes: {inline_wall:?}"
-    );
+    // Evaluation `n` holds on until sampling iteration `n + 1` has started
+    // (the last one has no successor to wait for); together with the
+    // sampler's wait this makes the two spans overlap whenever the pipeline
+    // lets them run concurrently at all, with no timing assumption.
+    let eval_shared = Arc::clone(&shared);
+    let trainer = Trainer::new(&corpus).with_eval_fn(Box::new(move |input| {
+        let start = Instant::now();
+        // One evaluation is in flight at a time, so `evals_started` is this
+        // evaluation's number until it returns.
+        signal_and_wait(
+            &eval_shared,
+            |p| p.evals_started += 1,
+            |p| p.evals_started == iterations || p.sampling_started > p.evals_started,
+        );
+        eval_shared.0.lock().unwrap().eval_spans.push((start, Instant::now()));
+        input.assignments.len() as f64
+    }));
+    let mut sampler = WaitingSampler {
+        params: ModelParams::paper_defaults(4),
+        z: vec![0; corpus.num_tokens() as usize],
+        iters: 0,
+        shared: Arc::clone(&shared),
+    };
+    let log =
+        trainer.train(&TrainerConfig::new(iterations as usize).eval_every(1), "w", &mut sampler);
+    assert_eq!(log.eval_points().count(), iterations as usize);
 
-    // Overlapped: evaluations run on the background worker while the next
-    // iteration samples, so some evaluation span overlaps some sampling span
-    // and the total wall time drops by roughly the hidden evaluation time.
-    let (trainer, mut sampler, sampling_spans, eval_spans) =
-        slow_setup(&corpus, iteration_time, eval_time);
-    let t0 = Instant::now();
-    trainer.train(&TrainerConfig::new(iterations).eval_every(1), "overlapped", &mut sampler);
-    let overlapped_wall = t0.elapsed();
-    assert!(
-        spans_overlap(&sampling_spans.lock().unwrap(), &eval_spans.lock().unwrap()),
-        "overlapped evaluation must run concurrently with sampling"
-    );
-    assert!(
-        overlapped_wall < inline_wall,
-        "overlap must beat inline: {overlapped_wall:?} vs {inline_wall:?}"
-    );
+    let progress = shared.0.lock().unwrap();
+    assert!(!progress.timed_out, "sampling and evaluation waited for each other in vain");
+    let overlap = |a: Span, b: Span| a.0 < b.1 && b.0 < a.1;
+    for n in 1..iterations as usize {
+        assert!(
+            overlap(progress.eval_spans[n - 1], progress.sampling_spans[n]),
+            "evaluation {n} must run concurrently with sampling iteration {}",
+            n + 1
+        );
+    }
 }
 
 #[test]
@@ -128,16 +128,23 @@ fn overlapped_and_inline_produce_identical_likelihoods_and_chains() {
 
     let mut a = WarpLda::new(&corpus, params, config, 21);
     let overlapped = trainer.train(&TrainerConfig::new(12).eval_every(3), "overlapped", &mut a);
-    let mut b = WarpLda::new(&corpus, params, config, 21);
-    let inline =
-        trainer.train(&TrainerConfig::new(12).eval_every(3).inline_eval(), "inline", &mut b);
+    let lls: Vec<(u64, u64)> = overlapped
+        .eval_points()
+        .map(|r| (r.iteration, r.log_likelihood.unwrap().to_bits()))
+        .collect();
 
+    // The reference: the same chain by hand, evaluated inline.
+    let mut b = WarpLda::new(&corpus, params, config, 21);
+    let mut inline = Vec::new();
+    for it in 1..=12u64 {
+        b.run_iteration();
+        if it % 3 == 0 {
+            let ll = b.log_likelihood(&corpus, trainer.doc_view(), trainer.word_view());
+            inline.push((it, ll.to_bits()));
+        }
+    }
     assert_eq!(a.assignments(), b.assignments(), "evaluation must not perturb the chain");
-    let lls = |log: &IterationLog| -> Vec<(u64, u64)> {
-        log.eval_points().map(|r| (r.iteration, r.log_likelihood.unwrap().to_bits())).collect()
-    };
-    assert_eq!(lls(&overlapped), lls(&inline), "likelihood values must be identical");
-    assert_eq!(overlapped.eval_points().count(), 4, "iterations 3, 6, 9, 12");
+    assert_eq!(lls, inline, "likelihood values must be identical (iterations 3, 6, 9, 12)");
 }
 
 #[test]
