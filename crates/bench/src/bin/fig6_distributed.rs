@@ -35,14 +35,8 @@ fn main() {
         "WarpLDA (M=4, dist)",
         &mut warp,
     );
-    let grid = GridPartition::build_with(
-        &corpus,
-        trainer.doc_view(),
-        trainer.word_view(),
-        workers,
-        PartitionStrategy::Greedy,
-        PartitionStrategy::Dynamic,
-    );
+    let grid =
+        GridPartition::for_cluster(&corpus, trainer.doc_view(), trainer.word_view(), workers);
     let warp_log = price_iteration_log(&measured, &grid, &cluster, &params, &config);
 
     // LightLDA baseline, M = 16, single machine (measured time).

@@ -27,48 +27,41 @@ fn main() {
     println!("corpus: {}", corpus.stats().table_row("PubMed-like"));
     println!("K = {k}, M = 1\n");
 
-    // Measure single-machine throughput (tokens sampled per second of
-    // compute; WarpLDA visits every token twice per iteration) through the
-    // unified pipeline, with one warm-up iteration.
-    let trainer = Trainer::new(&corpus);
-    let mut single = WarpLda::new(&corpus, params, config, 5);
-    let single_tps =
-        trainer.measure_throughput(&mut single, iterations, 1, corpus.num_tokens() * 2);
-    println!("measured single-machine throughput: {:.2} Mtoken/s\n", single_tps / 1e6);
+    // `scaling_sweep` measures single-machine throughput (tokens sampled per
+    // second of compute; WarpLDA visits every token twice per iteration) and
+    // prices every machine count with it. One machine exchanges nothing, so
+    // its modeled throughput is the measured one.
+    let points = warplda::dist::runner::scaling_sweep(
+        &corpus,
+        params,
+        config,
+        &[1, 2, 4, 8, 16],
+        iterations,
+        5,
+    );
+    println!(
+        "measured single-machine throughput: {:.2} Mtoken/s\n",
+        points[0].tokens_per_sec / 1e6
+    );
 
-    let (doc_view, word_view) = (trainer.doc_view(), trainer.word_view());
-
-    let worker_counts = [1usize, 2, 4, 8, 16];
     println!(
         "{:>10} {:>14} {:>12} {:>12} {:>10}",
         "machines", "Mtoken/s", "compute ms", "comm ms", "speedup"
     );
     let mut rows = Vec::new();
-    let mut baseline = None;
-    for &p in &worker_counts {
-        let grid = GridPartition::build(&corpus, doc_view, word_view, p, PartitionStrategy::Greedy);
-        let cluster = ClusterConfig::tianhe2_like(p);
-        // The canonical cost model shared with `warplda::dist::runner`.
-        let point = warplda::dist::runner::model_point(
-            corpus.num_tokens(),
-            single_tps,
-            &grid,
-            &cluster,
-            &params,
-            &config,
-        );
-        let (tps, compute_sec, comm_sec) =
-            (point.tokens_per_sec, point.compute_sec, point.comm_sec);
-        let base = *baseline.get_or_insert(tps);
+    for p in &points {
         println!(
             "{:>10} {:>14.2} {:>12.2} {:>12.3} {:>10.2}",
-            p,
-            tps / 1e6,
-            compute_sec * 1e3,
-            comm_sec * 1e3,
-            tps / base
+            p.workers,
+            p.tokens_per_sec / 1e6,
+            p.compute_sec * 1e3,
+            p.comm_sec * 1e3,
+            p.speedup
         );
-        rows.push(format!("{p},{tps:.1},{compute_sec:.6},{comm_sec:.6},{:.3}", tps / base));
+        rows.push(format!(
+            "{},{:.1},{:.6},{:.6},{:.3}",
+            p.workers, p.tokens_per_sec, p.compute_sec, p.comm_sec, p.speedup
+        ));
     }
     write_csv("fig9b_machines.csv", "machines,tokens_per_sec,compute_sec,comm_sec,speedup", &rows);
     println!(

@@ -40,14 +40,8 @@ fn main() {
         "WarpLDA (dist)",
         &mut sampler,
     );
-    let grid = GridPartition::build_with(
-        &corpus,
-        trainer.doc_view(),
-        trainer.word_view(),
-        workers,
-        PartitionStrategy::Greedy,
-        PartitionStrategy::Dynamic,
-    );
+    let grid =
+        GridPartition::for_cluster(&corpus, trainer.doc_view(), trainer.word_view(), workers);
     let log = price_iteration_log(&measured, &grid, &cluster, &params, &config);
 
     println!("{:>6} {:>14} {:>14} {:>18}", "iter", "time (s)", "Gtoken/s", "log likelihood");

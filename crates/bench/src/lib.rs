@@ -1,15 +1,15 @@
 //! Shared plumbing for the experiment harness binaries.
 //!
 //! Every table and figure of the paper's evaluation section has a
-//! corresponding binary in `src/bin/` (see DESIGN.md §5 for the index). The
-//! binaries print the paper-style rows/series to stdout and, where a series is
-//! produced, also write a CSV under `target/experiments/` so the curves can be
-//! plotted.
+//! corresponding binary in `src/bin/`, named after it (`table1_hierarchy` …
+//! `fig9cd_clueweb`). The binaries print the paper-style rows/series to
+//! stdout and, where a series is produced, also write a CSV under
+//! `target/experiments/` so the curves can be plotted.
 //!
 //! All binaries accept `--full` to run at a larger scale (more documents, more
 //! topics, more iterations); the default is a quick configuration that
-//! finishes in seconds to a couple of minutes so `EXPERIMENTS.md` can be
-//! regenerated end-to-end on a laptop.
+//! finishes in seconds to a couple of minutes, so every table and figure can
+//! be regenerated end-to-end on a laptop.
 //!
 //! Training loops are never hand-rolled here: every run goes through the
 //! workspace's unified [`Trainer`] pipeline (overlapped evaluation included)

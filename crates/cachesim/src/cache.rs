@@ -57,11 +57,6 @@ impl SetAssociativeCache {
         }
     }
 
-    /// Cache capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.num_sets * self.associativity as u64 * self.line_size
-    }
-
     /// Line size in bytes.
     pub fn line_size(&self) -> u64 {
         self.line_size
@@ -194,8 +189,8 @@ mod tests {
     #[test]
     fn capacity_and_line_size_are_reported() {
         let c = SetAssociativeCache::new(30 * 1024 * 1024, 64, 20);
-        // 30 MiB / 64 B / 20 ways = 24576 sets; capacity is sets*ways*line.
-        assert_eq!(c.capacity_bytes(), 24576 * 20 * 64);
+        // 30 MiB / 64 B / 20 ways = 24576 sets.
+        assert_eq!(c.num_sets, 24576);
         assert_eq!(c.line_size(), 64);
     }
 

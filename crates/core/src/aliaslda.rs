@@ -17,12 +17,10 @@ use rand::Rng;
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
 use warplda_sampling::{new_rng, AliasTable};
 
-use crate::checkpoint::{self, Checkpointable};
 use crate::counts::TopicCounts;
 use crate::params::ModelParams;
 use crate::sampler::Sampler;
 use crate::state::SamplerState;
-use warplda_corpus::io::codec::{CodecResult, Decoder, Encoder};
 
 /// A per-word stale alias table over `α(C_wk+β)/(C_k+β̄)` plus the sparse
 /// word-topic counts it was built from (needed to evaluate the proposal
@@ -230,36 +228,6 @@ impl Sampler for AliasLda {
 
     fn assignments_slice(&self) -> Option<&[u32]> {
         Some(self.state.assignments())
-    }
-}
-
-impl Checkpointable for AliasLda {
-    fn checkpoint_kind(&self) -> &'static str {
-        "aliaslda"
-    }
-
-    fn write_state(&self, enc: &mut Encoder<'_>) -> CodecResult<()> {
-        checkpoint::write_baseline_body(enc, self.iterations, &self.rng, &self.state)
-    }
-
-    fn read_state(&mut self, dec: &mut Decoder<'_>) -> CodecResult<()> {
-        let (iterations, rng, z) = checkpoint::read_baseline_body(
-            dec,
-            self.doc_view.num_tokens(),
-            self.params.num_topics,
-        )?;
-        self.state = SamplerState::from_assignments_with_views(
-            &self.doc_view,
-            &self.word_view,
-            self.params,
-            z,
-        );
-        // Stale alias tables refer to pre-checkpoint counts; drop them so the
-        // next iteration rebuilds from the restored state.
-        self.tables.iter_mut().for_each(|t| *t = None);
-        self.rng = rng;
-        self.iterations = iterations;
-        Ok(())
     }
 }
 

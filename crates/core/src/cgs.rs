@@ -6,11 +6,9 @@ use rand::rngs::SmallRng;
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
 use warplda_sampling::{new_rng, sample_unnormalized};
 
-use crate::checkpoint::{self, Checkpointable};
 use crate::params::ModelParams;
 use crate::sampler::Sampler;
 use crate::state::SamplerState;
-use warplda_corpus::io::codec::{CodecResult, Decoder, Encoder};
 
 /// The exact collapsed Gibbs sampler: for every token it removes the token
 /// from the counts, evaluates the full conditional
@@ -97,33 +95,6 @@ impl Sampler for CollapsedGibbs {
 
     fn assignments_slice(&self) -> Option<&[u32]> {
         Some(self.state.assignments())
-    }
-}
-
-impl Checkpointable for CollapsedGibbs {
-    fn checkpoint_kind(&self) -> &'static str {
-        "cgs"
-    }
-
-    fn write_state(&self, enc: &mut Encoder<'_>) -> CodecResult<()> {
-        checkpoint::write_baseline_body(enc, self.iterations, &self.rng, &self.state)
-    }
-
-    fn read_state(&mut self, dec: &mut Decoder<'_>) -> CodecResult<()> {
-        let (iterations, rng, z) = checkpoint::read_baseline_body(
-            dec,
-            self.doc_view.num_tokens(),
-            self.params.num_topics,
-        )?;
-        self.state = SamplerState::from_assignments_with_views(
-            &self.doc_view,
-            &self.word_view,
-            self.params,
-            z,
-        );
-        self.rng = rng;
-        self.iterations = iterations;
-        Ok(())
     }
 }
 

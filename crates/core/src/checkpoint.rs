@@ -1,18 +1,19 @@
-//! Real binary checkpoint persistence for trained models.
+//! Binary checkpoint persistence for a resumable WarpLDA run.
 //!
-//! Until this module existed, "serialization" in the workspace meant the
-//! vendored no-op `serde` derives: a checkpoint could be *typed* but not
-//! *saved*. This module makes persistence real, built on the framed codec of
-//! [`warplda_corpus::io::codec`] (magic number, format version, FNV-1a
-//! checksum), and defines what it means for a sampler to be resumable:
+//! Built on the framed codec of [`warplda_corpus::io::codec`] (magic number,
+//! format version, FNV-1a checksum), this module defines what it means for a
+//! sampler to be resumable:
 //!
 //! * [`Checkpointable`] — a [`Sampler`] that can write its complete
-//!   resumable state (assignments, counts, RNG stream or seed, iteration
-//!   counter) into an [`Encoder`] and restore it from a [`Decoder`]. For
-//!   WarpLDA restoration is **bit-identical** under every driver: a run that
-//!   is saved, loaded into a freshly constructed sampler — serial, threaded
-//!   or a process cluster's replica — and continued produces exactly the
-//!   same assignments as an uninterrupted run.
+//!   resumable state into an [`Encoder`] and restore it from a [`Decoder`].
+//!   WarpLDA is what checkpoints: [`WarpLda`](crate::WarpLda) and
+//!   [`ParallelWarpLda`](crate::ParallelWarpLda) implement the trait (a
+//!   process cluster saves and resumes through its coordinator replica, a
+//!   `WarpLda`), all under the one kind `"warplda"`. Restoration is
+//!   **bit-identical** under every driver: a run that is saved, loaded into a
+//!   freshly constructed sampler — serial, threaded or a cluster's replica —
+//!   and continued produces exactly the same assignments as an uninterrupted
+//!   run. The five baselines are comparators and are not checkpointed.
 //! * [`save_checkpoint`] / [`load_checkpoint`] — one-file persistence of a
 //!   sampler plus (optionally) the corpus [`Vocabulary`], so a checkpoint can
 //!   be inspected (top words per topic) without the original corpus files.
@@ -23,15 +24,13 @@
 //!
 //! A checkpoint can only be loaded into a sampler constructed over the same
 //! corpus with the same hyper-parameters and configuration; every mismatch
-//! the payload can reveal (topic count, token count, MH steps, …) is rejected
-//! with [`CodecError::Corrupt`] rather than silently producing a broken
-//! model.
+//! the payload can reveal (kind, topic count, token count, MH steps, …) is
+//! rejected with [`CodecError::Corrupt`] rather than silently producing a
+//! broken model.
 
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
-
-use rand::rngs::SmallRng;
 
 use warplda_corpus::io::codec::{
     read_framed, write_framed, CodecError, CodecResult, Decoder, Encoder,
@@ -40,18 +39,18 @@ use warplda_corpus::Vocabulary;
 
 use crate::params::ModelParams;
 use crate::sampler::Sampler;
-use crate::state::SamplerState;
 
 /// A sampler whose complete resumable state can be persisted.
 ///
 /// Implementations write everything their `run_iteration` depends on that the
-/// constructor does not deterministically rebuild: topic assignments, any
-/// delayed count vectors, pending MH proposals, the RNG state and the
-/// iteration counter. Derived caches (alias tables, F+ trees) are *not*
-/// persisted — they are rebuilt lazily from the restored counts.
+/// constructor does not deterministically rebuild: the seed every RNG stream
+/// is derived from, the iteration counter, the per-token records (assignment
+/// plus pending MH proposals) and the delayed topic counts. Derived caches
+/// (alias tables) are *not* persisted — they are rebuilt from the restored
+/// records.
 pub trait Checkpointable: Sampler {
-    /// Stable identifier written into the checkpoint ("warplda", "cgs", …).
-    /// Loading a checkpoint into a sampler of a different kind is rejected.
+    /// Stable identifier written into the checkpoint (`"warplda"`). Loading a
+    /// checkpoint of any other kind is rejected.
     fn checkpoint_kind(&self) -> &'static str;
 
     /// Writes the resumable state into `enc`.
@@ -175,72 +174,9 @@ pub fn load_checkpoint(
     read_checkpoint(sampler, &mut r)
 }
 
-/// Checks a decoded assignment vector against the corpus shape.
-pub(crate) fn validate_assignments(
-    z: &[u32],
-    expected_tokens: usize,
-    num_topics: usize,
-) -> CodecResult<()> {
-    if z.len() != expected_tokens {
-        return Err(CodecError::Corrupt(format!(
-            "checkpoint holds {} assignments but the corpus has {expected_tokens} tokens",
-            z.len()
-        )));
-    }
-    if let Some(&bad) = z.iter().find(|&&t| t as usize >= num_topics) {
-        return Err(CodecError::Corrupt(format!(
-            "assignment topic {bad} out of range (K = {num_topics})"
-        )));
-    }
-    Ok(())
-}
-
-/// Writes the RNG state (4 xoshiro256++ words).
-pub(crate) fn write_rng(enc: &mut Encoder<'_>, rng: &SmallRng) -> CodecResult<()> {
-    enc.write_u64_slice(&rng.state())
-}
-
-/// Reads an RNG state written by [`write_rng`].
-pub(crate) fn read_rng(dec: &mut Decoder<'_>) -> CodecResult<SmallRng> {
-    let words = dec.read_u64_vec()?;
-    let words: [u64; 4] = words
-        .try_into()
-        .map_err(|w: Vec<u64>| CodecError::Corrupt(format!("RNG state has {} words", w.len())))?;
-    Ok(SmallRng::from_state(words))
-}
-
-/// Shared checkpoint body of the five [`SamplerState`]-based baselines:
-/// iteration counter, RNG stream and doc-major assignments. Counts are
-/// rebuilt from the assignments on restore; derived caches (stale alias
-/// tables, F+ trees) are rebuilt lazily during the next iteration.
-pub(crate) fn write_baseline_body(
-    enc: &mut Encoder<'_>,
-    iterations: u64,
-    rng: &SmallRng,
-    state: &SamplerState,
-) -> CodecResult<()> {
-    enc.write_u64(iterations)?;
-    write_rng(enc, rng)?;
-    enc.write_u32_slice(state.assignments())
-}
-
-/// Decodes (and validates) a body written by [`write_baseline_body`].
-pub(crate) fn read_baseline_body(
-    dec: &mut Decoder<'_>,
-    expected_tokens: usize,
-    num_topics: usize,
-) -> CodecResult<(u64, SmallRng, Vec<u32>)> {
-    let iterations = dec.read_u64()?;
-    let rng = read_rng(dec)?;
-    let z = dec.read_u32_vec()?;
-    validate_assignments(&z, expected_tokens, num_topics)?;
-    Ok((iterations, rng, z))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cgs::CollapsedGibbs;
     use crate::warp::{WarpLda, WarpLdaConfig};
     use warplda_corpus::{Corpus, CorpusBuilder, DatasetPreset};
 
@@ -253,39 +189,44 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn rejected(buf: &[u8], target: &mut WarpLda) {
+        let err = read_checkpoint(target, &mut &buf[..]).unwrap_err();
+        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+    }
+
     #[test]
     fn kind_mismatch_is_rejected() {
         let corpus = tiny();
         let params = ModelParams::new(4, 0.5, 0.1);
-        let warp = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 1);
+        // A well-framed checkpoint of another kind, e.g. a baseline's file
+        // written before baselines stopped checkpointing.
+        let mut payload = Vec::new();
+        let mut enc = Encoder::new(&mut payload);
+        enc.write_str("cgs").unwrap();
+        write_model_params(&mut enc, &params).unwrap();
         let mut buf = Vec::new();
-        write_checkpoint(&warp, None, &mut buf).unwrap();
-        let mut cgs = CollapsedGibbs::new(&corpus, params, 1);
-        let err = read_checkpoint(&mut cgs, &mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+        write_framed(&mut buf, &payload).unwrap();
+        rejected(&buf, &mut WarpLda::new(&corpus, params, WarpLdaConfig::default(), 1));
     }
 
     #[test]
     fn params_mismatch_is_rejected() {
         let corpus = tiny();
-        let a = CollapsedGibbs::new(&corpus, ModelParams::new(4, 0.5, 0.1), 1);
+        let config = WarpLdaConfig::default();
+        let a = WarpLda::new(&corpus, ModelParams::new(4, 0.5, 0.1), config, 1);
         let mut buf = Vec::new();
         write_checkpoint(&a, None, &mut buf).unwrap();
-        let mut b = CollapsedGibbs::new(&corpus, ModelParams::new(5, 0.5, 0.1), 1);
-        let err = read_checkpoint(&mut b, &mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+        rejected(&buf, &mut WarpLda::new(&corpus, ModelParams::new(5, 0.5, 0.1), config, 1));
     }
 
     #[test]
     fn wrong_corpus_shape_is_rejected() {
         let corpus = tiny();
         let params = ModelParams::new(4, 0.5, 0.1);
-        let a = CollapsedGibbs::new(&corpus, params, 1);
+        let a = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 1);
         let mut buf = Vec::new();
         write_checkpoint(&a, None, &mut buf).unwrap();
         let bigger = DatasetPreset::Tiny.generate_scaled(4);
-        let mut b = CollapsedGibbs::new(&bigger, params, 1);
-        let err = read_checkpoint(&mut b, &mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+        rejected(&buf, &mut WarpLda::new(&bigger, params, WarpLdaConfig::default(), 1));
     }
 }

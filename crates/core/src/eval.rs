@@ -165,33 +165,6 @@ pub fn perplexity_per_token(log_likelihood: f64, num_tokens: u64) -> Option<f64>
     Some((-log_likelihood / num_tokens as f64).exp())
 }
 
-/// Log likelihood of one held-out document under a **fold-in** evaluation:
-/// `Σ_i ln Σ_k θ_k · φ(w_i, k)`, where `θ` is the document–topic mixture
-/// estimated for the held-out document (by an inference engine the trained
-/// model cannot see the document through) and `φ(w, k)` is the frozen
-/// topic–word probability.
-///
-/// This is the standard held-out metric of the serving literature: unlike the
-/// joint likelihood above it scores *unseen* documents, so it detects
-/// overfitting that the training likelihood cannot. Feed the summed result
-/// over all held-out documents to [`perplexity_per_token`] with the held-out
-/// token count.
-pub fn fold_in_token_log_likelihood(
-    theta: &[f64],
-    words: &[u32],
-    phi: impl Fn(u32, usize) -> f64,
-) -> f64 {
-    let mut ll = 0.0;
-    for &w in words {
-        let p: f64 = theta.iter().enumerate().map(|(k, &t)| t * phi(w, k)).sum();
-        // A structurally valid model gives every word positive probability
-        // (β-smoothing); clamp anyway so one rounding underflow cannot turn
-        // the whole evaluation into -inf.
-        ll += p.max(f64::MIN_POSITIVE).ln();
-    }
-    ll
-}
-
 /// Returns, for each topic, the `top_n` highest-count words as
 /// `(word_id, count)` pairs — the standard qualitative inspection of a topic
 /// model.
@@ -325,32 +298,6 @@ mod tests {
         let p2 = perplexity_per_token(-900.0, 100).unwrap();
         assert!(p2 < p1);
         assert_eq!(perplexity_per_token(-10.0, 0), None);
-    }
-
-    #[test]
-    fn fold_in_likelihood_matches_hand_computation() {
-        // Two topics, two words; θ = (0.75, 0.25), φ columns sum to 1.
-        let theta = [0.75, 0.25];
-        let phi = |w: u32, k: usize| match (w, k) {
-            (0, 0) => 0.9,
-            (0, 1) => 0.2,
-            (1, 0) => 0.1,
-            (1, 1) => 0.8,
-            _ => unreachable!(),
-        };
-        let words = [0u32, 1, 0];
-        let p0: f64 = 0.75 * 0.9 + 0.25 * 0.2; // word 0
-        let p1: f64 = 0.75 * 0.1 + 0.25 * 0.8; // word 1
-        let expected = p0.ln() + p1.ln() + p0.ln();
-        let got = fold_in_token_log_likelihood(&theta, &words, phi);
-        assert!((got - expected).abs() < 1e-12, "{got} vs {expected}");
-        // A θ concentrated on the topic that likes the words scores higher.
-        let better = fold_in_token_log_likelihood(&[1.0, 0.0], &[0, 0, 0], phi);
-        let worse = fold_in_token_log_likelihood(&[0.0, 1.0], &[0, 0, 0], phi);
-        assert!(better > worse);
-        // Zero probability is clamped, not -inf.
-        let clamped = fold_in_token_log_likelihood(&[0.0, 0.0], &[0], phi);
-        assert!(clamped.is_finite());
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!   with overlapped (background-thread) evaluation and checkpoint cadence,
 //!   shared by the bench harness, the distributed runner, the examples and
 //!   the tests;
-//! * [`checkpoint`] — real binary persistence of resumable sampler state
-//!   (bit-identical save/load/continue for WarpLDA) over the framed codec of
-//!   [`warplda_corpus::io::codec`];
+//! * [`checkpoint`] — binary persistence of a resumable WarpLDA run
+//!   (bit-identical save/load/continue under every driver) over the framed
+//!   codec of [`warplda_corpus::io::codec`];
 //! * [`eval`] — the log joint likelihood `log p(W, Z | α, β)` used in every
 //!   convergence figure, plus perplexity and top-word extraction;
 //! * [`counts`] — the open-addressing topic-count tables of Section 5.4;

@@ -26,12 +26,10 @@ use warplda_cachesim::{MemoryProbe, NoProbe, RegionId};
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
 use warplda_sampling::{new_rng, AliasTable, Dice};
 
-use crate::checkpoint::{self, Checkpointable};
 use crate::counts::{HashCounts, TopicCounts};
 use crate::params::ModelParams;
 use crate::sampler::Sampler;
 use crate::state::SamplerState;
-use warplda_corpus::io::codec::{CodecError, CodecResult, Decoder, Encoder};
 
 /// Which of the Figure 7 ablation knobs are enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -394,57 +392,6 @@ impl<P: MemoryProbe> Sampler for LightLda<P> {
 
     fn assignments_slice(&self) -> Option<&[u32]> {
         Some(self.state.assignments())
-    }
-}
-
-impl<P: MemoryProbe> Checkpointable for LightLda<P> {
-    fn checkpoint_kind(&self) -> &'static str {
-        "lightlda"
-    }
-
-    fn write_state(&self, enc: &mut Encoder<'_>) -> CodecResult<()> {
-        enc.write_u64(self.mh_steps as u64)?;
-        enc.write_bool(self.variant.delayed_word_counts)?;
-        enc.write_bool(self.variant.delayed_doc_counts)?;
-        enc.write_bool(self.variant.simple_word_proposal)?;
-        checkpoint::write_baseline_body(enc, self.iterations, &self.rng, &self.state)
-    }
-
-    fn read_state(&mut self, dec: &mut Decoder<'_>) -> CodecResult<()> {
-        let mh_steps = dec.read_u64()?;
-        let variant = LightLdaVariant {
-            delayed_word_counts: dec.read_bool()?,
-            delayed_doc_counts: dec.read_bool()?,
-            simple_word_proposal: dec.read_bool()?,
-        };
-        if mh_steps != self.mh_steps as u64 || variant != self.variant {
-            return Err(CodecError::Corrupt(format!(
-                "checkpoint configuration ({}, M = {mh_steps}) does not match the sampler \
-                 ({}, M = {})",
-                variant.label(),
-                self.variant.label(),
-                self.mh_steps,
-            )));
-        }
-        let (iterations, rng, z) = checkpoint::read_baseline_body(
-            dec,
-            self.doc_view.num_tokens(),
-            self.params.num_topics,
-        )?;
-        self.state = SamplerState::from_assignments_with_views(
-            &self.doc_view,
-            &self.word_view,
-            self.params,
-            z,
-        );
-        // All delayed snapshots and stale proposal tables refer to
-        // pre-checkpoint counts; drop them so the next iteration rebuilds.
-        self.stale_doc = None;
-        self.stale_word = None;
-        self.word_tables.iter_mut().for_each(|t| *t = None);
-        self.rng = rng;
-        self.iterations = iterations;
-        Ok(())
     }
 }
 

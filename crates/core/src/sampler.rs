@@ -38,7 +38,8 @@ pub trait Sampler {
     /// whatever bookkeeping the caller does between starting its timer and
     /// the phase entry (snapshotting, logging, checkpoint scheduling), so
     /// throughput derived from it mixes harness overhead into the sampler's
-    /// number. Phase time excludes that overhead; perf reports record both.
+    /// number. Phase time excludes that overhead; an `IterationRecord` carries
+    /// both.
     /// Both clocks are wall time, so CPU contention from other threads of
     /// the process (e.g. an overlapped evaluation worker on a
     /// core-constrained machine) still shows up in either.

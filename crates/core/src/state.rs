@@ -53,18 +53,6 @@ impl SamplerState {
         z: Vec<u32>,
     ) -> Self {
         debug_assert_eq!(corpus.vocab_size(), word_view.num_words());
-        Self::from_assignments_with_views(doc_view, word_view, params, z)
-    }
-
-    /// Like [`from_assignments`](Self::from_assignments) but without needing
-    /// the `Corpus` itself — the two views carry everything the counts need.
-    /// Used by checkpoint restoration, which operates on views alone.
-    pub fn from_assignments_with_views(
-        doc_view: &DocMajorView,
-        word_view: &WordMajorView,
-        params: ModelParams,
-        z: Vec<u32>,
-    ) -> Self {
         assert_eq!(z.len(), doc_view.num_tokens(), "one topic per token required");
         assert!(z.iter().all(|&t| (t as usize) < params.num_topics), "topic out of range");
         let k = params.num_topics;
@@ -167,35 +155,6 @@ impl SamplerState {
         self.topic_counts[topic as usize] += 1;
     }
 
-    /// Overwrites the topic of a token *without* touching the counts. Used by
-    /// delayed-update samplers, which recompute counts at iteration
-    /// boundaries via [`rebuild_counts`](Self::rebuild_counts).
-    #[inline]
-    pub fn set_topic_only(&mut self, token_index: usize, topic: u32) {
-        self.z[token_index] = topic;
-    }
-
-    /// Recomputes every count from the assignments (used by delayed-update
-    /// samplers at iteration boundaries, and by tests).
-    pub fn rebuild_counts(&mut self, doc_view: &DocMajorView) {
-        for c in &mut self.doc_counts {
-            c.clear();
-        }
-        for c in &mut self.word_counts {
-            c.clear();
-        }
-        self.topic_counts.fill(0);
-        for d in 0..doc_view.num_docs() {
-            for i in doc_view.doc_range(d as u32) {
-                let topic = self.z[i];
-                let word = doc_view.word_of(i);
-                self.doc_counts[d].increment(topic);
-                self.word_counts[word as usize].increment(topic);
-                self.topic_counts[topic as usize] += 1;
-            }
-        }
-    }
-
     /// Verifies the internal consistency invariants:
     /// `Σ_k C_dk = L_d`, `Σ_k C_wk = L_w`, `Σ_d C_dk = Σ_w C_wk = C_k`, and
     /// `Σ_k C_k = T`. Panics with a description if any is violated.
@@ -271,36 +230,6 @@ mod tests {
                 }
             }
             state.assert_consistent(&dv, &wv);
-        }
-    }
-
-    #[test]
-    fn rebuild_counts_matches_incremental_updates() {
-        let (corpus, dv, wv) = small();
-        let params = ModelParams::new(5, 0.5, 0.1);
-        let mut rng = warplda_sampling::new_rng(9);
-        let mut a = SamplerState::init_random(&corpus, &dv, &wv, params, &mut rng);
-        let mut b = a.clone();
-        // Mutate `a` incrementally and `b` lazily, then rebuild `b`.
-        for i in 0..dv.num_tokens() {
-            let d = (0..dv.num_docs() as u32).find(|&d| dv.doc_range(d).contains(&i)).unwrap();
-            let w = dv.word_of(i);
-            let new = (i as u32 * 3 + 1) % 5;
-            a.remove_token(d, w, i);
-            a.assign_token(d, w, i, new);
-            b.set_topic_only(i, new);
-        }
-        b.rebuild_counts(&dv);
-        a.assert_consistent(&dv, &wv);
-        b.assert_consistent(&dv, &wv);
-        assert_eq!(a.assignments(), b.assignments());
-        assert_eq!(a.topic_counts(), b.topic_counts());
-        for d in 0..3u32 {
-            let mut pa = a.doc_counts(d).to_pairs();
-            let mut pb = b.doc_counts(d).to_pairs();
-            pa.sort_unstable();
-            pb.sort_unstable();
-            assert_eq!(pa, pb);
         }
     }
 

@@ -2,11 +2,10 @@
 //! scheduled evaluation and checkpoint persistence for any [`Sampler`].
 //!
 //! Every consumer of the workspace — the bench binaries behind the paper's
-//! tables and figures, the distributed runner, the examples and the
-//! integration tests — used to hand-roll the same
-//! `run_iteration → time it → maybe evaluate` loop. The [`Trainer`] is that
-//! loop, written once, with the two capabilities the hand-rolled copies never
-//! grew:
+//! tables and figures, the cluster cost model, the examples, the benchmark
+//! and the integration tests — trains through the [`Trainer`] instead of its
+//! own `run_iteration → time it → maybe evaluate` loop, which gives all of
+//! them two capabilities:
 //!
 //! * **Overlapped evaluation.** Computing the log joint likelihood walks
 //!   every token and is often as expensive as a sampling iteration. The
@@ -16,11 +15,13 @@
 //!   sampling iteration `i + 1` runs concurrently with the evaluation of
 //!   iteration `i`. Because evaluation is a pure function of the snapshot,
 //!   the values are identical to inline evaluation — only the wall clock
-//!   differs.
-//! * **Checkpoint persistence.** At a configurable cadence the trainer saves
-//!   a [`Checkpointable`] sampler through the binary codec
-//!   ([`crate::checkpoint`]), and [`Trainer::resume`] continues a saved run —
-//!   bit-identically for serial and parallel WarpLDA.
+//!   differs. One metric is evaluated per point: the log joint likelihood,
+//!   or whatever [`Trainer::with_eval_fn`] put in its place.
+//! * **Checkpoint persistence.** At a configurable cadence
+//!   [`Trainer::train_checkpointed`] saves a [`Checkpointable`] sampler —
+//!   serial or parallel WarpLDA — through the binary codec
+//!   ([`crate::checkpoint`]), and [`Trainer::resume`] continues a saved run
+//!   bit-identically.
 //!
 //! The produced [`IterationLog`] is the one report format shared by all
 //! call sites: per-iteration sampling time, throughput and (where evaluated)
@@ -134,22 +135,6 @@ pub struct IterationRecord {
     pub phase_seconds: Option<f64>,
     /// Log joint likelihood after this iteration, when evaluated.
     pub log_likelihood: Option<f64>,
-    /// Fold-in held-out metric after this iteration (by convention a
-    /// per-token perplexity on held-out documents), when the trainer was
-    /// given a held-out evaluation via [`Trainer::with_held_out_fn`].
-    /// Follows the same schedule as `log_likelihood` and runs on the same
-    /// overlapped background worker. `None` everywhere otherwise — the
-    /// metric is strictly opt-in because it costs a model freeze plus an
-    /// inference pass per evaluation point.
-    pub held_out: Option<f64>,
-}
-
-impl IterationRecord {
-    /// Phase-time-only throughput of this iteration, tokens/second, when the
-    /// sampler reported its phase clock.
-    pub fn phase_tokens_per_sec(&self, tokens_per_iteration: u64) -> Option<f64> {
-        self.phase_seconds.map(|s| tokens_per_iteration as f64 / s.max(1e-12))
-    }
 }
 
 /// The per-iteration history of a training run: the one report format shared
@@ -217,20 +202,6 @@ impl IterationLog {
         self.tokens_per_iteration as f64 * self.records.len() as f64 / total.max(1e-12)
     }
 
-    /// Mean *phase-time-only* throughput over the iterations that reported a
-    /// phase clock, tokens/second. `None` when no record carries one.
-    pub fn mean_phase_tokens_per_sec(&self) -> Option<f64> {
-        let mut secs = 0.0;
-        let mut n = 0u64;
-        for r in &self.records {
-            if let Some(s) = r.phase_seconds {
-                secs += s;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| self.tokens_per_iteration as f64 * n as f64 / secs.max(1e-12))
-    }
-
     /// First evaluated iteration whose likelihood reaches `target`, if any.
     pub fn iterations_to_reach(&self, target: f64) -> Option<u64> {
         self.eval_points().find(|r| r.log_likelihood.unwrap() >= target).map(|r| r.iteration)
@@ -257,15 +228,9 @@ impl IterationLog {
             .collect()
     }
 
-    /// The records that carry a held-out metric, in iteration order.
-    pub fn held_out_points(&self) -> impl Iterator<Item = &IterationRecord> {
-        self.records.iter().filter(|r| r.held_out.is_some())
-    }
-
-    fn set_evaluation(&mut self, iteration: u64, ll: f64, held_out: Option<f64>) {
+    fn set_evaluation(&mut self, iteration: u64, ll: f64) {
         if let Some(r) = self.records.iter_mut().find(|r| r.iteration == iteration) {
             r.log_likelihood = Some(ll);
-            r.held_out = held_out;
         }
     }
 }
@@ -318,7 +283,6 @@ pub struct Trainer<'a> {
     doc_view: DocMajorView,
     word_view: WordMajorView,
     eval_fn: Option<EvalFn>,
-    held_out_fn: Option<EvalFn>,
 }
 
 impl<'a> Trainer<'a> {
@@ -341,26 +305,12 @@ impl<'a> Trainer<'a> {
             corpus.num_tokens(),
             "views must belong to the corpus"
         );
-        Self { corpus, doc_view, word_view, eval_fn: None, held_out_fn: None }
+        Self { corpus, doc_view, word_view, eval_fn: None }
     }
 
     /// Replaces the evaluation metric (default: log joint likelihood).
     pub fn with_eval_fn(mut self, f: EvalFn) -> Self {
         self.eval_fn = Some(f);
-        self
-    }
-
-    /// Opts into a fold-in held-out evaluation, recorded into
-    /// [`IterationRecord::held_out`] at the same schedule as the likelihood
-    /// and computed on the same overlapped background worker.
-    ///
-    /// The function receives the usual [`EvalInput`] snapshot of the
-    /// *training* corpus; a held-out evaluator is expected to rebuild the
-    /// model's counts from the snapshot (freeze a serving model) and score
-    /// its own held-out documents against them — the `warplda-serve` crate
-    /// provides exactly that closure.
-    pub fn with_held_out_fn(mut self, f: EvalFn) -> Self {
-        self.held_out_fn = Some(f);
         self
     }
 
@@ -424,8 +374,7 @@ impl<'a> Trainer<'a> {
     }
 
     /// Loads the checkpoint at `path` into `sampler` and continues training
-    /// under `config`. Continuation is bit-identical to an uninterrupted run
-    /// for serial and parallel WarpLDA (and deterministic for every sampler).
+    /// under `config`. Continuation is bit-identical to an uninterrupted run.
     ///
     /// When `vocab` is `None`, checkpoints written by the continued run reuse
     /// the vocabulary embedded in the loaded checkpoint (if any), so a
@@ -483,25 +432,9 @@ impl<'a> Trainer<'a> {
         let corpus = self.corpus;
         let doc_view = &self.doc_view;
         let word_view = &self.word_view;
-        let eval_fn: &(dyn Fn(EvalInput<'_>) -> f64 + Send + Sync) = match &self.eval_fn {
+        let evaluate: &(dyn Fn(EvalInput<'_>) -> f64 + Send + Sync) = match &self.eval_fn {
             Some(f) => f.as_ref(),
             None => &default_eval,
-        };
-        let held_out_fn: Option<&(dyn Fn(EvalInput<'_>) -> f64 + Send + Sync)> =
-            self.held_out_fn.as_deref();
-        // One evaluation = likelihood plus (opt-in) held-out metric, computed
-        // from the same snapshot so both describe the same iteration.
-        let evaluate = move |input: EvalInput<'_>| -> (f64, Option<f64>) {
-            let held = held_out_fn.map(|f| {
-                f(EvalInput {
-                    corpus: input.corpus,
-                    doc_view: input.doc_view,
-                    word_view: input.word_view,
-                    params: input.params,
-                    assignments: input.assignments,
-                })
-            });
-            (eval_fn(input), held)
         };
 
         let mut result = Ok(());
@@ -510,9 +443,9 @@ impl<'a> Trainer<'a> {
             // before spawning the next bounds memory and keeps results in
             // iteration order. By the time the next evaluation is due, the
             // previous worker has typically long finished.
-            type EvalHandle<'s> = std::thread::ScopedJoinHandle<'s, (f64, Option<f64>)>;
+            type EvalHandle<'s> = std::thread::ScopedJoinHandle<'s, f64>;
             let mut pending: Option<(u64, EvalHandle<'_>)> = None;
-            let mut evals: Vec<(u64, f64, Option<f64>)> = Vec::new();
+            let mut evals: Vec<(u64, f64)> = Vec::new();
             let mut sampling_secs = 0.0;
 
             for it in 1..=config.iterations {
@@ -527,15 +460,13 @@ impl<'a> Trainer<'a> {
                     tokens_per_sec: tokens_per_iter as f64 / iter_secs.max(1e-12),
                     phase_seconds: sampler.last_iteration_phase_seconds(),
                     log_likelihood: None,
-                    held_out: None,
                 });
 
                 if config.wants_eval(it) {
                     let mut snapshot = Vec::new();
                     sampler.write_assignments_into(&mut snapshot);
                     if let Some((i, handle)) = pending.take() {
-                        let (ll, held) = handle.join().expect("evaluation worker panicked");
-                        evals.push((i, ll, held));
+                        evals.push((i, handle.join().expect("evaluation worker panicked")));
                     }
                     let handle = scope.spawn(move || {
                         evaluate(EvalInput {
@@ -563,11 +494,10 @@ impl<'a> Trainer<'a> {
             }
 
             if let Some((i, handle)) = pending.take() {
-                let (ll, held) = handle.join().expect("evaluation worker panicked");
-                evals.push((i, ll, held));
+                evals.push((i, handle.join().expect("evaluation worker panicked")));
             }
-            for (iteration, ll, held) in evals {
-                log.set_evaluation(iteration, ll, held);
+            for (iteration, ll) in evals {
+                log.set_evaluation(iteration, ll);
             }
         });
         result.map(|()| (log, checkpoints))
@@ -614,9 +544,9 @@ mod tests {
         assert_eq!(log.csv_rows().len(), 3);
         // WarpLDA keeps phase clocks, so every record must carry the
         // phase-time-only view and it must never exceed the wall measurement.
-        assert!(log.records().iter().all(|r| r.phase_seconds.is_some()));
-        let phase_tps = log.mean_phase_tokens_per_sec().expect("phase clocks present");
-        assert!(phase_tps >= log.mean_tokens_per_sec());
+        let phase_secs: f64 =
+            log.records().iter().map(|r| r.phase_seconds.expect("phase clocks present")).sum();
+        assert!(phase_secs <= log.total_seconds());
     }
 
     #[test]
@@ -669,37 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn held_out_metric_is_opt_in_and_follows_the_eval_schedule() {
-        let corpus = corpus();
-        let params = ModelParams::paper_defaults(6);
-        // Without the opt-in, no record carries a held-out value.
-        let trainer = Trainer::new(&corpus);
-        let mut s = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 3);
-        let log = trainer.train(&TrainerConfig::new(4).eval_every(2), "plain", &mut s);
-        assert_eq!(log.held_out_points().count(), 0);
-
-        // With it, every evaluated iteration carries one, computed from that
-        // iteration's assignments (the metric is a pure function of the
-        // snapshot, so a hand loop over the same chain gives the same values).
-        let metric: fn(EvalInput<'_>) -> f64 =
-            |input| input.assignments.iter().map(|&t| t as f64).sum::<f64>();
-        let trainer = Trainer::new(&corpus).with_held_out_fn(Box::new(metric));
-        let mut s = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 3);
-        let log = trainer.train(&TrainerConfig::new(4).eval_every(2), "held-out", &mut s);
-        let points: Vec<(u64, f64)> =
-            log.held_out_points().map(|r| (r.iteration, r.held_out.unwrap())).collect();
-        assert_eq!(points.iter().map(|p| p.0).collect::<Vec<_>>(), vec![2, 4]);
-        let mut by_hand = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 3);
-        for (it, v) in points {
-            assert!(log.likelihood_at(it).is_some());
-            by_hand.run_iteration();
-            by_hand.run_iteration();
-            let expected = by_hand.assignments().iter().map(|&t| t as f64).sum::<f64>();
-            assert_eq!(v, expected, "iteration {it}");
-        }
-    }
-
-    #[test]
     fn custom_eval_fn_replaces_the_metric() {
         let corpus = corpus();
         let trainer =
@@ -743,14 +642,11 @@ mod tests {
                 tokens_per_sec: 100.0,
                 phase_seconds: Some(0.5),
                 log_likelihood: Some(ll),
-                held_out: None,
             });
         }
         assert_eq!(log.iterations_to_reach(-60.0), Some(2));
         assert_eq!(log.seconds_to_reach(-60.0), Some(2.0));
         assert_eq!(log.iterations_to_reach(0.0), None);
         assert_eq!(log.likelihood_at(3), Some(-25.0));
-        assert_eq!(log.records()[0].phase_tokens_per_sec(100), Some(200.0));
-        assert_eq!(log.mean_phase_tokens_per_sec(), Some(200.0));
     }
 }

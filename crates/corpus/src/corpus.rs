@@ -108,12 +108,6 @@ impl CorpusBuilder {
         Self::default()
     }
 
-    /// Creates a builder with a pre-existing vocabulary (token-id documents
-    /// must then stay within it).
-    pub fn with_vocab(vocab: Vocabulary) -> Self {
-        Self { docs: Vec::new(), vocab }
-    }
-
     /// Adds a document given as raw word strings, interning new words.
     pub fn push_text_doc<'a, I: IntoIterator<Item = &'a str>>(&mut self, words: I) -> DocId {
         let tokens: Vec<WordId> = words.into_iter().map(|w| self.vocab.intern(w)).collect();
@@ -130,11 +124,6 @@ impl CorpusBuilder {
     /// Number of documents added so far.
     pub fn num_docs(&self) -> usize {
         self.docs.len()
-    }
-
-    /// Access to the growing vocabulary.
-    pub fn vocab_mut(&mut self) -> &mut Vocabulary {
-        &mut self.vocab
     }
 
     /// Finalizes the corpus.
@@ -195,15 +184,5 @@ mod tests {
         let c = Corpus::from_parts(vec![], Vocabulary::new()).unwrap();
         assert_eq!(c.num_docs(), 0);
         assert_eq!(c.num_tokens(), 0);
-    }
-
-    #[test]
-    fn builder_with_existing_vocab() {
-        let vocab = Vocabulary::synthetic(10);
-        let mut b = CorpusBuilder::with_vocab(vocab);
-        b.push_token_doc(vec![0, 9, 3]);
-        let c = b.build().unwrap();
-        assert_eq!(c.vocab_size(), 10);
-        assert_eq!(c.num_tokens(), 3);
     }
 }

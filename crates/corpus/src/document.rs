@@ -55,14 +55,6 @@ impl Document {
     pub fn push(&mut self, word: WordId) {
         self.tokens.push(word);
     }
-
-    /// Number of *distinct* words in the document.
-    pub fn distinct_words(&self) -> usize {
-        let mut sorted: Vec<WordId> = self.tokens.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted.len()
-    }
 }
 
 impl FromIterator<WordId> for Document {
@@ -80,14 +72,12 @@ mod tests {
         let d = Document::from_counts(vec![(3, 2), (7, 1), (3, 1)]);
         assert_eq!(d.tokens(), &[3, 3, 7, 3]);
         assert_eq!(d.len(), 4);
-        assert_eq!(d.distinct_words(), 2);
     }
 
     #[test]
     fn empty_document() {
         let d = Document::new();
         assert!(d.is_empty());
-        assert_eq!(d.distinct_words(), 0);
     }
 
     #[test]

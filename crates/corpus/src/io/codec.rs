@@ -226,23 +226,9 @@ impl<'a> Encoder<'a> {
         }
         Ok(())
     }
-
-    /// Writes a length-prefixed `u64` slice (chunked like
-    /// [`write_u32_slice`](Self::write_u32_slice)).
-    pub fn write_u64_slice(&mut self, vs: &[u64]) -> CodecResult<()> {
-        self.write_u64(vs.len() as u64)?;
-        let mut buf = [0u8; CHUNK_ELEMS * 8];
-        for chunk in vs.chunks(CHUNK_ELEMS) {
-            for (slot, &v) in buf.chunks_exact_mut(8).zip(chunk) {
-                slot.copy_from_slice(&v.to_le_bytes());
-            }
-            self.write_bytes(&buf[..chunk.len() * 8])?;
-        }
-        Ok(())
-    }
 }
 
-/// Elements per staged chunk of the slice codecs (8 KiB of `u64`s).
+/// Elements per staged chunk of the slice codecs (4 KiB of `u32`s).
 const CHUNK_ELEMS: usize = 1024;
 
 /// Reads little-endian primitives from an underlying reader.
@@ -348,24 +334,6 @@ impl<'a> Decoder<'a> {
             let start = out.len();
             out.resize(len.min(start + CHUNK), 0);
             self.read_exact(&mut out[start..])?;
-        }
-        Ok(out)
-    }
-
-    /// Reads a length-prefixed `u64` vector (chunked like
-    /// [`read_u32_vec`](Self::read_u32_vec)).
-    pub fn read_u64_vec(&mut self) -> CodecResult<Vec<u64>> {
-        let len = self.read_usize()?;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
-        let mut buf = [0u8; CHUNK_ELEMS * 8];
-        let mut remaining = len;
-        while remaining > 0 {
-            let n = remaining.min(CHUNK_ELEMS);
-            self.read_exact(&mut buf[..n * 8])?;
-            out.extend(
-                buf[..n * 8].chunks_exact(8).map(|b| u64::from_le_bytes(b.try_into().unwrap())),
-            );
-            remaining -= n;
         }
         Ok(out)
     }
@@ -492,7 +460,6 @@ mod tests {
             enc.write_bool(true).unwrap();
             enc.write_str("warp λδα").unwrap();
             enc.write_u32_slice(&[1, 2, 3]).unwrap();
-            enc.write_u64_slice(&[9, 8]).unwrap();
         }
         let mut cursor = buf.as_slice();
         let mut dec = Decoder::new(&mut cursor);
@@ -504,25 +471,20 @@ mod tests {
         assert!(dec.read_bool().unwrap());
         assert_eq!(dec.read_string().unwrap(), "warp λδα");
         assert_eq!(dec.read_u32_vec().unwrap(), vec![1, 2, 3]);
-        assert_eq!(dec.read_u64_vec().unwrap(), vec![9, 8]);
     }
 
     #[test]
     fn slices_crossing_chunk_boundaries_round_trip() {
         let u32s: Vec<u32> =
             (0..CHUNK_ELEMS as u32 * 3 + 7).map(|i| i.wrapping_mul(2654435761)).collect();
-        let u64s: Vec<u64> =
-            (0..CHUNK_ELEMS as u64 + 1).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect();
         let mut buf = Vec::new();
         {
             let mut enc = Encoder::new(&mut buf);
             enc.write_u32_slice(&u32s).unwrap();
-            enc.write_u64_slice(&u64s).unwrap();
         }
         let mut cursor = buf.as_slice();
         let mut dec = Decoder::new(&mut cursor);
         assert_eq!(dec.read_u32_vec().unwrap(), u32s);
-        assert_eq!(dec.read_u64_vec().unwrap(), u64s);
     }
 
     #[test]

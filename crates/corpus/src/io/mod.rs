@@ -1,13 +1,12 @@
 //! Readers and writers for corpus files.
 //!
-//! Two formats are supported:
-//!
 //! * The UCI "bag of words" `docword` format used by the NYTimes and PubMed
 //!   datasets of the paper: a header of three lines (`D`, `V`, `NNZ`) followed
 //!   by `docID wordID count` triples (all 1-based).
-//! * A plain-text format: one document per line, whitespace-separated tokens,
-//!   lower-cased, with everything except ASCII alphanumerics stripped — the
-//!   same pre-processing the paper applies to ClueWeb12.
+//! * Plain-text tokenization ([`tokenize_text`], [`tokenize_query_into`]):
+//!   whitespace-separated tokens, lower-cased, with everything except ASCII
+//!   alphanumerics stripped — the same pre-processing the paper applies to
+//!   ClueWeb12.
 //!
 //! Binary persistence (model checkpoints, vocabulary snapshots) lives in the
 //! [`codec`] submodule; crash-safe file replacement (temp + fsync + rename,
@@ -20,7 +19,7 @@ pub use atomic::{atomic_write, atomic_write_bytes};
 
 use std::io::{BufRead, BufReader, Read, Write};
 
-use crate::{Corpus, CorpusBuilder, CorpusError, Document, Vocabulary, WordId};
+use crate::{Corpus, CorpusError, Document, Vocabulary, WordId};
 
 /// Reads a corpus in the UCI `docword` bag-of-words format.
 ///
@@ -203,19 +202,6 @@ pub const DEFAULT_STOP_WORDS: &[&str] = &[
     "at", "be", "this", "that", "from", "are", "was", "were", "but", "not", "have", "has", "had",
 ];
 
-/// Reads a plain-text corpus: one document per line.
-pub fn read_plain_text<R: Read>(reader: R, stop_words: &[&str]) -> Result<Corpus, CorpusError> {
-    let mut builder = CorpusBuilder::new();
-    for line in BufReader::new(reader).lines() {
-        let line = line.map_err(CorpusError::Io)?;
-        let tokens = tokenize_text(&line, stop_words);
-        if !tokens.is_empty() {
-            builder.push_text_doc(tokens.iter().map(String::as_str));
-        }
-    }
-    builder.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,14 +304,5 @@ mod tests {
                 .unwrap();
         assert_eq!(oov, 0);
         assert_eq!(ids, vec![2, 2, 0]);
-    }
-
-    #[test]
-    fn plain_text_reader_builds_documents() {
-        let text = "apple iphone ios\nandroid phone\n\napple orange fruit\n";
-        let corpus = read_plain_text(text.as_bytes(), &[]).unwrap();
-        assert_eq!(corpus.num_docs(), 3);
-        assert_eq!(corpus.vocab().get("apple"), Some(0));
-        assert_eq!(corpus.num_tokens(), 8);
     }
 }

@@ -47,7 +47,6 @@ use warplda_dist::protocol::{
 };
 use warplda_dist::GridPartition;
 use warplda_net::{connect_within, write_frame, FrameBuffer};
-use warplda_sparse::PartitionStrategy;
 
 type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
 
@@ -233,14 +232,7 @@ fn build_replica(setup: &Setup) -> Result<(WarpLda, ShardPlan)> {
         WarpLdaConfig { mh_steps: setup.mh_steps as usize, use_hash_counts: setup.use_hash_counts };
     let doc_view = DocMajorView::build(corpus);
     let word_view = WordMajorView::build(corpus, &doc_view);
-    let grid = GridPartition::build_with(
-        corpus,
-        &doc_view,
-        &word_view,
-        setup.workers as usize,
-        PartitionStrategy::Greedy,
-        PartitionStrategy::Dynamic,
-    );
+    let grid = GridPartition::for_cluster(corpus, &doc_view, &word_view, setup.workers as usize);
     let mut sampler = WarpLda::new(corpus, params, config, setup.seed);
     if let Some(resume) = &setup.resume {
         sampler.restore(resume.iterations, resume.width, &resume.records, &resume.topic_counts)?;

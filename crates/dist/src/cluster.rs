@@ -29,7 +29,7 @@ pub struct ClusterConfig {
 ///
 /// This is the single pricing formula shared by
 /// [`runner::price_iteration_log`](crate::runner::price_iteration_log) and
-/// [`runner::model_point`](crate::runner::model_point), and it is exactly
+/// [`runner::scaling_sweep`](crate::runner::scaling_sweep), and it is exactly
 /// what [`ProcessCluster`](crate::ProcessCluster) forwards to workers as
 /// record segments.
 pub fn exchange_bytes_per_iteration(

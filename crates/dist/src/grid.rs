@@ -46,13 +46,33 @@ impl GridPartition {
         Self::build_with(corpus, doc_view, word_view, workers, strategy, strategy)
     }
 
-    /// Builds the grid with separate strategies for the document and word
-    /// shards. [`ProcessCluster`](crate::ProcessCluster) greedy-shards
-    /// documents but slices words into contiguous token-balanced ranges.
+    /// The grid a [`ProcessCluster`](crate::ProcessCluster) runs on:
+    /// documents greedy-sharded, words sliced into contiguous token-balanced
+    /// ranges. The coordinator and every worker rebuild this grid on their
+    /// own and must arrive at the same one, so the strategy pair is spelled
+    /// here and nowhere else.
     ///
     /// # Panics
     /// Panics if `workers` is zero.
-    pub fn build_with(
+    pub fn for_cluster(
+        corpus: &Corpus,
+        doc_view: &DocMajorView,
+        word_view: &WordMajorView,
+        workers: usize,
+    ) -> Self {
+        Self::build_with(
+            corpus,
+            doc_view,
+            word_view,
+            workers,
+            PartitionStrategy::Greedy,
+            PartitionStrategy::Dynamic,
+        )
+    }
+
+    /// Builds the grid with separate strategies for the document and word
+    /// shards.
+    fn build_with(
         corpus: &Corpus,
         doc_view: &DocMajorView,
         word_view: &WordMajorView,

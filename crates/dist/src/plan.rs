@@ -299,7 +299,6 @@ mod tests {
     use super::*;
     use warplda_core::{ModelParams, WarpLdaConfig};
     use warplda_corpus::{Corpus, DatasetPreset, DocMajorView, WordMajorView};
-    use warplda_sparse::PartitionStrategy;
 
     /// Sampler, grid, plan, and the `(doc owner, word owner)` of every entry.
     type Built = (WarpLda, GridPartition, ShardPlan, Vec<(usize, usize)>);
@@ -307,14 +306,7 @@ mod tests {
     fn build_all(corpus: &Corpus, workers: usize) -> Built {
         let dv = DocMajorView::build(corpus);
         let wv = WordMajorView::build(corpus, &dv);
-        let grid = GridPartition::build_with(
-            corpus,
-            &dv,
-            &wv,
-            workers,
-            PartitionStrategy::Greedy,
-            PartitionStrategy::Dynamic,
-        );
+        let grid = GridPartition::for_cluster(corpus, &dv, &wv, workers);
         let sampler =
             WarpLda::new(corpus, ModelParams::new(5, 0.5, 0.1), WarpLdaConfig::with_mh_steps(2), 7);
         let plan = ShardPlan::build(&sampler, &grid, &dv, &wv);

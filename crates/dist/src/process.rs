@@ -68,7 +68,6 @@ use warplda_core::{topic_wire_width, ModelParams, Sampler, WarpLda, WarpLdaConfi
 use warplda_corpus::io::codec::CodecError;
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
 use warplda_net::{FrameBuffer, PollFrame, WireError};
-use warplda_sparse::PartitionStrategy;
 
 use crate::fault::{FaultEvent, FaultPhase, FaultPlan};
 use crate::grid::GridPartition;
@@ -359,14 +358,7 @@ impl ProcessCluster {
         }
         let doc_view = DocMajorView::build(corpus);
         let word_view = WordMajorView::build(corpus, &doc_view);
-        let grid = GridPartition::build_with(
-            corpus,
-            &doc_view,
-            &word_view,
-            cfg.workers,
-            PartitionStrategy::Greedy,
-            PartitionStrategy::Dynamic,
-        );
+        let grid = GridPartition::for_cluster(corpus, &doc_view, &word_view, cfg.workers);
         let plan = ShardPlan::build(&sampler, &grid, &doc_view, &word_view);
 
         let listener = TcpListener::bind("127.0.0.1:0")?;

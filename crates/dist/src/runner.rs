@@ -89,18 +89,17 @@ pub struct ScalingPoint {
     pub speedup: f64,
 }
 
-/// Prices one machine count: the canonical cost model shared by
-/// [`scaling_sweep`] and the Figure 9b binary, so the library API and the
-/// harness always agree.
+/// Prices one machine count of [`scaling_sweep`] (which the Figure 9b binary
+/// prints).
 ///
 /// Per iteration the model charges the slowest machine's two-phase token load
 /// at the measured single-machine throughput, and overlaps the all-to-all
 /// exchange with computation except for a `1/P` synchronization tail:
 /// `wall = max(compute, comm) + comm / P`.
 ///
-/// The returned point's `speedup` is set to `1.0`; callers comparing several
-/// machine counts rescale against their chosen baseline.
-pub fn model_point(
+/// The returned point's `speedup` is set to `1.0`; the sweep rescales against
+/// its first machine count.
+fn model_point(
     total_tokens: u64,
     single_tokens_per_sec: f64,
     grid: &GridPartition,
@@ -205,7 +204,6 @@ mod tests {
                 tokens_per_sec: tokens as f64 / c,
                 phase_seconds: None,
                 log_likelihood: (i == 1).then_some(-123.0),
-                held_out: None,
             });
         }
         for workers in [1usize, 2, 3, 4, 6, 8] {

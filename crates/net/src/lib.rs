@@ -153,11 +153,6 @@ impl FrameBuffer {
         Self { buf: vec![0; capacity.max(4096)], start: 0, end: 0, max_frame }
     }
 
-    /// The frame-size bound this buffer enforces.
-    pub fn max_frame_bytes(&self) -> u32 {
-        self.max_frame
-    }
-
     /// Discards all buffered bytes (a worker reuses one buffer across
     /// connections; a dead connection's tail must not leak into the next).
     pub fn reset(&mut self) {

@@ -31,7 +31,6 @@ use rand::Rng;
 
 use warplda_core::counts::{DenseCounts, TopicCounts};
 use warplda_sampling::{new_rng, split_seed, Dice};
-use warplda_sparse::{ChunkCursor, SendPtr};
 
 use crate::model::TopicModel;
 
@@ -52,17 +51,6 @@ pub struct InferConfig {
 impl Default for InferConfig {
     fn default() -> Self {
         Self { sweeps: 16, mh_steps: 2 }
-    }
-}
-
-impl InferConfig {
-    /// A config with a specific sweep count.
-    ///
-    /// # Panics
-    /// Panics if `sweeps` is zero.
-    pub fn with_sweeps(sweeps: usize) -> Self {
-        assert!(sweeps >= 1, "need at least one fold-in sweep");
-        Self { sweeps, ..Self::default() }
     }
 }
 
@@ -266,62 +254,6 @@ impl<'m> InferenceEngine<'m> {
         self.infer_into(words, seed, &mut scratch);
         InferenceResult { theta: scratch.theta, top: scratch.top }
     }
-
-    /// Infers θ for a batch of documents across `num_threads` workers pulling
-    /// document chunks from a [`ChunkCursor`] (the training work queue,
-    /// reused for serving-side batches). Document `i` uses the stream
-    /// `split_seed(base_seed, i)`, so the returned θ rows are bit-identical
-    /// for any thread count.
-    pub fn infer_batch(
-        &self,
-        docs: &[Vec<u32>],
-        base_seed: u64,
-        num_threads: usize,
-    ) -> Vec<Vec<f64>> {
-        let k = self.model.num_topics();
-        let n = docs.len();
-        let num_threads = num_threads.max(1);
-        let mut flat = vec![0.0f64; n * k];
-        if n == 0 {
-            return Vec::new();
-        }
-        if num_threads == 1 || n == 1 {
-            let mut scratch = InferScratch::new();
-            for (i, doc) in docs.iter().enumerate() {
-                self.infer_into(doc, split_seed(base_seed, i as u64), &mut scratch);
-                flat[i * k..(i + 1) * k].copy_from_slice(scratch.theta());
-            }
-        } else {
-            let cursor = ChunkCursor::for_workers(n, num_threads);
-            let flat_ptr = SendPtr(flat.as_mut_ptr());
-            std::thread::scope(|scope| {
-                for _ in 0..num_threads {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let flat_ptr = flat_ptr;
-                        let mut scratch = InferScratch::new();
-                        while let Some(chunk) = cursor.claim() {
-                            for i in chunk {
-                                self.infer_into(
-                                    &docs[i],
-                                    split_seed(base_seed, i as u64),
-                                    &mut scratch,
-                                );
-                                // SAFETY: each document index is claimed by
-                                // exactly one worker, so the k-wide output
-                                // slots never overlap.
-                                let row = unsafe {
-                                    std::slice::from_raw_parts_mut(flat_ptr.0.add(i * k), k)
-                                };
-                                row.copy_from_slice(scratch.theta());
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        flat.chunks_exact(k).map(<[f64]>::to_vec).collect()
-    }
 }
 
 #[cfg(test)]
@@ -404,30 +336,6 @@ mod tests {
             assert_eq!(v, 1.0 / model.num_topics() as f64);
         }
         assert!(r.top.is_empty());
-    }
-
-    #[test]
-    fn batch_inference_is_thread_count_independent() {
-        let (corpus, model) = themed();
-        let engine = InferenceEngine::new(&model, InferConfig::with_sweeps(8));
-        let docs: Vec<Vec<u32>> = (0..17)
-            .map(|i| {
-                if i % 2 == 0 {
-                    ids(&corpus, &["river", "lake", "boat"])
-                } else {
-                    ids(&corpus, &["sand", "heat", "cactus", "dune"])
-                }
-            })
-            .collect();
-        let reference = engine.infer_batch(&docs, 42, 1);
-        for threads in [2usize, 4] {
-            let got = engine.infer_batch(&docs, 42, threads);
-            for (i, (a, b)) in reference.iter().zip(&got).enumerate() {
-                let a: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-                let b: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(a, b, "doc {i} differs under {threads} threads");
-            }
-        }
     }
 
     #[test]

@@ -33,23 +33,17 @@
 //!   accumulate in a lock-free log-scale histogram.
 //! * [`wire`] — the length-prefixed binary wire protocol shared by server
 //!   and client.
-//! * [`holdout`] — fold-in **held-out perplexity**: freeze the current
-//!   training state, infer θ for held-out documents, score per-token
-//!   perplexity. Plugs into the [`Trainer`](warplda_core::Trainer)'s opt-in
-//!   held-out metric.
 //!
 //! [`SparseAliasTable`]: warplda_sampling::SparseAliasTable
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod holdout;
 pub mod infer;
 pub mod model;
 pub mod server;
 pub mod wire;
 
-pub use holdout::{fold_in_perplexity, held_out_eval_fn, HeldOutSet};
 pub use infer::{InferConfig, InferScratch, InferenceEngine, InferenceResult};
 pub use model::{ModelHandle, TopicModel};
 pub use server::{Client, LatencyStats, ServeCounters, Server, ServerConfig, ServerHandle};

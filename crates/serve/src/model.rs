@@ -293,13 +293,6 @@ impl TopicModel {
         }
     }
 
-    /// Smoothed topic–word probability `φ_wk = (C_wk + β) / (c_k + β̄)`.
-    #[inline]
-    pub fn phi(&self, word: u32, topic: usize) -> f64 {
-        (self.word_topic_count(word, topic as u32) as f64 + self.params.beta)
-            / (self.topic_counts[topic] as f64 + self.beta_bar)
-    }
-
     /// Draws from the word proposal `q_word(k) ∝ C_wk + β` in O(1): the
     /// paper's mixture of the pre-built count alias table (mass `L_w`) and
     /// the uniform smoothing part (mass `K·β`).
@@ -312,44 +305,6 @@ impl TopicModel {
             Some(table) if rng.gen::<f64>() < p_count => table.sample(rng),
             _ => rng.dice(k) as u32,
         }
-    }
-
-    /// Log likelihood `Σ_i ln p(w_i | θ, φ)` of one document under this
-    /// frozen model — the serving-side fast path of
-    /// [`warplda_core::eval::fold_in_token_log_likelihood`] (which stays the
-    /// model-agnostic reference). Instead of an O(K) scan with a binary
-    /// search per (token, topic), each token walks only its word's non-zero
-    /// CSR slice:
-    ///
-    /// ```text
-    /// p(w) = β · Σ_k θ_k / (c_k + β̄)   (per-document, computed once)
-    ///      + Σ_{(k, C_wk) ∈ pairs(w)} θ_k · C_wk / (c_k + β̄)
-    /// ```
-    ///
-    /// Agrees with the reference up to floating-point summation order.
-    pub fn fold_in_doc_log_likelihood(&self, theta: &[f64], words: &[u32]) -> f64 {
-        assert_eq!(theta.len(), self.params.num_topics, "θ must have one weight per topic");
-        let smooth: f64 = self.params.beta
-            * theta
-                .iter()
-                .zip(&self.topic_counts)
-                .map(|(&t, &c)| t / (c as f64 + self.beta_bar))
-                .sum::<f64>();
-        let mut ll = 0.0;
-        for &w in words {
-            let range =
-                self.word_offsets[w as usize] as usize..self.word_offsets[w as usize + 1] as usize;
-            let mut p = smooth;
-            for i in range {
-                let k = self.pair_topics[i] as usize;
-                p += theta[k] * self.pair_counts[i] as f64
-                    / (self.topic_counts[k] as f64 + self.beta_bar);
-            }
-            // Clamped like the reference: β-smoothing makes p positive, but
-            // one rounding underflow must not poison the evaluation.
-            ll += p.max(f64::MIN_POSITIVE).ln();
-        }
-        ll
     }
 
     /// The `top_n` highest-count words per topic as `(word, count)` pairs —
@@ -502,10 +457,13 @@ mod tests {
         let (corpus, model) = trained_model();
         assert_eq!(model.num_words(), corpus.vocab_size());
         assert_eq!(model.num_train_tokens(), corpus.num_tokens());
-        // Each φ_·k is a probability distribution over the vocabulary.
-        for k in 0..model.num_topics() {
-            let total: f64 = (0..model.num_words()).map(|w| model.phi(w as u32, k)).sum();
-            assert!((total - 1.0).abs() < 1e-9, "topic {k} sums to {total}");
+        // Each φ_·k = (C_wk + β) / (c_k + β̄) is a probability distribution
+        // over the vocabulary exactly when the word counts of topic k add up
+        // to c_k.
+        for (k, &c_k) in model.topic_counts().iter().enumerate() {
+            let total: u32 =
+                (0..model.num_words()).map(|w| model.word_topic_count(w as u32, k as u32)).sum();
+            assert_eq!(total, c_k, "topic {k}");
         }
         // Per-word totals are the term frequencies.
         let tf = corpus.term_frequencies();

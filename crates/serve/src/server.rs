@@ -280,8 +280,8 @@ struct Completion {
 
 /// The bounded work queue feeding the fixed worker pool (complete frames
 /// instead of connections — the same claim-when-free discipline as the
-/// training [`ChunkCursor`](warplda_sparse::ChunkCursor), but admission-
-/// controlled: the event loop sheds instead of pushing past the bound).
+/// training work queue, but admission-controlled: the event loop sheds
+/// instead of pushing past the bound).
 #[derive(Default)]
 struct JobQueue {
     pending: Mutex<VecDeque<Job>>,

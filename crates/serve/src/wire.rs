@@ -40,11 +40,6 @@ use warplda_net::{begin_frame, end_frame, PayloadReader};
 
 pub use warplda_net::{FrameBuffer, WireError};
 
-/// Frames larger than this are rejected before any allocation happens — a
-/// corrupt or hostile length prefix must not OOM the server. This is the
-/// shared default bound; see [`warplda_net::DEFAULT_MAX_FRAME_BYTES`].
-pub const MAX_FRAME_BYTES: u32 = warplda_net::DEFAULT_MAX_FRAME_BYTES;
-
 /// Opcode of a raw-text query (tokenized server-side against the frozen
 /// vocabulary).
 pub const OP_QUERY_TEXT: u8 = 1;
@@ -319,45 +314,5 @@ mod tests {
         out.push(0);
         assert!(decode_request(&out[4..], &mut tokens).is_err());
         assert!(decode_response(&[9]).is_err());
-    }
-
-    #[test]
-    fn frame_buffer_reassembles_split_and_batched_frames() {
-        // Three frames, delivered in adversarial chunk sizes.
-        let mut stream = Vec::new();
-        for (i, text) in ["alpha", "beta", "gamma"].iter().enumerate() {
-            encode_request(
-                &Request { seed: i as u64, top_n: 1, body: RequestBody::Text((*text).into()) },
-                &mut stream,
-            );
-        }
-        for chunk_size in [1usize, 3, 7, stream.len()] {
-            let mut fb = FrameBuffer::new(8);
-            let mut seen = Vec::new();
-            let mut cursor = 0;
-            while cursor < stream.len() || fb.has_complete_frame() {
-                while let Some(range) = fb.take_frame().unwrap() {
-                    let mut tokens = Vec::new();
-                    let view = decode_request(fb.payload(range), &mut tokens).unwrap();
-                    seen.push(view.seed);
-                }
-                if cursor < stream.len() {
-                    let end = (cursor + chunk_size).min(stream.len());
-                    let mut src = &stream[cursor..end];
-                    let n = fb.fill_from(&mut src).unwrap();
-                    cursor += n;
-                }
-            }
-            assert_eq!(seen, vec![0, 1, 2], "chunk size {chunk_size}");
-        }
-    }
-
-    #[test]
-    fn oversized_frame_is_rejected_without_buffering_it() {
-        let mut fb = FrameBuffer::new(16);
-        let huge = (MAX_FRAME_BYTES + 1).to_le_bytes();
-        let mut src = &huge[..];
-        fb.fill_from(&mut src).unwrap();
-        assert!(matches!(fb.take_frame(), Err(WireError::FrameTooLarge { .. })));
     }
 }

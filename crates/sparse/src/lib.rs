@@ -20,8 +20,7 @@
 //! * [`partition`] — the balanced column/row partitioning strategies of
 //!   Section 5.3.2 (static, dynamic, greedy), the imbalance index used in
 //!   Figure 4, and the [`ChunkCursor`] atomic work queue (chunks of equal
-//!   count or of equal mass) that removes the tail imbalance static
-//!   partitions leave behind.
+//!   mass) that removes the tail imbalance static partitions leave behind.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -19,8 +19,8 @@
 //! tail imbalance whenever the static estimate is wrong (power-law column
 //! sizes, fewer items than workers, one worker descheduled by the OS). The
 //! [`ChunkCursor`] complements them: a chunked atomic work queue that hands
-//! out contiguous index ranges on demand, so whichever worker drains its
-//! share first simply claims the next chunk.
+//! out contiguous index ranges of about equal token mass on demand, so
+//! whichever worker drains its share first simply claims the next chunk.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -107,39 +107,18 @@ pub fn partition_by_size(
 /// a contiguous chunk of indices owned exclusively by the claiming worker.
 /// Unlike an up-front partition there is no tail imbalance: a worker that
 /// finishes early keeps claiming. Chunks keep claims contiguous (sequential
-/// memory access within a claim) and amortize the atomic increment.
-///
-/// Chunks hold either an equal *number* of indices ([`new`](Self::new),
-/// [`for_workers`](Self::for_workers)) or — when the indices are entities of
-/// very unequal size — an about equal *mass* ([`by_mass`](Self::by_mass)).
+/// memory access within a claim) and amortize the atomic increment. The
+/// indices are entities of very unequal size, so chunks are cut at about
+/// equal *mass* ([`by_mass`](Self::by_mass)), not at an equal number of
+/// indices.
 #[derive(Debug)]
 pub struct ChunkCursor {
     next: AtomicUsize,
-    len: usize,
-    chunk: usize,
-    /// Chunk `i` is `bounds[i]..bounds[i + 1]` when chunks were cut by mass;
-    /// empty for equal-count chunks.
+    /// Chunk `i` is `bounds[i]..bounds[i + 1]`.
     bounds: Vec<usize>,
 }
 
 impl ChunkCursor {
-    /// A cursor over `0..len` handing out chunks of `chunk` indices.
-    ///
-    /// # Panics
-    /// Panics if `chunk` is zero.
-    pub fn new(len: usize, chunk: usize) -> Self {
-        assert!(chunk >= 1, "chunks must hold at least one index");
-        Self { next: AtomicUsize::new(0), len, chunk, bounds: Vec::new() }
-    }
-
-    /// A cursor whose chunk size targets ~32 claims per worker — small
-    /// enough to absorb power-law size skew, large enough that the atomic
-    /// increment is noise.
-    pub fn for_workers(len: usize, num_workers: usize) -> Self {
-        let claims = num_workers.max(1) * 32;
-        Self::new(len, (len.div_ceil(claims.max(1))).clamp(1, 1024))
-    }
-
     /// A cursor over the entities `0..offsets.len() - 1`, entity `i` weighing
     /// `offsets[i + 1] - offsets[i]` (prefix sums, e.g. a matrix's column
     /// offsets), cut into chunks of about equal mass: no chunk exceeds
@@ -166,32 +145,13 @@ impl ChunkCursor {
         if len > 0 {
             bounds.push(len);
         }
-        Self { next: AtomicUsize::new(0), len, chunk: 1, bounds }
-    }
-
-    /// Total number of indices.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when the cursor covers no indices.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Indices per claim of an equal-count cursor (the final claim may be
-    /// shorter).
-    pub fn chunk_size(&self) -> usize {
-        self.chunk
+        Self { next: AtomicUsize::new(0), bounds }
     }
 
     /// Claims the next chunk; `None` once the range is exhausted.
     pub fn claim(&self) -> Option<std::ops::Range<usize>> {
-        let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-        if self.bounds.is_empty() {
-            return (start < self.len).then(|| start..(start + self.chunk).min(self.len));
-        }
-        (start + 1 < self.bounds.len()).then(|| self.bounds[start]..self.bounds[start + 1])
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i + 1 < self.bounds.len()).then(|| self.bounds[i]..self.bounds[i + 1])
     }
 
     /// Rewinds the cursor so the range can be drained again (requires
@@ -328,11 +288,23 @@ mod tests {
         let _ = partition_by_size(&[1, 2], 0, PartitionStrategy::Greedy);
     }
 
+    /// Prefix sums of `sizes`, the form [`ChunkCursor::by_mass`] takes.
+    fn offsets_of(sizes: &[u64]) -> Vec<u32> {
+        let mut offsets = vec![0u32];
+        for &s in sizes {
+            offsets.push(offsets.last().unwrap() + s as u32);
+        }
+        offsets
+    }
+
     #[test]
     fn chunk_cursor_covers_the_range_exactly_once() {
-        let mut cursor = ChunkCursor::new(103, 10);
+        let offsets = offsets_of(&zipf_sizes(103, 1.0, 5_000));
+        let mut cursor = ChunkCursor::by_mass(&offsets, 2);
         let mut seen = vec![0u32; 103];
+        let mut first = None;
         while let Some(chunk) = cursor.claim() {
+            first.get_or_insert(chunk.clone());
             for i in chunk {
                 seen[i] += 1;
             }
@@ -340,12 +312,13 @@ mod tests {
         assert!(seen.iter().all(|&c| c == 1));
         assert!(cursor.claim().is_none(), "exhausted cursors stay exhausted");
         cursor.reset();
-        assert_eq!(cursor.claim(), Some(0..10));
+        assert_eq!(cursor.claim(), first);
     }
 
     #[test]
     fn chunk_cursor_is_safe_under_concurrent_claims() {
-        let cursor = ChunkCursor::for_workers(10_000, 4);
+        let offsets = offsets_of(&zipf_sizes(10_000, 1.0, 1_000_000));
+        let cursor = ChunkCursor::by_mass(&offsets, 4);
         let counts: Vec<std::sync::atomic::AtomicU32> =
             (0..10_000).map(|_| std::sync::atomic::AtomicU32::new(0)).collect();
         std::thread::scope(|scope| {
@@ -362,17 +335,6 @@ mod tests {
         assert!(counts.iter().all(|c| c.load(std::sync::atomic::Ordering::Relaxed) == 1));
     }
 
-    #[test]
-    fn chunk_cursor_edge_cases() {
-        assert!(ChunkCursor::new(0, 5).claim().is_none());
-        assert!(ChunkCursor::for_workers(0, 8).is_empty());
-        let one = ChunkCursor::for_workers(1, 64);
-        assert_eq!(one.chunk_size(), 1);
-        assert_eq!(one.claim(), Some(0..1));
-        // Huge ranges cap the chunk so claims stay balanced.
-        assert_eq!(ChunkCursor::for_workers(10_000_000, 2).chunk_size(), 1024);
-    }
-
     /// Drains `cursor`, returning its chunks in claim order.
     fn chunks_of(cursor: &ChunkCursor) -> Vec<std::ops::Range<usize>> {
         std::iter::from_fn(|| cursor.claim()).collect()
@@ -383,14 +345,10 @@ mod tests {
         // A Zipf vocabulary: equal-count chunks would put more than half of
         // all tokens into the first of 64.
         let sizes = zipf_sizes(8_000, 1.0, 1_500_000);
-        let mut offsets = vec![0u32];
-        for &s in &sizes {
-            offsets.push(offsets.last().unwrap() + s as u32);
-        }
+        let offsets = offsets_of(&sizes);
         let total = *offsets.last().unwrap() as u64;
         let mass = |c: &std::ops::Range<usize>| (offsets[c.end] - offsets[c.start]) as u64;
-        let first_equal_count = ChunkCursor::for_workers(8_000, 2).claim().unwrap();
-        assert!(mass(&first_equal_count) * 2 > total, "the defect this cut exists for");
+        assert!(mass(&(0..8_000 / 64)) * 2 > total, "the defect this cut exists for");
 
         for workers in [1usize, 2, 3, 8] {
             let mut cursor = ChunkCursor::by_mass(&offsets, workers);
@@ -416,19 +374,12 @@ mod tests {
     #[test]
     fn mass_chunks_edge_cases() {
         assert!(ChunkCursor::by_mass(&[0], 4).claim().is_none());
-        assert!(ChunkCursor::by_mass(&[0], 4).is_empty());
         // All-empty entities are one chunk; a lone giant is its own.
         assert_eq!(chunks_of(&ChunkCursor::by_mass(&[0, 0, 0, 0], 2)), vec![0..3]);
         assert_eq!(
             chunks_of(&ChunkCursor::by_mass(&[0, 1, 1_000, 1_001], 1)),
             vec![0..1, 1..2, 2..3]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one index")]
-    fn zero_chunk_size_rejected() {
-        let _ = ChunkCursor::new(10, 0);
     }
 
     #[test]

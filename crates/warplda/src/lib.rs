@@ -77,9 +77,8 @@ pub mod prelude {
         ProcessCluster, ProcessClusterConfig, ProcessIterationReport, ShardPlan,
     };
     pub use warplda_serve::{
-        fold_in_perplexity, held_out_eval_fn, Client, HeldOutSet, InferConfig, InferScratch,
-        InferenceEngine, LatencyStats, ServeCounters, Server, ServerConfig, ServerHandle,
-        TopicModel,
+        Client, InferConfig, InferScratch, InferenceEngine, LatencyStats, ServeCounters, Server,
+        ServerConfig, ServerHandle, TopicModel,
     };
     pub use warplda_sparse::PartitionStrategy;
 }

@@ -151,13 +151,11 @@ fn main() {
     // --- One distributed run with 4 simulated machines -------------------
     let cluster = ClusterConfig::tianhe2_like(4);
     let trainer = Trainer::new(&corpus);
-    let grid = GridPartition::build_with(
+    let grid = GridPartition::for_cluster(
         &corpus,
         trainer.doc_view(),
         trainer.word_view(),
         cluster.workers,
-        PartitionStrategy::Greedy,
-        PartitionStrategy::Dynamic,
     );
     println!(
         "\n4-machine grid: doc-phase imbalance {:.4}, word-phase imbalance {:.4}, \

@@ -24,14 +24,7 @@ fn simulate(
     let trainer = Trainer::new(corpus);
     let mut sampler = ParallelWarpLda::new(corpus, params, config, seed, workers);
     let measured = trainer.train(schedule, "dist", &mut sampler);
-    let grid = GridPartition::build_with(
-        corpus,
-        trainer.doc_view(),
-        trainer.word_view(),
-        workers,
-        PartitionStrategy::Greedy,
-        PartitionStrategy::Dynamic,
-    );
+    let grid = GridPartition::for_cluster(corpus, trainer.doc_view(), trainer.word_view(), workers);
     let cluster = ClusterConfig::tianhe2_like(workers);
     let log = price_iteration_log(&measured, &grid, &cluster, &params, &config);
     (sampler, grid, log)

@@ -327,14 +327,7 @@ proptest! {
         let corpus = Corpus::from_token_docs(docs);
         let doc_view = DocMajorView::build(&corpus);
         let word_view = WordMajorView::build(&corpus, &doc_view);
-        let grid = GridPartition::build_with(
-            &corpus,
-            &doc_view,
-            &word_view,
-            workers,
-            PartitionStrategy::Greedy,
-            PartitionStrategy::Dynamic,
-        );
+        let grid = GridPartition::for_cluster(&corpus, &doc_view, &word_view, workers);
         prop_assert_eq!(grid.total_tokens(), corpus.num_tokens());
         for d in 0..corpus.num_docs() as u32 {
             prop_assert!((grid.doc_owner(d) as usize) < workers);
@@ -464,14 +457,7 @@ mod exchange {
             let corpus = DatasetPreset::Tiny.generate_scaled(16);
             let doc_view = DocMajorView::build(&corpus);
             let word_view = WordMajorView::build(&corpus, &doc_view);
-            let grid = GridPartition::build_with(
-                &corpus,
-                &doc_view,
-                &word_view,
-                workers,
-                PartitionStrategy::Greedy,
-                PartitionStrategy::Dynamic,
-            );
+            let grid = GridPartition::for_cluster(&corpus, &doc_view, &word_view, workers);
             let replica = || {
                 let config = WarpLdaConfig::with_mh_steps(2);
                 WarpLda::new(&corpus, ModelParams::new(k, 0.5, 0.1), config, 9)

@@ -1,10 +1,10 @@
-//! Serialization round-trips through the *real* binary checkpoint codec:
-//! every sampler in the workspace saves and reloads losslessly, corrupted
-//! files are rejected by the framed container (magic + version + checksum),
-//! and a saved WarpLDA run — serial and parallel — continues bit-identically
-//! to an uninterrupted one (the any-writer → any-reader matrix across drivers
-//! is in `crates/core/tests/differential.rs`). The UCI text format round-trips are retained from
-//! the original suite.
+//! Serialization round-trips through the binary checkpoint codec: a WarpLDA
+//! checkpoint saves and reloads losslessly, corrupted files are rejected by
+//! the framed container (magic + version + checksum), and a saved WarpLDA run
+//! — serial and parallel — continues bit-identically to an uninterrupted one
+//! (the any-writer → any-reader matrix across drivers is in
+//! `crates/core/tests/differential.rs`). The UCI text format round-trips are
+//! retained from the original suite.
 
 use warplda::corpus::io::codec::CodecError;
 use warplda::corpus::io::{read_uci_bag_of_words, write_uci_bag_of_words};
@@ -15,74 +15,30 @@ fn corpus() -> Corpus {
     DatasetPreset::Tiny.generate_scaled(4)
 }
 
-/// Trains `sampler` for `iterations`, saves it, loads the checkpoint into
-/// `fresh`, and asserts the reload is lossless (assignments, iteration
-/// counter and likelihood all identical).
-fn roundtrip(
-    corpus: &Corpus,
-    sampler: &mut dyn Checkpointable,
-    fresh: &mut dyn Checkpointable,
-    iterations: usize,
-) {
-    let trainer = Trainer::new(corpus);
-    trainer.train(&TrainerConfig::sampling_only(iterations), sampler.name(), sampler);
-
-    let mut buf = Vec::new();
-    write_checkpoint(sampler, Some(corpus.vocab()), &mut buf).expect("checkpoint writes");
-    let vocab = read_checkpoint(fresh, &mut buf.as_slice()).expect("checkpoint reads");
-    assert_eq!(vocab.expect("vocab embedded").len(), corpus.vocab_size());
-
-    assert_eq!(fresh.iterations(), iterations as u64, "{}", sampler.name());
-    assert_eq!(fresh.assignments(), sampler.assignments(), "{}", sampler.name());
-    let ll_a = sampler.log_likelihood(corpus, trainer.doc_view(), trainer.word_view());
-    let ll_b = fresh.log_likelihood(corpus, trainer.doc_view(), trainer.word_view());
-    assert_eq!(ll_a.to_bits(), ll_b.to_bits(), "{}: {ll_a} vs {ll_b}", sampler.name());
-}
-
+/// Trains a sampler, saves it, loads the checkpoint into a fresh one built
+/// with a *different* seed (the checkpoint must fully determine the restored
+/// state), and asserts the reload is lossless: assignments, iteration counter
+/// and likelihood all identical.
 #[test]
-fn checkpoint_round_trips_all_six_samplers() {
+fn warplda_checkpoint_round_trip_is_lossless() {
     let corpus = corpus();
     let params = ModelParams::paper_defaults(8);
-
-    // Fresh samplers are constructed with a *different* seed on purpose: the
-    // checkpoint must fully determine the restored state.
-    roundtrip(
-        &corpus,
-        &mut CollapsedGibbs::new(&corpus, params, 7),
-        &mut CollapsedGibbs::new(&corpus, params, 99),
-        5,
-    );
-    roundtrip(
-        &corpus,
-        &mut SparseLda::new(&corpus, params, 7),
-        &mut SparseLda::new(&corpus, params, 99),
-        5,
-    );
-    roundtrip(
-        &corpus,
-        &mut AliasLda::new(&corpus, params, 7),
-        &mut AliasLda::new(&corpus, params, 99),
-        5,
-    );
-    roundtrip(
-        &corpus,
-        &mut FPlusLda::new(&corpus, params, 7),
-        &mut FPlusLda::new(&corpus, params, 99),
-        5,
-    );
-    roundtrip(
-        &corpus,
-        &mut LightLda::new(&corpus, params, 4, 7),
-        &mut LightLda::new(&corpus, params, 4, 99),
-        5,
-    );
     let config = WarpLdaConfig::with_mh_steps(2);
-    roundtrip(
-        &corpus,
-        &mut WarpLda::new(&corpus, params, config, 7),
-        &mut WarpLda::new(&corpus, params, config, 99),
-        5,
-    );
+    let mut sampler = WarpLda::new(&corpus, params, config, 7);
+    let mut fresh = WarpLda::new(&corpus, params, config, 99);
+    let trainer = Trainer::new(&corpus);
+    trainer.train(&TrainerConfig::sampling_only(5), "warplda", &mut sampler);
+
+    let mut buf = Vec::new();
+    write_checkpoint(&sampler, Some(corpus.vocab()), &mut buf).expect("checkpoint writes");
+    let vocab = read_checkpoint(&mut fresh, &mut buf.as_slice()).expect("checkpoint reads");
+    assert_eq!(vocab.expect("vocab embedded").len(), corpus.vocab_size());
+
+    assert_eq!(fresh.iterations(), 5);
+    assert_eq!(fresh.assignments(), sampler.assignments());
+    let ll_a = sampler.log_likelihood(&corpus, trainer.doc_view(), trainer.word_view());
+    let ll_b = fresh.log_likelihood(&corpus, trainer.doc_view(), trainer.word_view());
+    assert_eq!(ll_a.to_bits(), ll_b.to_bits(), "{ll_a} vs {ll_b}");
 }
 
 #[test]

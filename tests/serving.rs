@@ -195,8 +195,18 @@ fn hot_swap_under_live_traffic_never_drops_a_request() {
     let addr = handle.addr();
     let docs = queries(corpus.vocab_size(), 60);
 
+    // A re-frozen model to promote (the state is identical, the artifact is
+    // new — what a checkpoint promotion looks like).
+    let mut retrained = WarpLda::new(&corpus, *model.params(), WarpLdaConfig::with_mh_steps(2), 43);
+    for _ in 0..3 {
+        retrained.run_iteration();
+    }
+    let promoted = Arc::new(TopicModel::freeze_sampler(&retrained, &corpus));
+
+    let (first_reply, stream_started) = std::sync::mpsc::channel();
     std::thread::scope(|scope| {
-        let worker = scope.spawn(|| {
+        let docs = &docs;
+        let worker = scope.spawn(move || {
             let mut epochs_seen = Vec::new();
             let mut client = Client::connect(addr).expect("connect");
             for (i, doc) in docs.iter().enumerate() {
@@ -204,18 +214,18 @@ fn hot_swap_under_live_traffic_never_drops_a_request() {
                     Response::Ok(reply) => epochs_seen.push(reply.model_epoch),
                     Response::Error(e) => panic!("request dropped during swap: {e}"),
                 }
+                if i == 0 {
+                    first_reply.send(()).expect("the test is waiting for the first reply");
+                }
             }
             epochs_seen
         });
-        // Promote a re-frozen model mid-stream (the state is identical, the
-        // artifact is new — what a checkpoint promotion looks like).
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let mut retrained =
-            WarpLda::new(&corpus, *model.params(), WarpLdaConfig::with_mh_steps(2), 43);
-        for _ in 0..3 {
-            retrained.run_iteration();
-        }
-        handle.swap_model(Arc::new(TopicModel::freeze_sampler(&retrained, &corpus)));
+        // Promote mid-stream: once the client has its first reply, with the
+        // rest of its requests still to come.
+        stream_started
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the client never got its first reply");
+        handle.swap_model(promoted);
         let epochs = worker.join().expect("client thread");
         // Every request was answered, each by a well-defined model
         // generation, and the sequence is monotone (no request went back in
@@ -460,9 +470,11 @@ fn client_deadline_turns_a_wedged_server_into_a_typed_timeout() {
     // recv() would hang forever (the old CI-timeout failure mode).
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
+    let (release, released) = std::sync::mpsc::channel::<()>();
     let wedged = std::thread::spawn(move || {
         let (_stream, _) = listener.accept().expect("accept");
-        std::thread::sleep(Duration::from_secs(2)); // hold the socket open, say nothing
+        // Hold the socket open and say nothing until the test lets go.
+        let _ = released.recv();
     });
 
     let mut client =
@@ -483,5 +495,6 @@ fn client_deadline_turns_a_wedged_server_into_a_typed_timeout() {
         "deadline must bound recv, took {:?}",
         t0.elapsed()
     );
+    drop(release);
     wedged.join().expect("wedged listener thread");
 }
