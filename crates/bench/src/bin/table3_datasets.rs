@@ -1,6 +1,7 @@
 //! Table 3: statistics of the evaluation datasets. Prints the original
 //! statistics quoted in the paper next to the scaled synthetic presets this
-//! reproduction trains on (see DESIGN.md §4 for the substitution rationale).
+//! reproduction trains on (`warplda_corpus::synth` gives the substitution
+//! rationale).
 
 use warplda::prelude::*;
 use warplda_bench::full_scale;

@@ -1,6 +1,6 @@
 //! Table 4: L3 cache miss-rate comparison of LightLDA, F+LDA and WarpLDA
 //! (M = 1), measured with the trace-driven cache simulator instead of PAPI
-//! hardware counters (see DESIGN.md §4).
+//! hardware counters (the `warplda_cachesim` crate docs say why and how).
 //!
 //! The paper's numbers (NYTimes K=10³: 33% / 77% / 17%; PubMed K=10⁵:
 //! 37% / 17% / 5%) are absolute; what must reproduce here is the *ordering* —

@@ -7,13 +7,12 @@
 //! matrix. Table 4 backs this with hardware cache-miss counters (PAPI).
 //!
 //! We do not have the paper's hardware counters, so this crate provides the
-//! substitute described in DESIGN.md: a set-associative, LRU, inclusive
-//! three-level cache simulator configured with the Ivy Bridge geometry of
-//! Table 1. The LDA samplers expose an optional [`MemoryProbe`] hook; when
-//! instrumented with a [`CacheProbe`] every logical access to the count
-//! matrices/vectors is replayed through the simulator, producing the L3 miss
-//! rates of Table 4 and the estimated memory-stall cycles used in the
-//! analysis benchmarks.
+//! substitute: a set-associative, LRU, inclusive three-level cache simulator
+//! configured with the Ivy Bridge geometry of Table 1. The LDA samplers
+//! expose an optional [`MemoryProbe`] hook; when instrumented with a
+//! [`CacheProbe`] every logical access to the count matrices/vectors is
+//! replayed through the simulator, producing the L3 miss rates of Table 4 and
+//! the estimated memory-stall cycles used in the analysis benchmarks.
 //!
 //! The working-set sizes of Table 2 are not measured here: they follow from
 //! the corpus shape and `K`, and `warplda_core::access` tabulates them.

@@ -5,7 +5,14 @@
 //! sampler to be resumable:
 //!
 //! * [`Checkpointable`] — a [`Sampler`] that can write its complete
-//!   resumable state into an [`Encoder`] and restore it from a [`Decoder`].
+//!   resumable state into an [`Encoder`] and adopt it from a [`Decoder`], the
+//!   workspace's bounds-checked cursor over a byte slice. The state is one
+//!   serialized form with one reader: the section a checkpoint file holds is,
+//!   byte for byte, what a process cluster's coordinator sends a worker that
+//!   must rejoin an iteration boundary, and both are adopted by
+//!   [`read_state`](Checkpointable::read_state) where they lie — in the
+//!   file's payload or the socket's frame buffer — with one copy, into the
+//!   sampler.
 //!   WarpLDA is what checkpoints: [`WarpLda`](crate::WarpLda) and
 //!   [`ParallelWarpLda`](crate::ParallelWarpLda) implement the trait (a
 //!   process cluster saves and resumes through its coordinator replica, a
@@ -58,7 +65,9 @@ pub trait Checkpointable: Sampler {
 
     /// Restores state previously written by
     /// [`write_state`](Self::write_state) into a sampler constructed over the
-    /// same corpus with the same parameters and configuration.
+    /// same corpus with the same parameters and configuration. The bytes may
+    /// come from a file or a socket: everything is validated before anything
+    /// is adopted, and a rejected state leaves the sampler unchanged.
     fn read_state(&mut self, dec: &mut Decoder<'_>) -> CodecResult<()>;
 }
 
@@ -132,9 +141,8 @@ pub fn read_checkpoint(
     r: &mut dyn Read,
 ) -> CodecResult<Option<Vocabulary>> {
     let payload = read_framed(r)?;
-    let mut cursor = payload.as_slice();
-    let mut dec = Decoder::new(&mut cursor);
-    let kind = dec.read_string()?;
+    let mut dec = Decoder::new(&payload);
+    let kind = dec.read_str()?;
     if kind != sampler.checkpoint_kind() {
         return Err(CodecError::Corrupt(format!(
             "checkpoint holds a {kind:?} sampler, cannot load into {:?}",

@@ -33,11 +33,14 @@
 //!
 //! **Who validates what.** [`PackedRecords`] guarantees shape only; that
 //! every stored id is below `K` is this module's invariant, established by
-//! construction and kept by the kernels. Record bytes from outside — a
-//! peer's delta or sync, a resume payload, a checkpoint — enter through
-//! [`WarpLda::check_records_packed`] (width equals [`topic_wire_width`]`(K)`,
-//! exact length, every id `< K`) before a byte of them is copied, so a
-//! rejected payload leaves the sampler untouched.
+//! construction and kept by the kernels. Record bytes from outside enter
+//! through [`WarpLda::check_records_packed`] (width equals
+//! [`topic_wire_width`]`(K)`, exact length, every id `< K`) before a byte of
+//! them is copied, so a rejected payload leaves the sampler untouched: a
+//! peer's delta or sync through [`WarpLda::import_records_packed`], and whole
+//! states — a checkpoint, or the same bytes as a cluster's resume payload —
+//! through [`Checkpointable::read_state`], the one reader of the one
+//! serialized form.
 //!
 //! One iteration is two passes (Algorithm 2):
 //!
@@ -727,7 +730,7 @@ impl<P: MemoryProbe> WarpLda<P> {
 
     /// The full packed record buffer as little-endian bytes at
     /// [`record_width`](Self::record_width) per id — the form records travel
-    /// and rest in, so resume payloads and checkpoints borrow it as is.
+    /// and rest in, so a checkpoint writes it as is.
     pub fn records_bytes(&self) -> &[u8] {
         self.records.as_bytes()
     }
@@ -894,39 +897,6 @@ impl<P: MemoryProbe> WarpLda<P> {
         Ok(())
     }
 
-    /// Replaces the full sampler state (iteration counter, packed records,
-    /// `c_k`) — how a checkpoint is adopted and how a worker of the
-    /// multi-process runtime rejoins an iteration boundary. `bytes` is the
-    /// whole record buffer at `width` bytes per topic; it is validated where
-    /// it lies and then copied in one piece. Nothing is modified unless the
-    /// state is structurally valid for this corpus and configuration.
-    pub fn restore(
-        &mut self,
-        iterations: u64,
-        width: usize,
-        bytes: &[u8],
-        topic_counts: &[u32],
-    ) -> CodecResult<()> {
-        self.check_records_packed(self.num_entries(), width, bytes)?;
-        // The delayed-update invariant between iterations: c_k is exactly the
-        // topic histogram of the assignments.
-        let mut hist = vec![0u32; self.ctx.k];
-        for rec in bytes.chunks_exact(self.records.record_bytes()) {
-            let mut primary = [0u8; 4];
-            primary[..width].copy_from_slice(&rec[..width]);
-            hist[u32::from_le_bytes(primary) as usize] += 1;
-        }
-        if topic_counts != hist {
-            return Err(CodecError::Corrupt(
-                "topic counts do not match the assignment histogram".to_string(),
-            ));
-        }
-        self.records.as_bytes_mut().copy_from_slice(bytes);
-        self.topic_counts = hist;
-        self.iterations = iterations;
-        Ok(())
-    }
-
     /// Feeds `sum` the topics of every document, then of every word, in
     /// token order, straight off the records.
     fn stream_likelihood<T: Topic>(&self, sum: &mut LikelihoodSum) {
@@ -1007,9 +977,11 @@ impl<P: MemoryProbe> Checkpointable for WarpLda<P> {
     }
 
     /// The chain is a pure function of `(seed, iteration, records, c_k)`, so
-    /// that is the whole payload: any driver resumes what any driver wrote.
-    /// The records are written as they are stored — `width:u8, n:u64, n ×
-    /// width` bytes, the layout they also cross the wire in.
+    /// that is the whole payload: any driver resumes what any driver wrote,
+    /// and a cluster's coordinator sends these same bytes to a worker that
+    /// must rejoin an iteration boundary. The records are written as they are
+    /// stored — `width:u8, n:u64, n × width` bytes, the layout they also
+    /// cross the wire in.
     fn write_state(&self, enc: &mut Encoder<'_>) -> CodecResult<()> {
         enc.write_u64(self.seed)?;
         enc.write_u64(self.iterations)?;
@@ -1021,6 +993,11 @@ impl<P: MemoryProbe> Checkpointable for WarpLda<P> {
         enc.write_u32_slice(&self.topic_counts)
     }
 
+    /// Adopts a state where it lies in `dec`'s input: every check runs
+    /// against the borrowed bytes — `M` and the hash flag, the record shape,
+    /// every id `< K`, `c_k` equal to the assignment histogram — and only then
+    /// are the records copied, once. A rejected state leaves the sampler as it
+    /// was.
     fn read_state(&mut self, dec: &mut Decoder<'_>) -> CodecResult<()> {
         let seed = dec.read_u64()?;
         let iterations = dec.read_u64()?;
@@ -1033,21 +1010,40 @@ impl<P: MemoryProbe> Checkpointable for WarpLda<P> {
                 self.config.mh_steps, self.config.use_hash_counts,
             )));
         }
-        // Shape first, so a damaged header cannot ask for a huge read.
-        let width = dec.read_u8()? as usize;
-        let ids = dec.read_usize()?;
-        if width != self.records.width() || ids != self.num_entries() * self.stride() {
+        // Phase streams are keyed on `2 · iteration + phase`; no run gets
+        // near a counter that this would overflow on.
+        if iterations >= 1 << 62 {
             return Err(CodecError::Corrupt(format!(
-                "checkpoint holds {ids} topic ids at {width} bytes where the sampler holds {} \
-                 at {}",
-                self.num_entries() * self.stride(),
-                self.records.width(),
+                "iteration counter {iterations} out of range"
             )));
         }
-        let records = dec.read_byte_vec(ids * width)?;
-        let topic_counts = dec.read_u32_vec()?;
-        self.restore(iterations, width, &records, &topic_counts)?;
-        // The checkpoint's seed, not the constructor's, governs continuation.
+        let width = dec.read_u8()? as usize;
+        let ids = dec.read_count(width)?;
+        let records = dec.bytes(ids * width)?;
+        self.check_records_packed(self.num_entries(), width, records)?;
+        let k = self.ctx.k;
+        let counts = dec.read_count(4)?;
+        if counts != k {
+            return Err(CodecError::Corrupt(format!("c_k has {counts} slots for K = {k}")));
+        }
+        let counts = dec.bytes(4 * k)?.as_chunks::<4>().0;
+        // The delayed-update invariant between iterations: c_k is exactly the
+        // topic histogram of the assignments.
+        let mut hist = vec![0u32; k];
+        for rec in records.chunks_exact(self.records.record_bytes()) {
+            let mut primary = [0u8; 4];
+            primary[..width].copy_from_slice(&rec[..width]);
+            hist[u32::from_le_bytes(primary) as usize] += 1;
+        }
+        if !counts.iter().map(|c| u32::from_le_bytes(*c)).eq(hist.iter().copied()) {
+            return Err(CodecError::Corrupt(
+                "topic counts do not match the assignment histogram".to_string(),
+            ));
+        }
+        self.records.as_bytes_mut().copy_from_slice(records);
+        self.topic_counts = hist;
+        self.iterations = iterations;
+        // The state's seed, not the constructor's, governs continuation.
         self.seed = seed;
         Ok(())
     }
@@ -1274,23 +1270,51 @@ mod tests {
             let err = s.import_records_packed(entries, width, &bytes).unwrap_err();
             assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
         }
-        // Restore with a c_k that is not the assignment histogram, with a
-        // short record buffer, and with a c_k of the wrong width.
-        let mut bad_ck = s.topic_counts().to_vec();
-        bad_ck[0] = bad_ck[0].wrapping_add(1);
+        assert_eq!(s.records_bytes(), &before[..], "rejected input must not be applied");
+
+        // A state as `write_state` lays it out, around the given sections.
+        let state = |m: usize, width: u8, records: &[u8], ck: &[u32]| {
+            let mut out = Vec::new();
+            let mut enc = Encoder::new(&mut out);
+            enc.write_u64(77).unwrap();
+            enc.write_u64(9).unwrap();
+            enc.write_usize(m).unwrap();
+            enc.write_bool(true).unwrap();
+            enc.write_u8(width).unwrap();
+            enc.write_usize(records.len() / width.max(1) as usize).unwrap();
+            enc.write_bytes(records).unwrap();
+            enc.write_u32_slice(ck).unwrap();
+            out
+        };
+        // A c_k that is not the assignment histogram, a short record buffer,
+        // a c_k of the wrong length, another M, a width K does not travel at,
+        // an id >= K, and every truncation of a valid state.
         let good_ck = s.topic_counts().to_vec();
-        for (records, ck) in [
-            (&before[..], &bad_ck[..]),
-            (&before[..before.len() - 1], &good_ck[..]),
-            (&before[..], &good_ck[..good_ck.len() - 1]),
-        ] {
-            let err = s.restore(9, 1, records, ck).unwrap_err();
+        let mut bad_ck = good_ck.clone();
+        bad_ck[0] = bad_ck[0].wrapping_add(1);
+        let mut bad_id = before.clone();
+        bad_id[stride] = params.num_topics as u8;
+        let good = state(2, 1, &before, &good_ck);
+        let mut rejected = vec![
+            state(2, 1, &before, &bad_ck),
+            state(2, 1, &before[..before.len() - 1], &good_ck),
+            state(2, 1, &before, &good_ck[..good_ck.len() - 1]),
+            state(3, 1, &before, &good_ck),
+            state(2, 2, &before, &good_ck),
+            state(2, 0, &before, &good_ck),
+            state(2, 1, &bad_id, &good_ck),
+        ];
+        rejected.extend((0..good.len()).step_by(7).map(|cut| good[..cut].to_vec()));
+        for bytes in &rejected {
+            let err = s.read_state(&mut Decoder::new(bytes)).unwrap_err();
             assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
         }
         assert_eq!(s.records_bytes(), &before[..], "rejected input must not be applied");
-        assert_eq!(s.iterations(), 0);
-        s.restore(9, 1, &before, &good_ck).unwrap();
-        assert_eq!(s.iterations(), 9);
+        assert_eq!((s.iterations(), s.seed()), (0, 5));
+        let mut dec = Decoder::new(&good);
+        s.read_state(&mut dec).unwrap();
+        dec.finish().unwrap();
+        assert_eq!((s.iterations(), s.seed()), (9, 77), "the state's seed governs");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! WarpLDA parallelizes trivially because workers own disjoint documents
 //! (doc phase) or words (word phase) and the only shared state — the global
 //! topic vector `c_k` — is read-only within a phase and merged at the phase
-//! boundary. This driver adds exactly two mechanics to the sampler's visits:
+//! boundary. This driver adds exactly one mechanic to the sampler's visits:
 //!
 //! * **Chunked work queue.** Workers pull contiguous column/row chunks from a
 //!   [`ChunkCursor`] instead of receiving a static partition, so the tail
@@ -17,10 +17,14 @@
 //!   from its own RNG stream, so which worker claims which chunk cannot show
 //!   up in the result — a run is **bit-identical to the serial sampler for
 //!   any thread count**.
-//! * **Striped phase-boundary reduction.** The per-worker partial `c_k`
-//!   vectors are merged by workers owning contiguous topic stripes (falling
-//!   back to an inline merge when `K` is too small to amortize a spawn), so
-//!   the merge scales instead of serializing on one core at every boundary.
+//!
+//! At the phase boundary the calling thread sums the per-worker partial `c_k`
+//! vectors: `K × threads` additions, at most 320 000 in any workload, bench
+//! bin or example of this workspace (`fig9cd_clueweb --full`: 20 000 × 16).
+//! An inline merge moves about four additions per nanosecond and a
+//! scoped-thread spawn plus join costs on the order of 10² µs, so handing
+//! stripes of the merge to threads would start to pay in the millions of
+//! additions; no caller is near that, and no parallel reduce is kept for one.
 //!
 //! Worker scratch (count pools, alias tables, partial `c_k`) persists across
 //! iterations and is sized at construction for every row and column length
@@ -123,37 +127,15 @@ impl ParallelWarpLda {
     }
 }
 
-/// Replaces `ck` with the sum of the per-worker partial `c_k` vectors by a
-/// striped reduction: each reducer owns a contiguous stripe of topics and
-/// sums every worker's partial over it, so the phase-boundary merge
-/// parallelizes across the workers instead of serializing on one core.
-/// Integer addition commutes, so the result is identical to a serial merge.
-/// Small topic vectors are merged inline — a thread spawn costs more than the
-/// merge.
+/// Replaces `ck` with the sum of the per-worker partial `c_k` vectors.
+/// Integer addition commutes, so the order of the workers cannot show.
 fn reduce_partials(ck: &mut [u32], workers: &[WorkerScratch]) {
     ck.fill(0);
-    let merge_stripe = |stripe: &mut [u32], offset: usize| {
-        for ws in workers {
-            let src = &ws.partial_ck[offset..offset + stripe.len()];
-            for (dst, &s) in stripe.iter_mut().zip(src) {
-                *dst += s;
-            }
+    for ws in workers {
+        for (dst, &src) in ck.iter_mut().zip(&ws.partial_ck) {
+            *dst += src;
         }
-    };
-    // Below this many total additions the spawns dominate the merge itself:
-    // a scoped-thread spawn plus join costs on the order of 10^2 µs while
-    // the inline merge moves ~4 additions per nanosecond, so the crossover
-    // sits in the millions of additions, not thousands.
-    const PARALLEL_REDUCE_MIN: usize = 1 << 22;
-    if workers.len() == 1 || ck.len() * workers.len() < PARALLEL_REDUCE_MIN {
-        return merge_stripe(ck, 0);
     }
-    let stripe = ck.len().div_ceil(workers.len());
-    std::thread::scope(|scope| {
-        for (i, chunk) in ck.chunks_mut(stripe).enumerate() {
-            scope.spawn(move || merge_stripe(chunk, i * stripe));
-        }
-    });
 }
 
 impl Sampler for ParallelWarpLda {
@@ -228,30 +210,6 @@ mod tests {
             }
             assert_eq!(s.topic_counts(), &hist[..]);
         }
-    }
-
-    #[test]
-    fn striped_reduction_matches_inline_merge() {
-        // Large enough that k * workers crosses PARALLEL_REDUCE_MIN, so the
-        // striped (spawning) branch actually runs, including its ragged
-        // final stripe (the worker count does not divide k).
-        let k = (1 << 21) + 1;
-        let workers: Vec<WorkerScratch> = (0..3u32)
-            .map(|w| WorkerScratch {
-                partial_ck: (0..k as u32).map(|t| t.wrapping_mul(w + 1) % 97).collect(),
-                scratch: PhaseScratch::new(4, 1),
-            })
-            .collect();
-        let mut expected = vec![0u32; k];
-        for ws in &workers {
-            for (dst, &src) in expected.iter_mut().zip(&ws.partial_ck) {
-                *dst += src;
-            }
-        }
-        // Stale content must be replaced, not added to.
-        let mut striped = vec![7u32; k];
-        reduce_partials(&mut striped, &workers);
-        assert_eq!(striped, expected);
     }
 
     #[test]

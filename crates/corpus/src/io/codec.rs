@@ -8,6 +8,19 @@
 //! checksum so that truncated, corrupted or foreign files are rejected with a
 //! typed [`CodecError`] instead of being silently misread.
 //!
+//! **One reader for bytes from outside.** [`Decoder`] is a bounds-checked
+//! cursor over a byte slice — a file's payload once the container has
+//! verified it, a frame where it lies in a socket's receive buffer. Its reads
+//! borrow ([`Decoder::bytes`], [`Decoder::read_str`]), so bulk sections are
+//! validated in place and copied once, by whoever keeps them. Every section
+//! that announces a count goes through **one length rule**
+//! ([`Decoder::fits`]): the count times the smallest encoding of one element
+//! must fit the bytes that remain, else [`CodecError::Corrupt`] — so nothing
+//! a payload declares can make a reader allocate more than a small multiple of
+//! the payload's own length, and a payload that ends early is `Corrupt`, never
+//! a panic. The only code that faces a real `Read` is the container itself,
+//! which guards the one length a file declares about bytes not yet read.
+//!
 //! Framed container layout (all integers little-endian):
 //!
 //! ```text
@@ -48,10 +61,12 @@
 //! parameters and (optionally) a [`Vocabulary`] inside one payload.
 //!
 //! The container materializes the whole payload in memory on both sides so
-//! the length and checksum can sit in the header (peak memory ≈ 2× the
-//! serialized state). Fine at the corpus scales this workspace trains; if a
-//! future PR checkpoints multi-GB models, move the checksum to a trailer and
-//! stream the payload instead — that is a format-version bump.
+//! the length and checksum can sit in the header. A save holds the sampler
+//! and the payload; a load holds the payload and the sampler it is copied
+//! into, section by section, straight from the payload — peak memory ≈ 2× the
+//! serialized state either way. Fine at the corpus scales this workspace
+//! trains; if a future PR checkpoints multi-GB models, move the checksum to a
+//! trailer and stream the payload instead — that is a format-version bump.
 
 use std::io::{Read, Write};
 
@@ -70,10 +85,6 @@ pub const MODEL_MAGIC: [u8; 8] = *b"WLDAMODL";
 /// layout changes incompatibly; readers reject versions they do not know.
 /// See the module docs for the format history.
 pub const FORMAT_VERSION: u32 = 4;
-
-/// Longest string (in bytes) the decoder will allocate for; guards against
-/// reading a length field from a corrupt file and allocating gigabytes.
-const MAX_STRING_LEN: u64 = 1 << 20;
 
 /// Errors produced while encoding or decoding framed binary data.
 #[derive(Debug)]
@@ -228,44 +239,80 @@ impl<'a> Encoder<'a> {
     }
 }
 
-/// Elements per staged chunk of the slice codecs (4 KiB of `u32`s).
+/// Elements per staged chunk of [`Encoder::write_u32_slice`] (4 KiB).
 const CHUNK_ELEMS: usize = 1024;
 
-/// Reads little-endian primitives from an underlying reader.
+/// A bounds-checked cursor over bytes from outside the program: reads
+/// little-endian primitives and borrowed sections off the front of a slice.
+/// A read past the end is a typed [`CodecError::Corrupt`], never a panic.
 pub struct Decoder<'a> {
-    r: &'a mut dyn Read,
+    rest: &'a [u8],
 }
 
 impl<'a> Decoder<'a> {
-    /// Wraps a reader.
-    pub fn new(r: &'a mut dyn Read) -> Self {
-        Self { r }
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { rest: bytes }
     }
 
-    fn read_exact(&mut self, buf: &mut [u8]) -> CodecResult<()> {
-        self.r.read_exact(buf)?;
-        Ok(())
+    /// Takes the next `n` bytes, borrowed from the input.
+    pub fn bytes(&mut self, n: usize) -> CodecResult<&'a [u8]> {
+        let Some((head, rest)) = self.rest.split_at_checked(n) else {
+            return Err(self.ends_short(n));
+        };
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// Out of line, so the reads that succeed stay a length check and a split.
+    #[cold]
+    fn ends_short(&self, n: usize) -> CodecError {
+        CodecError::Corrupt(format!("payload ends {} bytes into a {n}-byte field", self.rest.len()))
+    }
+
+    /// Takes everything that remains: an opaque tail for another reader.
+    pub fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.rest)
+    }
+
+    fn array<const N: usize>(&mut self) -> CodecResult<[u8; N]> {
+        Ok(self.bytes(N)?.try_into().expect("bytes(N) is N bytes long"))
+    }
+
+    /// **The** length guard of every counted section: `count` elements of at
+    /// least `min_elem_bytes` each must fit the bytes that remain. What it
+    /// returns is safe to allocate for and to multiply by `min_elem_bytes`.
+    pub fn fits(&self, count: u64, min_elem_bytes: usize) -> CodecResult<usize> {
+        let left = self.rest.len();
+        usize::try_from(count)
+            .ok()
+            .filter(|n| n.checked_mul(min_elem_bytes).is_some_and(|bytes| bytes <= left))
+            .ok_or_else(|| {
+                CodecError::Corrupt(format!(
+                    "{count} elements of {min_elem_bytes}+ bytes announced with {left} bytes left"
+                ))
+            })
+    }
+
+    /// Reads a `u64` element count and checks it with [`fits`](Self::fits).
+    pub fn read_count(&mut self, min_elem_bytes: usize) -> CodecResult<usize> {
+        let count = self.read_u64()?;
+        self.fits(count, min_elem_bytes)
     }
 
     /// Reads one byte.
     pub fn read_u8(&mut self) -> CodecResult<u8> {
-        let mut b = [0u8; 1];
-        self.read_exact(&mut b)?;
-        Ok(b[0])
+        Ok(self.array::<1>()?[0])
     }
 
     /// Reads a little-endian `u32`.
     pub fn read_u32(&mut self) -> CodecResult<u32> {
-        let mut b = [0u8; 4];
-        self.read_exact(&mut b)?;
-        Ok(u32::from_le_bytes(b))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn read_u64(&mut self) -> CodecResult<u64> {
-        let mut b = [0u8; 8];
-        self.read_exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a `usize` written by [`Encoder::write_usize`], rejecting values
@@ -290,52 +337,30 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn read_string(&mut self) -> CodecResult<String> {
-        let len = self.read_u64()?;
-        if len > MAX_STRING_LEN {
-            return Err(CodecError::Corrupt(format!("string length {len} is implausibly large")));
-        }
-        let mut bytes = vec![0u8; len as usize];
-        self.read_exact(&mut bytes)?;
-        String::from_utf8(bytes)
+    /// Reads a length-prefixed UTF-8 string (the mirror of
+    /// [`Encoder::write_str`]), borrowed from the input.
+    pub fn read_str(&mut self) -> CodecResult<&'a str> {
+        let len = self.read_count(1)?;
+        std::str::from_utf8(self.bytes(len)?)
             .map_err(|e| CodecError::Corrupt(format!("string is not UTF-8: {e}")))
     }
 
-    /// Reads a length-prefixed `u32` vector, in kilobyte-sized blocks (the
-    /// mirror of [`Encoder::write_u32_slice`]). The preallocation is capped
-    /// so a corrupt length field cannot trigger a huge upfront allocation —
-    /// truncated data surfaces as an I/O error at the first short chunk.
+    /// Reads a length-prefixed `u32` vector (the mirror of
+    /// [`Encoder::write_u32_slice`]).
     pub fn read_u32_vec(&mut self) -> CodecResult<Vec<u32>> {
-        let len = self.read_usize()?;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
-        let mut buf = [0u8; CHUNK_ELEMS * 4];
-        let mut remaining = len;
-        while remaining > 0 {
-            let n = remaining.min(CHUNK_ELEMS);
-            self.read_exact(&mut buf[..n * 4])?;
-            out.extend(
-                buf[..n * 4].chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().unwrap())),
-            );
-            remaining -= n;
-        }
-        Ok(out)
+        let len = self.read_count(4)?;
+        let words = self.bytes(len * 4)?.as_chunks::<4>().0;
+        Ok(words.iter().map(|w| u32::from_le_bytes(*w)).collect())
     }
 
-    /// Reads exactly `len` raw bytes (the mirror of
-    /// [`Encoder::write_bytes`]; the caller read `len` from a header it has
-    /// already checked). The buffer grows in megabyte steps, so a length the
-    /// data does not back fails at the first short chunk instead of
-    /// allocating it all upfront.
-    pub fn read_byte_vec(&mut self, len: usize) -> CodecResult<Vec<u8>> {
-        const CHUNK: usize = 1 << 20;
-        let mut out = Vec::with_capacity(len.min(CHUNK));
-        while out.len() < len {
-            let start = out.len();
-            out.resize(len.min(start + CHUNK), 0);
-            self.read_exact(&mut out[start..])?;
+    /// Asserts the input was consumed exactly: trailing bytes after a
+    /// well-formed message are a corruption error.
+    pub fn finish(self) -> CodecResult<()> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(CodecError::Corrupt(format!("{} trailing bytes", self.rest.len())))
         }
-        Ok(out)
     }
 }
 
@@ -368,12 +393,14 @@ pub fn write_framed_section(w: &mut dyn Write, magic: [u8; 8], payload: &[u8]) -
 /// checkpoint is expected — is rejected with [`CodecError::BadMagic`]), then
 /// verifies version, length and checksum and returns the payload bytes.
 pub fn read_framed_section(r: &mut dyn Read, expected_magic: [u8; 8]) -> CodecResult<Vec<u8>> {
-    let mut dec = Decoder::new(r);
     let mut magic = [0u8; 8];
-    dec.read_exact(&mut magic)?;
+    r.read_exact(&mut magic)?;
     if magic != expected_magic {
         return Err(CodecError::BadMagic);
     }
+    let mut head = [0u8; 20];
+    r.read_exact(&mut head)?;
+    let mut dec = Decoder::new(&head);
     let version = dec.read_u32()?;
     // Versions below the current one shipped before it; anything else (0, or
     // a future number) is unknown, not legacy.
@@ -385,15 +412,28 @@ pub fn read_framed_section(r: &mut dyn Read, expected_magic: [u8; 8]) -> CodecRe
     }
     let len = dec.read_usize()?;
     let expected = dec.read_u64()?;
-    // Not one upfront allocation of the header's length field: a corrupt
-    // length over a short file then fails with a typed I/O error at the
-    // first missing chunk rather than aborting the process.
-    let payload = dec.read_byte_vec(len)?;
+    let payload = read_payload(r, len)?;
     let found = fnv1a64(&payload);
     if found != expected {
         return Err(CodecError::ChecksumMismatch { expected, found });
     }
     Ok(payload)
+}
+
+/// Reads the `len` payload bytes a container header announced. `len` is the
+/// one length that describes bytes not yet read, so the slice rule of
+/// [`Decoder::fits`] cannot check it: the buffer instead grows in megabyte
+/// steps, and a corrupt length over a short file fails with a typed I/O error
+/// at the first missing chunk rather than allocating it all upfront.
+fn read_payload(r: &mut dyn Read, len: usize) -> CodecResult<Vec<u8>> {
+    const CHUNK: usize = 1 << 20;
+    let mut out = Vec::with_capacity(len.min(CHUNK));
+    while out.len() < len {
+        let start = out.len();
+        out.resize(len.min(start + CHUNK), 0);
+        r.read_exact(&mut out[start..])?;
+    }
+    Ok(out)
 }
 
 /// Writes a [`Vocabulary`] (word strings in id order) through an encoder.
@@ -407,11 +447,12 @@ pub fn write_vocab(enc: &mut Encoder<'_>, vocab: &Vocabulary) -> CodecResult<()>
 
 /// Reads a [`Vocabulary`] previously written by [`write_vocab`].
 pub fn read_vocab(dec: &mut Decoder<'_>) -> CodecResult<Vocabulary> {
-    let len = dec.read_usize()?;
+    // Every word is at least its 8-byte length prefix.
+    let len = dec.read_count(8)?;
     let mut vocab = Vocabulary::with_capacity(len);
     for i in 0..len {
-        let word = dec.read_string()?;
-        let id = vocab.intern(&word);
+        let word = dec.read_str()?;
+        let id = vocab.intern(word);
         if id as usize != i {
             return Err(CodecError::Corrupt(format!("duplicate vocabulary word {word:?}")));
         }
@@ -435,8 +476,9 @@ pub fn write_corpus(enc: &mut Encoder<'_>, corpus: &Corpus) -> CodecResult<()> {
 /// every token id against the decoded vocabulary.
 pub fn read_corpus(dec: &mut Decoder<'_>) -> CodecResult<Corpus> {
     let vocab = read_vocab(dec)?;
-    let num_docs = dec.read_usize()?;
-    let mut docs = Vec::with_capacity(num_docs.min(1 << 20));
+    // Every document is at least its 8-byte token count.
+    let num_docs = dec.read_count(8)?;
+    let mut docs = Vec::with_capacity(num_docs);
     for _ in 0..num_docs {
         docs.push(Document::from_tokens(dec.read_u32_vec()?));
     }
@@ -461,16 +503,67 @@ mod tests {
             enc.write_str("warp λδα").unwrap();
             enc.write_u32_slice(&[1, 2, 3]).unwrap();
         }
-        let mut cursor = buf.as_slice();
-        let mut dec = Decoder::new(&mut cursor);
+        let mut dec = Decoder::new(&buf);
         assert_eq!(dec.read_u8().unwrap(), 7);
         assert_eq!(dec.read_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(dec.read_u64().unwrap(), u64::MAX - 3);
         assert_eq!(dec.read_f64().unwrap(), -0.125);
         assert_eq!(dec.read_f64().unwrap(), f64::NEG_INFINITY);
         assert!(dec.read_bool().unwrap());
-        assert_eq!(dec.read_string().unwrap(), "warp λδα");
+        assert_eq!(dec.read_str().unwrap(), "warp λδα");
         assert_eq!(dec.read_u32_vec().unwrap(), vec![1, 2, 3]);
+        dec.finish().unwrap();
+    }
+
+    #[test]
+    fn decoder_borrows_and_bounds_checks() {
+        let corrupt = |r: CodecResult<()>| assert!(matches!(r, Err(CodecError::Corrupt(_))));
+        let input = [1u8, 2, 3, 4, 5];
+        let mut dec = Decoder::new(&input);
+        // Borrowed reads point into the input.
+        assert!(std::ptr::eq(dec.bytes(2).unwrap(), &input[..2]));
+        // A read past the end is typed and consumes nothing.
+        corrupt(dec.read_u32().map(drop));
+        corrupt(dec.bytes(4).map(drop));
+        assert_eq!(dec.bytes(3).unwrap(), &input[2..]);
+        dec.finish().unwrap();
+        corrupt(Decoder::new(&input).finish());
+
+        // The length rule: a count must fit what is left at the element's
+        // smallest size, whatever it would overflow to.
+        let dec = Decoder::new(&input);
+        assert_eq!(dec.fits(5, 1).unwrap(), 5);
+        assert_eq!(dec.fits(2, 2).unwrap(), 2);
+        assert_eq!(dec.fits(u64::MAX, 0).ok(), usize::try_from(u64::MAX).ok());
+        for (count, elem) in [(6, 1), (3, 2), (u64::MAX, 1), (1 << 62, 4), (1 << 60, 8)] {
+            corrupt(dec.fits(count, elem).map(drop));
+        }
+    }
+
+    #[test]
+    fn counts_larger_than_the_remaining_bytes_are_corrupt_not_allocated() {
+        // Regression: `read_vocab` used to hand an unchecked count to
+        // `Vocabulary::with_capacity` and panic with "capacity overflow".
+        for count in [1u64 << 60, u64::MAX] {
+            let mut buf = Vec::new();
+            let mut enc = Encoder::new(&mut buf);
+            enc.write_u64(count).unwrap();
+            enc.write_str("two").unwrap();
+            enc.write_str("words").unwrap();
+            let corrupt = |r: CodecResult<()>| match r {
+                Err(CodecError::Corrupt(_)) => {}
+                other => panic!("count {count}: expected Corrupt, got {other:?}"),
+            };
+            corrupt(read_vocab(&mut Decoder::new(&buf)).map(drop));
+            corrupt(Decoder::new(&buf).read_u32_vec().map(drop));
+            corrupt(Decoder::new(&buf).read_str().map(drop));
+            // The same count where a corpus keeps its document count.
+            let mut corpus = Vec::new();
+            let mut enc = Encoder::new(&mut corpus);
+            write_vocab(&mut enc, &Vocabulary::new()).unwrap();
+            enc.write_bytes(&buf).unwrap();
+            corrupt(read_corpus(&mut Decoder::new(&corpus)).map(drop));
+        }
     }
 
     #[test]
@@ -482,9 +575,7 @@ mod tests {
             let mut enc = Encoder::new(&mut buf);
             enc.write_u32_slice(&u32s).unwrap();
         }
-        let mut cursor = buf.as_slice();
-        let mut dec = Decoder::new(&mut cursor);
-        assert_eq!(dec.read_u32_vec().unwrap(), u32s);
+        assert_eq!(Decoder::new(&buf).read_u32_vec().unwrap(), u32s);
     }
 
     #[test]
@@ -600,8 +691,7 @@ mod tests {
         }
         let mut buf = Vec::new();
         write_vocab(&mut Encoder::new(&mut buf), &vocab).unwrap();
-        let mut cursor = buf.as_slice();
-        let back = read_vocab(&mut Decoder::new(&mut cursor)).unwrap();
+        let back = read_vocab(&mut Decoder::new(&buf)).unwrap();
         assert_eq!(back.len(), 4);
         assert_eq!(back.word(0), Some("alpha"));
         assert_eq!(back.get("delta"), Some(3));
@@ -621,8 +711,7 @@ mod tests {
         let corpus = Corpus::from_parts(docs, vocab).unwrap();
         let mut buf = Vec::new();
         write_corpus(&mut Encoder::new(&mut buf), &corpus).unwrap();
-        let mut cursor = buf.as_slice();
-        let back = read_corpus(&mut Decoder::new(&mut cursor)).unwrap();
+        let back = read_corpus(&mut Decoder::new(&buf)).unwrap();
         assert_eq!(back.num_docs(), corpus.num_docs());
         assert_eq!(back.vocab_size(), corpus.vocab_size());
         assert_eq!(back.num_tokens(), corpus.num_tokens());
@@ -641,8 +730,7 @@ mod tests {
         // two u32 tokens; flip the final one to an out-of-vocab id).
         let at = buf.len() - 4;
         buf[at..].copy_from_slice(&7u32.to_le_bytes());
-        let mut cursor = buf.as_slice();
-        let err = read_corpus(&mut Decoder::new(&mut cursor)).unwrap_err();
+        let err = read_corpus(&mut Decoder::new(&buf)).unwrap_err();
         assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
     }
 

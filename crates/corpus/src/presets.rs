@@ -4,7 +4,8 @@
 //! document length `T/D`, the ratio of vocabulary size to document count and
 //! the Zipfian skew — while scaling the absolute size down so the experiments
 //! run on a single machine in seconds to minutes. The scale factor is recorded
-//! so EXPERIMENTS.md can report both the preset and the original.
+//! so the `table3_datasets` bench bin can print both the preset and the
+//! original.
 
 use crate::synth::{LdaGenerator, SyntheticConfig};
 use crate::Corpus;

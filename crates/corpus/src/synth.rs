@@ -5,7 +5,7 @@
 //! *statistical shape* — document-length distribution, Zipfian word
 //! frequencies, and (for the LDA generator) a planted topic structure — so the
 //! relative behaviour of the samplers (convergence curves, speedups, cache
-//! behaviour) is preserved. See DESIGN.md §4 for the substitution argument.
+//! behaviour) is preserved.
 
 use crate::{Corpus, Document, Vocabulary, WordId};
 use rand::rngs::SmallRng;

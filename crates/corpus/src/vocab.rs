@@ -127,8 +127,7 @@ mod tests {
         v.intern("beta");
         let mut buf = Vec::new();
         write_vocab(&mut Encoder::new(&mut buf), &v).unwrap();
-        let mut cursor = buf.as_slice();
-        let back = read_vocab(&mut Decoder::new(&mut cursor)).unwrap();
+        let back = read_vocab(&mut Decoder::new(&buf)).unwrap();
         assert_eq!(back.word(0), Some("alpha"));
         assert_eq!(back.get("beta"), Some(1));
     }

@@ -20,7 +20,11 @@
 //! When a *peer* worker fails, the coordinator sends `Restore`: this worker
 //! abandons whatever iteration is in flight (without advancing), reinstalls
 //! the boundary state and answers `Ready`. Per-entity RNG streams make the
-//! subsequent replay bit-identical.
+//! subsequent replay bit-identical. That state — and the tail of the `Setup`
+//! a respawned worker starts from — is the sampler section of a checkpoint,
+//! adopted through the checkpoint reader ([`Checkpointable::read_state`])
+//! where it lies in the receive buffer: validated in place, copied once, into
+//! the sampler.
 //!
 //! Scripted faults from `Setup.faults` fire at the start of their target
 //! phase: crash (exit mid-protocol), hang (stop heartbeats and stall), delay
@@ -37,12 +41,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use warplda_core::checkpoint::Checkpointable;
 use warplda_core::{topic_wire_width, ModelParams, Sampler, WarpLda, WarpLdaConfig};
+use warplda_corpus::io::codec::Decoder;
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
 use warplda_dist::fault::{FaultAction, FaultPhase, FaultTimeline};
 use warplda_dist::plan::ShardPlan;
 use warplda_dist::protocol::{
-    begin_delta_frame, decode_message, encode_message, sync_tag, Message, ResumeState, Setup,
+    begin_delta_frame, decode_message, encode_message, sync_tag, Message, Setup,
     DIST_MAX_FRAME_BYTES,
 };
 use warplda_dist::GridPartition;
@@ -93,7 +99,7 @@ impl SharedWriter {
         self.stream.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn send(&self, msg: &Message) -> Result<()> {
+    fn send(&self, msg: &Message<'_>) -> Result<()> {
         let payload = encode_message(msg);
         write_frame(&mut *self.lock(), &payload)?;
         Ok(())
@@ -181,6 +187,8 @@ fn run(addr: &str, worker_id: u32) -> Result<()> {
     };
 
     writer.send(&Message::Hello { worker_id })?;
+    // The setup borrows its state tail from the receive buffer, so everything
+    // that needs it happens before the next frame is read.
     let setup = match decode_message(reader.recv()?)? {
         Message::Setup(setup) => *setup,
         other => return Err(format!("expected Setup, got {other:?}").into()),
@@ -194,18 +202,14 @@ fn run(addr: &str, worker_id: u32) -> Result<()> {
     }
 
     let (mut sampler, plan) = build_replica(&setup)?;
-    let mut faults = FaultTimeline::new(setup.faults.clone());
+    let heartbeat_interval = Duration::from_millis(setup.heartbeat_interval_ms);
+    let mut faults = FaultTimeline::new(setup.faults);
     writer.send(&Message::Ready { worker_id })?;
-    let heartbeat = (setup.heartbeat_interval_ms > 0).then(|| {
-        Heartbeat::start(
-            writer.clone(),
-            worker_id,
-            Duration::from_millis(setup.heartbeat_interval_ms),
-        )
-    });
+    let heartbeat = (!heartbeat_interval.is_zero())
+        .then(|| Heartbeat::start(writer.clone(), worker_id, heartbeat_interval));
 
     let id = worker_id as usize;
-    let mut buffers = Buffers { counts: vec![0; setup.num_topics as usize], frame: Vec::new() };
+    let mut buffers = Buffers { counts: vec![0; sampler.params().num_topics], frame: Vec::new() };
     let link = Link { reader: &mut reader, writer: &writer, heartbeat: heartbeat.as_ref() };
     match serve(link, &mut sampler, &plan, id, &mut faults, &mut buffers) {
         Ok(()) => {
@@ -224,8 +228,8 @@ fn run(addr: &str, worker_id: u32) -> Result<()> {
 }
 
 /// Rebuilds the deterministic replica + exchange plan from the `Setup`
-/// payload, applying resume state when present.
-fn build_replica(setup: &Setup) -> Result<(WarpLda, ShardPlan)> {
+/// payload, adopting its state tail when present.
+fn build_replica(setup: &Setup<'_>) -> Result<(WarpLda, ShardPlan)> {
     let corpus: &Corpus = &setup.corpus;
     let params = ModelParams::new(setup.num_topics as usize, setup.alpha, setup.beta);
     let config =
@@ -234,8 +238,8 @@ fn build_replica(setup: &Setup) -> Result<(WarpLda, ShardPlan)> {
     let word_view = WordMajorView::build(corpus, &doc_view);
     let grid = GridPartition::for_cluster(corpus, &doc_view, &word_view, setup.workers as usize);
     let mut sampler = WarpLda::new(corpus, params, config, setup.seed);
-    if let Some(resume) = &setup.resume {
-        sampler.restore(resume.iterations, resume.width, &resume.records, &resume.topic_counts)?;
+    if let Some(state) = setup.resume {
+        adopt(&mut sampler, state)?;
     }
     let plan = ShardPlan::build(&sampler, &grid, &doc_view, &word_view);
     Ok((sampler, plan))
@@ -280,14 +284,19 @@ fn execute_fault(action: FaultAction, heartbeat: Option<&Heartbeat>) -> Option<F
     }
 }
 
+/// Adopts `state` — a `Setup`'s tail or a `Restore`'s body — where it lies in
+/// the receive buffer, through the reader every checkpoint load runs: nothing
+/// is copied until the whole state validated against this replica, and the
+/// state must be the whole of what was sent.
+fn adopt(sampler: &mut WarpLda, state: &[u8]) -> Result<()> {
+    let mut dec = Decoder::new(state);
+    sampler.read_state(&mut dec)?;
+    Ok(dec.finish()?)
+}
+
 /// Adopts the boundary state of a `Restore` and acknowledges it.
-fn restore(
-    writer: &SharedWriter,
-    sampler: &mut WarpLda,
-    id: usize,
-    state: &ResumeState,
-) -> Result<()> {
-    sampler.restore(state.iterations, state.width, &state.records, &state.topic_counts)?;
+fn restore(writer: &SharedWriter, sampler: &mut WarpLda, id: usize, state: &[u8]) -> Result<()> {
+    adopt(sampler, state)?;
     writer.send(&Message::Ready { worker_id: id as u32 })
 }
 
@@ -308,7 +317,7 @@ fn serve(
         let epoch = match decode_message(link.reader.recv()?)? {
             Message::RunIteration { epoch } => epoch,
             Message::Restore(state) => {
-                restore(link.writer, sampler, id, &state)?;
+                restore(link.writer, sampler, id, state)?;
                 continue;
             }
             Message::Shutdown => return Ok(()),
@@ -363,7 +372,7 @@ fn serve(
             let payload = link.reader.recv()?;
             if payload.first() != Some(&sync_tag(phase)) {
                 match decode_message(payload)? {
-                    Message::Restore(state) => restore(link.writer, sampler, id, &state)?,
+                    Message::Restore(state) => restore(link.writer, sampler, id, state)?,
                     other => return Err(format!("expected {phase:?} sync, got {other:?}").into()),
                 }
                 continue 'session;

@@ -207,8 +207,10 @@ pub fn write_fault_events(enc: &mut Encoder<'_>, events: &[FaultEvent]) -> Codec
 
 /// Reads a list of events written by [`write_fault_events`].
 pub fn read_fault_events(dec: &mut Decoder<'_>) -> CodecResult<Vec<FaultEvent>> {
-    let n = dec.read_u32()? as usize;
-    let mut events = Vec::with_capacity(n.min(1024));
+    // An event is 22 bytes: worker, iteration, phase, action tag, ms.
+    let n = dec.read_u32()?;
+    let n = dec.fits(n.into(), 22)?;
+    let mut events = Vec::with_capacity(n);
     for _ in 0..n {
         let worker = dec.read_u32()?;
         let iteration = dec.read_u64()?;
@@ -297,8 +299,13 @@ mod tests {
         let mut buf = Vec::new();
         let mut enc = Encoder::new(&mut buf);
         write_fault_events(&mut enc, &events).unwrap();
-        let mut cursor = buf.as_slice();
-        let mut dec = Decoder::new(&mut cursor);
-        assert_eq!(read_fault_events(&mut dec).unwrap(), events);
+        assert_eq!(buf.len(), 4 + 22 * events.len());
+        assert_eq!(read_fault_events(&mut Decoder::new(&buf)).unwrap(), events);
+
+        // A count the bytes do not back is refused before anything is
+        // allocated for it.
+        buf[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = read_fault_events(&mut Decoder::new(&buf)).unwrap_err();
+        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
     }
 }

@@ -40,15 +40,19 @@
 //!   *not* declared hung.
 //! * **Recovery.** When a worker dies, hangs or sends a delta that does not
 //!   validate, [`run_iteration`](ProcessCluster::run_iteration) kills and
-//!   respawns the process, encodes the replica once as a resume payload,
-//!   replays `Setup` with that payload as its tail, resets every survivor to
-//!   the same boundary with the same bytes in a `Restore` frame, and retries
-//!   the iteration — up to
+//!   respawns the process, writes the replica's state once — the bytes
+//!   [`write_state`](Checkpointable::write_state) puts in a checkpoint —
+//!   replays `Setup` with them as its tail, resets every survivor to the same
+//!   boundary with the same bytes in a `Restore` frame, and retries the
+//!   iteration — up to
 //!   [`max_recoveries`](ProcessClusterConfig::max_recoveries) times across
 //!   the cluster's lifetime. Because every phase derives its randomness from
 //!   per-entity RNG streams keyed on (seed, iteration, phase, entity), the
 //!   retried iteration is **bit-identical** to the one that failed, so a
-//!   recovered run converges to exactly the fault-free model.
+//!   recovered run converges to exactly the fault-free model. Workers adopt
+//!   the state through [`read_state`](Checkpointable::read_state), where it
+//!   lies in their frame buffer: recovery has no format and no reader of its
+//!   own, only the path every checkpoint load already exercises.
 //! * **Scripted faults.** A [`FaultPlan`] makes precise
 //!   failures happen at precise moments (crash, hang, delay, corrupt or
 //!   truncated delta) so all of the above is exercised deterministically in
@@ -64,8 +68,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use warplda_core::checkpoint::Checkpointable;
 use warplda_core::{topic_wire_width, ModelParams, Sampler, WarpLda, WarpLdaConfig};
-use warplda_corpus::io::codec::CodecError;
+use warplda_corpus::io::codec::{CodecError, Encoder};
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
 use warplda_net::{FrameBuffer, PollFrame, WireError};
 
@@ -73,8 +78,8 @@ use crate::fault::{FaultEvent, FaultPhase, FaultPlan};
 use crate::grid::GridPartition;
 use crate::plan::ShardPlan;
 use crate::protocol::{
-    begin_sync_frame, decode_message, delta_tag, encode_message_into, encode_resume,
-    encode_setup_head, Message, Setup, DIST_MAX_FRAME_BYTES, TAG_FAULT, TAG_HEARTBEAT, TAG_RESTORE,
+    begin_sync_frame, decode_message, delta_tag, encode_message_into, encode_setup_head, Message,
+    Setup, DIST_MAX_FRAME_BYTES, TAG_FAULT, TAG_HEARTBEAT, TAG_RESTORE,
 };
 
 /// How long one poll slice waits before the liveness checks interleave.
@@ -320,9 +325,9 @@ pub struct ProcessCluster {
     /// respawned worker's connection.
     listener: TcpListener,
     binary: PathBuf,
-    /// The `Setup` every worker is sent, bar its id, faults and resume tail.
+    /// The `Setup` every worker is sent, bar its id, faults and state tail.
     /// Holds the corpus, retained for respawns.
-    setup: Setup,
+    setup: Setup<'static>,
     /// The `c_k` being merged at the current boundary.
     merged: Vec<u32>,
     /// Reused for control messages and sync frame heads.
@@ -454,14 +459,7 @@ impl ProcessCluster {
                         last_heard: Instant::now(),
                         delta: 0..0,
                     };
-                    return match recv_on(&mut conn)? {
-                        Some(Message::Hello { worker_id }) => Ok((worker_id, conn)),
-                        Some(other) => Err(DistError::Protocol(format!(
-                            "expected Hello, got {}",
-                            kind_of(&other)
-                        ))),
-                        None => Err(DistError::Protocol("worker disconnected before Hello".into())),
-                    };
+                    return Ok((recv_hello(&mut conn)?, conn));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if Instant::now() > deadline {
@@ -484,20 +482,20 @@ impl ProcessCluster {
         }
     }
 
-    /// The replica — always exactly the last iteration boundary — as one
-    /// resume payload around its record buffer, which already is at the wire
-    /// width of `K`.
+    /// The state of the replica — always exactly the last iteration boundary
+    /// — as a checkpoint would hold it.
     fn encode_replica(&self) -> Vec<u8> {
-        encode_resume(
-            self.sampler.iterations(),
-            self.sampler.records_bytes(),
-            self.sampler.record_width(),
-            self.sampler.topic_counts(),
-        )
+        // The records and c_k, plus a head of a few dozen bytes.
+        let sections = self.sampler.records_bytes().len() + 4 * self.merged.len();
+        let mut state = Vec::with_capacity(sections + 64);
+        self.sampler
+            .write_state(&mut Encoder::new(&mut state))
+            .expect("encoding to a Vec cannot fail");
+        state
     }
 
-    /// Sends worker `i` its `Setup`, with `resume` (an
-    /// [`encode_replica`](Self::encode_replica) payload) as its tail.
+    /// Sends worker `i` its `Setup`, with `resume` (the bytes of
+    /// [`encode_replica`](Self::encode_replica)) as its tail.
     fn send_setup(
         &mut self,
         i: usize,
@@ -571,7 +569,7 @@ impl ProcessCluster {
     }
 
     /// Sends a control message through the reused scratch buffer.
-    fn send(&mut self, i: usize, msg: &Message) -> Result<(), DistError> {
+    fn send(&mut self, i: usize, msg: &Message<'_>) -> Result<(), DistError> {
         let mut payload = std::mem::take(&mut self.scratch);
         payload.clear();
         encode_message_into(msg, &mut payload);
@@ -659,7 +657,7 @@ impl ProcessCluster {
     }
 
     /// Decodes a control frame of worker `i` into its owning form.
-    fn decode(&self, i: usize, range: Range<usize>) -> Result<Message, DistError> {
+    fn decode(&self, i: usize, range: Range<usize>) -> Result<Message<'_>, DistError> {
         decode_message(self.conns[i].buf.payload(range))
             .map_err(|e| worker_failed(i, format!("malformed frame: {e}")))
     }
@@ -806,7 +804,7 @@ impl ProcessCluster {
 
     /// Recovers from worker `dead`'s failure: kill and reap the process
     /// (it may be hung-alive, not dead), respawn it with the replica as its
-    /// resume state, and reset every survivor to the same boundary. The
+    /// state to adopt, and reset every survivor to the same boundary. The
     /// replica needs no rollback — a failed attempt never modified it — so
     /// on return the whole cluster sits at the replica's epoch, exactly as
     /// if the failed iteration had never started.
@@ -826,7 +824,7 @@ impl ProcessCluster {
         }
         self.conns[dead] = conn;
 
-        // Encoded once; the same bytes go to the respawned worker and to
+        // Written once; the same bytes go to the respawned worker and to
         // every survivor.
         let resume = self.encode_replica();
         // Events at or before the replay point must not ship again: the
@@ -948,17 +946,19 @@ pub fn validate_delta<'a>(
         .map_err(|e| worker_failed(sender, format!("malformed delta: {e}")))
 }
 
-/// Receives one message on a connection; `Ok(None)` is a clean disconnect.
-fn recv_on(conn: &mut Conn) -> Result<Option<Message>, DistError> {
+/// Receives the `Hello` a fresh connection opens with.
+fn recv_hello(conn: &mut Conn) -> Result<u32, DistError> {
     let Conn { stream, buf, .. } = conn;
-    match buf.read_frame(stream) {
-        Ok(Some(range)) => Ok(Some(decode_message(buf.payload(range))?)),
-        Ok(None) => Ok(None),
-        Err(e) => Err(e.into()),
+    let Some(range) = buf.read_frame(stream)? else {
+        return Err(DistError::Protocol("worker disconnected before Hello".into()));
+    };
+    match decode_message(buf.payload(range))? {
+        Message::Hello { worker_id } => Ok(worker_id),
+        other => Err(DistError::Protocol(format!("expected Hello, got {}", kind_of(&other)))),
     }
 }
 
-fn kind_of(msg: &Message) -> &'static str {
+fn kind_of(msg: &Message<'_>) -> &'static str {
     match msg {
         Message::Hello { .. } => "Hello",
         Message::Setup(_) => "Setup",

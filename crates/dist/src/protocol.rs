@@ -10,7 +10,7 @@
 //! ```text
 //! worker            coordinator
 //! Hello{id}     →                  (after connecting over loopback TCP)
-//!               ←  Setup{..}       (corpus, hyper-parameters, optional resume)
+//!               ←  Setup{..}       (corpus, hyper-parameters, optional state to adopt)
 //! Ready{id}     →                  (replica built, bit-identical start)
 //! per iteration (epoch = completed iterations, a barrier per phase):
 //!               ←  RunIteration{epoch}
@@ -40,12 +40,14 @@
 //!
 //! delta    tag:u8  worker_id:u32  epoch:u64  counts  records
 //! sync     tag:u8                 epoch:u64  counts  records
-//! resume   iterations:u64                    counts  records
-//! Restore  tag:u8  resume
-//! Setup    tag:u8  …head…  has_resume:u8  [resume]
+//! Restore  tag:u8  state
+//! Setup    tag:u8  …head…  has_resume:u8  [state]
 //!
 //! counts   K:u64      K × u32                    (a partial or merged c_k)
 //! records  width:u8   n:u64   n × width bytes    (n topic ids, stride M + 1 per entry)
+//! state    what `Checkpointable::write_state` writes: the sampler section of a
+//!          checkpoint file, byte for byte (seed, iteration, M, hash flag,
+//!          records, c_k)
 //! ```
 //!
 //! `width` is [`topic_wire_width`]`(K)` — 1, 2 or 4 bytes per topic — on every
@@ -61,14 +63,19 @@
 //! `Σ partial c_k` against the sender's shard. A defect is the **sender's**
 //! failure, never the receiver's. Workers check a sync the same way before
 //! applying it ([`PhasePlan::apply_sync`](crate::plan::PhasePlan::apply_sync)).
+//! A `state` is opaque to this module: [`decode_message`] hands a `Setup`'s
+//! tail or a `Restore`'s body on as the bytes they are, borrowed from the
+//! frame, and the worker adopts them through
+//! [`Checkpointable::read_state`](warplda_core::checkpoint::Checkpointable::read_state)
+//! — the reader every checkpoint load runs — which checks `M`, the hash
+//! flag, width, count, every id `< K` and `c_k` against the assignment
+//! histogram where the bytes lie in the frame buffer, then copies the records
+//! once, into the sampler. Every count on this wire passes the one length
+//! rule of [`Decoder::fits`] before anything is sliced or allocated.
 //!
 //! The owning [`Delta`] and [`Sync`] forms use the same layouts; their
 //! encoder picks the narrowest width that holds every value. They are the
-//! cold/test form — the healthy path of neither process builds one. A
-//! [`ResumeState`] owns its records as the bytes they travelled in: the
-//! sampler stores records at the wire width, so a resume payload is its
-//! buffer borrowed as is on one end and validated where it lies, then copied
-//! once, on the other.
+//! cold/test form — the healthy path of neither process builds one.
 //!
 //! # Liveness and recovery
 //!
@@ -78,10 +85,10 @@
 //! [`Message::Heartbeat`] from a side thread every
 //! `Setup.heartbeat_interval_ms`, which is how the coordinator tells a
 //! *hung* worker (process alive, socket open, nothing flowing) from a slow
-//! one. When a worker dies mid-iteration the coordinator encodes its replica
-//! — always exactly the last iteration boundary — as one resume payload,
-//! respawns the worker with that payload as the tail of its `Setup` and
-//! sends every survivor the same bytes in a [`Message::Restore`]; survivors
+//! one. When a worker dies mid-iteration the coordinator writes its replica's
+//! state — always exactly the last iteration boundary — once, respawns the
+//! worker with those bytes as the tail of its `Setup` and sends every
+//! survivor the same bytes in a [`Message::Restore`]; survivors
 //! abandon the in-flight iteration, reinstall the boundary state and answer
 //! `Ready`. Because per-entity RNG streams are keyed on (seed, iteration,
 //! phase, entity), the replay is bit-identical to the run that failed.
@@ -92,11 +99,10 @@ use warplda_corpus::io::codec::{
     read_corpus, write_corpus, CodecError, CodecResult, Decoder, Encoder,
 };
 use warplda_corpus::Corpus;
-use warplda_net::{PayloadReader, WireError};
 
 /// Frame-size bound of distributed-training connections: Setup frames carry
-/// the whole corpus and resume payloads carry the full packed records, both
-/// far beyond the serving default.
+/// the whole corpus and a state carries the full packed records, both far
+/// beyond the serving default.
 pub const DIST_MAX_FRAME_BYTES: u32 = 1 << 28;
 
 const TAG_HELLO: u8 = 1;
@@ -161,7 +167,7 @@ pub const fn sync_head_bytes(num_topics: usize) -> usize {
 /// Everything a worker needs to build its replica: the corpus, the model, the
 /// seed and (when resuming) the full sampler state to adopt.
 #[derive(Debug, Clone)]
-pub struct Setup {
+pub struct Setup<'a> {
     /// Cluster size `P`.
     pub workers: u32,
     /// This worker's id in `0..P`.
@@ -180,28 +186,15 @@ pub struct Setup {
     pub use_hash_counts: bool,
     /// The training corpus, shipped in full (every replica holds it).
     pub corpus: Corpus,
-    /// Sampler state to adopt instead of the fresh random initialization.
-    pub resume: Option<ResumeState>,
+    /// Sampler state to adopt instead of the fresh random initialization: a
+    /// `state` section (see the module docs), borrowed from the frame.
+    pub resume: Option<&'a [u8]>,
     /// Interval between worker→coordinator heartbeats, in milliseconds.
     /// Zero disables heartbeating (single-process tests drive the protocol
     /// directly and have no liveness loop to feed).
     pub heartbeat_interval_ms: u64,
     /// Scripted fault events addressed to this worker (empty in production).
     pub faults: Vec<FaultEvent>,
-}
-
-/// Full sampler state for resuming mid-training (mirrors the checkpoint
-/// layout minus the RNG, which per-entity streams re-derive from the seed).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResumeState {
-    /// Completed iterations at the resume point.
-    pub iterations: u64,
-    /// Bytes per topic id of `records`, as announced by the payload.
-    pub width: usize,
-    /// The full packed record buffer, `width` little-endian bytes per id.
-    pub records: Vec<u8>,
-    /// The global `c_k` at the resume point.
-    pub topic_counts: Vec<u32>,
 }
 
 /// A worker's phase result in owning form: the packed records of its delta
@@ -232,14 +225,14 @@ pub struct Sync {
 
 /// One protocol message (the decoded, owning form).
 #[derive(Debug, Clone)]
-pub enum Message {
+pub enum Message<'a> {
     /// Worker → coordinator: connection opened.
     Hello {
         /// Sender's worker id.
         worker_id: u32,
     },
     /// Coordinator → worker: build your replica.
-    Setup(Box<Setup>),
+    Setup(Box<Setup<'a>>),
     /// Worker → coordinator: replica built, ready for iterations.
     Ready {
         /// Sender's worker id.
@@ -281,33 +274,32 @@ pub enum Message {
         worker_id: u32,
     },
     /// Coordinator → worker: a peer failed; abandon the current iteration,
-    /// reinstall this boundary state and reply `Ready`. Sent to *surviving*
+    /// reinstall this boundary `state` and reply `Ready`. Sent to *surviving*
     /// workers during recovery (the respawned worker gets the same bytes as
     /// the tail of its `Setup`).
-    Restore(ResumeState),
+    Restore(&'a [u8]),
 }
 
 // ---------------------------------------------------------------------------
 // The counts and records blocks
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Runs `write` against an [`Encoder`] appending to `out`.
+fn put(out: &mut Vec<u8>, write: impl FnOnce(&mut Encoder<'_>) -> CodecResult<()>) {
+    write(&mut Encoder::new(out)).expect("encoding to a Vec cannot fail");
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `counts` block and the `width`/`n` fields of the `records`
+/// Writes a `counts` block and the `width`/`n` fields of the `records`
 /// block that follows; the caller appends the `n × width` record bytes.
-fn put_blocks_head(out: &mut Vec<u8>, counts: &[u32], width: usize, values: usize) {
-    put_u64(out, counts.len() as u64);
-    for &c in counts {
-        put_u32(out, c);
-    }
-    out.push(width as u8);
-    put_u64(out, values as u64);
+fn write_blocks_head(
+    enc: &mut Encoder<'_>,
+    counts: &[u32],
+    width: usize,
+    values: usize,
+) -> CodecResult<()> {
+    enc.write_u32_slice(counts)?;
+    enc.write_u8(width as u8)?;
+    enc.write_usize(values)
 }
 
 /// Appends `values` at `width` (1, 2 or 4) bytes each.
@@ -330,12 +322,8 @@ fn put_topics(out: &mut Vec<u8>, values: &[u32], width: usize) {
 /// every value.
 fn put_blocks(out: &mut Vec<u8>, counts: &[u32], records: &[u32]) {
     let width = topic_wire_width(records.iter().copied().max().map_or(0, |max| max as usize + 1));
-    put_blocks_head(out, counts, width, records.len());
+    put(out, |enc| write_blocks_head(enc, counts, width, records.len()));
     put_topics(out, records, width);
-}
-
-fn corrupt(e: WireError) -> CodecError {
-    CodecError::Corrupt(e.to_string())
 }
 
 /// A `counts` block and a `records` block, borrowed from a payload.
@@ -350,18 +338,16 @@ pub struct Blocks<'a> {
 }
 
 impl<'a> Blocks<'a> {
-    /// Takes the two blocks off `r`. Lengths are checked against the bytes
-    /// actually present before anything is sliced.
-    fn take(r: &mut PayloadReader<'a>) -> CodecResult<Self> {
-        let oversized = || CodecError::Corrupt("block length overflows the payload".into());
-        let k = usize::try_from(r.u64().map_err(corrupt)?).map_err(|_| oversized())?;
-        let counts = r.bytes(k.checked_mul(4).ok_or_else(oversized)?).map_err(corrupt)?;
-        let width = r.u8().map_err(corrupt)? as usize;
+    /// Takes the two blocks off `dec`.
+    fn take(dec: &mut Decoder<'a>) -> CodecResult<Self> {
+        let k = dec.read_count(4)?;
+        let counts = dec.bytes(4 * k)?;
+        let width = dec.read_u8()? as usize;
         if !matches!(width, 1 | 2 | 4) {
             return Err(CodecError::Corrupt(format!("record width {width} is not 1, 2 or 4")));
         }
-        let n = usize::try_from(r.u64().map_err(corrupt)?).map_err(|_| oversized())?;
-        let records = r.bytes(n.checked_mul(width).ok_or_else(oversized)?).map_err(corrupt)?;
+        let n = dec.read_count(width)?;
+        let records = dec.bytes(n * width)?;
         Ok(Self { counts, width, records })
     }
 
@@ -404,11 +390,13 @@ pub fn begin_delta_frame(
     values: usize,
 ) {
     out.clear();
-    put_u32(out, (delta_head_bytes(partial_ck.len()) + values * width) as u32);
-    out.push(delta_tag(phase));
-    put_u32(out, worker_id);
-    put_u64(out, epoch);
-    put_blocks_head(out, partial_ck, width, values);
+    put(out, |enc| {
+        enc.write_u32((delta_head_bytes(partial_ck.len()) + values * width) as u32)?;
+        enc.write_u8(delta_tag(phase))?;
+        enc.write_u32(worker_id)?;
+        enc.write_u64(epoch)?;
+        write_blocks_head(enc, partial_ck, width, values)
+    });
 }
 
 /// Starts a complete sync **frame** in `out` (cleared first), as
@@ -422,10 +410,12 @@ pub fn begin_sync_frame(
     values: usize,
 ) {
     out.clear();
-    put_u32(out, (sync_head_bytes(merged_ck.len()) + values * width) as u32);
-    out.push(sync_tag(phase));
-    put_u64(out, epoch);
-    put_blocks_head(out, merged_ck, width, values);
+    put(out, |enc| {
+        enc.write_u32((sync_head_bytes(merged_ck.len()) + values * width) as u32)?;
+        enc.write_u8(sync_tag(phase))?;
+        enc.write_u64(epoch)?;
+        write_blocks_head(enc, merged_ck, width, values)
+    });
 }
 
 /// A delta payload parsed in place.
@@ -452,147 +442,84 @@ pub struct SyncView<'a> {
     pub blocks: Blocks<'a>,
 }
 
-fn finish(r: PayloadReader<'_>) -> CodecResult<()> {
-    r.finish().map_err(corrupt)
-}
-
 /// Parses a delta payload without copying it. Anything but a well-formed
 /// delta — wrong tag, short or trailing bytes, a bad width — is a typed
 /// error.
 pub fn parse_delta(payload: &[u8]) -> CodecResult<DeltaView<'_>> {
-    let mut r = PayloadReader::new(payload);
-    let phase = match r.u8().map_err(corrupt)? {
+    let mut dec = Decoder::new(payload);
+    let phase = match dec.read_u8()? {
         TAG_WORD_DELTA => FaultPhase::Word,
         TAG_DOC_DELTA => FaultPhase::Doc,
         other => return Err(CodecError::Corrupt(format!("tag {other:#04x} is not a delta"))),
     };
-    let worker_id = r.u32().map_err(corrupt)?;
-    let epoch = r.u64().map_err(corrupt)?;
-    let blocks = Blocks::take(&mut r)?;
-    finish(r)?;
+    let worker_id = dec.read_u32()?;
+    let epoch = dec.read_u64()?;
+    let blocks = Blocks::take(&mut dec)?;
+    dec.finish()?;
     Ok(DeltaView { phase, worker_id, epoch, blocks })
 }
 
 /// Parses a sync payload without copying it; the mirror of [`parse_delta`].
 pub fn parse_sync(payload: &[u8]) -> CodecResult<SyncView<'_>> {
-    let mut r = PayloadReader::new(payload);
-    let phase = match r.u8().map_err(corrupt)? {
+    let mut dec = Decoder::new(payload);
+    let phase = match dec.read_u8()? {
         TAG_WORD_SYNC => FaultPhase::Word,
         TAG_DOC_SYNC => FaultPhase::Doc,
         other => return Err(CodecError::Corrupt(format!("tag {other:#04x} is not a sync"))),
     };
-    let epoch = r.u64().map_err(corrupt)?;
-    let blocks = Blocks::take(&mut r)?;
-    finish(r)?;
+    let epoch = dec.read_u64()?;
+    let blocks = Blocks::take(&mut dec)?;
+    dec.finish()?;
     Ok(SyncView { phase, epoch, blocks })
 }
 
 // ---------------------------------------------------------------------------
-// Resume payloads and Setup
+// Setup
 // ---------------------------------------------------------------------------
-
-/// Encodes a resume payload around `records`, a sampler's record buffer as
-/// it is stored (`width` bytes per topic id — storage and wire share the
-/// layout, so the bytes are appended as they are). The coordinator encodes
-/// its replica once per recovery and writes these bytes into every `Restore`
-/// frame and the respawned worker's `Setup` tail.
-///
-/// # Panics
-/// Panics if `width` is not 1, 2 or 4 or `records` is not a whole number of
-/// ids of that width.
-pub fn encode_resume(
-    iterations: u64,
-    records: &[u8],
-    width: usize,
-    topic_counts: &[u32],
-) -> Vec<u8> {
-    assert!(
-        matches!(width, 1 | 2 | 4) && records.len().is_multiple_of(width),
-        "{} bytes are not ids of width {width}",
-        records.len()
-    );
-    let mut out = Vec::with_capacity(8 + blocks_head_bytes(topic_counts.len()) + records.len());
-    put_u64(&mut out, iterations);
-    put_blocks_head(&mut out, topic_counts, width, records.len() / width);
-    out.extend_from_slice(records);
-    out
-}
-
-fn encode_owned_resume(r: &ResumeState) -> Vec<u8> {
-    encode_resume(r.iterations, &r.records, r.width, &r.topic_counts)
-}
-
-fn take_resume(r: &mut PayloadReader<'_>) -> CodecResult<ResumeState> {
-    let iterations = r.u64().map_err(corrupt)?;
-    let blocks = Blocks::take(r)?;
-    Ok(ResumeState {
-        iterations,
-        width: blocks.width,
-        records: blocks.records.to_vec(),
-        topic_counts: blocks.counts().collect(),
-    })
-}
 
 /// Encodes a `Setup` payload up to and including its `has_resume` flag,
 /// ignoring `setup.resume`: with `resuming` set, the payload is completed by
-/// appending an [`encode_resume`] payload.
-pub fn encode_setup_head(setup: &Setup, resuming: bool) -> Vec<u8> {
+/// appending a `state` section.
+pub fn encode_setup_head(setup: &Setup<'_>, resuming: bool) -> Vec<u8> {
     let mut out = Vec::new();
-    put_setup_head(&mut out, setup, resuming);
+    put(&mut out, |enc| write_setup_head(enc, setup, resuming));
     out
 }
 
-fn put_setup_head(out: &mut Vec<u8>, setup: &Setup, resuming: bool) {
-    let mut enc = Encoder::new(out);
-    (|| -> CodecResult<()> {
-        enc.write_u8(TAG_SETUP)?;
-        enc.write_u32(setup.workers)?;
-        enc.write_u32(setup.worker_id)?;
-        enc.write_u64(setup.seed)?;
-        enc.write_u64(setup.num_topics)?;
-        enc.write_f64(setup.alpha)?;
-        enc.write_f64(setup.beta)?;
-        enc.write_u64(setup.mh_steps)?;
-        enc.write_bool(setup.use_hash_counts)?;
-        write_corpus(&mut enc, &setup.corpus)?;
-        enc.write_u64(setup.heartbeat_interval_ms)?;
-        write_fault_events(&mut enc, &setup.faults)?;
-        enc.write_bool(resuming)
-    })()
-    .expect("encoding to a Vec cannot fail");
+fn write_setup_head(enc: &mut Encoder<'_>, setup: &Setup<'_>, resuming: bool) -> CodecResult<()> {
+    enc.write_u8(TAG_SETUP)?;
+    enc.write_u32(setup.workers)?;
+    enc.write_u32(setup.worker_id)?;
+    enc.write_u64(setup.seed)?;
+    enc.write_u64(setup.num_topics)?;
+    enc.write_f64(setup.alpha)?;
+    enc.write_f64(setup.beta)?;
+    enc.write_u64(setup.mh_steps)?;
+    enc.write_bool(setup.use_hash_counts)?;
+    write_corpus(enc, &setup.corpus)?;
+    enc.write_u64(setup.heartbeat_interval_ms)?;
+    write_fault_events(enc, &setup.faults)?;
+    enc.write_bool(resuming)
 }
 
-fn decode_setup(mut cursor: &[u8]) -> CodecResult<Message> {
-    let mut dec = Decoder::new(&mut cursor);
-    let workers = dec.read_u32()?;
-    let worker_id = dec.read_u32()?;
-    let seed = dec.read_u64()?;
-    let num_topics = dec.read_u64()?;
-    let alpha = dec.read_f64()?;
-    let beta = dec.read_f64()?;
-    let mh_steps = dec.read_u64()?;
-    let use_hash_counts = dec.read_bool()?;
-    let corpus = read_corpus(&mut dec)?;
-    let heartbeat_interval_ms = dec.read_u64()?;
-    let faults = read_fault_events(&mut dec)?;
-    let resuming = dec.read_bool()?;
-    let mut r = PayloadReader::new(cursor);
-    let resume = if resuming { Some(take_resume(&mut r)?) } else { None };
-    finish(r)?;
-    Ok(Message::Setup(Box::new(Setup {
-        workers,
-        worker_id,
-        seed,
-        num_topics,
-        alpha,
-        beta,
-        mh_steps,
-        use_hash_counts,
-        corpus,
-        resume,
-        heartbeat_interval_ms,
-        faults,
-    })))
+/// Reads a `Setup` body. A `state` tail is the rest of the frame, whatever
+/// it holds: only the sampler it is for can tell whether it is one.
+fn read_setup<'a>(dec: &mut Decoder<'a>) -> CodecResult<Setup<'a>> {
+    // Field initializers run top to bottom: this is the wire order.
+    Ok(Setup {
+        workers: dec.read_u32()?,
+        worker_id: dec.read_u32()?,
+        seed: dec.read_u64()?,
+        num_topics: dec.read_u64()?,
+        alpha: dec.read_f64()?,
+        beta: dec.read_f64()?,
+        mh_steps: dec.read_u64()?,
+        use_hash_counts: dec.read_bool()?,
+        corpus: read_corpus(dec)?,
+        heartbeat_interval_ms: dec.read_u64()?,
+        faults: read_fault_events(dec)?,
+        resume: if dec.read_bool()? { Some(dec.rest()) } else { None },
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -601,7 +528,7 @@ fn decode_setup(mut cursor: &[u8]) -> CodecResult<Message> {
 
 /// Encodes a message into a frame payload (send it with
 /// [`warplda_net::write_frame`]).
-pub fn encode_message(msg: &Message) -> Vec<u8> {
+pub fn encode_message(msg: &Message<'_>) -> Vec<u8> {
     let mut out = Vec::new();
     encode_message_into(msg, &mut out);
     out
@@ -609,34 +536,33 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
 
 /// Appends the payload of `msg` to `out`; [`encode_message`] into a buffer
 /// the caller reuses.
-pub fn encode_message_into(msg: &Message, out: &mut Vec<u8>) {
+pub fn encode_message_into(msg: &Message<'_>, out: &mut Vec<u8>) {
     let tagged_id = |out: &mut Vec<u8>, tag: u8, worker_id: u32| {
-        out.push(tag);
-        put_u32(out, worker_id);
+        put(out, |enc| {
+            enc.write_u8(tag)?;
+            enc.write_u32(worker_id)
+        })
     };
     let delta = |out: &mut Vec<u8>, phase, d: &Delta| {
-        out.push(delta_tag(phase));
-        put_u32(out, d.worker_id);
-        put_u64(out, d.epoch);
+        tagged_id(out, delta_tag(phase), d.worker_id);
+        put(out, |enc| enc.write_u64(d.epoch));
         put_blocks(out, &d.partial_ck, &d.records);
     };
     let sync = |out: &mut Vec<u8>, phase, s: &Sync| {
         out.push(sync_tag(phase));
-        put_u64(out, s.epoch);
+        put(out, |enc| enc.write_u64(s.epoch));
         put_blocks(out, &s.topic_counts, &s.records);
     };
     match msg {
         Message::Hello { worker_id } => tagged_id(out, TAG_HELLO, *worker_id),
         Message::Setup(s) => {
-            put_setup_head(out, s, s.resume.is_some());
-            if let Some(r) = &s.resume {
-                out.extend_from_slice(&encode_owned_resume(r));
-            }
+            put(out, |enc| write_setup_head(enc, s, s.resume.is_some()));
+            out.extend_from_slice(s.resume.unwrap_or_default());
         }
         Message::Ready { worker_id } => tagged_id(out, TAG_READY, *worker_id),
         Message::RunIteration { epoch } => {
             out.push(TAG_RUN_ITERATION);
-            put_u64(out, *epoch);
+            put(out, |enc| enc.write_u64(*epoch));
         }
         Message::WordDelta(d) => delta(out, FaultPhase::Word, d),
         Message::WordSync(s) => sync(out, FaultPhase::Word, s),
@@ -646,23 +572,21 @@ pub fn encode_message_into(msg: &Message, out: &mut Vec<u8>) {
         Message::Bye { worker_id } => tagged_id(out, TAG_BYE, *worker_id),
         Message::Fault { worker_id, message } => {
             tagged_id(out, TAG_FAULT, *worker_id);
-            put_u64(out, message.len() as u64);
-            out.extend_from_slice(message.as_bytes());
+            put(out, |enc| enc.write_str(message));
         }
         Message::Heartbeat { worker_id } => tagged_id(out, TAG_HEARTBEAT, *worker_id),
-        Message::Restore(r) => {
+        Message::Restore(state) => {
             out.push(TAG_RESTORE);
-            out.extend_from_slice(&encode_owned_resume(r));
+            out.extend_from_slice(state);
         }
     }
 }
 
 /// Decodes one frame payload. Unknown tags and trailing bytes are typed
-/// [`CodecError::Corrupt`] — the rejection gate for malformed frames.
-pub fn decode_message(payload: &[u8]) -> CodecResult<Message> {
-    let Some((&tag, body)) = payload.split_first() else {
-        return Err(CodecError::Corrupt("empty message payload".into()));
-    };
+/// [`CodecError::Corrupt`] — the rejection gate for malformed frames. A
+/// `state` section is not decoded here: `Setup.resume` and `Restore` borrow
+/// it from `payload` for the sampler's own reader.
+pub fn decode_message(payload: &[u8]) -> CodecResult<Message<'_>> {
     let owned_delta = || {
         let d = parse_delta(payload)?;
         Ok(Delta {
@@ -680,31 +604,26 @@ pub fn decode_message(payload: &[u8]) -> CodecResult<Message> {
             records: s.blocks.records_vec(),
         })
     };
-    let mut r = PayloadReader::new(body);
-    let msg = match tag {
-        TAG_SETUP => return decode_setup(body),
+    let mut dec = Decoder::new(payload);
+    let msg = match dec.read_u8()? {
         TAG_WORD_DELTA => return owned_delta().map(Message::WordDelta),
         TAG_DOC_DELTA => return owned_delta().map(Message::DocDelta),
         TAG_WORD_SYNC => return owned_sync().map(Message::WordSync),
         TAG_DOC_SYNC => return owned_sync().map(Message::DocSync),
-        TAG_HELLO => Message::Hello { worker_id: r.u32().map_err(corrupt)? },
-        TAG_READY => Message::Ready { worker_id: r.u32().map_err(corrupt)? },
-        TAG_RUN_ITERATION => Message::RunIteration { epoch: r.u64().map_err(corrupt)? },
+        TAG_SETUP => Message::Setup(Box::new(read_setup(&mut dec)?)),
+        TAG_HELLO => Message::Hello { worker_id: dec.read_u32()? },
+        TAG_READY => Message::Ready { worker_id: dec.read_u32()? },
+        TAG_RUN_ITERATION => Message::RunIteration { epoch: dec.read_u64()? },
         TAG_SHUTDOWN => Message::Shutdown,
-        TAG_BYE => Message::Bye { worker_id: r.u32().map_err(corrupt)? },
+        TAG_BYE => Message::Bye { worker_id: dec.read_u32()? },
         TAG_FAULT => {
-            let worker_id = r.u32().map_err(corrupt)?;
-            let len = usize::try_from(r.u64().map_err(corrupt)?)
-                .map_err(|_| CodecError::Corrupt("fault message length overflows".into()))?;
-            let text = std::str::from_utf8(r.bytes(len).map_err(corrupt)?)
-                .map_err(|e| CodecError::Corrupt(format!("fault message is not UTF-8: {e}")))?;
-            Message::Fault { worker_id, message: text.to_owned() }
+            Message::Fault { worker_id: dec.read_u32()?, message: dec.read_str()?.to_owned() }
         }
-        TAG_HEARTBEAT => Message::Heartbeat { worker_id: r.u32().map_err(corrupt)? },
-        TAG_RESTORE => Message::Restore(take_resume(&mut r)?),
+        TAG_HEARTBEAT => Message::Heartbeat { worker_id: dec.read_u32()? },
+        TAG_RESTORE => Message::Restore(dec.rest()),
         other => return Err(CodecError::Corrupt(format!("unknown message tag {other:#04x}"))),
     };
-    finish(r)?;
+    dec.finish()?;
     Ok(msg)
 }
 
@@ -725,34 +644,36 @@ mod tests {
         .unwrap()
     }
 
+    fn setup(resume: Option<&[u8]>) -> Message<'_> {
+        Message::Setup(Box::new(Setup {
+            workers: 4,
+            worker_id: 2,
+            seed: 0xFEED,
+            num_topics: 12,
+            alpha: 0.5,
+            beta: 0.01,
+            mh_steps: 2,
+            use_hash_counts: true,
+            corpus: tiny_corpus(),
+            resume,
+            heartbeat_interval_ms: 250,
+            faults: vec![crate::fault::FaultEvent {
+                worker: 2,
+                iteration: 3,
+                phase: crate::fault::FaultPhase::Doc,
+                action: crate::fault::FaultAction::Hang { ms: 10_000 },
+            }],
+        }))
+    }
+
     #[test]
     fn every_message_round_trips() {
         let msgs = vec![
             Message::Hello { worker_id: 3 },
-            Message::Setup(Box::new(Setup {
-                workers: 4,
-                worker_id: 2,
-                seed: 0xFEED,
-                num_topics: 12,
-                alpha: 0.5,
-                beta: 0.01,
-                mh_steps: 2,
-                use_hash_counts: true,
-                corpus: tiny_corpus(),
-                resume: Some(ResumeState {
-                    iterations: 7,
-                    width: 1,
-                    records: vec![0, 1, 2, 1, 0, 2],
-                    topic_counts: vec![2, 2, 2],
-                }),
-                heartbeat_interval_ms: 250,
-                faults: vec![crate::fault::FaultEvent {
-                    worker: 2,
-                    iteration: 3,
-                    phase: crate::fault::FaultPhase::Doc,
-                    action: crate::fault::FaultAction::Hang { ms: 10_000 },
-                }],
-            })),
+            // A state is opaque here: whatever follows the flag, to the
+            // frame's end.
+            setup(Some(&[7, 0, 1, 2, 1, 0, 2])),
+            setup(None),
             Message::Ready { worker_id: 1 },
             Message::RunIteration { epoch: 42 },
             // One delta per record width: the encoder picks the narrowest
@@ -787,13 +708,7 @@ mod tests {
             Message::Bye { worker_id: 0 },
             Message::Fault { worker_id: 2, message: "shard went sideways".into() },
             Message::Heartbeat { worker_id: 3 },
-            // Ids 5, 4 and 300 at two bytes each.
-            Message::Restore(ResumeState {
-                iterations: 9,
-                width: 2,
-                records: vec![5, 0, 4, 0, 0x2c, 0x01],
-                topic_counts: vec![1, 1, 1],
-            }),
+            Message::Restore(&[9, 5, 0, 4, 0, 0x2c, 0x01]),
         ];
         for msg in msgs {
             let payload = encode_message(&msg);
@@ -915,5 +830,24 @@ mod tests {
         let mut payload = delta;
         payload[width_at + 1..width_at + 9].copy_from_slice(&u64::MAX.to_le_bytes());
         corrupt(&payload);
+        // A vocabulary, document or fault-event count the frame does not
+        // hold. Regression: the first used to reach `Vocabulary::with_capacity`
+        // unchecked and panic with "capacity overflow".
+        let valid = encode_message(&setup(None));
+        let vocab_at = 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 1;
+        let docs_at = vocab_at + 8 + 3 * (8 + 1);
+        let faults_at = valid.len() - 1 - 22 - 4;
+        for (at, huge) in [
+            (vocab_at, &(1u64 << 60).to_le_bytes()[..]),
+            (vocab_at, &u64::MAX.to_le_bytes()[..]),
+            (docs_at, &(1u64 << 60).to_le_bytes()[..]),
+            (faults_at, &u32::MAX.to_le_bytes()[..]),
+        ] {
+            let mut payload = valid.clone();
+            payload[at..at + huge.len()].copy_from_slice(huge);
+            corrupt(&payload);
+        }
+        assert_eq!(valid[docs_at..docs_at + 8], 2u64.to_le_bytes(), "the document count");
+        assert_eq!(valid[faults_at..faults_at + 4], 1u32.to_le_bytes(), "the fault count");
     }
 }

@@ -2,7 +2,7 @@
 //! runtimes.
 //!
 //! Every message on a WarpLDA socket is one **frame**: a little-endian `u32`
-//! payload length followed by the payload. This crate owns the three pieces
+//! payload length followed by the payload. This crate owns the two pieces
 //! every protocol built on that framing needs, so the query server
 //! (`warplda-serve`) and the multi-process training runtime (`warplda-dist`)
 //! share one implementation instead of two drifting copies:
@@ -18,7 +18,6 @@
 //!   buffer: the query server keeps the conservative
 //!   [`DEFAULT_MAX_FRAME_BYTES`], the distributed runtime raises it for
 //!   corpus and record-delta frames.
-//! * [`PayloadReader`] — a zero-copy bounds-checked cursor over one payload.
 //! * [`connect_within`] — TCP connect with jittered exponential backoff, for
 //!   workers racing a listener that is still coming up, bounded by a
 //!   wall-clock deadline: exhaustion is a typed
@@ -26,7 +25,10 @@
 //!
 //! Encoding is in-place: [`begin_frame`]/[`end_frame`] reserve and patch the
 //! length prefix so a frame is built directly in the output buffer, and
-//! [`write_frame`] writes an already-encoded payload as one frame.
+//! [`write_frame`] writes an already-encoded payload as one frame. What is
+//! *inside* a payload is not this crate's business: both protocols parse
+//! theirs with the workspace's one reader for bytes from outside,
+//! `warplda_corpus::io::codec::Decoder`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -311,67 +313,6 @@ pub enum PollFrame {
 }
 
 // ---------------------------------------------------------------------------
-// Payload decoding
-// ---------------------------------------------------------------------------
-
-/// A zero-copy bounds-checked cursor over one payload.
-pub struct PayloadReader<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> PayloadReader<'a> {
-    /// Wraps a payload slice.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes }
-    }
-
-    /// Takes the next `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.bytes.len() < n {
-            return Err(WireError::Malformed("truncated payload"));
-        }
-        let (head, rest) = self.bytes.split_at(n);
-        self.bytes = rest;
-        Ok(head)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an `f64` from its IEEE-754 bit pattern.
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `u32`-length-prefixed UTF-8 string field.
-    pub fn str_field(&mut self) -> Result<&'a str, WireError> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.bytes(len)?).map_err(|_| WireError::Malformed("invalid UTF-8"))
-    }
-
-    /// Asserts the payload was consumed exactly.
-    pub fn finish(self) -> Result<(), WireError> {
-        if self.bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes after payload"))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Connection helpers
 // ---------------------------------------------------------------------------
 
@@ -534,29 +475,6 @@ mod tests {
             Err(WireError::Malformed(msg)) => assert!(msg.contains("mid-frame"), "{msg}"),
             other => panic!("expected Malformed, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn payload_reader_round_trips_and_bounds_checks() {
-        let mut out = Vec::new();
-        out.push(9u8);
-        out.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
-        out.extend_from_slice(&u64::MAX.to_le_bytes());
-        out.extend_from_slice(&0.25f64.to_bits().to_le_bytes());
-        out.extend_from_slice(&(2u32).to_le_bytes());
-        out.extend_from_slice(b"ok");
-        let mut r = PayloadReader::new(&out);
-        assert_eq!(r.u8().unwrap(), 9);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.f64().unwrap(), 0.25);
-        assert_eq!(r.str_field().unwrap(), "ok");
-        r.finish().unwrap();
-
-        let mut r = PayloadReader::new(&[1, 2]);
-        assert!(matches!(r.u32(), Err(WireError::Malformed(_))));
-        let r = PayloadReader::new(&[1]);
-        assert!(matches!(r.finish(), Err(WireError::Malformed(_))));
     }
 
     #[test]

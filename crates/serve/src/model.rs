@@ -352,9 +352,8 @@ impl TopicModel {
     /// tables are rebuilt deterministically from the counts.
     pub fn read(r: &mut dyn Read) -> CodecResult<Self> {
         let payload = read_framed_section(r, MODEL_MAGIC)?;
-        let mut cursor = payload.as_slice();
-        let mut dec = Decoder::new(&mut cursor);
-        let kind = dec.read_string()?;
+        let mut dec = Decoder::new(&payload);
+        let kind = dec.read_str()?;
         if kind != MODEL_KIND {
             return Err(CodecError::Corrupt(format!(
                 "expected a {MODEL_KIND:?} payload, found {kind:?}"

@@ -1048,7 +1048,8 @@ impl Client {
         loop {
             if let Some(range) = self.frames.take_frame()? {
                 let payload = self.frames.payload(range);
-                return decode_response(payload);
+                return decode_response(payload)
+                    .map_err(|_| WireError::Malformed("undecodable response"));
             }
             if self.frames.fill_from(&mut self.stream)? == 0 {
                 return Err(WireError::Io(std::io::Error::new(

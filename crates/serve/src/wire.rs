@@ -32,11 +32,15 @@
 //!
 //! The server decodes requests and encodes responses against reusable
 //! buffers, so a warm worker serves requests without heap allocation; the
-//! framing itself (incremental [`FrameBuffer`], length-prefix encoding, the
-//! bounds-checked payload cursor) lives in the shared `warplda-net` crate and
-//! is re-exported here so existing `serve::wire` paths keep working.
+//! framing itself (incremental [`FrameBuffer`], length-prefix encoding) lives
+//! in the shared `warplda-net` crate and is re-exported here so existing
+//! `serve::wire` paths keep working. Payloads are parsed with the workspace's
+//! one reader for bytes from outside, [`Decoder`]: a payload that ends early,
+//! announces more elements than it holds or carries trailing bytes is a typed
+//! [`CodecError`], and nothing is allocated for a count the bytes do not back.
 
-use warplda_net::{begin_frame, end_frame, PayloadReader};
+use warplda_corpus::io::codec::{CodecError, CodecResult, Decoder};
+use warplda_net::{begin_frame, end_frame};
 
 pub use warplda_net::{FrameBuffer, WireError};
 
@@ -179,65 +183,69 @@ pub(crate) enum RequestBodyView<'a> {
     Tokens,
 }
 
+/// Reads a `u32`-length-prefixed UTF-8 string field.
+fn str_field<'a>(dec: &mut Decoder<'a>) -> CodecResult<&'a str> {
+    let len = dec.read_u32()? as usize;
+    std::str::from_utf8(dec.bytes(len)?)
+        .map_err(|e| CodecError::Corrupt(format!("string field is not UTF-8: {e}")))
+}
+
+/// Reads a `u32` element count, checked against the bytes that remain at
+/// `elem_bytes` per element.
+fn count_field(dec: &mut Decoder<'_>, elem_bytes: usize) -> CodecResult<usize> {
+    let count = dec.read_u32()?;
+    dec.fits(count.into(), elem_bytes)
+}
+
 /// Decodes a request payload; token queries are written into `tokens_out`
 /// (cleared first).
 pub(crate) fn decode_request<'a>(
     payload: &'a [u8],
     tokens_out: &mut Vec<u32>,
-) -> Result<RequestView<'a>, WireError> {
-    let mut r = PayloadReader::new(payload);
-    let opcode = r.u8()?;
-    let seed = r.u64()?;
-    let top_n = r.u32()?;
-    match opcode {
-        OP_QUERY_TEXT => {
-            let text = r.str_field()?;
-            r.finish()?;
-            Ok(RequestView { seed, top_n, body: RequestBodyView::Text(text) })
-        }
+) -> CodecResult<RequestView<'a>> {
+    let mut dec = Decoder::new(payload);
+    let opcode = dec.read_u8()?;
+    let seed = dec.read_u64()?;
+    let top_n = dec.read_u32()?;
+    let body = match opcode {
+        OP_QUERY_TEXT => RequestBodyView::Text(str_field(&mut dec)?),
         OP_QUERY_TOKENS => {
-            let count = r.u32()? as usize;
+            let count = count_field(&mut dec, 4)?;
+            let ids = dec.bytes(4 * count)?.as_chunks::<4>().0;
             tokens_out.clear();
-            for _ in 0..count {
-                tokens_out.push(r.u32()?);
-            }
-            r.finish()?;
-            Ok(RequestView { seed, top_n, body: RequestBodyView::Tokens })
+            tokens_out.extend(ids.iter().map(|id| u32::from_le_bytes(*id)));
+            RequestBodyView::Tokens
         }
-        _ => Err(WireError::Malformed("unknown request opcode")),
-    }
+        other => return Err(CodecError::Corrupt(format!("unknown request opcode {other}"))),
+    };
+    dec.finish()?;
+    Ok(RequestView { seed, top_n, body })
 }
 
 /// Decodes a response payload (client side; allocates the owned vectors).
-pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut r = PayloadReader::new(payload);
-    match r.u8()? {
+pub fn decode_response(payload: &[u8]) -> CodecResult<Response> {
+    let mut dec = Decoder::new(payload);
+    let response = match dec.read_u8()? {
         STATUS_OK => {
-            let model_epoch = r.u32()?;
-            let tokens_used = r.u32()?;
-            let oov_dropped = r.u32()?;
-            let k = r.u32()? as usize;
-            let mut theta = Vec::with_capacity(k.min(1 << 16));
-            for _ in 0..k {
-                theta.push(r.f64()?);
-            }
-            let top_count = r.u32()? as usize;
-            let mut top = Vec::with_capacity(top_count.min(1 << 16));
+            let model_epoch = dec.read_u32()?;
+            let tokens_used = dec.read_u32()?;
+            let oov_dropped = dec.read_u32()?;
+            let k = count_field(&mut dec, 8)?;
+            let theta = dec.bytes(8 * k)?.as_chunks::<8>().0;
+            let theta =
+                theta.iter().map(|bits| f64::from_bits(u64::from_le_bytes(*bits))).collect();
+            let top_count = count_field(&mut dec, 12)?;
+            let mut top = Vec::with_capacity(top_count);
             for _ in 0..top_count {
-                let t = r.u32()?;
-                let w = r.f64()?;
-                top.push((t, w));
+                top.push((dec.read_u32()?, dec.read_f64()?));
             }
-            r.finish()?;
-            Ok(Response::Ok(InferReply { model_epoch, tokens_used, oov_dropped, theta, top }))
+            Response::Ok(InferReply { model_epoch, tokens_used, oov_dropped, theta, top })
         }
-        STATUS_ERROR => {
-            let msg = r.str_field()?.to_owned();
-            r.finish()?;
-            Ok(Response::Error(msg))
-        }
-        _ => Err(WireError::Malformed("unknown response status")),
-    }
+        STATUS_ERROR => Response::Error(str_field(&mut dec)?.to_owned()),
+        other => return Err(CodecError::Corrupt(format!("unknown response status {other}"))),
+    };
+    dec.finish()?;
+    Ok(response)
 }
 
 #[cfg(test)]
@@ -314,5 +322,12 @@ mod tests {
         out.push(0);
         assert!(decode_request(&out[4..], &mut tokens).is_err());
         assert!(decode_response(&[9]).is_err());
+        // A θ count the reply does not hold: refused, not allocated for.
+        let mut reply = Vec::new();
+        encode_ok_response(&mut reply, 0, 1, 0, &[0.5, 0.5], &[(0, 0.5)]);
+        assert!(decode_response(&reply[4..]).is_ok());
+        let k_at = 4 + 1 + 12;
+        reply[k_at..k_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(decode_response(&reply[4..]), Err(CodecError::Corrupt(_))));
     }
 }

@@ -1,5 +1,6 @@
-//! Property-based tests (proptest) on the core data structures and on the
-//! sampler invariants listed in DESIGN.md §7.
+//! Property-based tests (proptest) on the core data structures, on the
+//! sampler invariants (counts match assignments, determinism across drivers
+//! and partitions) and on every reader of bytes from outside the program.
 
 use proptest::prelude::*;
 
@@ -278,7 +279,8 @@ proptest! {
         } else {
             Message::DocDelta(delta.clone())
         };
-        let decoded = decode_message(&encode_message(&msg)).expect("roundtrip decodes");
+        let payload = encode_message(&msg);
+        let decoded = decode_message(&payload).expect("roundtrip decodes");
         let back = match (word, decoded) {
             (true, Message::WordDelta(d)) | (false, Message::DocDelta(d)) => d,
             (_, other) => return Err(TestCaseError::Fail(format!("wrong variant: {other:?}"))),
@@ -298,8 +300,8 @@ proptest! {
         use warplda::dist::protocol::{decode_message, encode_message, Message, Sync};
 
         let sync = Sync { epoch, topic_counts, records };
-        let decoded = decode_message(&encode_message(&Message::WordSync(sync.clone())))
-            .expect("roundtrip decodes");
+        let payload = encode_message(&Message::WordSync(sync.clone()));
+        let decoded = decode_message(&payload).expect("roundtrip decodes");
         match decoded {
             Message::WordSync(back) => {
                 prop_assert_eq!(back.epoch, sync.epoch);
@@ -693,6 +695,313 @@ mod exchange {
             .expect_err("one byte per topic cannot be K = 300's format");
         assert!(err.to_string().contains("bytes per topic"), "{err}");
         assert!(merged.iter().all(|&c| c == 0));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Bytes from outside: one mutation harness for every door a sampler state
+// comes in through — a checkpoint, a `Setup` with a state tail, a `Restore` —
+// and the serving model's. From one valid payload each: every truncation and
+// every element count blown up is refused; single-bit flips (a socket has no
+// checksum, so a flipped proposal `< K` is legal) are refused or leave a state
+// that still satisfies what `read_state` enforces; nothing panics; a refused
+// read allocates a small multiple of its input, whatever the input declares;
+// and a refusal leaves the target sampler as it was (or, where the payload
+// goes on after the state, wholly the payload's — never half-adopted).
+// ---------------------------------------------------------------------------
+mod doors {
+    use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+    use warplda::corpus::io::codec::{
+        write_framed, write_framed_section, write_vocab, Decoder, Encoder, MODEL_MAGIC,
+    };
+    use warplda::dist::protocol::{decode_message, encode_message, Message, Setup};
+    use warplda::lda::checkpoint::{read_checkpoint, write_checkpoint};
+
+    thread_local! {
+        static LIVE: Cell<isize> = const { Cell::new(0) };
+        static PEAK: Cell<isize> = const { Cell::new(0) };
+    }
+
+    /// Tracks each thread's live heap bytes and their high-water mark — per
+    /// thread, because the harness runs this binary's tests concurrently.
+    struct PeakAllocator;
+
+    fn track(delta: isize) {
+        let _ = LIVE.try_with(|live| {
+            live.set(live.get() + delta);
+            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+        });
+    }
+
+    // SAFETY: every call is forwarded to `System` unchanged; the bookkeeping
+    // touches only const-initialised thread-locals, which never allocate.
+    unsafe impl GlobalAlloc for PeakAllocator {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            track(layout.size() as isize);
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            track(-(layout.size() as isize));
+            System.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            track(new_size as isize - layout.size() as isize);
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: PeakAllocator = PeakAllocator;
+
+    /// Runs `f` and returns the most heap it held at once beyond what was
+    /// live when it started.
+    fn peak_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        let base = LIVE.with(Cell::get);
+        PEAK.with(|peak| peak.set(base));
+        let result = f();
+        (result, (PEAK.with(Cell::get) - base) as usize)
+    }
+
+    const K: usize = 300;
+
+    struct Door {
+        name: &'static str,
+        /// A payload the door accepts.
+        valid: Vec<u8>,
+        /// What the door's reader is handed for a payload: a file re-framed
+        /// under a recomputed checksum, or the frame's bytes as they are.
+        wrap: fn(&[u8]) -> Vec<u8>,
+        /// The door's real reader, adopting into `target`.
+        read: fn(&[u8], &mut WarpLda) -> Result<(), String>,
+        /// `(offset, width)` of every element count in `valid`.
+        counts: Vec<(usize, usize)>,
+        /// Whether the payload continues after the state, so that a refusal
+        /// of the rest can follow a complete adoption.
+        tail_after_state: bool,
+        /// The most a refused read may hold for `len` input bytes.
+        budget: fn(usize) -> usize,
+    }
+
+    fn adopt(target: &mut WarpLda, state: &[u8]) -> Result<(), String> {
+        let mut dec = Decoder::new(state);
+        target.read_state(&mut dec).map_err(|e| e.to_string())?;
+        dec.finish().map_err(|e| e.to_string())
+    }
+
+    fn read_file(file: &[u8], target: &mut WarpLda) -> Result<(), String> {
+        read_checkpoint(target, &mut &file[..]).map(drop).map_err(|e| e.to_string())
+    }
+
+    fn read_model(file: &[u8], _: &mut WarpLda) -> Result<(), String> {
+        TopicModel::read(&mut &file[..]).map(drop).map_err(|e| e.to_string())
+    }
+
+    /// What the worker does with a `Setup` or a `Restore` frame.
+    fn read_frame(payload: &[u8], target: &mut WarpLda) -> Result<(), String> {
+        match decode_message(payload).map_err(|e| e.to_string())? {
+            Message::Setup(setup) => setup.resume.map_or(Ok(()), |state| adopt(target, state)),
+            Message::Restore(state) => adopt(target, state),
+            other => Err(format!("a {other:?} where a state was due")),
+        }
+    }
+
+    fn corpus() -> Corpus {
+        Corpus::from_token_docs(vec![
+            vec![0, 1, 2, 1],
+            vec![3, 4, 3],
+            vec![5, 0, 5, 2, 1],
+            vec![4, 4],
+            vec![2, 3, 5, 0],
+        ])
+    }
+
+    fn sampler(corpus: &Corpus, seed: u64) -> WarpLda {
+        WarpLda::new(corpus, ModelParams::new(K, 0.5, 0.1), WarpLdaConfig::with_mh_steps(2), seed)
+    }
+
+    fn doors(corpus: &Corpus) -> Vec<Door> {
+        let mut source = sampler(corpus, 7);
+        source.run_iteration();
+        source.run_iteration();
+        let mut state = Vec::new();
+        source.write_state(&mut Encoder::new(&mut state)).unwrap();
+        // seed, iteration, M (8 each), hash flag, width, then `n`; c_k's
+        // count follows the records.
+        let state_counts = |at: usize| [(at + 26, 8), (at + 34 + source.records_bytes().len(), 8)];
+        let mut vocab = Vec::new();
+        write_vocab(&mut Encoder::new(&mut vocab), corpus.vocab()).unwrap();
+
+        let mut file = Vec::new();
+        write_checkpoint(&source, Some(corpus.vocab()), &mut file).unwrap();
+        let checkpoint = file.split_off(28);
+        let state_at = checkpoint.len() - vocab.len() - 1 - state.len();
+        assert_eq!(&checkpoint[state_at..][..state.len()], &state[..], "one serialized form");
+        let mut checkpoint_counts = vec![(0, 8), (checkpoint.len() - vocab.len(), 8)];
+        checkpoint_counts.extend(state_counts(state_at));
+
+        let mut file = Vec::new();
+        TopicModel::freeze_sampler(&source, corpus).write(&mut file).unwrap();
+        let model = file.split_off(28);
+        // The kind string and the parameters, then four `u32` arrays.
+        let mut model_counts = vec![(0, 8), (model.len() - vocab.len(), 8)];
+        let mut at = 8 + "topic-model".len() + 24;
+        for _ in 0..4 {
+            model_counts.push((at, 8));
+            at += 8 + 4 * u64::from_le_bytes(model[at..at + 8].try_into().unwrap()) as usize;
+        }
+        assert_eq!(at + 1, model.len() - vocab.len(), "the arrays end at the vocabulary flag");
+
+        let setup = encode_message(&Message::Setup(Box::new(Setup {
+            workers: 2,
+            worker_id: 1,
+            seed: 7,
+            num_topics: K as u64,
+            alpha: 0.5,
+            beta: 0.1,
+            mh_steps: 2,
+            use_hash_counts: true,
+            corpus: corpus.clone(),
+            resume: Some(&state),
+            heartbeat_interval_ms: 250,
+            faults: FaultPlan::new().crash(1, 3, FaultPhase::Doc).for_worker(1),
+        })));
+        // Tag and nine head fields, then the corpus: vocabulary, documents.
+        let vocab_at = 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 1;
+        let state_at = setup.len() - state.len();
+        let mut setup_counts =
+            vec![(vocab_at, 8), (vocab_at + vocab.len(), 8), (state_at - 1 - 22 - 4, 4)];
+        setup_counts.extend(state_counts(state_at));
+
+        let restore = encode_message(&Message::Restore(&state));
+
+        // What a refused read may hold. A state costs the `4·K` bytes of the
+        // histogram `read_state` checks `c_k` against and nothing per record:
+        // it is validated where it lies. A file's payload is held once. A
+        // vocabulary is the expensive guest — the length rule lets a count
+        // claim one word per 8 bytes left, and a claimed word reserves about
+        // 60 bytes of tables — so a `Setup` is bounded by 8× its input, and
+        // so are a model's arrays and alias tables. (A checkpoint's
+        // vocabulary is its tail: a count there has little left to claim.)
+        vec![
+            Door {
+                name: "checkpoint",
+                valid: checkpoint,
+                wrap: |payload| {
+                    let mut file = Vec::new();
+                    write_framed(&mut file, payload).unwrap();
+                    file
+                },
+                read: read_file,
+                counts: checkpoint_counts,
+                tail_after_state: true,
+                budget: |len| len + 4 * K + 1024,
+            },
+            Door {
+                name: "model",
+                valid: model,
+                wrap: |payload| {
+                    let mut file = Vec::new();
+                    write_framed_section(&mut file, MODEL_MAGIC, payload).unwrap();
+                    file
+                },
+                read: read_model,
+                counts: model_counts,
+                tail_after_state: false,
+                budget: |len| 8 * len,
+            },
+            Door {
+                name: "Setup",
+                valid: setup,
+                wrap: <[u8]>::to_vec,
+                read: read_frame,
+                counts: setup_counts,
+                tail_after_state: false,
+                budget: |len| 8 * len + 4 * K,
+            },
+            Door {
+                name: "Restore",
+                valid: restore,
+                wrap: <[u8]>::to_vec,
+                read: read_frame,
+                counts: state_counts(1).to_vec(),
+                tail_after_state: false,
+                budget: |_| 4 * K + 256,
+            },
+        ]
+    }
+
+    /// What `read_state` enforces, checked from outside: every assignment is
+    /// a topic, `c_k` is their histogram, and — every proposal being a topic
+    /// too — an iteration runs.
+    fn assert_consistent(target: &mut WarpLda, what: &str) {
+        let mut hist = vec![0u32; K];
+        for t in target.assignments() {
+            assert!((t as usize) < K, "{what}: assignment {t} is no topic");
+            hist[t as usize] += 1;
+        }
+        assert_eq!(target.topic_counts(), &hist[..], "{what}: c_k is not the histogram");
+        target.run_iteration();
+    }
+
+    #[test]
+    fn every_door_refuses_damage_without_panicking_over_allocating_or_half_adopting() {
+        let corpus = corpus();
+        for door in doors(&corpus) {
+            let mut target = sampler(&corpus, 8);
+            let name = door.name;
+            // Reads `payload` through the door; a refusal must stay within
+            // the allocation budget and must not leave a mark.
+            let mut knock = |payload: &[u8], what: &str| -> bool {
+                let input = (door.wrap)(payload);
+                let before = exchange::state(&target);
+                let (outcome, peak) = peak_during(|| (door.read)(&input, &mut target));
+                match &outcome {
+                    Ok(()) => assert_consistent(&mut target, &format!("{name}, {what}")),
+                    Err(e) => {
+                        let budget = (door.budget)(input.len());
+                        assert!(
+                            peak <= budget,
+                            "{name}, {what}: refusing {} bytes held {peak} (budget {budget}): {e}",
+                            input.len()
+                        );
+                        if exchange::state(&target) != before {
+                            assert!(door.tail_after_state, "{name}, {what}: refused, yet adopted");
+                            assert_consistent(&mut target, &format!("{name}, {what}"));
+                        }
+                    }
+                }
+                outcome.is_ok()
+            };
+
+            assert!(knock(&door.valid, "valid"), "{name}: the valid payload is refused");
+            for cut in 0..door.valid.len() {
+                assert!(!knock(&door.valid[..cut], "truncated"), "{name}: accepted cut at {cut}");
+            }
+            for &(at, width) in &door.counts {
+                let field = &door.valid[at..at + width];
+                let mut count = [0u8; 8];
+                count[..width].copy_from_slice(field);
+                let plus_one = (u64::from_le_bytes(count) + 1).to_le_bytes();
+                for damage in [&[0xFF; 8][..width], &plus_one[..width]] {
+                    let mut payload = door.valid.clone();
+                    payload[at..at + width].copy_from_slice(damage);
+                    assert!(!knock(&payload, "count"), "{name}: accepted {damage:?} at {at}");
+                }
+            }
+            // Every single-bit flip: the payloads are small enough to need no
+            // sampling.
+            for at in 0..door.valid.len() {
+                for bit in 0..8 {
+                    let mut payload = door.valid.clone();
+                    payload[at] ^= 1 << bit;
+                    knock(&payload, &format!("bit {bit} of byte {at} flipped"));
+                }
+            }
+        }
     }
 }
 

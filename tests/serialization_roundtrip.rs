@@ -6,7 +6,9 @@
 //! `crates/core/tests/differential.rs`). The UCI text format round-trips are
 //! retained from the original suite.
 
-use warplda::corpus::io::codec::CodecError;
+use warplda::corpus::io::codec::{
+    write_framed_section, write_vocab, CodecError, Encoder, MAGIC, MODEL_MAGIC,
+};
 use warplda::corpus::io::{read_uci_bag_of_words, write_uci_bag_of_words};
 use warplda::lda::checkpoint::{read_checkpoint, write_checkpoint};
 use warplda::prelude::*;
@@ -92,6 +94,36 @@ fn corrupted_checkpoints_are_rejected() {
         legacy[8..12].copy_from_slice(&version.to_le_bytes());
         let err = read_checkpoint(&mut target, &mut legacy.as_slice()).unwrap_err();
         assert!(matches!(err, CodecError::LegacyVersion(v) if v == version), "{err}");
+    }
+
+    // Damage the container cannot see, because the checksum was recomputed
+    // over it: a vocabulary that announces more words than the payload holds.
+    // The payload's own reader refuses it, in a checkpoint and in a serving
+    // model alike. (Regression: the count used to reach
+    // `Vocabulary::with_capacity` unchecked and panic with "capacity
+    // overflow".)
+    let mut with_vocab = Vec::new();
+    write_checkpoint(&sampler, Some(corpus.vocab()), &mut with_vocab).expect("checkpoint writes");
+    let mut model = Vec::new();
+    TopicModel::freeze_sampler(&sampler, &corpus).write(&mut model).expect("model writes");
+    let mut vocab = Vec::new();
+    write_vocab(&mut Encoder::new(&mut vocab), corpus.vocab()).expect("vocabulary encodes");
+    for count in [1u64 << 60, u64::MAX, corpus.vocab_size() as u64 + 1] {
+        // The vocabulary is the tail of both payloads; its count comes first.
+        let reframed = |file: &[u8], magic| {
+            let mut payload = file[28..].to_vec();
+            let at = payload.len() - vocab.len();
+            payload[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            let mut out = Vec::new();
+            write_framed_section(&mut out, magic, &payload).expect("frames");
+            out
+        };
+        let err = read_checkpoint(&mut target, &mut reframed(&with_vocab, MAGIC).as_slice())
+            .expect_err("a checkpoint cannot hold that many words");
+        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+        let err = TopicModel::read(&mut reframed(&model, MODEL_MAGIC).as_slice())
+            .expect_err("a model cannot hold that many words");
+        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
     }
 
     // None of the rejections left the target partially overwritten in a way
@@ -200,7 +232,7 @@ fn uci_format_round_trips_counts_exactly() {
 #[test]
 fn synthetic_generation_is_reproducible_across_processes() {
     // The same preset and seed must always generate the identical corpus —
-    // this is what makes every experiment in EXPERIMENTS.md reproducible.
+    // this is what makes every bench bin and benchmark workload reproducible.
     let a = DatasetPreset::PubMedLike.generate_scaled(50);
     let b = DatasetPreset::PubMedLike.generate_scaled(50);
     assert_eq!(a.num_tokens(), b.num_tokens());

@@ -248,10 +248,25 @@ fn idle_keepalive_connections_beyond_the_worker_count_still_get_served() {
     let handle = Server::bind("127.0.0.1:0", Arc::clone(&model), config).expect("bind loopback");
     let addr = handle.addr();
 
+    // Paced on the server's own accept counter: the listener's backlog is a
+    // fixed 128, and a connect that overflows it waits out a 1 s SYN
+    // retransmit, so the client never runs more than 64 connects ahead of
+    // what the event loop has accepted.
     let num_idle = 1024;
     let mut idle: Vec<Client> = (0..num_idle)
         .map(|i| {
+            let paced = Instant::now();
+            while handle.counters().accepted + 64 < i as u64 {
+                assert!(
+                    paced.elapsed() < Duration::from_secs(30),
+                    "accepts stalled at connect {i}"
+                );
+                std::thread::yield_now();
+            }
+            let t0 = Instant::now();
             let mut c = Client::connect(addr).unwrap_or_else(|e| panic!("idle connect {i}: {e}"));
+            let took = t0.elapsed();
+            assert!(took < Duration::from_millis(200), "connect {i} took {took:?}");
             c.set_deadline(Some(Duration::from_secs(60))).expect("deadline");
             c
         })
