@@ -16,6 +16,7 @@
 //! and produces the shared [`IterationLog`] report format this module's
 //! printing and CSV helpers consume.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -17,6 +17,7 @@
 //! The working-set sizes of Table 2 are not measured here: they follow from
 //! the corpus shape and `K`, and `warplda_core::access` tabulates them.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

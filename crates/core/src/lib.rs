@@ -32,6 +32,7 @@
 //! * instrumented variants of the Table 4 samplers via
 //!   [`warplda_cachesim::MemoryProbe`].
 
+#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -24,12 +24,18 @@
 //! records travel at between processes and rest at in a checkpoint, so those
 //! paths copy bytes instead of repacking them.
 //!
-//! **Width dispatch.** `Phase::visit` turns the width into a type once per
-//! visited entity ([`with_topic_type!`]) and runs the one column kernel or
-//! the one row kernel monomorphized over [`Topic`]; the bulk operations
-//! (initialization, [`Sampler::assignments`], the validation scan of
+//! **Width dispatch.** A driver turns the width into a type once per
+//! *phase* ([`with_topic_type!`] around its entity loop) and opens a `Phase`
+//! over [`Topic`], whose one column kernel and one row kernel are
+//! monomorphized with it; the bulk operations (initialization,
+//! [`Sampler::assignments`], the validation scan of
 //! [`WarpLda::check_records_packed`], the likelihood) dispatch once per call.
-//! Nothing matches on the width per token.
+//! Nothing matches on the width per entity, let alone per token.
+//!
+//! **Sharing.** The kernels are safe code over `&[Cell<T>]` that every visitor
+//! of a phase shares. That no two of them meet on a cell is claimed once, by
+//! the `Send`/`Sync` impls of `SharedRecs`; a driver upholds `Phase::visit`'s
+//! contract (one visitor per entity) and nothing else.
 //!
 //! **Who validates what.** [`PackedRecords`] guarantees shape only; that
 //! every stored id is below `K` is this module's invariant, established by
@@ -94,13 +100,15 @@
 
 pub mod parallel;
 
+use std::cell::Cell;
+
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use warplda_cachesim::{MemoryProbe, NoProbe, RegionId};
 use warplda_corpus::{Corpus, DocMajorView, Document, WordMajorView};
 use warplda_sampling::{new_rng, split_seed, AliasBuildScratch, Dice, SparseAliasTable};
-use warplda_sparse::{with_topic_type, PackedRecords, SendPtr, TokenMatrix, Topic};
+use warplda_sparse::{with_topic_type, PackedRecords, TokenMatrix, Topic};
 
 use crate::checkpoint::Checkpointable;
 use crate::counts::{CountPool, TopicCounts};
@@ -233,60 +241,69 @@ pub(crate) enum PhaseKind {
     Doc = 1,
 }
 
-/// A raw view over the packed records. Columns own contiguous blocks but
-/// rows reach their entries through the row-pointer indirection, so the
-/// entries of different rows interleave in memory and cannot be handed out
-/// as disjoint slices.
+/// The packed records of one phase at their width, as every visitor of the
+/// phase sees them. Columns own contiguous blocks but rows reach their
+/// entries through the row-pointer indirection, so the entries of different
+/// rows interleave in memory and cannot be handed out as disjoint `&mut`
+/// slices; shared cells can.
 #[derive(Clone, Copy)]
-struct RecPtr {
-    base: SendPtr<u8>,
+struct SharedRecs<'a, T> {
+    cells: &'a [Cell<T>],
     /// Ids per record.
     stride: usize,
-    /// Bytes per id; picks the [`Topic`] type of a visit.
-    width: usize,
 }
 
-/// [`RecPtr`] once a visit has turned the width into a type.
-#[derive(Clone, Copy)]
-struct TypedRecs<T> {
-    base: *mut T,
-    stride: usize,
-}
+// SAFETY: the disjointness claim of Sections 5.2–5.3, stated once for the
+// workspace. Within a phase distinct words own disjoint contiguous record
+// blocks (the column ranges tile the entries) and distinct documents own
+// disjoint records behind the row pointers (a permutation of the entries);
+// `Phase::visit`'s contract puts at most one visitor on an entity and the
+// kernels touch the visited entity's records only. So no cell is ever reached
+// from two threads, and a cell one thread reaches is plain memory.
+unsafe impl<T: Topic> Send for SharedRecs<'_, T> {}
+unsafe impl<T: Topic> Sync for SharedRecs<'_, T> {}
 
-impl<T: Topic> TypedRecs<T> {
-    /// Id `slot` of entry `e`'s record: slot 0 is the assignment, slot
-    /// `1 + i` proposal `i`.
-    ///
-    /// # Safety
-    /// `e` must be an entry id of the records this view was created from and
-    /// `slot` at most `M`. Dereferencing the result additionally requires
-    /// that no other thread accesses that record.
-    #[inline]
-    unsafe fn at(self, e: u32, slot: usize) -> *mut T {
-        self.base.add(e as usize * self.stride + slot)
+impl<'a, T: Topic> SharedRecs<'a, T> {
+    /// Entry `e`'s record: slot 0 is the assignment, slot `1 + i` proposal
+    /// `i`. The one access of the kernels that is bounds-checked in builds
+    /// with debug assertions only (tier-1's `cargo test` is one).
+    #[inline(always)]
+    fn record(self, e: u32) -> &'a [Cell<T>] {
+        let at = e as usize * self.stride;
+        debug_assert!(at + self.stride <= self.cells.len(), "entry {e} is outside the records");
+        // SAFETY: `e` comes off the row pointers of the phase's matrix, which
+        // are entry ids below its `num_entries` by construction
+        // (`TokenMatrix::from_rows`), and `WarpLda::phase` asserts that the
+        // cells hold `num_entries × stride` ids before any visit runs.
+        unsafe { self.cells.get_unchecked(at..at + self.stride) }
     }
+}
+
+/// The topic a cell holds, as a host integer.
+#[inline(always)]
+fn topic<T: Topic>(cell: &Cell<T>) -> u32 {
+    cell.get().get()
 }
 
 /// One phase of one iteration as its visits see it: everything the entities
 /// of the phase share (matrix structure, the installed `c_k`, the stream
-/// root) plus the record view. `Copy`, so every worker of a driver holds one.
+/// root) plus the records at their width `T`. `Copy`, so every worker of a
+/// driver holds one.
 #[derive(Clone, Copy)]
-pub(crate) struct Phase<'a> {
+pub(crate) struct Phase<'a, T> {
     kind: PhaseKind,
     ctx: VisitCtx,
     matrix: &'a TokenMatrix,
-    recs: RecPtr,
+    recs: SharedRecs<'a, T>,
     ck: &'a [u32],
     /// Stream root of this `(seed, iteration, phase)`; per-entity streams
     /// hang off it, so results are independent of visiting order.
     seed: u64,
 }
 
-impl Phase<'_> {
+impl<T: Topic> Phase<'_, T> {
     /// Visits entity `id` — a column in the word phase, a row in the doc
-    /// phase — accumulating its updated counts into `partial_ck`. This is
-    /// where the record width becomes a type: once per entity, outside the
-    /// token loops.
+    /// phase — accumulating its updated counts into `partial_ck`.
     ///
     /// # Safety
     /// No other thread may visit the same entity of this phase at the same
@@ -300,26 +317,19 @@ impl Phase<'_> {
         scratch: &mut PhaseScratch,
         probe: &mut P,
     ) {
-        with_topic_type!(self.recs.width, T => {
-            // The store is 4-byte aligned and holds ids of this width.
-            let recs = TypedRecs::<T> { base: self.recs.base.0.cast(), stride: self.recs.stride };
-            match self.kind {
-                PhaseKind::Word => self.visit_column(recs, id, partial_ck, scratch, probe),
-                PhaseKind::Doc => self.visit_row(recs, id, partial_ck, scratch, probe),
-            }
-        })
+        match self.kind {
+            PhaseKind::Word => self.visit_column(id, partial_ck, scratch, probe),
+            PhaseKind::Doc => self.visit_row(id, partial_ck, scratch, probe),
+        }
     }
 
     /// One column of the word phase. Picks the hash or dense representation
     /// of `c_w` per the paper's heuristic, then runs the monomorphized
-    /// kernel. Performs no heap allocation.
-    ///
-    /// # Safety
-    /// Same contract as [`visit`](Self::visit); `recs` views this phase's
-    /// records at their width.
-    unsafe fn visit_column<T: Topic, P: MemoryProbe>(
+    /// kernel over the column's block of records: the whole visit is a single
+    /// sequential stream over `len * (M + 1)` ids. Performs no heap
+    /// allocation.
+    fn visit_column<P: MemoryProbe>(
         &self,
-        recs: TypedRecs<T>,
         w: u32,
         partial_ck: &mut [u32],
         scratch: &mut PhaseScratch,
@@ -331,13 +341,8 @@ impl Phase<'_> {
             return;
         }
         let mut rng = new_rng(split_seed(self.seed, w as u64));
-        // SAFETY: column w's records are the contiguous block of its entry
-        // range, which lies inside the records `recs` views because those
-        // are the records of `matrix`; the caller guarantees that nobody
-        // else touches them during the visit. The whole visit is therefore a
-        // single sequential stream over `len * (M + 1)` ids.
-        let block =
-            std::slice::from_raw_parts_mut(recs.at(range.start as u32, 0), len * recs.stride);
+        let stride = self.recs.stride;
+        let block = &self.recs.cells[range.start * stride..range.end * stride];
         let PhaseScratch { counts, proposals } = scratch;
         if self.ctx.use_hash && counts.prefers_hash(len) {
             let cw = counts.hash_for(len);
@@ -347,9 +352,9 @@ impl Phase<'_> {
         }
     }
 
-    fn word_column_kernel<T: Topic, C: TopicCounts, P: MemoryProbe>(
+    fn word_column_kernel<C: TopicCounts, P: MemoryProbe>(
         &self,
-        block: &mut [T],
+        block: &[Cell<T>],
         next_ck: &mut [u32],
         cw: &mut C,
         proposals: &mut WordProposals,
@@ -364,16 +369,16 @@ impl Phase<'_> {
 
         // c_w on the fly.
         for rec in block.chunks_exact(stride) {
-            let t = rec[0].get();
+            let t = topic(&rec[0]);
             cw.increment(t);
             probe.write(region_cw, t as usize);
         }
 
         // Simulate the q_doc chains with the proposals drawn last doc phase.
-        for rec in block.chunks_exact_mut(stride) {
-            let mut z = rec[0].get();
+        for rec in block.chunks_exact(stride) {
+            let mut z = topic(&rec[0]);
             for slot in &rec[1..] {
-                let t = slot.get();
+                let t = topic(slot);
                 if t != z {
                     probe.read(region_cw, t as usize);
                     probe.read(region_cw, z as usize);
@@ -387,7 +392,7 @@ impl Phase<'_> {
                     }
                 }
             }
-            rec[0] = T::put(z);
+            rec[0].set(T::put(z));
         }
 
         // Recompute c_w from the updated assignments (Algorithm 2 "Update Cwk"),
@@ -395,7 +400,7 @@ impl Phase<'_> {
         // q_word(k) ∝ C_wk + β in place.
         cw.clear();
         for rec in block.chunks_exact(stride) {
-            let t = rec[0].get();
+            let t = topic(&rec[0]);
             cw.increment(t);
             probe.write(region_cw, t as usize);
             next_ck[t as usize] += 1;
@@ -407,26 +412,22 @@ impl Phase<'_> {
         let smooth_mass = k as f64 * beta;
         let p_count = count_mass / (count_mass + smooth_mass);
 
-        for rec in block.chunks_exact_mut(stride) {
-            for slot in &mut rec[1..] {
-                *slot = T::put(if rng.gen::<f64>() < p_count {
+        for rec in block.chunks_exact(stride) {
+            for slot in &rec[1..] {
+                slot.set(T::put(if rng.gen::<f64>() < p_count {
                     proposals.table.sample(rng)
                 } else {
                     rng.dice(k) as u32
-                });
+                }));
             }
         }
     }
 
     /// One row of the doc phase. Picks the hash or dense representation of
-    /// `c_d` per the paper's heuristic, then runs the monomorphized kernel.
-    /// Allocation-free.
-    ///
-    /// # Safety
-    /// Same contract as [`visit_column`](Self::visit_column).
-    unsafe fn visit_row<T: Topic, P: MemoryProbe>(
+    /// `c_d` per the paper's heuristic, then runs the monomorphized kernel
+    /// over the row's entry ids. Allocation-free.
+    fn visit_row<P: MemoryProbe>(
         &self,
-        recs: TypedRecs<T>,
         d: u32,
         partial_ck: &mut [u32],
         scratch: &mut PhaseScratch,
@@ -440,42 +441,38 @@ impl Phase<'_> {
         let mut rng = new_rng(split_seed(self.seed, d as u64));
         let counts = &mut scratch.counts;
         if self.ctx.use_hash && counts.prefers_hash(len) {
-            self.doc_row_kernel(recs, entries, partial_ck, counts.hash_for(len), &mut rng, probe);
+            self.doc_row_kernel(entries, partial_ck, counts.hash_for(len), &mut rng, probe);
         } else {
-            self.doc_row_kernel(recs, entries, partial_ck, counts.dense(), &mut rng, probe);
+            self.doc_row_kernel(entries, partial_ck, counts.dense(), &mut rng, probe);
         }
     }
 
-    /// # Safety
-    /// `entries` must be the entry ids of one row of `self.matrix`, `recs` a
-    /// view of this phase's records at their width, and no other thread may
-    /// touch those records for the duration of the call.
-    unsafe fn doc_row_kernel<T: Topic, C: TopicCounts, P: MemoryProbe>(
+    fn doc_row_kernel<C: TopicCounts, P: MemoryProbe>(
         &self,
-        recs: TypedRecs<T>,
         entries: &[u32],
         next_ck: &mut [u32],
         cd: &mut C,
         rng: &mut SmallRng,
         probe: &mut P,
     ) {
-        let VisitCtx { k, m, alpha, alpha_bar, beta_bar, region_cd, region_ck, .. } = self.ctx;
-        let ck = self.ck;
+        let VisitCtx { k, alpha, alpha_bar, beta_bar, region_cd, region_ck, .. } = self.ctx;
+        let (ck, recs) = (self.ck, self.recs);
         let len = entries.len();
 
         // c_d on the fly.
         for &e in entries {
-            let t = (*recs.at(e, 0)).get();
+            let t = topic(&recs.record(e)[0]);
             cd.increment(t);
             probe.write(region_cd, t as usize);
         }
 
         // Simulate the q_word chains with the proposals drawn last word phase.
         for &e in entries {
-            let old = (*recs.at(e, 0)).get();
+            let rec = recs.record(e);
+            let old = topic(&rec[0]);
             let mut cur = old;
-            for i in 0..m {
-                let t = (*recs.at(e, 1 + i)).get();
+            for slot in &rec[1..] {
+                let t = topic(slot);
                 if t != cur {
                     probe.read(region_cd, t as usize);
                     probe.read(region_cd, cur as usize);
@@ -494,7 +491,7 @@ impl Phase<'_> {
                 // the updated assignments of this document.
                 cd.decrement(old);
                 cd.increment(cur);
-                *recs.at(e, 0) = T::put(cur);
+                rec[0].set(T::put(cur));
             }
         }
 
@@ -506,12 +503,12 @@ impl Phase<'_> {
         // of this document, otherwise a uniform topic.
         let p_count = len as f64 / (len as f64 + alpha_bar);
         for &e in entries {
-            for i in 0..m {
-                *recs.at(e, 1 + i) = if rng.gen::<f64>() < p_count {
-                    *recs.at(entries[rng.dice(len)], 0)
+            for slot in &recs.record(e)[1..] {
+                slot.set(if rng.gen::<f64>() < p_count {
+                    recs.record(entries[rng.dice(len)])[0].get()
                 } else {
                     T::put(rng.dice(k) as u32)
-                };
+                });
             }
         }
     }
@@ -747,20 +744,23 @@ impl<P: MemoryProbe> WarpLda<P> {
             + self.scratch.heap_bytes()
     }
 
-    /// Opens phase `kind` of the current iteration. The returned view holds
-    /// the exclusive borrow of the sampler, which is what makes it the only
-    /// route to the records while the phase runs.
-    pub(crate) fn phase(&mut self, kind: PhaseKind) -> (Phase<'_>, &mut PhaseScratch, &mut P) {
-        let recs = RecPtr {
-            base: SendPtr(self.records.as_mut_ptr()),
-            stride: self.records.stride(),
-            width: self.records.width(),
-        };
+    /// Opens phase `kind` of the current iteration over the records at their
+    /// width `T` (panics at any other). The returned view holds the exclusive
+    /// borrow of the sampler, which is what makes it the only route to the
+    /// records while the phase runs.
+    pub(crate) fn phase<T: Topic>(
+        &mut self,
+        kind: PhaseKind,
+    ) -> (Phase<'_, T>, &mut PhaseScratch, &mut P) {
+        let stride = self.records.stride();
+        let cells = Cell::from_mut(self.records.ids_mut::<T>()).as_slice_of_cells();
+        // What `SharedRecs::record` leaves unchecked in optimized builds.
+        assert_eq!(cells.len(), self.matrix.num_entries() * stride, "one record per entry");
         let phase = Phase {
             kind,
             ctx: self.ctx,
             matrix: &self.matrix,
-            recs,
+            recs: SharedRecs { cells, stride },
             ck: &self.topic_counts,
             seed: split_seed(self.seed, self.iterations * 2 + kind as u64),
         };
@@ -778,12 +778,14 @@ impl<P: MemoryProbe> WarpLda<P> {
     ) {
         assert_eq!(partial_ck.len(), self.ctx.k, "partial c_k must have one slot per topic");
         partial_ck.fill(0);
-        let (phase, scratch, probe) = self.phase(kind);
-        for id in entities {
-            // SAFETY: the sampler is exclusively borrowed and the loop is
-            // serial, so no two visits ever overlap.
-            unsafe { phase.visit(id, partial_ck, scratch, probe) };
-        }
+        with_topic_type!(self.records.width(), T => {
+            let (phase, scratch, probe) = self.phase::<T>(kind);
+            for id in entities {
+                // SAFETY: the sampler is exclusively borrowed and the loop is
+                // serial, so no two visits ever overlap.
+                unsafe { phase.visit(id, partial_ck, scratch, probe) };
+            }
+        });
     }
 
     /// Runs the word phase over the columns `words` only, accumulating the
@@ -859,18 +861,9 @@ impl<P: MemoryProbe> WarpLda<P> {
             )));
         }
         // A branch-free maximum over unaligned ids, so the scan vectorizes.
-        fn max_id<const W: usize>(bytes: &[u8]) -> u32 {
-            bytes.as_chunks::<W>().0.iter().fold(0, |max, id| {
-                let mut word = [0u8; 4];
-                word[..W].copy_from_slice(id);
-                max.max(u32::from_le_bytes(word))
-            })
-        }
-        let max = match width {
-            1 => max_id::<1>(bytes),
-            2 => max_id::<2>(bytes),
-            _ => max_id::<4>(bytes),
-        };
+        let max = with_topic_type!(width, T => {
+            bytes.chunks_exact(T::WIDTH).fold(0, |max, id| max.max(T::read(id)))
+        });
         if max as usize >= k {
             return Err(CodecError::Corrupt(format!("record topic {max} out of range (K = {k})")));
         }
@@ -1030,11 +1023,11 @@ impl<P: MemoryProbe> Checkpointable for WarpLda<P> {
         // The delayed-update invariant between iterations: c_k is exactly the
         // topic histogram of the assignments.
         let mut hist = vec![0u32; k];
-        for rec in records.chunks_exact(self.records.record_bytes()) {
-            let mut primary = [0u8; 4];
-            primary[..width].copy_from_slice(&rec[..width]);
-            hist[u32::from_le_bytes(primary) as usize] += 1;
-        }
+        with_topic_type!(width, T => {
+            for rec in records.chunks_exact(self.records.record_bytes()) {
+                hist[T::read(rec) as usize] += 1;
+            }
+        });
         if !counts.iter().map(|c| u32::from_le_bytes(*c)).eq(hist.iter().copied()) {
             return Err(CodecError::Corrupt(
                 "topic counts do not match the assignment histogram".to_string(),
@@ -1066,10 +1059,11 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The global topic histogram straight from the packed records.
+    /// The global topic histogram straight from the packed records (K ≤ 256:
+    /// one byte per id).
     fn topic_histogram(s: &WarpLda) -> Vec<u32> {
         let mut hist = vec![0u32; s.params.num_topics];
-        for &t in s.records.to_u32_vec().iter().step_by(s.stride()) {
+        for &t in s.records_bytes().iter().step_by(s.stride()) {
             hist[t as usize] += 1;
         }
         hist
@@ -1238,8 +1232,9 @@ mod tests {
         let mut s = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(3), 23);
         s.run_iteration();
         assert_eq!((s.records.stride(), s.records.width()), (4, 1));
-        assert_eq!(s.records.num_records() as u64, corpus.num_tokens());
-        let ids = s.records.to_u32_vec();
+        // One byte per id, so the bytes are the ids.
+        let ids = s.records_bytes();
+        assert_eq!(ids.len() as u64, 4 * corpus.num_tokens());
         assert!(ids.iter().all(|&t| t < 6), "every id is a topic");
         // The primaries are exactly the assignments, reached through the row
         // pointers in doc-major token order.
@@ -1247,7 +1242,7 @@ mod tests {
         let mut token = 0;
         for d in 0..s.num_docs() as u32 {
             for &e in s.row_entry_ids(d) {
-                assert_eq!(z[token], ids[e as usize * 4]);
+                assert_eq!(z[token], ids[e as usize * 4] as u32);
                 token += 1;
             }
         }

@@ -34,7 +34,7 @@
 
 use warplda_cachesim::NoProbe;
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
-use warplda_sparse::ChunkCursor;
+use warplda_sparse::{with_topic_type, ChunkCursor};
 
 use crate::checkpoint::Checkpointable;
 use crate::params::ModelParams;
@@ -100,28 +100,23 @@ impl ParallelWarpLda {
         let cursor = &mut cursors[kind as usize];
         cursor.reset();
         let cursor = &*cursor;
-        let (phase, ..) = inner.phase(kind);
-        std::thread::scope(|scope| {
-            for ws in workers.iter_mut() {
-                scope.spawn(move || {
-                    ws.partial_ck.fill(0);
-                    while let Some(chunk) = cursor.claim() {
-                        for id in chunk {
-                            // SAFETY: the cursor hands every entity to
-                            // exactly one worker, and `phase` holds the
-                            // sampler's exclusive borrow for the whole scope.
-                            unsafe {
-                                phase.visit(
-                                    id as u32,
-                                    &mut ws.partial_ck,
-                                    &mut ws.scratch,
-                                    &mut NoProbe,
-                                );
+        with_topic_type!(inner.record_width(), T => {
+            let (phase, ..) = inner.phase::<T>(kind);
+            std::thread::scope(|scope| {
+                for WorkerScratch { partial_ck, scratch } in workers.iter_mut() {
+                    scope.spawn(move || {
+                        partial_ck.fill(0);
+                        while let Some(chunk) = cursor.claim() {
+                            for id in chunk {
+                                // SAFETY: the cursor hands every entity to
+                                // exactly one worker, and `phase` holds the
+                                // sampler's exclusive borrow all scope long.
+                                unsafe { phase.visit(id as u32, partial_ck, scratch, &mut NoProbe) };
                             }
                         }
-                    }
-                });
-            }
+                    });
+                }
+            });
         });
         reduce_partials(&mut inner.topic_counts, workers);
     }

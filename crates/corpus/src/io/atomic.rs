@@ -150,15 +150,13 @@ where
     Ok(())
 }
 
-/// Crash-safe counterpart of `std::fs::write`: the whole of `contents`
-/// appears at `path` atomically, or `path` is untouched.
-pub fn atomic_write_bytes(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    atomic_write(path, |w| w.write_all(contents))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn write_bytes(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+        atomic_write(path, |w| w.write_all(contents))
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("warplda-atomic-{tag}-{}", std::process::id()));
@@ -178,9 +176,9 @@ mod tests {
     fn successful_write_lands_whole_with_no_debris() {
         let dir = tmp_dir("ok");
         let path = dir.join("artifact.bin");
-        atomic_write_bytes(&path, b"first version").unwrap();
+        write_bytes(&path, b"first version").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first version");
-        atomic_write_bytes(&path, b"second, longer version").unwrap();
+        write_bytes(&path, b"second, longer version").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second, longer version");
         assert!(debris_in(&dir).is_empty(), "temp files must not survive success");
         let _ = std::fs::remove_dir_all(&dir);
@@ -190,7 +188,7 @@ mod tests {
     fn closure_error_leaves_original_untouched_and_cleans_up() {
         let dir = tmp_dir("closure-err");
         let path = dir.join("artifact.bin");
-        atomic_write_bytes(&path, b"original").unwrap();
+        write_bytes(&path, b"original").unwrap();
         let err = atomic_write::<std::io::Error, _>(&path, |w| {
             w.write_all(b"half a new ver")?;
             Err(std::io::Error::other("encoder blew up"))
@@ -206,7 +204,7 @@ mod tests {
     fn injected_nth_write_fault_aborts_without_touching_the_target() {
         let dir = tmp_dir("inject");
         let path = dir.join("artifact.bin");
-        atomic_write_bytes(&path, b"stable").unwrap();
+        write_bytes(&path, b"stable").unwrap();
         // Three writes scripted; the second one fails.
         fail_nth_write(2);
         let err = atomic_write::<std::io::Error, _>(&path, |w| {
@@ -219,7 +217,7 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), b"stable");
         assert!(debris_in(&dir).is_empty());
         // The fault disarmed itself: the retry succeeds.
-        atomic_write_bytes(&path, b"onetwothree").unwrap();
+        write_bytes(&path, b"onetwothree").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"onetwothree");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -230,7 +228,7 @@ mod tests {
         let path = dir.join("artifact.bin");
         fail_nth_write(1);
         disarm_write_faults();
-        atomic_write_bytes(&path, b"clean").unwrap();
+        write_bytes(&path, b"clean").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"clean");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -240,7 +238,7 @@ mod tests {
         let dir = tmp_dir("no-file");
         let path = dir.join("never-created.bin");
         fail_nth_write(1);
-        assert!(atomic_write_bytes(&path, b"doomed").is_err());
+        assert!(write_bytes(&path, b"doomed").is_err());
         assert!(!path.exists(), "a failed first save must not create the target");
         assert!(debris_in(&dir).is_empty());
         let _ = std::fs::remove_dir_all(&dir);

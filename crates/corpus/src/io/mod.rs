@@ -15,7 +15,7 @@
 pub mod atomic;
 pub mod codec;
 
-pub use atomic::{atomic_write, atomic_write_bytes};
+pub use atomic::atomic_write;
 
 use std::io::{BufRead, BufReader, Read, Write};
 

@@ -19,6 +19,7 @@
 //! * [`presets`] — scaled-down presets mimicking the shape (D, V, T/D) of the
 //!   NYTimes, PubMed and ClueWeb12 corpora from Table 3.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -37,7 +37,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -130,20 +130,17 @@ impl Reader {
 
 /// The heartbeat side thread: pulses until stopped or the socket dies.
 struct Heartbeat {
-    flag: Arc<AtomicBool>,
+    stop: mpsc::Sender<()>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Heartbeat {
     fn start(writer: SharedWriter, worker_id: u32, interval: Duration) -> Self {
-        let flag = Arc::new(AtomicBool::new(false));
-        let stop = flag.clone();
+        let (stop, stopped) = mpsc::channel();
         let handle = std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
+            // Parked until an interval passes (pulse) or `stop` wakes it
+            // (exit), so stopping never waits an interval out.
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                 // A send failure means the coordinator is gone; the protocol
                 // loop will notice on its own.
                 if writer.send(&Message::Heartbeat { worker_id }).is_err() {
@@ -151,11 +148,12 @@ impl Heartbeat {
                 }
             }
         });
-        Self { flag, handle: Some(handle) }
+        Self { stop, handle: Some(handle) }
     }
 
     fn stop(&self) {
-        self.flag.store(true, Ordering::Relaxed);
+        // The thread may be gone already (dead socket); nothing to wake then.
+        let _ = self.stop.send(());
     }
 }
 

@@ -64,6 +64,7 @@
 //! assert!(log.final_ll().is_finite());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

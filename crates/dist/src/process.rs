@@ -182,10 +182,10 @@ pub struct ProcessClusterConfig {
     /// surfaces as a typed error within this long.
     pub io_timeout: Duration,
     /// Explicit path to the `warplda-dist-worker` binary; when `None` the
-    /// `WARPLDA_DIST_WORKER` environment variable is consulted, then the
-    /// directories around the current executable (which covers `cargo run`,
-    /// whose binaries sit in or one level below the directory the worker bin
-    /// lands in — once the worker has been built into the same profile).
+    /// directories around the current executable are searched (which covers
+    /// `cargo run`, whose binaries sit in or one level below the directory
+    /// the worker bin lands in — once the worker has been built into the same
+    /// profile).
     pub worker_binary: Option<PathBuf>,
     /// Interval between worker heartbeats.
     pub heartbeat_interval: Duration,
@@ -271,21 +271,17 @@ fn worker_failed(worker: usize, message: String) -> DistError {
     DistError::WorkerFailed { worker: worker as u32, message }
 }
 
-/// Resolves the worker binary: the configured path, else the
-/// `WARPLDA_DIST_WORKER` environment variable, else a search next to (or
+/// Resolves the worker binary: the configured path, else a search next to (or
 /// one/two levels above) the current executable — `cargo run` binaries and
 /// examples live in or below the `target/<profile>/` directory bins land in.
 /// A path that names no file is an `Io` error of kind `NotFound` that says
 /// how to build the binary.
 fn locate_worker_binary(configured: Option<&Path>) -> Result<PathBuf, DistError> {
     let name = format!("warplda-dist-worker{}", std::env::consts::EXE_SUFFIX);
-    let candidate = configured
-        .map(Path::to_path_buf)
-        .or_else(|| std::env::var_os("WARPLDA_DIST_WORKER").map(PathBuf::from))
-        .or_else(|| {
-            let exe = std::env::current_exe().ok()?;
-            exe.ancestors().skip(1).take(3).map(|dir| dir.join(&name)).find(|c| c.is_file())
-        });
+    let candidate = configured.map(Path::to_path_buf).or_else(|| {
+        let exe = std::env::current_exe().ok()?;
+        exe.ancestors().skip(1).take(3).map(|dir| dir.join(&name)).find(|c| c.is_file())
+    });
     match candidate {
         Some(path) if path.is_file() => Ok(path),
         missing => Err(DistError::Io(std::io::Error::new(
@@ -294,7 +290,7 @@ fn locate_worker_binary(configured: Option<&Path>) -> Result<PathBuf, DistError>
                 "cannot locate the {name} binary{}; build it with `cargo build --release \
                  -p warplda-dist --bin warplda-dist-worker` (it lands in target/release/, where \
                  a caller running from the same directory finds it), or point \
-                 ProcessClusterConfig::worker_binary or WARPLDA_DIST_WORKER at it",
+                 ProcessClusterConfig::worker_binary at it",
                 missing.map_or(String::new(), |p| format!(" at {}", p.display())),
             ),
         ))),

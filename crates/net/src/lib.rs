@@ -8,12 +8,11 @@
 //! share one implementation instead of two drifting copies:
 //!
 //! * [`FrameBuffer`] — an incremental frame reader over a byte stream. A
-//!   short or timed-out read never loses bytes; data accumulates until a
-//!   frame is complete, which is what lets workers poll shutdown flags on
-//!   read timeouts and batch already-buffered frames. The maximum frame size
-//!   is enforced in **exactly one place** (the internal length peek consulted
-//!   by [`has_complete_frame`](FrameBuffer::has_complete_frame),
-//!   [`take_frame`](FrameBuffer::take_frame) and
+//!   short, would-block or timed-out read never loses bytes; data accumulates
+//!   until a frame is complete, which is what lets an event loop read
+//!   whatever a ready socket holds and serve every frame that completed. The
+//!   maximum frame size is enforced in **exactly one place** (the internal
+//!   length peek consulted by [`take_frame`](FrameBuffer::take_frame) and
 //!   [`read_frame`](FrameBuffer::read_frame)), and is configurable per
 //!   buffer: the query server keeps the conservative
 //!   [`DEFAULT_MAX_FRAME_BYTES`], the distributed runtime raises it for
@@ -30,6 +29,7 @@
 //! theirs with the workspace's one reader for bytes from outside,
 //! `warplda_corpus::io::codec::Decoder`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -127,12 +127,14 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 
 /// An incremental frame reader over a byte stream.
 ///
-/// Unlike `read_exact`, a short or timed-out read never loses bytes: data
-/// accumulates in the internal buffer until a frame is complete. That is what
-/// lets socket workers (a) poll their shutdown flag on read timeouts safely
-/// and (b) batch — after serving one request, any *already buffered* frames
-/// are served before the responses are flushed, so pipelined clients get one
-/// write per batch instead of one per request.
+/// Unlike `read_exact`, a short, would-block or timed-out read never loses
+/// bytes: data accumulates in the internal buffer until a frame is complete.
+/// The query server's event loop calls [`fill_from`](Self::fill_from) on a
+/// readable non-blocking socket until it would block and, after each read,
+/// [`take_frame`](Self::take_frame) until it returns `None`, so a pipelined
+/// client's batch is dispatched off one read. The distributed runtime's
+/// blocking links call [`read_frame`](Self::read_frame), which loops the same
+/// two steps until a frame is whole; the socket's read timeout bounds the wait.
 #[derive(Debug)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -155,17 +157,10 @@ impl FrameBuffer {
         Self { buf: vec![0; capacity.max(4096)], start: 0, end: 0, max_frame }
     }
 
-    /// Discards all buffered bytes (a worker reuses one buffer across
-    /// connections; a dead connection's tail must not leak into the next).
-    pub fn reset(&mut self) {
-        self.start = 0;
-        self.end = 0;
-    }
-
     /// **The** single point where the frame-size bound is enforced: peeks the
     /// next frame's announced payload length, if a length prefix is buffered.
-    /// Every read path (`has_complete_frame`, `take_frame`, `read_frame`)
-    /// funnels through here, so the bound cannot drift between them.
+    /// Both read paths (`take_frame`, `read_frame`) funnel through here, so the
+    /// bound cannot drift between them.
     fn peek_len(&self) -> Result<Option<usize>, WireError> {
         if self.end - self.start < 4 {
             return Ok(None);
@@ -175,18 +170,6 @@ impl FrameBuffer {
             return Err(WireError::FrameTooLarge { len, limit: self.max_frame });
         }
         Ok(Some(len as usize))
-    }
-
-    /// Returns `true` when calling [`take_frame`](Self::take_frame) would
-    /// make progress without touching the socket: either a complete frame is
-    /// already buffered (the batching predicate) or the buffered length
-    /// prefix is oversized and the typed error is ready to surface.
-    pub fn has_complete_frame(&self) -> bool {
-        match self.peek_len() {
-            Err(_) => true,
-            Ok(Some(len)) => self.end - self.start >= 4 + len,
-            Ok(None) => false,
-        }
     }
 
     /// Takes the next complete frame, if one is buffered, returning the
@@ -407,15 +390,11 @@ mod tests {
             let mut fb = FrameBuffer::new(8);
             let mut seen = Vec::new();
             let mut cursor = 0;
-            while cursor < stream.len() || fb.has_complete_frame() {
+            while cursor < stream.len() {
+                let end = (cursor + chunk_size).min(stream.len());
+                cursor += fb.fill_from(&mut &stream[cursor..end]).unwrap();
                 while let Some(range) = fb.take_frame().unwrap() {
                     seen.push(fb.payload(range).to_vec());
-                }
-                if cursor < stream.len() {
-                    let end = (cursor + chunk_size).min(stream.len());
-                    let mut src = &stream[cursor..end];
-                    let n = fb.fill_from(&mut src).unwrap();
-                    cursor += n;
                 }
             }
             assert_eq!(seen, vec![b"alpha".to_vec(), b"beta".to_vec(), b"gamma".to_vec()]);
@@ -425,13 +404,11 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_rejected_without_buffering_it() {
         // Regression: the bound is enforced at the length peek, before any
-        // payload is read, and `has_complete_frame` reports the poisoned
-        // stream as actionable instead of waiting for unreachable bytes.
+        // payload is read: an error at once, no wait for unreachable bytes.
         let mut fb = FrameBuffer::new(16);
         let huge = (DEFAULT_MAX_FRAME_BYTES + 1).to_le_bytes();
         let mut src = &huge[..];
         fb.fill_from(&mut src).unwrap();
-        assert!(fb.has_complete_frame(), "oversized prefix must be surfaced, not waited on");
         match fb.take_frame() {
             Err(WireError::FrameTooLarge { len, limit }) => {
                 assert_eq!(len, DEFAULT_MAX_FRAME_BYTES + 1);

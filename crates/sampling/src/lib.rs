@@ -16,6 +16,7 @@
 //! look up (see the kernels in `warplda_core::warp` and
 //! `warplda_serve::infer`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

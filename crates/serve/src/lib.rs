@@ -36,6 +36,7 @@
 //!
 //! [`SparseAliasTable`]: warplda_sampling::SparseAliasTable
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

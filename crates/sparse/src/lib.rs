@@ -15,13 +15,13 @@
 //! * [`records`] — fixed-stride packed per-entry records
 //!   ([`PackedRecords`]): the assignment-plus-proposals state WarpLDA keeps
 //!   per token, indexed by entry id and interleaved so each token touch is
-//!   one sequential stream, at 1, 2 or 4 bytes per topic id; and [`SendPtr`],
-//!   the wrapper parallel drivers share a buffer's base pointer through.
+//!   one sequential stream, at 1, 2 or 4 bytes per topic id.
 //! * [`partition`] — the balanced column/row partitioning strategies of
 //!   Section 5.3.2 (static, dynamic, greedy), the imbalance index used in
 //!   Figure 4, and the [`ChunkCursor`] atomic work queue (chunks of equal
 //!   mass) that removes the tail imbalance static partitions leave behind.
 
+#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -33,4 +33,4 @@ pub use matrix::TokenMatrix;
 pub use partition::{
     imbalance_index, partition_by_size, partition_loads, ChunkCursor, PartitionStrategy,
 };
-pub use records::{PackedRecords, SendPtr, Topic};
+pub use records::{PackedRecords, Topic};

@@ -50,6 +50,10 @@ pub trait Topic: Copy + Send + Sync + sealed::Sealed + 'static {
     /// `topic` in stored form. The caller guarantees it fits the width (it is
     /// below a `K` the width was derived from).
     fn put(topic: u32) -> Self;
+
+    /// The id in the first [`WIDTH`](Self::WIDTH) bytes of `bytes`: how ids
+    /// are read off a payload from outside, where nothing is aligned.
+    fn read(bytes: &[u8]) -> u32;
 }
 
 mod sealed {
@@ -74,6 +78,11 @@ macro_rules! impl_topic {
                 debug_assert!(topic <= <$t>::MAX as u32, "topic {topic} does not fit the width");
                 (topic as $t).to_le()
             }
+
+            #[inline(always)]
+            fn read(bytes: &[u8]) -> u32 {
+                <$t>::from_le_bytes(*bytes.first_chunk().expect("an id is WIDTH bytes")) as u32
+            }
         }
     )*};
 }
@@ -81,7 +90,7 @@ impl_topic!(u8, u16, u32);
 
 /// Evaluates `$body` with the type alias `$T` bound to the [`Topic`] type of
 /// `$width` bytes. This is the one place a width turns into a type: call it
-/// once per operation (a visit, a gather, a validation scan), never per
+/// once per operation (a phase, a gather, a validation scan), never per
 /// record.
 ///
 /// # Panics
@@ -151,11 +160,6 @@ impl PackedRecords {
         self.stride * self.width
     }
 
-    /// Number of records.
-    pub fn num_records(&self) -> usize {
-        self.len / self.stride
-    }
-
     /// Bytes of heap the buffer holds (capacity, not length).
     pub fn heap_bytes(&self) -> usize {
         4 * self.words.capacity()
@@ -164,20 +168,14 @@ impl PackedRecords {
     /// The whole buffer, record-major, as the little-endian bytes of its
     /// ids: record `e` is bytes `e × record_bytes .. (e + 1) × record_bytes`.
     pub fn as_bytes(&self) -> &[u8] {
-        // SAFETY: the store holds at least `len × width` initialized bytes
-        // (see `new`), `u8` has no alignment requirement, and the borrow of
-        // `self` covers the returned slice.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast(), self.len * self.width) }
+        self.view()
     }
 
     /// Mutable form of [`as_bytes`](Self::as_bytes). Any byte pattern is a
     /// well-formed buffer; whether its ids are in range is the owner's
     /// invariant.
     pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        // SAFETY: as in `as_bytes`, with the exclusive borrow of `self`.
-        unsafe {
-            std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast(), self.len * self.width)
-        }
+        self.view_mut()
     }
 
     /// The whole buffer as ids of type `T`, record-major.
@@ -186,50 +184,36 @@ impl PackedRecords {
     /// Panics if `T` is not the buffer's width.
     pub fn ids<T: Topic>(&self) -> &[T] {
         assert_eq!(T::WIDTH, self.width, "ids are stored at another width");
-        // SAFETY: the store holds `len` ids of `T::WIDTH` bytes each, it is
-        // 4-byte aligned and `T` is `u8`, `u16` or `u32` (the trait is
-        // sealed), for which every bit pattern is a value.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast(), self.len) }
+        self.view()
     }
 
     /// Mutable form of [`ids`](Self::ids).
     pub fn ids_mut<T: Topic>(&mut self) -> &mut [T] {
         assert_eq!(T::WIDTH, self.width, "ids are stored at another width");
-        // SAFETY: as in `ids`, with the exclusive borrow of `self`.
-        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast(), self.len) }
+        self.view_mut()
     }
 
-    /// Raw pointer to the first byte of the buffer, for parallel visitors
-    /// that hand disjoint record sets to different workers.
-    pub fn as_mut_ptr(&mut self) -> *mut u8 {
-        self.words.as_mut_ptr().cast()
+    /// The `len × width` bytes of ids as `U`s, where `U` is a byte or the
+    /// buffer's id type.
+    fn view<U: Topic>(&self) -> &[U] {
+        debug_assert!(U::WIDTH == 1 || U::WIDTH == self.width);
+        // SAFETY: the store holds at least `len × width` initialized bytes
+        // (see `new`), it is 4-byte aligned, `U` is `u8`, `u16` or `u32` (the
+        // trait is sealed), for which every bit pattern is a value, and the
+        // borrow of `self` covers the returned slice.
+        unsafe {
+            std::slice::from_raw_parts(self.words.as_ptr().cast(), self.len * self.width / U::WIDTH)
+        }
     }
 
-    /// Every id widened to `u32`, record-major: the buffer as tests and
-    /// diagnostics want to look at it. Allocates `4 × len` bytes.
-    pub fn to_u32_vec(&self) -> Vec<u32> {
-        with_topic_type!(self.width, T => self.ids::<T>().iter().map(|t| t.get()).collect())
+    /// Mutable form of [`view`](Self::view).
+    fn view_mut<U: Topic>(&mut self) -> &mut [U] {
+        debug_assert!(U::WIDTH == 1 || U::WIDTH == self.width);
+        let len = self.len * self.width / U::WIDTH;
+        // SAFETY: as in `view`, with the exclusive borrow of `self`.
+        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast(), len) }
     }
 }
-
-/// A copyable raw-pointer wrapper for sharing a base pointer across scoped
-/// worker threads. The single home of the idiom used by every parallel
-/// driver in the workspace (parallel WarpLDA over
-/// [`PackedRecords::as_mut_ptr`], batch inference): each copy must only be
-/// dereferenced at indices the holding thread exclusively owns — disjoint
-/// rows/columns/chunks — which is what the `Send`/`Sync` impls rely on. A
-/// soundness argument accompanies every use site.
-pub struct SendPtr<T>(pub *mut T);
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-// SAFETY: the pointer is only dereferenced at indices owned by a single
-// thread; see the struct documentation.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {
@@ -248,9 +232,10 @@ mod tests {
     fn layout_is_interleaved_at_every_width() {
         for width in [1usize, 2, 4] {
             let r = with_topic_type!(width, T => numbered::<T>(3, 3));
-            assert_eq!((r.stride(), r.width(), r.num_records()), (3, width, 3));
-            assert_eq!(r.record_bytes(), 3 * width);
-            assert_eq!(r.to_u32_vec(), [0, 1, 2, 10, 11, 12, 20, 21, 22]);
+            assert_eq!((r.stride(), r.width(), r.record_bytes()), (3, width, 3 * width));
+            let ids: Vec<u32> =
+                with_topic_type!(width, T => r.ids::<T>().iter().map(|t| t.get()).collect());
+            assert_eq!(ids, [0, 1, 2, 10, 11, 12, 20, 21, 22]);
             assert_eq!(r.as_bytes().len(), 9 * width);
         }
     }

@@ -44,6 +44,7 @@
 //! assert!(ll.is_finite());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

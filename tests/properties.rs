@@ -143,46 +143,93 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// TokenMatrix: for arbitrary sparsity patterns every entry id is in exactly
-// one row and one column, row slots keep input order and land in the columns
-// they named, columns ascend by row, and the lengths add up — checked through
-// an entry-id-indexed side array, which is how WarpLDA uses the structure.
+// TokenMatrix: what the sampler's one `Send`/`Sync` claim rests on. For any
+// sparsity pattern the row pointers are a permutation of the entry ids, the
+// column ranges tile them, row slots keep input order and land in the columns
+// they named, and columns ascend by row — checked through an entry-id-indexed
+// side array, which is how WarpLDA uses the structure.
 // ---------------------------------------------------------------------------
+fn assert_rows_and_columns_each_partition_the_entries(num_cols: usize, rows: &[Vec<u32>]) {
+    let m = TokenMatrix::from_rows(num_cols, rows.iter().map(Vec::as_slice));
+    let nnz: usize = rows.iter().map(Vec::len).sum();
+    assert_eq!((m.num_rows(), m.num_cols(), m.num_entries()), (rows.len(), num_cols, nnz));
+    let mut sorted = m.row_ptr().to_vec();
+    sorted.sort_unstable();
+    assert!(sorted.iter().copied().eq(0..nnz as u32), "row_ptr is no permutation: {sorted:?}");
+    // Stamp each entry with its (row, column as given) through the rows…
+    let mut stamp = vec![(0, 0); nnz];
+    for (d, cols) in rows.iter().enumerate() {
+        let ids = m.row_entry_ids(d as u32);
+        assert_eq!((ids.len(), m.row_len(d as u32)), (cols.len(), cols.len()));
+        for (&e, &c) in ids.iter().zip(cols) {
+            stamp[e as usize] = (d as u32, c);
+        }
+    }
+    // …and read them back through the columns: the ranges tile the entry
+    // ids, column w holds exactly the entries whose row slot named it (so
+    // row slots keep input order), and rows ascend within a column.
+    let mut next = 0;
+    for w in 0..num_cols as u32 {
+        let range = m.col_entry_range(w);
+        assert_eq!((range.start, range.len()), (next, m.col_len(w)));
+        next = range.end;
+        let col = &stamp[range];
+        assert!(col.iter().all(|&(_, c)| c == w), "column {w}: {col:?}");
+        assert!(col.windows(2).all(|p| p[0].0 <= p[1].0), "column {w}: {col:?}");
+    }
+    assert_eq!(next, nnz);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn token_matrix_views_are_consistent(
+        num_cols in 1usize..16,
         rows in prop::collection::vec(prop::collection::vec(0u32..15, 0..12), 0..20),
     ) {
-        let m = TokenMatrix::from_rows(15, rows.iter().map(Vec::as_slice));
-        let nnz: usize = rows.iter().map(Vec::len).sum();
-        prop_assert_eq!((m.num_rows(), m.num_cols(), m.num_entries()), (rows.len(), 15, nnz));
-        // Stamp each entry with its (row, column as given) through the rows…
-        let mut stamp = vec![None; nnz];
-        for (d, cols) in rows.iter().enumerate() {
-            let ids = m.row_entry_ids(d as u32);
-            prop_assert_eq!(ids.len(), cols.len());
-            prop_assert_eq!(m.row_len(d as u32), cols.len());
-            for (&e, &c) in ids.iter().zip(cols) {
-                prop_assert!(stamp[e as usize].is_none(), "entry {} is in two rows", e);
-                stamp[e as usize] = Some((d as u32, c));
-            }
+        // Narrow vocabularies repeat cells; wide ones leave words unused.
+        let rows: Vec<Vec<u32>> =
+            rows.iter().map(|r| r.iter().map(|c| c % num_cols as u32).collect()).collect();
+        assert_rows_and_columns_each_partition_the_entries(num_cols, &rows);
+    }
+}
+
+#[test]
+fn token_matrix_edge_shapes_partition_their_entries() {
+    // Nothing at all, empty documents only, one document, one word, one cell
+    // over and over, and a vocabulary most of which no document uses.
+    for (num_cols, rows) in [
+        (3, vec![]),
+        (3, vec![vec![], vec![]]),
+        (4, vec![vec![2, 0, 2, 3, 0]]),
+        (1, vec![vec![0, 0], vec![], vec![0]]),
+        (2, vec![vec![1; 6]]),
+        (40, vec![vec![], vec![39, 7], vec![7], vec![]]),
+    ] {
+        assert_rows_and_columns_each_partition_the_entries(num_cols, &rows);
+    }
+}
+
+// The other half of the claim is one visitor per entity: with more threads
+// than rows or columns the chain is still the serial one, at each width.
+#[test]
+fn more_threads_than_entities_equal_the_serial_sampler_at_every_width() {
+    let mut b = CorpusBuilder::new();
+    for doc in [&["a", "b", "a", "c"][..], &["c", "c", "c"], &["b", "d", "a"]] {
+        b.push_text_doc(doc.iter().copied());
+    }
+    let corpus = b.build().unwrap();
+    for k in [6usize, 300, 70_000] {
+        let params = ModelParams::new(k, 0.5, 0.1);
+        let mut serial = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 9);
+        let mut pool = ParallelWarpLda::new(&corpus, params, WarpLdaConfig::default(), 9, 8);
+        for _ in 0..2 {
+            serial.run_iteration();
+            pool.run_iteration();
         }
-        prop_assert!(stamp.iter().all(Option::is_some), "an entry is in no row");
-        // …and read them back through the columns: the ranges tile the entry
-        // ids, column w holds exactly the entries whose row slot named it (so
-        // row slots keep input order), and rows ascend within a column.
-        let mut next = 0;
-        for w in 0..15u32 {
-            let range = m.col_entry_range(w);
-            prop_assert_eq!((range.start, range.len()), (next, m.col_len(w)));
-            next = range.end;
-            let col: Vec<(u32, u32)> = stamp[range].iter().map(|s| s.unwrap()).collect();
-            prop_assert!(col.iter().all(|&(_, c)| c == w), "column {}: {:?}", w, col);
-            prop_assert!(col.windows(2).all(|p| p[0].0 <= p[1].0), "column {}: {:?}", w, col);
-        }
-        prop_assert_eq!(next, nnz);
+        assert_eq!(pool.assignments(), serial.assignments(), "K = {k}");
+        assert_eq!(pool.topic_counts(), serial.topic_counts(), "K = {k}");
     }
 }
 
