@@ -100,8 +100,10 @@ pub struct HierarchyStats {
 }
 
 impl HierarchyStats {
-    /// L3 miss rate: the fraction of accesses *reaching L3* that miss there.
-    /// This matches the PAPI-style measurement quoted in Table 4.
+    /// L3 miss rate: the fraction of accesses *reaching L3* that miss there,
+    /// as PAPI measures for Table 4. It is conditional on reaching L3, so a
+    /// working set that L1/L2 hold shows a handful of compulsory misses as a
+    /// rate near 100 %; compare algorithms on [`Self::memory_access_fraction`].
     pub fn l3_miss_rate(&self) -> f64 {
         let l3_accesses = self.l3_hits + self.memory_accesses;
         if l3_accesses == 0 {

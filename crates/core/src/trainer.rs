@@ -1,7 +1,7 @@
 //! The unified training pipeline: one loop that owns iteration timing,
 //! scheduled evaluation and checkpoint persistence for any [`Sampler`].
 //!
-//! Every consumer of the workspace — the bench binaries behind the paper's
+//! Every consumer of the workspace — the `reproduce` ledger behind the paper's
 //! tables and figures, the cluster cost model, the examples, the benchmark
 //! and the integration tests — trains through the [`Trainer`] instead of its
 //! own `run_iteration → time it → maybe evaluate` loop, which gives all of
@@ -26,7 +26,7 @@
 //! The produced [`IterationLog`] is the one report format shared by all
 //! call sites: per-iteration sampling time, throughput and (where evaluated)
 //! log likelihood, with the derived quantities (time-to-target,
-//! iterations-to-target, CSV export) the figure binaries need.
+//! iterations-to-target) the ledger's claims are judged on.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -210,22 +210,6 @@ impl IterationLog {
     /// Sampling seconds needed to reach `target`, if ever reached.
     pub fn seconds_to_reach(&self, target: f64) -> Option<f64> {
         self.eval_points().find(|r| r.log_likelihood.unwrap() >= target).map(|r| r.seconds)
-    }
-
-    /// CSV rows (`name,iteration,seconds,log_likelihood`) of the evaluated
-    /// points, matching the experiment harness file format.
-    pub fn csv_rows(&self) -> Vec<String> {
-        self.eval_points()
-            .map(|r| {
-                format!(
-                    "{},{},{:.4},{:.3}",
-                    self.name,
-                    r.iteration,
-                    r.seconds,
-                    r.log_likelihood.unwrap()
-                )
-            })
-            .collect()
     }
 
     fn set_evaluation(&mut self, iteration: u64, ll: f64) {
@@ -541,7 +525,6 @@ mod tests {
         assert!(log.final_ll().is_finite());
         assert!(log.total_seconds() > 0.0);
         assert!(log.mean_tokens_per_sec() > 0.0);
-        assert_eq!(log.csv_rows().len(), 3);
         // WarpLDA keeps phase clocks, so every record must carry the
         // phase-time-only view and it must never exceed the wall measurement.
         let phase_secs: f64 =

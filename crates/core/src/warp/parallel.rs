@@ -19,8 +19,8 @@
 //!   any thread count**.
 //!
 //! At the phase boundary the calling thread sums the per-worker partial `c_k`
-//! vectors: `K × threads` additions, at most 320 000 in any workload, bench
-//! bin or example of this workspace (`fig9cd_clueweb --full`: 20 000 × 16).
+//! vectors: `K × threads` additions, at most 320 000 in any workload, ledger
+//! row or example of this workspace (`reproduce --full`'s `fig9cd`: 20 000 × 16).
 //! An inline merge moves about four additions per nanosecond and a
 //! scoped-thread spawn plus join costs on the order of 10² µs, so handing
 //! stripes of the merge to threads would start to pay in the millions of

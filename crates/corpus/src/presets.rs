@@ -3,9 +3,9 @@
 //! Each preset preserves the *shape* of the original dataset — the mean
 //! document length `T/D`, the ratio of vocabulary size to document count and
 //! the Zipfian skew — while scaling the absolute size down so the experiments
-//! run on a single machine in seconds to minutes. The scale factor is recorded
-//! so the `table3_datasets` bench bin can print both the preset and the
-//! original.
+//! run on a single machine in seconds to minutes. [`DatasetPreset::paper_stats`]
+//! keeps the original's statistics, so the `reproduce` ledger can judge
+//! Table 2 at the paper's shapes.
 
 use crate::synth::{LdaGenerator, SyntheticConfig};
 use crate::Corpus;

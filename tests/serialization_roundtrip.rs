@@ -232,7 +232,7 @@ fn uci_format_round_trips_counts_exactly() {
 #[test]
 fn synthetic_generation_is_reproducible_across_processes() {
     // The same preset and seed must always generate the identical corpus —
-    // this is what makes every bench bin and benchmark workload reproducible.
+    // this is what makes every ledger row and benchmark workload reproducible.
     let a = DatasetPreset::PubMedLike.generate_scaled(50);
     let b = DatasetPreset::PubMedLike.generate_scaled(50);
     assert_eq!(a.num_tokens(), b.num_tokens());
