@@ -11,7 +11,9 @@
 //! state: the same rows as the paper, but with the symbolic quantities
 //! instantiated (e.g. `K_d = 38.2`) so the asymptotic claims can be checked
 //! numerically. The `reproduce` ledger's `table2` row re-evaluates each row's
-//! symbolic region at the paper's dataset shapes.
+//! symbolic region at the paper's dataset shapes. The SparseLDA and AliasLDA
+//! rows are symbolic only: the workspace has no such sampler, and the rows
+//! need none, since they read only `K_d`, `K_w` and the corpus shape.
 
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
 

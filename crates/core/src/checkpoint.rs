@@ -20,7 +20,7 @@
 //!   **bit-identical** under every driver: a run that is saved, loaded into a
 //!   freshly constructed sampler — serial, threaded or a cluster's replica —
 //!   and continued produces exactly the same assignments as an uninterrupted
-//!   run. The five baselines are comparators and are not checkpointed.
+//!   run. The three baselines are comparators and are not checkpointed.
 //! * [`save_checkpoint`] / [`load_checkpoint`] — one-file persistence of a
 //!   sampler plus (optionally) the corpus [`Vocabulary`], so a checkpoint can
 //!   be inspected (top words per topic) without the original corpus files.

@@ -1,9 +1,11 @@
 //! F+LDA (Yu, Hsieh, Yun, Vishwanathan & Dhillon, WWW 2015).
 //!
-//! Same factorization as AliasLDA, but the tokens are visited **word by
-//! word** and the smoothing term `α(C_wk+β)/(C_k+β̄)` is kept in an F+ tree so
-//! it can be sampled *exactly* in O(log K) and updated in O(log K) whenever a
-//! count changes — no staleness, no MH correction.
+//! The conditional of Eq. 1 is split into a sparse document part
+//! `C_dk(C_wk+β)/(C_k+β̄)`, enumerated over the non-zeros of `c_d`, and a
+//! dense smoothing part `α(C_wk+β)/(C_k+β̄)`. The tokens are visited **word
+//! by word** and the smoothing part is kept in an F+ tree so it can be
+//! sampled *exactly* in O(log K) and updated in O(log K) whenever a count
+//! changes — no staleness, no MH correction.
 //!
 //! Because it visits word-by-word, the random accesses go to the
 //! document-topic matrix `C_d` (the `O(DK)` matrix of Table 2); the optional

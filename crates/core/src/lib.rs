@@ -1,13 +1,11 @@
 //! WarpLDA and its baselines: the core library of the reproduction.
 //!
-//! The crate implements six samplers for Latent Dirichlet Allocation, all
+//! The crate implements four samplers for Latent Dirichlet Allocation, all
 //! operating on the corpus structures of [`warplda_corpus`]:
 //!
 //! | Sampler | Type | Per-token cost | Visiting order | Paper section |
 //! |---------|------|----------------|----------------|---------------|
 //! | [`cgs::CollapsedGibbs`] | exact CGS | O(K) | doc | §2.1 |
-//! | [`sparselda::SparseLda`] | sparsity-aware | O(Kd + Kw) | doc | §3.2 |
-//! | [`aliaslda::AliasLda`] | sparsity-aware + MH | O(Kd) amortized | doc | §3.2 |
 //! | [`fpluslda::FPlusLda`] | sparsity-aware | O(Kd · log K) | word | §3.2 |
 //! | [`lightlda::LightLda`] | MH | O(1) | doc | §3.2 |
 //! | [`warp::WarpLda`] | MH + MCEM | O(1) | doc & word | §4 |
@@ -37,7 +35,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod access;
-pub mod aliaslda;
 pub mod cgs;
 pub mod checkpoint;
 pub mod counts;
@@ -47,12 +44,10 @@ pub mod lightlda;
 pub mod math;
 pub mod params;
 pub mod sampler;
-pub mod sparselda;
 pub mod state;
 pub mod trainer;
 pub mod warp;
 
-pub use aliaslda::AliasLda;
 pub use cgs::CollapsedGibbs;
 pub use checkpoint::{load_checkpoint, save_checkpoint, Checkpointable};
 pub use eval::{log_joint_likelihood, perplexity_per_token, top_words};
@@ -60,7 +55,6 @@ pub use fpluslda::FPlusLda;
 pub use lightlda::{LightLda, LightLdaVariant};
 pub use params::ModelParams;
 pub use sampler::Sampler;
-pub use sparselda::SparseLda;
 pub use state::SamplerState;
 pub use trainer::{IterationLog, IterationRecord, TrainOutcome, Trainer, TrainerConfig};
 pub use warp::parallel::ParallelWarpLda;

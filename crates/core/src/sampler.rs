@@ -50,11 +50,11 @@ pub trait Sampler {
     /// Borrowed view of the current assignments in document-major token
     /// order, when the sampler stores them contiguously in that order.
     ///
-    /// The baseline samplers (CGS, SparseLDA, AliasLDA, F+LDA, LightLDA) keep
-    /// their assignments doc-major inside a [`SamplerState`] and return
-    /// `Some`, so evaluation never forces the intermediate `Vec<u32>` copy
-    /// that [`assignments`](Self::assignments) makes. WarpLDA stores topics in
-    /// CSC entry order and must gather, so it returns `None` (the default).
+    /// The baseline samplers (CGS, F+LDA, LightLDA) keep their assignments
+    /// doc-major inside a [`SamplerState`] and return `Some`, so evaluation
+    /// never forces the intermediate `Vec<u32>` copy that
+    /// [`assignments`](Self::assignments) makes. WarpLDA stores topics in CSC
+    /// entry order and must gather, so it returns `None` (the default).
     fn assignments_slice(&self) -> Option<&[u32]> {
         None
     }

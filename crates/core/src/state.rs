@@ -1,11 +1,11 @@
 //! Shared sampler state: topic assignments and count matrices.
 //!
-//! All the *baseline* samplers (CGS, SparseLDA, AliasLDA, F+LDA, LightLDA)
-//! maintain the canonical CGS state: one topic per token, the sparse
-//! document–topic matrix `Cd`, the sparse word–topic matrix `Cw`, and the
-//! dense global topic vector `ck`. WarpLDA deliberately does *not* use this
-//! struct for its hot path (it never materializes `Cd`/`Cw`, see Section 4.4)
-//! but produces one on demand for evaluation.
+//! All the *baseline* samplers (CGS, F+LDA, LightLDA) maintain the canonical
+//! CGS state: one topic per token, the sparse document–topic matrix `Cd`, the
+//! sparse word–topic matrix `Cw`, and the dense global topic vector `ck`.
+//! WarpLDA deliberately does *not* use this struct for its hot path (it never
+//! materializes `Cd`/`Cw`, see Section 4.4) but produces one on demand for
+//! evaluation.
 
 use rand::Rng;
 

@@ -145,14 +145,6 @@ impl AliasTable {
         self.total_weight = total;
     }
 
-    /// Builds an alias table from unnormalized `u32` counts (the common case
-    /// for topic-count vectors), avoiding an intermediate `Vec<f64>` allocation
-    /// at call sites.
-    pub fn from_counts(counts: &[u32], smoothing: f64) -> Self {
-        let weights: Vec<f64> = counts.iter().map(|&c| c as f64 + smoothing).collect();
-        Self::new(&weights)
-    }
-
     /// Bytes of heap the table holds.
     pub fn heap_bytes(&self) -> usize {
         8 * self.prob.capacity() + 4 * self.alias.capacity()
@@ -207,8 +199,8 @@ impl AliasTable {
 /// A sparse alias table: outcomes are arbitrary `u32` labels (e.g. the
 /// non-zero topics of a document), weights are given per label.
 ///
-/// AliasLDA builds these over the non-zero entries of the document-topic
-/// vector `c_d`; WarpLDA builds them over the word-topic vector `c_w`.
+/// WarpLDA builds these over the non-zeros of the word-topic vector `c_w`,
+/// and a frozen serving model keeps one per word.
 #[derive(Debug, Clone)]
 pub struct SparseAliasTable {
     labels: Vec<u32>,
@@ -348,14 +340,6 @@ mod tests {
         for (i, &w) in weights.iter().enumerate() {
             assert!((table.probability(i) - w / wsum).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn from_counts_applies_smoothing() {
-        let table = AliasTable::from_counts(&[0, 10], 1.0);
-        let freq = empirical(&table, 100_000, 3);
-        assert!((freq[0] - 1.0 / 12.0).abs() < 0.01);
-        assert!((freq[1] - 11.0 / 12.0).abs() < 0.01);
     }
 
     #[test]

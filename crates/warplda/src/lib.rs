@@ -13,8 +13,8 @@
 //!   balanced partitioning;
 //! * [`cachesim`] — the Ivy Bridge cache simulator and memory probes used by
 //!   the memory-efficiency experiments;
-//! * [`lda`] — WarpLDA itself plus the CGS / SparseLDA / AliasLDA / F+LDA /
-//!   LightLDA baselines and the evaluation utilities;
+//! * [`lda`] — WarpLDA itself plus the CGS / F+LDA / LightLDA baselines and
+//!   the evaluation utilities;
 //! * [`dist`] — the distributed runtime: the simulated cluster model plus the
 //!   real multi-process coordinator/worker backend;
 //! * [`net`] — the shared length-prefixed framing and connection layer used
@@ -64,10 +64,9 @@ pub mod prelude {
         format_topics, log_joint_likelihood, perplexity_per_token, top_words,
     };
     pub use warplda_core::{
-        load_checkpoint, save_checkpoint, AliasLda, Checkpointable, CollapsedGibbs, FPlusLda,
-        IterationLog, IterationRecord, LightLda, LightLdaVariant, ModelParams, ParallelWarpLda,
-        Sampler, SamplerState, SparseLda, TrainOutcome, Trainer, TrainerConfig, WarpLda,
-        WarpLdaConfig,
+        load_checkpoint, save_checkpoint, Checkpointable, CollapsedGibbs, FPlusLda, IterationLog,
+        IterationRecord, LightLda, LightLdaVariant, ModelParams, ParallelWarpLda, Sampler,
+        SamplerState, TrainOutcome, Trainer, TrainerConfig, WarpLda, WarpLdaConfig,
     };
     pub use warplda_corpus::{
         Corpus, CorpusBuilder, CorpusStats, DatasetPreset, DocMajorView, Document, LdaGenerator,

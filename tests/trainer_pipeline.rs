@@ -201,8 +201,6 @@ fn trainer_drives_every_sampler_kind_through_one_pipeline() {
 
     let mut samplers: Vec<Box<dyn Sampler>> = vec![
         Box::new(CollapsedGibbs::new(&corpus, params, 1)),
-        Box::new(SparseLda::new(&corpus, params, 1)),
-        Box::new(AliasLda::new(&corpus, params, 1)),
         Box::new(FPlusLda::new(&corpus, params, 1)),
         Box::new(LightLda::new(&corpus, params, 2, 1)),
         Box::new(WarpLda::new(&corpus, params, WarpLdaConfig::default(), 1)),
