@@ -7,20 +7,29 @@
 //!
 //! Two implementations share the [`TopicCounts`] interface:
 //!
+//! * [`DenseCounts`] — a plain `Vec<u32>` with a touched-topic list so
+//!   clearing stays proportional to the number of distinct topics. WarpLDA's
+//!   kernels count every row and column into one of these per worker,
+//!   whatever its length, and evaluation and the serving model's freeze
+//!   count through one too.
 //! * [`HashCounts`] — the paper's open-addressing table, with an
 //!   occupied-slot list so clearing and iteration cost O(distinct topics)
-//!   rather than O(capacity);
-//! * [`DenseCounts`] — a plain `Vec<u32>` with a touched-topic list so
-//!   clearing stays proportional to the number of distinct topics, used when
-//!   `2·L ≥ K` (and by the ablation benchmark).
+//!   rather than O(capacity). [`SamplerState`](crate::state::SamplerState)
+//!   keeps one per document and per word for the baselines (CGS, F+LDA,
+//!   LightLDA): D + V tables that live all run, each sized by the rule
+//!   above rather than K.
 //!
-//! The sampling hot paths never construct these per document/word: a
-//! [`CountPool`] keeps one reusable table per capacity class (plus one dense
-//! vector) per worker, so steady-state iterations perform no heap
-//! allocation. Which of the two serves a row/column is the pool's
-//! [`prefers_hash`](CountPool::prefers_hash) (`2·L < K`); the kernels branch
-//! on it once per visit and then run monomorphized over the chosen type —
-//! there is no enum that dispatches per operation.
+//! WarpLDA's kernels do not follow Section 5.4, because it measured slower
+//! here. On the paper's own regime (1.8 M tokens of short documents, 74 % of
+//! token visits on a row or column with `2·L < K`), serial WarpLDA took
+//! 100–113 ns/token with the hash tables on that share against 78–103 with
+//! the dense vector at K = 2¹², and 129–144 against 119–130 at K = 2²⁰, on
+//! a host with 2 MiB of L2 per core: a K × 4-byte vector reused by every
+//! visit of a worker stays cache-resident, while each probe of a hash table
+//! pays for the hash, the key compare and the linear scan. A host with a
+//! much smaller L2 may tip the other way at large K. Both types list topics
+//! in the same first-touch order, so the choice never changed a sampled
+//! value.
 
 /// Common interface of the count-vector implementations.
 pub trait TopicCounts {
@@ -54,9 +63,9 @@ pub trait TopicCounts {
 
 /// Open-addressing hash table with linear probing, keyed by topic id.
 ///
-/// The capacity is a power of two; the hash is the multiplicative Fibonacci
-/// hash (the paper uses "a simple and function", i.e. masking — Fibonacci
-/// hashing keeps that cost while behaving better on consecutive topic ids).
+/// The capacity is a power of two; the slot is the topic times an odd
+/// constant, masked (the paper uses "a simple and function", i.e. masking;
+/// see `slot_of` for what the multiply does and does not add).
 #[derive(Debug, Clone)]
 pub struct HashCounts {
     /// Slot keys; `u32::MAX` marks an empty slot.
@@ -115,7 +124,11 @@ impl HashCounts {
 
     #[inline]
     fn slot_of(&self, topic: u32) -> usize {
-        // Fibonacci hashing: multiply by 2^32 / φ and mask.
+        // Multiply by ⌊2³²/φ⌋ (odd) and keep the *low* bits. Those bits of
+        // the product depend only on the same low bits of the topic, so this
+        // is a permutation of the topic's low bits, not Fibonacci hashing
+        // (which keeps the high bits). No chain depends on it: iteration
+        // walks insertion order.
         ((topic.wrapping_mul(2_654_435_769)) as usize) & self.mask
     }
 
@@ -311,16 +324,15 @@ impl TopicCounts for DenseCounts {
     }
 }
 
-/// A per-worker pool of reusable count vectors: one [`DenseCounts`] over all
-/// topics plus one [`HashCounts`] per power-of-two capacity class.
+/// A pool of reusable count vectors: one [`DenseCounts`] over all topics
+/// plus one [`HashCounts`] per power-of-two capacity class, built on first
+/// use and handed back cleared.
 ///
-/// The sampling hot paths ask for a cleared table per document/word; the pool
-/// hands back the cached instance of the right class instead of allocating.
-/// A row/column's length — and therefore its class — never changes, so an
-/// owner that knows its lengths builds the tables they use up front
-/// ([`reserve_hash_for`](Self::reserve_hash_for)) and never allocates again;
-/// a class asked for without that is built on first use and grows on
-/// demand.
+/// No sampler uses it any more: WarpLDA's kernels hold one `DenseCounts`.
+/// It stays, with [`prefers_hash`](Self::prefers_hash) and
+/// [`hash_for`](Self::hash_for), because the repository benchmark's
+/// `core.hash_path_share` and `core.hashcounts_ns_per_op` probes name all
+/// three; it goes once those probes are retired.
 #[derive(Debug)]
 pub struct CountPool {
     num_topics: usize,
@@ -341,58 +353,28 @@ impl CountPool {
         }
     }
 
-    /// The capacity class (log₂ of the slot count) a row/column of `len`
-    /// entries is served from when the paper's heuristic picks the hash
-    /// representation for it (`2·L < K`); `None` when it picks the dense
-    /// vector.
-    fn hash_class(len: usize, num_topics: usize) -> Option<u32> {
-        (len.saturating_mul(2) < num_topics)
-            .then(|| HashCounts::capacity_for(len, num_topics).trailing_zeros())
-    }
-
-    /// Returns `true` when the paper's heuristic picks the hash
-    /// representation for a row/column of `len` entries (`2·L < K`).
+    /// Returns `true` when Section 5.4's heuristic picks the hash
+    /// representation for a row/column of `len` entries (`2·L < K`). Kept
+    /// for the benchmark's `core.hash_path_share`; no kernel asks it.
     pub fn prefers_hash(&self, len: usize) -> bool {
-        Self::hash_class(len, self.num_topics).is_some()
+        len.saturating_mul(2) < self.num_topics
     }
 
-    /// The cleared dense vector over all topics.
+    /// The cleared dense vector over all topics. Kept for the benchmark's
+    /// `core.densecounts_clear_ns`.
     pub fn dense(&mut self) -> &mut DenseCounts {
         self.dense.clear();
         &mut self.dense
     }
 
-    /// Makes sure rows/columns of `len` entries never allocate: builds their
-    /// table unless the pool has it, with room for `keys` distinct topics
-    /// between two clears at the load factor the table keeps (it doubles
-    /// beyond 1/2). `keys` is `len` for a table that is only counted into; a
-    /// user that also moves counts from one topic to another can touch up to
-    /// `2 · len` topics, and zero-count keys stay until the clear. No-op when
-    /// the heuristic serves `len` from the dense vector.
-    pub fn reserve_hash_for(&mut self, len: usize, keys: usize) {
-        let Some(class) = Self::hash_class(len, self.num_topics) else { return };
-        let slots = (1usize << class).max((2 * keys).next_power_of_two());
-        let table = &mut self.hash[class as usize];
-        if table.as_ref().is_none_or(|t| t.capacity() < slots) {
-            *table = Some(HashCounts::with_capacity(slots));
-        }
-    }
-
     /// A cleared hash table sized by the paper's rule for a row/column of
-    /// `len` entries.
+    /// `len` entries. Kept for the benchmark's `core.hashcounts_ns_per_op`.
     pub fn hash_for(&mut self, len: usize) -> &mut HashCounts {
         let class = HashCounts::capacity_for(len, self.num_topics).trailing_zeros() as usize;
         let table =
             self.hash[class].get_or_insert_with(|| HashCounts::with_expected(len, self.num_topics));
         table.clear();
         table
-    }
-
-    /// Bytes of heap the pool holds.
-    pub fn heap_bytes(&self) -> usize {
-        self.dense.heap_bytes()
-            + self.hash.capacity() * std::mem::size_of::<Option<HashCounts>>()
-            + self.hash.iter().flatten().map(HashCounts::heap_bytes).sum::<usize>()
     }
 }
 

@@ -91,12 +91,14 @@
 //! All of them produce bit-identical assignments and `c_k` from one seed,
 //! and share one checkpoint kind.
 //!
-//! Steady-state iterations perform **no heap allocation**: the count vectors
-//! come from a per-sampler [`CountPool`], the word-proposal alias table is
-//! rebuilt in place ([`SparseAliasTable::rebuild`]), and all buffers are
-//! pre-sized at construction for the largest row/column of the corpus, the
-//! pool with exactly the capacity classes the corpus's row and column lengths
-//! use (pinned by the `zero_alloc` integration suite).
+//! Steady-state iterations perform **no heap allocation**: every visit
+//! counts into one reusable [`DenseCounts`] over the K topics — the O(K)
+//! vector the module is named for, whatever the row or column length — and
+//! the word-proposal alias table is rebuilt in place
+//! ([`SparseAliasTable::rebuild`]) into buffers pre-sized at construction
+//! for the longest row/column of the corpus (pinned by the `zero_alloc`
+//! integration suite). Section 5.4's hash tables measured slower here at
+//! every K from 2¹² to 2²⁰ (see [`crate::counts`]), so no visit uses them.
 
 pub mod parallel;
 
@@ -111,7 +113,7 @@ use warplda_sampling::{new_rng, split_seed, AliasBuildScratch, Dice, SparseAlias
 use warplda_sparse::{with_topic_type, PackedRecords, TokenMatrix, Topic};
 
 use crate::checkpoint::Checkpointable;
-use crate::counts::{CountPool, TopicCounts};
+use crate::counts::{DenseCounts, TopicCounts};
 use crate::eval::LikelihoodSum;
 use crate::params::ModelParams;
 use crate::sampler::Sampler;
@@ -123,9 +125,11 @@ pub struct WarpLdaConfig {
     /// Number of MH proposals kept per token (`M` in the paper; Figures 5–8
     /// use 1–16, with 1, 2 or 4 recommended).
     pub mh_steps: usize,
-    /// Use the open-addressing hash tables of Section 5.4 for the per-row /
-    /// per-column count vectors when they are expected to be sparse; when
-    /// `false` a dense reusable vector is always used (ablation knob).
+    /// Selects nothing: every visit counts into the dense vector (see the
+    /// module docs), and both values give the same chain bit for bit. The
+    /// field stays only because the checkpoint's state section and the
+    /// cluster's `Setup` carry it as a byte of format version 4, and the
+    /// repository benchmark names it; removing it is a format bump.
     pub use_hash_counts: bool,
 }
 
@@ -153,56 +157,43 @@ struct WordProposals {
 }
 
 impl WordProposals {
-    fn rebuild<C: TopicCounts>(&mut self, cw: &C) {
+    fn rebuild(&mut self, cw: &DenseCounts) {
         self.pairs.clear();
         cw.for_each(|t, c| self.pairs.push((t, c as f64)));
         self.table.rebuild(&self.pairs, &mut self.build);
     }
 }
 
-/// Reusable working state of whoever performs visits: pooled count vectors
-/// plus the word-proposal table, all pre-sized so steady-state iterations
-/// allocate nothing. The sampler owns one; the parallel driver owns one per
-/// worker.
+/// Reusable working state of whoever performs visits: the `c_d` / `c_w`
+/// count vector plus the word-proposal table, all pre-sized so steady-state
+/// iterations allocate nothing. The sampler owns one; the parallel driver
+/// owns one per worker.
 pub(crate) struct PhaseScratch {
-    /// Pooled `c_d` / `c_w` count vectors.
-    counts: CountPool,
+    /// The count vector of the entity being visited, cleared per visit.
+    counts: DenseCounts,
     proposals: WordProposals,
 }
 
 impl PhaseScratch {
-    /// Scratch for `num_topics` topics where no row/column exceeds
-    /// `max_len` entries (so at most `min{K, max_len}` distinct topics).
-    pub(crate) fn new(num_topics: usize, max_len: usize) -> Self {
+    /// Scratch complete for every row and column of `matrix`: their lengths
+    /// never change, so sized for the longest (at most `min{K, L}` distinct
+    /// topics) every buffer is at its high-water mark. Whoever visits
+    /// whichever entity with it never allocates.
+    fn for_matrix(num_topics: usize, matrix: &TokenMatrix) -> Self {
+        let max_len = [matrix.row_offsets(), matrix.col_offsets()]
+            .iter()
+            .flat_map(|offsets| offsets.windows(2).map(|w| (w[1] - w[0]) as usize))
+            .max()
+            .unwrap_or(0);
         let cap = num_topics.min(max_len).max(1);
         Self {
-            counts: CountPool::new(num_topics),
+            counts: DenseCounts::new(num_topics),
             proposals: WordProposals {
                 pairs: Vec::with_capacity(cap),
                 table: SparseAliasTable::with_capacity(cap),
                 build: AliasBuildScratch::with_capacity(cap),
             },
         }
-    }
-
-    /// Scratch complete for every row and column of `matrix`: their lengths
-    /// never change, so every buffer is at its high-water mark and every hash
-    /// table a visit will ask for exists at its final size. Whoever visits
-    /// whichever entity with it never allocates.
-    fn for_matrix(num_topics: usize, use_hash: bool, matrix: &TokenMatrix) -> Self {
-        fn lens(offsets: &[u32]) -> impl Iterator<Item = usize> + '_ {
-            offsets.windows(2).map(|w| (w[1] - w[0]) as usize)
-        }
-        let (rows, cols) = (matrix.row_offsets(), matrix.col_offsets());
-        let max_len = lens(rows).chain(lens(cols)).max().unwrap_or(0);
-        let mut scratch = Self::new(num_topics, max_len);
-        if use_hash {
-            // A column is counted, cleared and recounted; a row's table also
-            // keeps the topics its tokens moved away from.
-            lens(cols).for_each(|len| scratch.counts.reserve_hash_for(len, len));
-            lens(rows).for_each(|len| scratch.counts.reserve_hash_for(len, 2 * len));
-        }
-        scratch
     }
 
     fn heap_bytes(&self) -> usize {
@@ -215,8 +206,7 @@ impl PhaseScratch {
 }
 
 /// What every visit needs and no iteration changes: the hyper-parameters with
-/// their sums precomputed, the count-representation switch and the probe
-/// regions.
+/// their sums precomputed and the probe regions.
 #[derive(Debug, Clone, Copy)]
 struct VisitCtx {
     k: usize,
@@ -225,7 +215,6 @@ struct VisitCtx {
     alpha_bar: f64,
     beta: f64,
     beta_bar: f64,
-    use_hash: bool,
     region_cd: RegionId,
     region_cw: RegionId,
     region_ck: RegionId,
@@ -323,11 +312,9 @@ impl<T: Topic> Phase<'_, T> {
         }
     }
 
-    /// One column of the word phase. Picks the hash or dense representation
-    /// of `c_w` per the paper's heuristic, then runs the monomorphized
-    /// kernel over the column's block of records: the whole visit is a single
-    /// sequential stream over `len * (M + 1)` ids. Performs no heap
-    /// allocation.
+    /// One column of the word phase: the kernel over the column's block of
+    /// records, a single sequential stream over `len * (M + 1)` ids, counting
+    /// `c_w` into the cleared dense vector. Performs no heap allocation.
     fn visit_column<P: MemoryProbe>(
         &self,
         w: u32,
@@ -336,27 +323,22 @@ impl<T: Topic> Phase<'_, T> {
         probe: &mut P,
     ) {
         let range = self.matrix.col_entry_range(w);
-        let len = range.len();
-        if len == 0 {
+        if range.is_empty() {
             return;
         }
         let mut rng = new_rng(split_seed(self.seed, w as u64));
         let stride = self.recs.stride;
         let block = &self.recs.cells[range.start * stride..range.end * stride];
         let PhaseScratch { counts, proposals } = scratch;
-        if self.ctx.use_hash && counts.prefers_hash(len) {
-            let cw = counts.hash_for(len);
-            self.word_column_kernel(block, partial_ck, cw, proposals, &mut rng, probe);
-        } else {
-            self.word_column_kernel(block, partial_ck, counts.dense(), proposals, &mut rng, probe);
-        }
+        counts.clear();
+        self.word_column_kernel(block, partial_ck, counts, proposals, &mut rng, probe);
     }
 
-    fn word_column_kernel<C: TopicCounts, P: MemoryProbe>(
+    fn word_column_kernel<P: MemoryProbe>(
         &self,
         block: &[Cell<T>],
         next_ck: &mut [u32],
-        cw: &mut C,
+        cw: &mut DenseCounts,
         proposals: &mut WordProposals,
         rng: &mut SmallRng,
         probe: &mut P,
@@ -423,9 +405,8 @@ impl<T: Topic> Phase<'_, T> {
         }
     }
 
-    /// One row of the doc phase. Picks the hash or dense representation of
-    /// `c_d` per the paper's heuristic, then runs the monomorphized kernel
-    /// over the row's entry ids. Allocation-free.
+    /// One row of the doc phase: the kernel over the row's entry ids,
+    /// counting `c_d` into the cleared dense vector. Allocation-free.
     fn visit_row<P: MemoryProbe>(
         &self,
         d: u32,
@@ -434,24 +415,19 @@ impl<T: Topic> Phase<'_, T> {
         probe: &mut P,
     ) {
         let entries = self.matrix.row_entry_ids(d);
-        let len = entries.len();
-        if len == 0 {
+        if entries.is_empty() {
             return;
         }
         let mut rng = new_rng(split_seed(self.seed, d as u64));
-        let counts = &mut scratch.counts;
-        if self.ctx.use_hash && counts.prefers_hash(len) {
-            self.doc_row_kernel(entries, partial_ck, counts.hash_for(len), &mut rng, probe);
-        } else {
-            self.doc_row_kernel(entries, partial_ck, counts.dense(), &mut rng, probe);
-        }
+        scratch.counts.clear();
+        self.doc_row_kernel(entries, partial_ck, &mut scratch.counts, &mut rng, probe);
     }
 
-    fn doc_row_kernel<C: TopicCounts, P: MemoryProbe>(
+    fn doc_row_kernel<P: MemoryProbe>(
         &self,
         entries: &[u32],
         next_ck: &mut [u32],
-        cd: &mut C,
+        cd: &mut DenseCounts,
         rng: &mut SmallRng,
         probe: &mut P,
     ) {
@@ -630,7 +606,6 @@ impl<P: MemoryProbe> WarpLda<P> {
             alpha_bar: params.alpha_bar(),
             beta: params.beta,
             beta_bar: params.beta_bar(vocab_size),
-            use_hash: config.use_hash_counts,
             region_cd: probe.register_region("cd vector", k, 4),
             region_cw: probe.register_region("cw vector", k, 4),
             region_ck: probe.register_region("ck vector", k, 4),
@@ -644,7 +619,7 @@ impl<P: MemoryProbe> WarpLda<P> {
             topic_counts,
             seed,
             iterations: 0,
-            scratch: PhaseScratch::for_matrix(k, config.use_hash_counts, &matrix),
+            scratch: PhaseScratch::for_matrix(k, &matrix),
             matrix,
             partial_ck: vec![0u32; k],
             last_phase_secs: 0.0,
@@ -722,7 +697,7 @@ impl<P: MemoryProbe> WarpLda<P> {
     /// Scratch for one more visitor of this sampler's entities (a pool
     /// worker), pre-sized like the sampler's own.
     pub(crate) fn new_scratch(&self) -> PhaseScratch {
-        PhaseScratch::for_matrix(self.ctx.k, self.ctx.use_hash, &self.matrix)
+        PhaseScratch::for_matrix(self.ctx.k, &self.matrix)
     }
 
     /// The full packed record buffer as little-endian bytes at
@@ -1159,17 +1134,27 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_hash_count_configurations_both_converge() {
-        let corpus = themed_corpus();
-        let params = ModelParams::new(2, 0.5, 0.1);
-        for use_hash in [true, false] {
-            let cfg = WarpLdaConfig { mh_steps: 2, use_hash_counts: use_hash };
-            let mut s = WarpLda::new(&corpus, params, cfg, 13);
-            let ll0 = ll_of(&s, &corpus);
-            for _ in 0..30 {
-                s.run_iteration();
+    fn hash_count_flag_gives_one_chain_serial_and_parallel() {
+        // Every row has 2L < K, the rows Section 5.4 would serve from hash
+        // tables: the flag must still select nothing, on any driver.
+        let corpus = DatasetPreset::Tiny.generate();
+        let params = ModelParams::new(4096, 0.5, 0.1);
+        assert!(corpus.docs().iter().all(|d| 2 * d.tokens().len() < params.num_topics));
+        fn three_iterations<S: Sampler>(mut s: S, ck: fn(&S) -> &[u32]) -> (Vec<u32>, Vec<u32>) {
+            (0..3).for_each(|_| s.run_iteration());
+            (s.assignments(), ck(&s).to_vec())
+        }
+        let chain = |use_hash_counts, threads| {
+            let config = WarpLdaConfig { mh_steps: 2, use_hash_counts };
+            if threads == 1 {
+                three_iterations(WarpLda::new(&corpus, params, config, 29), WarpLda::topic_counts)
+            } else {
+                let s = parallel::ParallelWarpLda::new(&corpus, params, config, 29, threads);
+                three_iterations(s, parallel::ParallelWarpLda::topic_counts)
             }
-            assert!(ll_of(&s, &corpus) > ll0, "use_hash={use_hash} should still converge");
+        };
+        for threads in [1, 2] {
+            assert_eq!(chain(true, threads), chain(false, threads), "{threads} thread(s)");
         }
     }
 

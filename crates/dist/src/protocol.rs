@@ -182,7 +182,8 @@ pub struct Setup<'a> {
     pub beta: f64,
     /// MH proposals per token `M`.
     pub mh_steps: u64,
-    /// Hash-vs-dense count-vector heuristic toggle.
+    /// [`WarpLdaConfig::use_hash_counts`](warplda_core::WarpLdaConfig::use_hash_counts):
+    /// selects nothing, carried because the v4 layout has the byte.
     pub use_hash_counts: bool,
     /// The training corpus, shipped in full (every replica holds it).
     pub corpus: Corpus,

@@ -3,6 +3,8 @@
 //! The alias table turns a K-outcome discrete distribution into K bins of
 //! equal probability, each holding at most two outcomes, so a sample costs one
 //! uniform bin choice plus one biased coin flip — O(1) — after an O(K) build.
+//! One construction fills two layouts: [`AliasTable`] over outcomes `0..K`,
+//! and [`SparseAliasTable`], whose bins carry arbitrary labels.
 
 use rand::Rng;
 
@@ -18,8 +20,6 @@ pub struct AliasBuildScratch {
     small: Vec<u32>,
     /// Bins above the mean, donating probability mass.
     large: Vec<u32>,
-    /// Staging for the weight column of sparse `(label, weight)` entries.
-    weights: Vec<f64>,
 }
 
 impl AliasBuildScratch {
@@ -35,15 +35,69 @@ impl AliasBuildScratch {
             scaled: Vec::with_capacity(n),
             small: Vec::with_capacity(n),
             large: Vec::with_capacity(n),
-            weights: Vec::with_capacity(n),
         }
     }
 
     /// Bytes of heap the scratch holds.
     pub fn heap_bytes(&self) -> usize {
-        8 * (self.scaled.capacity() + self.weights.capacity())
-            + 4 * (self.small.capacity() + self.large.capacity())
+        8 * self.scaled.capacity() + 4 * (self.small.capacity() + self.large.capacity())
     }
+}
+
+/// Walker's construction over `weights`, shared by both table layouts. It
+/// calls `pair(bin, prob, alias)` for every bin that keeps its own outcome
+/// with probability `prob` and otherwise yields outcome `alias`; a bin it
+/// never names keeps its own outcome with probability 1, so the caller
+/// initialises every bin that way first. Returns the total weight, or 0.0
+/// when every weight is zero (the table then stays uniform).
+///
+/// # Panics
+/// Panics if a weight is negative or non-finite.
+fn walker(
+    weights: impl Iterator<Item = f64> + Clone,
+    scratch: &mut AliasBuildScratch,
+    mut pair: impl FnMut(usize, f64, usize),
+) -> f64 {
+    let (mut n, mut total) = (0usize, 0.0f64);
+    for w in weights.clone() {
+        assert!(w.is_finite() && w >= 0.0, "weights must be finite and non-negative, got {w}");
+        n += 1;
+        total += w;
+    }
+    if total <= 0.0 {
+        return 0.0;
+    }
+    let AliasBuildScratch { scaled, small, large } = scratch;
+
+    // Scaled weights: mean 1.0 per bin.
+    let scale = n as f64 / total;
+    scaled.clear();
+    scaled.extend(weights.map(|w| w * scale));
+
+    // Split indices into "small" (< 1) and "large" (>= 1) worklists.
+    small.clear();
+    large.clear();
+    for (i, &s) in scaled.iter().enumerate() {
+        if s < 1.0 {
+            small.push(i as u32);
+        } else {
+            large.push(i as u32);
+        }
+    }
+
+    while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
+        pair(s as usize, scaled[s as usize], l as usize);
+        // Donate the remainder of the large bin.
+        scaled[l as usize] = (scaled[l as usize] + scaled[s as usize]) - 1.0;
+        if scaled[l as usize] < 1.0 {
+            small.push(l);
+        } else {
+            large.push(l);
+        }
+    }
+    // Numerical leftovers were never paired: they keep probability 1 of
+    // themselves, as initialised.
+    total
 }
 
 /// An alias table over outcomes `0..len`.
@@ -89,60 +143,15 @@ impl AliasTable {
     pub fn rebuild(&mut self, weights: &[f64], scratch: &mut AliasBuildScratch) {
         assert!(!weights.is_empty(), "alias table needs at least one outcome");
         let n = weights.len();
-        let mut total = 0.0f64;
-        for &w in weights {
-            assert!(w.is_finite() && w >= 0.0, "weights must be finite and non-negative, got {w}");
-            total += w;
-        }
-        self.prob.clear();
-        self.prob.resize(n, 1.0);
-        self.alias.clear();
-        self.alias.extend(0..n as u32);
-        if total <= 0.0 {
-            // Degenerate: uniform fallback.
-            self.total_weight = 0.0;
-            return;
-        }
-        let prob = &mut self.prob;
-        let alias = &mut self.alias;
-
-        // Scaled weights: mean 1.0 per bin.
-        let scale = n as f64 / total;
-        let scaled = &mut scratch.scaled;
-        scaled.clear();
-        scaled.extend(weights.iter().map(|&w| w * scale));
-
-        // Split indices into "small" (< 1) and "large" (>= 1) worklists.
-        let small = &mut scratch.small;
-        let large = &mut scratch.large;
-        small.clear();
-        large.clear();
-        for (i, &s) in scaled.iter().enumerate() {
-            if s < 1.0 {
-                small.push(i as u32);
-            } else {
-                large.push(i as u32);
-            }
-        }
-
-        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-            prob[s as usize] = scaled[s as usize];
-            alias[s as usize] = l;
-            // Donate the remainder of the large bin.
-            scaled[l as usize] = (scaled[l as usize] + scaled[s as usize]) - 1.0;
-            if scaled[l as usize] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
-        }
-        // Numerical leftovers: everything remaining gets probability 1 of itself.
-        for i in small.drain(..).chain(large.drain(..)) {
-            prob[i as usize] = 1.0;
-            alias[i as usize] = i;
-        }
-
-        self.total_weight = total;
+        let (prob, alias) = (&mut self.prob, &mut self.alias);
+        prob.clear();
+        prob.resize(n, 1.0);
+        alias.clear();
+        alias.extend(0..n as u32);
+        self.total_weight = walker(weights.iter().copied(), scratch, |bin, p, a| {
+            prob[bin] = p;
+            alias[bin] = a as u32;
+        });
     }
 
     /// Bytes of heap the table holds.
@@ -196,15 +205,28 @@ impl AliasTable {
     }
 }
 
+/// One bin of a [`SparseAliasTable`]: its own label, kept with probability
+/// `prob`, and the label of its alias. Aligned to its 16 bytes, so a draw
+/// reads one cache line.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(16))]
+struct Bin {
+    prob: f64,
+    own: u32,
+    alias: u32,
+}
+
 /// A sparse alias table: outcomes are arbitrary `u32` labels (e.g. the
 /// non-zero topics of a document), weights are given per label.
 ///
 /// WarpLDA builds these over the non-zeros of the word-topic vector `c_w`,
-/// and a frozen serving model keeps one per word.
+/// and a frozen serving model keeps one per word. Each bin holds both of its
+/// labels, so a draw is one bin read and a select between them.
 #[derive(Debug, Clone)]
 pub struct SparseAliasTable {
-    labels: Vec<u32>,
-    table: AliasTable,
+    bins: Vec<Bin>,
+    /// Total weight the table was built from (before normalization).
+    total_weight: f64,
 }
 
 impl SparseAliasTable {
@@ -221,54 +243,61 @@ impl SparseAliasTable {
     /// An empty table pre-sized for up to `n` entries;
     /// [`rebuild`](Self::rebuild) must run before sampling.
     pub fn with_capacity(n: usize) -> Self {
-        Self { labels: Vec::with_capacity(n), table: AliasTable::with_capacity(n) }
+        Self { bins: Vec::with_capacity(n), total_weight: 0.0 }
     }
 
     /// Rebuilds the table in place from `(label, weight)` pairs, reusing this
-    /// table's buffers and `scratch`'s worklists (no heap allocation once
+    /// table's bins and `scratch`'s worklists (no heap allocation once
     /// both have grown to the largest distribution seen). The rebuilt table
     /// draws exactly the same labels as a freshly constructed
-    /// `SparseAliasTable::new(entries)` given the same RNG stream.
+    /// `SparseAliasTable::new(entries)` given the same RNG stream, and the
+    /// same labels as an [`AliasTable`] over the weights maps its outcomes
+    /// to.
     ///
     /// # Panics
     /// Panics if `entries` is empty.
     pub fn rebuild(&mut self, entries: &[(u32, f64)], scratch: &mut AliasBuildScratch) {
         assert!(!entries.is_empty(), "sparse alias table needs at least one entry");
-        self.labels.clear();
-        self.labels.extend(entries.iter().map(|&(l, _)| l));
-        // The weight column stages through the scratch; taking the buffer out
-        // sidesteps borrowing `scratch` twice and moves no heap data.
-        let mut weights = std::mem::take(&mut scratch.weights);
-        weights.clear();
-        weights.extend(entries.iter().map(|&(_, w)| w));
-        self.table.rebuild(&weights, scratch);
-        scratch.weights = weights;
+        let bins = &mut self.bins;
+        bins.clear();
+        bins.extend(entries.iter().map(|&(own, _)| Bin { prob: 1.0, own, alias: own }));
+        self.total_weight = walker(entries.iter().map(|&(_, w)| w), scratch, |bin, p, a| {
+            let alias = bins[a].own;
+            bins[bin].prob = p;
+            bins[bin].alias = alias;
+        });
     }
 
-    /// Bytes of heap the table holds.
+    /// Bytes of heap the table holds: 16 per bin.
     pub fn heap_bytes(&self) -> usize {
-        4 * self.labels.capacity() + self.table.heap_bytes()
+        std::mem::size_of::<Bin>() * self.bins.capacity()
     }
 
     /// Number of (label, weight) entries.
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.bins.len()
     }
 
     /// Returns `true` when the table has no entries.
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.bins.is_empty()
     }
 
     /// Total unnormalized weight.
     pub fn total_weight(&self) -> f64 {
-        self.table.total_weight()
+        self.total_weight
     }
 
-    /// Draws one label in O(1).
+    /// Draws one label in O(1): a uniform bin, then a coin between its two
+    /// labels — the same two draws as [`AliasTable::sample`].
     #[inline]
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
-        self.labels[self.table.sample(rng)]
+        let bin = &self.bins[rng.gen_range(0..self.bins.len())];
+        if rng.gen::<f64>() < bin.prob {
+            bin.own
+        } else {
+            bin.alias
+        }
     }
 }
 
@@ -373,17 +402,20 @@ mod tests {
         assert!((table.total_weight() - 4.0).abs() < 1e-12);
     }
 
+    /// A skewed table with a zero weight, a single entry, the all-zero
+    /// fallback, and a wider table with ties.
+    const DISTRIBUTIONS: [&[(u32, f64)]; 4] = [
+        &[(3, 1.0), (9, 2.0), (17, 0.0), (4, 5.5)],
+        &[(100, 0.25)],
+        &[(0, 0.0), (1, 0.0)],
+        &[(8, 4.0), (2, 4.0), (5, 1.0), (6, 0.5), (7, 9.0), (11, 3.25), (12, 0.75), (13, 2.0)],
+    ];
+
     #[test]
     fn rebuild_reuses_buffers_and_matches_fresh_builds() {
         let mut scratch = AliasBuildScratch::with_capacity(8);
         let mut reused = SparseAliasTable::with_capacity(8);
-        let distributions: [&[(u32, f64)]; 4] = [
-            &[(3, 1.0), (9, 2.0), (17, 0.0), (4, 5.5)],
-            &[(100, 0.25)],
-            &[(0, 0.0), (1, 0.0)],
-            &[(8, 4.0), (2, 4.0), (5, 1.0), (6, 0.5), (7, 9.0), (11, 3.25), (12, 0.75), (13, 2.0)],
-        ];
-        for entries in distributions {
+        for entries in DISTRIBUTIONS {
             reused.rebuild(entries, &mut scratch);
             let fresh = SparseAliasTable::new(entries);
             assert_eq!(reused.len(), fresh.len());
@@ -392,6 +424,24 @@ mod tests {
             let mut b = new_rng(31);
             for _ in 0..2_000 {
                 assert_eq!(reused.sample(&mut a), fresh.sample(&mut b));
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_bins_draw_the_label_of_the_dense_tables_outcome() {
+        // The identity WarpLDA's chain rests on: a bin holding both labels
+        // returns what the label lookup of the dense table's outcome did,
+        // from the same two draws.
+        for entries in DISTRIBUTIONS {
+            let sparse = SparseAliasTable::new(entries);
+            let weights: Vec<f64> = entries.iter().map(|&(_, w)| w).collect();
+            let dense = AliasTable::new(&weights);
+            assert_eq!(sparse.total_weight().to_bits(), dense.total_weight().to_bits());
+            let mut a = new_rng(37);
+            let mut b = new_rng(37);
+            for _ in 0..2_000 {
+                assert_eq!(sparse.sample(&mut a), entries[dense.sample(&mut b)].0);
             }
         }
     }

@@ -1,8 +1,9 @@
 //! Sampling primitives used by every LDA algorithm in the workspace.
 //!
 //! * [`AliasTable`] — Walker's alias method (Section 2.2 of the paper):
-//!   O(K) construction, O(1) draws. Used by LightLDA's and WarpLDA's word
-//!   proposals.
+//!   O(K) construction, O(1) draws. Used by LightLDA's word proposals;
+//!   WarpLDA's and the serving model's draw from [`SparseAliasTable`], the
+//!   same construction over labelled 16-byte bins.
 //! * [`FTree`] — the "F+ tree" used by F+LDA: a flat complete binary tree over
 //!   the topic weights supporting O(log K) point updates and O(log K) exact
 //!   draws from the current distribution.

@@ -1,7 +1,7 @@
 //! The frozen, read-optimized serving model.
 //!
-//! Training state is write-optimized: counts live in per-row hash tables that
-//! samplers mutate millions of times a second. A serving model is the
+//! Training state is write-optimized: counts live in per-row count vectors
+//! that samplers mutate millions of times a second. A serving model is the
 //! opposite — it is read by many threads, mutated never — so
 //! [`TopicModel::from_assignments`] counts the topic assignments **once**
 //! into:
