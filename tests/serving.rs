@@ -83,6 +83,69 @@ fn queries(vocab_size: usize, n: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// The benchmark's query mix in miniature: 16 short queries of 8–32 tokens
+/// and 4 long ones of 200–400, each token a uniformly drawn training token
+/// (so words come at their corpus frequencies), from a fixed splitmix64
+/// stream.
+fn golden_queries(corpus: &Corpus) -> Vec<Vec<u32>> {
+    let tokens: Vec<u32> = corpus.docs().iter().flat_map(|d| d.tokens().iter().copied()).collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move |bound: usize| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = state;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((x ^ (x >> 31)) % bound as u64) as usize
+    };
+    (0..20)
+        .map(|i| {
+            let len = if i % 5 == 4 { 200 + next(201) } else { 8 + next(25) };
+            (0..len).map(|_| tokens[next(tokens.len())]).collect()
+        })
+        .collect()
+}
+
+/// FNV-1a over the bits of every θ [`golden_queries`] folds in under two
+/// models frozen from a serial `WarpLda` run on Tiny. At K = 8 most query
+/// tokens are of words with `2·nnz ≥ K`; at K = 1 024 none are. The constant
+/// was computed while `C_wk` was read by binary search over each word's
+/// sorted topics: however the frozen counts are stored or looked up, every θ
+/// keeps its bits unless a change means to move them.
+#[test]
+fn fold_in_theta_is_pinned_across_commits() {
+    const GOLDEN: u64 = 0xd3ab_7d29_14e1_ca5d;
+    let corpus = DatasetPreset::Tiny.generate();
+    let docs = golden_queries(&corpus);
+    let mut bytes = Vec::new();
+    for (k, dense_share) in [(8usize, 0.5..=1.0), (1_024, 0.0..=0.0)] {
+        let mut sampler = WarpLda::new(
+            &corpus,
+            ModelParams::paper_defaults(k),
+            WarpLdaConfig::with_mh_steps(2),
+            5,
+        );
+        for _ in 0..10 {
+            sampler.run_iteration();
+        }
+        let model = TopicModel::freeze_sampler(&sampler, &corpus);
+        let nnz = |w: u32| (0..k as u32).filter(|&t| model.word_topic_count(w, t) > 0).count();
+        let (dense, total) = docs
+            .iter()
+            .flatten()
+            .fold((0, 0), |(dense, total), &w| (dense + usize::from(2 * nnz(w) >= k), total + 1));
+        let share = dense as f64 / total as f64;
+        assert!(dense_share.contains(&share), "K = {k}: {share:.3} of query tokens have 2·nnz ≥ K");
+        let engine = InferenceEngine::new(&model, InferConfig::default());
+        let mut scratch = InferScratch::new();
+        for (i, doc) in docs.iter().enumerate() {
+            engine.infer_into(doc, i as u64, &mut scratch);
+            bytes.extend(scratch.theta().iter().flat_map(|v| v.to_bits().to_le_bytes()));
+        }
+    }
+    let hash = warplda::corpus::io::codec::fnv1a64(&bytes);
+    assert_eq!(hash, GOLDEN, "got {hash:#018x}");
+}
+
 #[test]
 fn concurrent_queries_are_bit_identical_to_the_single_threaded_reference() {
     let (corpus, model) = frozen_model();
