@@ -26,11 +26,11 @@
 //! stripes of the merge to threads would start to pay in the millions of
 //! additions; no caller is near that, and no parallel reduce is kept for one.
 //!
-//! Worker scratch (count pools, alias tables, partial `c_k`) persists across
-//! iterations and is sized at construction for every row and column length
-//! of the corpus, so the scoped-thread spawns are the phases' only heap
-//! allocations — the same number every iteration, whichever worker claims
-//! which chunk.
+//! Worker scratch (the count vector, alias table, partial `c_k`) persists
+//! across iterations and is sized at construction for every row and column
+//! length of the corpus, so the scoped-thread spawns are the phases' only
+//! heap allocations — the same number every iteration, whichever worker
+//! claims which chunk.
 
 use warplda_cachesim::NoProbe;
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};

@@ -45,8 +45,9 @@ impl Case {
     }
 }
 
-/// Small K exercises the dense count path, K above twice the row/column
-/// lengths the hash path; M = 1 has a single proposal slot per record.
+/// Small K gives rows and columns holding every topic, K above twice their
+/// lengths sparse ones, so few of the dense count vector's slots are touched
+/// per visit; M = 1 has a single proposal slot per record.
 const BASE: [Case; 4] = [
     Case { preset: DatasetPreset::Tiny, scale: 4, k: 6, m: 2, seed: 21 },
     Case { preset: DatasetPreset::Tiny, scale: 8, k: 5, m: 1, seed: 11 },

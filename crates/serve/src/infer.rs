@@ -11,8 +11,8 @@
 //!   and the proposal cancel, exactly the cancellation the paper exploits;
 //! * a **doc proposal** `q_doc(k) ∝ C_dk + α`, drawn by random positioning
 //!   over the document's current assignments. Its acceptance needs the
-//!   frozen `φ` ratio (two binary-searched `C_wk` lookups) plus the `¬i`
-//!   exclusion on `c_d`.
+//!   frozen `φ` ratio (two `C_wk` lookups in the model's per-word index, a
+//!   probe or two each) plus the `¬i` exclusion on `c_d`.
 //!
 //! After the sweeps, `θ_k = (C_dk + α) / (L_d + ᾱ)`.
 //!

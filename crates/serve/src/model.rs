@@ -7,7 +7,12 @@
 //! into:
 //!
 //! * a CSR-style word→(topic, count) layout, sorted by topic within each
-//!   word, so `C_wk` lookups are a binary search over a contiguous slice;
+//!   word — the persisted form of the counts;
+//! * a flat per-word open-addressing index over the same counts (the hash
+//!   tables of the paper's Section 5.4, read-only), so a `C_wk` lookup is a
+//!   mask and one or two probes. Word `w` gets the least power of two
+//!   `≥ min{K, 2·nnz_w}` slots: a word with `2·nnz_w ≥ K` is a direct-mapped
+//!   dense row, and every other word's table is at most half full;
 //! * one pre-built [`SparseAliasTable`] per word over the non-zero counts, so
 //!   the word-proposal `q_word(k) ∝ C_wk + β` of the paper's MH machinery
 //!   samples in O(1) at query time with **zero rebuild cost** (training has
@@ -17,8 +22,8 @@
 //! Models persist as [`MODEL_MAGIC`] (`WLDAMODL`) framed sections of the
 //! workspace codec — same container discipline as checkpoints (version,
 //! length, FNV-1a checksum), different magic, so a checkpoint can never be
-//! misread as a model. Alias tables are derived data and are rebuilt
-//! deterministically at load time rather than persisted.
+//! misread as a model. Alias tables and the `C_wk` index are derived data and
+//! are rebuilt deterministically at load time rather than persisted.
 
 use std::borrow::Cow;
 use std::fs::File;
@@ -44,6 +49,15 @@ use warplda_sampling::{Dice, SparseAliasTable};
 /// Payload tag distinguishing model payloads from any future section kinds.
 const MODEL_KIND: &str = "topic-model";
 
+/// A free slot of the `C_wk` index.
+const EMPTY_SLOT: u64 = u64::MAX;
+
+/// Slots of a word's `C_wk` index with `nnz` non-zero topics: the least power
+/// of two `≥ min{K, 2·nnz}` (one for a word with no counts).
+fn index_slots(k: usize, nnz: usize) -> usize {
+    k.min(2 * nnz).next_power_of_two()
+}
+
 /// An immutable, read-optimized topic model frozen from a trained sampler.
 #[derive(Debug)]
 pub struct TopicModel {
@@ -63,6 +77,13 @@ pub struct TopicModel {
     /// Pre-built word-proposal alias table per word (`None` for words the
     /// training corpus never contained — their proposal is pure smoothing).
     alias: Vec<Option<SparseAliasTable>>,
+    /// `index_offsets[w]..index_offsets[w+1]` is word `w`'s slot range in
+    /// `index`; its length is [`index_slots`] of the word's non-zeros.
+    index_offsets: Vec<usize>,
+    /// The `C_wk` index: `topic << 32 | count` per occupied slot,
+    /// [`EMPTY_SLOT`] otherwise. A topic's home slot is `topic & (len − 1)`
+    /// of its word's range, collisions probe linearly.
+    index: Vec<u64>,
     /// `β̄ = V·β`, cached.
     beta_bar: f64,
     /// The frozen vocabulary, when the model serves raw-text queries.
@@ -141,9 +162,9 @@ impl TopicModel {
         Self::from_assignments(*sampler.params(), &word_view, &z, Some(corpus.vocab()))
     }
 
-    /// Assembles (and fully validates) a model from its raw columns — the
-    /// shared back end of [`from_assignments`](Self::from_assignments) and
-    /// the codec reader.
+    /// Assembles (and fully validates) a model from its raw columns, and
+    /// derives its alias tables and `C_wk` index — the shared back end of
+    /// [`from_assignments`](Self::from_assignments) and the codec reader.
     fn from_parts(
         params: ModelParams,
         topic_counts: Vec<u32>,
@@ -181,15 +202,25 @@ impl TopicModel {
                 )));
             }
         }
+        // Monotonic offsets ending at the pair count bound every range below
+        // and the index they size: at most `4·nnz + V` slots.
+        let mut index_offsets = Vec::with_capacity(num_words + 1);
+        index_offsets.push(0);
+        for (w, range) in word_offsets.windows(2).enumerate() {
+            if range[0] > range[1] {
+                return Err(CodecError::Corrupt(format!("word {w}: offsets not monotonic")));
+            }
+            index_offsets.push(index_offsets[w] + index_slots(k, (range[1] - range[0]) as usize));
+        }
+        let mut index = vec![EMPTY_SLOT; index_offsets[num_words]];
         let mut from_pairs = vec![0u64; k];
         let mut word_totals = vec![0u32; num_words];
         let mut alias = Vec::with_capacity(num_words);
         let mut entries: Vec<(u32, f64)> = Vec::new();
         for w in 0..num_words {
             let (start, end) = (word_offsets[w] as usize, word_offsets[w + 1] as usize);
-            if start > end {
-                return Err(CodecError::Corrupt(format!("word {w}: offsets not monotonic")));
-            }
+            let slots = &mut index[index_offsets[w]..index_offsets[w + 1]];
+            let mask = slots.len() - 1;
             let mut total = 0u64;
             entries.clear();
             for i in start..end {
@@ -212,6 +243,14 @@ impl TopicModel {
                 from_pairs[t as usize] += c as u64;
                 total += c as u64;
                 entries.push((t, c as f64));
+                // The topics so far are distinct and below K, so they number
+                // at most min{K, nnz} ≤ the slot count, and a free slot is
+                // left for each.
+                let mut slot = t as usize & mask;
+                while slots[slot] != EMPTY_SLOT {
+                    slot = (slot + 1) & mask;
+                }
+                slots[slot] = u64::from(t) << 32 | u64::from(c);
             }
             word_totals[w] = u32::try_from(total).map_err(|_| {
                 CodecError::Corrupt(format!("word {w}: term frequency overflows u32"))
@@ -236,6 +275,8 @@ impl TopicModel {
             pair_counts,
             word_totals,
             alias,
+            index_offsets,
+            index,
             beta_bar,
             vocab,
         })
@@ -281,16 +322,48 @@ impl TopicModel {
         self.word_totals[word as usize]
     }
 
-    /// Frozen count `C_wk` (binary search over the word's sorted topics).
+    /// Frozen count `C_wk`, from the word's index: the home slot of a word
+    /// with `2·nnz ≥ K` is the topic's own, and any other word's table is at
+    /// most half full, so a hit or a miss ends within a probe or two. A topic
+    /// at or above `K` reads 0.
     #[inline]
     pub fn word_topic_count(&self, word: u32, topic: u32) -> u32 {
-        let range = self.word_offsets[word as usize] as usize
-            ..self.word_offsets[word as usize + 1] as usize;
-        let topics = &self.pair_topics[range.clone()];
-        match topics.binary_search(&topic) {
-            Ok(i) => self.pair_counts[range.start + i],
-            Err(_) => 0,
+        // Below K the probe ends: a full row is direct-mapped, so the topic's
+        // home slot holds it; any other row has a free slot.
+        if topic as usize >= self.params.num_topics {
+            return 0;
         }
+        let w = word as usize;
+        let slots = &self.index[self.index_offsets[w]..self.index_offsets[w + 1]];
+        let mask = slots.len() - 1;
+        let mut slot = topic as usize & mask;
+        loop {
+            let entry = slots[slot];
+            if entry == EMPTY_SLOT {
+                return 0;
+            }
+            if (entry >> 32) as u32 == topic {
+                return entry as u32;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Bytes of heap this model holds: the sum of its own buffers'
+    /// capacities — `4·(K + 2V + 1) + 8·nnz` for `c_k`, the CSR columns and
+    /// the term frequencies, 16 per alias bin (one bin per non-zero) plus a
+    /// table header per word, and `8·(V + 1) + 8·slots` for the `C_wk` index,
+    /// where `slots ≤ 4·nnz + V`. The embedded vocabulary is not counted.
+    pub fn heap_bytes(&self) -> usize {
+        4 * (self.topic_counts.capacity()
+            + self.word_offsets.capacity()
+            + self.pair_topics.capacity()
+            + self.pair_counts.capacity()
+            + self.word_totals.capacity())
+            + std::mem::size_of::<Option<SparseAliasTable>>() * self.alias.capacity()
+            + self.alias.iter().flatten().map(SparseAliasTable::heap_bytes).sum::<usize>()
+            + std::mem::size_of::<usize>() * self.index_offsets.capacity()
+            + std::mem::size_of::<u64>() * self.index.capacity()
     }
 
     /// Draws from the word proposal `q_word(k) ∝ C_wk + β` in O(1): the
@@ -513,6 +586,109 @@ mod tests {
         }
     }
 
+    /// Every `C_wk`, `t < K`, read through the index equals the pair
+    /// columns' count (0 where the word lists no pair), and topic `K` reads 0.
+    fn assert_index_matches_the_pair_columns(model: &TopicModel) {
+        let k = model.num_topics();
+        let mut row = vec![0u32; k];
+        for w in 0..model.num_words() {
+            row.fill(0);
+            for i in model.word_offsets[w] as usize..model.word_offsets[w + 1] as usize {
+                row[model.pair_topics[i] as usize] = model.pair_counts[i];
+            }
+            for (t, &c) in row.iter().enumerate() {
+                assert_eq!(model.word_topic_count(w as u32, t as u32), c, "K = {k}, word {w}");
+            }
+            assert_eq!(model.word_topic_count(w as u32, k as u32), 0, "K = {k}, word {w}");
+        }
+    }
+
+    /// Freezes one iteration of serial WarpLDA on Tiny/2 at `k` (one
+    /// iteration leaves the rows wide) and returns it with its save → load
+    /// copy.
+    fn fresh_and_loaded(k: usize) -> (TopicModel, TopicModel) {
+        let corpus = warplda_corpus::DatasetPreset::Tiny.generate_scaled(2);
+        let params = ModelParams::paper_defaults(k);
+        let mut sampler = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(2), 3);
+        sampler.run_iteration();
+        let model = TopicModel::freeze_sampler(&sampler, &corpus);
+        let mut bytes = Vec::new();
+        model.write(&mut bytes).unwrap();
+        let loaded = TopicModel::read(&mut bytes.as_slice()).unwrap();
+        (model, loaded)
+    }
+
+    #[test]
+    fn the_index_reads_every_count_of_the_pair_columns_fresh_and_loaded() {
+        for k in [16usize, 300, 5_000] {
+            let (model, loaded) = fresh_and_loaded(k);
+            assert_eq!(loaded.index_offsets, model.index_offsets);
+            assert_index_matches_the_pair_columns(&model);
+            assert_index_matches_the_pair_columns(&loaded);
+            if k == 16 {
+                // Both kinds of row: direct-mapped (as many slots as
+                // topics) and hashed.
+                let slots: Vec<usize> =
+                    model.index_offsets.windows(2).map(|r| r[1] - r[0]).collect();
+                assert!(slots.contains(&k) && slots.iter().any(|&s| s < k), "{slots:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_word_without_counts_and_a_full_row_read_back_exactly() {
+        // K = 4, built as the codec reader builds it: word 0 holds every
+        // topic (a full, direct-mapped row: no free slot to stop a probe),
+        // word 1 no pair, word 2 one.
+        let model = TopicModel::from_parts(
+            ModelParams::new(4, 0.5, 0.1),
+            vec![1, 2, 3, 5],
+            vec![0, 4, 4, 5],
+            vec![0, 1, 2, 3, 3],
+            vec![1, 2, 3, 4, 1],
+            None,
+        )
+        .unwrap();
+        assert_eq!(model.index_offsets, [0, 4, 5, 7]);
+        let mut bytes = Vec::new();
+        model.write(&mut bytes).unwrap();
+        let loaded = TopicModel::read(&mut bytes.as_slice()).unwrap();
+        for m in [&model, &loaded] {
+            assert_index_matches_the_pair_columns(m);
+            assert_eq!(m.word_topic_count(0, u32::MAX), 0);
+            assert_eq!(m.word_topic_count(1, 0), 0);
+            assert_eq!(m.word_total(1), 0);
+        }
+    }
+
+    #[test]
+    fn heap_bytes_are_the_closed_form_and_the_index_stays_within_its_bound() {
+        for k in [16usize, 300, 5_000] {
+            // The loaded copy holds its buffers at their exact lengths.
+            let (_, model) = fresh_and_loaded(k);
+            let (v, nnz, slots) = (model.num_words(), model.pair_topics.len(), model.index.len());
+            assert!(slots <= 4 * nnz + v, "K = {k}: {slots} slots for {nnz} non-zeros, V = {v}");
+            // What ends every probe early: a row is direct-mapped or at most
+            // half full.
+            for (w, range) in model.index_offsets.windows(2).enumerate() {
+                let row = &model.index[range[0]..range[1]];
+                let used = row.iter().filter(|&&e| e != EMPTY_SLOT).count();
+                assert!(row.len() >= k || 2 * used <= row.len(), "K = {k}, word {w}");
+            }
+            let alias_header = std::mem::size_of::<Option<SparseAliasTable>>();
+            assert_eq!(
+                model.heap_bytes(),
+                4 * (k + 2 * v + 1)
+                    + 8 * nnz
+                    + alias_header * v
+                    + 16 * nnz
+                    + 8 * (v + 1)
+                    + 8 * slots,
+                "K = {k}"
+            );
+        }
+    }
+
     #[test]
     fn word_proposal_matches_the_smoothed_distribution() {
         let (_, model) = trained_model();
@@ -602,6 +778,18 @@ mod tests {
             vec![0, 2, 3],
             vec![1, 0, 0],
             vec![2, 1, 2],
+            None,
+        )
+        .unwrap_err();
+        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+        // An offset past the pair count, taken back by the next one: the
+        // offsets are checked before any range they bound is read or sized.
+        let err = TopicModel::from_parts(
+            ModelParams::new(2, 0.5, 0.1),
+            vec![1, 1],
+            vec![0, 5, 2],
+            vec![0, 1],
+            vec![1, 1],
             None,
         )
         .unwrap_err();

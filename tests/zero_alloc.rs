@@ -3,13 +3,13 @@
 //!
 //! A counting global allocator tallies every heap operation of this test
 //! binary. Row and column lengths are known when a sampler is built, so its
-//! count-vector pool holds every capacity class the corpus uses and its
-//! alias/scratch buffers their high-water marks from the start: serial
-//! iterations — the first one included — must perform **zero** heap
-//! allocations, parallel iterations exactly the scoped-thread spawns (one
-//! number, the same every iteration, whatever the corpus size and whichever
-//! worker claims which chunk), and steady-state inference over a frozen model
-//! must be **zero allocations per request**.
+//! one O(K) count vector and its alias/scratch buffers are at their
+//! high-water marks from the start: serial iterations — the first one
+//! included — must perform **zero** heap allocations, parallel iterations
+//! exactly the scoped-thread spawns (one number, the same every iteration,
+//! whatever the corpus size and whichever worker claims which chunk), and
+//! steady-state inference over a frozen model must be **zero allocations per
+//! request**.
 //!
 //! This file deliberately contains a single `#[test]`: the harness runs the
 //! tests of one binary concurrently, so a second test would pollute the
@@ -51,9 +51,9 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn steady_state_iterations_do_not_allocate() {
-    // K chosen above 2·L for both documents and most words, so the hash
-    // count path (the one that used to allocate a fresh table per visit) is
-    // exercised alongside the dense path.
+    // K chosen above 2·L for both documents and most words: the sparse
+    // shape, where a visit touches few of the count vector's K slots and a
+    // word's alias table holds fewer bins than it was sized for.
     let params = ModelParams::new(100, 0.5, 0.05);
     let config = WarpLdaConfig::with_mh_steps(2);
 
