@@ -106,24 +106,22 @@ fn golden_queries(corpus: &Corpus) -> Vec<Vec<u32>> {
 }
 
 /// FNV-1a over the bits of every θ [`golden_queries`] folds in under two
-/// models frozen from a serial `WarpLda` run on Tiny. At K = 8 most query
-/// tokens are of words with `2·nnz ≥ K`; at K = 1 024 none are. The constant
-/// was computed while `C_wk` was read by binary search over each word's
-/// sorted topics: however the frozen counts are stored or looked up, every θ
+/// models frozen from a `CollapsedGibbs` run on Tiny. At K = 8 most query
+/// tokens are of words with `2·nnz ≥ K`; at K = 1 024 none are. The models
+/// come from the exact sampler, not WarpLDA, so a deliberate change to the
+/// trainer's chain leaves this constant alone: it moves only when fold-in
+/// itself does. The constant was computed with fold-in reading `C_wk`
+/// through the per-word hash index (which reads the bits the earlier binary
+/// search did): however the frozen counts are stored or looked up, every θ
 /// keeps its bits unless a change means to move them.
 #[test]
 fn fold_in_theta_is_pinned_across_commits() {
-    const GOLDEN: u64 = 0xd3ab_7d29_14e1_ca5d;
+    const GOLDEN: u64 = 0xee32_65c5_94a2_a5cc;
     let corpus = DatasetPreset::Tiny.generate();
     let docs = golden_queries(&corpus);
     let mut bytes = Vec::new();
     for (k, dense_share) in [(8usize, 0.5..=1.0), (1_024, 0.0..=0.0)] {
-        let mut sampler = WarpLda::new(
-            &corpus,
-            ModelParams::paper_defaults(k),
-            WarpLdaConfig::with_mh_steps(2),
-            5,
-        );
+        let mut sampler = CollapsedGibbs::new(&corpus, ModelParams::paper_defaults(k), 5);
         for _ in 0..10 {
             sampler.run_iteration();
         }
