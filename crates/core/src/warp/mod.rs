@@ -66,6 +66,31 @@
 //! legal — and what makes the algorithm parallelize: nothing but `c_k` is
 //! shared between entities.
 //!
+//! # One MH step, one proposal
+//!
+//! **Acceptance by multiply-and-select.** A step from `z` to the proposal
+//! `t` has ratio `num / den` with `num = (C_t + prior)·(c_k[z] + β̄)` and
+//! `den = (C_z + prior)·(c_k[t] + β̄)`, where `C` is the visited entity's
+//! count vector and the prior is `β` (word phase) or `α` (doc phase). The
+//! kernel draws one uniform `u ∈ [0, 1)` and sets
+//! `z = if u·den < num { t } else { z }`: since `den > 0` and `u < 1`, that
+//! accepts with probability exactly `min(1, num/den)`, without a division or
+//! a data-dependent branch, and a step with `t == z` is a no-op by
+//! construction.
+//!
+//! **The RNG schedule.** A visit's stream first yields one uniform per MH
+//! step of every token, drawn unconditionally, so the chains consume
+//! `M · L` draws whatever they accept. Each of the `M · L` fresh proposals
+//! then takes one 64-bit word: its high half against `⌊p·2³²⌋` picks the
+//! mixture component (`p = L/(L + Kβ)` for `q_word`, `L/(L + ᾱ)` for
+//! `q_doc`), and its low half an exactly uniform index into that component
+//! by Lemire's multiply-shift with rejection ([`Mixture`],
+//! [`index_from_word`]) — an alias bin (then one more uniform against the
+//! bin's probability), a token of the document whose topic is copied, or a
+//! uniform topic. A rejected low half (probability < n/2³²) is replaced
+//! from the stream. So the mixture weight is quantised at 2⁻³², and nothing
+//! else in a proposal is approximated.
+//!
 //! # One state type, one visit, several drivers
 //!
 //! [`WarpLda`] is the only sampler state. A visit of one entity (a column in
@@ -105,11 +130,13 @@ pub mod parallel;
 use std::cell::Cell;
 
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 use warplda_cachesim::{MemoryProbe, NoProbe, RegionId};
 use warplda_corpus::{Corpus, DocMajorView, Document, WordMajorView};
-use warplda_sampling::{new_rng, split_seed, AliasBuildScratch, Dice, SparseAliasTable};
+use warplda_sampling::{
+    index_from_word, new_rng, split_seed, AliasBuildScratch, Mixture, SparseAliasTable,
+};
 use warplda_sparse::{with_topic_type, PackedRecords, TokenMatrix, Topic};
 
 use crate::checkpoint::Checkpointable;
@@ -356,23 +383,21 @@ impl<T: Topic> Phase<'_, T> {
             probe.write(region_cw, t as usize);
         }
 
-        // Simulate the q_doc chains with the proposals drawn last doc phase.
+        // Simulate the q_doc chains with the proposals drawn last doc phase:
+        // accept t with probability min(1, num/den) by select (see the
+        // module docs); t == z keeps z either way.
         for rec in block.chunks_exact(stride) {
             let mut z = topic(&rec[0]);
             for slot in &rec[1..] {
                 let t = topic(slot);
-                if t != z {
-                    probe.read(region_cw, t as usize);
-                    probe.read(region_cw, z as usize);
-                    probe.read(region_ck, t as usize);
-                    probe.read(region_ck, z as usize);
-                    let ratio = (cw.get(t) as f64 + beta) / (cw.get(z) as f64 + beta)
-                        * (ck[z as usize] as f64 + beta_bar)
-                        / (ck[t as usize] as f64 + beta_bar);
-                    if ratio >= 1.0 || rng.gen::<f64>() < ratio {
-                        z = t;
-                    }
-                }
+                let u = rng.gen::<f64>();
+                probe.read(region_cw, t as usize);
+                probe.read(region_cw, z as usize);
+                probe.read(region_ck, t as usize);
+                probe.read(region_ck, z as usize);
+                let num = (cw.get(t) as f64 + beta) * (ck[z as usize] as f64 + beta_bar);
+                let den = (cw.get(z) as f64 + beta) * (ck[t as usize] as f64 + beta_bar);
+                z = if u * den < num { t } else { z };
             }
             rec[0].set(T::put(z));
         }
@@ -389,17 +414,20 @@ impl<T: Topic> Phase<'_, T> {
         }
         proposals.rebuild(cw);
         // Mixture weights of q_word: counts part (mass L_w) vs smoothing part
-        // (mass K·β).
+        // (mass K·β). One word per proposal picks the part and the alias bin
+        // or uniform topic; a bin then costs one coin.
         let count_mass = len as f64;
         let smooth_mass = k as f64 * beta;
-        let p_count = count_mass / (count_mass + smooth_mass);
+        let mixture = Mixture::new(count_mass / (count_mass + smooth_mass));
+        let bins = proposals.table.len() as u32;
 
         for rec in block.chunks_exact(stride) {
             for slot in &rec[1..] {
-                slot.set(T::put(if rng.gen::<f64>() < p_count {
-                    proposals.table.sample(rng)
+                let (from_counts, i) = mixture.draw(rng, bins, k as u32);
+                slot.set(T::put(if from_counts {
+                    proposals.table.sample_bin(i as usize, rng)
                 } else {
-                    rng.dice(k) as u32
+                    i
                 }));
             }
         }
@@ -442,25 +470,22 @@ impl<T: Topic> Phase<'_, T> {
             probe.write(region_cd, t as usize);
         }
 
-        // Simulate the q_word chains with the proposals drawn last word phase.
+        // Simulate the q_word chains with the proposals drawn last word
+        // phase, accepting by select as the word phase does.
         for &e in entries {
             let rec = recs.record(e);
             let old = topic(&rec[0]);
             let mut cur = old;
             for slot in &rec[1..] {
                 let t = topic(slot);
-                if t != cur {
-                    probe.read(region_cd, t as usize);
-                    probe.read(region_cd, cur as usize);
-                    probe.read(region_ck, t as usize);
-                    probe.read(region_ck, cur as usize);
-                    let ratio = (cd.get(t) as f64 + alpha) / (cd.get(cur) as f64 + alpha)
-                        * (ck[cur as usize] as f64 + beta_bar)
-                        / (ck[t as usize] as f64 + beta_bar);
-                    if ratio >= 1.0 || rng.gen::<f64>() < ratio {
-                        cur = t;
-                    }
-                }
+                let u = rng.gen::<f64>();
+                probe.read(region_cd, t as usize);
+                probe.read(region_cd, cur as usize);
+                probe.read(region_ck, t as usize);
+                probe.read(region_ck, cur as usize);
+                let num = (cd.get(t) as f64 + alpha) * (ck[cur as usize] as f64 + beta_bar);
+                let den = (cd.get(cur) as f64 + alpha) * (ck[t as usize] as f64 + beta_bar);
+                cur = if u * den < num { t } else { cur };
             }
             if cur != old {
                 // Keep c_d in sync so the upcoming random positioning reflects
@@ -476,15 +501,12 @@ impl<T: Topic> Phase<'_, T> {
 
         // Draw the doc proposals q_doc(k) ∝ C_dk + α by random positioning: with
         // probability L_d/(L_d + ᾱ) reuse the topic of a uniformly chosen token
-        // of this document, otherwise a uniform topic.
-        let p_count = len as f64 / (len as f64 + alpha_bar);
+        // of this document, otherwise a uniform topic — one word per proposal.
+        let mixture = Mixture::new(len as f64 / (len as f64 + alpha_bar));
         for &e in entries {
             for slot in &recs.record(e)[1..] {
-                slot.set(if rng.gen::<f64>() < p_count {
-                    recs.record(entries[rng.dice(len)])[0].get()
-                } else {
-                    T::put(rng.dice(k) as u32)
-                });
+                let (copy, i) = mixture.draw(rng, len as u32, k as u32);
+                slot.set(if copy { recs.record(entries[i as usize])[0].get() } else { T::put(i) });
             }
         }
     }
@@ -539,8 +561,13 @@ impl WarpLda<NoProbe> {
     }
 }
 
-/// The random initial state: every assignment first, then every proposal,
-/// all from the one stream `rng` (the order the golden hash pins).
+/// The random initial state in one pass over the ids in storage order, each
+/// record's assignment and proposals together: two uniform topics per 64-bit
+/// word of the one stream `rng`, high half first, each through
+/// [`index_from_word`] (the order the golden hash pins). Two records hold a
+/// whole number of words; an odd last record leaves the low half of its
+/// last word unused when `M + 1` is odd. Assignments are counted into
+/// `topic_counts` on the way.
 fn init_records<T: Topic>(
     ids: &mut [T],
     stride: usize,
@@ -548,15 +575,28 @@ fn init_records<T: Topic>(
     rng: &mut SmallRng,
     topic_counts: &mut [u32],
 ) {
-    for rec in ids.chunks_exact_mut(stride) {
-        let t = rng.dice(k);
-        rec[0] = T::put(t as u32);
-        topic_counts[t] += 1;
-    }
-    for rec in ids.chunks_exact_mut(stride) {
-        for slot in &mut rec[1..] {
-            *slot = T::put(rng.dice(k) as u32);
+    let k = u32::try_from(k).expect("topic ids are 32-bit");
+    let mut fill = |ids: &mut [T]| {
+        let mut pairs = ids.chunks_exact_mut(2);
+        for pair in &mut pairs {
+            let r = rng.next_u64();
+            pair[0] = T::put(index_from_word((r >> 32) as u32, k, rng));
+            pair[1] = T::put(index_from_word(r as u32, k, rng));
         }
+        if let [id] = pairs.into_remainder() {
+            *id = T::put(index_from_word((rng.next_u64() >> 32) as u32, k, rng));
+        }
+    };
+    let mut twos = ids.chunks_exact_mut(2 * stride);
+    for recs in &mut twos {
+        fill(recs);
+        topic_counts[recs[0].get() as usize] += 1;
+        topic_counts[recs[stride].get() as usize] += 1;
+    }
+    let last = twos.into_remainder();
+    if !last.is_empty() {
+        fill(last);
+        topic_counts[last[0].get() as usize] += 1;
     }
 }
 
@@ -1155,6 +1195,99 @@ mod tests {
         };
         for threads in [1, 2] {
             assert_eq!(chain(true, threads), chain(false, threads), "{threads} thread(s)");
+        }
+    }
+
+    #[test]
+    fn an_mh_step_accepts_with_probability_min_one_num_over_den_in_both_kernels() {
+        // A two-topic toy state with fixed counts: 60 documents of one word
+        // five times, M = 1, assignments [0 0 0 1 1] in every document, so
+        // c_d = (3, 2) and c_w = (180, 120), and an installed c_k that is
+        // deliberately not their histogram. Each trial writes that state
+        // with chosen proposals, visits, and counts who moved; the next
+        // iteration's streams make the trials independent.
+        const Z: [u8; 5] = [0, 0, 0, 1, 1];
+        let docs = 60;
+        let mut b = CorpusBuilder::new();
+        for _ in 0..docs {
+            b.push_text_doc(["w"; 5]);
+        }
+        let corpus = b.build().unwrap();
+        let params = ModelParams::new(2, 0.7, 0.4);
+        let (alpha, beta, beta_bar) = (params.alpha, params.beta, params.beta_bar(1));
+        let ck = [150u32, 420];
+        let mut s = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(1), 3);
+        let entries: Vec<u32> = (0..s.num_entries() as u32).collect();
+        let doc_ids: Vec<u32> = (0..docs as u32).collect();
+        let mut partial = [0u32; 2];
+        // Writes the state with the proposal `propose(j)` for token j of
+        // every document, runs `visit`, and returns how many tokens that
+        // proposed moved per starting topic: `[(moved, proposed); 2]`.
+        let mut trial = |s: &mut WarpLda,
+                         propose: &dyn Fn(usize) -> u8,
+                         visit: &dyn Fn(&mut WarpLda, &mut [u32])| {
+            let mut bytes = vec![0u8; 2 * entries.len()];
+            for d in 0..docs as u32 {
+                for (j, &e) in s.row_entry_ids(d).iter().enumerate() {
+                    bytes[2 * e as usize..][..2].copy_from_slice(&[Z[j], propose(j)]);
+                }
+            }
+            s.import_records_packed(&entries, 1, &bytes).unwrap();
+            s.install_topic_counts(&ck);
+            visit(s, &mut partial);
+            s.advance_iteration();
+            let mut tally = [(0u32, 0u32); 2];
+            for d in 0..docs as u32 {
+                for (j, &e) in s.row_entry_ids(d).iter().enumerate() {
+                    if propose(j) != Z[j] {
+                        let moved = s.records_bytes()[2 * e as usize] != Z[j];
+                        tally[Z[j] as usize].0 += u32::from(moved);
+                        tally[Z[j] as usize].1 += 1;
+                    }
+                }
+            }
+            tally
+        };
+        let check = |kernel: &str, from: usize, (moved, n): (u32, u32), num: f64, den: f64| {
+            let p = (num / den).min(1.0);
+            let rate = moved as f64 / n as f64;
+            let se = (p * (1.0 - p) / n as f64).sqrt();
+            assert!((rate - p).abs() <= 4.0 * se, "{kernel}, {from} → {}: {rate} vs {p}", 1 - from);
+        };
+        let (cw, cd) = ([180.0, 120.0], [3.0, 2.0]);
+        let ck = ck.map(f64::from);
+
+        // Word kernel: every token proposes the other topic, and c_w stays
+        // fixed while the column's chains run.
+        let mut sum = [(0, 0); 2];
+        for _ in 0..100 {
+            let tally = trial(&mut s, &|j| 1 - Z[j], &|s, p| s.run_word_phase_shard(&[0], p));
+            for (acc, (m, n)) in sum.iter_mut().zip(tally) {
+                *acc = (acc.0 + m, acc.1 + n);
+            }
+        }
+        for (from, to) in [(0, 1), (1, 0)] {
+            let num = (cw[to] + beta) * (ck[from] + beta_bar);
+            let den = (cw[from] + beta) * (ck[to] + beta_bar);
+            check("word", from, sum[from], num, den);
+        }
+
+        // Doc kernel: an accepted move updates c_d for the tokens after it,
+        // so one token per document proposes — token 0 (topic 0) or token 3
+        // (topic 1) in alternate trials — and the rest propose their own.
+        let mut sum = [(0, 0); 2];
+        for i in 0..200 {
+            let mover = if i % 2 == 0 { 0 } else { 3 };
+            let tally = trial(&mut s, &|j| if j == mover { 1 - Z[j] } else { Z[j] }, &|s, p| {
+                s.run_doc_phase_shard(&doc_ids, p)
+            });
+            let from = Z[mover] as usize;
+            sum[from] = (sum[from].0 + tally[from].0, sum[from].1 + tally[from].1);
+        }
+        for (from, to) in [(0, 1), (1, 0)] {
+            let num = (cd[to] + alpha) * (ck[from] + beta_bar);
+            let den = (cd[from] + alpha) * (ck[to] + beta_bar);
+            check("doc", from, sum[from], num, den);
         }
     }
 

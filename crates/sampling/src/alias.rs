@@ -292,7 +292,15 @@ impl SparseAliasTable {
     /// labels — the same two draws as [`AliasTable::sample`].
     #[inline]
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
-        let bin = &self.bins[rng.gen_range(0..self.bins.len())];
+        self.sample_bin(rng.gen_range(0..self.bins.len()), rng)
+    }
+
+    /// The second half of [`sample`](Self::sample), for a caller that drew
+    /// the uniform bin `bin < len()` itself: one coin between the bin's two
+    /// labels.
+    #[inline]
+    pub fn sample_bin<R: Rng>(&self, bin: usize, rng: &mut R) -> u32 {
+        let bin = &self.bins[bin];
         if rng.gen::<f64>() < bin.prob {
             bin.own
         } else {

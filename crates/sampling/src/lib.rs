@@ -10,7 +10,8 @@
 //! * [`discrete`] — the straightforward O(K) linear-scan sampler plain CGS
 //!   draws with.
 //! * [`rng`] — deterministic RNG construction helpers shared by the samplers
-//!   and experiments.
+//!   and experiments, and the exact one-word draws ([`index_from_word`],
+//!   [`Mixture`]) WarpLDA's proposals take.
 //!
 //! There is no shared Metropolis–Hastings kernel here: each sampler inlines
 //! its own accept test, because the ratios differ in what they exclude and
@@ -29,4 +30,4 @@ pub mod rng;
 pub use alias::{AliasBuildScratch, AliasTable, SparseAliasTable};
 pub use discrete::sample_unnormalized;
 pub use ftree::FTree;
-pub use rng::{new_rng, split_seed, Dice};
+pub use rng::{index_from_word, new_rng, split_seed, Dice, Mixture};

@@ -167,7 +167,12 @@ impl<'m> InferenceEngine<'m> {
         let ck = model.topic_counts();
         let len = words.len();
 
+        // The top list holds at most min{K, L} topics. Reserving that up
+        // front ties its growth to the query length, as `z`'s is, instead of
+        // to how many topics this seed happens to end with: once the scratch
+        // has seen the longest query, no request allocates.
         scratch.top.clear();
+        scratch.top.reserve(len.min(k));
         if len == 0 {
             // No evidence: θ is the prior mean.
             scratch.theta.fill(1.0 / k as f64);
