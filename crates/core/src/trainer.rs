@@ -2,10 +2,9 @@
 //! scheduled evaluation and checkpoint persistence for any [`Sampler`].
 //!
 //! Every consumer of the workspace — the `reproduce` ledger behind the paper's
-//! tables and figures, the cluster cost model, the examples, the benchmark
-//! and the integration tests — trains through the [`Trainer`] instead of its
-//! own `run_iteration → time it → maybe evaluate` loop, which gives all of
-//! them two capabilities:
+//! tables and figures, the examples, the benchmark and the integration tests —
+//! trains through the [`Trainer`] instead of its own `run_iteration → time it
+//! → maybe evaluate` loop, which gives all of them two capabilities:
 //!
 //! * **Overlapped evaluation.** Computing the log joint likelihood walks
 //!   every token and is often as expensive as a sampling iteration. The
@@ -113,8 +112,7 @@ impl TrainerConfig {
     }
 }
 
-/// One trained iteration as recorded by the [`Trainer`] (or re-priced from
-/// one by the cluster cost model of `warplda-dist`).
+/// One trained iteration as recorded by the [`Trainer`].
 #[derive(Debug, Clone, Copy)]
 pub struct IterationRecord {
     /// Absolute iteration number (1-based, continues across resumes).
@@ -169,7 +167,7 @@ impl IterationLog {
         &self.records
     }
 
-    /// Appends a record (used by the cluster cost model of `warplda-dist`).
+    /// Appends a record.
     pub fn push(&mut self, record: IterationRecord) {
         self.records.push(record);
     }

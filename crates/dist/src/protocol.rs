@@ -138,9 +138,7 @@ pub const fn sync_tag(phase: FaultPhase) -> u8 {
     }
 }
 
-/// Bytes one token's record (`z` plus `M` proposals) takes on the wire: the
-/// single pricing of the exchange, shared by the real protocol and the
-/// simulated cluster's cost model.
+/// Bytes one token's record (`z` plus `M` proposals) takes on the wire.
 pub fn record_wire_bytes(num_topics: usize, mh_steps: usize) -> u64 {
     (topic_wire_width(num_topics) * (mh_steps + 1)) as u64
 }

@@ -15,8 +15,8 @@
 //!   the memory-efficiency experiments;
 //! * [`lda`] — WarpLDA itself plus the CGS / F+LDA / LightLDA baselines and
 //!   the evaluation utilities;
-//! * [`dist`] — the distributed runtime: the simulated cluster model plus the
-//!   real multi-process coordinator/worker backend;
+//! * [`dist`] — the distributed runtime: the P×P grid partition and the
+//!   multi-process coordinator/worker backend;
 //! * [`net`] — the shared length-prefixed framing and connection layer used
 //!   by both the query server and the distributed backend;
 //! * [`serve`] — online serving: frozen [`TopicModel`](serve::TopicModel)
@@ -73,8 +73,8 @@ pub mod prelude {
         OovPolicy, SyntheticConfig, Vocabulary, WordMajorView, ZipfGenerator,
     };
     pub use warplda_dist::{
-        ClusterConfig, DistError, FaultAction, FaultEvent, FaultPhase, FaultPlan, GridPartition,
-        ProcessCluster, ProcessClusterConfig, ProcessIterationReport, ShardPlan,
+        DistError, FaultAction, FaultEvent, FaultPhase, FaultPlan, GridPartition, ProcessCluster,
+        ProcessClusterConfig, ProcessIterationReport, ShardPlan,
     };
     pub use warplda_serve::{
         Client, InferConfig, InferScratch, InferenceEngine, LatencyStats, ServeCounters, Server,

@@ -1,17 +1,10 @@
-//! Distributed WarpLDA on the simulated cluster: partition balance,
-//! communication volume and the modelled speedup curve (a miniature of
-//! Figures 6 and 9b). The run is the ordinary [`Trainer`] over a
-//! [`ParallelWarpLda`] with one worker per simulated machine; the cluster's
-//! cost model then prices its [`IterationLog`].
-//!
-//! With `--process`, the same corpus is additionally trained on a **real**
-//! 2-process cluster (`warplda-dist-worker` children over loopback TCP) and
-//! checked bit-for-bit against the serial sampler; the bytes every iteration
-//! puts on the sockets must equal the closed form of the exchange plan, or
-//! the run exits non-zero. The worker binary must be
-//! built first (`cargo build --release -p warplda-dist --bin
-//! warplda-dist-worker`); without it the cluster refuses to start with an
-//! error that says so.
+//! Distributed WarpLDA on a 2-process cluster (`warplda-dist-worker`
+//! children over loopback TCP): the grid's balance and exchange volume, then
+//! a run checked bit-for-bit against the serial sampler. The bytes every
+//! iteration puts on the sockets must equal the closed form of the exchange
+//! plan, or the run exits non-zero. The worker binary must be built first
+//! (`cargo build --release -p warplda-dist --bin warplda-dist-worker`);
+//! without it the cluster refuses to start with an error that says so.
 //!
 //! With `--fault-smoke`, a 4-process cluster is trained under a scripted
 //! fault plan — one worker killed outright, another hung mid-iteration — and
@@ -20,26 +13,32 @@
 //!
 //! ```bash
 //! cargo run --release --example distributed_run
-//! cargo run --release --example distributed_run -- --process
 //! cargo run --release --example distributed_run -- --fault-smoke
 //! ```
 
 use std::time::Duration;
 
-use warplda::dist::exchange_bytes_per_iteration;
-use warplda::dist::runner::{price_iteration_log, scaling_sweep};
 use warplda::prelude::*;
 
-fn run_process_backend(corpus: &Corpus, params: ModelParams, config: WarpLdaConfig, seed: u64) {
+fn run_cluster(corpus: &Corpus, params: ModelParams, config: WarpLdaConfig, seed: u64) {
     let workers = 2;
     let iterations = 5;
-    println!("\nreal {workers}-process cluster (loopback TCP):");
+    println!("\n{workers}-process cluster (loopback TCP):");
     let mut cluster =
         ProcessCluster::new(corpus, params, config, seed, ProcessClusterConfig::new(workers))
             .unwrap_or_else(|e| {
                 eprintln!("cannot spawn the process cluster: {e}");
                 std::process::exit(1);
             });
+    let grid = cluster.grid();
+    println!(
+        "grid: doc-phase imbalance {:.4}, word-phase imbalance {:.4}, \
+         {} of {} tokens cross owners per phase switch",
+        grid.doc_phase_imbalance(),
+        grid.word_phase_imbalance(),
+        grid.tokens_exchanged_per_phase_switch(),
+        grid.total_tokens(),
+    );
     let mut oracle = WarpLda::new(corpus, params, config, seed);
     let tokens = corpus.num_tokens() as f64;
     let expected = cluster.plan().iteration_wire_bytes(params.num_topics, config.mh_steps);
@@ -67,11 +66,9 @@ fn run_process_backend(corpus: &Corpus, params: ModelParams, config: WarpLdaConf
     }
     println!(
         "every iteration exchanged the closed form of the plan: {expected} B = {:.3} B/token \
-         ({} B records, {} of {} tokens cross owners)",
+         ({} B records)",
         expected as f64 / tokens,
         warplda::dist::protocol::record_wire_bytes(params.num_topics, config.mh_steps),
-        cluster.grid().tokens_exchanged_per_phase_switch(),
-        corpus.num_tokens(),
     );
     assert_eq!(
         cluster.assignments(),
@@ -142,64 +139,9 @@ fn main() {
     let config = WarpLdaConfig::with_mh_steps(2);
     println!("corpus: {}", corpus.stats().table_row("tiny-synthetic"));
 
-    // --- Fault-injection smoke (opt-in, used by CI) -----------------------
     if std::env::args().any(|a| a == "--fault-smoke") {
         run_fault_smoke(&corpus, config, 7);
-        return;
-    }
-
-    // --- One distributed run with 4 simulated machines -------------------
-    let cluster = ClusterConfig::tianhe2_like(4);
-    let trainer = Trainer::new(&corpus);
-    let grid = GridPartition::for_cluster(
-        &corpus,
-        trainer.doc_view(),
-        trainer.word_view(),
-        cluster.workers,
-    );
-    println!(
-        "\n4-machine grid: doc-phase imbalance {:.4}, word-phase imbalance {:.4}, \
-         {} of {} tokens cross the network per phase switch",
-        grid.doc_phase_imbalance(),
-        grid.word_phase_imbalance(),
-        grid.tokens_exchanged_per_phase_switch(),
-        grid.total_tokens(),
-    );
-
-    let mut sampler = ParallelWarpLda::new(&corpus, params, config, 7, cluster.workers);
-    let measured =
-        trainer.train(&TrainerConfig::new(10).eval_every(2), "WarpLDA (4 machines)", &mut sampler);
-    let log = price_iteration_log(&measured, &grid, &cluster, &params, &config);
-    // The grid is static: every iteration ships the same bytes.
-    let comm_sec = cluster.exchange_time_sec(exchange_bytes_per_iteration(
-        grid.tokens_exchanged_per_phase_switch(),
-        params.num_topics,
-        config.mh_steps,
-    ));
-    println!(
-        "\n{:<6} {:>16} {:>14} {:>12} {:>12}",
-        "iter", "log-likelihood", "Mtokens/s", "compute ms", "comm ms"
-    );
-    for record in log.records() {
-        println!(
-            "{:<6} {:>16} {:>14.2} {:>12.2} {:>12.3}",
-            record.iteration,
-            record.log_likelihood.map_or("-".to_string(), |l| format!("{l:.1}")),
-            record.tokens_per_sec / 1e6,
-            record.phase_seconds.unwrap_or(0.0) * 1e3,
-            comm_sec * 1e3,
-        );
-    }
-
-    // --- Scaling sweep ----------------------------------------------------
-    println!("\nscaling sweep (modelled throughput):");
-    println!("{:<10} {:>14} {:>10}", "machines", "Mtokens/s", "speedup");
-    for p in scaling_sweep(&corpus, params, config, &[1, 2, 4, 8], 3, 7) {
-        println!("{:<10} {:>14.2} {:>10.2}", p.workers, p.tokens_per_sec / 1e6, p.speedup);
-    }
-
-    // --- Real multi-process backend (opt-in) ------------------------------
-    if std::env::args().any(|a| a == "--process") {
-        run_process_backend(&corpus, params, config, 7);
+    } else {
+        run_cluster(&corpus, params, config, 7);
     }
 }
