@@ -12,7 +12,8 @@
 //! * a **doc proposal** `q_doc(k) ∝ C_dk + α`, drawn by random positioning
 //!   over the document's current assignments. Its acceptance needs the
 //!   frozen `φ` ratio (two `C_wk` lookups in the model's per-word index, a
-//!   probe or two each) plus the `¬i` exclusion on `c_d`.
+//!   probe or two each) and `c_k`: the positions include token `i`, so the
+//!   `c_d` factors of target and proposal cancel.
 //!
 //! After the sweeps, `θ_k = (C_dk + α) / (L_d + ᾱ)`.
 //!
@@ -90,6 +91,12 @@ impl InferScratch {
     /// The θ estimated by the most recent request (length `K`).
     pub fn theta(&self) -> &[f64] {
         &self.theta
+    }
+
+    /// The topic each query token holds at the end of the most recent
+    /// request (length `L`, in query order).
+    pub fn assignments(&self) -> &[u32] {
+        &self.z
     }
 
     /// The topics the most recent request actually assigned tokens to, as
@@ -215,8 +222,9 @@ impl<'m> InferenceEngine<'m> {
                         }
                     }
                     // Doc proposal by random positioning over the current
-                    // assignments; acceptance needs the frozen φ ratio plus
-                    // the ¬i exclusion on c_d.
+                    // assignments, token i included: its c_d factors cancel
+                    // against the reverse proposal's, so acceptance needs
+                    // the frozen φ ratio alone.
                     let t = if rng.gen::<f64>() < p_doc_count {
                         z[rng.dice(len)]
                     } else {
@@ -224,13 +232,10 @@ impl<'m> InferenceEngine<'m> {
                     };
                     let cur = z[i];
                     if t != cur {
-                        let cd_cur = cd.get(cur) as f64;
                         let ratio = (model.word_topic_count(w, t) as f64 + params.beta)
                             / (model.word_topic_count(w, cur) as f64 + params.beta)
                             * (ck[cur as usize] as f64 + beta_bar)
-                            / (ck[t as usize] as f64 + beta_bar)
-                            * (cd_cur + alpha)
-                            / (cd_cur - 1.0 + alpha);
+                            / (ck[t as usize] as f64 + beta_bar);
                         if ratio >= 1.0 || rng.gen::<f64>() < ratio {
                             cd.decrement(cur);
                             cd.increment(t);

@@ -110,13 +110,15 @@ fn golden_queries(corpus: &Corpus) -> Vec<Vec<u32>> {
 /// tokens are of words with `2·nnz ≥ K`; at K = 1 024 none are. The models
 /// come from the exact sampler, not WarpLDA, so a deliberate change to the
 /// trainer's chain leaves this constant alone: it moves only when fold-in
-/// itself does. The constant was computed with fold-in reading `C_wk`
-/// through the per-word hash index (which reads the bits the earlier binary
-/// search did): however the frozen counts are stored or looked up, every θ
-/// keeps its bits unless a change means to move them.
+/// itself does. Computed at the commit that deleted the doc acceptance's
+/// `(c_d,cur + α)/(c_d,cur − 1 + α)` factor, which made fold-in sample the
+/// wrong posterior ([`fold_in_matches_the_exact_posterior`] judges that).
+/// The constant before it, `0xee3265c594a2a5cc`, pinned the kernel with the
+/// factor. However the frozen counts are stored or looked up, every θ keeps
+/// its bits unless a change means to move them.
 #[test]
 fn fold_in_theta_is_pinned_across_commits() {
-    const GOLDEN: u64 = 0xee32_65c5_94a2_a5cc;
+    const GOLDEN: u64 = 0x7cb4_1207_c0f4_497d;
     let corpus = DatasetPreset::Tiny.generate();
     let docs = golden_queries(&corpus);
     let mut bytes = Vec::new();
@@ -142,6 +144,135 @@ fn fold_in_theta_is_pinned_across_commits() {
     }
     let hash = warplda::corpus::io::codec::fnv1a64(&bytes);
     assert_eq!(hash, GOLDEN, "got {hash:#018x}");
+}
+
+/// The fold-in oracle's `C_wk` rows at K = 3: three words that each lean on
+/// one topic and a frequent fourth that spreads over all three.
+const ORACLE_ROWS: [[u32; 3]; 4] = [[30, 2, 1], [3, 25, 4], [5, 6, 20], [40, 10, 70]];
+
+/// A model whose `C_wk` are exactly `rows`, frozen through
+/// `from_assignments` from one training document that holds word `w` `C_wk`
+/// times at topic `k`. A row of zeros is a word the training corpus never
+/// saw.
+fn toy_model(rows: &[[u32; 3]], params: ModelParams) -> TopicModel {
+    let (mut tokens, mut z) = (Vec::new(), Vec::new());
+    for (w, row) in rows.iter().enumerate() {
+        for (k, &c) in row.iter().enumerate() {
+            tokens.extend(std::iter::repeat_n(w as u32, c as usize));
+            z.extend(std::iter::repeat_n(k as u32, c as usize));
+        }
+    }
+    let corpus =
+        Corpus::from_parts(vec![Document::from_tokens(tokens)], Vocabulary::synthetic(rows.len()))
+            .unwrap();
+    let doc_view = DocMajorView::build(&corpus);
+    let word_view = WordMajorView::build(&corpus, &doc_view);
+    TopicModel::from_assignments(params, &word_view, &z, None)
+}
+
+/// Whether query tokens `i < j` share a topic under `z`, for every pair in a
+/// fixed order.
+fn co_assigned(z: &[u32]) -> impl Iterator<Item = bool> + '_ {
+    (0..z.len()).flat_map(move |i| (i + 1..z.len()).map(move |j| z[i] == z[j]))
+}
+
+/// The exact fold-in posterior of `query` under the frozen `rows`, from all
+/// Kᴸ assignments: `p(z) ∝ ∏_k Γ(c_dk + α) · ∏_i φ_{w_i z_i}` with
+/// `φ_wk = (C_wk + β) / (c_k + V·β)`. Returns `E[θ]` followed by
+/// `P(z_i = z_j)` for every pair of query tokens.
+fn exact_fold_in(rows: &[[u32; 3]], params: &ModelParams, query: &[u32]) -> Vec<f64> {
+    let (k, len) = (params.num_topics, query.len());
+    let (alpha, beta) = (params.alpha, params.beta);
+    let beta_bar = rows.len() as f64 * beta;
+    let ck: Vec<f64> = (0..k).map(|t| rows.iter().map(|r| r[t] as f64).sum()).collect();
+    let phi =
+        |w: u32, t: u32| (rows[w as usize][t as usize] as f64 + beta) / (ck[t as usize] + beta_bar);
+    let mut out = vec![0.0; k + len * (len - 1) / 2];
+    let mut total = 0.0;
+    let mut z = vec![0u32; len];
+    loop {
+        let mut cd = vec![0u32; k];
+        let mut p = 1.0;
+        for (&w, &t) in query.iter().zip(&z) {
+            // Γ(c + 1 + α) / Γ(c + α) = c + α, one token at a time.
+            p *= (cd[t as usize] as f64 + alpha) * phi(w, t);
+            cd[t as usize] += 1;
+        }
+        total += p;
+        for (slot, &c) in out.iter_mut().zip(&cd) {
+            *slot += p * (c as f64 + alpha) / (len as f64 + params.alpha_bar());
+        }
+        for (slot, same) in out[k..].iter_mut().zip(co_assigned(&z)) {
+            *slot += if same { p } else { 0.0 };
+        }
+        // Count `z` up in base K; the states are exhausted when it wraps to 0.
+        let Some(digit) = z.iter().position(|&t| (t as usize) + 1 < k) else { break };
+        z[..digit].fill(0);
+        z[digit] += 1;
+    }
+    out.iter().map(|v| v / total).collect()
+}
+
+/// Fold-in samples the exact posterior of the frozen model, checked against
+/// an enumeration of every state (the `sampler_agreement` oracle, applied to
+/// inference). Each seed is an independent fold-in run, so its final θ and
+/// co-assignments are independent draws; their means must land within
+/// 4.5 standard errors of the exact values (for the 18 statistics of 4 rows,
+/// ≈ 5·10⁻⁴ chance of a false alarm if all were independent). The second
+/// query holds a word the training corpus never saw, whose word proposal
+/// is all smoothing. A sampler of the wrong posterior is flagged: keeping
+/// the doc acceptance's `(c_d,cur + α)/(c_d,cur − 1 + α)` factor reads
+/// θ tens of standard errors off.
+#[test]
+fn fold_in_matches_the_exact_posterior() {
+    const SEEDS: u64 = 40_000;
+    const Z_BOUND: f64 = 4.5;
+    let params = ModelParams::new(3, 0.5, 0.1);
+    let unseen = [ORACLE_ROWS[0], ORACLE_ROWS[1], ORACLE_ROWS[2], ORACLE_ROWS[3], [0, 0, 0]];
+    let cases: [(&[[u32; 3]], [u32; 6]); 2] =
+        [(&ORACLE_ROWS, [0, 1, 2, 0, 2, 1]), (&unseen, [0, 4, 2, 3, 4, 1])];
+    let mut failures = Vec::new();
+    println!("query          M  θ z-scores             max |z| of 15 pairs");
+    for (rows, query) in cases {
+        let model = toy_model(rows, params);
+        let exact = exact_fold_in(rows, &params, &query);
+        for mh_steps in [1, 2] {
+            let engine =
+                InferenceEngine::new(&model, InferConfig { mh_steps, ..Default::default() });
+            let mut scratch = InferScratch::new();
+            let (mut sum, mut sum_sq) = (vec![0.0; exact.len()], vec![0.0; exact.len()]);
+            for seed in 1..=SEEDS {
+                engine.infer_into(&query, seed, &mut scratch);
+                let same = co_assigned(scratch.assignments()).map(|s| if s { 1.0 } else { 0.0 });
+                for ((s, s2), x) in
+                    sum.iter_mut().zip(&mut sum_sq).zip(scratch.theta().iter().copied().chain(same))
+                {
+                    *s += x;
+                    *s2 += x * x;
+                }
+            }
+            let n = SEEDS as f64;
+            let z: Vec<f64> = sum
+                .iter()
+                .zip(&sum_sq)
+                .zip(&exact)
+                .map(|((&s, &s2), &p)| {
+                    let mean = s / n;
+                    let std_err = ((s2 / n - mean * mean) / (n - 1.0)).sqrt();
+                    (mean - p) / std_err
+                })
+                .collect();
+            let pairs_max = z[3..].iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            println!(
+                "{query:?} {mh_steps}  {:+6.1} {:+6.1} {:+6.1}   {pairs_max:6.1}",
+                z[0], z[1], z[2]
+            );
+            if !z.iter().all(|v| v.abs() <= Z_BOUND) {
+                failures.push(format!("{query:?} at M = {mh_steps}: z = {z:.1?}"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "fold-in is off the exact posterior: {failures:#?}");
 }
 
 #[test]
