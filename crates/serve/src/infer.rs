@@ -31,7 +31,7 @@
 use rand::Rng;
 
 use warplda_core::counts::{DenseCounts, TopicCounts};
-use warplda_sampling::{new_rng, split_seed, Dice};
+use warplda_sampling::{new_rng, split_seed, Mixture};
 
 use crate::model::TopicModel;
 
@@ -196,51 +196,53 @@ impl<'m> InferenceEngine<'m> {
         // shortens burn-in.
         z.clear();
         for &w in words {
-            let t = model.sample_word_proposal(w, &mut rng);
+            let t = model.sample_word_proposal(w, model.word_mixture(w), &mut rng);
             z.push(t);
             cd.increment(t);
         }
 
-        let p_doc_count = len as f64 / (len as f64 + alpha_bar);
+        // Each step draws its proposal, then one uniform u, and accepts by
+        // select (see the module docs); t == cur keeps cur either way.
+        let (k, beta) = (k as u32, params.beta);
+        let doc_mixture = Mixture::new(len as f64 / (len as f64 + alpha_bar));
         for _sweep in 0..self.config.sweeps {
             for i in 0..len {
                 let w = words[i];
+                let word_mixture = model.word_mixture(w);
                 for _ in 0..self.config.mh_steps {
                     // Word proposal: the C_wk factors of target and proposal
                     // cancel; acceptance needs only c_d (¬i) and c_k.
-                    let t = model.sample_word_proposal(w, &mut rng);
                     let cur = z[i];
-                    if t != cur {
-                        let cd_cur_excl = (cd.get(cur) - 1) as f64;
-                        let ratio = (cd.get(t) as f64 + alpha) / (cd_cur_excl + alpha)
-                            * (ck[cur as usize] as f64 + beta_bar)
-                            / (ck[t as usize] as f64 + beta_bar);
-                        if ratio >= 1.0 || rng.gen::<f64>() < ratio {
-                            cd.decrement(cur);
-                            cd.increment(t);
-                            z[i] = t;
-                        }
+                    let t = model.sample_word_proposal(w, word_mixture, &mut rng);
+                    let u = rng.gen::<f64>();
+                    let num = (cd.get(t) as f64 + alpha) * (ck[cur as usize] as f64 + beta_bar);
+                    let den =
+                        (cd.get(cur) as f64 - 1.0 + alpha) * (ck[t as usize] as f64 + beta_bar);
+                    let next = if u * den < num { t } else { cur };
+                    if next != cur {
+                        cd.decrement(cur);
+                        cd.increment(next);
+                        z[i] = next;
                     }
                     // Doc proposal by random positioning over the current
                     // assignments, token i included: its c_d factors cancel
                     // against the reverse proposal's, so acceptance needs
-                    // the frozen φ ratio alone.
-                    let t = if rng.gen::<f64>() < p_doc_count {
-                        z[rng.dice(len)]
-                    } else {
-                        rng.dice(k) as u32
-                    };
+                    // the frozen φ ratio and c_k alone.
                     let cur = z[i];
-                    if t != cur {
-                        let ratio = (model.word_topic_count(w, t) as f64 + params.beta)
-                            / (model.word_topic_count(w, cur) as f64 + params.beta)
-                            * (ck[cur as usize] as f64 + beta_bar)
-                            / (ck[t as usize] as f64 + beta_bar);
-                        if ratio >= 1.0 || rng.gen::<f64>() < ratio {
-                            cd.decrement(cur);
-                            cd.increment(t);
-                            z[i] = t;
-                        }
+                    let t = match doc_mixture.draw(&mut rng, len as u32, k) {
+                        (true, j) => z[j as usize],
+                        (false, topic) => topic,
+                    };
+                    let u = rng.gen::<f64>();
+                    let num = (model.word_topic_count(w, t) as f64 + beta)
+                        * (ck[cur as usize] as f64 + beta_bar);
+                    let den = (model.word_topic_count(w, cur) as f64 + beta)
+                        * (ck[t as usize] as f64 + beta_bar);
+                    let next = if u * den < num { t } else { cur };
+                    if next != cur {
+                        cd.decrement(cur);
+                        cd.increment(next);
+                        z[i] = next;
                     }
                 }
             }

@@ -39,12 +39,11 @@ use warplda_corpus::io::codec::{
 use warplda_corpus::{Corpus, DocMajorView, Vocabulary, WordMajorView};
 
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 use warplda_core::checkpoint::{read_model_params, write_model_params};
 use warplda_core::counts::{DenseCounts, TopicCounts};
 use warplda_core::{ModelParams, Sampler};
-use warplda_sampling::{Dice, SparseAliasTable};
+use warplda_sampling::{Mixture, SparseAliasTable};
 
 /// Payload tag distinguishing model payloads from any future section kinds.
 const MODEL_KIND: &str = "topic-model";
@@ -366,17 +365,27 @@ impl TopicModel {
             + std::mem::size_of::<u64>() * self.index.capacity()
     }
 
-    /// Draws from the word proposal `q_word(k) ∝ C_wk + β` in O(1): the
-    /// paper's mixture of the pre-built count alias table (mass `L_w`) and
-    /// the uniform smoothing part (mass `K·β`).
+    /// The mixture weight of `word`'s proposal `q_word(k) ∝ C_wk + β`: the
+    /// count part has mass `L_w`, the uniform smoothing part `K·β`. A word
+    /// without counts gets `Mixture::new(0.0)`, which never picks the count
+    /// part. Computed once per token, not per draw.
     #[inline]
-    pub fn sample_word_proposal(&self, word: u32, rng: &mut SmallRng) -> u32 {
-        let k = self.params.num_topics;
+    pub fn word_mixture(&self, word: u32) -> Mixture {
         let count_mass = self.word_totals[word as usize] as f64;
-        let p_count = count_mass / (count_mass + k as f64 * self.params.beta);
-        match &self.alias[word as usize] {
-            Some(table) if rng.gen::<f64>() < p_count => table.sample(rng),
-            _ => rng.dice(k) as u32,
+        Mixture::new(count_mass / (count_mass + self.params.num_topics as f64 * self.params.beta))
+    }
+
+    /// Draws from the word proposal `q_word(k) ∝ C_wk + β` in O(1), given
+    /// `mixture = self.word_mixture(word)`: one 64-bit word picks the part
+    /// and either a bin of the pre-built count alias table (then one coin
+    /// between the bin's two labels) or a uniform topic.
+    #[inline]
+    pub fn sample_word_proposal(&self, word: u32, mixture: Mixture, rng: &mut SmallRng) -> u32 {
+        let table = self.alias[word as usize].as_ref();
+        let bins = table.map_or(0, |t| t.len() as u32);
+        match (table, mixture.draw(rng, bins, self.params.num_topics as u32)) {
+            (Some(table), (true, bin)) => table.sample_bin(bin as usize, rng),
+            (_, (_, topic)) => topic,
         }
     }
 
@@ -635,12 +644,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_word_without_counts_and_a_full_row_read_back_exactly() {
-        // K = 4, built as the codec reader builds it: word 0 holds every
-        // topic (a full, direct-mapped row: no free slot to stop a probe),
-        // word 1 no pair, word 2 one.
-        let model = TopicModel::from_parts(
+    /// K = 4, built as the codec reader builds it: word 0 holds every topic
+    /// (a full, direct-mapped row: no free slot to stop a probe), word 1 no
+    /// pair, word 2 one.
+    fn hand_built_model() -> TopicModel {
+        TopicModel::from_parts(
             ModelParams::new(4, 0.5, 0.1),
             vec![1, 2, 3, 5],
             vec![0, 4, 4, 5],
@@ -648,7 +656,12 @@ mod tests {
             vec![1, 2, 3, 4, 1],
             None,
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn a_word_without_counts_and_a_full_row_read_back_exactly() {
+        let model = hand_built_model();
         assert_eq!(model.index_offsets, [0, 4, 5, 7]);
         let mut bytes = Vec::new();
         model.write(&mut bytes).unwrap();
@@ -691,21 +704,26 @@ mod tests {
 
     #[test]
     fn word_proposal_matches_the_smoothed_distribution() {
-        let (_, model) = trained_model();
-        let w = 0u32;
-        let mut rng = warplda_sampling::new_rng(3);
-        let mut hist = vec![0u64; model.num_topics()];
-        let draws = 200_000;
-        for _ in 0..draws {
-            hist[model.sample_word_proposal(w, &mut rng) as usize] += 1;
-        }
-        let k = model.num_topics() as f64;
-        let total_mass = model.word_total(w) as f64 + k * model.params().beta;
-        for (t, &h) in hist.iter().enumerate() {
-            let expect =
-                (model.word_topic_count(w, t as u32) as f64 + model.params().beta) / total_mass;
-            let got = h as f64 / draws as f64;
-            assert!((got - expect).abs() < 0.01, "topic {t}: {got} vs {expect}");
+        // A trained word, then a full row, a word without counts (the
+        // mixture never picks its count part) and a single-pair word.
+        let (_, trained) = trained_model();
+        let hand_built = hand_built_model();
+        for (model, w) in [(&trained, 0u32), (&hand_built, 0), (&hand_built, 1), (&hand_built, 2)] {
+            let mut rng = warplda_sampling::new_rng(3);
+            let mut hist = vec![0u64; model.num_topics()];
+            let draws = 200_000;
+            let mixture = model.word_mixture(w);
+            for _ in 0..draws {
+                hist[model.sample_word_proposal(w, mixture, &mut rng) as usize] += 1;
+            }
+            let k = model.num_topics() as f64;
+            let total_mass = model.word_total(w) as f64 + k * model.params().beta;
+            for (t, &h) in hist.iter().enumerate() {
+                let expect =
+                    (model.word_topic_count(w, t as u32) as f64 + model.params().beta) / total_mass;
+                let got = h as f64 / draws as f64;
+                assert!((got - expect).abs() < 0.01, "word {w}, topic {t}: {got} vs {expect}");
+            }
         }
     }
 
@@ -726,7 +744,11 @@ mod tests {
         let mut a = warplda_sampling::new_rng(11);
         let mut b = warplda_sampling::new_rng(11);
         for _ in 0..2_000 {
-            assert_eq!(model.sample_word_proposal(0, &mut a), back.sample_word_proposal(0, &mut b));
+            let mixture = model.word_mixture(0);
+            assert_eq!(
+                model.sample_word_proposal(0, mixture, &mut a),
+                back.sample_word_proposal(0, back.word_mixture(0), &mut b)
+            );
         }
     }
 

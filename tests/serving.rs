@@ -110,15 +110,19 @@ fn golden_queries(corpus: &Corpus) -> Vec<Vec<u32>> {
 /// tokens are of words with `2·nnz ≥ K`; at K = 1 024 none are. The models
 /// come from the exact sampler, not WarpLDA, so a deliberate change to the
 /// trainer's chain leaves this constant alone: it moves only when fold-in
-/// itself does. Computed at the commit that deleted the doc acceptance's
-/// `(c_d,cur + α)/(c_d,cur − 1 + α)` factor, which made fold-in sample the
-/// wrong posterior ([`fold_in_matches_the_exact_posterior`] judges that).
-/// The constant before it, `0xee3265c594a2a5cc`, pinned the kernel with the
-/// factor. However the frozen counts are stored or looked up, every θ keeps
-/// its bits unless a change means to move them.
+/// itself does. Computed at the commit that gave fold-in's MH steps the
+/// trainer's discipline: one 64-bit word per proposal (the initial draw
+/// too), one uniform per step drawn unconditionally, acceptance by
+/// multiply-and-select. The two constants before it are
+/// `0x7cb41207c0f4497d` (the ratio-and-branch steps, after the doc
+/// acceptance lost its `(c_d,cur + α)/(c_d,cur − 1 + α)` factor) and
+/// `0xee3265c594a2a5cc` (with that factor, which sampled the wrong
+/// posterior: [`fold_in_matches_the_exact_posterior`] judges that).
+/// However the frozen counts are stored or looked up, every θ keeps its
+/// bits unless a change means to move them.
 #[test]
 fn fold_in_theta_is_pinned_across_commits() {
-    const GOLDEN: u64 = 0x7cb4_1207_c0f4_497d;
+    const GOLDEN: u64 = 0x93f4_a991_9125_6a25;
     let corpus = DatasetPreset::Tiny.generate();
     let docs = golden_queries(&corpus);
     let mut bytes = Vec::new();
