@@ -2,18 +2,36 @@
 //! model.
 //!
 //! The engine runs the same Metropolis–Hastings machinery WarpLDA trains
-//! with, but with the topic–word side frozen: each sweep alternates, per
-//! token,
+//! with, but with the topic–word side frozen, and it samples the exact
+//! fold-in posterior `p(z) ∝ ∏_k Γ(C_dk + α) · ∏_i φ_{w_i z_i}`. Each sweep
+//! alternates, per token `i` at topic `z`,
 //!
 //! * a **word proposal** `q_word(k) ∝ C_wk + β`, drawn in O(1) from the
-//!   model's pre-built alias tables. Its acceptance ratio only needs the
-//!   partial `c_d` and the frozen `c_k` — the `C_wk` factors of the target
-//!   and the proposal cancel, exactly the cancellation the paper exploits;
+//!   model's pre-built alias tables. The `C_wk` factors of the target and
+//!   the proposal cancel, exactly the cancellation the paper exploits, so
+//!   the step to `t` has `num = (C_dt + α)(c_k[z] + β̄)` and
+//!   `den = (C_dz − 1 + α)(c_k[t] + β̄)`: the partial `c_d` with token `i`
+//!   excluded, and the frozen `c_k`;
 //! * a **doc proposal** `q_doc(k) ∝ C_dk + α`, drawn by random positioning
-//!   over the document's current assignments. Its acceptance needs the
-//!   frozen `φ` ratio (two `C_wk` lookups in the model's per-word index, a
-//!   probe or two each) and `c_k`: the positions include token `i`, so the
-//!   `c_d` factors of target and proposal cancel.
+//!   over the document's current assignments, token `i` included. So the
+//!   proposal depends on `z`, the reverse proposal's `c_d` factors cancel
+//!   the target's, and the step has `num = (C_wt + β)(c_k[z] + β̄)` and
+//!   `den = (C_wz + β)(c_k[t] + β̄)`: the frozen `φ` ratio (two `C_wk`
+//!   lookups in the model's per-word index, a probe or two each) and `c_k`,
+//!   no `c_d`.
+//!
+//! Both steps follow the training kernels' discipline. A proposal takes one
+//! 64-bit word through [`Mixture`]: its high half picks the component
+//! (`p = L_w/(L_w + K·β)` for `q_word`, a word without counts never picking
+//! its count part; `p = L/(L + ᾱ)` for `q_doc`), its low half an exact
+//! uniform index into it (an alias bin, which then costs one coin; a
+//! position whose topic is copied; or a topic). Then the step draws one
+//! uniform `u`, whatever it proposed, and sets
+//! `z = if u·den < num { t } else { z }`, which accepts with probability
+//! `min(1, num/den)` and leaves `z` alone when `t == z`. The RNG schedule
+//! per request is therefore: one word-proposal draw per token for the
+//! initial state, then per token, sweep and MH pair the word proposal, its
+//! `u`, the doc proposal and its `u`.
 //!
 //! After the sweeps, `θ_k = (C_dk + α) / (L_d + ᾱ)`.
 //!

@@ -16,7 +16,12 @@
 //!   alternate word-proposals (from the frozen alias tables) and
 //!   doc-proposals (random positioning over the partial θ_d) over the unseen
 //!   document, exactly the proposal/acceptance structure of WarpLDA training
-//!   but with φ held fixed. Per-request scratch comes from a reusable
+//!   but with φ held fixed, sampling the exact fold-in posterior. The word
+//!   step accepts on `c_d` (token i excluded) and `c_k`; the doc step on the
+//!   φ ratio and `c_k` alone, since its positions include token i and the
+//!   `c_d` factors cancel. Each proposal takes one 64-bit draw and each step
+//!   one uniform, drawn unconditionally, and accepts by multiply-and-select,
+//!   as training's kernels do. Per-request scratch comes from a reusable
 //!   [`InferScratch`], so steady-state inference is allocation-free, and each
 //!   request derives its own RNG stream from its seed — results are
 //!   bit-identical for a fixed request seed regardless of how many server

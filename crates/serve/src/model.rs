@@ -743,11 +743,11 @@ mod tests {
         // The rebuilt alias tables draw the same stream as the originals.
         let mut a = warplda_sampling::new_rng(11);
         let mut b = warplda_sampling::new_rng(11);
+        let (mixture, back_mixture) = (model.word_mixture(0), back.word_mixture(0));
         for _ in 0..2_000 {
-            let mixture = model.word_mixture(0);
             assert_eq!(
                 model.sample_word_proposal(0, mixture, &mut a),
-                back.sample_word_proposal(0, back.word_mixture(0), &mut b)
+                back.sample_word_proposal(0, back_mixture, &mut b)
             );
         }
     }

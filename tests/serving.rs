@@ -221,12 +221,13 @@ fn exact_fold_in(rows: &[[u32; 3]], params: &ModelParams, query: &[u32]) -> Vec<
 /// an enumeration of every state (the `sampler_agreement` oracle, applied to
 /// inference). Each seed is an independent fold-in run, so its final θ and
 /// co-assignments are independent draws; their means must land within
-/// 4.5 standard errors of the exact values (for the 18 statistics of 4 rows,
-/// ≈ 5·10⁻⁴ chance of a false alarm if all were independent). The second
-/// query holds a word the training corpus never saw, whose word proposal
-/// is all smoothing. A sampler of the wrong posterior is flagged: keeping
-/// the doc acceptance's `(c_d,cur + α)/(c_d,cur − 1 + α)` factor reads
-/// θ tens of standard errors off.
+/// 4.5 standard errors of the exact values (over all 72 statistics, 18 for
+/// each of 4 rows, a ≈ 5·10⁻⁴ chance of a false alarm if they were
+/// independent). The second query holds a word the training corpus never
+/// saw, whose word proposal is all smoothing. A sampler of the wrong
+/// posterior is flagged: keeping the doc acceptance's
+/// `(c_d,cur + α)/(c_d,cur − 1 + α)` factor reads θ tens of standard errors
+/// off.
 #[test]
 fn fold_in_matches_the_exact_posterior() {
     const SEEDS: u64 = 40_000;
