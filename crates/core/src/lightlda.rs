@@ -235,10 +235,8 @@ impl<P: MemoryProbe> LightLda<P> {
     /// Word-proposal density of topic `t` (unnormalized), evaluated with the
     /// stale counts the alias table was built from.
     fn word_proposal_weight(&self, w: u32, t: u32) -> f64 {
-        let stale = self.word_tables[w as usize]
-            .as_ref()
-            .map(|tab| tab.stale_pairs.iter().find(|&&(k, _)| k == t).map_or(0, |&(_, c)| c))
-            .unwrap_or_else(|| self.s_word_topic(w, t)) as f64;
+        let table = self.word_tables[w as usize].as_ref().expect("built before its first draw");
+        let stale = table.stale_pairs.iter().find(|&&(k, _)| k == t).map_or(0, |&(_, c)| c) as f64;
         if self.variant.simple_word_proposal {
             stale + self.params.beta
         } else {

@@ -1,9 +1,12 @@
 //! `warplda-dist-worker` — one shard of a real multi-process training run.
 //!
 //! Spawned by [`warplda_dist::ProcessCluster`] as
-//! `warplda-dist-worker --connect 127.0.0.1:PORT --worker-id N`. The worker
-//! connects back, receives the corpus and model hyperparameters in a `Setup`
-//! frame, rebuilds the *same* replica and [`ShardPlan`] the coordinator holds
+//! `warplda-dist-worker --connect 127.0.0.1:PORT --worker-id N`. The
+//! coordinator binds its listener before it spawns a worker, so the worker
+//! connects once, without retrying; if that connect fails the worker exits,
+//! and the coordinator reports the exit as a typed error. Connected, it
+//! receives the corpus and model hyperparameters in a `Setup` frame,
+//! rebuilds the *same* replica and [`ShardPlan`] the coordinator holds
 //! (both are deterministic functions of the corpus, seed and worker count),
 //! then serves `RunIteration` requests: advance the owned shard of a phase,
 //! report a partial `c_k` plus one record segment per destination worker
@@ -52,7 +55,7 @@ use warplda_dist::protocol::{
     DIST_MAX_FRAME_BYTES,
 };
 use warplda_dist::GridPartition;
-use warplda_net::{connect_within, write_frame, FrameBuffer};
+use warplda_net::{write_frame, FrameBuffer};
 
 type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
 
@@ -167,12 +170,7 @@ impl Drop for Heartbeat {
 }
 
 fn run(addr: &str, worker_id: u32) -> Result<()> {
-    let stream = connect_within(
-        addr,
-        Duration::from_secs(30),
-        Duration::from_millis(5),
-        Duration::from_millis(100),
-    )?;
+    let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     // If the coordinator hangs (rather than dying, which shows up as EOF
     // immediately), give up instead of lingering as an orphan.

@@ -17,10 +17,6 @@
 //!   buffer: the query server keeps the conservative
 //!   [`DEFAULT_MAX_FRAME_BYTES`], the distributed runtime raises it for
 //!   corpus and record-delta frames.
-//! * [`connect_within`] — TCP connect with jittered exponential backoff, for
-//!   workers racing a listener that is still coming up, bounded by a
-//!   wall-clock deadline: exhaustion is a typed
-//!   [`WireError::ConnectTimedOut`] instead of retrying forever.
 //!
 //! Encoding is in-place: [`begin_frame`]/[`end_frame`] reserve and patch the
 //! length prefix so a frame is built directly in the output buffer, and
@@ -34,8 +30,8 @@
 #![warn(rust_2018_idioms)]
 
 use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::net::TcpStream;
+use std::time::Duration;
 
 /// Default bound on a single frame's payload. Frames announcing more are
 /// rejected before any allocation happens — a corrupt or hostile length
@@ -56,14 +52,6 @@ pub enum WireError {
     },
     /// The payload did not parse (truncated fields, unknown opcode, …).
     Malformed(&'static str),
-    /// [`connect_within`] exhausted its overall deadline without reaching the
-    /// peer (refused, unroutable or blackholed address).
-    ConnectTimedOut {
-        /// Wall time spent trying.
-        elapsed: Duration,
-        /// Connection attempts made.
-        attempts: u32,
-    },
 }
 
 impl std::fmt::Display for WireError {
@@ -74,9 +62,6 @@ impl std::fmt::Display for WireError {
                 write!(f, "frame of {len} bytes exceeds the {limit}-byte limit")
             }
             WireError::Malformed(what) => write!(f, "malformed message: {what}"),
-            WireError::ConnectTimedOut { elapsed, attempts } => {
-                write!(f, "connect timed out after {elapsed:?} ({attempts} attempts)")
-            }
         }
     }
 }
@@ -295,80 +280,6 @@ pub enum PollFrame {
     Eof,
 }
 
-// ---------------------------------------------------------------------------
-// Connection helpers
-// ---------------------------------------------------------------------------
-
-/// A tiny xorshift stream for backoff jitter. Seeded per call from the
-/// process id and a monotonic counter so concurrent workers desynchronise
-/// their retry storms without the crate growing an RNG dependency.
-struct JitterRng(u64);
-
-impl JitterRng {
-    fn new() -> Self {
-        static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let salt = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let seed = (u64::from(std::process::id()) << 32) ^ salt ^ 0x9e37_79b9_7f4a_7c15;
-        Self(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    /// A duration uniform in `[base/2, base]` — "equal jitter" backoff.
-    fn jittered(&mut self, base: Duration) -> Duration {
-        let nanos = base.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let half = nanos / 2;
-        Duration::from_nanos(half + self.next() % (half + 1))
-    }
-}
-
-/// Connects to `addr`, retrying with jittered exponential backoff until an
-/// overall wall-clock `deadline` elapses, then returns a typed
-/// [`WireError::ConnectTimedOut`] instead of retrying forever against a
-/// refused or blackholed address. Each individual attempt is bounded by the
-/// remaining budget via `TcpStream::connect_timeout`, so a peer that accepts
-/// the SYN and then stalls cannot pin the caller past the deadline either.
-pub fn connect_within<A: ToSocketAddrs>(
-    addr: A,
-    deadline: Duration,
-    initial_backoff: Duration,
-    max_backoff: Duration,
-) -> Result<TcpStream, WireError> {
-    let start = Instant::now();
-    let mut rng = JitterRng::new();
-    let mut backoff = initial_backoff;
-    let mut attempts = 0u32;
-    loop {
-        let addrs: Vec<_> = addr.to_socket_addrs()?.collect();
-        if addrs.is_empty() {
-            return Err(WireError::Malformed("address resolved to nothing"));
-        }
-        for sockaddr in &addrs {
-            let remaining = deadline.saturating_sub(start.elapsed());
-            if remaining.is_zero() {
-                return Err(WireError::ConnectTimedOut { elapsed: start.elapsed(), attempts });
-            }
-            attempts += 1;
-            if let Ok(stream) = TcpStream::connect_timeout(sockaddr, remaining) {
-                return Ok(stream);
-            }
-        }
-        let remaining = deadline.saturating_sub(start.elapsed());
-        if remaining.is_zero() {
-            return Err(WireError::ConnectTimedOut { elapsed: start.elapsed(), attempts });
-        }
-        std::thread::sleep(rng.jittered(backoff).min(remaining));
-        backoff = (backoff * 2).min(max_backoff);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,55 +363,6 @@ mod tests {
             Err(WireError::Malformed(msg)) => assert!(msg.contains("mid-frame"), "{msg}"),
             other => panic!("expected Malformed, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn connect_within_times_out_with_a_typed_error() {
-        use std::net::TcpListener;
-        let dead = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let start = std::time::Instant::now();
-        let err = connect_within(
-            dead,
-            Duration::from_millis(120),
-            Duration::from_millis(5),
-            Duration::from_millis(20),
-        )
-        .unwrap_err();
-        match err {
-            WireError::ConnectTimedOut { elapsed, attempts } => {
-                assert!(attempts >= 1);
-                assert!(elapsed >= Duration::from_millis(100), "deadline honoured: {elapsed:?}");
-            }
-            other => panic!("expected ConnectTimedOut, got {other:?}"),
-        }
-        assert!(start.elapsed() < Duration::from_secs(5), "deadline must bound the retry loop");
-    }
-
-    #[test]
-    fn connect_within_reaches_a_late_listener() {
-        use std::net::TcpListener;
-        let addr = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = l.local_addr().unwrap();
-            drop(l);
-            addr
-        };
-        let accept = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            let l = TcpListener::bind(addr).unwrap();
-            let _ = l.accept();
-        });
-        let stream = connect_within(
-            addr,
-            Duration::from_secs(5),
-            Duration::from_millis(5),
-            Duration::from_millis(20),
-        );
-        accept.join().unwrap();
-        assert!(stream.is_ok(), "late listener should be reached: {stream:?}");
     }
 
     #[test]

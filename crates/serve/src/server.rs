@@ -10,9 +10,9 @@
 //!
 //! Serving mechanics worth naming:
 //!
-//! * **Admission control.** The job queue between the loop and the workers is
-//!   bounded ([`ServerConfig::max_pending`]); a frame arriving over that
-//!   bound is answered immediately with a typed overload
+//! * **Admission control.** The job channel from the loop to the workers
+//!   holds [`ServerConfig::max_pending`] frames; a frame it has no room for
+//!   is answered immediately with a typed overload
 //!   [`Response::Error`](crate::wire::Response) instead of queueing forever.
 //!   Connections beyond [`ServerConfig::max_connections`] get a typed
 //!   capacity error and are closed.
@@ -32,21 +32,26 @@
 //!   be in flight across workers at once; completions are re-sequenced by a
 //!   per-connection sequence number, so responses always come back in
 //!   request order.
-//! * **Atomic hot swap** and **latency accounting** as before: the live
-//!   model is an `Arc` slot behind a [`ModelHandle`], and per-request time
-//!   (admission → response encoded, i.e. queue wait included) accumulates in
-//!   a lock-free log-scale histogram ([`ServerHandle::latency`]).
+//! * **Atomic hot swap** and **latency accounting**: the live model is an
+//!   `Arc` slot behind a [`ModelHandle`], and per-request time (admission →
+//!   response encoded, i.e. queue wait included) accumulates in a lock-free
+//!   log-scale histogram ([`ServerHandle::latency`]).
+//! * **Shutdown** stops the loop, which drops its end of both channels: a
+//!   worker finishes the job in hand and exits, queued jobs are dropped.
 //!
-//! Buffers recycle through a shared pool, so a warm request costs no
-//! steady-state allocation growth; θ stays a pure function of (model,
-//! config, document, seed) — bit-identical to the single-threaded
-//! [`InferenceEngine`] for any worker count.
+//! The loop owns every buffer: a frame's payload goes to a worker in its
+//! job, comes back holding the encoded response and returns to the loop's
+//! spare list, so a warm request costs no steady-state allocation growth;
+//! θ stays a pure function of (model, config, document, seed) —
+//! bit-identical to the single-threaded [`InferenceEngine`] for any worker
+//! count.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -78,6 +83,7 @@ pub struct ServerConfig {
     pub infer: InferConfig,
     /// Admission bound: complete frames queued for the workers beyond this
     /// are shed with a typed overload error instead of queueing forever.
+    /// It is the job channel's capacity, whose slots are allocated at bind.
     pub max_pending: usize,
     /// A request that has not reached a worker within this deadline is
     /// answered with a typed deadline error instead of stale work.
@@ -258,7 +264,7 @@ pub struct ServeCounters {
 }
 
 // ---------------------------------------------------------------------------
-// Job queue, completions, buffer pool
+// Jobs and completions
 // ---------------------------------------------------------------------------
 
 /// One ready, complete request frame, dispatched to the worker pool.
@@ -270,76 +276,13 @@ struct Job {
     enqueued: Instant,
 }
 
-/// An encoded response on its way back to the event loop.
+/// An encoded response on its way back to the event loop, in the buffer
+/// that carried its request.
 struct Completion {
     conn: usize,
     gen: u64,
     seq: u64,
     buf: Vec<u8>,
-}
-
-/// The bounded work queue feeding the fixed worker pool (complete frames
-/// instead of connections — the same claim-when-free discipline as the
-/// training work queue, but admission-controlled: the event loop sheds
-/// instead of pushing past the bound).
-#[derive(Default)]
-struct JobQueue {
-    pending: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-}
-
-impl JobQueue {
-    fn len(&self) -> usize {
-        self.pending.lock().expect("queue poisoned").len()
-    }
-
-    fn push(&self, job: Job) {
-        self.pending.lock().expect("queue poisoned").push_back(job);
-        self.ready.notify_one();
-    }
-
-    fn pop(&self, shutdown: &AtomicBool) -> Option<Job> {
-        let mut q = self.pending.lock().expect("queue poisoned");
-        loop {
-            if shutdown.load(Ordering::Acquire) {
-                return None;
-            }
-            if let Some(job) = q.pop_front() {
-                return Some(job);
-            }
-            let (guard, _) =
-                self.ready.wait_timeout(q, Duration::from_millis(100)).expect("queue poisoned");
-            q = guard;
-        }
-    }
-
-    fn wake_all(&self) {
-        self.ready.notify_all();
-    }
-}
-
-/// Recycles payload/response buffers between the loop and the workers so the
-/// steady state allocates nothing new.
-#[derive(Default)]
-struct BufferPool {
-    free: Mutex<Vec<Vec<u8>>>,
-}
-
-/// Buffers kept beyond this are dropped instead of pooled.
-const POOL_CAP: usize = 1024;
-
-impl BufferPool {
-    fn get(&self) -> Vec<u8> {
-        self.free.lock().expect("pool poisoned").pop().unwrap_or_default()
-    }
-
-    fn put(&self, mut buf: Vec<u8>) {
-        buf.clear();
-        let mut free = self.free.lock().expect("pool poisoned");
-        if free.len() < POOL_CAP {
-            free.push(buf);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -348,9 +291,6 @@ impl BufferPool {
 
 struct Shared {
     model: ModelHandle,
-    jobs: JobQueue,
-    completions: Mutex<Vec<Completion>>,
-    pool: BufferPool,
     latency: LatencyHistogram,
     config: ServerConfig,
     shutdown: AtomicBool,
@@ -378,9 +318,6 @@ impl Server {
         let waker = Waker::new(&poll, WAKER_TOKEN)?;
         let shared = Arc::new(Shared {
             model: ModelHandle::new(model),
-            jobs: JobQueue::default(),
-            completions: Mutex::new(Vec::new()),
-            pool: BufferPool::default(),
             latency: LatencyHistogram::new(),
             config,
             shutdown: AtomicBool::new(false),
@@ -388,16 +325,24 @@ impl Server {
             counters: Counters::default(),
         });
 
-        let event_loop = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || EventLoop::new(shared, listener, poll).run())
-        };
+        // Completions are bounded too, so their slots are allocated once; a
+        // worker that finds the channel full waits for the loop's next pass.
+        let (jobs, job_rx) = mpsc::sync_channel(config.max_pending);
+        let (done, completions) = mpsc::sync_channel(config.max_pending + config.workers);
+        let job_rx = Arc::new(Mutex::new(job_rx));
         let workers = (0..config.workers)
             .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                let (shared, job_rx, done) =
+                    (Arc::clone(&shared), Arc::clone(&job_rx), done.clone());
+                std::thread::spawn(move || worker_loop(&shared, &job_rx, &done))
             })
             .collect();
+        let event_loop = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                EventLoop::new(shared, listener, poll, jobs, completions).run()
+            })
+        };
 
         Ok(ServerHandle { addr: local_addr, shared, event_loop: Some(event_loop), workers })
     }
@@ -451,8 +396,8 @@ impl ServerHandle {
 
     /// Stops the event loop and the workers and joins all threads. Nothing in
     /// the server blocks on a socket, so this returns promptly even with
-    /// stalled readers attached; responses not yet flushed are dropped with
-    /// their connections.
+    /// stalled readers attached; queued jobs and responses not yet flushed
+    /// are dropped with their connections.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
     }
@@ -463,7 +408,6 @@ impl ServerHandle {
         }
         self.shared.shutdown.store(true, Ordering::Release);
         let _ = self.shared.waker.wake();
-        self.shared.jobs.wake_all();
         if let Some(event_loop) = self.event_loop.take() {
             let _ = event_loop.join();
         }
@@ -532,12 +476,20 @@ struct EventLoop {
     free: Vec<usize>,
     accept_paused_until: Option<Instant>,
     accept_backoff: Duration,
-    /// Scratch for draining the completion queue without holding its lock.
-    completions_scratch: Vec<Completion>,
+    jobs: SyncSender<Job>,
+    completions: Receiver<Completion>,
+    /// Cleared buffers for the next frames' payloads.
+    spare: Vec<Vec<u8>>,
 }
 
 impl EventLoop {
-    fn new(shared: Arc<Shared>, listener: TcpListener, poll: Poll) -> Self {
+    fn new(
+        shared: Arc<Shared>,
+        listener: TcpListener,
+        poll: Poll,
+        jobs: SyncSender<Job>,
+        completions: Receiver<Completion>,
+    ) -> Self {
         Self {
             shared,
             listener,
@@ -546,7 +498,9 @@ impl EventLoop {
             free: Vec::new(),
             accept_paused_until: None,
             accept_backoff: INITIAL_ACCEPT_BACKOFF,
-            completions_scratch: Vec::new(),
+            jobs,
+            completions,
+            spare: Vec::new(),
         }
     }
 
@@ -598,9 +552,6 @@ impl EventLoop {
             self.drain_completions();
             self.check_stalls(now);
         }
-        // Teardown: recycle whatever the workers still send back, then drop
-        // every connection (unflushed responses go down with them).
-        self.shared.jobs.wake_all();
     }
 
     // -- accept ------------------------------------------------------------
@@ -618,10 +569,10 @@ impl EventLoop {
                         // Best-effort typed refusal; the socket is dropped
                         // either way, so a full send buffer loses nothing.
                         let _ = stream.set_nonblocking(true);
-                        let mut buf = self.shared.pool.get();
+                        let mut buf = self.spare.pop().unwrap_or_default();
                         encode_error_response(&mut buf, CAPACITY_MSG);
                         let _ = (&stream).write(&buf);
-                        self.shared.pool.put(buf);
+                        recycle(&mut self.spare, buf);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -681,7 +632,7 @@ impl EventLoop {
             let _ = self.poll.deregister(&conn.stream);
         }
         for (_, buf) in conn.pending_out {
-            self.shared.pool.put(buf);
+            recycle(&mut self.spare, buf);
         }
         slot.gen += 1;
         self.free.push(idx);
@@ -705,7 +656,14 @@ impl EventLoop {
                         break;
                     }
                     Ok(_) => {
-                        Self::extract_frames(&self.shared, conn, idx, gen);
+                        Self::extract_frames(
+                            &self.shared,
+                            &self.jobs,
+                            &mut self.spare,
+                            conn,
+                            idx,
+                            gen,
+                        );
                         if conn.read_closed {
                             break;
                         }
@@ -734,28 +692,31 @@ impl EventLoop {
     /// Takes every complete frame out of `conn.frames`: dispatch within the
     /// admission bound, shed (typed, sequenced) beyond it, poison the
     /// connection on a framing error.
-    fn extract_frames(shared: &Shared, conn: &mut Conn, idx: usize, gen: u64) {
+    fn extract_frames(
+        shared: &Shared,
+        jobs: &SyncSender<Job>,
+        spare: &mut Vec<Vec<u8>>,
+        conn: &mut Conn,
+        idx: usize,
+        gen: u64,
+    ) {
         loop {
             match conn.frames.take_frame() {
                 Ok(Some(range)) => {
                     let seq = conn.next_dispatch_seq;
                     conn.next_dispatch_seq += 1;
-                    if shared.jobs.len() >= shared.config.max_pending {
-                        shared.counters.shed_overload.fetch_add(1, Ordering::Relaxed);
-                        let mut buf = shared.pool.get();
-                        encode_error_response(&mut buf, OVERLOAD_MSG);
-                        conn.pending_out.insert(seq, buf);
-                    } else {
-                        let mut payload = shared.pool.get();
-                        payload.extend_from_slice(conn.frames.payload(range));
-                        conn.in_flight += 1;
-                        shared.jobs.push(Job {
-                            conn: idx,
-                            gen,
-                            seq,
-                            payload,
-                            enqueued: Instant::now(),
-                        });
+                    let mut payload = spare.pop().unwrap_or_default();
+                    payload.extend_from_slice(conn.frames.payload(range));
+                    let job = Job { conn: idx, gen, seq, payload, enqueued: Instant::now() };
+                    match jobs.try_send(job) {
+                        Ok(()) => conn.in_flight += 1,
+                        Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
+                            shared.counters.shed_overload.fetch_add(1, Ordering::Relaxed);
+                            let mut buf = job.payload;
+                            buf.clear();
+                            encode_error_response(&mut buf, OVERLOAD_MSG);
+                            conn.pending_out.insert(seq, buf);
+                        }
                     }
                 }
                 Ok(None) => break,
@@ -767,14 +728,14 @@ impl EventLoop {
                 }
             }
         }
-        Self::flush_ready(shared, conn);
+        Self::flush_ready(spare, conn);
     }
 
     /// Moves in-order completed responses into the connection's out buffer.
-    fn flush_ready(shared: &Shared, conn: &mut Conn) {
+    fn flush_ready(spare: &mut Vec<Vec<u8>>, conn: &mut Conn) {
         while let Some(buf) = conn.pending_out.remove(&conn.next_flush_seq) {
             conn.out.extend_from_slice(&buf);
-            shared.pool.put(buf);
+            recycle(spare, buf);
             conn.next_flush_seq += 1;
         }
     }
@@ -858,26 +819,21 @@ impl EventLoop {
     // -- completions and maintenance ---------------------------------------
 
     fn drain_completions(&mut self) {
-        debug_assert!(self.completions_scratch.is_empty());
-        {
-            let mut q = self.shared.completions.lock().expect("completions poisoned");
-            std::mem::swap(&mut *q, &mut self.completions_scratch);
-        }
         let mut touched: Vec<usize> = Vec::new();
-        for completion in self.completions_scratch.drain(..) {
-            let Some(slot) = self.slots.get_mut(completion.conn) else {
-                self.shared.pool.put(completion.buf);
+        while let Ok(completion) = self.completions.try_recv() {
+            let Some(conn) = self
+                .slots
+                .get_mut(completion.conn)
+                .filter(|slot| slot.gen == completion.gen)
+                .and_then(|slot| slot.conn.as_mut())
+            else {
+                // The connection died while the worker was busy.
+                recycle(&mut self.spare, completion.buf);
                 continue;
             };
-            if slot.gen != completion.gen || slot.conn.is_none() {
-                // The connection died while the worker was busy.
-                self.shared.pool.put(completion.buf);
-                continue;
-            }
-            let conn = slot.conn.as_mut().expect("checked above");
             conn.in_flight -= 1;
             conn.pending_out.insert(completion.seq, completion.buf);
-            Self::flush_ready(&self.shared, conn);
+            Self::flush_ready(&mut self.spare, conn);
             if !touched.contains(&completion.conn) {
                 touched.push(completion.conn);
             }
@@ -918,6 +874,14 @@ impl Drop for EventLoop {
     }
 }
 
+/// Keeps `buf` for a later frame; beyond 1 024 spares it is dropped instead.
+fn recycle(spare: &mut Vec<Vec<u8>>, mut buf: Vec<u8>) {
+    if spare.len() < 1024 {
+        buf.clear();
+        spare.push(buf);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Worker
 // ---------------------------------------------------------------------------
@@ -930,60 +894,57 @@ struct WorkerScratch {
     infer: InferScratch,
 }
 
-fn worker_loop(shared: &Shared) {
+/// Serves jobs until the loop drops either channel: the job sender (no
+/// more jobs) or the completion receiver (nowhere to answer).
+fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, done: &SyncSender<Completion>) {
     let mut scratch =
         WorkerScratch { tokens: Vec::new(), normalize: String::new(), infer: InferScratch::new() };
-    while let Some(job) = shared.jobs.pop(&shared.shutdown) {
-        let mut out = shared.pool.get();
-        if job.enqueued.elapsed() > shared.config.request_deadline {
+    loop {
+        let job = jobs.lock().expect("job receiver poisoned").recv();
+        let Ok(Job { conn, gen, seq, payload: mut buf, enqueued }) = job else { return };
+        if enqueued.elapsed() > shared.config.request_deadline {
             shared.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
-            encode_error_response(&mut out, DEADLINE_MSG);
+            reply_error(&mut buf, DEADLINE_MSG);
         } else {
-            handle_request(shared, &mut scratch, &job.payload, &mut out);
+            handle_request(shared, &mut scratch, &mut buf);
         }
-        shared.latency.record_us(job.enqueued.elapsed().as_micros() as u64);
-        shared.pool.put(job.payload);
-        shared.completions.lock().expect("completions poisoned").push(Completion {
-            conn: job.conn,
-            gen: job.gen,
-            seq: job.seq,
-            buf: out,
-        });
+        shared.latency.record_us(enqueued.elapsed().as_micros() as u64);
+        if done.send(Completion { conn, gen, seq, buf }).is_err() {
+            return;
+        }
         let _ = shared.waker.wake();
     }
 }
 
-/// Decodes, infers and encodes exactly one response frame into `out`.
-fn handle_request(shared: &Shared, scratch: &mut WorkerScratch, payload: &[u8], out: &mut Vec<u8>) {
+/// Replaces the request in `buf` with a typed error response.
+fn reply_error(buf: &mut Vec<u8>, message: &str) {
+    buf.clear();
+    encode_error_response(buf, message);
+}
+
+/// Decodes the request in `buf`, infers, and replaces it with exactly one
+/// response frame.
+fn handle_request(shared: &Shared, scratch: &mut WorkerScratch, buf: &mut Vec<u8>) {
     let WorkerScratch { tokens, normalize, infer } = scratch;
-    let request = match decode_request(payload, tokens) {
-        Ok(r) => r,
-        Err(_) => {
-            encode_error_response(out, "malformed request");
-            return;
-        }
+    let Ok(request) = decode_request(buf, tokens) else {
+        return reply_error(buf, "malformed request");
     };
     let (model, epoch) = shared.model.current();
     let mut oov_dropped = 0u32;
     match request.body {
         RequestBodyView::Text(text) => {
             let Some(vocab) = model.vocab() else {
-                encode_error_response(out, "model has no vocabulary; send token-id queries");
-                return;
+                return reply_error(buf, "model has no vocabulary; send token-id queries");
             };
             match tokenize_query_into(vocab, text, shared.config.oov_policy, normalize, tokens) {
                 Ok(oov) => oov_dropped = oov as u32,
-                Err(e) => {
-                    encode_error_response(out, &e.to_string());
-                    return;
-                }
+                Err(e) => return reply_error(buf, &e.to_string()),
             }
         }
         RequestBodyView::Tokens => {
             let limit = model.num_words() as u32;
             if tokens.iter().any(|&t| t >= limit) {
-                encode_error_response(out, "token id out of range for the model vocabulary");
-                return;
+                return reply_error(buf, "token id out of range for the model vocabulary");
             }
         }
     }
@@ -991,7 +952,8 @@ fn handle_request(shared: &Shared, scratch: &mut WorkerScratch, payload: &[u8], 
     engine.infer_into(tokens, request.seed, infer);
     let top = infer.top_topics();
     let top = &top[..top.len().min(request.top_n as usize)];
-    encode_ok_response(out, epoch, tokens.len() as u32, oov_dropped, infer.theta(), top);
+    buf.clear();
+    encode_ok_response(buf, epoch, tokens.len() as u32, oov_dropped, infer.theta(), top);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use warplda::prelude::*;
-use warplda::serve::server::{CAPACITY_MSG, OVERLOAD_MSG};
+use warplda::serve::server::{CAPACITY_MSG, DEADLINE_MSG, OVERLOAD_MSG};
 use warplda::serve::wire::{Request, RequestBody, Response};
 
 /// Polls `cond` until it holds or `timeout` elapses.
@@ -544,6 +544,88 @@ fn overload_sheds_typed_errors_beyond_the_admission_bound() {
         Response::Error(e) => panic!("connection should recover after shedding: {e}"),
     }
     handle.shutdown();
+}
+
+#[test]
+fn requests_past_their_deadline_get_the_typed_deadline_reply() {
+    let (corpus, model) = frozen_model();
+    // A zero deadline: every job has waited past it by the time a worker
+    // claims it, so each request of the burst is answered, in order, with
+    // the typed deadline error instead of being served.
+    let config =
+        ServerConfig { workers: 2, request_deadline: Duration::ZERO, ..ServerConfig::default() };
+    let handle = Server::bind("127.0.0.1:0", Arc::clone(&model), config).expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client.set_deadline(Some(Duration::from_secs(60))).expect("deadline");
+
+    let docs = queries(corpus.vocab_size(), 100);
+    for (seed, doc) in docs.iter().enumerate() {
+        client
+            .send(&Request { seed: seed as u64, top_n: 1, body: RequestBody::Tokens(doc.clone()) })
+            .expect("send");
+    }
+    for i in 0..docs.len() {
+        match client.recv().unwrap_or_else(|e| panic!("response {i}: {e}")) {
+            Response::Error(msg) => assert_eq!(msg, DEADLINE_MSG, "response {i}"),
+            Response::Ok(_) => panic!("response {i} was served past a zero deadline"),
+        }
+    }
+    let counters = handle.counters();
+    assert_eq!(counters.deadline_expired, docs.len() as u64);
+    assert_eq!(counters.shed_overload, 0, "the burst fits the admission bound");
+    handle.shutdown();
+}
+
+#[test]
+fn shutdown_with_queued_work_is_prompt_and_closes_the_connection() {
+    use warplda::serve::wire::WireError;
+
+    let (corpus, model) = frozen_model();
+    // One worker and a bound that admits the whole burst: thousands of long
+    // queries wait in the job channel when shutdown is called.
+    let config = ServerConfig { workers: 1, max_pending: 4096, ..ServerConfig::default() };
+    let handle = Server::bind("127.0.0.1:0", Arc::clone(&model), config).expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client.set_deadline(Some(Duration::from_secs(10))).expect("deadline");
+    let n = 3_000u64;
+    let doc: Vec<u32> = (0..2_000).map(|j| ((j * 17 + 7) % corpus.vocab_size()) as u32).collect();
+    for seed in 0..n {
+        client
+            .send(&Request { seed, top_n: 8, body: RequestBody::Tokens(doc.clone()) })
+            .expect("the server reads what it is sent");
+    }
+    assert!(wait_until(Duration::from_secs(30), || handle.latency().count >= 1));
+    let answered = handle.latency().count;
+    assert!(answered < n / 2, "{answered} of {n} were answered before shutdown");
+
+    let t0 = Instant::now();
+    handle.shutdown();
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "shutdown with queued work took {:?}",
+        t0.elapsed()
+    );
+    // The replies the server wrote before it stopped, then EOF or a reset:
+    // never a read that waits out its deadline.
+    let mut replies = 0u64;
+    loop {
+        match client.recv() {
+            Ok(Response::Ok(_)) => replies += 1,
+            Ok(Response::Error(e)) => panic!("reply {replies} is an error: {e}"),
+            Err(WireError::Io(e))
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::ConnectionReset
+                ) =>
+            {
+                break
+            }
+            Err(e) => {
+                panic!("after {replies} replies the connection neither closed nor reset: {e}")
+            }
+        }
+    }
+    assert!(replies < n, "queued work was dropped, not served: {replies} replies");
 }
 
 #[test]
