@@ -501,11 +501,9 @@ fn fig9a(runs: &mut Runs, s: &Setting) -> Values {
 /// phases' tokens over the largest doc shard plus the largest word shard.
 fn fig9b(runs: &mut Runs, s: &Setting) -> Values {
     let corpus = runs.corpus(s.shapes[0]);
-    let trainer = Trainer::new(corpus);
-    let (docs, words) = (trainer.doc_view(), trainer.word_view());
     let largest = |loads: &[u64]| loads.iter().copied().max().unwrap_or(0) as f64;
     let speedup = |p: usize| {
-        let grid = GridPartition::build(corpus, docs, words, p, PartitionStrategy::Greedy);
+        let grid = GridPartition::build(corpus, p, PartitionStrategy::Greedy);
         let slowest = largest(grid.doc_phase_loads()) + largest(grid.word_phase_loads());
         2.0 * corpus.num_tokens() as f64 / slowest
     };

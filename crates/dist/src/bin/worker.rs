@@ -7,8 +7,9 @@
 //! and the coordinator reports the exit as a typed error. Connected, it
 //! receives the corpus and model hyperparameters in a `Setup` frame,
 //! rebuilds the *same* replica and [`ShardPlan`] the coordinator holds
-//! (both are deterministic functions of the corpus, seed and worker count),
-//! then serves `RunIteration` requests: advance the owned shard of a phase,
+//! (the replica is a deterministic function of the corpus and seed, the
+//! plan of the replica's matrix and the corpus's greedy grid for the worker
+//! count), then serves `RunIteration` requests: advance the owned shard of a phase,
 //! report a partial `c_k` plus one record segment per destination worker
 //! (built in place in a reused frame buffer), and absorb the merged `c_k`
 //! plus the segments the peers addressed to this worker (applied in place
@@ -47,7 +48,7 @@ use std::time::Duration;
 use warplda_core::checkpoint::Checkpointable;
 use warplda_core::{topic_wire_width, ModelParams, Sampler, WarpLda, WarpLdaConfig};
 use warplda_corpus::io::codec::Decoder;
-use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
+use warplda_corpus::Corpus;
 use warplda_dist::fault::{FaultAction, FaultPhase, FaultTimeline};
 use warplda_dist::plan::ShardPlan;
 use warplda_dist::protocol::{
@@ -223,21 +224,20 @@ fn run(addr: &str, worker_id: u32) -> Result<()> {
     }
 }
 
-/// Rebuilds the deterministic replica + exchange plan from the `Setup`
-/// payload, adopting its state tail when present.
+/// Rebuilds the replica from the `Setup` payload, adopting its state tail
+/// when present, and the exchange plan from the replica's matrix and the
+/// corpus's cluster grid: the inputs the coordinator's plan comes from.
 fn build_replica(setup: &Setup<'_>) -> Result<(WarpLda, ShardPlan)> {
     let corpus: &Corpus = &setup.corpus;
     let params = ModelParams::new(setup.num_topics as usize, setup.alpha, setup.beta);
     let config =
         WarpLdaConfig { mh_steps: setup.mh_steps as usize, use_hash_counts: setup.use_hash_counts };
-    let doc_view = DocMajorView::build(corpus);
-    let word_view = WordMajorView::build(corpus, &doc_view);
-    let grid = GridPartition::for_cluster(corpus, &doc_view, &word_view, setup.workers as usize);
+    let grid = GridPartition::for_cluster(corpus, setup.workers as usize);
     let mut sampler = WarpLda::new(corpus, params, config, setup.seed);
     if let Some(state) = setup.resume {
         adopt(&mut sampler, state)?;
     }
-    let plan = ShardPlan::build(&sampler, &grid, &doc_view, &word_view);
+    let plan = ShardPlan::build(&sampler, &grid);
     Ok((sampler, plan))
 }
 

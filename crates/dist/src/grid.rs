@@ -9,10 +9,10 @@
 //! switch, which is exactly the all-to-all volume the paper's communication
 //! model charges.
 
-use warplda_corpus::{Corpus, DocId, DocMajorView, WordId, WordMajorView};
+use warplda_corpus::{Corpus, DocId, WordId};
 use warplda_sparse::{imbalance_index, partition_by_size, partition_loads, PartitionStrategy};
 
-/// A P×P grid partition over the document-major and word-major views.
+/// A P×P grid partition of the corpus's documents and words.
 #[derive(Debug, Clone)]
 pub struct GridPartition {
     workers: usize,
@@ -33,66 +33,23 @@ pub struct GridPartition {
 impl GridPartition {
     /// Builds the grid for `workers` machines, assigning documents and words
     /// independently with `strategy` (the paper uses greedy, Figure 4).
+    /// Document sizes and the cells come from the corpus's own token arrays,
+    /// word sizes from one counting pass over them.
     ///
     /// # Panics
     /// Panics if `workers` is zero.
-    pub fn build(
-        corpus: &Corpus,
-        doc_view: &DocMajorView,
-        word_view: &WordMajorView,
-        workers: usize,
-        strategy: PartitionStrategy,
-    ) -> Self {
-        Self::build_with(corpus, doc_view, word_view, workers, strategy, strategy)
-    }
-
-    /// The grid a [`ProcessCluster`](crate::ProcessCluster) runs on:
-    /// documents greedy-sharded, words sliced into contiguous token-balanced
-    /// ranges. The coordinator and every worker rebuild this grid on their
-    /// own and must arrive at the same one, so the strategy pair is spelled
-    /// here and nowhere else.
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero.
-    pub fn for_cluster(
-        corpus: &Corpus,
-        doc_view: &DocMajorView,
-        word_view: &WordMajorView,
-        workers: usize,
-    ) -> Self {
-        Self::build_with(
-            corpus,
-            doc_view,
-            word_view,
-            workers,
-            PartitionStrategy::Greedy,
-            PartitionStrategy::Dynamic,
-        )
-    }
-
-    /// Builds the grid with separate strategies for the document and word
-    /// shards.
-    fn build_with(
-        corpus: &Corpus,
-        doc_view: &DocMajorView,
-        word_view: &WordMajorView,
-        workers: usize,
-        doc_strategy: PartitionStrategy,
-        word_strategy: PartitionStrategy,
-    ) -> Self {
+    pub fn build(corpus: &Corpus, workers: usize, strategy: PartitionStrategy) -> Self {
         assert!(workers >= 1, "need at least one worker");
-        let doc_sizes: Vec<u64> =
-            (0..doc_view.num_docs()).map(|d| doc_view.doc_len(d as DocId) as u64).collect();
-        let word_sizes: Vec<u64> =
-            (0..word_view.num_words()).map(|w| word_view.word_len(w as WordId) as u64).collect();
-        let doc_owner = partition_by_size(&doc_sizes, workers, doc_strategy);
-        let word_owner = partition_by_size(&word_sizes, workers, word_strategy);
+        let docs = corpus.docs();
+        let doc_sizes: Vec<u64> = docs.iter().map(|doc| doc.len() as u64).collect();
+        let word_sizes = corpus.term_frequencies();
+        let doc_owner = partition_by_size(&doc_sizes, workers, strategy);
+        let word_owner = partition_by_size(&word_sizes, workers, strategy);
 
         let mut cells = vec![0u64; workers * workers];
-        for (d, &owner) in doc_owner.iter().enumerate() {
-            let i = owner as usize;
-            let row = &mut cells[i * workers..(i + 1) * workers];
-            for &w in doc_view.doc_words(d as DocId) {
+        for (doc, &owner) in docs.iter().zip(&doc_owner) {
+            let row = &mut cells[owner as usize * workers..][..workers];
+            for &w in doc.tokens() {
                 row[word_owner[w as usize] as usize] += 1;
             }
         }
@@ -111,6 +68,17 @@ impl GridPartition {
             word_loads,
             total_tokens: corpus.num_tokens(),
         }
+    }
+
+    /// The grid a [`ProcessCluster`](crate::ProcessCluster) runs on: both
+    /// sides greedy-sharded. The coordinator and every worker rebuild this
+    /// grid on their own and must arrive at the same one, so the strategy is
+    /// spelled here and nowhere else.
+    ///
+    /// # Panics
+    /// Panics if `workers` is zero.
+    pub fn for_cluster(corpus: &Corpus, workers: usize) -> Self {
+        Self::build(corpus, workers, PartitionStrategy::Greedy)
     }
 
     /// Number of machines `P`.
@@ -180,18 +148,11 @@ mod tests {
     use super::*;
     use warplda_corpus::DatasetPreset;
 
-    fn views(corpus: &Corpus) -> (DocMajorView, WordMajorView) {
-        let dv = DocMajorView::build(corpus);
-        let wv = WordMajorView::build(corpus, &dv);
-        (dv, wv)
-    }
-
     #[test]
     fn cells_partition_every_token_exactly_once() {
         let corpus = DatasetPreset::Tiny.generate_scaled(2);
-        let (dv, wv) = views(&corpus);
         for workers in [1usize, 2, 3, 4, 8, 16] {
-            let grid = GridPartition::build(&corpus, &dv, &wv, workers, PartitionStrategy::Greedy);
+            let grid = GridPartition::build(&corpus, workers, PartitionStrategy::Greedy);
             let cell_sum: u64 = (0..workers)
                 .flat_map(|i| (0..workers).map(move |j| (i, j)))
                 .map(|(i, j)| grid.cell_tokens(i, j))
@@ -206,9 +167,8 @@ mod tests {
     #[test]
     fn loads_are_row_and_column_sums_of_the_grid() {
         let corpus = DatasetPreset::Tiny.generate_scaled(4);
-        let (dv, wv) = views(&corpus);
         let workers = 4;
-        let grid = GridPartition::build(&corpus, &dv, &wv, workers, PartitionStrategy::Greedy);
+        let grid = GridPartition::build(&corpus, workers, PartitionStrategy::Greedy);
         for m in 0..workers {
             let row: u64 = (0..workers).map(|j| grid.cell_tokens(m, j)).sum();
             let col: u64 = (0..workers).map(|i| grid.cell_tokens(i, m)).sum();
@@ -220,13 +180,12 @@ mod tests {
     #[test]
     fn owners_agree_with_cells() {
         let corpus = DatasetPreset::Tiny.generate_scaled(8);
-        let (dv, wv) = views(&corpus);
-        let grid = GridPartition::build(&corpus, &dv, &wv, 3, PartitionStrategy::Greedy);
+        let grid = GridPartition::build(&corpus, 3, PartitionStrategy::Greedy);
         // Recount cells straight from the owner maps.
         let mut recount = [0u64; 9];
-        for d in 0..corpus.num_docs() {
-            for &w in dv.doc_words(d as DocId) {
-                let i = grid.doc_owner(d as DocId) as usize;
+        for (d, doc) in corpus.iter() {
+            for &w in doc.tokens() {
+                let i = grid.doc_owner(d) as usize;
                 let j = grid.word_owner(w) as usize;
                 recount[i * 3 + j] += 1;
             }
@@ -241,8 +200,7 @@ mod tests {
     #[test]
     fn single_machine_exchanges_nothing() {
         let corpus = DatasetPreset::Tiny.generate_scaled(8);
-        let (dv, wv) = views(&corpus);
-        let grid = GridPartition::build(&corpus, &dv, &wv, 1, PartitionStrategy::Greedy);
+        let grid = GridPartition::build(&corpus, 1, PartitionStrategy::Greedy);
         assert_eq!(grid.tokens_exchanged_per_phase_switch(), 0);
         assert_eq!(grid.doc_phase_imbalance(), 0.0);
         assert_eq!(grid.word_phase_imbalance(), 0.0);
@@ -251,9 +209,8 @@ mod tests {
     #[test]
     fn greedy_keeps_phases_balanced() {
         let corpus = DatasetPreset::Tiny.generate_scaled(2);
-        let (dv, wv) = views(&corpus);
         for workers in [2usize, 4, 8] {
-            let grid = GridPartition::build(&corpus, &dv, &wv, workers, PartitionStrategy::Greedy);
+            let grid = GridPartition::build(&corpus, workers, PartitionStrategy::Greedy);
             assert!(
                 grid.doc_phase_imbalance() < 0.1,
                 "doc imbalance at {workers} workers: {}",
@@ -268,11 +225,23 @@ mod tests {
     }
 
     #[test]
+    fn the_cluster_grid_balances_words_like_documents() {
+        let corpus = DatasetPreset::Tiny.generate();
+        for workers in [2usize, 3, 4] {
+            let grid = GridPartition::for_cluster(&corpus, workers);
+            assert!(
+                grid.word_phase_imbalance() < 0.01,
+                "word imbalance at {workers} workers: {}",
+                grid.word_phase_imbalance()
+            );
+        }
+    }
+
+    #[test]
     fn off_diagonal_volume_is_bounded_by_total() {
         let corpus = DatasetPreset::Tiny.generate_scaled(4);
-        let (dv, wv) = views(&corpus);
         for workers in [2usize, 5, 8] {
-            let grid = GridPartition::build(&corpus, &dv, &wv, workers, PartitionStrategy::Greedy);
+            let grid = GridPartition::build(&corpus, workers, PartitionStrategy::Greedy);
             let crossing = grid.tokens_exchanged_per_phase_switch();
             assert!(crossing <= grid.total_tokens());
             // With more than one machine some token crosses in practice: the
@@ -285,7 +254,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let corpus = DatasetPreset::Tiny.generate_scaled(16);
-        let (dv, wv) = views(&corpus);
-        let _ = GridPartition::build(&corpus, &dv, &wv, 0, PartitionStrategy::Greedy);
+        let _ = GridPartition::build(&corpus, 0, PartitionStrategy::Greedy);
     }
 }

@@ -5,8 +5,8 @@
 //! processes is the serial [`warplda_core::WarpLda`] chain split by
 //! ownership:
 //!
-//! * [`GridPartition`] — the P×P grid over the document-major and word-major
-//!   views. Machine `i` owns document shard `i` during doc phases and word
+//! * [`GridPartition`] — the P×P grid over the corpus's documents and words,
+//!   both greedy-sharded. Machine `i` owns document shard `i` during doc phases and word
 //!   shard `i` during word phases; a token whose document and word live on
 //!   different machines (an *off-diagonal* grid cell) must cross the network
 //!   at every phase switch. Its phase loads are what the ledger's `fig9b` row
@@ -15,8 +15,9 @@
 //!   coordinator and workers speak: corpus/hyperparameter setup, per-phase
 //!   record deltas with partial `c_k`, merged boundary syncs, clean shutdown;
 //! * [`ShardPlan`] — the deterministic per-worker ownership and the
-//!   per-destination record segments both sides derive independently from
-//!   the [`GridPartition`];
+//!   per-destination record segments, each in ascending entry id, both sides
+//!   derive independently from the [`GridPartition`] and the replica's
+//!   token matrix;
 //! * [`ProcessCluster`] — the coordinator: spawns N `warplda-dist-worker`
 //!   OS processes, drives iterations over loopback TCP by routing those
 //!   segments between workers as bytes, and keeps a replica
@@ -25,14 +26,12 @@
 //!   [`warplda_core::ParallelWarpLda`]) after every iteration.
 //!
 //! ```
-//! use warplda_corpus::{DatasetPreset, DocMajorView, WordMajorView};
+//! use warplda_corpus::DatasetPreset;
 //! use warplda_dist::GridPartition;
 //! use warplda_sparse::PartitionStrategy;
 //!
 //! let corpus = DatasetPreset::Tiny.generate_scaled(4);
-//! let docs = DocMajorView::build(&corpus);
-//! let words = WordMajorView::build(&corpus, &docs);
-//! let grid = GridPartition::build(&corpus, &docs, &words, 4, PartitionStrategy::Greedy);
+//! let grid = GridPartition::build(&corpus, 4, PartitionStrategy::Greedy);
 //! // Every token is visited in both phases, and each phase waits for its
 //! // largest shard: that bounds the speedup of 4 machines.
 //! let largest = |loads: &[u64]| *loads.iter().max().unwrap();

@@ -1,10 +1,10 @@
 //! The deterministic per-worker exchange plan of multi-process training.
 //!
 //! The coordinator and every worker build the *same* [`ShardPlan`] from the
-//! same inputs (the replica's token-matrix structure, the corpus views and
-//! the [`GridPartition`]), so entry lists never cross the wire: a delta or sync
-//! frame carries only packed records, and both ends already agree — in order
-//! — on which entries those records belong to.
+//! same inputs — the replica's token matrix and the [`GridPartition`] — so
+//! entry lists never cross the wire: a delta or sync frame carries only
+//! packed records, and both ends already agree — in order — on which entries
+//! those records belong to.
 //!
 //! Per worker `i` the plan holds the columns/rows it advances
 //! (`owned_words[i]` / `owned_docs[i]`) and, per phase, a [`PhasePlan`]: the
@@ -25,15 +25,17 @@
 //! ascending — byte ranges of the senders' deltas, which is what lets the
 //! coordinator route a boundary without decoding it.
 //!
-//! Within a segment entries keep the sender's visiting order (entities
-//! ascending, entries in matrix order within an entity), which is what makes
-//! the plan identical on every process without coordination.
+//! Within a segment entries ascend by entry id, which is storage order: a
+//! delta is exported, and a segment imported, in one forward sweep over the
+//! records. The segment `i → j` of a phase has exactly as many entries as its
+//! grid cell, so the plan is sized from the grid and filled in one pass over
+//! the matrix's columns, which is what makes it identical on every process
+//! without coordination.
 
 use std::ops::Range;
 
 use warplda_core::{topic_wire_width, WarpLda};
 use warplda_corpus::io::codec::{CodecError, CodecResult};
-use warplda_corpus::{DocMajorView, WordMajorView};
 
 use crate::fault::FaultPhase;
 use crate::grid::GridPartition;
@@ -58,37 +60,36 @@ pub struct PhasePlan {
 }
 
 impl PhasePlan {
-    /// Lays out one phase. `visit_shard(i, emit)` must call
-    /// `emit(entry, consumer)` for every entry worker `i` advances, in
-    /// visiting order, naming the worker that advances the entry next phase.
-    fn build(
-        phase: FaultPhase,
-        workers: usize,
-        mut visit_shard: impl FnMut(usize, &mut dyn FnMut(u32, u32)),
-    ) -> Self {
-        let mut plan = Self {
-            phase,
-            delta_entries: Vec::with_capacity(workers),
-            segments: Vec::with_capacity(workers),
-            shard_tokens: Vec::with_capacity(workers),
-        };
+    /// Lays out one phase with its entries still unfilled: segment `i → j`
+    /// holds `len(i, j)` entries, and worker `i` advances `shard_tokens[i]`
+    /// tokens.
+    fn sized(phase: FaultPhase, shard_tokens: &[u64], len: impl Fn(usize, usize) -> u64) -> Self {
+        let workers = shard_tokens.len();
+        let mut delta_entries = Vec::with_capacity(workers);
+        let mut segments = Vec::with_capacity(workers);
         for i in 0..workers {
-            let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); workers];
-            visit_shard(i, &mut |entry, consumer| buckets[consumer as usize].push(entry));
-            plan.shard_tokens.push(buckets.iter().map(|b| b.len() as u64).sum());
-            if phase == FaultPhase::Word {
-                buckets[i].clear();
-            }
-            let mut entries = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
             let mut ranges = vec![0..0; workers];
+            let mut end = 0;
             for j in (0..workers).filter(|&j| j != i).chain([i]) {
-                ranges[j] = entries.len()..entries.len() + buckets[j].len();
-                entries.extend_from_slice(&buckets[j]);
+                let start = end;
+                end += len(i, j) as usize;
+                ranges[j] = start..end;
             }
-            plan.delta_entries.push(entries);
-            plan.segments.push(ranges);
+            delta_entries.push(vec![0; end]);
+            segments.push(ranges);
         }
-        plan
+        Self { phase, delta_entries, segments, shard_tokens: shard_tokens.to_vec() }
+    }
+
+    /// The first slot of every segment, `i · P + j` for segment `i → j`:
+    /// the cursors [`ShardPlan::build`] fills the segments through.
+    fn segment_starts(&self) -> Vec<usize> {
+        self.segments.iter().flatten().map(|range| range.start).collect()
+    }
+
+    /// Whether every segment is full once the cursors stand at `next`.
+    fn filled(&self, next: &[usize]) -> bool {
+        self.segments.iter().flatten().zip(next).all(|(range, &at)| at == range.end)
     }
 
     /// Segment `from → to`: its range within `delta_entries[from]`.
@@ -222,42 +223,62 @@ impl ShardPlan {
     /// Deterministic: every process building from the same corpus and worker
     /// count gets the identical plan.
     ///
-    /// The sampler keeps no per-entry row or column ids; which document an
-    /// entry of a column belongs to, and which word an entry of a row, is
-    /// read off the views of the sampler's corpus (the ones the grid was
-    /// built from), whose orders are the matrix's: a word's occurrences are
-    /// its column's entries, a document's tokens its row's.
-    pub fn build(
-        sampler: &WarpLda,
-        grid: &GridPartition,
-        doc_view: &DocMajorView,
-        word_view: &WordMajorView,
-    ) -> Self {
-        assert_eq!(doc_view.num_tokens(), sampler.num_entries(), "views of another corpus");
+    /// The sampler keeps no per-entry row or column ids. One pass over the
+    /// rows records each entry's document owner; then one pass over the
+    /// columns, in entry order, appends every entry to its segments through
+    /// a cursor per segment, each segment sized from its grid cell.
+    ///
+    /// # Panics
+    /// Panics if `grid` was built from a corpus other than `sampler`'s.
+    pub fn build(sampler: &WarpLda, grid: &GridPartition) -> Self {
+        assert_eq!(grid.total_tokens(), sampler.num_entries() as u64, "a grid of another corpus");
         let p = grid.workers();
         let mut owned_words: Vec<Vec<u32>> = vec![Vec::new(); p];
         for w in 0..sampler.num_words() as u32 {
             owned_words[grid.word_owner(w) as usize].push(w);
         }
         let mut owned_docs: Vec<Vec<u32>> = vec![Vec::new(); p];
+        let mut doc_owner_of = vec![0u32; sampler.num_entries()];
         for d in 0..sampler.num_docs() as u32 {
-            owned_docs[grid.doc_owner(d) as usize].push(d);
+            let owner = grid.doc_owner(d);
+            owned_docs[owner as usize].push(d);
+            for &e in sampler.row_entry_ids(d) {
+                doc_owner_of[e as usize] = owner;
+            }
         }
 
-        let word = PhasePlan::build(FaultPhase::Word, p, |i, emit| {
-            for &w in &owned_words[i] {
-                for (e, &d) in sampler.col_entry_range(w).zip(word_view.word_docs(w)) {
-                    emit(e as u32, grid.doc_owner(d));
-                }
+        // After a word phase worker `i` reports its columns' entries in the
+        // rows of `j ≠ i`, cell `(j, i)`; after a doc phase its rows' entries
+        // in the columns of every `j`, cell `(i, j)`.
+        let mut word = PhasePlan::sized(FaultPhase::Word, grid.word_phase_loads(), |i, j| {
+            if i == j {
+                0
+            } else {
+                grid.cell_tokens(j, i)
             }
         });
-        let doc = PhasePlan::build(FaultPhase::Doc, p, |i, emit| {
-            for &d in &owned_docs[i] {
-                for (&e, &w) in sampler.row_entry_ids(d).iter().zip(doc_view.doc_words(d)) {
-                    emit(e, grid.word_owner(w));
+        let mut doc = PhasePlan::sized(FaultPhase::Doc, grid.doc_phase_loads(), |i, j| {
+            grid.cell_tokens(i, j)
+        });
+        let (mut word_next, mut doc_next) = (word.segment_starts(), doc.segment_starts());
+        for w in 0..sampler.num_words() as u32 {
+            let word_owner = grid.word_owner(w) as usize;
+            for e in sampler.col_entry_range(w) {
+                let doc_owner = doc_owner_of[e] as usize;
+                let at = &mut doc_next[doc_owner * p + word_owner];
+                doc.delta_entries[doc_owner][*at] = e as u32;
+                *at += 1;
+                if doc_owner != word_owner {
+                    let at = &mut word_next[word_owner * p + doc_owner];
+                    word.delta_entries[word_owner][*at] = e as u32;
+                    *at += 1;
                 }
             }
-        });
+        }
+        assert!(
+            word.filled(&word_next) && doc.filled(&doc_next),
+            "the matrix disagrees with the grid's cells"
+        );
         Self { owned_words, owned_docs, word, doc }
     }
 
@@ -306,10 +327,10 @@ mod tests {
     fn build_all(corpus: &Corpus, workers: usize) -> Built {
         let dv = DocMajorView::build(corpus);
         let wv = WordMajorView::build(corpus, &dv);
-        let grid = GridPartition::for_cluster(corpus, &dv, &wv, workers);
+        let grid = GridPartition::for_cluster(corpus, workers);
         let sampler =
             WarpLda::new(corpus, ModelParams::new(5, 0.5, 0.1), WarpLdaConfig::with_mh_steps(2), 7);
-        let plan = ShardPlan::build(&sampler, &grid, &dv, &wv);
+        let plan = ShardPlan::build(&sampler, &grid);
         // Independently of the plan's own derivation: an entry is a slot of
         // the word-major view.
         let mut owners = Vec::with_capacity(sampler.num_entries());
@@ -320,6 +341,14 @@ mod tests {
             }
         }
         (sampler, grid, plan, owners)
+    }
+
+    /// Segments list their entries in storage order, each at most once.
+    fn assert_ascending(segment: &[u32], from: usize, to: usize, workers: usize) {
+        assert!(
+            segment.windows(2).all(|pair| pair[0] < pair[1]),
+            "segment {from} → {to} is not strictly ascending ({workers} workers)"
+        );
     }
 
     #[test]
@@ -335,7 +364,9 @@ mod tests {
                     let range = plan.doc.segment(from, to);
                     assert_eq!(range.start, covered, "{from} → {to} ({workers} workers)");
                     covered = range.end;
-                    for &e in &plan.doc.delta_entries[from][range] {
+                    let segment = &plan.doc.delta_entries[from][range];
+                    assert_ascending(segment, from, to, workers);
+                    for &e in segment {
                         assert!(!seen[e as usize], "entry {e} reported twice ({workers} workers)");
                         seen[e as usize] = true;
                         assert_eq!(owners[e as usize], (from, to), "entry {e}");
@@ -357,7 +388,9 @@ mod tests {
             for from in 0..workers {
                 assert!(plan.word.segment(from, from).is_empty(), "no own segment mid-iteration");
                 for to in plan.word.sync_sources(from) {
-                    for &e in &plan.word.delta_entries[from][plan.word.segment(from, to)] {
+                    let segment = &plan.word.delta_entries[from][plan.word.segment(from, to)];
+                    assert_ascending(segment, from, to, workers);
+                    for &e in segment {
                         assert!(!seen[e as usize], "entry {e} reported twice");
                         seen[e as usize] = true;
                         assert_eq!(owners[e as usize], (to, from), "entry {e}");

@@ -71,7 +71,7 @@ use std::time::{Duration, Instant};
 use warplda_core::checkpoint::Checkpointable;
 use warplda_core::{topic_wire_width, ModelParams, Sampler, WarpLda, WarpLdaConfig};
 use warplda_corpus::io::codec::{CodecError, Encoder};
-use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
+use warplda_corpus::Corpus;
 use warplda_net::{FrameBuffer, PollFrame, WireError};
 
 use crate::fault::{FaultEvent, FaultPhase, FaultPlan};
@@ -308,6 +308,35 @@ fn spawn_worker(binary: &Path, addr: &SocketAddr, id: u32) -> std::io::Result<Ch
         .spawn()
 }
 
+/// The replica handed to [`ProcessCluster::from_sampler`] must be a sampler
+/// of `corpus`: the workers build theirs from the corpus, and both ends read
+/// the exchange plan off their own matrix. Checks the shape — `D`, `V`, `T`,
+/// every row length and every column length — in O(D + V) after one counting
+/// pass over the corpus.
+fn check_replica_shape(corpus: &Corpus, sampler: &WarpLda) -> Result<(), DistError> {
+    let mismatch = |what: String| {
+        Err(DistError::Protocol(format!("the replica is not a sampler of the corpus: {what}")))
+    };
+    let corpus_shape = (corpus.num_docs(), corpus.vocab_size(), corpus.num_tokens());
+    let replica_shape = (sampler.num_docs(), sampler.num_words(), sampler.num_entries() as u64);
+    if corpus_shape != replica_shape {
+        return mismatch(format!("(D, V, T) = {replica_shape:?}, the corpus's {corpus_shape:?}"));
+    }
+    for (d, doc) in corpus.iter() {
+        let len = sampler.row_entry_ids(d).len();
+        if len != doc.len() {
+            return mismatch(format!("document {d} has {len} tokens, not {}", doc.len()));
+        }
+    }
+    for (w, tf) in corpus.term_frequencies().into_iter().enumerate() {
+        let len = sampler.col_entry_range(w as u32).len();
+        if len as u64 != tf {
+            return mismatch(format!("word {w} has {len} tokens, not {tf}"));
+        }
+    }
+    Ok(())
+}
+
 /// A coordinator over `workers` spawned `warplda-dist-worker` processes.
 pub struct ProcessCluster {
     sampler: WarpLda,
@@ -348,7 +377,9 @@ impl ProcessCluster {
     /// from a checkpoint: load it into a [`WarpLda`] first, then hand
     /// it here and the workers adopt its full state before the first
     /// iteration. The worker count is free to differ from the one that wrote
-    /// the checkpoint; continuation is bit-identical either way.
+    /// the checkpoint; continuation is bit-identical either way. A replica
+    /// whose row and column lengths are not `corpus`'s is a
+    /// [`DistError::Protocol`], before any worker is spawned.
     pub fn from_sampler(
         corpus: &Corpus,
         sampler: WarpLda,
@@ -357,10 +388,9 @@ impl ProcessCluster {
         if cfg.workers == 0 {
             return Err(DistError::Protocol("need at least one worker".into()));
         }
-        let doc_view = DocMajorView::build(corpus);
-        let word_view = WordMajorView::build(corpus, &doc_view);
-        let grid = GridPartition::for_cluster(corpus, &doc_view, &word_view, cfg.workers);
-        let plan = ShardPlan::build(&sampler, &grid, &doc_view, &word_view);
+        check_replica_shape(corpus, &sampler)?;
+        let grid = GridPartition::for_cluster(corpus, cfg.workers);
+        let plan = ShardPlan::build(&sampler, &grid);
 
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;

@@ -27,7 +27,8 @@
 //!
 //! Records are the only bulk data, and the coordinator moves them as bytes.
 //! The [`ShardPlan`](crate::ShardPlan) orders every worker's delta as one
-//! contiguous **segment** per destination worker, so the sync for worker `j`
+//! contiguous **segment** per destination worker, each in ascending entry
+//! id (storage order), so the sync for worker `j`
 //! is the concatenation of the segments `i → j` of all senders `i ≠ j`,
 //! ascending: the coordinator writes a sync head and then those byte ranges
 //! straight out of the senders' receive buffers. With `P = 2` an iteration

@@ -258,6 +258,41 @@ fn a_missing_worker_binary_is_a_typed_error_naming_the_build_command() {
     );
 }
 
+/// A replica of another corpus is refused with a typed error before a worker
+/// is spawned: the binary here does not exist, so anything that got as far as
+/// spawning would fail with `NotFound` instead. Same `T` with other rows (the
+/// first iteration used to fail only after the recovery budget was spent on a
+/// healthy worker), other columns under the same rows, and another `T` (which
+/// used to panic while building the plan).
+#[test]
+fn a_replica_of_another_corpus_is_a_typed_error_before_any_worker_spawns() {
+    let corpus =
+        Corpus::from_token_docs(vec![vec![0, 1, 2, 3, 4, 5], vec![0, 1], vec![2, 3, 4, 5]]);
+    let others = [
+        vec![vec![0, 1, 2, 3], vec![4, 5, 0, 1], vec![2, 3, 4, 5]],
+        vec![vec![0, 0, 0, 3, 4, 5], vec![1, 1], vec![2, 3, 4, 5]],
+        vec![vec![0, 1, 2, 3, 4, 5], vec![0, 1], vec![2, 3, 4]],
+    ];
+    let params = ModelParams::paper_defaults(4);
+    for docs in others {
+        let replica = WarpLda::new(
+            &Corpus::from_token_docs(docs.clone()),
+            params,
+            WarpLdaConfig::default(),
+            1,
+        );
+        let mut cfg = process_config(2);
+        cfg.worker_binary = Some("/nonexistent/warplda-dist-worker".into());
+        match ProcessCluster::from_sampler(&corpus, replica, cfg).err() {
+            Some(DistError::Protocol(message)) => {
+                assert!(message.contains("not a sampler of the corpus"), "{docs:?}: {message}")
+            }
+            Some(other) => panic!("{docs:?}: expected a protocol error, got {other}"),
+            None => panic!("{docs:?}: a replica of another corpus was accepted"),
+        }
+    }
+}
+
 #[test]
 fn killed_worker_surfaces_as_a_typed_error_not_a_hang() {
     let corpus = DatasetPreset::Tiny.generate_scaled(2);

@@ -11,16 +11,8 @@ fn corpus() -> Corpus {
 #[test]
 fn grid_partition_is_balanced_and_complete() {
     let corpus = corpus();
-    let doc_view = DocMajorView::build(&corpus);
-    let word_view = WordMajorView::build(&corpus, &doc_view);
     for workers in [2usize, 4, 8] {
-        let grid = GridPartition::build(
-            &corpus,
-            &doc_view,
-            &word_view,
-            workers,
-            PartitionStrategy::Greedy,
-        );
+        let grid = GridPartition::build(&corpus, workers, PartitionStrategy::Greedy);
         assert_eq!(grid.total_tokens(), corpus.num_tokens());
         assert!(
             grid.doc_phase_imbalance() < 0.1,

@@ -374,9 +374,7 @@ proptest! {
         workers in 1usize..6,
     ) {
         let corpus = Corpus::from_token_docs(docs);
-        let doc_view = DocMajorView::build(&corpus);
-        let word_view = WordMajorView::build(&corpus, &doc_view);
-        let grid = GridPartition::for_cluster(&corpus, &doc_view, &word_view, workers);
+        let grid = GridPartition::for_cluster(&corpus, workers);
         prop_assert_eq!(grid.total_tokens(), corpus.num_tokens());
         for d in 0..corpus.num_docs() as u32 {
             prop_assert!((grid.doc_owner(d) as usize) < workers);
@@ -395,7 +393,7 @@ proptest! {
             WarpLdaConfig::with_mh_steps(1),
             11,
         );
-        let plan = ShardPlan::build(&sampler, &grid, &doc_view, &word_view);
+        let plan = ShardPlan::build(&sampler, &grid);
         for (phase, reported) in [
             (&plan.doc, sampler.num_entries() as u64),
             (&plan.word, grid.tokens_exchanged_per_phase_switch()),
@@ -504,15 +502,13 @@ mod exchange {
         /// Runs `phase` on every worker's shard and encodes the deltas.
         pub fn reach(workers: usize, k: usize, phase: FaultPhase) -> Self {
             let corpus = DatasetPreset::Tiny.generate_scaled(16);
-            let doc_view = DocMajorView::build(&corpus);
-            let word_view = WordMajorView::build(&corpus, &doc_view);
-            let grid = GridPartition::for_cluster(&corpus, &doc_view, &word_view, workers);
+            let grid = GridPartition::for_cluster(&corpus, workers);
             let replica = || {
                 let config = WarpLdaConfig::with_mh_steps(2);
                 WarpLda::new(&corpus, ModelParams::new(k, 0.5, 0.1), config, 9)
             };
             let coordinator = replica();
-            let plan = ShardPlan::build(&coordinator, &grid, &doc_view, &word_view);
+            let plan = ShardPlan::build(&coordinator, &grid);
             let mut replicas: Vec<WarpLda> = (0..workers).map(|_| replica()).collect();
             let width = topic_wire_width(k);
             let mut partial = vec![0u32; k];
