@@ -62,7 +62,9 @@ pub struct PhasePlan {
 impl PhasePlan {
     /// Lays out one phase with its entries still unfilled: segment `i → j`
     /// holds `len(i, j)` entries, and worker `i` advances `shard_tokens[i]`
-    /// tokens.
+    /// tokens. Every entry list ends in one spare slot, the start of the
+    /// (last) own segment: [`ShardPlan::build`] writes the entries an empty
+    /// own segment does not take there, and drops it.
     fn sized(phase: FaultPhase, shard_tokens: &[u64], len: impl Fn(usize, usize) -> u64) -> Self {
         let workers = shard_tokens.len();
         let mut delta_entries = Vec::with_capacity(workers);
@@ -75,7 +77,7 @@ impl PhasePlan {
                 end += len(i, j) as usize;
                 ranges[j] = start..end;
             }
-            delta_entries.push(vec![0; end]);
+            delta_entries.push(vec![0; end + 1]);
             segments.push(ranges);
         }
         Self { phase, delta_entries, segments, shard_tokens: shard_tokens.to_vec() }
@@ -229,7 +231,8 @@ impl ShardPlan {
     /// a cursor per segment, each segment sized from its grid cell.
     ///
     /// # Panics
-    /// Panics if `grid` was built from a corpus other than `sampler`'s.
+    /// Panics if `grid` was built from a corpus other than `sampler`'s, or
+    /// for more than 65 536 workers.
     pub fn build(sampler: &WarpLda, grid: &GridPartition) -> Self {
         assert_eq!(grid.total_tokens(), sampler.num_entries() as u64, "a grid of another corpus");
         let p = grid.workers();
@@ -238,10 +241,13 @@ impl ShardPlan {
             owned_words[grid.word_owner(w) as usize].push(w);
         }
         let mut owned_docs: Vec<Vec<u32>> = vec![Vec::new(); p];
-        let mut doc_owner_of = vec![0u32; sampler.num_entries()];
+        // Two bytes per entry, not four: this array is written in row order,
+        // so at random, and the smaller it is the more of it stays cached.
+        let mut doc_owner_of = vec![0u16; sampler.num_entries()];
         for d in 0..sampler.num_docs() as u32 {
             let owner = grid.doc_owner(d);
             owned_docs[owner as usize].push(d);
+            let owner = u16::try_from(owner).expect("at most 65 536 workers");
             for &e in sampler.row_entry_ids(d) {
                 doc_owner_of[e as usize] = owner;
             }
@@ -263,17 +269,21 @@ impl ShardPlan {
         let (mut word_next, mut doc_next) = (word.segment_starts(), doc.segment_starts());
         for w in 0..sampler.num_words() as u32 {
             let word_owner = grid.word_owner(w) as usize;
+            let word_entries = &mut word.delta_entries[word_owner];
             for e in sampler.col_entry_range(w) {
-                let doc_owner = doc_owner_of[e] as usize;
+                let doc_owner = usize::from(doc_owner_of[e]);
                 let at = &mut doc_next[doc_owner * p + word_owner];
                 doc.delta_entries[doc_owner][*at] = e as u32;
                 *at += 1;
-                if doc_owner != word_owner {
-                    let at = &mut word_next[word_owner * p + doc_owner];
-                    word.delta_entries[word_owner][*at] = e as u32;
-                    *at += 1;
-                }
+                // Without a branch: an entry of the empty own segment lands
+                // on the spare slot, and its cursor stays there.
+                let at = &mut word_next[word_owner * p + doc_owner];
+                word_entries[*at] = e as u32;
+                *at += usize::from(doc_owner != word_owner);
             }
+        }
+        for entries in word.delta_entries.iter_mut().chain(&mut doc.delta_entries) {
+            entries.pop();
         }
         assert!(
             word.filled(&word_next) && doc.filled(&doc_next),

@@ -385,8 +385,8 @@ impl ProcessCluster {
         sampler: WarpLda,
         cfg: ProcessClusterConfig,
     ) -> Result<Self, DistError> {
-        if cfg.workers == 0 {
-            return Err(DistError::Protocol("need at least one worker".into()));
+        if !(1..=1 << 16).contains(&cfg.workers) {
+            return Err(DistError::Protocol("need 1 to 65 536 workers".into()));
         }
         check_replica_shape(corpus, &sampler)?;
         let grid = GridPartition::for_cluster(corpus, cfg.workers);
