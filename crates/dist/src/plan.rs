@@ -62,9 +62,9 @@ pub struct PhasePlan {
 impl PhasePlan {
     /// Lays out one phase with its entries still unfilled: segment `i → j`
     /// holds `len(i, j)` entries, and worker `i` advances `shard_tokens[i]`
-    /// tokens. Every entry list ends in one spare slot, the start of the
-    /// (last) own segment: [`ShardPlan::build`] writes the entries an empty
-    /// own segment does not take there, and drops it.
+    /// tokens. Every entry list ends in one spare slot, where the own segment
+    /// starts when it is empty (it comes last): [`ShardPlan::build`] writes
+    /// the entries that segment does not take there, and then drops the slot.
     fn sized(phase: FaultPhase, shard_tokens: &[u64], len: impl Fn(usize, usize) -> u64) -> Self {
         let workers = shard_tokens.len();
         let mut delta_entries = Vec::with_capacity(workers);

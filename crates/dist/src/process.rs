@@ -176,7 +176,7 @@ fn recoverable_worker(err: &DistError) -> Option<u32> {
 /// Configuration of a [`ProcessCluster`].
 #[derive(Debug, Clone)]
 pub struct ProcessClusterConfig {
-    /// Number of worker processes to spawn.
+    /// Number of worker processes to spawn, 1 to 65 536.
     pub workers: usize,
     /// Bound on every receive (and connection wait): a dead or hung worker
     /// surfaces as a typed error within this long.

@@ -293,6 +293,22 @@ fn a_replica_of_another_corpus_is_a_typed_error_before_any_worker_spawns() {
     }
 }
 
+/// The exchange plan keeps a two-byte document owner per entry, so a cluster
+/// has 1 to 65 536 workers; other counts are refused before any spawn.
+#[test]
+fn worker_counts_outside_one_to_65536_are_typed_errors() {
+    let corpus = DatasetPreset::Tiny.generate_scaled(16);
+    for workers in [0, (1 << 16) + 1] {
+        let mut cfg = process_config(workers);
+        cfg.worker_binary = Some("/nonexistent/warplda-dist-worker".into());
+        let params = ModelParams::paper_defaults(4);
+        match ProcessCluster::new(&corpus, params, WarpLdaConfig::default(), 1, cfg).err() {
+            Some(DistError::Protocol(message)) => assert!(message.contains("65 536"), "{message}"),
+            other => panic!("{workers} workers: expected a protocol error, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn killed_worker_surfaces_as_a_typed_error_not_a_hang() {
     let corpus = DatasetPreset::Tiny.generate_scaled(2);
