@@ -9,11 +9,11 @@
 //! rebuilds the *same* replica and [`ShardPlan`] the coordinator holds
 //! (the replica is a deterministic function of the corpus and seed, the
 //! plan of the replica's matrix and the corpus's greedy grid for the worker
-//! count), then serves `RunIteration` requests: advance the owned shard of a phase,
-//! report a partial `c_k` plus one record segment per destination worker
-//! (built in place in a reused frame buffer), and absorb the merged `c_k`
-//! plus the segments the peers addressed to this worker (applied in place
-//! from the receive buffer). A healthy iteration allocates nothing.
+//! count), then serves `RunIteration` requests: advance the owned shard of a
+//! phase, report a partial `c_k` plus one record segment per destination
+//! worker (built in place in a reused frame buffer), and absorb the merged
+//! `c_k` plus the segments the peers addressed to this worker (applied in
+//! place from the receive buffer). A healthy iteration allocates nothing.
 //!
 //! Once `Ready` is sent, a side thread pulses `Heartbeat` frames every
 //! `Setup.heartbeat_interval_ms` so the coordinator can tell a slow worker
