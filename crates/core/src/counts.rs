@@ -198,9 +198,11 @@ impl TopicCounts for HashCounts {
         } else {
             let d = (-delta) as u32;
             debug_assert!(*v >= d, "count of topic {topic} would go negative");
-            // Zero-count keys stay in place: tombstone-free deletion is not worth
-            // it for per-document lifetimes (the table is cleared after each
-            // document/word anyway) and `num_nonzero` filters them out.
+            // Zero-count keys stay in place (deletion without tombstones) and
+            // `num_nonzero` filters them out. Nothing clears these tables:
+            // their users, the D + V tables `SamplerState` keeps for CGS,
+            // F+LDA and LightLDA, live all run, so zero keys pile up until
+            // `grow()` rehashes, which drops them and allocates new arrays.
             let applied = d.min(*v);
             *v -= applied;
             self.total -= applied as u64;

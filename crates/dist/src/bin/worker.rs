@@ -21,14 +21,13 @@
 //! frames are written whole under the lock so the two writers never
 //! interleave bytes.
 //!
-//! When a *peer* worker fails, the coordinator sends `Restore`: this worker
-//! abandons whatever iteration is in flight (without advancing), reinstalls
-//! the boundary state and answers `Ready`. Per-entity RNG streams make the
-//! subsequent replay bit-identical. That state — and the tail of the `Setup`
-//! a respawned worker starts from — is the sampler section of a checkpoint,
-//! adopted through the checkpoint reader ([`Checkpointable::read_state`])
-//! where it lies in the receive buffer: validated in place, copied once, into
-//! the sampler.
+//! A worker has no recovery code. When any worker fails, the coordinator
+//! kills all of them and starts fresh processes through the same handshake,
+//! with the boundary state as the tail of their `Setup`; per-entity RNG
+//! streams make the replay bit-identical. That state is the sampler section
+//! of a checkpoint, adopted through the checkpoint reader
+//! ([`Checkpointable::read_state`]) where it lies in the receive buffer:
+//! validated in place, copied once, into the sampler.
 //!
 //! Scripted faults from `Setup.faults` fire at the start of their target
 //! phase: crash (exit mid-protocol), hang (stop heartbeats and stall), delay
@@ -52,8 +51,7 @@ use warplda_corpus::Corpus;
 use warplda_dist::fault::{FaultAction, FaultPhase, FaultTimeline};
 use warplda_dist::plan::ShardPlan;
 use warplda_dist::protocol::{
-    begin_delta_frame, decode_message, encode_message, sync_tag, Message, Setup,
-    DIST_MAX_FRAME_BYTES,
+    begin_delta_frame, decode_message, encode_message, Message, Setup, DIST_MAX_FRAME_BYTES,
 };
 use warplda_dist::GridPartition;
 use warplda_net::{write_frame, FrameBuffer};
@@ -280,26 +278,18 @@ fn execute_fault(action: FaultAction, heartbeat: Option<&Heartbeat>) -> Option<F
     }
 }
 
-/// Adopts `state` — a `Setup`'s tail or a `Restore`'s body — where it lies in
-/// the receive buffer, through the reader every checkpoint load runs: nothing
-/// is copied until the whole state validated against this replica, and the
-/// state must be the whole of what was sent.
+/// Adopts `state` — a `Setup`'s tail — where it lies in the receive buffer,
+/// through the reader every checkpoint load runs: nothing is copied until the
+/// whole state validated against this replica, and the state must be the
+/// whole of what was sent.
 fn adopt(sampler: &mut WarpLda, state: &[u8]) -> Result<()> {
     let mut dec = Decoder::new(state);
     sampler.read_state(&mut dec)?;
     Ok(dec.finish()?)
 }
 
-/// Adopts the boundary state of a `Restore` and acknowledges it.
-fn restore(writer: &SharedWriter, sampler: &mut WarpLda, id: usize, state: &[u8]) -> Result<()> {
-    adopt(sampler, state)?;
-    writer.send(&Message::Ready { worker_id: id as u32 })
-}
-
 /// The iteration loop: word shard → delta → sync, doc shard → delta → sync,
-/// until `Shutdown`. A `Restore` at any receive point abandons the current
-/// iteration (no advance), reinstalls the boundary state and re-enters the
-/// loop with a fresh `Ready`.
+/// until `Shutdown`.
 fn serve(
     link: Link<'_>,
     sampler: &mut WarpLda,
@@ -309,19 +299,11 @@ fn serve(
     buffers: &mut Buffers,
 ) -> Result<()> {
     let width = topic_wire_width(sampler.params().num_topics);
-    'session: loop {
+    loop {
         let epoch = match decode_message(link.reader.recv()?)? {
             Message::RunIteration { epoch } => epoch,
-            Message::Restore(state) => {
-                restore(link.writer, sampler, id, state)?;
-                continue;
-            }
             Message::Shutdown => return Ok(()),
-            other => {
-                return Err(
-                    format!("expected RunIteration, Restore or Shutdown, got {other:?}").into()
-                )
-            }
+            other => return Err(format!("expected RunIteration or Shutdown, got {other:?}").into()),
         };
         if epoch != sampler.iterations() {
             return Err(format!(
@@ -363,16 +345,8 @@ fn serve(
                 _ => link.writer.send_framed(frame)?,
             }
 
-            // The boundary: the expected sync, applied where it lies, or a
-            // `Restore` because a peer failed mid-iteration.
+            // The boundary: the expected sync, applied where it lies.
             let payload = link.reader.recv()?;
-            if payload.first() != Some(&sync_tag(phase)) {
-                match decode_message(payload)? {
-                    Message::Restore(state) => restore(link.writer, sampler, id, state)?,
-                    other => return Err(format!("expected {phase:?} sync, got {other:?}").into()),
-                }
-                continue 'session;
-            }
             exchange.apply_sync(sampler, id, epoch, payload, &mut buffers.counts)?;
         }
 

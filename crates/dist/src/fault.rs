@@ -15,10 +15,12 @@
 //! same final model, bit for bit. That makes "the cluster survived a crash" an
 //! exact equality assertion instead of a flaky integration hope.
 //!
-//! Replay safety: when a worker is respawned and replays iterations it
-//! already ran, the coordinator filters out events at or before the replay
-//! point ([`FaultPlan::surviving`]) so a scripted crash does not re-fire
-//! forever.
+//! Replay safety: a replayed iteration runs with none of its scripted events,
+//! on every worker. Recovery restarts the whole cluster from the replica and
+//! ships each worker only the events of later iterations
+//! ([`FaultPlan::for_worker`]), so a scripted crash does not re-fire forever
+//! and an event still pending elsewhere in the failed iteration is dropped
+//! with it.
 
 use warplda_corpus::io::codec::{CodecError, CodecResult, Decoder, Encoder};
 
@@ -132,20 +134,16 @@ impl FaultPlan {
         self.event(FaultEvent { worker, iteration, phase, action: FaultAction::TruncateDelta })
     }
 
-    /// The events addressed to `worker` — what `Setup` ships.
-    pub fn for_worker(&self, worker: u32) -> Vec<FaultEvent> {
-        self.events.iter().copied().filter(|ev| ev.worker == worker).collect()
-    }
-
-    /// The events for `worker` that are still ahead of a replay from
-    /// `replay_epoch` completed iterations: a respawned worker replaying
-    /// iteration `replay_epoch + 1` must not re-fire the event that killed
-    /// it, or recovery would loop forever.
-    pub fn surviving(&self, worker: u32, replay_epoch: u64) -> Vec<FaultEvent> {
+    /// The events addressed to `worker` from iteration `first` on — what
+    /// `Setup` ships. A cluster starting at `epoch` completed iterations
+    /// passes `epoch + 1`; a restart after a failed iteration passes
+    /// `epoch + 2`, so the replay of iteration `epoch + 1` runs with none of
+    /// its events.
+    pub fn for_worker(&self, worker: u32, first: u64) -> Vec<FaultEvent> {
         self.events
             .iter()
             .copied()
-            .filter(|ev| ev.worker == worker && ev.iteration > replay_epoch + 1)
+            .filter(|ev| ev.worker == worker && ev.iteration >= first)
             .collect()
     }
 }
@@ -245,29 +243,48 @@ mod tests {
             .hang(0, 3, FaultPhase::Doc, 10_000)
             .corrupt_delta(1, 4, FaultPhase::Doc);
         assert_eq!(plan.events().len(), 3);
-        assert_eq!(plan.for_worker(1).len(), 2);
-        assert_eq!(plan.for_worker(0).len(), 1);
-        assert!(plan.for_worker(2).is_empty());
+        assert_eq!(plan.for_worker(1, 1).len(), 2);
+        assert_eq!(plan.for_worker(0, 1).len(), 1);
+        assert!(plan.for_worker(2, 1).is_empty());
     }
 
     #[test]
     fn surviving_filters_out_the_replayed_event() {
         let plan =
             FaultPlan::new().crash(1, 2, FaultPhase::Word).truncate_delta(1, 5, FaultPhase::Doc);
-        // Worker 1 died at iteration 2; replay starts from epoch 1 (one
-        // completed iteration). The killing event must not ship again.
-        let survivors = plan.surviving(1, 1);
+        // Worker 1 died in iteration 2; the restart from epoch 1 replays it.
+        // The killing event must not ship again.
+        let survivors = plan.for_worker(1, 1 + 2);
         assert_eq!(survivors.len(), 1);
         assert_eq!(survivors[0].iteration, 5);
-        // A replay from epoch 0 would re-run iteration 1 first, so the
-        // iteration-2 event is still ahead and must ship.
-        assert_eq!(plan.surviving(1, 0).len(), 2);
+        // A cluster starting at epoch 1 runs iteration 2 for the first time,
+        // so the iteration-2 event is still ahead and must ship.
+        assert_eq!(plan.for_worker(1, 1 + 1).len(), 2);
+    }
+
+    #[test]
+    fn a_restart_ships_no_event_of_the_replayed_iteration_to_any_worker() {
+        // Iteration 2 fails at worker 1's crash. Worker 0's later doc-phase
+        // crash and worker 2's delay belong to the same iteration: the replay
+        // runs without them too, and only iteration 3 still ships.
+        let plan = FaultPlan::new()
+            .crash(1, 2, FaultPhase::Word)
+            .crash(0, 2, FaultPhase::Doc)
+            .delay(2, 2, FaultPhase::Word, 50)
+            .hang(2, 3, FaultPhase::Word, 10_000);
+        let restart = |worker| plan.for_worker(worker, 1 + 2);
+        assert!(restart(0).is_empty());
+        assert!(restart(1).is_empty());
+        assert_eq!(restart(2), [plan.events()[3]]);
+        // At start-up, every event of iteration 2 on ships.
+        let start_up: usize = (0..3).map(|w| plan.for_worker(w, 1 + 1).len()).sum();
+        assert_eq!(start_up, plan.events().len());
     }
 
     #[test]
     fn timeline_fires_each_event_once_at_its_point() {
         let plan = FaultPlan::new().crash(0, 2, FaultPhase::Word).delay(0, 2, FaultPhase::Doc, 50);
-        let mut tl = FaultTimeline::new(plan.for_worker(0));
+        let mut tl = FaultTimeline::new(plan.for_worker(0, 1));
         assert_eq!(tl.fire(0, FaultPhase::Word), None);
         assert_eq!(tl.fire(1, FaultPhase::Word), Some(FaultAction::Crash));
         assert_eq!(tl.fire(1, FaultPhase::Word), None, "events are consumed");

@@ -40,19 +40,18 @@
 //!   *not* declared hung.
 //! * **Recovery.** When a worker dies, hangs or sends a delta that does not
 //!   validate, [`run_iteration`](ProcessCluster::run_iteration) kills and
-//!   respawns the process, writes the replica's state once — the bytes
-//!   [`write_state`](Checkpointable::write_state) puts in a checkpoint —
-//!   replays `Setup` with them as its tail, resets every survivor to the same
-//!   boundary with the same bytes in a `Restore` frame, and retries the
-//!   iteration — up to
-//!   [`max_recoveries`](ProcessClusterConfig::max_recoveries) times across
+//!   reaps **every** worker, restarts the cluster through the start-up
+//!   handshake — spawn, `Hello`, a `Setup` whose tail is the replica's state
+//!   (the bytes [`write_state`](Checkpointable::write_state) puts in a
+//!   checkpoint), `Ready` — and retries the iteration, up to
+//!   [`max_recoveries`](ProcessClusterConfig::max_recoveries) restarts across
 //!   the cluster's lifetime. Because every phase derives its randomness from
 //!   per-entity RNG streams keyed on (seed, iteration, phase, entity), the
 //!   retried iteration is **bit-identical** to the one that failed, so a
 //!   recovered run converges to exactly the fault-free model. Workers adopt
 //!   the state through [`read_state`](Checkpointable::read_state), where it
-//!   lies in their frame buffer: recovery has no format and no reader of its
-//!   own, only the path every checkpoint load already exercises.
+//!   lies in their frame buffer: recovery has no message, no format and no
+//!   reader of its own. It runs the code every cluster start runs.
 //! * **Scripted faults.** A [`FaultPlan`] makes precise
 //!   failures happen at precise moments (crash, hang, delay, corrupt or
 //!   truncated delta) so all of the above is exercised deterministically in
@@ -79,7 +78,7 @@ use crate::grid::GridPartition;
 use crate::plan::ShardPlan;
 use crate::protocol::{
     begin_sync_frame, decode_message, delta_tag, encode_message_into, encode_setup_head, Message,
-    Setup, DIST_MAX_FRAME_BYTES, TAG_FAULT, TAG_HEARTBEAT, TAG_RESTORE,
+    Setup, DIST_MAX_FRAME_BYTES, TAG_FAULT, TAG_HEARTBEAT,
 };
 
 /// How long one poll slice waits before the liveness checks interleave.
@@ -98,7 +97,7 @@ pub enum DistError {
     /// mismatch, …).
     Protocol(String),
     /// A specific worker died, disconnected, sent garbage or reported a
-    /// fault. Recoverable: the supervisor respawns the worker and retries.
+    /// fault. Recoverable: the supervisor restarts the workers and retries.
     WorkerFailed {
         /// The worker's id.
         worker: u32,
@@ -163,16 +162,6 @@ impl From<CodecError> for DistError {
     }
 }
 
-/// The worker id a recoverable error names, if the error is recoverable.
-fn recoverable_worker(err: &DistError) -> Option<u32> {
-    match err {
-        DistError::WorkerFailed { worker, .. } | DistError::WorkerHung { worker, .. } => {
-            Some(*worker)
-        }
-        _ => None,
-    }
-}
-
 /// Configuration of a [`ProcessCluster`].
 #[derive(Debug, Clone)]
 pub struct ProcessClusterConfig {
@@ -192,10 +181,11 @@ pub struct ProcessClusterConfig {
     /// Heartbeat silence after which a worker mid-iteration is declared hung.
     /// Must comfortably exceed `heartbeat_interval`.
     pub liveness_timeout: Duration,
-    /// Total worker recoveries the cluster will perform over its lifetime
-    /// before giving up and propagating the error. Zero disables recovery:
-    /// the first failure is final (the fail-fast behavior tests that assert
-    /// on typed errors rely on).
+    /// Total recoveries the cluster will perform over its lifetime before
+    /// giving up and propagating the error; one recovery is one restart of
+    /// every worker, however many failed. Zero disables recovery: the first
+    /// failure is final (the fail-fast behavior tests that assert on typed
+    /// errors rely on).
     pub max_recoveries: u32,
     /// Scripted faults for tests and the CI smoke; empty in production.
     pub fault_plan: FaultPlan,
@@ -232,8 +222,8 @@ pub struct ProcessIterationReport {
     /// work — so a healthy iteration reports exactly
     /// [`ShardPlan::iteration_wire_bytes`].
     pub bytes_exchanged: u64,
-    /// Worker recoveries performed while completing this iteration (0 on a
-    /// healthy run).
+    /// Recoveries — restarts of every worker — performed while completing
+    /// this iteration (0 on a healthy run).
     pub recoveries: u32,
 }
 
@@ -346,12 +336,9 @@ pub struct ProcessCluster {
     children: Vec<Child>,
     cfg: ProcessClusterConfig,
     bytes_this_iteration: u64,
-    /// Kept open for the cluster's lifetime so recovery can re-accept a
-    /// respawned worker's connection.
-    listener: TcpListener,
     binary: PathBuf,
     /// The `Setup` every worker is sent, bar its id, faults and state tail.
-    /// Holds the corpus, retained for respawns.
+    /// Holds the corpus, retained for restarts.
     setup: Setup<'static>,
     /// The `c_k` being merged at the current boundary.
     merged: Vec<u32>,
@@ -391,16 +378,7 @@ impl ProcessCluster {
         check_replica_shape(corpus, &sampler)?;
         let grid = GridPartition::for_cluster(corpus, cfg.workers);
         let plan = ShardPlan::build(&sampler, &grid);
-
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let binary = locate_worker_binary(cfg.worker_binary.as_deref())?;
-
-        let mut children = Vec::with_capacity(cfg.workers);
-        for id in 0..cfg.workers {
-            children.push(spawn_worker(&binary, &addr, id as u32)?);
-        }
 
         let (params, config) = (*sampler.params(), *sampler.config());
         let setup = Setup {
@@ -422,33 +400,42 @@ impl ProcessCluster {
             grid,
             plan,
             conns: Vec::new(),
-            children,
+            children: Vec::new(),
             cfg,
             bytes_this_iteration: 0,
-            listener,
             binary,
             setup,
             merged: vec![0; params.num_topics],
             scratch: Vec::new(),
             recoveries: 0,
         };
-        match cluster.handshake() {
-            Ok(()) => Ok(cluster),
-            Err(e) => {
-                cluster.kill_all();
-                Err(e)
-            }
-        }
+        // On failure, dropping the cluster kills whatever was spawned.
+        cluster.start(cluster.sampler.iterations() + 1)?;
+        Ok(cluster)
     }
 
-    /// Accepts every worker's connection, exchanges Hello/Setup/Ready. Each
-    /// step is deadline-bounded and fails fast if a child dies early.
-    fn handshake(&mut self) -> Result<(), DistError> {
+    /// Starts every worker from the replica: kills and reaps the current
+    /// ones, spawns `P` fresh processes, accepts each `Hello` into its slot,
+    /// sends each its `Setup` — the replica's state as the tail once an
+    /// iteration has run, and the scripted events of iteration `first_event`
+    /// on — and awaits every `Ready`. Each step is deadline-bounded and fails
+    /// fast if a child dies early.
+    fn start(&mut self, first_event: u64) -> Result<(), DistError> {
+        self.kill_all();
         let workers = self.cfg.workers;
+        // A fresh listener per start: no connection of a killed worker can
+        // wait in its backlog.
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
+        for id in 0..workers {
+            self.children.push(spawn_worker(&self.binary, &addr, id as u32)?);
+        }
+
         let deadline = Instant::now() + self.cfg.io_timeout;
         let mut slots: Vec<Option<Conn>> = (0..workers).map(|_| None).collect();
         for _ in 0..workers {
-            let (worker_id, conn) = self.accept_hello(deadline)?;
+            let (worker_id, conn) = self.accept_hello(&listener, deadline)?;
             let id = worker_id as usize;
             if id >= workers || slots[id].is_some() {
                 return Err(DistError::Protocol(format!(
@@ -461,7 +448,7 @@ impl ProcessCluster {
 
         let resume = (self.sampler.iterations() > 0).then(|| self.encode_replica());
         for i in 0..workers {
-            let faults = self.cfg.fault_plan.for_worker(i as u32);
+            let faults = self.cfg.fault_plan.for_worker(i as u32, first_event);
             self.send_setup(i, faults, resume.as_deref())?;
         }
         for i in 0..workers {
@@ -472,9 +459,13 @@ impl ProcessCluster {
 
     /// Accepts one connection and reads its `Hello`, bounded by `deadline`.
     /// Any child that exits while we wait is reported as the failure.
-    fn accept_hello(&mut self, deadline: Instant) -> Result<(u32, Conn), DistError> {
+    fn accept_hello(
+        &mut self,
+        listener: &TcpListener,
+        deadline: Instant,
+    ) -> Result<(u32, Conn), DistError> {
         loop {
-            match self.listener.accept() {
+            match listener.accept() {
                 Ok((stream, _)) => {
                     stream.set_nodelay(true)?;
                     stream.set_read_timeout(Some(self.cfg.io_timeout))?;
@@ -554,7 +545,8 @@ impl ProcessCluster {
         self.sampler.iterations()
     }
 
-    /// Total worker recoveries performed over the cluster's lifetime.
+    /// Total recoveries performed over the cluster's lifetime; one recovery
+    /// is one restart of every worker.
     pub fn recoveries(&self) -> u64 {
         self.recoveries
     }
@@ -648,8 +640,8 @@ impl ProcessCluster {
     /// `WorkerFailed`, heartbeat silence beyond the liveness timeout (when
     /// `liveness` is on) or a phase overrunning `io_timeout` is a typed
     /// `WorkerHung`. `liveness` is off for waits that are legitimately quiet
-    /// — replica builds after `Setup`/`Restore`, which run before the
-    /// worker's heartbeat thread has anything to prove.
+    /// — replica builds after `Setup`, which run before the worker's
+    /// heartbeat thread has anything to prove.
     fn recv_frame(&mut self, i: usize, liveness: bool) -> Result<(u8, Range<usize>), DistError> {
         let deadline = Instant::now() + self.cfg.io_timeout;
         // The liveness clock measures silence *while watched*: heartbeats
@@ -688,28 +680,21 @@ impl ProcessCluster {
             .map_err(|e| worker_failed(i, format!("malformed frame: {e}")))
     }
 
-    /// Waits for worker `i`'s `Ready`, skipping — by tag, undecoded — stale
-    /// deltas a survivor had already put on the wire before a `Restore`
-    /// reached it.
+    /// Waits for worker `i`'s `Ready`.
     fn await_ready(&mut self, i: usize) -> Result<(), DistError> {
-        loop {
-            let (tag, range) = self.recv_frame(i, false)?;
-            if is_delta(tag) {
-                continue;
-            }
-            return match self.decode(i, range)? {
-                Message::Ready { worker_id } if worker_id as usize == i => Ok(()),
-                other => Err(DistError::Protocol(format!(
-                    "expected Ready from worker {i}, got {}",
-                    kind_of(&other)
-                ))),
-            };
+        let (_, range) = self.recv_frame(i, false)?;
+        match self.decode(i, range)? {
+            Message::Ready { worker_id } if worker_id as usize == i => Ok(()),
+            other => Err(DistError::Protocol(format!(
+                "expected Ready from worker {i}, got {}",
+                kind_of(&other)
+            ))),
         }
     }
 
     /// Runs one distributed iteration: word phase (deltas in, boundary out),
     /// then doc phase, each a barrier across all workers. A worker failure
-    /// mid-iteration triggers recovery — respawn, reset everyone to the
+    /// mid-iteration triggers recovery — restart every worker from the
     /// replica's boundary, retry — until the iteration completes or the
     /// recovery budget is exhausted. The completed iteration is bit-identical
     /// to a fault-free run.
@@ -729,20 +714,18 @@ impl ProcessCluster {
                 }
                 Err(e) => e,
             };
-            // Recover the failed worker; a *different* worker failing during
-            // recovery feeds back into the same loop (fresh budget check,
-            // fresh recovery) until recovery succeeds or the budget is gone.
+            // A worker failing during the restart feeds back into the same
+            // loop (fresh budget check, fresh restart) until a restart
+            // succeeds or the budget is gone.
             loop {
-                let worker = match recoverable_worker(&err) {
-                    Some(w) => w,
-                    None => return Err(err),
-                };
-                if self.recoveries >= u64::from(self.cfg.max_recoveries) {
+                let recoverable =
+                    matches!(err, DistError::WorkerFailed { .. } | DistError::WorkerHung { .. });
+                if !recoverable || self.recoveries >= u64::from(self.cfg.max_recoveries) {
                     return Err(err);
                 }
                 self.recoveries += 1;
                 recovered_here += 1;
-                match self.recover(worker) {
+                match self.recover() {
                     Ok(()) => break,
                     Err(e) => err = e,
                 }
@@ -828,68 +811,13 @@ impl ProcessCluster {
         Ok(())
     }
 
-    /// Recovers from worker `dead`'s failure: kill and reap the process
-    /// (it may be hung-alive, not dead), respawn it with the replica as its
-    /// state to adopt, and reset every survivor to the same boundary. The
-    /// replica needs no rollback — a failed attempt never modified it — so
-    /// on return the whole cluster sits at the replica's epoch, exactly as
-    /// if the failed iteration had never started.
-    fn recover(&mut self, dead: u32) -> Result<(), DistError> {
-        let dead = dead as usize;
-        let _ = self.children[dead].kill();
-        let _ = self.children[dead].wait();
-
-        let addr = self.listener.local_addr()?;
-        self.children[dead] = spawn_worker(&self.binary, &addr, dead as u32)?;
-        let deadline = Instant::now() + self.cfg.io_timeout;
-        let (hello_id, conn) = self.accept_hello(deadline)?;
-        if hello_id as usize != dead {
-            return Err(DistError::Protocol(format!(
-                "respawned worker {dead} but worker {hello_id} connected"
-            )));
-        }
-        self.conns[dead] = conn;
-
-        // Written once; the same bytes go to the respawned worker and to
-        // every survivor.
-        let resume = self.encode_replica();
-        // Events at or before the replay point must not ship again: the
-        // crash that killed this worker would otherwise re-fire on every
-        // respawn and recovery would loop until the budget ran out.
-        let faults = self.cfg.fault_plan.surviving(dead as u32, self.sampler.iterations());
-        self.send_setup(dead, faults, Some(&resume))?;
-        self.await_ready(dead)?;
-
-        for j in 0..self.workers() {
-            if j == dead {
-                continue;
-            }
-            // Consume whatever the survivor already put on the wire (a delta
-            // for the abandoned iteration, heartbeats) before writing the
-            // Restore frame: sending first against a survivor itself blocked
-            // mid-delta on a full socket buffer could deadlock.
-            self.drain_to_idle(j)?;
-            self.send_parts(j, &[&[TAG_RESTORE], &resume])?;
-            self.await_ready(j)?;
-        }
-        Ok(())
-    }
-
-    /// Discards already-buffered frames on worker `j`'s connection until the
-    /// socket goes quiet. TCP's per-connection FIFO ordering makes the
-    /// subsequent drain-until-`Ready` sound: anything sent before the
-    /// worker's `Ready` reply is stale by definition.
-    fn drain_to_idle(&mut self, j: usize) -> Result<(), DistError> {
-        while let Some((tag, range)) = self.poll(j, Duration::from_millis(50))? {
-            if !is_delta(tag) {
-                let other = self.decode(j, range)?;
-                return Err(DistError::Protocol(format!(
-                    "unexpected {} from worker {j} during recovery",
-                    kind_of(&other)
-                )));
-            }
-        }
-        Ok(())
+    /// Recovers from a failed attempt: restarts every worker from the
+    /// replica. The replica needs no rollback — a failed attempt never
+    /// modified it — so on return the whole cluster sits at the replica's
+    /// epoch, exactly as if the failed iteration had never started, and the
+    /// replay of that iteration runs with none of its scripted events.
+    fn recover(&mut self) -> Result<(), DistError> {
+        self.start(self.sampler.iterations() + 2)
     }
 
     /// Kills worker `i` outright — the fault-injection hook: the next
@@ -947,10 +875,6 @@ impl Drop for ProcessCluster {
     }
 }
 
-fn is_delta(tag: u8) -> bool {
-    tag == delta_tag(FaultPhase::Word) || tag == delta_tag(FaultPhase::Doc)
-}
-
 /// The coordinator's gate for the `phase` delta `payload` it received on
 /// worker `sender`'s connection
 /// ([`PhasePlan::check_delta`](crate::plan::PhasePlan::check_delta)):
@@ -998,6 +922,5 @@ fn kind_of(msg: &Message<'_>) -> &'static str {
         Message::Bye { .. } => "Bye",
         Message::Fault { .. } => "Fault",
         Message::Heartbeat { .. } => "Heartbeat",
-        Message::Restore(_) => "Restore",
     }
 }

@@ -21,6 +21,9 @@
 //! shutdown:
 //!               ←  Shutdown
 //! Bye{id}       →
+//! recovery (a worker died, hung or sent a bad delta):
+//!                  the coordinator kills every worker and runs the session
+//!                  again from Hello, with its replica's state as Setup's tail
 //! ```
 //!
 //! # The phase exchange is routed, not reprocessed
@@ -41,7 +44,6 @@
 //!
 //! delta    tag:u8  worker_id:u32  epoch:u64  counts  records
 //! sync     tag:u8                 epoch:u64  counts  records
-//! Restore  tag:u8  state
 //! Setup    tag:u8  …head…  has_resume:u8  [state]
 //!
 //! counts   K:u64      K × u32                    (a partial or merged c_k)
@@ -65,8 +67,8 @@
 //! failure, never the receiver's. Workers check a sync the same way before
 //! applying it ([`PhasePlan::apply_sync`](crate::plan::PhasePlan::apply_sync)).
 //! A `state` is opaque to this module: [`decode_message`] hands a `Setup`'s
-//! tail or a `Restore`'s body on as the bytes they are, borrowed from the
-//! frame, and the worker adopts them through
+//! tail on as the bytes it is, borrowed from the frame, and the worker adopts
+//! them through
 //! [`Checkpointable::read_state`](warplda_core::checkpoint::Checkpointable::read_state)
 //! — the reader every checkpoint load runs — which checks `M`, the hash
 //! flag, width, count, every id `< K` and `c_k` against the assignment
@@ -86,13 +88,13 @@
 //! [`Message::Heartbeat`] from a side thread every
 //! `Setup.heartbeat_interval_ms`, which is how the coordinator tells a
 //! *hung* worker (process alive, socket open, nothing flowing) from a slow
-//! one. When a worker dies mid-iteration the coordinator writes its replica's
-//! state — always exactly the last iteration boundary — once, respawns the
-//! worker with those bytes as the tail of its `Setup` and sends every
-//! survivor the same bytes in a [`Message::Restore`]; survivors
-//! abandon the in-flight iteration, reinstall the boundary state and answer
-//! `Ready`. Because per-entity RNG streams are keyed on (seed, iteration,
-//! phase, entity), the replay is bit-identical to the run that failed.
+//! one. When a worker fails mid-iteration the coordinator kills every worker
+//! and starts the cluster again the way it started it first: spawn, `Hello`,
+//! and a `Setup` whose tail is its replica's state — always exactly the last
+//! iteration boundary — then `Ready`. A state reaches a worker through that
+//! one door and no other message. Because per-entity RNG streams are keyed
+//! on (seed, iteration, phase, entity), the replay is bit-identical to the
+//! run that failed.
 
 use crate::fault::{read_fault_events, write_fault_events, FaultEvent, FaultPhase};
 use warplda_core::topic_wire_width;
@@ -120,8 +122,6 @@ const TAG_BYE: u8 = 10;
 pub const TAG_FAULT: u8 = 11;
 /// Tag of a [`Message::Heartbeat`] frame.
 pub const TAG_HEARTBEAT: u8 = 12;
-/// Tag of a [`Message::Restore`] frame.
-pub const TAG_RESTORE: u8 = 13;
 
 /// Tag of the delta frame a worker sends after `phase`.
 pub const fn delta_tag(phase: FaultPhase) -> u8 {
@@ -273,11 +273,6 @@ pub enum Message<'a> {
         /// Sender's worker id.
         worker_id: u32,
     },
-    /// Coordinator → worker: a peer failed; abandon the current iteration,
-    /// reinstall this boundary `state` and reply `Ready`. Sent to *surviving*
-    /// workers during recovery (the respawned worker gets the same bytes as
-    /// the tail of its `Setup`).
-    Restore(&'a [u8]),
 }
 
 // ---------------------------------------------------------------------------
@@ -575,17 +570,13 @@ pub fn encode_message_into(msg: &Message<'_>, out: &mut Vec<u8>) {
             put(out, |enc| enc.write_str(message));
         }
         Message::Heartbeat { worker_id } => tagged_id(out, TAG_HEARTBEAT, *worker_id),
-        Message::Restore(state) => {
-            out.push(TAG_RESTORE);
-            out.extend_from_slice(state);
-        }
     }
 }
 
 /// Decodes one frame payload. Unknown tags and trailing bytes are typed
 /// [`CodecError::Corrupt`] — the rejection gate for malformed frames. A
-/// `state` section is not decoded here: `Setup.resume` and `Restore` borrow
-/// it from `payload` for the sampler's own reader.
+/// `state` section is not decoded here: `Setup.resume` borrows it from
+/// `payload` for the sampler's own reader.
 pub fn decode_message(payload: &[u8]) -> CodecResult<Message<'_>> {
     let owned_delta = || {
         let d = parse_delta(payload)?;
@@ -620,7 +611,6 @@ pub fn decode_message(payload: &[u8]) -> CodecResult<Message<'_>> {
             Message::Fault { worker_id: dec.read_u32()?, message: dec.read_str()?.to_owned() }
         }
         TAG_HEARTBEAT => Message::Heartbeat { worker_id: dec.read_u32()? },
-        TAG_RESTORE => Message::Restore(dec.rest()),
         other => return Err(CodecError::Corrupt(format!("unknown message tag {other:#04x}"))),
     };
     dec.finish()?;
@@ -708,7 +698,6 @@ mod tests {
             Message::Bye { worker_id: 0 },
             Message::Fault { worker_id: 2, message: "shard went sideways".into() },
             Message::Heartbeat { worker_id: 3 },
-            Message::Restore(&[9, 5, 0, 4, 0, 0x2c, 0x01]),
         ];
         for msg in msgs {
             let payload = encode_message(&msg);
@@ -755,7 +744,6 @@ mod tests {
                 (Message::Heartbeat { worker_id: a }, Message::Heartbeat { worker_id: b }) => {
                     assert_eq!(a, b)
                 }
-                (Message::Restore(a), Message::Restore(b)) => assert_eq!(a, b),
                 (sent, got) => panic!("message kind changed in flight: {sent:?} -> {got:?}"),
             }
         }

@@ -390,6 +390,17 @@ fn killed_worker_recovers_bit_identically() {
     }
 }
 
+/// Two workers crash at the start of the same phase of one iteration: one
+/// restart of every worker recovers both, and the replay runs with neither
+/// crash.
+#[test]
+fn two_workers_crashing_in_one_phase_recover_with_one_restart() {
+    for workers in [2usize, 4] {
+        let plan = FaultPlan::new().crash(1, 2, FaultPhase::Word).crash(0, 2, FaultPhase::Word);
+        assert_recovery_is_bit_identical(workers, plan, 4, 1);
+    }
+}
+
 /// The replica is the snapshot: a failed attempt leaves no mark on it, so
 /// after a worker dies *past the word boundary* of iteration 3 the
 /// coordinator still holds exactly the state after iteration 2 — with

@@ -7,9 +7,11 @@
 //! without it the cluster refuses to start with an error that says so.
 //!
 //! With `--fault-smoke`, a 4-process cluster is trained under a scripted
-//! fault plan — one worker killed outright, another hung mid-iteration — and
-//! the run must recover both and still finish bit-identical to the fault-free
-//! serial sampler. CI runs this as the fault-injection smoke test.
+//! fault plan — one worker killed outright, another hung mid-iteration, then
+//! two killed in the same phase of one iteration — and the run must recover
+//! with one restart of every worker per failed iteration and still finish
+//! bit-identical to the fault-free serial sampler. CI runs this as the
+//! fault-injection smoke test.
 //!
 //! ```bash
 //! cargo run --release --example distributed_run
@@ -85,21 +87,26 @@ fn run_cluster(corpus: &Corpus, params: ModelParams, config: WarpLdaConfig, seed
     });
 }
 
-/// Fault-injection smoke test: kill one worker, hang another, and demand a
-/// final model bit-identical to a run that never saw a fault.
+/// Fault-injection smoke test: kill one worker, hang another, kill two at
+/// once, and demand a final model bit-identical to a run that never saw a
+/// fault.
 fn run_fault_smoke(corpus: &Corpus, config: WarpLdaConfig, seed: u64) {
     let workers = 4;
     let iterations = 6;
     let params = ModelParams::paper_defaults(20);
     println!("\nfault-injection smoke: {workers}-process cluster, {iterations} iterations");
     println!("  scripted: worker 1 killed in iteration 2 (word phase),");
-    println!("            worker 0 hung in iteration 4 (doc phase, outlives liveness timeout)");
+    println!("            worker 0 hung in iteration 4 (doc phase, outlives liveness timeout),");
+    println!("            workers 2 and 3 killed in iteration 5 (word phase)");
 
     let mut cfg = ProcessClusterConfig::new(workers);
     cfg.heartbeat_interval = Duration::from_millis(100);
     cfg.liveness_timeout = Duration::from_secs(2);
-    cfg.fault_plan =
-        FaultPlan::new().crash(1, 2, FaultPhase::Word).hang(0, 4, FaultPhase::Doc, 600_000);
+    cfg.fault_plan = FaultPlan::new()
+        .crash(1, 2, FaultPhase::Word)
+        .hang(0, 4, FaultPhase::Doc, 600_000)
+        .crash(2, 5, FaultPhase::Word)
+        .crash(3, 5, FaultPhase::Word);
 
     let mut cluster = ProcessCluster::new(corpus, params, config, seed, cfg).unwrap_or_else(|e| {
         eprintln!("cannot spawn the process cluster: {e}");
@@ -114,12 +121,17 @@ fn run_fault_smoke(corpus: &Corpus, config: WarpLdaConfig, seed: u64) {
         oracle.run_iteration();
         let note = match report.recoveries {
             0 => String::new(),
-            n => format!("   <- recovered {n} worker(s)"),
+            1 => "   <- cluster restarted".to_string(),
+            n => format!("   <- cluster restarted {n} times"),
         };
         println!("  iteration {:>2} complete{note}", report.iteration);
     }
 
-    assert_eq!(cluster.recoveries(), 2, "expected exactly two recoveries (one kill, one hang)");
+    assert_eq!(
+        cluster.recoveries(),
+        3,
+        "expected exactly three recoveries (one kill, one hang, one double kill)"
+    );
     assert_eq!(
         cluster.assignments(),
         oracle.assignments(),
@@ -130,7 +142,10 @@ fn run_fault_smoke(corpus: &Corpus, config: WarpLdaConfig, seed: u64) {
         eprintln!("shutdown failed: {e}");
         std::process::exit(1);
     });
-    println!("survived 1 kill + 1 hang; final assignments bit-identical to the fault-free oracle");
+    println!(
+        "survived 1 kill + 1 hang + 1 double kill; final assignments bit-identical to the \
+         fault-free oracle"
+    );
 }
 
 fn main() {

@@ -743,8 +743,8 @@ mod exchange {
 
 // ---------------------------------------------------------------------------
 // Bytes from outside: one mutation harness for every door a sampler state
-// comes in through — a checkpoint, a `Setup` with a state tail, a `Restore` —
-// and the serving model's. From one valid payload each: every truncation and
+// comes in through — a checkpoint and a `Setup` with a state tail — and the
+// serving model's. From one valid payload each: every truncation and
 // every element count blown up is refused; single-bit flips (a socket has no
 // checksum, so a flipped proposal `< K` is legal) are refused or leave a state
 // that still satisfies what `read_state` enforces; nothing panics; a refused
@@ -843,11 +843,10 @@ mod doors {
         TopicModel::read(&mut &file[..]).map(drop).map_err(|e| e.to_string())
     }
 
-    /// What the worker does with a `Setup` or a `Restore` frame.
+    /// What the worker does with a `Setup` frame.
     fn read_frame(payload: &[u8], target: &mut WarpLda) -> Result<(), String> {
         match decode_message(payload).map_err(|e| e.to_string())? {
             Message::Setup(setup) => setup.resume.map_or(Ok(()), |state| adopt(target, state)),
-            Message::Restore(state) => adopt(target, state),
             other => Err(format!("a {other:?} where a state was due")),
         }
     }
@@ -910,7 +909,7 @@ mod doors {
             corpus: corpus.clone(),
             resume: Some(&state),
             heartbeat_interval_ms: 250,
-            faults: FaultPlan::new().crash(1, 3, FaultPhase::Doc).for_worker(1),
+            faults: FaultPlan::new().crash(1, 3, FaultPhase::Doc).for_worker(1, 1),
         })));
         // Tag and nine head fields, then the corpus: vocabulary, documents.
         let vocab_at = 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 1;
@@ -918,8 +917,6 @@ mod doors {
         let mut setup_counts =
             vec![(vocab_at, 8), (vocab_at + vocab.len(), 8), (state_at - 1 - 22 - 4, 4)];
         setup_counts.extend(state_counts(state_at));
-
-        let restore = encode_message(&Message::Restore(&state));
 
         // What a refused read may hold. A state costs the `4·K` bytes of the
         // histogram `read_state` checks `c_k` against and nothing per record:
@@ -964,15 +961,6 @@ mod doors {
                 counts: setup_counts,
                 tail_after_state: false,
                 budget: |len| 8 * len + 4 * K,
-            },
-            Door {
-                name: "Restore",
-                valid: restore,
-                wrap: <[u8]>::to_vec,
-                read: read_frame,
-                counts: state_counts(1).to_vec(),
-                tail_after_state: false,
-                budget: |_| 4 * K + 256,
             },
         ]
     }
