@@ -1,6 +1,9 @@
 //! The common [`Sampler`] interface shared by WarpLDA and all baselines.
 
-use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
+use std::borrow::Cow;
+
+use warplda_corpus::{Corpus, DocMajorView, Document, WordMajorView};
+use warplda_sparse::TokenMatrix;
 
 use crate::eval;
 use crate::params::ModelParams;
@@ -54,9 +57,49 @@ pub trait Sampler {
     /// doc-major inside a [`SamplerState`] and return `Some`, so evaluation
     /// never forces the intermediate `Vec<u32>` copy that
     /// [`assignments`](Self::assignments) makes. WarpLDA stores topics in CSC
-    /// entry order and must gather, so it returns `None` (the default).
+    /// entry order, so it returns `None` (the default): its doc-major order is
+    /// a gather through the row pointers, and a consumer that counts per word
+    /// reads [`word_major_assignments`](Self::word_major_assignments) instead.
     fn assignments_slice(&self) -> Option<&[u32]> {
         None
+    }
+
+    /// Current assignments in **word-major** token order, with the column
+    /// offsets that cut them into words: word `w`'s topics are
+    /// `z[offsets[w]..offsets[w + 1]]`, ascending by document and in token
+    /// order within one. This is the column order of a [`TokenMatrix`].
+    ///
+    /// The default builds the [`TokenMatrix`] of `corpus` and scatters the
+    /// doc-major assignments through its row pointers. WarpLDA stores its
+    /// records in this order, so it copies each record's assignment in one
+    /// forward pass and borrows its own offsets, without reading `corpus`.
+    ///
+    /// # Panics
+    /// The default panics if the sampler's token count differs from
+    /// `corpus`'s.
+    fn word_major_assignments(&self, corpus: &Corpus) -> (Cow<'_, [u32]>, Vec<u32>) {
+        let matrix =
+            TokenMatrix::from_rows(corpus.vocab_size(), corpus.docs().iter().map(Document::tokens));
+        let gathered;
+        let doc_major = match self.assignments_slice() {
+            Some(z) => z,
+            None => {
+                gathered = self.assignments();
+                &gathered
+            }
+        };
+        assert_eq!(
+            doc_major.len(),
+            matrix.num_entries(),
+            "the sampler holds {} tokens but the corpus has {}",
+            doc_major.len(),
+            matrix.num_entries()
+        );
+        let mut z = vec![0; doc_major.len()];
+        for (&e, &t) in matrix.row_ptr().iter().zip(doc_major) {
+            z[e as usize] = t;
+        }
+        (Cow::Owned(matrix.col_offsets().to_vec()), z)
     }
 
     /// Copies the current assignments into `out` (cleared first), going
@@ -167,6 +210,16 @@ mod tests {
         let state = fake.snapshot_state(&corpus, &dv, &wv);
         assert_eq!(state.assignments(), &fake.assignments()[..]);
         assert_eq!(state.assignments(), fake.assignments_slice().unwrap());
+        // The word-major scatter lists each word's topics in the occurrence
+        // order of the word view.
+        let (offsets, word_major) = fake.word_major_assignments(&corpus);
+        assert_eq!(offsets.len(), wv.num_words() + 1);
+        let z = fake.assignments();
+        for (w, range) in offsets.windows(2).enumerate() {
+            let want: Vec<u32> =
+                wv.word_token_indices(w as u32).iter().map(|&i| z[i as usize]).collect();
+            assert_eq!(word_major[range[0] as usize..range[1] as usize], want);
+        }
         // The buffered copy path matches too.
         let mut buf = vec![99u32; 2];
         fake.write_assignments_into(&mut buf);

@@ -127,6 +127,7 @@
 
 pub mod parallel;
 
+use std::borrow::Cow;
 use std::cell::Cell;
 
 use rand::rngs::SmallRng;
@@ -718,8 +719,8 @@ impl<P: MemoryProbe> WarpLda<P> {
     }
 
     /// The contiguous entry-id range of word `w`'s column. Within it entries
-    /// ascend by document and keep token order inside a document, which is
-    /// the occurrence order of a [`WordMajorView`].
+    /// ascend by document and keep token order inside a document: the order
+    /// of [`Sampler::word_major_assignments`].
     pub fn col_entry_range(&self, w: u32) -> std::ops::Range<usize> {
         self.matrix.col_entry_range(w)
     }
@@ -963,6 +964,16 @@ impl<P: MemoryProbe> Sampler for WarpLda<P> {
             let ids = self.records.ids::<T>();
             out.extend(self.matrix.row_ptr().iter().map(|&e| ids[e as usize * stride].get()));
         });
+    }
+
+    /// The records are stored word-major already: one forward pass copies
+    /// each record's assignment, and the offsets are the matrix's own.
+    fn word_major_assignments(&self, _: &Corpus) -> (Cow<'_, [u32]>, Vec<u32>) {
+        let stride = self.stride();
+        let z = with_topic_type!(self.records.width(), T => {
+            self.records.ids::<T>().iter().step_by(stride).map(|t| t.get()).collect()
+        });
+        (Cow::Borrowed(self.matrix.col_offsets()), z)
     }
 
     fn last_iteration_phase_seconds(&self) -> Option<f64> {

@@ -32,6 +32,8 @@
 //! heap allocations — the same number every iteration, whichever worker
 //! claims which chunk.
 
+use std::borrow::Cow;
+
 use warplda_cachesim::NoProbe;
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
 use warplda_sparse::{with_topic_type, ChunkCursor};
@@ -160,6 +162,10 @@ impl Sampler for ParallelWarpLda {
 
     fn write_assignments_into(&self, out: &mut Vec<u32>) {
         self.inner.write_assignments_into(out);
+    }
+
+    fn word_major_assignments(&self, corpus: &Corpus) -> (Cow<'_, [u32]>, Vec<u32>) {
+        self.inner.word_major_assignments(corpus)
     }
 
     fn last_iteration_phase_seconds(&self) -> Option<f64> {

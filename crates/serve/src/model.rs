@@ -3,8 +3,12 @@
 //! Training state is write-optimized: counts live in per-row count vectors
 //! that samplers mutate millions of times a second. A serving model is the
 //! opposite — it is read by many threads, mutated never — so
-//! [`TopicModel::from_assignments`] counts the topic assignments **once**
-//! into:
+//! [`TopicModel::from_assignments`] counts the topic assignments **once**,
+//! word-major: the paper's token matrix is stored by column (Section 5.2), a
+//! word's tokens are one contiguous slice of it, and a freeze is one forward
+//! pass over those slices ([`TopicModel::freeze_sampler`] takes them from
+//! [`Sampler::word_major_assignments`], which WarpLDA fills straight off its
+//! records). The counts go into:
 //!
 //! * a CSR-style word→(topic, count) layout, sorted by topic within each
 //!   word — the persisted form of the counts;
@@ -25,7 +29,6 @@
 //! misread as a model. Alias tables and the `C_wk` index are derived data and
 //! are rebuilt deterministically at load time rather than persisted.
 
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
@@ -36,7 +39,7 @@ use warplda_corpus::io::codec::{
     read_framed_section, write_framed_section, CodecError, CodecResult, Decoder, Encoder,
     MODEL_MAGIC,
 };
-use warplda_corpus::{Corpus, DocMajorView, Vocabulary, WordMajorView};
+use warplda_corpus::{Corpus, Vocabulary};
 
 use rand::rngs::SmallRng;
 
@@ -90,25 +93,29 @@ pub struct TopicModel {
 }
 
 impl TopicModel {
-    /// Freezes topic assignments `z` (doc-major token order, as
-    /// [`Sampler::assignments`] returns them) into a serving model, streaming:
-    /// one word at a time is counted through a single reused
-    /// [`DenseCounts`] and appended to the CSR columns, so besides the model
-    /// itself the freeze holds O(K). `vocab` enables raw-text queries; pass
-    /// the training corpus vocabulary (or the one embedded in a checkpoint).
+    /// Freezes word-major topic assignments into a serving model: word `w`'s
+    /// topics are `z[col_offsets[w]..col_offsets[w + 1]]`, the form
+    /// [`Sampler::word_major_assignments`] returns. Each word's contiguous
+    /// slice is counted through a single reused [`DenseCounts`] and appended
+    /// to the CSR columns, reading `z` once, forward. Besides the model the
+    /// freeze holds one word-major copy of z (4 B/token, the input) plus
+    /// O(K). `vocab` enables raw-text queries; pass the training corpus
+    /// vocabulary (or the one embedded in a checkpoint).
     ///
     /// # Panics
-    /// Panics if `z` does not hold one topic below `K` per token of
-    /// `word_view`, or if `vocab` is supplied but its size differs from the
-    /// view's word count — a model/vocabulary mix-up, not a runtime input.
+    /// Panics if `col_offsets` is not `V + 1` non-decreasing offsets from 0 to
+    /// `z.len()`, if a topic in `z` is not below `K`, or if `vocab` is
+    /// supplied but its size differs from `V` — a model/vocabulary mix-up,
+    /// not a runtime input.
     pub fn from_assignments(
         params: ModelParams,
-        word_view: &WordMajorView,
+        col_offsets: &[u32],
         z: &[u32],
         vocab: Option<&Vocabulary>,
     ) -> Self {
-        let num_words = word_view.num_words();
-        assert_eq!(z.len(), word_view.num_tokens(), "one topic per token required");
+        let num_words = col_offsets.len().checked_sub(1).expect("column offsets start at 0");
+        assert_eq!(col_offsets[0], 0, "column offsets start at 0");
+        assert_eq!(col_offsets[num_words] as usize, z.len(), "one topic per token required");
         if let Some(v) = vocab {
             assert_eq!(v.len(), num_words, "vocabulary size does not match the model's word count");
         }
@@ -119,10 +126,10 @@ impl TopicModel {
         let mut pair_topics = Vec::new();
         let mut pair_counts = Vec::new();
         word_offsets.push(0u32);
-        for w in 0..num_words as u32 {
+        for range in col_offsets.windows(2) {
             counts.clear();
-            for &i in word_view.word_token_indices(w) {
-                counts.increment(z[i as usize]);
+            for &t in &z[range[0] as usize..range[1] as usize] {
+                counts.increment(t);
             }
             pairs.clear();
             counts.for_each(|t, c| pairs.push((t, c)));
@@ -145,20 +152,30 @@ impl TopicModel {
         .expect("counted assignments freeze cleanly")
     }
 
-    /// Freezes the current state of any live [`Sampler`] trained on `corpus`
-    /// (its assignments through [`from_assignments`](Self::from_assignments),
-    /// with the corpus vocabulary embedded). Also the path for checkpoints:
-    /// load the checkpoint into a sampler over its corpus, then freeze the
+    /// Freezes the current state of any live [`Sampler`] trained on `corpus`:
+    /// its [`word_major_assignments`](Sampler::word_major_assignments) through
+    /// [`from_assignments`](Self::from_assignments), with the corpus
+    /// vocabulary embedded. Besides the model the freeze holds one word-major
+    /// copy of z (4 B/token) plus O(K); WarpLDA fills that copy in one
+    /// forward pass over its records. Also the path for checkpoints: load
+    /// the checkpoint into a sampler over its corpus, then freeze the
     /// sampler.
+    ///
+    /// # Panics
+    /// Panics if the sampler's word or token count differs from `corpus`'s
+    /// [`vocab_size`](Corpus::vocab_size) or
+    /// [`num_tokens`](Corpus::num_tokens): the sampler was not trained on
+    /// this corpus.
     pub fn freeze_sampler(sampler: &dyn Sampler, corpus: &Corpus) -> Self {
-        let doc_view = DocMajorView::build(corpus);
-        let word_view = WordMajorView::build(corpus, &doc_view);
-        // Only the word view is read from here on.
-        drop(doc_view);
-        let z = sampler
-            .assignments_slice()
-            .map_or_else(|| Cow::Owned(sampler.assignments()), Cow::Borrowed);
-        Self::from_assignments(*sampler.params(), &word_view, &z, Some(corpus.vocab()))
+        let (col_offsets, z) = sampler.word_major_assignments(corpus);
+        let sampler_shape = (col_offsets.len() - 1, z.len() as u64);
+        let corpus_shape = (corpus.vocab_size(), corpus.num_tokens());
+        assert_eq!(
+            sampler_shape, corpus_shape,
+            "the sampler is not a sampler of the corpus: (V, T) = {sampler_shape:?}, the \
+             corpus's {corpus_shape:?}"
+        );
+        Self::from_assignments(*sampler.params(), &col_offsets, &z, Some(corpus.vocab()))
     }
 
     /// Assembles (and fully validates) a model from its raw columns, and
@@ -514,7 +531,7 @@ impl ModelHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warplda_core::{WarpLda, WarpLdaConfig};
+    use warplda_core::{Trainer, WarpLda, WarpLdaConfig};
     use warplda_corpus::CorpusBuilder;
 
     fn trained_model() -> (Corpus, TopicModel) {
@@ -553,46 +570,82 @@ mod tests {
         }
     }
 
+    /// The `WLDAMODL` bytes of a model assembled straight from the count
+    /// tables of `sampler`'s [`Sampler::snapshot_state`] — sorted pairs per
+    /// word, `c_k` — a reference that shares no code with the freeze path.
+    fn count_table_bytes(sampler: &dyn Sampler, corpus: &Corpus) -> Vec<u8> {
+        let views = Trainer::new(corpus);
+        let state = sampler.snapshot_state(corpus, views.doc_view(), views.word_view());
+        let mut word_offsets = vec![0u32];
+        let (mut pair_topics, mut pair_counts) = (Vec::new(), Vec::new());
+        for w in 0..state.num_words() as u32 {
+            let mut pairs = state.word_counts(w).to_pairs();
+            pairs.sort_unstable_by_key(|&(t, _)| t);
+            pair_topics.extend(pairs.iter().map(|&(t, _)| t));
+            pair_counts.extend(pairs.iter().map(|&(_, c)| c));
+            word_offsets.push(pair_topics.len() as u32);
+        }
+        let assembled = TopicModel::from_parts(
+            *sampler.params(),
+            state.topic_counts().to_vec(),
+            word_offsets,
+            pair_topics,
+            pair_counts,
+            Some(corpus.vocab().clone()),
+        )
+        .unwrap();
+        let mut bytes = Vec::new();
+        assembled.write(&mut bytes).unwrap();
+        bytes
+    }
+
     #[test]
     fn the_streaming_freeze_writes_the_bytes_of_a_model_assembled_from_count_tables() {
+        use warplda_core::{CollapsedGibbs, ParallelWarpLda};
         use warplda_corpus::DatasetPreset;
         let corpus = DatasetPreset::Tiny.generate_scaled(8);
-        let dv = DocMajorView::build(&corpus);
-        let wv = WordMajorView::build(&corpus, &dv);
-        // One- and two-byte records; at K = 300 most words have far fewer
-        // occurrences than topics.
-        for k in [6usize, 300] {
-            let params = ModelParams::paper_defaults(k);
-            let mut sampler = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(2), 13);
+        let config = WarpLdaConfig::with_mh_steps(2);
+        let assert_same_bytes = |sampler: &mut dyn Sampler, what: &str| {
             for _ in 0..3 {
                 sampler.run_iteration();
             }
             let mut streamed = Vec::new();
-            TopicModel::freeze_sampler(&sampler, &corpus).write(&mut streamed).unwrap();
-
-            let state = sampler.snapshot_state(&corpus, &dv, &wv);
-            let mut word_offsets = vec![0u32];
-            let (mut pair_topics, mut pair_counts) = (Vec::new(), Vec::new());
-            for w in 0..state.num_words() as u32 {
-                let mut pairs = state.word_counts(w).to_pairs();
-                pairs.sort_unstable_by_key(|&(t, _)| t);
-                pair_topics.extend(pairs.iter().map(|&(t, _)| t));
-                pair_counts.extend(pairs.iter().map(|&(_, c)| c));
-                word_offsets.push(pair_topics.len() as u32);
-            }
-            let assembled = TopicModel::from_parts(
-                params,
-                state.topic_counts().to_vec(),
-                word_offsets,
-                pair_topics,
-                pair_counts,
-                Some(corpus.vocab().clone()),
-            )
-            .unwrap();
-            let mut reference = Vec::new();
-            assembled.write(&mut reference).unwrap();
-            assert!(streamed == reference, "K = {k}: saved bytes differ");
+            TopicModel::freeze_sampler(sampler, &corpus).write(&mut streamed).unwrap();
+            assert!(streamed == count_table_bytes(sampler, &corpus), "{what}: saved bytes differ");
+        };
+        // Serial WarpLDA straight off its records at one-, two- and four-byte
+        // record widths; at K = 300 and above most words have far fewer
+        // occurrences than topics.
+        for (k, width) in [(6usize, 1), (300, 2), (65_537, 4)] {
+            let mut sampler = WarpLda::new(&corpus, ModelParams::paper_defaults(k), config, 13);
+            assert_eq!(sampler.record_width(), width);
+            assert_same_bytes(&mut sampler, &format!("WarpLDA, K = {k}"));
         }
+        // The type the benchmark freezes, and the default path (a token
+        // matrix built from the corpus) through a baseline.
+        let params = ModelParams::paper_defaults(300);
+        let mut parallel = ParallelWarpLda::new(&corpus, params, config, 13, 2);
+        assert_same_bytes(&mut parallel, "ParallelWarpLda on 2 threads");
+        let mut cgs = CollapsedGibbs::new(&corpus, params, 13);
+        assert_same_bytes(&mut cgs, "CollapsedGibbs");
+    }
+
+    #[test]
+    #[should_panic(expected = "the sampler is not a sampler of the corpus: (V, T) = (4, 8), \
+                               the corpus's (3, 8)")]
+    fn freezing_against_a_corpus_of_another_shape_panics() {
+        let corpus_of = |docs: [[&str; 4]; 2]| {
+            let mut b = CorpusBuilder::new();
+            for doc in docs {
+                b.push_text_doc(doc);
+            }
+            b.build().unwrap()
+        };
+        let trained = corpus_of([["a", "b", "c", "d"], ["a", "b", "c", "d"]]);
+        let other = corpus_of([["a", "b", "c", "a"], ["a", "b", "c", "a"]]);
+        let sampler =
+            WarpLda::new(&trained, ModelParams::new(2, 0.5, 0.1), WarpLdaConfig::default(), 1);
+        TopicModel::freeze_sampler(&sampler, &other);
     }
 
     /// Every `C_wk`, `t < K`, read through the index equals the pair

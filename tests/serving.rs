@@ -155,23 +155,18 @@ fn fold_in_theta_is_pinned_across_commits() {
 const ORACLE_ROWS: [[u32; 3]; 4] = [[30, 2, 1], [3, 25, 4], [5, 6, 20], [40, 10, 70]];
 
 /// A model whose `C_wk` are exactly `rows`, frozen through
-/// `from_assignments` from one training document that holds word `w` `C_wk`
-/// times at topic `k`. A row of zeros is a word the training corpus never
-/// saw.
+/// `from_assignments` from word-major assignments that hold word `w`'s
+/// `C_wk` tokens at topic `k`. A row of zeros is a word the training corpus
+/// never saw.
 fn toy_model(rows: &[[u32; 3]], params: ModelParams) -> TopicModel {
-    let (mut tokens, mut z) = (Vec::new(), Vec::new());
-    for (w, row) in rows.iter().enumerate() {
+    let (mut col_offsets, mut z) = (vec![0u32], Vec::new());
+    for row in rows {
         for (k, &c) in row.iter().enumerate() {
-            tokens.extend(std::iter::repeat_n(w as u32, c as usize));
             z.extend(std::iter::repeat_n(k as u32, c as usize));
         }
+        col_offsets.push(z.len() as u32);
     }
-    let corpus =
-        Corpus::from_parts(vec![Document::from_tokens(tokens)], Vocabulary::synthetic(rows.len()))
-            .unwrap();
-    let doc_view = DocMajorView::build(&corpus);
-    let word_view = WordMajorView::build(&corpus, &doc_view);
-    TopicModel::from_assignments(params, &word_view, &z, None)
+    TopicModel::from_assignments(params, &col_offsets, &z, None)
 }
 
 /// Whether query tokens `i < j` share a topic under `z`, for every pair in a

@@ -2,40 +2,58 @@
 //! iterations *and* serving-side fold-in inference.
 //!
 //! A counting global allocator tallies every heap operation of this test
-//! binary. Row and column lengths are known when a sampler is built, so its
-//! one O(K) count vector and its alias/scratch buffers are at their
-//! high-water marks from the start: serial iterations — the first one
-//! included — must perform **zero** heap allocations, parallel iterations
-//! exactly the scoped-thread spawns (one number, the same every iteration,
-//! whatever the corpus size and whichever worker claims which chunk), and
-//! steady-state inference over a frozen model must be **zero allocations per
-//! request**.
+//! binary, and the bytes live and their peak. Row and column lengths are
+//! known when a sampler is built, so its one O(K) count vector and its
+//! alias/scratch buffers are at their high-water marks from the start:
+//! serial iterations — the first one included — must perform **zero** heap
+//! allocations, parallel iterations exactly the scoped-thread spawns (one
+//! number, the same every iteration, whatever the corpus size and whichever
+//! worker claims which chunk), and steady-state inference over a frozen
+//! model must be **zero allocations per request**. Beside them one memory
+//! pin: freezing a model holds one word-major copy of z (4 B/token) plus
+//! O(V + K) beyond the model itself.
 //!
 //! This file deliberately contains a single `#[test]`: the harness runs the
 //! tests of one binary concurrently, so a second test would pollute the
 //! global counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 use warplda::prelude::*;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, and the most there have been since
+/// [`peak_above_base`] last reset it.
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn grow_live(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Relaxed);
+}
 
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Relaxed);
+        grow_live(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Relaxed);
+        if new_size >= layout.size() {
+            grow_live(new_size - layout.size());
+        } else {
+            LIVE_BYTES.fetch_sub(layout.size() - new_size, Relaxed);
+        }
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,6 +65,15 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOC_CALLS.load(Relaxed);
     f();
     ALLOC_CALLS.load(Relaxed) - before
+}
+
+/// Runs `f` and returns its result with the most bytes that were live at
+/// once during it, above those live when it started.
+fn peak_above_base<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let base = LIVE_BYTES.load(Relaxed);
+    PEAK_BYTES.store(base, Relaxed);
+    let out = f();
+    (out, PEAK_BYTES.load(Relaxed) - base)
 }
 
 #[test]
@@ -87,6 +114,33 @@ fn steady_state_iterations_do_not_allocate() {
     assert!(
         per_iteration.iter().all(|&a| a == per_iteration[0]),
         "parallel allocations must be one number: {per_iteration:?}"
+    );
+
+    // --- Freeze: beyond the model it builds, the freeze holds the
+    // word-major z the sampler hands over (4 B/token) and O(V + K). Freezing
+    // through a word view of the corpus and a doc-major gather of z peaks
+    // 8 B/token higher, which breaks the bound. The O(V + K) rest is bounded
+    // at 128 B per word plus topic. Per word it is the embedded vocabulary's
+    // clone: a 24-byte `String` and its bytes, and a hash-map bucket of 33 B
+    // at a load factor of at least 7/16, under 112 B for these synthetic
+    // words. Per topic it is the counting scratch: the count vector, one
+    // word's sorted pairs and alias entries at up to twice K, the per-topic
+    // sums. On this corpus (T/V ≈ 80) the rest is 91 B per word plus topic. ---
+    let corpus =
+        LdaGenerator::new(SyntheticConfig { num_docs: 1_000, ..DatasetPreset::Tiny.config() })
+            .generate();
+    let mut sampler = ParallelWarpLda::new(&corpus, params, config, 7, 2);
+    for _ in 0..3 {
+        sampler.run_iteration();
+    }
+    let (model, peak) = peak_above_base(|| TopicModel::freeze_sampler(&sampler, &corpus));
+    let (v, k, t) = (corpus.vocab_size(), params.num_topics, corpus.num_tokens() as usize);
+    let bound = model.heap_bytes() + 4 * t + 128 * (v + k);
+    assert!(
+        peak <= bound,
+        "the freeze peaked at {peak} B above its base; the model holds {} B, and one \
+         word-major z plus 128 B per word and topic allow {bound} B (T = {t}, V = {v}, K = {k})",
+        model.heap_bytes()
     );
 
     // --- Serving: steady-state fold-in inference is zero allocations per
