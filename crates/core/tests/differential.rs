@@ -12,9 +12,11 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use warplda_cachesim::CountingProbe;
 use warplda_core::checkpoint::{read_checkpoint, write_checkpoint};
 use warplda_core::{
-    topic_wire_width, Checkpointable, ModelParams, ParallelWarpLda, Sampler, WarpLda, WarpLdaConfig,
+    topic_wire_width, Checkpointable, CollapsedGibbs, FPlusLda, LightLda, LightLdaVariant,
+    ModelParams, ParallelWarpLda, Sampler, WarpLda, WarpLdaConfig,
 };
 use warplda_corpus::io::codec::{fnv1a64, CodecError, MAGIC};
 use warplda_corpus::{Corpus, DatasetPreset};
@@ -242,6 +244,53 @@ fn the_chain_is_pinned_across_commits() {
     assert_eq!(fnv1a64(&bytes), GOLDEN, "got {:#018x}", fnv1a64(&bytes));
     // And the serial oracle is that same chain.
     assert_eq!(s.assignments(), oracle(0)[2].0);
+}
+
+/// The reference samplers' chains, pinned like WarpLDA's: table row 0's
+/// corpus and seed, 3 iterations, the FNV-1a hash of the assignments. The
+/// probed samplers also pin the probe's `(reads, writes)`, which feed the
+/// Table 4 experiment. A change that only moves where a baseline reads its
+/// doc ranges or word occurrences from must leave every value alone.
+#[test]
+fn baseline_chains_are_pinned_across_commits() {
+    let case = &table()[0];
+    let (corpus, params, seed) = (case.corpus(), ModelParams::new(6, 0.5, 0.1), case.seed);
+    let light = |m: u32, variant: LightLdaVariant| {
+        LightLda::with_variant_and_probe(&corpus, params, m, seed, variant, CountingProbe::new())
+    };
+    let mut cgs = CollapsedGibbs::new(&corpus, params, seed);
+    let mut fplus = FPlusLda::with_probe(&corpus, params, seed, CountingProbe::new());
+    let mut lights = [
+        light(1, LightLdaVariant::standard()),
+        light(4, LightLdaVariant::standard()),
+        light(1, LightLdaVariant::delayed_word()),
+        light(1, LightLdaVariant::delayed_word_doc()),
+        light(1, LightLdaVariant::warp_like()),
+    ];
+    let hash = |s: &mut dyn Sampler| {
+        for _ in 0..3 {
+            s.run_iteration();
+        }
+        let bytes: Vec<u8> = s.assignments().iter().flat_map(|t| t.to_le_bytes()).collect();
+        fnv1a64(&bytes)
+    };
+    let mut got = vec![(hash(&mut cgs), None), (hash(&mut fplus), Some(fplus.probe().totals()))];
+    for s in &mut lights {
+        got.push((hash(s), Some(s.probe().totals())));
+    }
+    let want = [
+        (0xb621_268f_1124_4f52, None),
+        (0xd38c_2cf3_05e4_74d0, Some((102_495, 33_606))),
+        (0x8086_0d26_6940_4c25, Some((33_606, 33_606))),
+        (0x8aa2_6cd4_83b0_4356, Some((134_424, 33_606))),
+        (0xe5bb_5ed4_a387_7663, Some((33_606, 33_606))),
+        (0xd89c_21e6_407d_0296, Some((33_606, 33_606))),
+        (0xe93f_1aa0_5d46_3876, Some((33_606, 33_606))),
+    ];
+    let names = ["CGS", "F+LDA", "LightLDA M=1", "LightLDA M=4", "+DW", "+DW+DD", "+DW+DD+SP"];
+    for ((name, (hash, totals)), want) in names.iter().zip(&got).zip(want) {
+        assert_eq!((*hash, *totals), want, "{name}: got {hash:#018x}, {totals:?}");
+    }
 }
 
 /// The in-process drivers of the checkpoint matrix (the multi-process one
