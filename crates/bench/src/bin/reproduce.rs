@@ -538,10 +538,8 @@ const PAPER_K: [(DatasetPreset, u64); 3] =
 fn table2(runs: &mut Runs, s: &Setting) -> Values {
     let shape @ (_, _, k) = s.shapes[0];
     let corpus = runs.corpus(shape);
-    let trainer = Trainer::new(corpus);
-    let (docs, words, mb) = (trainer.doc_view(), trainer.word_view(), |b: u64| b as f64 / 1e6);
-    let params = ModelParams::paper_defaults(k);
-    let state = SamplerState::init_random(corpus, docs, words, params, &mut new_rng(SEED));
+    let (params, mb) = (ModelParams::paper_defaults(k), |b: u64| b as f64 / 1e6);
+    let state = SamplerState::init_random(corpus, params, &mut new_rng(SEED));
     let elements = |symbolic: &str, (d, v, k): (u64, u64, u64)| match symbolic {
         "K" => k,
         "KV" => k * v,
@@ -551,7 +549,7 @@ fn table2(runs: &mut Runs, s: &Setting) -> Values {
         ((corpus.num_docs() as u64, corpus.vocab_size() as u64, k as u64), describe(shape));
     let (l3, mut wrong, mut values) =
         (HierarchyConfig::ivy_bridge().l3.size_bytes, [0.0; 2], vec![]);
-    for r in table2_profiles(corpus, docs, words, &state, 1) {
+    for r in table2_profiles(corpus, &state, 1) {
         let per_element = r.random_region_bytes / elements(r.random_region_symbolic, here);
         let at_paper = PAPER_K.map(|(preset, k)| {
             let (d, _, v, _) = preset.paper_stats().expect("a paper dataset");

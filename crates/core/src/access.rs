@@ -15,7 +15,7 @@
 //! rows are symbolic only: the workspace has no such sampler, and the rows
 //! need none, since they read only `K_d`, `K_w` and the corpus shape.
 
-use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
+use warplda_corpus::Corpus;
 
 use crate::counts::TopicCounts;
 use crate::state::SamplerState;
@@ -41,18 +41,14 @@ pub struct AccessProfile {
 }
 
 /// Mean number of distinct topics per document (`K_d`) and per word (`K_w`)
-/// for a given state.
-pub fn mean_distinct_topics(
-    state: &SamplerState,
-    doc_view: &DocMajorView,
-    word_view: &WordMajorView,
-) -> (f64, f64) {
-    let num_docs = doc_view.num_docs().max(1);
+/// for a given state; `K_w` averages over the words that occur.
+pub fn mean_distinct_topics(state: &SamplerState) -> (f64, f64) {
+    let num_docs = state.num_docs().max(1);
     let kd: f64 =
         (0..num_docs).map(|d| state.doc_counts(d as u32).num_nonzero() as f64).sum::<f64>()
             / num_docs as f64;
     let words_with_tokens: Vec<usize> =
-        (0..word_view.num_words()).filter(|&w| word_view.word_len(w as u32) > 0).collect();
+        (0..state.num_words()).filter(|&w| state.word_counts(w as u32).total() > 0).collect();
     let kw: f64 = if words_with_tokens.is_empty() {
         0.0
     } else {
@@ -70,8 +66,6 @@ pub fn mean_distinct_topics(
 /// algorithms.
 pub fn table2_profiles(
     corpus: &Corpus,
-    doc_view: &DocMajorView,
-    word_view: &WordMajorView,
     state: &SamplerState,
     mh_steps: usize,
 ) -> Vec<AccessProfile> {
@@ -79,7 +73,7 @@ pub fn table2_profiles(
     let v = corpus.vocab_size() as u64;
     let d = corpus.num_docs() as u64;
     let k_u64 = state.params().num_topics as u64;
-    let (kd, kw) = mean_distinct_topics(state, doc_view, word_view);
+    let (kd, kw) = mean_distinct_topics(state);
     let count_bytes = 4u64;
     let m = mh_steps.max(1) as f64;
 
@@ -148,23 +142,20 @@ mod tests {
     use warplda_corpus::DatasetPreset;
     use warplda_sampling::new_rng;
 
-    fn setup() -> (Corpus, DocMajorView, WordMajorView, SamplerState) {
+    fn setup() -> (Corpus, SamplerState) {
         let corpus = DatasetPreset::Tiny.generate_scaled(4);
-        let dv = DocMajorView::build(&corpus);
-        let wv = WordMajorView::build(&corpus, &dv);
         let mut rng = new_rng(1);
-        let state =
-            SamplerState::init_random(&corpus, &dv, &wv, ModelParams::new(64, 0.5, 0.1), &mut rng);
-        (corpus, dv, wv, state)
+        let state = SamplerState::init_random(&corpus, ModelParams::new(64, 0.5, 0.1), &mut rng);
+        (corpus, state)
     }
 
     #[test]
     fn kd_and_kw_are_bounded_by_lengths_and_k() {
-        let (_, dv, wv, state) = setup();
-        let (kd, kw) = mean_distinct_topics(&state, &dv, &wv);
+        let (corpus, state) = setup();
+        let (kd, kw) = mean_distinct_topics(&state);
         assert!(kd > 0.0 && kw > 0.0);
         assert!(kd <= 64.0 && kw <= 64.0, "distinct topics cannot exceed K");
-        let mean_len = dv.num_tokens() as f64 / dv.num_docs() as f64;
+        let mean_len = corpus.num_tokens() as f64 / corpus.num_docs() as f64;
         assert!(kd <= mean_len + 1e-9, "distinct topics cannot exceed document length");
     }
 
@@ -173,12 +164,10 @@ mod tests {
         // The central claim of the paper's analysis, instantiated on a corpus
         // whose K·V matrix exceeds the 30 MB L3.
         let corpus = DatasetPreset::NyTimesLike.generate_scaled(2);
-        let dv = DocMajorView::build(&corpus);
-        let wv = WordMajorView::build(&corpus, &dv);
         let mut rng = new_rng(2);
         let params = ModelParams::paper_defaults(10_000);
-        let state = SamplerState::init_random(&corpus, &dv, &wv, params, &mut rng);
-        let rows = table2_profiles(&corpus, &dv, &wv, &state, 1);
+        let state = SamplerState::init_random(&corpus, params, &mut rng);
+        let rows = table2_profiles(&corpus, &state, 1);
         let l3 = 30 * 1024 * 1024;
         for row in &rows {
             let fits = row.random_region_bytes <= l3;
@@ -188,8 +177,8 @@ mod tests {
 
     #[test]
     fn table_has_all_six_algorithms_in_paper_order() {
-        let (corpus, dv, wv, state) = setup();
-        let rows = table2_profiles(&corpus, &dv, &wv, &state, 2);
+        let (corpus, state) = setup();
+        let rows = table2_profiles(&corpus, &state, 2);
         let names: Vec<_> = rows.iter().map(|r| r.algorithm).collect();
         assert_eq!(names, vec!["CGS", "SparseLDA", "AliasLDA", "F+LDA", "LightLDA", "WarpLDA"]);
         // Orders match Table 2.
@@ -200,8 +189,8 @@ mod tests {
 
     #[test]
     fn mh_algorithms_have_constant_access_counts() {
-        let (corpus, dv, wv, state) = setup();
-        let rows = table2_profiles(&corpus, &dv, &wv, &state, 4);
+        let (corpus, state) = setup();
+        let rows = table2_profiles(&corpus, &state, 4);
         let light = rows.iter().find(|r| r.algorithm == "LightLDA").unwrap();
         let warp = rows.iter().find(|r| r.algorithm == "WarpLDA").unwrap();
         assert_eq!(light.random_per_token, 4.0);

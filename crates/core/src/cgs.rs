@@ -3,7 +3,7 @@
 
 use rand::rngs::SmallRng;
 
-use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
+use warplda_corpus::{Corpus, DocMajorView};
 use warplda_sampling::{new_rng, sample_unnormalized};
 
 use crate::params::ModelParams;
@@ -16,8 +16,8 @@ use crate::state::SamplerState;
 /// draws from it.
 pub struct CollapsedGibbs {
     params: ModelParams,
+    /// The token order the sampler visits.
     doc_view: DocMajorView,
-    word_view: WordMajorView,
     state: SamplerState,
     rng: SmallRng,
     iterations: u64,
@@ -30,27 +30,16 @@ impl CollapsedGibbs {
     /// Creates a sampler with random initial assignments.
     pub fn new(corpus: &Corpus, params: ModelParams, seed: u64) -> Self {
         let doc_view = DocMajorView::build(corpus);
-        let word_view = WordMajorView::build(corpus, &doc_view);
         let mut rng = new_rng(seed);
-        let state = SamplerState::init_random(corpus, &doc_view, &word_view, params, &mut rng);
+        let state = SamplerState::init_random(corpus, params, &mut rng);
         let beta_bar = params.beta_bar(corpus.vocab_size());
         let weights = vec![0.0; params.num_topics];
-        Self { params, doc_view, word_view, state, rng, iterations: 0, beta_bar, weights }
+        Self { params, doc_view, state, rng, iterations: 0, beta_bar, weights }
     }
 
     /// The current state (counts + assignments).
     pub fn state(&self) -> &SamplerState {
         &self.state
-    }
-
-    /// The document-major view the sampler iterates over.
-    pub fn doc_view(&self) -> &DocMajorView {
-        &self.doc_view
-    }
-
-    /// The word-major view (used by evaluation helpers).
-    pub fn word_view(&self) -> &WordMajorView {
-        &self.word_view
     }
 }
 
@@ -119,9 +108,7 @@ mod tests {
         let mut s = CollapsedGibbs::new(&corpus, ModelParams::new(4, 0.5, 0.1), 7);
         for _ in 0..3 {
             s.run_iteration();
-            let dv = s.doc_view().clone();
-            let wv = s.word_view().clone();
-            s.state().assert_consistent(&dv, &wv);
+            s.state().assert_consistent(&corpus);
         }
         assert_eq!(s.iterations(), 3);
     }
@@ -130,11 +117,11 @@ mod tests {
     fn likelihood_improves_from_random_initialization() {
         let corpus = two_topic_corpus();
         let mut s = CollapsedGibbs::new(&corpus, ModelParams::new(2, 0.5, 0.1), 11);
-        let ll0 = log_joint_likelihood_of_state(s.doc_view(), s.word_view(), s.state());
+        let ll0 = log_joint_likelihood_of_state(s.state());
         for _ in 0..20 {
             s.run_iteration();
         }
-        let ll1 = log_joint_likelihood_of_state(s.doc_view(), s.word_view(), s.state());
+        let ll1 = log_joint_likelihood_of_state(s.state());
         assert!(ll1 > ll0 + 5.0, "likelihood should improve: {ll0} -> {ll1}");
     }
 

@@ -114,15 +114,12 @@ pub fn log_joint_likelihood(
 }
 
 /// Computes the log joint likelihood from an existing [`SamplerState`]
-/// (avoids re-counting when the caller already maintains counts).
-pub fn log_joint_likelihood_of_state(
-    doc_view: &DocMajorView,
-    word_view: &WordMajorView,
-    state: &SamplerState,
-) -> f64 {
+/// (avoids re-counting when the caller already maintains counts). A
+/// document's length is its row's total.
+pub fn log_joint_likelihood_of_state(state: &SamplerState) -> f64 {
     let params = state.params();
     let k = params.num_topics;
-    let vocab_size = word_view.num_words();
+    let vocab_size = state.num_words();
     let alpha = params.alpha;
     let alpha_bar = params.alpha_bar();
     let beta = params.beta;
@@ -131,10 +128,10 @@ pub fn log_joint_likelihood_of_state(
     let mut ll = 0.0;
 
     // Document part.
-    for d in 0..doc_view.num_docs() {
-        let len = doc_view.doc_len(d as u32) as u64;
-        ll -= ln_gamma_ratio(alpha_bar, len);
-        state.doc_counts(d as u32).for_each(|_, c| {
+    for d in 0..state.num_docs() as u32 {
+        let counts = state.doc_counts(d);
+        ll -= ln_gamma_ratio(alpha_bar, counts.total());
+        counts.for_each(|_, c| {
             ll += ln_gamma_ratio(alpha, c as u64);
         });
     }
@@ -168,10 +165,10 @@ pub fn perplexity_per_token(log_likelihood: f64, num_tokens: u64) -> Option<f64>
 /// Returns, for each topic, the `top_n` highest-count words as
 /// `(word_id, count)` pairs — the standard qualitative inspection of a topic
 /// model.
-pub fn top_words(state: &SamplerState, vocab_size: usize, top_n: usize) -> Vec<Vec<(u32, u32)>> {
+pub fn top_words(state: &SamplerState, top_n: usize) -> Vec<Vec<(u32, u32)>> {
     let k = state.params().num_topics;
     let mut per_topic: Vec<Vec<(u32, u32)>> = vec![Vec::new(); k];
-    for w in 0..vocab_size {
+    for w in 0..state.num_words() {
         state.word_counts(w as u32).for_each(|t, c| {
             per_topic[t as usize].push((w as u32, c));
         });
@@ -186,7 +183,7 @@ pub fn top_words(state: &SamplerState, vocab_size: usize, top_n: usize) -> Vec<V
 /// Renders the top words of every topic using the corpus vocabulary; one line
 /// per topic. Used by the examples.
 pub fn format_topics(corpus: &Corpus, state: &SamplerState, top_n: usize) -> String {
-    let lists = top_words(state, corpus.vocab_size(), top_n);
+    let lists = top_words(state, top_n);
     let mut out = String::new();
     for (topic, list) in lists.iter().enumerate() {
         if list.is_empty() {
@@ -302,12 +299,12 @@ mod tests {
 
     #[test]
     fn top_words_orders_by_count() {
-        let (corpus, dv, wv) = tiny();
+        let (corpus, _, _) = tiny();
         let params = ModelParams::new(2, 0.5, 0.1);
         // x→topic0 (2 occurrences), y→topic1 (2), z→topic0 (1).
         let z = vec![0u32, 1, 0, 1, 0];
-        let state = SamplerState::from_assignments(&corpus, &dv, &wv, params, z);
-        let tops = top_words(&state, corpus.vocab_size(), 2);
+        let state = SamplerState::from_assignments(&corpus, params, z);
+        let tops = top_words(&state, 2);
         let x = corpus.vocab().get("x").unwrap();
         assert_eq!(tops[0][0].0, x);
         assert_eq!(tops[0][0].1, 2);

@@ -16,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use warplda_cachesim::{MemoryProbe, NoProbe, RegionId};
-use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
+use warplda_corpus::{Corpus, WordMajorView};
 use warplda_sampling::{new_rng, FTree};
 
 use crate::counts::TopicCounts;
@@ -27,7 +27,7 @@ use crate::state::SamplerState;
 /// The F+LDA sampler, generic over an optional memory probe.
 pub struct FPlusLda<P: MemoryProbe = NoProbe> {
     params: ModelParams,
-    doc_view: DocMajorView,
+    /// The token order the sampler visits.
     word_view: WordMajorView,
     state: SamplerState,
     rng: SmallRng,
@@ -52,10 +52,9 @@ impl<P: MemoryProbe> FPlusLda<P> {
     /// original implementation: a dense `D×K` document-topic matrix, a dense
     /// `V×K` word-topic matrix and a length-`K` global vector.
     pub fn with_probe(corpus: &Corpus, params: ModelParams, seed: u64, mut probe: P) -> Self {
-        let doc_view = DocMajorView::build(corpus);
-        let word_view = WordMajorView::build(corpus, &doc_view);
+        let word_view = WordMajorView::from_corpus(corpus);
         let mut rng = new_rng(seed);
-        let state = SamplerState::init_random(corpus, &doc_view, &word_view, params, &mut rng);
+        let state = SamplerState::init_random(corpus, params, &mut rng);
         let beta_bar = params.beta_bar(corpus.vocab_size());
         let k = params.num_topics;
         let region_cd = probe.register_region("Cd matrix", corpus.num_docs() * k, 4);
@@ -63,7 +62,6 @@ impl<P: MemoryProbe> FPlusLda<P> {
         let region_ck = probe.register_region("ck vector", k, 4);
         Self {
             params,
-            doc_view,
             word_view,
             state,
             rng,
@@ -79,16 +77,6 @@ impl<P: MemoryProbe> FPlusLda<P> {
     /// The current state (counts + assignments).
     pub fn state(&self) -> &SamplerState {
         &self.state
-    }
-
-    /// The document-major view.
-    pub fn doc_view(&self) -> &DocMajorView {
-        &self.doc_view
-    }
-
-    /// The word-major view.
-    pub fn word_view(&self) -> &WordMajorView {
-        &self.word_view
     }
 
     /// The memory probe (e.g. to read cache statistics after a run).
@@ -238,9 +226,7 @@ mod tests {
         let mut s = FPlusLda::new(&corpus, ModelParams::new(5, 0.3, 0.05), 3);
         for _ in 0..3 {
             s.run_iteration();
-            let dv = s.doc_view().clone();
-            let wv = s.word_view().clone();
-            s.state().assert_consistent(&dv, &wv);
+            s.state().assert_consistent(&corpus);
         }
     }
 
@@ -250,14 +236,13 @@ mod tests {
         let params = ModelParams::new(2, 0.5, 0.1);
         let mut fplus = FPlusLda::new(&corpus, params, 5);
         let mut cgs = CollapsedGibbs::new(&corpus, params, 5);
-        let ll0 = log_joint_likelihood_of_state(fplus.doc_view(), fplus.word_view(), fplus.state());
+        let ll0 = log_joint_likelihood_of_state(fplus.state());
         for _ in 0..30 {
             fplus.run_iteration();
             cgs.run_iteration();
         }
-        let ll_f =
-            log_joint_likelihood_of_state(fplus.doc_view(), fplus.word_view(), fplus.state());
-        let ll_cgs = log_joint_likelihood_of_state(cgs.doc_view(), cgs.word_view(), cgs.state());
+        let ll_f = log_joint_likelihood_of_state(fplus.state());
+        let ll_cgs = log_joint_likelihood_of_state(cgs.state());
         assert!(ll_f > ll0, "likelihood should improve: {ll0} -> {ll_f}");
         assert!(
             (ll_f - ll_cgs).abs() < 0.05 * ll_cgs.abs(),

@@ -23,7 +23,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use warplda_cachesim::{MemoryProbe, NoProbe, RegionId};
-use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
+use warplda_corpus::{Corpus, DocMajorView};
 use warplda_sampling::{new_rng, AliasTable, Dice};
 
 use crate::counts::{HashCounts, TopicCounts};
@@ -90,8 +90,11 @@ struct WordProposalTable {
 /// The LightLDA sampler, generic over an optional memory probe.
 pub struct LightLda<P: MemoryProbe = NoProbe> {
     params: ModelParams,
+    /// The token order the sampler visits.
     doc_view: DocMajorView,
-    word_view: WordMajorView,
+    /// `L_w` of every word: a proposal table is rebuilt after `max(L_w, 8)`
+    /// draws.
+    term_frequencies: Vec<u64>,
     state: SamplerState,
     rng: SmallRng,
     iterations: u64,
@@ -144,9 +147,8 @@ impl<P: MemoryProbe> LightLda<P> {
     ) -> Self {
         assert!(mh_steps >= 1, "need at least one MH step per token");
         let doc_view = DocMajorView::build(corpus);
-        let word_view = WordMajorView::build(corpus, &doc_view);
         let mut rng = new_rng(seed);
-        let state = SamplerState::init_random(corpus, &doc_view, &word_view, params, &mut rng);
+        let state = SamplerState::init_random(corpus, params, &mut rng);
         let beta_bar = params.beta_bar(corpus.vocab_size());
         let k = params.num_topics;
         let region_cd = probe.register_region("Cd matrix", corpus.num_docs() * k, 4);
@@ -156,7 +158,7 @@ impl<P: MemoryProbe> LightLda<P> {
         Self {
             params,
             doc_view,
-            word_view,
+            term_frequencies: corpus.term_frequencies(),
             state,
             rng,
             iterations: 0,
@@ -176,16 +178,6 @@ impl<P: MemoryProbe> LightLda<P> {
     /// The current (instantly updated) state.
     pub fn state(&self) -> &SamplerState {
         &self.state
-    }
-
-    /// The document-major view.
-    pub fn doc_view(&self) -> &DocMajorView {
-        &self.doc_view
-    }
-
-    /// The word-major view.
-    pub fn word_view(&self) -> &WordMajorView {
-        &self.word_view
     }
 
     /// The variant in use.
@@ -291,7 +283,7 @@ impl<P: MemoryProbe> LightLda<P> {
         }
         if self.variant.delayed_word_counts {
             self.stale_word = Some(
-                (0..self.word_view.num_words())
+                (0..self.state.num_words())
                     .map(|w| self.state.word_counts(w as u32).clone())
                     .collect(),
             );
@@ -337,7 +329,7 @@ impl<P: MemoryProbe> Sampler for LightLda<P> {
                     } else {
                         let needs_rebuild = match &self.word_tables[w as usize] {
                             None => true,
-                            Some(t) => t.draws as usize >= self.word_view.word_len(w).max(8),
+                            Some(t) => t.draws as u64 >= self.term_frequencies[w as usize].max(8),
                         };
                         if needs_rebuild {
                             self.rebuild_word_table(w);
@@ -423,9 +415,7 @@ mod tests {
                 LightLda::with_variant(&corpus, ModelParams::new(4, 0.3, 0.05), 2, 3, variant);
             for _ in 0..2 {
                 s.run_iteration();
-                let dv = s.doc_view().clone();
-                let wv = s.word_view().clone();
-                s.state().assert_consistent(&dv, &wv);
+                s.state().assert_consistent(&corpus);
             }
         }
     }
@@ -436,14 +426,13 @@ mod tests {
         let params = ModelParams::new(2, 0.5, 0.1);
         let mut light = LightLda::new(&corpus, params, 4, 5);
         let mut cgs = CollapsedGibbs::new(&corpus, params, 5);
-        let ll0 = log_joint_likelihood_of_state(light.doc_view(), light.word_view(), light.state());
+        let ll0 = log_joint_likelihood_of_state(light.state());
         for _ in 0..40 {
             light.run_iteration();
             cgs.run_iteration();
         }
-        let ll_l =
-            log_joint_likelihood_of_state(light.doc_view(), light.word_view(), light.state());
-        let ll_c = log_joint_likelihood_of_state(cgs.doc_view(), cgs.word_view(), cgs.state());
+        let ll_l = log_joint_likelihood_of_state(light.state());
+        let ll_c = log_joint_likelihood_of_state(cgs.state());
         assert!(ll_l > ll0, "likelihood should improve: {ll0} -> {ll_l}");
         assert!(
             (ll_l - ll_c).abs() < 0.06 * ll_c.abs(),
@@ -468,7 +457,7 @@ mod tests {
             for _ in 0..40 {
                 s.run_iteration();
             }
-            finals.push(log_joint_likelihood_of_state(s.doc_view(), s.word_view(), s.state()));
+            finals.push(log_joint_likelihood_of_state(s.state()));
         }
         let best = finals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let worst = finals.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -6,10 +6,14 @@
 //! WarpLDA deliberately does *not* use this struct for its hot path (it never
 //! materializes `Cd`/`Cw`, see Section 4.4) but produces one on demand for
 //! evaluation.
+//!
+//! The state counts straight from the corpus and reads no corpus view: each
+//! row's length is the document's, each column's the word's term frequency,
+//! and both are also the totals of the state's own tables.
 
 use rand::Rng;
 
-use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
+use warplda_corpus::Corpus;
 
 use crate::counts::{HashCounts, TopicCounts};
 use crate::params::ModelParams;
@@ -31,42 +35,30 @@ pub struct SamplerState {
 impl SamplerState {
     /// Creates a state with uniformly random topic assignments and consistent
     /// counts.
-    pub fn init_random<R: Rng>(
-        corpus: &Corpus,
-        doc_view: &DocMajorView,
-        word_view: &WordMajorView,
-        params: ModelParams,
-        rng: &mut R,
-    ) -> Self {
+    pub fn init_random<R: Rng>(corpus: &Corpus, params: ModelParams, rng: &mut R) -> Self {
         let k = params.num_topics;
-        let num_tokens = doc_view.num_tokens();
-        let z: Vec<u32> = (0..num_tokens).map(|_| rng.gen_range(0..k as u32)).collect();
-        Self::from_assignments(corpus, doc_view, word_view, params, z)
+        let z: Vec<u32> = (0..corpus.num_tokens()).map(|_| rng.gen_range(0..k as u32)).collect();
+        Self::from_assignments(corpus, params, z)
     }
 
     /// Creates a state from existing topic assignments (doc-major token order).
-    pub fn from_assignments(
-        corpus: &Corpus,
-        doc_view: &DocMajorView,
-        word_view: &WordMajorView,
-        params: ModelParams,
-        z: Vec<u32>,
-    ) -> Self {
-        debug_assert_eq!(corpus.vocab_size(), word_view.num_words());
-        assert_eq!(z.len(), doc_view.num_tokens(), "one topic per token required");
+    pub fn from_assignments(corpus: &Corpus, params: ModelParams, z: Vec<u32>) -> Self {
+        assert_eq!(z.len() as u64, corpus.num_tokens(), "one topic per token required");
         assert!(z.iter().all(|&t| (t as usize) < params.num_topics), "topic out of range");
         let k = params.num_topics;
-        let mut doc_counts: Vec<HashCounts> = (0..doc_view.num_docs())
-            .map(|d| HashCounts::with_expected(doc_view.doc_len(d as u32), k))
-            .collect();
-        let mut word_counts: Vec<HashCounts> = (0..word_view.num_words())
-            .map(|w| HashCounts::with_expected(word_view.word_len(w as u32), k))
+        let mut doc_counts: Vec<HashCounts> =
+            corpus.docs().iter().map(|doc| HashCounts::with_expected(doc.len(), k)).collect();
+        let mut word_counts: Vec<HashCounts> = corpus
+            .term_frequencies()
+            .into_iter()
+            .map(|tf| HashCounts::with_expected(tf as usize, k))
             .collect();
         let mut topic_counts = vec![0u32; k];
-        for (d, counts) in doc_counts.iter_mut().enumerate() {
-            for i in doc_view.doc_range(d as u32) {
-                let topic = z[i];
-                let word = doc_view.word_of(i);
+        let mut start = 0;
+        for (doc, counts) in corpus.docs().iter().zip(&mut doc_counts) {
+            let topics = &z[start..start + doc.len()];
+            start += doc.len();
+            for (&word, &topic) in doc.tokens().iter().zip(topics) {
                 counts.increment(topic);
                 word_counts[word as usize].increment(topic);
                 topic_counts[topic as usize] += 1;
@@ -155,27 +147,22 @@ impl SamplerState {
         self.topic_counts[topic as usize] += 1;
     }
 
-    /// Verifies the internal consistency invariants:
+    /// Verifies the internal consistency invariants against `corpus`:
     /// `Σ_k C_dk = L_d`, `Σ_k C_wk = L_w`, `Σ_d C_dk = Σ_w C_wk = C_k`, and
     /// `Σ_k C_k = T`. Panics with a description if any is violated.
-    pub fn assert_consistent(&self, doc_view: &DocMajorView, word_view: &WordMajorView) {
+    pub fn assert_consistent(&self, corpus: &Corpus) {
         let k = self.params.num_topics;
         let mut from_docs = vec![0u64; k];
-        for (d, counts) in self.doc_counts.iter().enumerate() {
-            assert_eq!(
-                counts.total() as usize,
-                doc_view.doc_len(d as u32),
-                "doc {d}: row total != document length"
-            );
+        assert_eq!(self.doc_counts.len(), corpus.num_docs(), "one row per document");
+        for (d, (counts, doc)) in self.doc_counts.iter().zip(corpus.docs()).enumerate() {
+            assert_eq!(counts.total() as usize, doc.len(), "doc {d}: row total != document length");
             counts.for_each(|t, c| from_docs[t as usize] += c as u64);
         }
         let mut from_words = vec![0u64; k];
-        for (w, counts) in self.word_counts.iter().enumerate() {
-            assert_eq!(
-                counts.total() as usize,
-                word_view.word_len(w as u32),
-                "word {w}: row total != term frequency"
-            );
+        let tf = corpus.term_frequencies();
+        assert_eq!(self.word_counts.len(), tf.len(), "one column per word");
+        for (w, (counts, &len)) in self.word_counts.iter().zip(&tf).enumerate() {
+            assert_eq!(counts.total(), len, "word {w}: row total != term frequency");
             counts.for_each(|t, c| from_words[t as usize] += c as u64);
         }
         for t in 0..k {
@@ -183,7 +170,7 @@ impl SamplerState {
             assert_eq!(from_words[t], self.topic_counts[t] as u64, "topic {t}: Cw sum != ck");
         }
         let total: u64 = self.topic_counts.iter().map(|&c| c as u64).sum();
-        assert_eq!(total as usize, doc_view.num_tokens(), "Σ ck != number of tokens");
+        assert_eq!(total, corpus.num_tokens(), "Σ ck != number of tokens");
     }
 }
 
@@ -192,54 +179,50 @@ mod tests {
     use super::*;
     use warplda_corpus::CorpusBuilder;
 
-    fn small() -> (Corpus, DocMajorView, WordMajorView) {
+    fn small() -> Corpus {
         let mut b = CorpusBuilder::new();
         b.push_text_doc(["a", "b", "a", "c"]);
         b.push_text_doc(["b", "b", "d"]);
         b.push_text_doc(["a", "d", "e", "e", "a"]);
-        let corpus = b.build().unwrap();
-        let dv = DocMajorView::build(&corpus);
-        let wv = WordMajorView::build(&corpus, &dv);
-        (corpus, dv, wv)
+        b.build().unwrap()
     }
 
     #[test]
     fn random_init_is_consistent() {
-        let (corpus, dv, wv) = small();
+        let corpus = small();
         let params = ModelParams::new(7, 0.5, 0.1);
         let mut rng = warplda_sampling::new_rng(3);
-        let state = SamplerState::init_random(&corpus, &dv, &wv, params, &mut rng);
-        state.assert_consistent(&dv, &wv);
+        let state = SamplerState::init_random(&corpus, params, &mut rng);
+        state.assert_consistent(&corpus);
         assert_eq!(state.assignments().len(), 12);
     }
 
     #[test]
     fn remove_and_assign_keep_consistency() {
-        let (corpus, dv, wv) = small();
+        let corpus = small();
         let params = ModelParams::new(4, 0.5, 0.1);
         let mut rng = warplda_sampling::new_rng(5);
-        let mut state = SamplerState::init_random(&corpus, &dv, &wv, params, &mut rng);
+        let mut state = SamplerState::init_random(&corpus, params, &mut rng);
         // Resample every token a few times with arbitrary topics.
         for round in 0..3u32 {
-            for d in 0..dv.num_docs() {
-                for i in dv.doc_range(d as u32) {
-                    let w = dv.word_of(i);
-                    let _old = state.remove_token(d as u32, w, i);
-                    let new = (i as u32 + round) % 4;
-                    state.assign_token(d as u32, w, i, new);
-                }
+            let tokens =
+                corpus.iter().flat_map(|(d, doc)| doc.tokens().iter().map(move |&w| (d, w)));
+            for (i, (d, w)) in tokens.enumerate() {
+                let _old = state.remove_token(d, w, i);
+                let new = (i as u32 + round) % 4;
+                state.assign_token(d, w, i, new);
             }
-            state.assert_consistent(&dv, &wv);
+            state.assert_consistent(&corpus);
         }
     }
 
     #[test]
     fn from_assignments_counts_are_exact() {
-        let (corpus, dv, wv) = small();
+        let corpus = small();
         let params = ModelParams::new(3, 0.5, 0.1);
         let z = vec![0, 1, 2, 0, 1, 1, 2, 0, 0, 0, 2, 1];
-        let state = SamplerState::from_assignments(&corpus, &dv, &wv, params, z);
-        state.assert_consistent(&dv, &wv);
+        let state = SamplerState::from_assignments(&corpus, params, z);
+        state.assert_consistent(&corpus);
         // Document 0 = [a b a c] with topics [0 1 2 0].
         assert_eq!(state.doc_topic(0, 0), 2);
         assert_eq!(state.doc_topic(0, 1), 1);
@@ -254,16 +237,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "one topic per token")]
     fn wrong_assignment_length_panics() {
-        let (corpus, dv, wv) = small();
+        let corpus = small();
         let params = ModelParams::new(3, 0.5, 0.1);
-        let _ = SamplerState::from_assignments(&corpus, &dv, &wv, params, vec![0; 3]);
+        let _ = SamplerState::from_assignments(&corpus, params, vec![0; 3]);
     }
 
     #[test]
     #[should_panic(expected = "topic out of range")]
     fn out_of_range_topic_panics() {
-        let (corpus, dv, wv) = small();
+        let corpus = small();
         let params = ModelParams::new(3, 0.5, 0.1);
-        let _ = SamplerState::from_assignments(&corpus, &dv, &wv, params, vec![7; 12]);
+        let _ = SamplerState::from_assignments(&corpus, params, vec![7; 12]);
     }
 }

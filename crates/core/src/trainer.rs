@@ -8,14 +8,14 @@
 //!
 //! * **Overlapped evaluation.** Computing the log joint likelihood walks
 //!   every token and is often as expensive as a sampling iteration. The
-//!   trainer snapshots the assignments (through the borrowed
-//!   [`Sampler::assignments_slice`] path where available) and evaluates the
-//!   snapshot on a background thread inside a [`std::thread::scope`], so
-//!   sampling iteration `i + 1` runs concurrently with the evaluation of
-//!   iteration `i`. Because evaluation is a pure function of the snapshot,
-//!   the values are identical to inline evaluation — only the wall clock
-//!   differs. One metric is evaluated per point: the log joint likelihood,
-//!   or whatever [`Trainer::with_eval_fn`] put in its place.
+//!   trainer snapshots the assignments ([`Sampler::assignments`]) and
+//!   evaluates the snapshot on a background thread inside a
+//!   [`std::thread::scope`], so sampling iteration `i + 1` runs concurrently
+//!   with the evaluation of iteration `i`. Because evaluation is a pure
+//!   function of the snapshot, the values are identical to inline
+//!   evaluation — only the wall clock differs. One metric is evaluated per
+//!   point: the log joint likelihood, or whatever [`Trainer::with_eval_fn`]
+//!   put in its place.
 //! * **Checkpoint persistence.** At a configurable cadence
 //!   [`Trainer::train_checkpointed`] saves a [`Checkpointable`] sampler —
 //!   serial or parallel WarpLDA — through the binary codec
@@ -272,21 +272,6 @@ impl<'a> Trainer<'a> {
     pub fn new(corpus: &'a Corpus) -> Self {
         let doc_view = DocMajorView::build(corpus);
         let word_view = WordMajorView::build(corpus, &doc_view);
-        Self::with_views(corpus, doc_view, word_view)
-    }
-
-    /// Creates a trainer reusing existing views (they must belong to
-    /// `corpus`).
-    pub fn with_views(
-        corpus: &'a Corpus,
-        doc_view: DocMajorView,
-        word_view: WordMajorView,
-    ) -> Self {
-        assert_eq!(
-            doc_view.num_tokens() as u64,
-            corpus.num_tokens(),
-            "views must belong to the corpus"
-        );
         Self { corpus, doc_view, word_view, eval_fn: None }
     }
 
@@ -445,8 +430,7 @@ impl<'a> Trainer<'a> {
                 });
 
                 if config.wants_eval(it) {
-                    let mut snapshot = Vec::new();
-                    sampler.write_assignments_into(&mut snapshot);
+                    let snapshot = sampler.assignments();
                     if let Some((i, handle)) = pending.take() {
                         evals.push((i, handle.join().expect("evaluation worker panicked")));
                     }

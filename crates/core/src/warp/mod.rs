@@ -949,21 +949,14 @@ impl<P: MemoryProbe> Sampler for WarpLda<P> {
         self.iterations
     }
 
-    fn assignments(&self) -> Vec<u32> {
-        let mut z = Vec::new();
-        self.write_assignments_into(&mut z);
-        z
-    }
-
     /// Gathers the primaries through the row pointers, which are in
     /// doc-major token order.
-    fn write_assignments_into(&self, out: &mut Vec<u32>) {
+    fn assignments(&self) -> Vec<u32> {
         let stride = self.stride();
-        out.clear();
         with_topic_type!(self.records.width(), T => {
             let ids = self.records.ids::<T>();
-            out.extend(self.matrix.row_ptr().iter().map(|&e| ids[e as usize * stride].get()));
-        });
+            self.matrix.row_ptr().iter().map(|&e| ids[e as usize * stride].get()).collect()
+        })
     }
 
     /// The records are stored word-major already: one forward pass copies

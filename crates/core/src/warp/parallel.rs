@@ -160,10 +160,6 @@ impl Sampler for ParallelWarpLda {
         self.inner.assignments()
     }
 
-    fn write_assignments_into(&self, out: &mut Vec<u32>) {
-        self.inner.write_assignments_into(out);
-    }
-
     fn word_major_assignments(&self, corpus: &Corpus) -> (Cow<'_, [u32]>, Vec<u32>) {
         self.inner.word_major_assignments(corpus)
     }

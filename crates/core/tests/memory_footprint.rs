@@ -91,8 +91,7 @@ fn evaluation_streams_and_matches_the_tables_bit_for_bit(corpus: &Corpus) {
             s.run_iteration();
         }
         let z = s.assignments();
-        let from_tables =
-            log_joint_likelihood_of_state(&dv, &wv, &s.snapshot_state(corpus, &dv, &wv));
+        let from_tables = log_joint_likelihood_of_state(&s.snapshot_state(corpus, &dv, &wv));
 
         let (streamed, calls, bytes) =
             measured(|| log_joint_likelihood(corpus, &dv, &wv, &params, &z));

@@ -10,6 +10,13 @@
 //! `0..T` assigned in document-major order, so that per-token state (topic
 //! assignment, MH proposals) can live in flat arrays indexed by it regardless
 //! of the visiting order.
+//!
+//! Who still reads them: the baselines that visit in one order keep that
+//! order's view (CGS and LightLDA a [`DocMajorView`], F+LDA a
+//! [`WordMajorView`]), and evaluation through `Trainer` and
+//! `log_joint_likelihood` reads both. WarpLDA reads none: it visits its own
+//! `TokenMatrix`. Count tables and the Table 2 model take their lengths from
+//! the corpus or from their own totals.
 
 use crate::{Corpus, DocId, WordId};
 
@@ -111,30 +118,40 @@ pub struct WordMajorView {
 }
 
 impl WordMajorView {
-    /// Builds the word-major view from the document-major view.
+    /// Builds the word-major view from the document-major view, which must
+    /// be `corpus`'s.
     pub fn build(corpus: &Corpus, doc_view: &DocMajorView) -> Self {
+        debug_assert_eq!(doc_view.num_tokens() as u64, corpus.num_tokens());
+        Self::from_corpus(corpus)
+    }
+
+    /// Builds the word-major view of a corpus.
+    pub fn from_corpus(corpus: &Corpus) -> Self {
         let vocab_size = corpus.vocab_size();
         let mut counts = vec![0u32; vocab_size + 1];
-        for &w in doc_view.words() {
-            counts[w as usize + 1] += 1;
+        for (_, doc) in corpus.iter() {
+            for &w in doc.tokens() {
+                counts[w as usize + 1] += 1;
+            }
         }
         for w in 0..vocab_size {
             counts[w + 1] += counts[w];
         }
         let offsets = counts.clone();
-        let total = doc_view.num_tokens();
+        let total = corpus.num_tokens() as usize;
         let mut token_indices = vec![0u32; total];
         let mut docs = vec![0u32; total];
         let mut cursor = offsets.clone();
         // Visiting tokens document-by-document (increasing doc id) guarantees
         // that within each word bucket the occurrences are sorted by doc id.
-        for d in 0..doc_view.num_docs() {
-            for i in doc_view.doc_range(d as DocId) {
-                let w = doc_view.words()[i] as usize;
-                let slot = cursor[w] as usize;
-                token_indices[slot] = i as u32;
-                docs[slot] = d as DocId;
-                cursor[w] += 1;
+        let mut i = 0u32;
+        for (d, doc) in corpus.iter() {
+            for &w in doc.tokens() {
+                let slot = cursor[w as usize] as usize;
+                token_indices[slot] = i;
+                docs[slot] = d;
+                cursor[w as usize] += 1;
+                i += 1;
             }
         }
         Self { offsets, token_indices, docs }

@@ -45,7 +45,7 @@ fn warplda_recovers_planted_topics() {
     // Topic purity: for each learned topic, the planted topic of its top words
     // should be overwhelmingly a single one.
     let state = sampler.snapshot_state(&corpus, doc_view, word_view);
-    let tops = top_words(&state, corpus.vocab_size(), 10);
+    let tops = top_words(&state, 10);
     let mut used_planted = std::collections::HashSet::new();
     let mut pure_topics = 0;
     for list in &tops {

@@ -81,7 +81,6 @@ fn agreement<S: Sampler>(exact: &[f64], chain: impl Fn(u64) -> S) -> Agreement {
     const SAMPLES: usize = 200;
     let (mut sum, mut sum_sq) = (vec![0.0; exact.len()], vec![0.0; exact.len()]);
     let mut hits = vec![0u32; exact.len()];
-    let mut z = Vec::new();
     for seed in 1..=CHAINS {
         let mut sampler = chain(seed);
         for _ in 0..BURN_IN {
@@ -90,8 +89,7 @@ fn agreement<S: Sampler>(exact: &[f64], chain: impl Fn(u64) -> S) -> Agreement {
         hits.fill(0);
         for _ in 0..SAMPLES {
             sampler.run_iteration();
-            sampler.write_assignments_into(&mut z);
-            for (h, same) in hits.iter_mut().zip(co_assigned(&z)) {
+            for (h, same) in hits.iter_mut().zip(co_assigned(&sampler.assignments())) {
                 *h += same as u32;
             }
         }

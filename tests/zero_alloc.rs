@@ -9,9 +9,10 @@
 //! allocations, parallel iterations exactly the scoped-thread spawns (one
 //! number, the same every iteration, whatever the corpus size and whichever
 //! worker claims which chunk), and steady-state inference over a frozen
-//! model must be **zero allocations per request**. Beside them one memory
-//! pin: freezing a model holds one word-major copy of z (4 B/token) plus
-//! O(V + K) beyond the model itself.
+//! model must be **zero allocations per request**. Beside them two memory
+//! pins: freezing a model holds one word-major copy of z (4 B/token) plus
+//! O(V + K) beyond the model itself, and building a baseline sampler holds
+//! its count tables plus the one corpus view it visits.
 //!
 //! This file deliberately contains a single `#[test]`: the harness runs the
 //! tests of one binary concurrently, so a second test would pollute the
@@ -21,6 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 use warplda::prelude::*;
+use warplda::sampling::new_rng;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 /// Bytes allocated and not yet freed, and the most there have been since
@@ -142,6 +144,32 @@ fn steady_state_iterations_do_not_allocate() {
          word-major z plus 128 B per word and topic allow {bound} B (T = {t}, V = {v}, K = {k})",
         model.heap_bytes()
     );
+
+    // --- Baselines: building one holds its count tables (the peak of
+    // `SamplerState::init_random` alone) plus the one view it visits: CGS
+    // and LightLDA 4 B/token of doc view, F+LDA 8 B/token of word view.
+    // Holding both views (12 B/token) breaks the bound. The rest is bounded at 96 B per document, word and topic: per
+    // word LightLDA keeps an 8-byte term frequency and an 88-byte proposal
+    // table slot (`Option<WordProposalTable>`, three `Vec`s and two scalars),
+    // more than the word view's 4-byte offsets; per document a view holds a
+    // 4-byte offset, per topic CGS an 8-byte weight. ---
+    let d = corpus.num_docs();
+    let (_, state_peak) =
+        peak_above_base(|| SamplerState::init_random(&corpus, params, &mut new_rng(7)));
+    let builds = [
+        ("CGS", 4, peak_above_base(|| CollapsedGibbs::new(&corpus, params, 7)).1),
+        ("F+LDA", 8, peak_above_base(|| FPlusLda::new(&corpus, params, 7)).1),
+        ("LightLDA", 4, peak_above_base(|| LightLda::new(&corpus, params, 2, 7)).1),
+    ];
+    for (name, per_token, peak) in builds {
+        let bound = state_peak + per_token * t + 96 * (d + v + k);
+        assert!(
+            peak <= bound,
+            "building {name} peaked at {peak} B above its base; its count tables peak at \
+             {state_peak} B, and {per_token} B/token plus 96 B per document, word and topic \
+             allow {bound} B (T = {t}, D = {d}, V = {v}, K = {k})"
+        );
+    }
 
     // --- Serving: steady-state fold-in inference is zero allocations per
     // request. The first request grows the scratch (token assignments, c_d,
