@@ -449,7 +449,16 @@ pub fn write_vocab(enc: &mut Encoder<'_>, vocab: &Vocabulary) -> CodecResult<()>
 pub fn read_vocab(dec: &mut Decoder<'_>) -> CodecResult<Vocabulary> {
     // Every word is at least its 8-byte length prefix.
     let len = dec.read_count(8)?;
-    let mut vocab = Vocabulary::with_capacity(len);
+    // A first look at the length prefixes sizes the word bytes, so the
+    // vocabulary's buffers are allocated once.
+    let mut lengths = Decoder::new(dec.rest);
+    let mut bytes = 0;
+    for _ in 0..len {
+        let word = lengths.read_count(1)?;
+        lengths.bytes(word)?;
+        bytes += word;
+    }
+    let mut vocab = Vocabulary::with_capacities(len, bytes);
     for i in 0..len {
         let word = dec.read_str()?;
         let id = vocab.intern(word);

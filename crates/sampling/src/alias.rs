@@ -3,8 +3,9 @@
 //! The alias table turns a K-outcome discrete distribution into K bins of
 //! equal probability, each holding at most two outcomes, so a sample costs one
 //! uniform bin choice plus one biased coin flip — O(1) — after an O(K) build.
-//! One construction fills two layouts: [`AliasTable`] over outcomes `0..K`,
-//! and [`SparseAliasTable`], whose bins carry arbitrary labels.
+//! One construction fills three layouts: [`AliasTable`] over outcomes `0..K`,
+//! [`SparseAliasTable`], whose bins carry arbitrary labels, and
+//! [`SparseAliasStore`], the bins of many labelled tables back to back.
 
 use rand::Rng;
 
@@ -67,6 +68,10 @@ fn walker(
     if total <= 0.0 {
         return 0.0;
     }
+    if n == 1 {
+        // One bin, never paired.
+        return total;
+    }
     let AliasBuildScratch { scaled, small, large } = scratch;
 
     // Scaled weights: mean 1.0 per bin.
@@ -74,25 +79,47 @@ fn walker(
     scaled.clear();
     scaled.extend(weights.map(|w| w * scale));
 
-    // Split indices into "small" (< 1) and "large" (>= 1) worklists.
+    // Split indices into "small" (< 1) and "large" (>= 1) worklists, in
+    // index order, without a branch: each index is written to the top of
+    // both and kept by one.
     small.clear();
+    small.resize(n, 0);
     large.clear();
-    for (i, &s) in scaled.iter().enumerate() {
-        if s < 1.0 {
-            small.push(i as u32);
-        } else {
-            large.push(i as u32);
-        }
+    large.resize(n, 0);
+    let (mut num_small, mut num_large) = (0, 0);
+    for (i, &s) in (0u32..).zip(scaled.iter()) {
+        small[num_small] = i;
+        large[num_large] = i;
+        let is_small = s < 1.0;
+        num_small += usize::from(is_small);
+        num_large += usize::from(!is_small);
     }
+    small.truncate(num_small);
+    large.truncate(num_large);
 
-    while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-        pair(s as usize, scaled[s as usize], l as usize);
+    // Pair the top small bin with the top large one. The large bin donates
+    // the small one's shortfall and stays on top of whichever list its
+    // remainder now belongs to, so it is kept in hand rather than pushed.
+    let (Some(mut l), Some(mut s)) = (large.pop(), small.pop()) else {
+        return total;
+    };
+    loop {
+        let (su, lu) = (s as usize, l as usize);
+        pair(su, scaled[su], lu);
         // Donate the remainder of the large bin.
-        scaled[l as usize] = (scaled[l as usize] + scaled[s as usize]) - 1.0;
-        if scaled[l as usize] < 1.0 {
-            small.push(l);
+        let left = (scaled[lu] + scaled[su]) - 1.0;
+        scaled[lu] = left;
+        if left < 1.0 {
+            s = l;
+            match large.pop() {
+                Some(next) => l = next,
+                None => break,
+            }
         } else {
-            large.push(l);
+            match small.pop() {
+                Some(next) => s = next,
+                None => break,
+            }
         }
     }
     // Numerical leftovers were never paired: they keep probability 1 of
@@ -216,6 +243,37 @@ struct Bin {
     alias: u32,
 }
 
+impl Bin {
+    /// One coin between the bin's two labels.
+    #[inline]
+    fn draw<R: Rng>(&self, rng: &mut R) -> u32 {
+        if rng.gen::<f64>() < self.prob {
+            self.own
+        } else {
+            self.alias
+        }
+    }
+}
+
+/// Appends one table's bins for `(label, weight)` entries to `bins` and
+/// returns the total weight: Walker's construction, with each bin holding
+/// its own label and its alias's. The one bin-filling code of
+/// [`SparseAliasTable`] and [`SparseAliasStore`].
+fn append_bins(
+    bins: &mut Vec<Bin>,
+    entries: impl Iterator<Item = (u32, f64)> + Clone,
+    scratch: &mut AliasBuildScratch,
+) -> f64 {
+    let base = bins.len();
+    bins.extend(entries.clone().map(|(own, _)| Bin { prob: 1.0, own, alias: own }));
+    let table = &mut bins[base..];
+    walker(entries.map(|(_, w)| w), scratch, |bin, p, a| {
+        let alias = table[a].own;
+        table[bin].prob = p;
+        table[bin].alias = alias;
+    })
+}
+
 /// A sparse alias table: outcomes are arbitrary `u32` labels (e.g. the
 /// non-zero topics of a document), weights are given per label.
 ///
@@ -258,14 +316,8 @@ impl SparseAliasTable {
     /// Panics if `entries` is empty.
     pub fn rebuild(&mut self, entries: &[(u32, f64)], scratch: &mut AliasBuildScratch) {
         assert!(!entries.is_empty(), "sparse alias table needs at least one entry");
-        let bins = &mut self.bins;
-        bins.clear();
-        bins.extend(entries.iter().map(|&(own, _)| Bin { prob: 1.0, own, alias: own }));
-        self.total_weight = walker(entries.iter().map(|&(_, w)| w), scratch, |bin, p, a| {
-            let alias = bins[a].own;
-            bins[bin].prob = p;
-            bins[bin].alias = alias;
-        });
+        self.bins.clear();
+        self.total_weight = append_bins(&mut self.bins, entries.iter().copied(), scratch);
     }
 
     /// Bytes of heap the table holds: 16 per bin.
@@ -300,12 +352,60 @@ impl SparseAliasTable {
     /// labels.
     #[inline]
     pub fn sample_bin<R: Rng>(&self, bin: usize, rng: &mut R) -> u32 {
-        let bin = &self.bins[bin];
-        if rng.gen::<f64>() < bin.prob {
-            bin.own
-        } else {
-            bin.alias
-        }
+        self.bins[bin].draw(rng)
+    }
+}
+
+/// The bins of many [`SparseAliasTable`]s in one buffer: table `i` holds
+/// bins `offsets[i]..offsets[i + 1]` of offsets the caller keeps (a frozen
+/// serving model's per-word CSR offsets, one bin per non-zero count). A draw
+/// reads the caller's two offsets and one bin, with no per-table header in
+/// between, and building every table allocates nothing once the buffer and
+/// the scratch are sized.
+#[derive(Debug, Clone, Default)]
+pub struct SparseAliasStore {
+    bins: Vec<Bin>,
+}
+
+impl SparseAliasStore {
+    /// An empty store with room for `bins` bins in all.
+    pub fn with_capacity(bins: usize) -> Self {
+        Self { bins: Vec::with_capacity(bins) }
+    }
+
+    /// Appends the next table, built from `(label, weight)` entries exactly
+    /// as [`SparseAliasTable::rebuild`] builds it, and returns its total
+    /// weight. Its bins start at the store's previous [`len`](Self::len);
+    /// no entries append no bins.
+    pub fn push(
+        &mut self,
+        entries: impl Iterator<Item = (u32, f64)> + Clone,
+        scratch: &mut AliasBuildScratch,
+    ) -> f64 {
+        append_bins(&mut self.bins, entries, scratch)
+    }
+
+    /// Bins in all tables.
+    pub fn len(&self) -> usize {
+        self.bins.len()
+    }
+
+    /// Returns `true` when the store holds no bins.
+    pub fn is_empty(&self) -> bool {
+        self.bins.is_empty()
+    }
+
+    /// Bytes of heap the store holds: 16 per bin.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Bin>() * self.bins.capacity()
+    }
+
+    /// [`SparseAliasTable::sample_bin`] on absolute bin `bin`: one coin
+    /// between its two labels. A caller drew the bin uniformly from its
+    /// table's range.
+    #[inline]
+    pub fn sample_bin<R: Rng>(&self, bin: usize, rng: &mut R) -> u32 {
+        self.bins[bin].draw(rng)
     }
 }
 
@@ -419,19 +519,59 @@ mod tests {
         &[(8, 4.0), (2, 4.0), (5, 1.0), (6, 0.5), (7, 9.0), (11, 3.25), (12, 0.75), (13, 2.0)],
     ];
 
+    /// [`DISTRIBUTIONS`], then random weight sets of 1 to 40 entries over
+    /// random labels: every sixth holds a single entry, every sixth all
+    /// equal weights, some hold zeros.
+    fn weight_sets() -> Vec<Vec<(u32, f64)>> {
+        let mut rng = new_rng(41);
+        let mut sets: Vec<Vec<(u32, f64)>> = DISTRIBUTIONS.iter().map(|e| e.to_vec()).collect();
+        for i in 0..60 {
+            let n = if i % 6 == 0 { 1 } else { rng.gen_range(1..41) };
+            let equal = rng.gen_range(0.5..4.0);
+            sets.push(
+                (0..n)
+                    .map(|_| {
+                        let weight = match i % 6 {
+                            1 => equal,
+                            2 => rng.gen_range(0..3) as f64,
+                            _ => rng.gen_range(0.0..10.0),
+                        };
+                        (rng.gen_range(0..5_000), weight)
+                    })
+                    .collect(),
+            );
+        }
+        sets
+    }
+
     #[test]
     fn rebuild_reuses_buffers_and_matches_fresh_builds() {
+        // One reused table and one store hold every set; the store's bins
+        // of a set sit after those of the sets before it.
+        let sets = weight_sets();
         let mut scratch = AliasBuildScratch::with_capacity(8);
         let mut reused = SparseAliasTable::with_capacity(8);
-        for entries in DISTRIBUTIONS {
+        let mut store = SparseAliasStore::with_capacity(8);
+        let mut offsets = vec![0];
+        for entries in &sets {
+            let total = store.push(entries.iter().copied(), &mut scratch);
+            offsets.push(store.len());
+            assert_eq!(total.to_bits(), SparseAliasTable::new(entries).total_weight().to_bits());
+        }
+        for (entries, range) in sets.iter().zip(offsets.windows(2)) {
             reused.rebuild(entries, &mut scratch);
             let fresh = SparseAliasTable::new(entries);
             assert_eq!(reused.len(), fresh.len());
+            assert_eq!(range[1] - range[0], fresh.len());
             assert_eq!(reused.total_weight().to_bits(), fresh.total_weight().to_bits());
             let mut a = new_rng(31);
             let mut b = new_rng(31);
+            let mut c = new_rng(31);
             for _ in 0..2_000 {
-                assert_eq!(reused.sample(&mut a), fresh.sample(&mut b));
+                let label = fresh.sample(&mut b);
+                assert_eq!(reused.sample(&mut a), label);
+                let bin = c.gen_range(0..range[1] - range[0]);
+                assert_eq!(store.sample_bin(range[0] + bin, &mut c), label, "{entries:?}");
             }
         }
     }

@@ -2,8 +2,9 @@
 //!
 //! * [`AliasTable`] — Walker's alias method (Section 2.2 of the paper):
 //!   O(K) construction, O(1) draws. Used by LightLDA's word proposals;
-//!   WarpLDA's and the serving model's draw from [`SparseAliasTable`], the
-//!   same construction over labelled 16-byte bins.
+//!   WarpLDA's draw from [`SparseAliasTable`], the same construction over
+//!   labelled 16-byte bins, and the serving model's from
+//!   [`SparseAliasStore`], every word's bins in one buffer.
 //! * [`FTree`] — the "F+ tree" used by F+LDA: a flat complete binary tree over
 //!   the topic weights supporting O(log K) point updates and O(log K) exact
 //!   draws from the current distribution.
@@ -27,7 +28,7 @@ pub mod discrete;
 pub mod ftree;
 pub mod rng;
 
-pub use alias::{AliasBuildScratch, AliasTable, SparseAliasTable};
+pub use alias::{AliasBuildScratch, AliasTable, SparseAliasStore, SparseAliasTable};
 pub use discrete::sample_unnormalized;
 pub use ftree::FTree;
 pub use rng::{index_from_word, new_rng, split_seed, Dice, Mixture};

@@ -8,7 +8,8 @@
 //!
 //! * [`model`] — [`TopicModel`]: a **frozen**, read-optimized artifact. A
 //!   trained sampler's counts are converted once into smoothed word–topic
-//!   distributions φ plus one pre-built [`SparseAliasTable`] per word, so
+//!   distributions φ plus pre-built sparse alias bins for every word, held
+//!   in one [`SparseAliasStore`] addressed by the model's CSR offsets, so
 //!   query-time sampling reuses the paper's O(1) MH machinery with zero
 //!   rebuild cost. Models persist as `WLDAMODL` framed sections of the
 //!   workspace's binary codec (magic, version, checksum).
@@ -39,7 +40,7 @@
 //! * [`wire`] — the length-prefixed binary wire protocol shared by server
 //!   and client.
 //!
-//! [`SparseAliasTable`]: warplda_sampling::SparseAliasTable
+//! [`SparseAliasStore`]: warplda_sampling::SparseAliasStore
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,17 +17,22 @@
 //!   mask and one or two probes. Word `w` gets the least power of two
 //!   `≥ min{K, 2·nnz_w}` slots: a word with `2·nnz_w ≥ K` is a direct-mapped
 //!   dense row, and every other word's table is at most half full;
-//! * one pre-built [`SparseAliasTable`] per word over the non-zero counts, so
-//!   the word-proposal `q_word(k) ∝ C_wk + β` of the paper's MH machinery
-//!   samples in O(1) at query time with **zero rebuild cost** (training has
-//!   to rebuild these tables every iteration; serving never does);
+//! * pre-built sparse alias bins over the non-zero counts, one bin per pair
+//!   in the same CSR layout (a [`SparseAliasStore`]: word `w`'s table is
+//!   bins `word_offsets[w]..word_offsets[w+1]`, with no per-word header or
+//!   allocation), so the word-proposal `q_word(k) ∝ C_wk + β` of the
+//!   paper's MH machinery samples in O(1) at query time with **zero rebuild
+//!   cost** (training has to rebuild these tables every iteration; serving
+//!   never does);
 //! * the dense global topic vector `c_k` and the smoothing constants.
 //!
 //! Models persist as [`MODEL_MAGIC`] (`WLDAMODL`) framed sections of the
 //! workspace codec — same container discipline as checkpoints (version,
 //! length, FNV-1a checksum), different magic, so a checkpoint can never be
-//! misread as a model. Alias tables and the `C_wk` index are derived data and
-//! are rebuilt deterministically at load time rather than persisted.
+//! misread as a model. Alias bins and the `C_wk` index are derived data and
+//! are rebuilt deterministically at load time rather than persisted. A freeze
+//! or a load sizes every per-word structure once, from the offsets, so it
+//! allocates a fixed number of buffers whatever the vocabulary size.
 
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
@@ -44,9 +49,8 @@ use warplda_corpus::{Corpus, Vocabulary};
 use rand::rngs::SmallRng;
 
 use warplda_core::checkpoint::{read_model_params, write_model_params};
-use warplda_core::counts::{DenseCounts, TopicCounts};
 use warplda_core::{ModelParams, Sampler};
-use warplda_sampling::{Mixture, SparseAliasTable};
+use warplda_sampling::{AliasBuildScratch, Mixture, SparseAliasStore};
 
 /// Payload tag distinguishing model payloads from any future section kinds.
 const MODEL_KIND: &str = "topic-model";
@@ -76,9 +80,10 @@ pub struct TopicModel {
     pair_counts: Vec<u32>,
     /// Term frequency `L_w` of each word (sum of its pair counts).
     word_totals: Vec<u32>,
-    /// Pre-built word-proposal alias table per word (`None` for words the
-    /// training corpus never contained — their proposal is pure smoothing).
-    alias: Vec<Option<SparseAliasTable>>,
+    /// The pre-built word-proposal alias bins, one per non-zero: word `w`'s
+    /// table is bins `word_offsets[w]..word_offsets[w+1]` (none for a word
+    /// without counts — its proposal is pure smoothing).
+    alias: SparseAliasStore,
     /// `index_offsets[w]..index_offsets[w+1]` is word `w`'s slot range in
     /// `index`; its length is [`index_slots`] of the word's non-zeros.
     index_offsets: Vec<usize>,
@@ -95,11 +100,13 @@ pub struct TopicModel {
 impl TopicModel {
     /// Freezes word-major topic assignments into a serving model: word `w`'s
     /// topics are `z[col_offsets[w]..col_offsets[w + 1]]`, the form
-    /// [`Sampler::word_major_assignments`] returns. Each word's contiguous
-    /// slice is counted through a single reused [`DenseCounts`] and appended
-    /// to the CSR columns, reading `z` once, forward. Besides the model the
+    /// [`Sampler::word_major_assignments`] returns. Two forward passes over
+    /// `z`: the first counts each word's distinct topics, which sizes the CSR
+    /// columns exactly; the second counts each word's contiguous slice into
+    /// one reused K-vector and appends its pairs. Besides the model the
     /// freeze holds one word-major copy of z (4 B/token, the input) plus
-    /// O(K). `vocab` enables raw-text queries; pass the training corpus
+    /// O(K), and it allocates the same number of buffers whatever `V` is.
+    /// `vocab` enables raw-text queries; pass the training corpus
     /// vocabulary (or the one embedded in a checkpoint).
     ///
     /// # Panics
@@ -119,27 +126,62 @@ impl TopicModel {
         if let Some(v) = vocab {
             assert_eq!(v.len(), num_words, "vocabulary size does not match the model's word count");
         }
-        let mut counts = DenseCounts::new(params.num_topics);
-        let mut topic_counts = vec![0u32; params.num_topics];
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let k = params.num_topics;
+        let words = || col_offsets.windows(2).map(|r| &z[r[0] as usize..r[1] as usize]);
+        // First pass: each word's distinct topics, so the pair columns are
+        // sized once. `last[t]` is the last word seen with topic `t`.
+        let mut last = vec![u32::MAX; k];
         let mut word_offsets = Vec::with_capacity(num_words + 1);
-        let mut pair_topics = Vec::new();
-        let mut pair_counts = Vec::new();
         word_offsets.push(0u32);
-        for range in col_offsets.windows(2) {
-            counts.clear();
-            for &t in &z[range[0] as usize..range[1] as usize] {
-                counts.increment(t);
+        let mut nnz = 0u32;
+        for (w, topics) in (0u32..).zip(words()) {
+            for &t in topics {
+                let seen = &mut last[t as usize];
+                nnz += u32::from(*seen != w);
+                *seen = w;
             }
-            pairs.clear();
-            counts.for_each(|t, c| pairs.push((t, c)));
-            pairs.sort_unstable_by_key(|&(t, _)| t);
-            for &(t, c) in &pairs {
+            word_offsets.push(nnz);
+        }
+        // Second pass: count each word into a plain K-vector, listing each
+        // topic the first time it appears (branch-free: the slot past the
+        // list is always written, and kept only for a new topic), and append
+        // the pairs in ascending topic order — a short list sorted, a long
+        // one read off a bitmap of the K topics.
+        let mut counts = last;
+        counts.fill(0);
+        let mut touched = vec![0u32; k + 1];
+        let mut bitmap = vec![0u64; k.div_ceil(64)];
+        let mut topic_counts = vec![0u32; k];
+        let mut pair_topics = Vec::with_capacity(nnz as usize);
+        let mut pair_counts = Vec::with_capacity(nnz as usize);
+        for topics in words() {
+            let mut n = 0;
+            for &t in topics {
+                let c = &mut counts[t as usize];
+                touched[n] = t;
+                n += usize::from(*c == 0);
+                *c += 1;
+            }
+            let mut append = |t: u32| {
+                let c = std::mem::take(&mut counts[t as usize]);
                 pair_topics.push(t);
                 pair_counts.push(c);
                 topic_counts[t as usize] += c;
+            };
+            if 64 * n < k {
+                touched[..n].sort_unstable();
+                touched[..n].iter().for_each(|&t| append(t));
+            } else {
+                for &t in &touched[..n] {
+                    bitmap[t as usize / 64] |= 1 << (t % 64);
+                }
+                for (base, bits) in (0u32..).step_by(64).zip(&mut bitmap) {
+                    while *bits != 0 {
+                        append(base + bits.trailing_zeros());
+                        *bits &= *bits - 1;
+                    }
+                }
             }
-            word_offsets.push(pair_topics.len() as u32);
         }
         Self::from_parts(
             params,
@@ -179,8 +221,9 @@ impl TopicModel {
     }
 
     /// Assembles (and fully validates) a model from its raw columns, and
-    /// derives its alias tables and `C_wk` index — the shared back end of
+    /// derives its alias bins and `C_wk` index — the shared back end of
     /// [`from_assignments`](Self::from_assignments) and the codec reader.
+    /// Every buffer is sized once, from the offsets.
     fn from_parts(
         params: ModelParams,
         topic_counts: Vec<u32>,
@@ -222,23 +265,25 @@ impl TopicModel {
         // and the index they size: at most `4·nnz + V` slots.
         let mut index_offsets = Vec::with_capacity(num_words + 1);
         index_offsets.push(0);
+        let mut widest = 0;
         for (w, range) in word_offsets.windows(2).enumerate() {
             if range[0] > range[1] {
                 return Err(CodecError::Corrupt(format!("word {w}: offsets not monotonic")));
             }
-            index_offsets.push(index_offsets[w] + index_slots(k, (range[1] - range[0]) as usize));
+            let nnz = (range[1] - range[0]) as usize;
+            widest = widest.max(nnz);
+            index_offsets.push(index_offsets[w] + index_slots(k, nnz));
         }
         let mut index = vec![EMPTY_SLOT; index_offsets[num_words]];
         let mut from_pairs = vec![0u64; k];
-        let mut word_totals = vec![0u32; num_words];
-        let mut alias = Vec::with_capacity(num_words);
-        let mut entries: Vec<(u32, f64)> = Vec::new();
+        let mut word_totals = Vec::with_capacity(num_words);
+        let mut alias = SparseAliasStore::with_capacity(pair_topics.len());
+        let mut scratch = AliasBuildScratch::with_capacity(widest);
         for w in 0..num_words {
             let (start, end) = (word_offsets[w] as usize, word_offsets[w + 1] as usize);
             let slots = &mut index[index_offsets[w]..index_offsets[w + 1]];
             let mask = slots.len() - 1;
             let mut total = 0u64;
-            entries.clear();
             for i in start..end {
                 let (t, c) = (pair_topics[i], pair_counts[i]);
                 if t as usize >= k {
@@ -258,7 +303,6 @@ impl TopicModel {
                 }
                 from_pairs[t as usize] += c as u64;
                 total += c as u64;
-                entries.push((t, c as f64));
                 // The topics so far are distinct and below K, so they number
                 // at most min{K, nnz} ≤ the slot count, and a free slot is
                 // left for each.
@@ -268,10 +312,11 @@ impl TopicModel {
                 }
                 slots[slot] = u64::from(t) << 32 | u64::from(c);
             }
-            word_totals[w] = u32::try_from(total).map_err(|_| {
+            word_totals.push(u32::try_from(total).map_err(|_| {
                 CodecError::Corrupt(format!("word {w}: term frequency overflows u32"))
-            })?;
-            alias.push((!entries.is_empty()).then(|| SparseAliasTable::new(&entries)));
+            })?);
+            let pairs = pair_topics[start..end].iter().zip(&pair_counts[start..end]);
+            alias.push(pairs.map(|(&t, &c)| (t, f64::from(c))), &mut scratch);
         }
         for (t, (&have, &want)) in from_pairs.iter().zip(&topic_counts).enumerate() {
             if have != want as u64 {
@@ -367,17 +412,17 @@ impl TopicModel {
 
     /// Bytes of heap this model holds: the sum of its own buffers'
     /// capacities — `4·(K + 2V + 1) + 8·nnz` for `c_k`, the CSR columns and
-    /// the term frequencies, 16 per alias bin (one bin per non-zero) plus a
-    /// table header per word, and `8·(V + 1) + 8·slots` for the `C_wk` index,
-    /// where `slots ≤ 4·nnz + V`. The embedded vocabulary is not counted.
+    /// the term frequencies, 16 per alias bin (one bin per non-zero, no
+    /// per-word header: the CSR offsets address the bins), and
+    /// `8·(V + 1) + 8·slots` for the `C_wk` index, where
+    /// `slots ≤ 4·nnz + V`. The embedded vocabulary is not counted.
     pub fn heap_bytes(&self) -> usize {
         4 * (self.topic_counts.capacity()
             + self.word_offsets.capacity()
             + self.pair_topics.capacity()
             + self.pair_counts.capacity()
             + self.word_totals.capacity())
-            + std::mem::size_of::<Option<SparseAliasTable>>() * self.alias.capacity()
-            + self.alias.iter().flatten().map(SparseAliasTable::heap_bytes).sum::<usize>()
+            + self.alias.heap_bytes()
             + std::mem::size_of::<usize>() * self.index_offsets.capacity()
             + std::mem::size_of::<u64>() * self.index.capacity()
     }
@@ -394,15 +439,15 @@ impl TopicModel {
 
     /// Draws from the word proposal `q_word(k) ∝ C_wk + β` in O(1), given
     /// `mixture = self.word_mixture(word)`: one 64-bit word picks the part
-    /// and either a bin of the pre-built count alias table (then one coin
-    /// between the bin's two labels) or a uniform topic.
+    /// and either a bin of the word's pre-built count alias bins (then one
+    /// coin between the bin's two labels) or a uniform topic.
     #[inline]
     pub fn sample_word_proposal(&self, word: u32, mixture: Mixture, rng: &mut SmallRng) -> u32 {
-        let table = self.alias[word as usize].as_ref();
-        let bins = table.map_or(0, |t| t.len() as u32);
-        match (table, mixture.draw(rng, bins, self.params.num_topics as u32)) {
-            (Some(table), (true, bin)) => table.sample_bin(bin as usize, rng),
-            (_, (_, topic)) => topic,
+        let w = word as usize;
+        let (start, end) = (self.word_offsets[w], self.word_offsets[w + 1]);
+        match mixture.draw(rng, end - start, self.params.num_topics as u32) {
+            (true, bin) if end > start => self.alias.sample_bin((start + bin) as usize, rng),
+            (_, topic) => topic,
         }
     }
 
@@ -448,7 +493,7 @@ impl TopicModel {
     /// Reads a model written by [`write`](Self::write), rejecting anything
     /// structurally inconsistent (wrong magic, bad checksum, count columns
     /// that do not sum to `c_k`, …) with a typed [`CodecError`]. Alias
-    /// tables are rebuilt deterministically from the counts.
+    /// bins are rebuilt deterministically from the counts.
     pub fn read(r: &mut dyn Read) -> CodecResult<Self> {
         let payload = read_framed_section(r, MODEL_MAGIC)?;
         let mut dec = Decoder::new(&payload);
@@ -531,6 +576,7 @@ impl ModelHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use warplda_core::counts::TopicCounts;
     use warplda_core::{Trainer, WarpLda, WarpLdaConfig};
     use warplda_corpus::CorpusBuilder;
 
@@ -741,15 +787,9 @@ mod tests {
                 let used = row.iter().filter(|&&e| e != EMPTY_SLOT).count();
                 assert!(row.len() >= k || 2 * used <= row.len(), "K = {k}, word {w}");
             }
-            let alias_header = std::mem::size_of::<Option<SparseAliasTable>>();
             assert_eq!(
                 model.heap_bytes(),
-                4 * (k + 2 * v + 1)
-                    + 8 * nnz
-                    + alias_header * v
-                    + 16 * nnz
-                    + 8 * (v + 1)
-                    + 8 * slots,
+                4 * (k + 2 * v + 1) + 8 * nnz + 16 * nnz + 8 * (v + 1) + 8 * slots,
                 "K = {k}"
             );
         }
@@ -793,7 +833,7 @@ mod tests {
         assert_eq!(back.word_totals, model.word_totals);
         assert_eq!(back.num_train_tokens, model.num_train_tokens);
         assert_eq!(back.vocab.as_ref().map(|v| v.len()), model.vocab.as_ref().map(|v| v.len()));
-        // The rebuilt alias tables draw the same stream as the originals.
+        // The rebuilt alias bins draw the same stream as the originals.
         let mut a = warplda_sampling::new_rng(11);
         let mut b = warplda_sampling::new_rng(11);
         let (mixture, back_mixture) = (model.word_mixture(0), back.word_mixture(0));

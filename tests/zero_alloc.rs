@@ -12,7 +12,9 @@
 //! model must be **zero allocations per request**. Beside them two memory
 //! pins: freezing a model holds one word-major copy of z (4 B/token) plus
 //! O(V + K) beyond the model itself, and building a baseline sampler holds
-//! its count tables plus the one corpus view it visits.
+//! its count tables plus the one corpus view it visits. And one allocation
+//! pin: freezing and loading a model allocate as many buffers at one
+//! vocabulary size as at four times it.
 //!
 //! This file deliberately contains a single `#[test]`: the harness runs the
 //! tests of one binary concurrently, so a second test would pollute the
@@ -119,15 +121,17 @@ fn steady_state_iterations_do_not_allocate() {
     );
 
     // --- Freeze: beyond the model it builds, the freeze holds the
-    // word-major z the sampler hands over (4 B/token) and O(V + K). Freezing
-    // through a word view of the corpus and a doc-major gather of z peaks
-    // 8 B/token higher, which breaks the bound. The O(V + K) rest is bounded
-    // at 128 B per word plus topic. Per word it is the embedded vocabulary's
-    // clone: a 24-byte `String` and its bytes, and a hash-map bucket of 33 B
-    // at a load factor of at least 7/16, under 112 B for these synthetic
-    // words. Per topic it is the counting scratch: the count vector, one
-    // word's sorted pairs and alias entries at up to twice K, the per-topic
-    // sums. On this corpus (T/V ≈ 80) the rest is 91 B per word plus topic. ---
+    // word-major z the sampler hands over (4 B/token) and O(V + K).
+    // Freezing through a word view of the corpus and a doc-major gather of z
+    // peaks 8 B/token higher, which breaks the bound. The O(V + K) rest is
+    // bounded at 64 B per word plus topic. Per word it is the embedded
+    // vocabulary's clone: the word's bytes in one shared string, an 8-byte
+    // end offset and two to four 8-byte id-table slots, at most 44 B for
+    // these synthetic words of up to four bytes. Per topic it is the
+    // counting scratch: the count vector, the touched list and the bitmap
+    // (about 8 B), the per-topic sums checked at assembly (8 B), and the
+    // alias build scratch of the widest word (up to 16 B). On this corpus
+    // (T/V ≈ 80) the rest is 29 B per word plus topic. ---
     let corpus =
         LdaGenerator::new(SyntheticConfig { num_docs: 1_000, ..DatasetPreset::Tiny.config() })
             .generate();
@@ -137,12 +141,40 @@ fn steady_state_iterations_do_not_allocate() {
     }
     let (model, peak) = peak_above_base(|| TopicModel::freeze_sampler(&sampler, &corpus));
     let (v, k, t) = (corpus.vocab_size(), params.num_topics, corpus.num_tokens() as usize);
-    let bound = model.heap_bytes() + 4 * t + 128 * (v + k);
+    let bound = model.heap_bytes() + 4 * t + 64 * (v + k);
     assert!(
         peak <= bound,
         "the freeze peaked at {peak} B above its base; the model holds {} B, and one \
-         word-major z plus 128 B per word and topic allow {bound} B (T = {t}, V = {v}, K = {k})",
+         word-major z plus 64 B per word and topic allow {bound} B (T = {t}, V = {v}, K = {k})",
         model.heap_bytes()
+    );
+
+    // --- Freeze and load allocate a fixed number of buffers, whatever V
+    // is: every per-word structure (pair columns, alias bins, C_wk index,
+    // vocabulary) is one flat buffer sized from the offsets, so two
+    // corpora whose V differs by 4x make the same counts. ---
+    let path = std::env::temp_dir().join(format!("warplda-zero-alloc-{}.wlda", std::process::id()));
+    let mut freeze_and_load_allocs = Vec::new();
+    for vocab_size in [500usize, 2_000] {
+        let corpus = LdaGenerator::new(SyntheticConfig {
+            num_docs: 400,
+            vocab_size,
+            ..DatasetPreset::Tiny.config()
+        })
+        .generate();
+        let mut sampler = WarpLda::new(&corpus, params, config, 7);
+        sampler.run_iteration();
+        let mut model = None;
+        let freeze = allocs_during(|| model = Some(TopicModel::freeze_sampler(&sampler, &corpus)));
+        model.take().unwrap().save(&path).unwrap();
+        let load = allocs_during(|| model = Some(TopicModel::load(&path).unwrap()));
+        assert_eq!(model.unwrap().num_words(), vocab_size);
+        freeze_and_load_allocs.push((freeze, load));
+    }
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(
+        freeze_and_load_allocs[0], freeze_and_load_allocs[1],
+        "(freeze, load) allocations at V = 500 and V = 2 000 must be one number"
     );
 
     // --- Baselines: building one holds its count tables (the peak of
