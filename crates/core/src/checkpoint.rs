@@ -1,7 +1,7 @@
 //! Binary checkpoint persistence for a resumable WarpLDA run.
 //!
 //! Built on the framed codec of [`warplda_corpus::io::codec`] (magic number,
-//! format version, FNV-1a checksum), this module defines what it means for a
+//! format version, checksum), this module defines what it means for a
 //! sampler to be resumable:
 //!
 //! * [`Checkpointable`] — a [`Sampler`] that can write its complete

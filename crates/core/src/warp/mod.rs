@@ -156,7 +156,7 @@ pub struct WarpLdaConfig {
     /// Selects nothing: every visit counts into the dense vector (see the
     /// module docs), and both values give the same chain bit for bit. The
     /// field stays only because the checkpoint's state section and the
-    /// cluster's `Setup` carry it as a byte of format version 4, and the
+    /// cluster's `Setup` carry it as a byte of format version 5, and the
     /// repository benchmark names it; removing it is a format bump.
     pub use_hash_counts: bool,
 }
@@ -489,8 +489,9 @@ impl<T: Topic> Phase<'_, T> {
                 cur = if u * den < num { t } else { cur };
             }
             if cur != old {
-                // Keep c_d in sync so the upcoming random positioning reflects
-                // the updated assignments of this document.
+                // Keep c_d in step with z: the later tokens of this document
+                // accept against it, and it is what the document adds to the
+                // next c_k. (The random positioning below copies z, not c_d.)
                 cd.decrement(old);
                 cd.increment(cur);
                 rec[0].set(T::put(cur));

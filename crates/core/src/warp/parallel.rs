@@ -9,7 +9,10 @@
 //! * **Chunked work queue.** Workers pull contiguous column/row chunks from a
 //!   [`ChunkCursor`] instead of receiving a static partition, so the tail
 //!   imbalance a power-law head word leaves in any up-front split disappears:
-//!   whoever finishes early claims the next chunk. Chunks are cut at about
+//!   whoever finishes early claims the next chunk, even workers from the
+//!   front of the range and odd ones from the back, so two workers write
+//!   neighbouring chunks (and the cache lines the chunks' boundary records
+//!   share) only where the two ends meet. Chunks are cut at about
 //!   equal *token* mass, once, from the matrix offsets
 //!   ([`ChunkCursor::by_mass`]) — cut by entity count, the first chunk of a
 //!   Zipf vocabulary holds more than half of all tokens and no thread count
@@ -105,10 +108,10 @@ impl ParallelWarpLda {
         with_topic_type!(inner.record_width(), T => {
             let (phase, ..) = inner.phase::<T>(kind);
             std::thread::scope(|scope| {
-                for WorkerScratch { partial_ck, scratch } in workers.iter_mut() {
+                for (worker, WorkerScratch { partial_ck, scratch }) in workers.iter_mut().enumerate() {
                     scope.spawn(move || {
                         partial_ck.fill(0);
-                        while let Some(chunk) = cursor.claim() {
+                        while let Some(chunk) = cursor.claim(worker) {
                             for id in chunk {
                                 // SAFETY: the cursor hands every entity to
                                 // exactly one worker, and `phase` holds the

@@ -18,7 +18,7 @@ use warplda_core::{
     topic_wire_width, Checkpointable, CollapsedGibbs, FPlusLda, LightLda, LightLdaVariant,
     ModelParams, ParallelWarpLda, Sampler, WarpLda, WarpLdaConfig,
 };
-use warplda_corpus::io::codec::{fnv1a64, CodecError, MAGIC};
+use warplda_corpus::io::codec::{checksum64, fnv1a64, CodecError, FORMAT_VERSION, MAGIC};
 use warplda_corpus::{Corpus, DatasetPreset};
 
 const ITERATIONS: usize = 3;
@@ -323,7 +323,7 @@ fn any_driver_resumes_any_drivers_checkpoint_bit_identically_at_every_width() {
             assert_eq!(first.checkpoint_kind(), "warplda", "one kind for every driver");
             let mut file = Vec::new();
             write_checkpoint(first.as_ref(), None, &mut file).unwrap();
-            assert_eq!(&file[8..12], &4u32.to_le_bytes(), "container format version");
+            assert_eq!(&file[8..12], &5u32.to_le_bytes(), "container format version");
 
             for reader in 0..3 {
                 // Built under another seed: the checkpoint's governs continuation.
@@ -350,7 +350,7 @@ fn reframe(payload: &[u8], version: u32) -> Vec<u8> {
     let mut file = MAGIC.to_vec();
     file.extend_from_slice(&version.to_le_bytes());
     file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    file.extend_from_slice(&checksum64(payload).to_le_bytes());
     file.extend_from_slice(payload);
     file
 }
@@ -390,27 +390,30 @@ fn a_checkpoint_is_the_records_at_their_width_and_damage_is_typed_and_harmless()
             err
         };
 
-        // The previous format is refused by version, whatever it holds.
-        let err = refuse(&reframe(payload, 3), "v3");
-        assert!(matches!(err, CodecError::LegacyVersion(3)), "{err}");
+        // The previous formats are refused by version, whatever they hold:
+        // v3 wrote the records as a u32 array, v4 checksummed byte by byte.
+        for legacy in [3, 4] {
+            let err = refuse(&reframe(payload, legacy), "legacy");
+            assert!(matches!(err, CodecError::LegacyVersion(v) if v == legacy), "{err}");
+        }
 
         // A width byte that disagrees with topic_wire_width(K).
         let mut damaged = payload.to_vec();
         damaged[width_at] = if width == 4 { 2 } else { 2 * width as u8 };
-        let err = refuse(&reframe(&damaged, 4), "width");
+        let err = refuse(&reframe(&damaged, FORMAT_VERSION), "width");
         assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
 
         // A short record section: the count says one id fewer.
         let mut damaged = payload.to_vec();
         damaged[width_at + 1..width_at + 9].copy_from_slice(&(ids as u64 - 1).to_le_bytes());
-        let err = refuse(&reframe(&damaged, 4), "length");
+        let err = refuse(&reframe(&damaged, FORMAT_VERSION), "length");
         assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
 
         // A topic id ≥ K in the last record.
         let mut damaged = payload.to_vec();
         let last = records_at + (ids - 1) * width;
         damaged[last..last + width].copy_from_slice(&(k as u32).to_le_bytes()[..width]);
-        let err = refuse(&reframe(&damaged, 4), "topic range");
+        let err = refuse(&reframe(&damaged, FORMAT_VERSION), "topic range");
         assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
 
         // And the undamaged file still loads into that same sampler.

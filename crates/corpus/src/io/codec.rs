@@ -4,8 +4,8 @@
 //! real serialization framework the workspace writes its persistent artifacts
 //! (sampler checkpoints, model snapshots, vocabularies) through this module:
 //! little-endian primitives behind an [`Encoder`]/[`Decoder`] pair, wrapped in
-//! a *framed container* with a magic number, a format version and an FNV-1a
-//! checksum so that truncated, corrupted or foreign files are rejected with a
+//! a *framed container* with a magic number, a format version and a checksum
+//! ([`checksum64`]) so that truncated, corrupted or foreign files are rejected with a
 //! typed [`CodecError`] instead of being silently misread.
 //!
 //! **One reader for bytes from outside.** [`Decoder`] is a bounds-checked
@@ -26,9 +26,9 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"WLDACKPT"
-//! 8       4     format version (currently 4)
+//! 8       4     format version (currently 5)
 //! 12      8     payload length in bytes
-//! 20      8     FNV-1a 64 checksum of the payload
+//! 20      8     checksum64 of the payload
 //! 28      n     payload
 //! ```
 //!
@@ -44,14 +44,18 @@
 //! them and as they cross the wire — `width:u8, n:u64, n × width` bytes, with
 //! `width` the 1, 2 or 4 bytes a topic id of a `K`-topic model needs —
 //! where v3 wrote a length-prefixed `u32` array (a quarter of the bytes at
-//! `K ≤ 256`).
-//! v1, v2 and v3 files are rejected with the typed
+//! `K ≤ 256`). Version 5 keeps v4's payloads byte for byte and changes only
+//! the header's checksum: [`checksum64`] runs FNV-1a's step over 8-byte words
+//! in four interleaved lanes instead of over single bytes, so verifying a
+//! payload costs a small fraction of reading it (v4's byte-serial FNV-1a ran
+//! at about 570 MB/s, one dependent multiply per byte).
+//! v1, v2, v3 and v4 files are rejected with the typed
 //! [`CodecError::LegacyVersion`] — re-train or re-save under the current
 //! format. There is no in-place migration and no second reader: a v2 serial
 //! checkpoint can only be continued by the sequential stream it saved, which
 //! no sampler draws from any more, so resuming it would silently run a
-//! different chain than the one that was saved; a v3 file could be widened,
-//! but a reader kept for files only this repository's own runs ever wrote
+//! different chain than the one that was saved; a v3 file could be widened
+//! and a v4 file re-hashed, but a reader kept for files only this repository's own runs ever wrote
 //! is a second code path with no user. The version is the container's, so
 //! older serving models are refused with it and are re-frozen from their
 //! sampler.
@@ -84,7 +88,7 @@ pub const MODEL_MAGIC: [u8; 8] = *b"WLDAMODL";
 /// Current format version of the framed container. Bump when the payload
 /// layout changes incompatibly; readers reject versions they do not know.
 /// See the module docs for the format history.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Errors produced while encoding or decoding framed binary data.
 #[derive(Debug)]
@@ -126,8 +130,8 @@ impl std::fmt::Display for CodecError {
                     f,
                     "checkpoint format version {v} is superseded (current: {FORMAT_VERSION}): \
                      v1 predates the packed token-record layout, v2 the per-entity RNG streams \
-                     every sampler now draws from, v3 the width-native records — re-train or \
-                     re-save the model"
+                     every sampler now draws from, v3 the width-native records, v4 the \
+                     word-lane checksum — re-train or re-save the model"
                 )
             }
             CodecError::ChecksumMismatch { expected, found } => {
@@ -156,17 +160,46 @@ impl From<std::io::Error> for CodecError {
 /// Result alias for codec operations.
 pub type CodecResult<T> = Result<T, CodecError>;
 
-/// FNV-1a 64-bit hash — the integrity checksum of the framed container.
+/// FNV-1a's offset basis and prime.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a's step: xor in `w`, multiply by the prime. For a fixed state it is
+/// a bijection of `w`, and for a fixed `w` a bijection of the state (the
+/// prime is odd).
+#[inline]
+fn fnv_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(FNV_PRIME)
+}
+
+/// FNV-1a 64-bit hash, one byte per step. The tests' golden hashes of
+/// sampled chains and θ are taken with it; the container checksums with
+/// [`checksum64`].
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv_step(h, u64::from(b)))
+}
+
+/// The integrity checksum of the framed container (format v5). FNV-1a's step
+/// runs over the little-endian 8-byte words of `bytes` in four interleaved
+/// lanes (word `i` goes to lane `i mod 4`, so the lanes' multiplies do not
+/// wait on each other); then the tail bytes past the last 32-byte block and
+/// the length are folded in with the byte step, and the lanes last, in
+/// order. Every step is a bijection of its lane's state, so damage confined
+/// to one word, or to one tail byte, always changes the result.
 ///
 /// Not cryptographic; it exists to catch truncation and bit rot, the failure
 /// modes that actually happen to checkpoint files on disk.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let (blocks, tail) = bytes.as_chunks::<32>();
+    let mut lanes: [u64; 4] = std::array::from_fn(|i| FNV_OFFSET ^ i as u64);
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *lane = fnv_step(*lane, u64::from_le_bytes(*word));
+        }
     }
-    hash
+    let length = (bytes.len() as u64).to_le_bytes();
+    let h = tail.iter().chain(&length).fold(FNV_OFFSET, |h, &b| fnv_step(h, u64::from(b)));
+    lanes.into_iter().fold(h, fnv_step)
 }
 
 /// Writes little-endian primitives to an underlying writer.
@@ -383,7 +416,7 @@ pub fn write_framed_section(w: &mut dyn Write, magic: [u8; 8], payload: &[u8]) -
     w.write_all(&magic)?;
     w.write_all(&FORMAT_VERSION.to_le_bytes())?;
     w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(&fnv1a64(payload).to_le_bytes())?;
+    w.write_all(&checksum64(payload).to_le_bytes())?;
     w.write_all(payload)?;
     Ok(())
 }
@@ -413,7 +446,7 @@ pub fn read_framed_section(r: &mut dyn Read, expected_magic: [u8; 8]) -> CodecRe
     let len = dec.read_usize()?;
     let expected = dec.read_u64()?;
     let payload = read_payload(r, len)?;
-    let found = fnv1a64(&payload);
+    let found = checksum64(&payload);
     if found != expected {
         return Err(CodecError::ChecksumMismatch { expected, found });
     }
@@ -649,6 +682,7 @@ mod tests {
             (1u32, "packed token-record"),
             (2, "per-entity RNG streams"),
             (3, "width-native records"),
+            (4, "word-lane checksum"),
         ] {
             let mut file = Vec::new();
             write_framed(&mut file, b"x").unwrap();
@@ -745,8 +779,100 @@ mod tests {
 
     #[test]
     fn fnv_is_stable() {
-        // Pinned value: the checksum is part of the on-disk format.
+        // Pinned value: the tests' golden hashes are taken with it.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    /// `n` bytes of a fixed pseudo-random stream.
+    fn noise(n: usize) -> Vec<u8> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// Every size up to 72 (the tail alone, one and two 32-byte blocks with
+    /// every tail length), then sizes beside 8- and 32-byte boundaries up to
+    /// 4 096.
+    fn checked_sizes() -> impl Iterator<Item = usize> {
+        let beside = [255, 256, 257, 263, 264, 1_023, 1_024, 1_031, 4_095, 4_096];
+        (0..=72).chain(beside)
+    }
+
+    #[test]
+    fn checksum_is_pinned() {
+        // Pinned values: the checksum is part of the on-disk format. The
+        // empty payload, a tail alone, one whole block, one block and a
+        // tail byte, three blocks and a tail of zeros.
+        let fixed: [(&[u8], u64); 5] = [
+            (b"", 0x2421_9dd0_fab1_0db5),
+            (b"a", 0xaab4_e1ef_7ad1_24dd),
+            (b"0123456789abcdef0123456789abcdef", 0xcb03_82ab_586a_a771),
+            (b"0123456789abcdef0123456789abcdef!", 0xe4f1_97c3_68ef_8e79),
+            (&[0; 100], 0x8943_8115_d6d3_18f5),
+        ];
+        for (bytes, want) in fixed {
+            assert_eq!(
+                checksum64(bytes),
+                want,
+                "{} bytes: {:#018x}",
+                bytes.len(),
+                checksum64(bytes)
+            );
+        }
+    }
+
+    #[test]
+    fn checksum_catches_every_single_bit_flip() {
+        for n in checked_sizes() {
+            let mut bytes = noise(n);
+            let good = checksum64(&bytes);
+            for i in 0..n {
+                for bit in 0..8 {
+                    bytes[i] ^= 1 << bit;
+                    assert_ne!(checksum64(&bytes), good, "{n} bytes, byte {i}, bit {bit}");
+                    bytes[i] ^= 1 << bit;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_catches_every_truncation_and_appended_zero() {
+        for n in checked_sizes() {
+            for mut bytes in [noise(n), vec![0; n]] {
+                let good = checksum64(&bytes);
+                for cut in 0..n {
+                    assert_ne!(checksum64(&bytes[..cut]), good, "{n} bytes cut to {cut}");
+                }
+                bytes.push(0);
+                assert_ne!(checksum64(&bytes), good, "{n} bytes and a zero");
+            }
+        }
+    }
+
+    #[test]
+    fn the_container_refuses_a_flipped_bit_anywhere_in_the_payload() {
+        let payload = noise(100);
+        let mut file = Vec::new();
+        write_framed(&mut file, &payload).unwrap();
+        assert_eq!(file[20..28], checksum64(&payload).to_le_bytes());
+        for i in 28..file.len() {
+            let mut bad = file.clone();
+            bad[i] ^= 0x80;
+            assert!(
+                matches!(
+                    read_framed(&mut bad.as_slice()),
+                    Err(CodecError::ChecksumMismatch { .. })
+                ),
+                "byte {i}"
+            );
+        }
     }
 }

@@ -232,18 +232,25 @@ impl AliasTable {
     }
 }
 
-/// One bin of a [`SparseAliasTable`]: its own label, kept with probability
-/// `prob`, and the label of its alias. Aligned to its 16 bytes, so a draw
-/// reads one cache line.
-#[derive(Debug, Clone, Copy)]
+/// One bin of a sparse alias table ([`SparseAliasTable`],
+/// [`SparseAliasStore`]): its own label, kept with probability `prob`, and
+/// the label of its alias. Aligned to its 16 bytes, so a draw reads one cache
+/// line. Opaque: only [`SparseAliasStore::fill`] writes one from outside.
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C, align(16))]
-struct Bin {
+pub struct AliasBin {
     prob: f64,
     own: u32,
     alias: u32,
 }
 
-impl Bin {
+impl AliasBin {
+    /// A bin that keeps its own label with probability 1: every bin's state
+    /// until Walker's construction pairs it.
+    fn unpaired(own: u32) -> Self {
+        Self { prob: 1.0, own, alias: own }
+    }
+
     /// One coin between the bin's two labels.
     #[inline]
     fn draw<R: Rng>(&self, rng: &mut R) -> u32 {
@@ -255,19 +262,17 @@ impl Bin {
     }
 }
 
-/// Appends one table's bins for `(label, weight)` entries to `bins` and
-/// returns the total weight: Walker's construction, with each bin holding
-/// its own label and its alias's. The one bin-filling code of
-/// [`SparseAliasTable`] and [`SparseAliasStore`].
-fn append_bins(
-    bins: &mut Vec<Bin>,
-    entries: impl Iterator<Item = (u32, f64)> + Clone,
+/// Pairs the bins of one table, each holding its own label unpaired, by
+/// Walker's construction over their `weights` (one per bin, in order), so
+/// each bin ends up holding its own label and its alias's; returns the total
+/// weight. The one bin-filling code of [`SparseAliasTable`] and
+/// [`SparseAliasStore`].
+fn pair_bins(
+    table: &mut [AliasBin],
+    weights: impl Iterator<Item = f64> + Clone,
     scratch: &mut AliasBuildScratch,
 ) -> f64 {
-    let base = bins.len();
-    bins.extend(entries.clone().map(|(own, _)| Bin { prob: 1.0, own, alias: own }));
-    let table = &mut bins[base..];
-    walker(entries.map(|(_, w)| w), scratch, |bin, p, a| {
+    walker(weights, scratch, |bin, p, a| {
         let alias = table[a].own;
         table[bin].prob = p;
         table[bin].alias = alias;
@@ -282,7 +287,7 @@ fn append_bins(
 /// labels, so a draw is one bin read and a select between them.
 #[derive(Debug, Clone)]
 pub struct SparseAliasTable {
-    bins: Vec<Bin>,
+    bins: Vec<AliasBin>,
     /// Total weight the table was built from (before normalization).
     total_weight: f64,
 }
@@ -317,12 +322,13 @@ impl SparseAliasTable {
     pub fn rebuild(&mut self, entries: &[(u32, f64)], scratch: &mut AliasBuildScratch) {
         assert!(!entries.is_empty(), "sparse alias table needs at least one entry");
         self.bins.clear();
-        self.total_weight = append_bins(&mut self.bins, entries.iter().copied(), scratch);
+        self.bins.extend(entries.iter().map(|&(own, _)| AliasBin::unpaired(own)));
+        self.total_weight = pair_bins(&mut self.bins, entries.iter().map(|&(_, w)| w), scratch);
     }
 
     /// Bytes of heap the table holds: 16 per bin.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Bin>() * self.bins.capacity()
+        std::mem::size_of::<AliasBin>() * self.bins.capacity()
     }
 
     /// Number of (label, weight) entries.
@@ -360,29 +366,47 @@ impl SparseAliasTable {
 /// bins `offsets[i]..offsets[i + 1]` of offsets the caller keeps (a frozen
 /// serving model's per-word CSR offsets, one bin per non-zero count). A draw
 /// reads the caller's two offsets and one bin, with no per-table header in
-/// between, and building every table allocates nothing once the buffer and
-/// the scratch are sized.
-#[derive(Debug, Clone, Default)]
+/// between. The buffer is sized once and the tables are built into it in
+/// place, so building every table allocates nothing once the scratch is
+/// sized, and disjoint ranges of bins can be built on different threads.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparseAliasStore {
-    bins: Vec<Bin>,
+    bins: Vec<AliasBin>,
 }
 
 impl SparseAliasStore {
-    /// An empty store with room for `bins` bins in all.
-    pub fn with_capacity(bins: usize) -> Self {
-        Self { bins: Vec::with_capacity(bins) }
+    /// A store of `len` bins, every one of them unbuilt: the caller builds
+    /// its tables into [`bins_mut`](Self::bins_mut) with
+    /// [`fill`](Self::fill) before drawing from them.
+    pub fn with_len(len: usize) -> Self {
+        Self { bins: vec![AliasBin::unpaired(0); len] }
     }
 
-    /// Appends the next table, built from `(label, weight)` entries exactly
-    /// as [`SparseAliasTable::rebuild`] builds it, and returns its total
-    /// weight. Its bins start at the store's previous [`len`](Self::len);
-    /// no entries append no bins.
-    pub fn push(
-        &mut self,
+    /// All bins, for [`fill`](Self::fill): split the slice (`split_at_mut`)
+    /// to build disjoint tables on several threads.
+    pub fn bins_mut(&mut self) -> &mut [AliasBin] {
+        &mut self.bins
+    }
+
+    /// Builds one table from `(label, weight)` entries into `table`, one bin
+    /// per entry, exactly as [`SparseAliasTable::rebuild`] builds it, and
+    /// returns its total weight. No entries fill an empty `table`.
+    ///
+    /// # Panics
+    /// Panics if the entries do not number `table.len()`, or if a weight is
+    /// negative or non-finite.
+    pub fn fill(
+        table: &mut [AliasBin],
         entries: impl Iterator<Item = (u32, f64)> + Clone,
         scratch: &mut AliasBuildScratch,
     ) -> f64 {
-        append_bins(&mut self.bins, entries, scratch)
+        let mut n = 0;
+        for (bin, (own, _)) in table.iter_mut().zip(entries.clone()) {
+            *bin = AliasBin::unpaired(own);
+            n += 1;
+        }
+        assert_eq!(n, table.len(), "a table has one bin per entry");
+        pair_bins(table, entries.map(|(_, w)| w), scratch)
     }
 
     /// Bins in all tables.
@@ -397,7 +421,7 @@ impl SparseAliasStore {
 
     /// Bytes of heap the store holds: 16 per bin.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Bin>() * self.bins.capacity()
+        std::mem::size_of::<AliasBin>() * self.bins.capacity()
     }
 
     /// [`SparseAliasTable::sample_bin`] on absolute bin `bin`: one coin
@@ -547,17 +571,25 @@ mod tests {
     #[test]
     fn rebuild_reuses_buffers_and_matches_fresh_builds() {
         // One reused table and one store hold every set; the store's bins
-        // of a set sit after those of the sets before it.
+        // of a set sit after those of the sets before it, and each set is
+        // built into its own range of the store's bins.
         let sets = weight_sets();
         let mut scratch = AliasBuildScratch::with_capacity(8);
         let mut reused = SparseAliasTable::with_capacity(8);
-        let mut store = SparseAliasStore::with_capacity(8);
         let mut offsets = vec![0];
+        offsets.extend(sets.iter().scan(0, |end, entries| {
+            *end += entries.len();
+            Some(*end)
+        }));
+        let mut store = SparseAliasStore::with_len(*offsets.last().unwrap());
+        let mut rest = store.bins_mut();
         for entries in &sets {
-            let total = store.push(entries.iter().copied(), &mut scratch);
-            offsets.push(store.len());
+            let (table, tail) = rest.split_at_mut(entries.len());
+            rest = tail;
+            let total = SparseAliasStore::fill(table, entries.iter().copied(), &mut scratch);
             assert_eq!(total.to_bits(), SparseAliasTable::new(entries).total_weight().to_bits());
         }
+        assert_eq!(store.len(), *offsets.last().unwrap());
         for (entries, range) in sets.iter().zip(offsets.windows(2)) {
             reused.rebuild(entries, &mut scratch);
             let fresh = SparseAliasTable::new(entries);

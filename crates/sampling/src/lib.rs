@@ -28,7 +28,7 @@ pub mod discrete;
 pub mod ftree;
 pub mod rng;
 
-pub use alias::{AliasBuildScratch, AliasTable, SparseAliasStore, SparseAliasTable};
+pub use alias::{AliasBin, AliasBuildScratch, AliasTable, SparseAliasStore, SparseAliasTable};
 pub use discrete::sample_unnormalized;
 pub use ftree::FTree;
 pub use rng::{index_from_word, new_rng, split_seed, Dice, Mixture};

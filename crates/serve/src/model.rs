@@ -28,17 +28,21 @@
 //!
 //! Models persist as [`MODEL_MAGIC`] (`WLDAMODL`) framed sections of the
 //! workspace codec — same container discipline as checkpoints (version,
-//! length, FNV-1a checksum), different magic, so a checkpoint can never be
-//! misread as a model. Alias bins and the `C_wk` index are derived data and
-//! are rebuilt deterministically at load time rather than persisted. A freeze
-//! or a load sizes every per-word structure once, from the offsets, so it
-//! allocates a fixed number of buffers whatever the vocabulary size.
+//! length, checksum), different magic, so a checkpoint can never be misread
+//! as a model. Alias bins and the `C_wk` index are derived data and are
+//! rebuilt deterministically at load time rather than persisted. A freeze
+//! or a load sizes every per-word structure once, from the offsets, on the
+//! calling thread, so it allocates a fixed number of buffers whatever the
+//! vocabulary size; the counting passes of a freeze and the assembly that a
+//! freeze and a load share then run over contiguous word ranges, one per
+//! core of the host, on scoped threads, each filling its own slices of those
+//! buffers. The model is the same bytes for any number of ranges.
 
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use warplda_corpus::io::codec::{
     read_framed_section, write_framed_section, CodecError, CodecResult, Decoder, Encoder,
@@ -50,7 +54,7 @@ use rand::rngs::SmallRng;
 
 use warplda_core::checkpoint::{read_model_params, write_model_params};
 use warplda_core::{ModelParams, Sampler};
-use warplda_sampling::{AliasBuildScratch, Mixture, SparseAliasStore};
+use warplda_sampling::{AliasBin, AliasBuildScratch, Mixture, SparseAliasStore};
 
 /// Payload tag distinguishing model payloads from any future section kinds.
 const MODEL_KIND: &str = "topic-model";
@@ -62,6 +66,321 @@ const EMPTY_SLOT: u64 = u64::MAX;
 /// of two `≥ min{K, 2·nnz}` (one for a word with no counts).
 fn index_slots(k: usize, nnz: usize) -> usize {
     k.min(2 * nnz).next_power_of_two()
+}
+
+/// Most threads a freeze or a load runs on. Each holds O(K) of counting
+/// scratch, and past a handful of cores the passes wait on memory rather
+/// than on arithmetic.
+const MAX_WORKERS: usize = 8;
+
+/// Word ranges per thread. The threads take ranges off one queue, so a
+/// thread that starts late (a spawn takes on the order of 100 µs) or draws
+/// costlier words (the pairs of a tail word cost more per token than a head
+/// word's) takes fewer of them.
+const RANGES_PER_WORKER: usize = 8;
+
+/// Threads a freeze or a load runs on: the host's cores, up to
+/// [`MAX_WORKERS`] — never a function of V or nnz, so the buffers a freeze
+/// allocates do not depend on the vocabulary. Asked once per process: the
+/// question reads the process's CPU quota from files.
+fn host_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_WORKERS))
+    })
+}
+
+/// `ranges + 1` word bounds that cut `words` words into `ranges` contiguous
+/// ranges of about equal mass, where `mass_before(w)` is the mass of the
+/// words before `w` (non-decreasing, `w ≤ words`): bound `i` is the first
+/// word whose preceding mass reaches `i/ranges` of the total. A word heavier
+/// than a share leaves a range empty.
+fn split_by_mass(words: usize, ranges: usize, mass_before: impl Fn(usize) -> u64) -> Vec<usize> {
+    let (total, ranges) = (mass_before(words), ranges.max(1) as u64);
+    let mut bounds: Vec<usize> = (0..ranges)
+        .map(|i| {
+            let (mut lo, mut hi) = (0, words);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if mass_before(mid) * ranges < total * i {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        })
+        .collect();
+    bounds.push(words);
+    bounds
+}
+
+/// The slices `buf[bounds[i]..bounds[i + 1]]`, in order; `bounds` is
+/// non-decreasing and starts at 0.
+fn split_mut<'a, T>(buf: &'a mut [T], bounds: &'a [usize]) -> impl Iterator<Item = &'a mut [T]> {
+    let mut rest = buf;
+    bounds.windows(2).map(move |r| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(r[1] - r[0]);
+        rest = tail;
+        head
+    })
+}
+
+/// Runs every job on the calling thread and `workers.len() − 1` scoped
+/// threads: each worker, with its own state, takes the next job off one
+/// queue until none is left. Which worker runs which job must not show in
+/// what the jobs write. A panic in a job resumes on the calling thread.
+fn on_workers<J: Send, W: Send>(jobs: Vec<J>, workers: &mut [W], work: impl Fn(&mut W, J) + Sync) {
+    let queue = Mutex::new(jobs.into_iter());
+    // The guard is dropped inside `next`, so no job runs holding the queue.
+    let next = || queue.lock().expect("no job panics holding the queue").next();
+    let drain = |state: &mut W| {
+        while let Some(job) = next() {
+            work(state, job);
+        }
+    };
+    let Some((first, others)) = workers.split_first_mut() else { return };
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = others.iter_mut().map(|state| scope.spawn(|| drain(state))).collect();
+        drain(first);
+        for handle in spawned {
+            handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        }
+    });
+}
+
+/// One thread's counting scratch in a freeze: the K-vector a word is
+/// counted into, the touched list and bitmap that order a word's topics,
+/// and the thread's per-topic sums.
+struct Counter {
+    counts: Vec<u32>,
+    touched: Vec<u32>,
+    bitmap: Vec<u64>,
+    topic_counts: Vec<u32>,
+}
+
+impl Counter {
+    fn new(k: usize) -> Self {
+        Self {
+            counts: vec![0; k],
+            touched: vec![0; k + 1],
+            bitmap: vec![0; k.div_ceil(64)],
+            topic_counts: vec![0; k],
+        }
+    }
+
+    /// Counts one word's topics into the K-vector, listing each topic the
+    /// first time it appears (branch-free: the slot past the list is always
+    /// written, and kept only for a new topic); returns how many it listed.
+    fn count(&mut self, topics: &[u32]) -> usize {
+        let mut n = 0;
+        for &t in topics {
+            let c = &mut self.counts[t as usize];
+            self.touched[n] = t;
+            n += usize::from(*c == 0);
+            *c += 1;
+        }
+        n
+    }
+
+    /// Writes the `n` listed topics and their counts to `topics` and
+    /// `counts` in ascending topic order — a short list sorted, a long one
+    /// read off a bitmap of the K topics — and clears them from the
+    /// K-vector.
+    fn drain(&mut self, n: usize, topics: &mut [u32], counts: &mut [u32]) {
+        let Self { counts: kvec, touched, bitmap, .. } = self;
+        let short = 64 * n < kvec.len();
+        let mut at = 0;
+        let mut take = |t: u32| {
+            (topics[at], counts[at]) = (t, std::mem::take(&mut kvec[t as usize]));
+            at += 1;
+        };
+        if short {
+            touched[..n].sort_unstable();
+            touched[..n].iter().for_each(|&t| take(t));
+        } else {
+            for &t in &touched[..n] {
+                bitmap[t as usize / 64] |= 1 << (t % 64);
+            }
+            for (base, bits) in (0u32..).step_by(64).zip(bitmap.iter_mut()) {
+                while *bits != 0 {
+                    take(base + bits.trailing_zeros());
+                    *bits &= *bits - 1;
+                }
+            }
+        }
+    }
+}
+
+/// A model's persisted columns: the global topic counts `c_k` and the CSR
+/// word→(topic, count) pairs, sorted by topic within each word.
+struct PairColumns {
+    topic_counts: Vec<u32>,
+    word_offsets: Vec<u32>,
+    pair_topics: Vec<u32>,
+    pair_counts: Vec<u32>,
+}
+
+impl PairColumns {
+    /// Counts word-major assignments (word `w`'s topics are
+    /// `z[col_offsets[w]..col_offsets[w + 1]]`) in one pass over `z`, whose
+    /// memory then holds each word's pairs until the pair columns are sized:
+    /// a word of `len` tokens and `nnz` topics writes its topics and then
+    /// its counts over its own tokens when `2·nnz ≤ len`; any other word is
+    /// counted again from its tokens, of which it has fewer than
+    /// `2·nnz ≤ 2K`, when its pairs are moved into the columns. Both stages
+    /// run over word ranges of about equal token mass on `workers` threads.
+    ///
+    /// # Panics
+    /// Panics if `col_offsets` is not non-decreasing offsets from 0 to
+    /// `z.len()`, or if a topic in `z` is not below `k`.
+    fn count(k: usize, col_offsets: &[u32], mut z: Vec<u32>, workers: usize) -> Self {
+        let num_words = col_offsets.len().checked_sub(1).expect("column offsets start at 0");
+        assert_eq!(col_offsets[0], 0, "column offsets start at 0");
+        assert_eq!(col_offsets[num_words] as usize, z.len(), "one topic per token required");
+        assert!(col_offsets.is_sorted(), "column offsets must not decrease");
+        let bounds =
+            split_by_mass(num_words, workers * RANGES_PER_WORKER, |w| u64::from(col_offsets[w]));
+        let token_bounds: Vec<usize> = bounds.iter().map(|&w| col_offsets[w] as usize).collect();
+        let mut counters: Vec<Counter> = (0..workers).map(|_| Counter::new(k)).collect();
+
+        // Count each word once, keeping its pairs where they fit and its
+        // number of topics, which the prefix sum turns into offsets.
+        let mut word_offsets = vec![0u32; col_offsets.len()];
+        let jobs = split_mut(&mut z, &token_bounds)
+            .zip(split_mut(&mut word_offsets[1..], &bounds))
+            .zip(bounds.windows(2));
+        on_workers(jobs.collect(), &mut counters, |counter, ((tokens, distinct), range)| {
+            let offsets = &col_offsets[range[0]..=range[1]];
+            for (r, out) in offsets.windows(2).zip(distinct) {
+                let word = &mut tokens[(r[0] - offsets[0]) as usize..(r[1] - offsets[0]) as usize];
+                let n = counter.count(word);
+                *out = n as u32;
+                let Counter { counts, touched, topic_counts, .. } = counter;
+                for &t in &touched[..n] {
+                    topic_counts[t as usize] += counts[t as usize];
+                }
+                if 2 * n <= word.len() {
+                    let (topics, counts) = word.split_at_mut(n);
+                    counter.drain(n, topics, &mut counts[..n]);
+                } else {
+                    touched[..n].iter().for_each(|&t| counts[t as usize] = 0);
+                }
+            }
+        });
+        for w in 1..word_offsets.len() {
+            word_offsets[w] += word_offsets[w - 1];
+        }
+
+        // Move each word's pairs into the sized columns.
+        let nnz = word_offsets[num_words] as usize;
+        let (mut pair_topics, mut pair_counts) = (vec![0u32; nnz], vec![0u32; nnz]);
+        let pair_bounds: Vec<usize> = bounds.iter().map(|&w| word_offsets[w] as usize).collect();
+        let jobs = split_mut(&mut pair_topics, &pair_bounds)
+            .zip(split_mut(&mut pair_counts, &pair_bounds))
+            .zip(bounds.windows(2));
+        on_workers(jobs.collect(), &mut counters, |counter, ((topics, counts), range)| {
+            let base = word_offsets[range[0]];
+            for w in range[0]..range[1] {
+                let pairs =
+                    (word_offsets[w] - base) as usize..(word_offsets[w + 1] - base) as usize;
+                let (topics, counts) = (&mut topics[pairs.clone()], &mut counts[pairs]);
+                let word = &z[col_offsets[w] as usize..col_offsets[w + 1] as usize];
+                let n = topics.len();
+                if 2 * n <= word.len() {
+                    topics.copy_from_slice(&word[..n]);
+                    counts.copy_from_slice(&word[n..2 * n]);
+                } else {
+                    counter.count(word);
+                    counter.drain(n, topics, counts);
+                }
+            }
+        });
+        let mut topic_counts = vec![0u32; k];
+        for counter in &counters {
+            for (sum, &c) in topic_counts.iter_mut().zip(&counter.topic_counts) {
+                *sum += c;
+            }
+        }
+        Self { topic_counts, word_offsets, pair_topics, pair_counts }
+    }
+}
+
+/// One thread's state in an assembly: its per-topic sums of the counts and
+/// its alias build scratch.
+struct Assembler {
+    from_pairs: Vec<u64>,
+    scratch: AliasBuildScratch,
+}
+
+/// One word range of an assembly: its words, the parts of the index, the
+/// term frequencies and the alias bins they own, and where its first error
+/// goes.
+struct WordRange<'a> {
+    words: std::ops::Range<usize>,
+    slots: &'a mut [u64],
+    totals: &'a mut [u32],
+    bins: &'a mut [AliasBin],
+    error: &'a mut Option<CodecError>,
+}
+
+impl WordRange<'_> {
+    /// Checks the range's pairs word by word, fills each word's `C_wk` index
+    /// slots, term frequency and alias bins, and adds the counts to the
+    /// per-topic sums; the error of the range's lowest bad word goes to
+    /// `error`.
+    fn build(self, cols: &PairColumns, index_offsets: &[usize], k: usize, asm: &mut Assembler) {
+        let Self { words, slots, totals, bins, error } = self;
+        let (slot_base, pair_base) = (index_offsets[words.start], cols.word_offsets[words.start]);
+        slots.fill(EMPTY_SLOT);
+        for (w, total_out) in words.zip(totals) {
+            let (start, end) = (cols.word_offsets[w] as usize, cols.word_offsets[w + 1] as usize);
+            let slots = &mut slots[index_offsets[w] - slot_base..index_offsets[w + 1] - slot_base];
+            let mask = slots.len() - 1;
+            let mut total = 0u64;
+            for i in start..end {
+                let (t, c) = (cols.pair_topics[i], cols.pair_counts[i]);
+                let bad = if t as usize >= k {
+                    Some(format!("word {w}: topic {t} out of range (K = {k})"))
+                } else if i > start && cols.pair_topics[i - 1] >= t {
+                    Some(format!("word {w}: topics not strictly ascending"))
+                } else if c == 0 {
+                    Some(format!(
+                        "word {w}: zero count for topic {t} (frozen models store only non-zeros)"
+                    ))
+                } else {
+                    None
+                };
+                if let Some(msg) = bad {
+                    *error = Some(CodecError::Corrupt(msg));
+                    return;
+                }
+                asm.from_pairs[t as usize] += c as u64;
+                total += c as u64;
+                // The topics so far are distinct and below K, so they number
+                // at most min{K, nnz} ≤ the slot count, and a free slot is
+                // left for each.
+                let mut slot = t as usize & mask;
+                while slots[slot] != EMPTY_SLOT {
+                    slot = (slot + 1) & mask;
+                }
+                slots[slot] = u64::from(t) << 32 | u64::from(c);
+            }
+            let Ok(total) = u32::try_from(total) else {
+                *error =
+                    Some(CodecError::Corrupt(format!("word {w}: term frequency overflows u32")));
+                return;
+            };
+            *total_out = total;
+            let pairs = cols.pair_topics[start..end].iter().zip(&cols.pair_counts[start..end]);
+            let table = &mut bins[start - pair_base as usize..end - pair_base as usize];
+            SparseAliasStore::fill(
+                table,
+                pairs.map(|(&t, &c)| (t, f64::from(c))),
+                &mut asm.scratch,
+            );
+        }
+    }
 }
 
 /// An immutable, read-optimized topic model frozen from a trained sampler.
@@ -100,14 +419,19 @@ pub struct TopicModel {
 impl TopicModel {
     /// Freezes word-major topic assignments into a serving model: word `w`'s
     /// topics are `z[col_offsets[w]..col_offsets[w + 1]]`, the form
-    /// [`Sampler::word_major_assignments`] returns. Two forward passes over
-    /// `z`: the first counts each word's distinct topics, which sizes the CSR
-    /// columns exactly; the second counts each word's contiguous slice into
-    /// one reused K-vector and appends its pairs. Besides the model the
-    /// freeze holds one word-major copy of z (4 B/token, the input) plus
-    /// O(K), and it allocates the same number of buffers whatever `V` is.
-    /// `vocab` enables raw-text queries; pass the training corpus
-    /// vocabulary (or the one embedded in a checkpoint).
+    /// [`Sampler::word_major_assignments`] returns. The freeze counts a copy
+    /// of `z` in one forward pass: each word's contiguous slice goes through
+    /// a reused K-vector, and its pairs are written over its own tokens,
+    /// which sizes the CSR columns exactly; a second stage moves them there
+    /// ([`freeze_sampler`](Self::freeze_sampler) counts the sampler's own
+    /// word-major copy instead). Both stages, and the assembly after them,
+    /// cut the words into contiguous ranges of about equal token (or pair)
+    /// mass, and one thread per core of the host takes ranges off a queue;
+    /// the result is the same bytes for any number of threads. Besides the
+    /// model the freeze holds the copy of z (4 B/token) plus O(threads·K)
+    /// of counting scratch, and it allocates the same number of buffers
+    /// whatever `V` is. `vocab` enables raw-text queries; pass the training
+    /// corpus vocabulary (or the one embedded in a checkpoint).
     ///
     /// # Panics
     /// Panics if `col_offsets` is not `V + 1` non-decreasing offsets from 0 to
@@ -120,87 +444,18 @@ impl TopicModel {
         z: &[u32],
         vocab: Option<&Vocabulary>,
     ) -> Self {
-        let num_words = col_offsets.len().checked_sub(1).expect("column offsets start at 0");
-        assert_eq!(col_offsets[0], 0, "column offsets start at 0");
-        assert_eq!(col_offsets[num_words] as usize, z.len(), "one topic per token required");
-        if let Some(v) = vocab {
-            assert_eq!(v.len(), num_words, "vocabulary size does not match the model's word count");
-        }
-        let k = params.num_topics;
-        let words = || col_offsets.windows(2).map(|r| &z[r[0] as usize..r[1] as usize]);
-        // First pass: each word's distinct topics, so the pair columns are
-        // sized once. `last[t]` is the last word seen with topic `t`.
-        let mut last = vec![u32::MAX; k];
-        let mut word_offsets = Vec::with_capacity(num_words + 1);
-        word_offsets.push(0u32);
-        let mut nnz = 0u32;
-        for (w, topics) in (0u32..).zip(words()) {
-            for &t in topics {
-                let seen = &mut last[t as usize];
-                nnz += u32::from(*seen != w);
-                *seen = w;
-            }
-            word_offsets.push(nnz);
-        }
-        // Second pass: count each word into a plain K-vector, listing each
-        // topic the first time it appears (branch-free: the slot past the
-        // list is always written, and kept only for a new topic), and append
-        // the pairs in ascending topic order — a short list sorted, a long
-        // one read off a bitmap of the K topics.
-        let mut counts = last;
-        counts.fill(0);
-        let mut touched = vec![0u32; k + 1];
-        let mut bitmap = vec![0u64; k.div_ceil(64)];
-        let mut topic_counts = vec![0u32; k];
-        let mut pair_topics = Vec::with_capacity(nnz as usize);
-        let mut pair_counts = Vec::with_capacity(nnz as usize);
-        for topics in words() {
-            let mut n = 0;
-            for &t in topics {
-                let c = &mut counts[t as usize];
-                touched[n] = t;
-                n += usize::from(*c == 0);
-                *c += 1;
-            }
-            let mut append = |t: u32| {
-                let c = std::mem::take(&mut counts[t as usize]);
-                pair_topics.push(t);
-                pair_counts.push(c);
-                topic_counts[t as usize] += c;
-            };
-            if 64 * n < k {
-                touched[..n].sort_unstable();
-                touched[..n].iter().for_each(|&t| append(t));
-            } else {
-                for &t in &touched[..n] {
-                    bitmap[t as usize / 64] |= 1 << (t % 64);
-                }
-                for (base, bits) in (0u32..).step_by(64).zip(&mut bitmap) {
-                    while *bits != 0 {
-                        append(base + bits.trailing_zeros());
-                        *bits &= *bits - 1;
-                    }
-                }
-            }
-        }
-        Self::from_parts(
-            params,
-            topic_counts,
-            word_offsets,
-            pair_topics,
-            pair_counts,
-            vocab.cloned(),
-        )
-        .expect("counted assignments freeze cleanly")
+        Self::freeze_in(params, col_offsets, z.to_vec(), vocab.cloned(), host_workers())
     }
 
     /// Freezes the current state of any live [`Sampler`] trained on `corpus`:
-    /// its [`word_major_assignments`](Sampler::word_major_assignments) through
-    /// [`from_assignments`](Self::from_assignments), with the corpus
-    /// vocabulary embedded. Besides the model the freeze holds one word-major
-    /// copy of z (4 B/token) plus O(K); WarpLDA fills that copy in one
-    /// forward pass over its records. Also the path for checkpoints: load
-    /// the checkpoint into a sampler over its corpus, then freeze the
+    /// its [`word_major_assignments`](Sampler::word_major_assignments) as
+    /// [`from_assignments`](Self::from_assignments) freezes them, with the
+    /// corpus vocabulary embedded, counting the sampler's word-major copy of
+    /// z itself (WarpLDA fills it in one forward pass over its records).
+    /// Besides the model the freeze holds that copy (4 B/token) plus
+    /// O(threads·K), and the copy is dropped once counted, before the
+    /// model's index and bins are allocated. Also the path for checkpoints:
+    /// load the checkpoint into a sampler over its corpus, then freeze the
     /// sampler.
     ///
     /// # Panics
@@ -217,13 +472,35 @@ impl TopicModel {
             "the sampler is not a sampler of the corpus: (V, T) = {sampler_shape:?}, the \
              corpus's {corpus_shape:?}"
         );
-        Self::from_assignments(*sampler.params(), &col_offsets, &z, Some(corpus.vocab()))
+        let vocab = Some(corpus.vocab().clone());
+        Self::freeze_in(*sampler.params(), &col_offsets, z, vocab, host_workers())
+    }
+
+    /// The freeze of [`from_assignments`](Self::from_assignments) on
+    /// `workers` threads, counting `z` itself.
+    fn freeze_in(
+        params: ModelParams,
+        col_offsets: &[u32],
+        z: Vec<u32>,
+        vocab: Option<Vocabulary>,
+        workers: usize,
+    ) -> Self {
+        let columns = PairColumns::count(params.num_topics, col_offsets, z, workers);
+        if let Some(v) = &vocab {
+            assert_eq!(
+                v.len() + 1,
+                col_offsets.len(),
+                "vocabulary size does not match the model's word count"
+            );
+        }
+        Self::from_columns(params, columns, vocab, workers)
+            .expect("counted assignments freeze cleanly")
     }
 
     /// Assembles (and fully validates) a model from its raw columns, and
-    /// derives its alias bins and `C_wk` index — the shared back end of
-    /// [`from_assignments`](Self::from_assignments) and the codec reader.
-    /// Every buffer is sized once, from the offsets.
+    /// derives its alias bins and `C_wk` index — the back end of the codec
+    /// reader, through [`from_columns`](Self::from_columns) over the host's
+    /// cores.
     fn from_parts(
         params: ModelParams,
         topic_counts: Vec<u32>,
@@ -232,7 +509,26 @@ impl TopicModel {
         pair_counts: Vec<u32>,
         vocab: Option<Vocabulary>,
     ) -> CodecResult<Self> {
+        let columns = PairColumns { topic_counts, word_offsets, pair_topics, pair_counts };
+        Self::from_columns(params, columns, vocab, host_workers())
+    }
+
+    /// Assembles (and fully validates) a model from its raw columns, and
+    /// derives its alias bins and `C_wk` index — the shared back end of a
+    /// freeze and a load. Every buffer is sized once, from the offsets, on
+    /// the calling thread; the words are then checked and their index
+    /// slots, term frequencies and bins filled in contiguous ranges of about
+    /// equal pair mass, which `workers` threads take off a queue. A corrupt
+    /// model is refused with the error of its lowest bad word, whatever the
+    /// number of threads.
+    fn from_columns(
+        params: ModelParams,
+        columns: PairColumns,
+        vocab: Option<Vocabulary>,
+        workers: usize,
+    ) -> CodecResult<Self> {
         let k = params.num_topics;
+        let PairColumns { topic_counts, word_offsets, pair_topics, pair_counts } = &columns;
         if topic_counts.len() != k {
             return Err(CodecError::Corrupt(format!(
                 "model has {} topic counts but K = {k}",
@@ -274,62 +570,58 @@ impl TopicModel {
             widest = widest.max(nnz);
             index_offsets.push(index_offsets[w] + index_slots(k, nnz));
         }
-        let mut index = vec![EMPTY_SLOT; index_offsets[num_words]];
-        let mut from_pairs = vec![0u64; k];
-        let mut word_totals = Vec::with_capacity(num_words);
-        let mut alias = SparseAliasStore::with_capacity(pair_topics.len());
-        let mut scratch = AliasBuildScratch::with_capacity(widest);
-        for w in 0..num_words {
-            let (start, end) = (word_offsets[w] as usize, word_offsets[w + 1] as usize);
-            let slots = &mut index[index_offsets[w]..index_offsets[w + 1]];
-            let mask = slots.len() - 1;
-            let mut total = 0u64;
-            for i in start..end {
-                let (t, c) = (pair_topics[i], pair_counts[i]);
-                if t as usize >= k {
-                    return Err(CodecError::Corrupt(format!(
-                        "word {w}: topic {t} out of range (K = {k})"
-                    )));
-                }
-                if i > start && pair_topics[i - 1] >= t {
-                    return Err(CodecError::Corrupt(format!(
-                        "word {w}: topics not strictly ascending"
-                    )));
-                }
-                if c == 0 {
-                    return Err(CodecError::Corrupt(format!(
-                        "word {w}: zero count for topic {t} (frozen models store only non-zeros)"
-                    )));
-                }
-                from_pairs[t as usize] += c as u64;
-                total += c as u64;
-                // The topics so far are distinct and below K, so they number
-                // at most min{K, nnz} ≤ the slot count, and a free slot is
-                // left for each.
-                let mut slot = t as usize & mask;
-                while slots[slot] != EMPTY_SLOT {
-                    slot = (slot + 1) & mask;
-                }
-                slots[slot] = u64::from(t) << 32 | u64::from(c);
-            }
-            word_totals.push(u32::try_from(total).map_err(|_| {
-                CodecError::Corrupt(format!("word {w}: term frequency overflows u32"))
-            })?);
-            let pairs = pair_topics[start..end].iter().zip(&pair_counts[start..end]);
-            alias.push(pairs.map(|(&t, &c)| (t, f64::from(c))), &mut scratch);
+        // The index is zeroed here and filled by the threads, so its pages
+        // are first written where its slots are.
+        let mut index = vec![0u64; index_offsets[num_words]];
+        let mut word_totals = vec![0u32; num_words];
+        let mut alias = SparseAliasStore::with_len(pair_topics.len());
+        let bounds =
+            split_by_mass(num_words, workers * RANGES_PER_WORKER, |w| u64::from(word_offsets[w]));
+        let mut errors: Vec<Option<CodecError>> = bounds[1..].iter().map(|_| None).collect();
+        let slot_bounds: Vec<usize> = bounds.iter().map(|&w| index_offsets[w]).collect();
+        let pair_bounds: Vec<usize> = bounds.iter().map(|&w| word_offsets[w] as usize).collect();
+        let jobs = split_mut(&mut index, &slot_bounds)
+            .zip(split_mut(&mut word_totals, &bounds))
+            .zip(split_mut(alias.bins_mut(), &pair_bounds))
+            .zip(bounds.windows(2).zip(&mut errors))
+            .map(|(((slots, totals), bins), (range, error))| WordRange {
+                words: range[0]..range[1],
+                slots,
+                totals,
+                bins,
+                error,
+            });
+        let mut assemblers: Vec<Assembler> = (0..workers)
+            .map(|_| Assembler {
+                from_pairs: vec![0; k],
+                scratch: AliasBuildScratch::with_capacity(widest),
+            })
+            .collect();
+        on_workers(jobs.collect(), &mut assemblers, |asm, range| {
+            range.build(&columns, &index_offsets, k, asm)
+        });
+        // The ranges are in word order, so the first error is the lowest
+        // bad word's, as a serial pass would have stopped at it.
+        if let Some(error) = errors.into_iter().flatten().next() {
+            return Err(error);
         }
-        for (t, (&have, &want)) in from_pairs.iter().zip(&topic_counts).enumerate() {
+        let mut from_pairs = vec![0u64; k];
+        for asm in &assemblers {
+            for (sum, &c) in from_pairs.iter_mut().zip(&asm.from_pairs) {
+                *sum += c;
+            }
+        }
+        for (t, (&have, &want)) in from_pairs.iter().zip(topic_counts).enumerate() {
             if have != want as u64 {
                 return Err(CodecError::Corrupt(format!(
                     "topic {t}: word counts sum to {have} but c_k says {want}"
                 )));
             }
         }
-        let num_train_tokens = topic_counts.iter().map(|&c| c as u64).sum();
-        let beta_bar = params.beta_bar(num_words);
+        let PairColumns { topic_counts, word_offsets, pair_topics, pair_counts } = columns;
         Ok(Self {
             params,
-            num_train_tokens,
+            num_train_tokens: topic_counts.iter().map(|&c| c as u64).sum(),
             topic_counts,
             word_offsets,
             pair_topics,
@@ -338,7 +630,7 @@ impl TopicModel {
             alias,
             index_offsets,
             index,
-            beta_bar,
+            beta_bar: params.beta_bar(num_words),
             vocab,
         })
     }
@@ -470,7 +762,13 @@ impl TopicModel {
 
     /// Serializes the model as one `WLDAMODL` framed section.
     pub fn write(&self, w: &mut dyn Write) -> CodecResult<()> {
-        let mut payload = Vec::new();
+        // Sized once: the kind, the parameters, four length-prefixed
+        // columns, the vocabulary flag and the length-prefixed words.
+        let words = self.vocab.as_ref().map_or(0, |v| v.iter().map(|(_, w)| 8 + w.len()).sum());
+        let columns =
+            self.topic_counts.len() + self.word_offsets.len() + 2 * self.pair_topics.len();
+        let mut payload =
+            Vec::with_capacity(8 + MODEL_KIND.len() + 24 + 4 * (8 + columns) + 9 + words);
         {
             let mut enc = Encoder::new(&mut payload);
             enc.write_str(MODEL_KIND)?;
@@ -513,6 +811,8 @@ impl TopicModel {
         } else {
             None
         };
+        // Everything is copied out: the payload's memory can take the index.
+        drop(payload);
         Self::from_parts(params, topic_counts, word_offsets, pair_topics, pair_counts, vocab)
     }
 
@@ -920,6 +1220,152 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
+    }
+
+    /// The model [`TopicModel::from_columns`] assembles from `model`'s
+    /// columns on `workers` threads: what a load on `workers` cores builds
+    /// from `model`'s file.
+    fn reassembled(model: &TopicModel, workers: usize) -> CodecResult<TopicModel> {
+        let columns = PairColumns {
+            topic_counts: model.topic_counts.clone(),
+            word_offsets: model.word_offsets.clone(),
+            pair_topics: model.pair_topics.clone(),
+            pair_counts: model.pair_counts.clone(),
+        };
+        TopicModel::from_columns(model.params, columns, model.vocab.clone(), workers)
+    }
+
+    /// `model` and `reference` write the same `WLDAMODL` bytes, hold the
+    /// same heap, and derived the same index, term frequencies and bins.
+    fn assert_same_model(model: &TopicModel, reference: &TopicModel, what: &str) {
+        let bytes = |m: &TopicModel| {
+            let mut out = Vec::new();
+            m.write(&mut out).unwrap();
+            out
+        };
+        assert!(bytes(model) == bytes(reference), "{what}: saved bytes differ");
+        assert_eq!(model.heap_bytes(), reference.heap_bytes(), "{what}");
+        assert_eq!(model.index_offsets, reference.index_offsets, "{what}");
+        assert!(model.index == reference.index, "{what}: C_wk index differs");
+        assert_eq!(model.word_totals, reference.word_totals, "{what}");
+        assert!(model.alias == reference.alias, "{what}: alias bins differ");
+    }
+
+    /// Freezes `(col_offsets, z)` on one, two and three threads, and loads
+    /// the model on one, two and three: every model is the one-thread
+    /// freeze, byte for byte.
+    fn assert_the_split_changes_nothing(k: usize, col_offsets: &[u32], z: &[u32], what: &str) {
+        let params = ModelParams::paper_defaults(k);
+        let freeze =
+            |workers| TopicModel::freeze_in(params, col_offsets, z.to_vec(), None, workers);
+        let reference = freeze(1);
+        for workers in [1, 2, 3] {
+            assert_same_model(
+                &freeze(workers),
+                &reference,
+                &format!("{what}: frozen on {workers}"),
+            );
+            let loaded = reassembled(&reference, workers).unwrap();
+            assert_same_model(&loaded, &reference, &format!("{what}: loaded on {workers}"));
+        }
+    }
+
+    /// Word-major assignments of words with `lens[w]` tokens each, topics
+    /// below `k` from a fixed stream.
+    fn assignments_of(lens: &[u32], k: usize) -> (Vec<u32>, Vec<u32>) {
+        let mut col_offsets = vec![0u32];
+        col_offsets.extend(lens.iter().scan(0, |end, &len| {
+            *end += len;
+            Some(*end)
+        }));
+        let mut x = 0x2545_f491u32;
+        let z = (0..*col_offsets.last().unwrap())
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x % k as u32
+            })
+            .collect();
+        (col_offsets, z)
+    }
+
+    #[test]
+    fn the_split_changes_no_byte_of_the_model() {
+        // Sampled state at one-, two- and four-byte record widths.
+        let corpus = warplda_corpus::DatasetPreset::Tiny.generate_scaled(8);
+        for k in [6usize, 300, 65_537] {
+            let params = ModelParams::paper_defaults(k);
+            let mut sampler = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(2), 5);
+            sampler.run_iteration();
+            let (col_offsets, z) = sampler.word_major_assignments(&corpus);
+            assert_the_split_changes_nothing(k, &col_offsets, &z, &format!("K = {k}"));
+        }
+
+        // Every other word is empty, so every cut between two ranges that
+        // is not at the end lands on an empty word, whatever the mass a
+        // stage splits by.
+        let lens: Vec<u32> = (0..200).map(|w| if w % 2 == 1 { 0 } else { 1 + w % 7 * 9 }).collect();
+        let (col_offsets, z) = assignments_of(&lens, 300);
+        for ranges in [2, 3, 16, 24] {
+            let bounds = split_by_mass(lens.len(), ranges, |w| u64::from(col_offsets[w]));
+            assert!(bounds[1..ranges].iter().all(|&b| lens[b] == 0), "{bounds:?}");
+        }
+        assert_the_split_changes_nothing(300, &col_offsets, &z, "cuts on empty words");
+
+        // One word holds most tokens: two ranges are cut right after it, of
+        // three the middle one is empty, and of more most are.
+        let lens = [3, 1, 2, 5_000, 4, 1, 3];
+        let (col_offsets, z) = assignments_of(&lens, 300);
+        let token_mass = |w| u64::from(col_offsets[w]);
+        assert_eq!(split_by_mass(lens.len(), 2, token_mass), [0, 4, 7]);
+        assert_eq!(split_by_mass(lens.len(), 3, token_mass), [0, 4, 4, 7]);
+        assert_the_split_changes_nothing(300, &col_offsets, &z, "a cut beside a huge word");
+    }
+
+    #[test]
+    fn a_corrupt_model_names_its_lowest_bad_word_whatever_the_split() {
+        let corpus = warplda_corpus::DatasetPreset::Tiny.generate_scaled(8);
+        let params = ModelParams::paper_defaults(300);
+        let mut sampler = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(2), 5);
+        sampler.run_iteration();
+        let model = TopicModel::freeze_sampler(&sampler, &corpus);
+        let v = model.num_words();
+        let offsets = &model.word_offsets;
+        // The first word with pairs at or after `w`.
+        let with_pairs = |w: usize| (w..v).find(|&w| offsets[w] < offsets[w + 1]).unwrap();
+        // The ranges a load on three threads cuts.
+        let bounds = split_by_mass(v, 3 * RANGES_PER_WORKER, |w| u64::from(offsets[w]));
+        let last = bounds[bounds.len() - 2];
+        let (first_in_last, middle, later) =
+            (with_pairs(last), with_pairs(bounds[bounds.len() / 2]), with_pairs(last + 1));
+        assert!(middle < bounds[bounds.len() / 2 + 1] && last + 1 < v, "{bounds:?}");
+        // Damage `model`'s copy: a zero count, or a topic past K, in word `w`.
+        let damaged = |zero_counts: &[usize], topics_past_k: &[usize]| {
+            let mut bad = reassembled(&model, 1).unwrap();
+            for &w in zero_counts {
+                bad.pair_counts[bad.word_offsets[w] as usize] = 0;
+            }
+            for &w in topics_past_k {
+                bad.pair_topics[bad.word_offsets[w + 1] as usize - 1] = 301;
+            }
+            bad
+        };
+        let cases = [
+            ("the first bad word in the last range", damaged(&[first_in_last], &[]), first_in_last),
+            ("bad words in two ranges", damaged(&[later], &[middle]), middle),
+        ];
+        for (what, bad, lowest) in cases {
+            let serial = reassembled(&bad, 1).unwrap_err().to_string();
+            assert!(
+                serial.starts_with(&format!("corrupt checkpoint payload: word {lowest}:")),
+                "{what}: {serial}"
+            );
+            for workers in [2, 3] {
+                let err = reassembled(&bad, workers).unwrap_err().to_string();
+                assert_eq!(err, serial, "{what}, {workers} threads");
+            }
+        }
     }
 
     #[test]

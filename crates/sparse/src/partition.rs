@@ -22,7 +22,7 @@
 //! out contiguous index ranges of about equal token mass on demand, so
 //! whichever worker drains its share first simply claims the next chunk.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -110,13 +110,22 @@ pub fn partition_by_size(
 /// memory access within a claim) and amortize the atomic increment. The
 /// indices are entities of very unequal size, so chunks are cut at about
 /// equal *mass* ([`by_mass`](Self::by_mass)), not at an equal number of
-/// indices.
+/// indices. Even workers claim from the front of the range and odd workers
+/// from the back, so two workers claim neighbouring chunks only where the
+/// two ends meet: the records on either side of a chunk boundary share a
+/// cache line, and a line that two cores write in turn moves between them
+/// on every write.
 #[derive(Debug)]
 pub struct ChunkCursor {
-    next: AtomicUsize,
+    /// Chunks claimed from the front (low 32 bits) and from the back (high
+    /// 32 bits), in one word so that a claim reads both ends at once.
+    claimed: AtomicU64,
     /// Chunk `i` is `bounds[i]..bounds[i + 1]`.
     bounds: Vec<usize>,
 }
+
+/// One chunk claimed from the back, in [`ChunkCursor::claimed`].
+const BACK: u64 = 1 << 32;
 
 impl ChunkCursor {
     /// A cursor over the entities `0..offsets.len() - 1`, entity `i` weighing
@@ -128,9 +137,12 @@ impl ChunkCursor {
     /// first chunk and cap a phase's speed-up below 2 on any thread count.
     ///
     /// # Panics
-    /// Panics if `offsets` is empty.
+    /// Panics if `offsets` is empty, or if it holds 2³¹ entities or more.
     pub fn by_mass(offsets: &[u32], num_workers: usize) -> Self {
         let len = offsets.len().checked_sub(1).expect("prefix sums start with a zero");
+        // Claims past the end keep counting, so each end's count stays well
+        // clear of the other's bits.
+        assert!(len < (BACK / 2) as usize, "a cursor counts its chunks in 31 bits");
         let total = (offsets[len] - offsets[0]) as usize;
         let cap = total.div_ceil(num_workers.max(1) * 32).max(1);
         let mut bounds = vec![0];
@@ -145,19 +157,29 @@ impl ChunkCursor {
         if len > 0 {
             bounds.push(len);
         }
-        Self { next: AtomicUsize::new(0), bounds }
+        Self { claimed: AtomicU64::new(0), bounds }
     }
 
-    /// Claims the next chunk; `None` once the range is exhausted.
-    pub fn claim(&self) -> Option<std::ops::Range<usize>> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i + 1 < self.bounds.len()).then(|| self.bounds[i]..self.bounds[i + 1])
+    /// Claims the next chunk for worker `worker`: the first unclaimed chunk
+    /// for an even worker, the last for an odd one; `None` once every chunk
+    /// is claimed. Both ends advance in one atomic add, so a claim sees how
+    /// many chunks the other end took and no chunk is handed out twice.
+    pub fn claim(&self, worker: usize) -> Option<std::ops::Range<usize>> {
+        let from_back = worker % 2 == 1;
+        let before = self.claimed.fetch_add(if from_back { BACK } else { 1 }, Ordering::Relaxed);
+        let (front, back) = ((before % BACK) as usize, (before / BACK) as usize);
+        let chunks = self.bounds.len().saturating_sub(1);
+        if front + back >= chunks {
+            return None;
+        }
+        let i = if from_back { chunks - 1 - back } else { front };
+        Some(self.bounds[i]..self.bounds[i + 1])
     }
 
     /// Rewinds the cursor so the range can be drained again (requires
     /// exclusive access, i.e. all workers of the previous drain are done).
     pub fn reset(&mut self) {
-        *self.next.get_mut() = 0;
+        *self.claimed.get_mut() = 0;
     }
 }
 
@@ -303,16 +325,17 @@ mod tests {
         let mut cursor = ChunkCursor::by_mass(&offsets, 2);
         let mut seen = vec![0u32; 103];
         let mut first = None;
-        while let Some(chunk) = cursor.claim() {
+        while let Some(chunk) = cursor.claim(0) {
             first.get_or_insert(chunk.clone());
             for i in chunk {
                 seen[i] += 1;
             }
         }
         assert!(seen.iter().all(|&c| c == 1));
-        assert!(cursor.claim().is_none(), "exhausted cursors stay exhausted");
+        assert!(cursor.claim(0).is_none(), "exhausted cursors stay exhausted");
+        assert!(cursor.claim(1).is_none(), "exhausted cursors stay exhausted");
         cursor.reset();
-        assert_eq!(cursor.claim(), first);
+        assert_eq!(cursor.claim(0), first);
     }
 
     #[test]
@@ -322,9 +345,10 @@ mod tests {
         let counts: Vec<std::sync::atomic::AtomicU32> =
             (0..10_000).map(|_| std::sync::atomic::AtomicU32::new(0)).collect();
         std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    while let Some(chunk) = cursor.claim() {
+            for worker in 0..4 {
+                let (cursor, counts) = (&cursor, &counts);
+                scope.spawn(move || {
+                    while let Some(chunk) = cursor.claim(worker) {
                         for i in chunk {
                             counts[i].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         }
@@ -335,9 +359,34 @@ mod tests {
         assert!(counts.iter().all(|c| c.load(std::sync::atomic::Ordering::Relaxed) == 1));
     }
 
+    #[test]
+    fn even_workers_claim_from_the_front_and_odd_ones_from_the_back() {
+        let offsets = offsets_of(&zipf_sizes(500, 1.0, 50_000));
+        let mut cursor = ChunkCursor::by_mass(&offsets, 2);
+        let chunks = chunks_of(&cursor);
+        cursor.reset();
+        // Worker 1 takes the chunks from the back, worker 2 (even) from the
+        // front, in any interleaving, until the two ends meet.
+        let (mut front, mut back) = (Vec::new(), Vec::new());
+        for round in 0.. {
+            let worker = if round % 3 == 0 { 2 } else { 1 };
+            let Some(chunk) = cursor.claim(worker) else { break };
+            if worker == 1 {
+                back.push(chunk)
+            } else {
+                front.push(chunk)
+            }
+        }
+        assert!(cursor.claim(2).is_none() && cursor.claim(3).is_none());
+        assert_eq!(front, chunks[..front.len()]);
+        back.reverse();
+        assert_eq!(back, chunks[front.len()..]);
+        assert!(!front.is_empty() && !back.is_empty());
+    }
+
     /// Drains `cursor`, returning its chunks in claim order.
     fn chunks_of(cursor: &ChunkCursor) -> Vec<std::ops::Range<usize>> {
-        std::iter::from_fn(|| cursor.claim()).collect()
+        std::iter::from_fn(|| cursor.claim(0)).collect()
     }
 
     #[test]
@@ -365,15 +414,16 @@ mod tests {
                 let cap = total.div_ceil(32 * workers as u64);
                 assert!(mass(c) <= cap || c.len() == 1, "{c:?} is over the cap and not alone");
             }
-            assert!(cursor.claim().is_none(), "exhausted cursors stay exhausted");
+            assert!(cursor.claim(0).is_none(), "exhausted cursors stay exhausted");
             cursor.reset();
-            assert_eq!(cursor.claim(), Some(chunks[0].clone()));
+            assert_eq!(cursor.claim(0), Some(chunks[0].clone()));
         }
     }
 
     #[test]
     fn mass_chunks_edge_cases() {
-        assert!(ChunkCursor::by_mass(&[0], 4).claim().is_none());
+        assert!(ChunkCursor::by_mass(&[0], 4).claim(0).is_none());
+        assert!(ChunkCursor::by_mass(&[0], 4).claim(1).is_none());
         // All-empty entities are one chunk; a lone giant is its own.
         assert_eq!(chunks_of(&ChunkCursor::by_mass(&[0, 0, 0, 0], 2)), vec![0..3]);
         assert_eq!(

@@ -127,11 +127,13 @@ fn steady_state_iterations_do_not_allocate() {
     // bounded at 64 B per word plus topic. Per word it is the embedded
     // vocabulary's clone: the word's bytes in one shared string, an 8-byte
     // end offset and two to four 8-byte id-table slots, at most 44 B for
-    // these synthetic words of up to four bytes. Per topic it is the
-    // counting scratch: the count vector, the touched list and the bitmap
-    // (about 8 B), the per-topic sums checked at assembly (8 B), and the
-    // alias build scratch of the widest word (up to 16 B). On this corpus
-    // (T/V ≈ 80) the rest is 29 B per word plus topic. ---
+    // these synthetic words of up to four bytes. Per topic it is, for each
+    // thread the freeze runs on, the counting scratch: the count vector, the
+    // touched list and the bitmap (about 8 B) and the per-topic sums (4 B),
+    // dropped before the assembly; then each thread's per-topic sums checked
+    // at assembly (8 B) and the alias build scratch of the widest word (up
+    // to 16 B). On this corpus (T/V ≈ 80) the rest was 29 B per word plus
+    // topic on one thread. ---
     let corpus =
         LdaGenerator::new(SyntheticConfig { num_docs: 1_000, ..DatasetPreset::Tiny.config() })
             .generate();
