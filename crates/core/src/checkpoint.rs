@@ -152,11 +152,13 @@ pub fn read_checkpoint(
     let params = read_model_params(&mut dec)?;
     check_params_match(&params, sampler.params())?;
     sampler.read_state(&mut dec)?;
-    if dec.read_bool()? {
-        Ok(Some(warplda_corpus::io::codec::read_vocab(&mut dec)?))
+    let vocab = if dec.read_bool()? {
+        Some(warplda_corpus::io::codec::read_vocab(&mut dec)?)
     } else {
-        Ok(None)
-    }
+        None
+    };
+    dec.finish()?;
+    Ok(vocab)
 }
 
 /// Saves `sampler` (and optionally the vocabulary) to `path`, creating parent
@@ -225,6 +227,20 @@ mod tests {
         let mut buf = Vec::new();
         write_checkpoint(&a, None, &mut buf).unwrap();
         rejected(&buf, &mut WarpLda::new(&corpus, ModelParams::new(5, 0.5, 0.1), config, 1));
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let corpus = tiny();
+        let fresh = || WarpLda::new(&corpus, ModelParams::new(4, 0.5, 0.1), Default::default(), 1);
+        let mut buf = Vec::new();
+        write_checkpoint(&fresh(), Some(corpus.vocab()), &mut buf).unwrap();
+        // One byte past the vocabulary, re-framed under a valid checksum.
+        let mut payload = read_framed(&mut buf.as_slice()).unwrap();
+        payload.push(0);
+        let mut bad = Vec::new();
+        write_framed(&mut bad, &payload).unwrap();
+        rejected(&bad, &mut fresh());
     }
 
     #[test]

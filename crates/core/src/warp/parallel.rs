@@ -1,5 +1,5 @@
-//! Multi-threaded WarpLDA (Section 5.3.1): a thread pool over the visits of
-//! [`WarpLda`].
+//! Multi-threaded WarpLDA (Section 5.3.1): the visits of [`WarpLda`] on the
+//! calling thread plus `threads − 1` scoped threads per phase.
 //!
 //! WarpLDA parallelizes trivially because workers own disjoint documents
 //! (doc phase) or words (word phase) and the only shared state — the global
@@ -7,13 +7,14 @@
 //! boundary. This driver adds exactly one mechanic to the sampler's visits:
 //!
 //! * **Chunked work queue.** Workers pull contiguous column/row chunks from a
-//!   [`ChunkCursor`] instead of receiving a static partition, so the tail
-//!   imbalance a power-law head word leaves in any up-front split disappears:
-//!   whoever finishes early claims the next chunk, even workers from the
-//!   front of the range and odd ones from the back, so two workers write
-//!   neighbouring chunks (and the cache lines the chunks' boundary records
-//!   share) only where the two ends meet. Chunks are cut at about
-//!   equal *token* mass, once, from the matrix offsets
+//!   [`ChunkCursor`] instead of receiving a static partition, through
+//!   [`parallel_for`], the one parallel loop that the serving model's freeze
+//!   and load drain too. The tail imbalance a power-law head word leaves in
+//!   any up-front split disappears: whoever finishes early claims the next
+//!   chunk, even workers from the front of the range and odd ones from the
+//!   back, so two workers write neighbouring chunks (and the cache lines the
+//!   chunks' boundary records share) only where the two ends meet. Chunks
+//!   are cut at about equal *token* mass, once, from the matrix offsets
 //!   ([`ChunkCursor::by_mass`]) — cut by entity count, the first chunk of a
 //!   Zipf vocabulary holds more than half of all tokens and no thread count
 //!   runs the word phase faster than twice one thread. Every entity draws
@@ -31,15 +32,17 @@
 //!
 //! Worker scratch (the count vector, alias table, partial `c_k`) persists
 //! across iterations and is sized at construction for every row and column
-//! length of the corpus, so the scoped-thread spawns are the phases' only
-//! heap allocations — the same number every iteration, whichever worker
-//! claims which chunk.
+//! length of the corpus, so a phase's only heap allocations are the drain's
+//! own: the thread scope, `threads − 1` spawns (three allocations each),
+//! the list of their join handles and the chunks' job slots — 12 an
+//! iteration on two threads, the same number every iteration, whichever
+//! worker claims which chunk.
 
 use std::borrow::Cow;
 
 use warplda_cachesim::NoProbe;
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
-use warplda_sparse::{with_topic_type, ChunkCursor};
+use warplda_sparse::{parallel_for, with_topic_type, ChunkCursor};
 
 use crate::checkpoint::Checkpointable;
 use crate::params::ModelParams;
@@ -97,29 +100,20 @@ impl ParallelWarpLda {
         self.inner.topic_counts()
     }
 
-    /// One phase on the thread pool: every worker claims chunks of entities
-    /// until the queue is dry, then the partial `c_k` are merged and
-    /// installed.
+    /// One phase on the workers: each claims chunks of entities until the
+    /// cursor is dry, then the partial `c_k` are merged and installed.
     fn run_phase(&mut self, kind: PhaseKind) {
         let Self { inner, workers, cursors, .. } = self;
-        let cursor = &mut cursors[kind as usize];
-        cursor.reset();
-        let cursor = &*cursor;
         with_topic_type!(inner.record_width(), T => {
             let (phase, ..) = inner.phase::<T>(kind);
-            std::thread::scope(|scope| {
-                for (worker, WorkerScratch { partial_ck, scratch }) in workers.iter_mut().enumerate() {
-                    scope.spawn(move || {
-                        partial_ck.fill(0);
-                        while let Some(chunk) = cursor.claim(worker) {
-                            for id in chunk {
-                                // SAFETY: the cursor hands every entity to
-                                // exactly one worker, and `phase` holds the
-                                // sampler's exclusive borrow all scope long.
-                                unsafe { phase.visit(id as u32, partial_ck, scratch, &mut NoProbe) };
-                            }
-                        }
-                    });
+            let no_jobs = std::iter::repeat(());
+            parallel_for(&cursors[kind as usize], no_jobs, workers, |worker, chunk, ()| {
+                let WorkerScratch { partial_ck, scratch } = worker;
+                for id in chunk {
+                    // SAFETY: the cursor hands every entity to exactly one
+                    // worker, and `phase` holds the sampler's exclusive
+                    // borrow all drain long.
+                    unsafe { phase.visit(id as u32, partial_ck, scratch, &mut NoProbe) };
                 }
             });
         });
@@ -127,13 +121,14 @@ impl ParallelWarpLda {
     }
 }
 
-/// Replaces `ck` with the sum of the per-worker partial `c_k` vectors.
-/// Integer addition commutes, so the order of the workers cannot show.
-fn reduce_partials(ck: &mut [u32], workers: &[WorkerScratch]) {
+/// Replaces `ck` with the sum of the per-worker partial `c_k` vectors and
+/// zeroes them for the next phase. Integer addition commutes, so the order
+/// of the workers cannot show.
+fn reduce_partials(ck: &mut [u32], workers: &mut [WorkerScratch]) {
     ck.fill(0);
     for ws in workers {
-        for (dst, &src) in ck.iter_mut().zip(&ws.partial_ck) {
-            *dst += src;
+        for (dst, src) in ck.iter_mut().zip(&mut ws.partial_ck) {
+            *dst += std::mem::take(src);
         }
     }
 }

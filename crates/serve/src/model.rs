@@ -34,15 +34,16 @@
 //! or a load sizes every per-word structure once, from the offsets, on the
 //! calling thread, so it allocates a fixed number of buffers whatever the
 //! vocabulary size; the counting passes of a freeze and the assembly that a
-//! freeze and a load share then run over contiguous word ranges, one per
-//! core of the host, on scoped threads, each filling its own slices of those
-//! buffers. The model is the same bytes for any number of ranges.
+//! freeze and a load share then drain a [`ChunkCursor`] over the words
+//! ([`parallel_for`]): chunks of about equal mass, claimed on demand by one
+//! thread per core of the host, each filling its chunk's slices of those
+//! buffers. The model is the same bytes for any number of threads.
 
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use warplda_corpus::io::codec::{
     read_framed_section, write_framed_section, CodecError, CodecResult, Decoder, Encoder,
@@ -55,6 +56,7 @@ use rand::rngs::SmallRng;
 use warplda_core::checkpoint::{read_model_params, write_model_params};
 use warplda_core::{ModelParams, Sampler};
 use warplda_sampling::{AliasBin, AliasBuildScratch, Mixture, SparseAliasStore};
+use warplda_sparse::{parallel_for, ChunkCursor};
 
 /// Payload tag distinguishing model payloads from any future section kinds.
 const MODEL_KIND: &str = "topic-model";
@@ -73,12 +75,6 @@ fn index_slots(k: usize, nnz: usize) -> usize {
 /// than on arithmetic.
 const MAX_WORKERS: usize = 8;
 
-/// Word ranges per thread. The threads take ranges off one queue, so a
-/// thread that starts late (a spawn takes on the order of 100 µs) or draws
-/// costlier words (the pairs of a tail word cost more per token than a head
-/// word's) takes fewer of them.
-const RANGES_PER_WORKER: usize = 8;
-
 /// Threads a freeze or a load runs on: the host's cores, up to
 /// [`MAX_WORKERS`] — never a function of V or nnz, so the buffers a freeze
 /// allocates do not depend on the vocabulary. Asked once per process: the
@@ -88,65 +84,6 @@ fn host_workers() -> usize {
     *WORKERS.get_or_init(|| {
         std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_WORKERS))
     })
-}
-
-/// `ranges + 1` word bounds that cut `words` words into `ranges` contiguous
-/// ranges of about equal mass, where `mass_before(w)` is the mass of the
-/// words before `w` (non-decreasing, `w ≤ words`): bound `i` is the first
-/// word whose preceding mass reaches `i/ranges` of the total. A word heavier
-/// than a share leaves a range empty.
-fn split_by_mass(words: usize, ranges: usize, mass_before: impl Fn(usize) -> u64) -> Vec<usize> {
-    let (total, ranges) = (mass_before(words), ranges.max(1) as u64);
-    let mut bounds: Vec<usize> = (0..ranges)
-        .map(|i| {
-            let (mut lo, mut hi) = (0, words);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if mass_before(mid) * ranges < total * i {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo
-        })
-        .collect();
-    bounds.push(words);
-    bounds
-}
-
-/// The slices `buf[bounds[i]..bounds[i + 1]]`, in order; `bounds` is
-/// non-decreasing and starts at 0.
-fn split_mut<'a, T>(buf: &'a mut [T], bounds: &'a [usize]) -> impl Iterator<Item = &'a mut [T]> {
-    let mut rest = buf;
-    bounds.windows(2).map(move |r| {
-        let (head, tail) = std::mem::take(&mut rest).split_at_mut(r[1] - r[0]);
-        rest = tail;
-        head
-    })
-}
-
-/// Runs every job on the calling thread and `workers.len() − 1` scoped
-/// threads: each worker, with its own state, takes the next job off one
-/// queue until none is left. Which worker runs which job must not show in
-/// what the jobs write. A panic in a job resumes on the calling thread.
-fn on_workers<J: Send, W: Send>(jobs: Vec<J>, workers: &mut [W], work: impl Fn(&mut W, J) + Sync) {
-    let queue = Mutex::new(jobs.into_iter());
-    // The guard is dropped inside `next`, so no job runs holding the queue.
-    let next = || queue.lock().expect("no job panics holding the queue").next();
-    let drain = |state: &mut W| {
-        while let Some(job) = next() {
-            work(state, job);
-        }
-    };
-    let Some((first, others)) = workers.split_first_mut() else { return };
-    std::thread::scope(|scope| {
-        let spawned: Vec<_> = others.iter_mut().map(|state| scope.spawn(|| drain(state))).collect();
-        drain(first);
-        for handle in spawned {
-            handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        }
-    });
 }
 
 /// One thread's counting scratch in a freeze: the K-vector a word is
@@ -229,7 +166,7 @@ impl PairColumns {
     /// its counts over its own tokens when `2·nnz ≤ len`; any other word is
     /// counted again from its tokens, of which it has fewer than
     /// `2·nnz ≤ 2K`, when its pairs are moved into the columns. Both stages
-    /// run over word ranges of about equal token mass on `workers` threads.
+    /// drain chunks of words of about equal token mass on `workers` threads.
     ///
     /// # Panics
     /// Panics if `col_offsets` is not non-decreasing offsets from 0 to
@@ -239,19 +176,17 @@ impl PairColumns {
         assert_eq!(col_offsets[0], 0, "column offsets start at 0");
         assert_eq!(col_offsets[num_words] as usize, z.len(), "one topic per token required");
         assert!(col_offsets.is_sorted(), "column offsets must not decrease");
-        let bounds =
-            split_by_mass(num_words, workers * RANGES_PER_WORKER, |w| u64::from(col_offsets[w]));
-        let token_bounds: Vec<usize> = bounds.iter().map(|&w| col_offsets[w] as usize).collect();
+        let cursor = ChunkCursor::by_mass(col_offsets, workers);
         let mut counters: Vec<Counter> = (0..workers).map(|_| Counter::new(k)).collect();
 
         // Count each word once, keeping its pairs where they fit and its
         // number of topics, which the prefix sum turns into offsets.
         let mut word_offsets = vec![0u32; col_offsets.len()];
-        let jobs = split_mut(&mut z, &token_bounds)
-            .zip(split_mut(&mut word_offsets[1..], &bounds))
-            .zip(bounds.windows(2));
-        on_workers(jobs.collect(), &mut counters, |counter, ((tokens, distinct), range)| {
-            let offsets = &col_offsets[range[0]..=range[1]];
+        let jobs = cursor
+            .split_mut(&mut z, |w| col_offsets[w] as usize)
+            .zip(cursor.split_mut(&mut word_offsets[1..], |w| w));
+        parallel_for(&cursor, jobs, &mut counters, |counter, words, (tokens, distinct)| {
+            let offsets = &col_offsets[words.start..=words.end];
             for (r, out) in offsets.windows(2).zip(distinct) {
                 let word = &mut tokens[(r[0] - offsets[0]) as usize..(r[1] - offsets[0]) as usize];
                 let n = counter.count(word);
@@ -275,13 +210,13 @@ impl PairColumns {
         // Move each word's pairs into the sized columns.
         let nnz = word_offsets[num_words] as usize;
         let (mut pair_topics, mut pair_counts) = (vec![0u32; nnz], vec![0u32; nnz]);
-        let pair_bounds: Vec<usize> = bounds.iter().map(|&w| word_offsets[w] as usize).collect();
-        let jobs = split_mut(&mut pair_topics, &pair_bounds)
-            .zip(split_mut(&mut pair_counts, &pair_bounds))
-            .zip(bounds.windows(2));
-        on_workers(jobs.collect(), &mut counters, |counter, ((topics, counts), range)| {
-            let base = word_offsets[range[0]];
-            for w in range[0]..range[1] {
+        let pairs_at = |w: usize| word_offsets[w] as usize;
+        let jobs = cursor
+            .split_mut(&mut pair_topics, pairs_at)
+            .zip(cursor.split_mut(&mut pair_counts, pairs_at));
+        parallel_for(&cursor, jobs, &mut counters, |counter, words, (topics, counts)| {
+            let base = word_offsets[words.start];
+            for w in words {
                 let pairs =
                     (word_offsets[w] - base) as usize..(word_offsets[w + 1] - base) as usize;
                 let (topics, counts) = (&mut topics[pairs.clone()], &mut counts[pairs]);
@@ -313,24 +248,19 @@ struct Assembler {
     scratch: AliasBuildScratch,
 }
 
-/// One word range of an assembly: its words, the parts of the index, the
-/// term frequencies and the alias bins they own, and where its first error
-/// goes.
-struct WordRange<'a> {
-    words: std::ops::Range<usize>,
-    slots: &'a mut [u64],
-    totals: &'a mut [u32],
-    bins: &'a mut [AliasBin],
-    error: &'a mut Option<CodecError>,
-}
-
-impl WordRange<'_> {
-    /// Checks the range's pairs word by word, fills each word's `C_wk` index
-    /// slots, term frequency and alias bins, and adds the counts to the
-    /// per-topic sums; the error of the range's lowest bad word goes to
-    /// `error`.
-    fn build(self, cols: &PairColumns, index_offsets: &[usize], k: usize, asm: &mut Assembler) {
-        let Self { words, slots, totals, bins, error } = self;
+impl Assembler {
+    /// Checks the pairs of the chunk of `words` word by word, fills each
+    /// word's `C_wk` index slots, term frequency and alias bins (the chunk's
+    /// parts of those buffers), and adds the counts to the per-topic sums;
+    /// stops at the chunk's lowest bad word with its error.
+    fn build(
+        &mut self,
+        words: std::ops::Range<usize>,
+        ((slots, totals), bins): ((&mut [u64], &mut [u32]), &mut [AliasBin]),
+        cols: &PairColumns,
+        index_offsets: &[usize],
+        k: usize,
+    ) -> CodecResult<()> {
         let (slot_base, pair_base) = (index_offsets[words.start], cols.word_offsets[words.start]);
         slots.fill(EMPTY_SLOT);
         for (w, total_out) in words.zip(totals) {
@@ -352,10 +282,9 @@ impl WordRange<'_> {
                     None
                 };
                 if let Some(msg) = bad {
-                    *error = Some(CodecError::Corrupt(msg));
-                    return;
+                    return Err(CodecError::Corrupt(msg));
                 }
-                asm.from_pairs[t as usize] += c as u64;
+                self.from_pairs[t as usize] += c as u64;
                 total += c as u64;
                 // The topics so far are distinct and below K, so they number
                 // at most min{K, nnz} ≤ the slot count, and a free slot is
@@ -367,9 +296,7 @@ impl WordRange<'_> {
                 slots[slot] = u64::from(t) << 32 | u64::from(c);
             }
             let Ok(total) = u32::try_from(total) else {
-                *error =
-                    Some(CodecError::Corrupt(format!("word {w}: term frequency overflows u32")));
-                return;
+                return Err(CodecError::Corrupt(format!("word {w}: term frequency overflows u32")));
             };
             *total_out = total;
             let pairs = cols.pair_topics[start..end].iter().zip(&cols.pair_counts[start..end]);
@@ -377,9 +304,10 @@ impl WordRange<'_> {
             SparseAliasStore::fill(
                 table,
                 pairs.map(|(&t, &c)| (t, f64::from(c))),
-                &mut asm.scratch,
+                &mut self.scratch,
             );
         }
+        Ok(())
     }
 }
 
@@ -425,13 +353,14 @@ impl TopicModel {
     /// which sizes the CSR columns exactly; a second stage moves them there
     /// ([`freeze_sampler`](Self::freeze_sampler) counts the sampler's own
     /// word-major copy instead). Both stages, and the assembly after them,
-    /// cut the words into contiguous ranges of about equal token (or pair)
-    /// mass, and one thread per core of the host takes ranges off a queue;
-    /// the result is the same bytes for any number of threads. Besides the
-    /// model the freeze holds the copy of z (4 B/token) plus O(threads·K)
-    /// of counting scratch, and it allocates the same number of buffers
-    /// whatever `V` is. `vocab` enables raw-text queries; pass the training
-    /// corpus vocabulary (or the one embedded in a checkpoint).
+    /// cut the words into contiguous chunks of about equal token (or pair)
+    /// mass, which one thread per core of the host claims from a
+    /// [`ChunkCursor`]; the result is the same bytes for any number of
+    /// threads. Besides the model the freeze holds the copy of z
+    /// (4 B/token) plus O(threads·K) of counting scratch, and it allocates
+    /// the same number of buffers whatever `V` is. `vocab` enables raw-text
+    /// queries; pass the training corpus vocabulary (or the one embedded in
+    /// a checkpoint).
     ///
     /// # Panics
     /// Panics if `col_offsets` is not `V + 1` non-decreasing offsets from 0 to
@@ -517,10 +446,10 @@ impl TopicModel {
     /// derives its alias bins and `C_wk` index — the shared back end of a
     /// freeze and a load. Every buffer is sized once, from the offsets, on
     /// the calling thread; the words are then checked and their index
-    /// slots, term frequencies and bins filled in contiguous ranges of about
-    /// equal pair mass, which `workers` threads take off a queue. A corrupt
-    /// model is refused with the error of its lowest bad word, whatever the
-    /// number of threads.
+    /// slots, term frequencies and bins filled in contiguous chunks of about
+    /// equal pair mass, which `workers` threads claim from a
+    /// [`ChunkCursor`]. A corrupt model is refused with the error of its
+    /// lowest bad word, whatever the number of threads.
     fn from_columns(
         params: ModelParams,
         columns: PairColumns,
@@ -575,32 +504,24 @@ impl TopicModel {
         let mut index = vec![0u64; index_offsets[num_words]];
         let mut word_totals = vec![0u32; num_words];
         let mut alias = SparseAliasStore::with_len(pair_topics.len());
-        let bounds =
-            split_by_mass(num_words, workers * RANGES_PER_WORKER, |w| u64::from(word_offsets[w]));
-        let mut errors: Vec<Option<CodecError>> = bounds[1..].iter().map(|_| None).collect();
-        let slot_bounds: Vec<usize> = bounds.iter().map(|&w| index_offsets[w]).collect();
-        let pair_bounds: Vec<usize> = bounds.iter().map(|&w| word_offsets[w] as usize).collect();
-        let jobs = split_mut(&mut index, &slot_bounds)
-            .zip(split_mut(&mut word_totals, &bounds))
-            .zip(split_mut(alias.bins_mut(), &pair_bounds))
-            .zip(bounds.windows(2).zip(&mut errors))
-            .map(|(((slots, totals), bins), (range, error))| WordRange {
-                words: range[0]..range[1],
-                slots,
-                totals,
-                bins,
-                error,
-            });
+        let cursor = ChunkCursor::by_mass(word_offsets, workers);
+        let mut errors: Vec<Option<CodecError>> =
+            cursor.bounds()[1..].iter().map(|_| None).collect();
+        let jobs = cursor
+            .split_mut(&mut index, |w| index_offsets[w])
+            .zip(cursor.split_mut(&mut word_totals, |w| w))
+            .zip(cursor.split_mut(alias.bins_mut(), |w| word_offsets[w] as usize))
+            .zip(&mut errors);
         let mut assemblers: Vec<Assembler> = (0..workers)
             .map(|_| Assembler {
                 from_pairs: vec![0; k],
                 scratch: AliasBuildScratch::with_capacity(widest),
             })
             .collect();
-        on_workers(jobs.collect(), &mut assemblers, |asm, range| {
-            range.build(&columns, &index_offsets, k, asm)
+        parallel_for(&cursor, jobs, &mut assemblers, |asm, words, (outputs, error)| {
+            *error = asm.build(words, outputs, &columns, &index_offsets, k).err();
         });
-        // The ranges are in word order, so the first error is the lowest
+        // The chunks are in word order, so the first error is the lowest
         // bad word's, as a serial pass would have stopped at it.
         if let Some(error) = errors.into_iter().flatten().next() {
             return Err(error);
@@ -811,6 +732,7 @@ impl TopicModel {
         } else {
             None
         };
+        dec.finish()?;
         // Everything is copied out: the payload's memory can take the index.
         drop(payload);
         Self::from_parts(params, topic_counts, word_offsets, pair_topics, pair_counts, vocab)
@@ -1166,6 +1088,14 @@ mod tests {
         let mut bad = good.clone();
         bad.truncate(bad.len() - 6);
         assert!(matches!(TopicModel::read(&mut bad.as_slice()), Err(CodecError::Io(_))));
+        // Trailing bytes: one byte past the last section, re-framed under a
+        // valid checksum.
+        let mut payload = read_framed_section(&mut good.as_slice(), MODEL_MAGIC).unwrap();
+        payload.push(0);
+        let mut bad = Vec::new();
+        write_framed_section(&mut bad, MODEL_MAGIC, &payload).unwrap();
+        let err = TopicModel::read(&mut bad.as_slice()).unwrap_err();
+        assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
     }
 
     #[test]
@@ -1302,24 +1232,25 @@ mod tests {
             assert_the_split_changes_nothing(k, &col_offsets, &z, &format!("K = {k}"));
         }
 
-        // Every other word is empty, so every cut between two ranges that
-        // is not at the end lands on an empty word, whatever the mass a
-        // stage splits by.
+        // Every other word is empty, and a chunk closes before the word
+        // that would overfill it, so chunks end on empty words, whatever the
+        // mass a stage splits by.
         let lens: Vec<u32> = (0..200).map(|w| if w % 2 == 1 { 0 } else { 1 + w % 7 * 9 }).collect();
         let (col_offsets, z) = assignments_of(&lens, 300);
-        for ranges in [2, 3, 16, 24] {
-            let bounds = split_by_mass(lens.len(), ranges, |w| u64::from(col_offsets[w]));
-            assert!(bounds[1..ranges].iter().all(|&b| lens[b] == 0), "{bounds:?}");
+        for workers in [1, 2, 3] {
+            let cursor = ChunkCursor::by_mass(&col_offsets, workers);
+            let cuts = &cursor.bounds()[1..cursor.bounds().len() - 1];
+            assert!(cuts.iter().any(|&b| lens[b - 1] == 0), "{:?}", cursor.bounds());
         }
-        assert_the_split_changes_nothing(300, &col_offsets, &z, "cuts on empty words");
+        assert_the_split_changes_nothing(300, &col_offsets, &z, "chunks ending on empty words");
 
-        // One word holds most tokens: two ranges are cut right after it, of
-        // three the middle one is empty, and of more most are.
+        // One word holds most tokens: it is a chunk of its own.
         let lens = [3, 1, 2, 5_000, 4, 1, 3];
         let (col_offsets, z) = assignments_of(&lens, 300);
-        let token_mass = |w| u64::from(col_offsets[w]);
-        assert_eq!(split_by_mass(lens.len(), 2, token_mass), [0, 4, 7]);
-        assert_eq!(split_by_mass(lens.len(), 3, token_mass), [0, 4, 4, 7]);
+        for workers in [1, 2, 3] {
+            let cursor = ChunkCursor::by_mass(&col_offsets, workers);
+            assert!(cursor.bounds().windows(2).any(|c| c == [3, 4]), "{:?}", cursor.bounds());
+        }
         assert_the_split_changes_nothing(300, &col_offsets, &z, "a cut beside a huge word");
     }
 
@@ -1334,8 +1265,9 @@ mod tests {
         let offsets = &model.word_offsets;
         // The first word with pairs at or after `w`.
         let with_pairs = |w: usize| (w..v).find(|&w| offsets[w] < offsets[w + 1]).unwrap();
-        // The ranges a load on three threads cuts.
-        let bounds = split_by_mass(v, 3 * RANGES_PER_WORKER, |w| u64::from(offsets[w]));
+        // The chunks a load on three threads cuts.
+        let cursor = ChunkCursor::by_mass(offsets, 3);
+        let bounds = cursor.bounds();
         let last = bounds[bounds.len() - 2];
         let (first_in_last, middle, later) =
             (with_pairs(last), with_pairs(bounds[bounds.len() / 2]), with_pairs(last + 1));
@@ -1352,8 +1284,8 @@ mod tests {
             bad
         };
         let cases = [
-            ("the first bad word in the last range", damaged(&[first_in_last], &[]), first_in_last),
-            ("bad words in two ranges", damaged(&[later], &[middle]), middle),
+            ("the first bad word in the last chunk", damaged(&[first_in_last], &[]), first_in_last),
+            ("bad words in two chunks", damaged(&[later], &[middle]), middle),
         ];
         for (what, bad, lowest) in cases {
             let serial = reassembled(&bad, 1).unwrap_err().to_string();

@@ -19,7 +19,8 @@
 //! * [`partition`] — the balanced column/row partitioning strategies of
 //!   Section 5.3.2 (static, dynamic, greedy), the imbalance index used in
 //!   Figure 4, and the [`ChunkCursor`] atomic work queue (chunks of equal
-//!   mass) that removes the tail imbalance static partitions leave behind.
+//!   mass) that removes the tail imbalance static partitions leave behind,
+//!   drained on scoped threads by [`parallel_for`].
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -31,6 +32,7 @@ pub mod records;
 
 pub use matrix::TokenMatrix;
 pub use partition::{
-    imbalance_index, partition_by_size, partition_loads, ChunkCursor, PartitionStrategy,
+    imbalance_index, parallel_for, partition_by_size, partition_loads, ChunkCursor,
+    PartitionStrategy,
 };
 pub use records::{PackedRecords, Topic};

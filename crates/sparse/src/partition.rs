@@ -21,8 +21,13 @@
 //! [`ChunkCursor`] complements them: a chunked atomic work queue that hands
 //! out contiguous index ranges of about equal token mass on demand, so
 //! whichever worker drains its share first simply claims the next chunk.
+//! [`parallel_for`], the workspace's one parallel loop, drains a cursor on
+//! scoped threads: the parallel sampler's phases and the serving model's
+//! freeze and load run on it.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -101,20 +106,20 @@ pub fn partition_by_size(
     assignment
 }
 
-/// A chunked atomic-cursor work queue over the index range `0..len`.
+/// A chunked atomic-cursor work queue over the index range `0..len`, drained
+/// by [`parallel_for`].
 ///
-/// Workers call [`claim`](Self::claim) until it returns `None`; each claim is
-/// a contiguous chunk of indices owned exclusively by the claiming worker.
-/// Unlike an up-front partition there is no tail imbalance: a worker that
-/// finishes early keeps claiming. Chunks keep claims contiguous (sequential
-/// memory access within a claim) and amortize the atomic increment. The
-/// indices are entities of very unequal size, so chunks are cut at about
-/// equal *mass* ([`by_mass`](Self::by_mass)), not at an equal number of
-/// indices. Even workers claim from the front of the range and odd workers
-/// from the back, so two workers claim neighbouring chunks only where the
-/// two ends meet: the records on either side of a chunk boundary share a
-/// cache line, and a line that two cores write in turn moves between them
-/// on every write.
+/// Each claim is a contiguous chunk of indices owned exclusively by the
+/// claiming worker. Unlike an up-front partition there is no tail imbalance:
+/// a worker that finishes early keeps claiming. Chunks keep claims
+/// contiguous (sequential memory access within a claim) and amortize the
+/// atomic increment. The indices are entities of very unequal size, so
+/// chunks are cut at about equal *mass* ([`by_mass`](Self::by_mass)), not
+/// at an equal number of indices. Even workers claim from the front of the
+/// range and odd workers from the back, so two workers claim neighbouring
+/// chunks only where the two ends meet: the records on either side of a
+/// chunk boundary share a cache line, and a line that two cores write in
+/// turn moves between them on every write.
 #[derive(Debug)]
 pub struct ChunkCursor {
     /// Chunks claimed from the front (low 32 bits) and from the back (high
@@ -135,17 +140,18 @@ impl ChunkCursor {
     /// alone weighs more, which then is a chunk of its own. Equal-count
     /// chunks over a power-law vocabulary put half of all tokens into the
     /// first chunk and cap a phase's speed-up below 2 on any thread count.
+    /// Two neighbouring chunks together weigh more than that share, so
+    /// there are fewer than 64 · `num_workers` chunks.
     ///
     /// # Panics
-    /// Panics if `offsets` is empty, or if it holds 2³¹ entities or more.
+    /// Panics if `offsets` is empty, or if it cuts 2³¹ chunks or more, which
+    /// takes 2²⁵ workers or more, however many entities there are.
     pub fn by_mass(offsets: &[u32], num_workers: usize) -> Self {
         let len = offsets.len().checked_sub(1).expect("prefix sums start with a zero");
-        // Claims past the end keep counting, so each end's count stays well
-        // clear of the other's bits.
-        assert!(len < (BACK / 2) as usize, "a cursor counts its chunks in 31 bits");
         let total = (offsets[len] - offsets[0]) as usize;
         let cap = total.div_ceil(num_workers.max(1) * 32).max(1);
-        let mut bounds = vec![0];
+        let mut bounds = Vec::with_capacity(len.min(64 * num_workers.max(1)) + 1);
+        bounds.push(0);
         let mut start = 0;
         for end in 1..=len {
             // Close the chunk before the entity that would overfill it.
@@ -157,30 +163,109 @@ impl ChunkCursor {
         if len > 0 {
             bounds.push(len);
         }
+        // Claims past the end keep counting, so each end's count stays well
+        // clear of the other's bits.
+        assert!(bounds.len() <= (BACK / 2) as usize, "a cursor counts its chunks in 31 bits");
         Self { claimed: AtomicU64::new(0), bounds }
     }
 
-    /// Claims the next chunk for worker `worker`: the first unclaimed chunk
-    /// for an even worker, the last for an odd one; `None` once every chunk
-    /// is claimed. Both ends advance in one atomic add, so a claim sees how
-    /// many chunks the other end took and no chunk is handed out twice.
-    pub fn claim(&self, worker: usize) -> Option<std::ops::Range<usize>> {
+    /// The chunk bounds: chunk `i` is `bounds()[i]..bounds()[i + 1]`. They
+    /// start at 0, end at the number of entities and strictly increase.
+    pub fn bounds(&self) -> &[usize] {
+        &self.bounds
+    }
+
+    /// `buf` cut into one slice per chunk, in order: chunk `i`'s is
+    /// `buf[at(bounds[i])..at(bounds[i + 1])]`, where `at` maps an entity
+    /// bound to an offset into `buf` (non-decreasing, 0 at 0).
+    pub fn split_mut<'a, T>(
+        &'a self,
+        buf: &'a mut [T],
+        at: impl Fn(usize) -> usize + 'a,
+    ) -> impl Iterator<Item = &'a mut [T]> {
+        let mut rest = buf;
+        self.bounds.windows(2).map(move |b| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(at(b[1]) - at(b[0]));
+            rest = tail;
+            head
+        })
+    }
+
+    /// Number of chunks.
+    fn chunks(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Claims the next chunk for worker `worker` and returns its index: the
+    /// first unclaimed chunk for an even worker, the last for an odd one;
+    /// `None` once every chunk is claimed. Both ends advance in one atomic
+    /// add, so a claim sees how many chunks the other end took and no chunk
+    /// is handed out twice.
+    fn claim(&self, worker: usize) -> Option<usize> {
         let from_back = worker % 2 == 1;
         let before = self.claimed.fetch_add(if from_back { BACK } else { 1 }, Ordering::Relaxed);
         let (front, back) = ((before % BACK) as usize, (before / BACK) as usize);
-        let chunks = self.bounds.len().saturating_sub(1);
+        let chunks = self.chunks();
         if front + back >= chunks {
             return None;
         }
-        let i = if from_back { chunks - 1 - back } else { front };
-        Some(self.bounds[i]..self.bounds[i + 1])
+        Some(if from_back { chunks - 1 - back } else { front })
     }
 
-    /// Rewinds the cursor so the range can be drained again (requires
-    /// exclusive access, i.e. all workers of the previous drain are done).
-    pub fn reset(&mut self) {
-        *self.claimed.get_mut() = 0;
+    /// Rewinds the cursor so the range can be drained again. `Relaxed`
+    /// suffices: a drain's spawns and joins order the rewind before its
+    /// claims and every claim of the last drain before the rewind.
+    fn reset(&self) {
+        self.claimed.store(0, Ordering::Relaxed);
     }
+}
+
+/// Runs `work` over every chunk of `cursor` on the calling thread and
+/// `workers.len() − 1` scoped threads: thread `i` claims chunks as worker
+/// `i`, with `workers[i]` as its own state. `jobs` yields one job per chunk
+/// in chunk order (say the caller's buffers cut by
+/// [`split_mut`](ChunkCursor::split_mut)); a job waits in its chunk's slot
+/// for the one claim that names it. The cursor is rewound first; two drains
+/// of one cursor must not overlap. Which thread runs which chunk must not
+/// show in what the jobs write.
+///
+/// # Panics
+/// Panics if `workers` is empty, if `jobs` yields fewer jobs than there are
+/// chunks, or if another drain of `cursor` overlapped this one. A panic in
+/// `work` resumes on the calling thread, with its payload, once every
+/// thread has stopped.
+pub fn parallel_for<J: Send, W: Send>(
+    cursor: &ChunkCursor,
+    jobs: impl IntoIterator<Item = J>,
+    workers: &mut [W],
+    work: impl Fn(&mut W, Range<usize>, J) + Sync,
+) {
+    cursor.reset();
+    let chunks = cursor.chunks();
+    let slots: Vec<Mutex<Option<J>>> =
+        jobs.into_iter().take(chunks).map(|job| Mutex::new(Some(job))).collect();
+    assert_eq!(slots.len(), chunks, "one job per chunk");
+    let drain = |worker: usize, state: &mut W| {
+        while let Some(i) = cursor.claim(worker) {
+            let job = slots[i].lock().expect("no job runs holding its slot").take();
+            let job = job.expect("drains of one cursor overlapped: a chunk came twice");
+            work(state, cursor.bounds[i]..cursor.bounds[i + 1], job);
+        }
+    };
+    let drain = &drain;
+    let (first, others) = workers.split_first_mut().expect("need at least one worker");
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..)
+            .zip(others)
+            .map(|(worker, state)| scope.spawn(move || drain(worker, state)))
+            .collect();
+        drain(0, first);
+        for handle in spawned {
+            handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        }
+    });
+    let all_ran = slots.into_iter().all(|slot| slot.into_inner().is_ok_and(|job| job.is_none()));
+    assert!(all_ran, "drains of one cursor overlapped: a chunk went unclaimed");
 }
 
 /// Computes the per-partition total sizes from an assignment.
@@ -310,6 +395,13 @@ mod tests {
         let _ = partition_by_size(&[1, 2], 0, PartitionStrategy::Greedy);
     }
 
+    impl ChunkCursor {
+        /// The range of the chunk [`claim`](Self::claim) hands `worker`.
+        fn claim_range(&self, worker: usize) -> Option<Range<usize>> {
+            self.claim(worker).map(|i| self.bounds[i]..self.bounds[i + 1])
+        }
+    }
+
     /// Prefix sums of `sizes`, the form [`ChunkCursor::by_mass`] takes.
     fn offsets_of(sizes: &[u64]) -> Vec<u32> {
         let mut offsets = vec![0u32];
@@ -322,47 +414,26 @@ mod tests {
     #[test]
     fn chunk_cursor_covers_the_range_exactly_once() {
         let offsets = offsets_of(&zipf_sizes(103, 1.0, 5_000));
-        let mut cursor = ChunkCursor::by_mass(&offsets, 2);
+        let cursor = ChunkCursor::by_mass(&offsets, 2);
         let mut seen = vec![0u32; 103];
         let mut first = None;
-        while let Some(chunk) = cursor.claim(0) {
+        while let Some(chunk) = cursor.claim_range(0) {
             first.get_or_insert(chunk.clone());
             for i in chunk {
                 seen[i] += 1;
             }
         }
         assert!(seen.iter().all(|&c| c == 1));
-        assert!(cursor.claim(0).is_none(), "exhausted cursors stay exhausted");
-        assert!(cursor.claim(1).is_none(), "exhausted cursors stay exhausted");
+        assert!(cursor.claim_range(0).is_none(), "exhausted cursors stay exhausted");
+        assert!(cursor.claim_range(1).is_none(), "exhausted cursors stay exhausted");
         cursor.reset();
-        assert_eq!(cursor.claim(0), first);
-    }
-
-    #[test]
-    fn chunk_cursor_is_safe_under_concurrent_claims() {
-        let offsets = offsets_of(&zipf_sizes(10_000, 1.0, 1_000_000));
-        let cursor = ChunkCursor::by_mass(&offsets, 4);
-        let counts: Vec<std::sync::atomic::AtomicU32> =
-            (0..10_000).map(|_| std::sync::atomic::AtomicU32::new(0)).collect();
-        std::thread::scope(|scope| {
-            for worker in 0..4 {
-                let (cursor, counts) = (&cursor, &counts);
-                scope.spawn(move || {
-                    while let Some(chunk) = cursor.claim(worker) {
-                        for i in chunk {
-                            counts[i].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        assert!(counts.iter().all(|c| c.load(std::sync::atomic::Ordering::Relaxed) == 1));
+        assert_eq!(cursor.claim_range(0), first);
     }
 
     #[test]
     fn even_workers_claim_from_the_front_and_odd_ones_from_the_back() {
         let offsets = offsets_of(&zipf_sizes(500, 1.0, 50_000));
-        let mut cursor = ChunkCursor::by_mass(&offsets, 2);
+        let cursor = ChunkCursor::by_mass(&offsets, 2);
         let chunks = chunks_of(&cursor);
         cursor.reset();
         // Worker 1 takes the chunks from the back, worker 2 (even) from the
@@ -370,14 +441,14 @@ mod tests {
         let (mut front, mut back) = (Vec::new(), Vec::new());
         for round in 0.. {
             let worker = if round % 3 == 0 { 2 } else { 1 };
-            let Some(chunk) = cursor.claim(worker) else { break };
+            let Some(chunk) = cursor.claim_range(worker) else { break };
             if worker == 1 {
                 back.push(chunk)
             } else {
                 front.push(chunk)
             }
         }
-        assert!(cursor.claim(2).is_none() && cursor.claim(3).is_none());
+        assert!(cursor.claim_range(2).is_none() && cursor.claim_range(3).is_none());
         assert_eq!(front, chunks[..front.len()]);
         back.reverse();
         assert_eq!(back, chunks[front.len()..]);
@@ -386,7 +457,7 @@ mod tests {
 
     /// Drains `cursor`, returning its chunks in claim order.
     fn chunks_of(cursor: &ChunkCursor) -> Vec<std::ops::Range<usize>> {
-        std::iter::from_fn(|| cursor.claim(0)).collect()
+        std::iter::from_fn(|| cursor.claim_range(0)).collect()
     }
 
     #[test]
@@ -400,12 +471,18 @@ mod tests {
         assert!(mass(&(0..8_000 / 64)) * 2 > total, "the defect this cut exists for");
 
         for workers in [1usize, 2, 3, 8] {
-            let mut cursor = ChunkCursor::by_mass(&offsets, workers);
+            let cursor = ChunkCursor::by_mass(&offsets, workers);
             let chunks = chunks_of(&cursor);
             assert_eq!(chunks.first().unwrap().start, 0);
             assert_eq!(chunks.last().unwrap().end, 8_000);
             assert!(chunks.windows(2).all(|p| p[0].end == p[1].start), "chunks must tile");
             assert!(chunks.iter().all(|c| !c.is_empty()));
+            assert!(
+                chunks.len() <= 64 * workers + 1,
+                "{} chunks ({workers} workers)",
+                chunks.len()
+            );
+            assert_eq!(cursor.bounds().len(), chunks.len() + 1);
             let heaviest_entity = *sizes.iter().max().unwrap();
             let mean = total / chunks.len() as u64;
             let limit = (2 * mean).max(heaviest_entity);
@@ -414,22 +491,83 @@ mod tests {
                 let cap = total.div_ceil(32 * workers as u64);
                 assert!(mass(c) <= cap || c.len() == 1, "{c:?} is over the cap and not alone");
             }
-            assert!(cursor.claim(0).is_none(), "exhausted cursors stay exhausted");
+            assert!(cursor.claim_range(0).is_none(), "exhausted cursors stay exhausted");
             cursor.reset();
-            assert_eq!(cursor.claim(0), Some(chunks[0].clone()));
+            assert_eq!(cursor.claim_range(0), Some(chunks[0].clone()));
         }
     }
 
     #[test]
     fn mass_chunks_edge_cases() {
-        assert!(ChunkCursor::by_mass(&[0], 4).claim(0).is_none());
-        assert!(ChunkCursor::by_mass(&[0], 4).claim(1).is_none());
+        assert!(ChunkCursor::by_mass(&[0], 4).claim_range(0).is_none());
+        assert!(ChunkCursor::by_mass(&[0], 4).claim_range(1).is_none());
         // All-empty entities are one chunk; a lone giant is its own.
         assert_eq!(chunks_of(&ChunkCursor::by_mass(&[0, 0, 0, 0], 2)), vec![0..3]);
         assert_eq!(
             chunks_of(&ChunkCursor::by_mass(&[0, 1, 1_000, 1_001], 1)),
             vec![0..1, 1..2, 2..3]
         );
+    }
+
+    /// [`parallel_for`] on 1–4 workers: every chunk's job runs once, with
+    /// its own chunk, on the state of the one thread that claimed it (worker
+    /// 0's on the caller); an empty cursor runs nothing.
+    #[test]
+    fn chunk_cursor_is_safe_under_concurrent_claims() {
+        let offsets = offsets_of(&zipf_sizes(10_000, 1.0, 1_000_000));
+        let caller = std::thread::current().id();
+        for workers in 1..=4 {
+            let cursor = ChunkCursor::by_mass(&offsets, workers);
+            let (mut seen, mut runs) = (vec![0u32; 10_000], vec![0u32; cursor.chunks()]);
+            // Twice over one cursor: the drain rewinds it.
+            for _ in 0..2 {
+                // Each state records the one thread that used it.
+                let mut states = vec![None; workers];
+                let jobs = cursor.split_mut(&mut seen, |i| i).zip(&mut runs);
+                parallel_for(&cursor, jobs, &mut states, |thread, range, (seen, runs)| {
+                    let me = std::thread::current().id();
+                    assert_eq!(*thread.get_or_insert(me), me, "a state is one thread's");
+                    assert_eq!(seen.len(), range.len(), "a job is its own chunk's");
+                    seen.iter_mut().for_each(|s| *s += 1);
+                    *runs += 1;
+                });
+                assert!(states[0].is_none_or(|t| t == caller), "worker 0 is the caller");
+                let threads: std::collections::HashSet<_> = states.iter().flatten().collect();
+                assert_eq!(threads.len(), states.iter().flatten().count(), "one state a thread");
+            }
+            assert!(runs.iter().chain(&seen).all(|&r| r == 2), "{workers} workers");
+
+            let empty = ChunkCursor::by_mass(&[0], workers);
+            parallel_for(&empty, std::iter::empty(), &mut vec![(); workers], |_, _, ()| {
+                panic!("an empty cursor has no chunk")
+            });
+        }
+    }
+
+    #[test]
+    fn a_panic_on_a_spawned_worker_reaches_the_caller_with_its_payload() {
+        let offsets = offsets_of(&zipf_sizes(2_000, 1.0, 200_000));
+        let caller = std::thread::current().id();
+        for workers in 2..=4 {
+            let cursor = ChunkCursor::by_mass(&offsets, workers);
+            let spawned_ran = std::sync::atomic::AtomicBool::new(false);
+            let panic = std::panic::catch_unwind(|| {
+                let jobs = std::iter::repeat(());
+                parallel_for(&cursor, jobs, &mut vec![(); workers], |_, _, ()| {
+                    if std::thread::current().id() != caller {
+                        spawned_ran.store(true, Ordering::Relaxed);
+                        std::panic::panic_any(workers);
+                    }
+                    // Hold the caller in its first chunk until a spawned
+                    // worker has claimed one of the others.
+                    while !spawned_ran.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
+                    }
+                });
+            });
+            let panic = panic.expect_err("the worker's panic resumes on the caller");
+            assert_eq!(panic.downcast_ref::<usize>(), Some(&workers));
+        }
     }
 
     #[test]

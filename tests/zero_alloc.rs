@@ -6,9 +6,10 @@
 //! known when a sampler is built, so its one O(K) count vector and its
 //! alias/scratch buffers are at their high-water marks from the start:
 //! serial iterations — the first one included — must perform **zero** heap
-//! allocations, parallel iterations exactly the scoped-thread spawns (one
-//! number, the same every iteration, whatever the corpus size and whichever
-//! worker claims which chunk), and steady-state inference over a frozen
+//! allocations, parallel iterations exactly the chunk drain's own (thread
+//! scope, spawns, join handles and job slots: one number, the same every
+//! iteration, whatever the corpus size and whichever worker claims which
+//! chunk), and steady-state inference over a frozen
 //! model must be **zero allocations per request**. Beside them two memory
 //! pins: freezing a model holds one word-major copy of z (4 B/token) plus
 //! O(V + K) beyond the model itself, and building a baseline sampler holds
@@ -103,8 +104,9 @@ fn steady_state_iterations_do_not_allocate() {
     }
 
     // --- Parallel: worker scratch is complete at construction, so the only
-    // allocations are the scoped-thread spawns — one number, whichever
-    // worker first meets which row length, and the same for 4x the tokens. ---
+    // allocations are the chunk drain's own (thread scope, spawns, join
+    // handles, job slots) — one number, whichever worker first meets which
+    // row length, and the same for 4x the tokens. ---
     let mut per_iteration = Vec::new();
     for scale in [4usize, 1] {
         let corpus = DatasetPreset::Tiny.generate_scaled(scale);
