@@ -112,8 +112,8 @@ fn check_params_match(found: &ModelParams, expected: &ModelParams) -> CodecResul
 
 /// Serializes `sampler` (and optionally the corpus vocabulary) as one framed
 /// checkpoint into `w`.
-pub fn write_checkpoint(
-    sampler: &dyn Checkpointable,
+pub fn write_checkpoint<C: Checkpointable + ?Sized>(
+    sampler: &C,
     vocab: Option<&Vocabulary>,
     w: &mut dyn Write,
 ) -> CodecResult<()> {
@@ -166,8 +166,8 @@ pub fn read_checkpoint(
 /// ([`warplda_corpus::io::atomic_write`]): a crash or I/O error mid-save
 /// leaves any previous checkpoint at `path` intact, and a reader can never
 /// observe a torn file.
-pub fn save_checkpoint(
-    sampler: &dyn Checkpointable,
+pub fn save_checkpoint<C: Checkpointable + ?Sized>(
+    sampler: &C,
     vocab: Option<&Vocabulary>,
     path: &Path,
 ) -> CodecResult<()> {

@@ -17,9 +17,9 @@
 //!
 //! Besides the samplers the crate provides:
 //! * [`trainer`] — the unified train/evaluate/checkpoint pipeline: one loop
-//!   with overlapped (background-thread) evaluation and checkpoint cadence,
-//!   shared by the bench harness, the distributed runner, the examples and
-//!   the tests;
+//!   with overlapped (background-thread) evaluation and checkpoint cadence
+//!   over the [`TrainDriver`] contract, shared by the bench harness, the
+//!   process cluster, the examples and the tests;
 //! * [`checkpoint`] — binary persistence of a resumable WarpLDA run
 //!   (bit-identical save/load/continue under every driver) over the framed
 //!   codec of [`warplda_corpus::io::codec`];
@@ -56,6 +56,8 @@ pub use lightlda::{LightLda, LightLdaVariant};
 pub use params::ModelParams;
 pub use sampler::Sampler;
 pub use state::SamplerState;
-pub use trainer::{IterationLog, IterationRecord, TrainOutcome, Trainer, TrainerConfig};
+pub use trainer::{
+    IterationLog, IterationRecord, StepExtras, TrainDriver, TrainOutcome, Trainer, TrainerConfig,
+};
 pub use warp::parallel::ParallelWarpLda;
 pub use warp::{topic_wire_width, ShardedWarpLda, WarpLda, WarpLdaConfig};

@@ -1,5 +1,6 @@
 //! The unified training pipeline: one loop that owns iteration timing,
-//! scheduled evaluation and checkpoint persistence for any [`Sampler`].
+//! scheduled evaluation and checkpoint persistence for every driver of the
+//! chain ([`TrainDriver`]).
 //!
 //! Every consumer of the workspace — the `reproduce` ledger behind the paper's
 //! tables and figures, the examples, the benchmark and the integration tests —
@@ -17,20 +18,24 @@
 //!   point: the log joint likelihood, or whatever [`Trainer::with_eval_fn`]
 //!   put in its place.
 //! * **Checkpoint persistence.** At a configurable cadence
-//!   [`Trainer::train_checkpointed`] saves a [`Checkpointable`] sampler —
-//!   serial or parallel WarpLDA — through the binary codec
-//!   ([`crate::checkpoint`]), and [`Trainer::resume`] continues a saved run
-//!   bit-identically.
+//!   [`Trainer::train_checkpointed`] saves the [`Checkpointable`] state
+//!   being trained — serial or parallel WarpLDA, or a cluster's replica —
+//!   through the binary codec ([`crate::checkpoint`]), and
+//!   [`Trainer::resume`] continues a saved run bit-identically.
+//!
+//! What the trainer steps is a [`TrainDriver`]: any [`Sampler`], or a process
+//! cluster. [`Trainer::train`] takes in-process samplers and cannot fail;
+//! [`Trainer::train_checkpointed`] takes any driver and returns its error.
 //!
 //! The produced [`IterationLog`] is the one report format shared by all
-//! call sites: per-iteration sampling time, throughput and (where evaluated)
-//! log likelihood, with the derived quantities (time-to-target,
-//! iterations-to-target) the ledger's claims are judged on.
+//! call sites: per-iteration sampling time, throughput, the step's extras
+//! and (where evaluated) log likelihood, with the derived quantities
+//! (time-to-target, iterations-to-target) the ledger's claims are judged on.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use warplda_corpus::io::codec::CodecResult;
+use warplda_corpus::io::codec::{CodecError, CodecResult};
 use warplda_corpus::{Corpus, DocMajorView, Vocabulary, WordMajorView};
 
 use crate::checkpoint::{self, Checkpointable};
@@ -131,12 +136,18 @@ pub struct IterationRecord {
     /// overlapped evaluation worker on a core-constrained machine — affects
     /// both clocks equally.
     pub phase_seconds: Option<f64>,
+    /// Frame bytes the step put on sockets ([`StepExtras::bytes_exchanged`];
+    /// 0 for an in-process sampler).
+    pub bytes_exchanged: u64,
+    /// Recoveries the step performed ([`StepExtras::recoveries`]; 0 for an
+    /// in-process sampler).
+    pub recoveries: u32,
     /// Log joint likelihood after this iteration, when evaluated.
     pub log_likelihood: Option<f64>,
 }
 
 /// The per-iteration history of a training run: the one report format shared
-/// by the bench harness, the distributed runner, the examples and the tests.
+/// by the bench harness, the process cluster, the examples and the tests.
 #[derive(Debug, Clone)]
 pub struct IterationLog {
     name: String,
@@ -214,6 +225,61 @@ impl IterationLog {
         if let Some(r) = self.records.iter_mut().find(|r| r.iteration == iteration) {
             r.log_likelihood = Some(ll);
         }
+    }
+}
+
+/// What one [`TrainDriver::step`] reports beyond the state it advanced. Both
+/// counts are 0 for an in-process sampler.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StepExtras {
+    /// Frame bytes of protocol traffic the step put on sockets (both
+    /// directions, length prefixes and recovery traffic included; heartbeats
+    /// are proportional to time, not work, and do not count).
+    pub bytes_exchanged: u64,
+    /// Recoveries — restarts of every worker — the step performed.
+    pub recoveries: u32,
+}
+
+/// What the [`Trainer`] steps: a driver that advances one [`Sampler`] state
+/// an iteration at a time. Every [`Sampler`] is one whose state is itself and
+/// whose step never fails; a process cluster is one whose state is its
+/// coordinator replica.
+pub trait TrainDriver {
+    /// The state being trained: read for evaluation snapshots, and saved at
+    /// the checkpoint cadence when it is [`Checkpointable`].
+    type State: Sampler + ?Sized;
+    /// Why a run fails: a step's error, or a checkpoint that did not save.
+    type Error: From<CodecError>;
+
+    /// Runs one iteration.
+    fn step(&mut self) -> Result<StepExtras, Self::Error>;
+
+    /// The state after the last completed step.
+    fn sampler(&self) -> &Self::State;
+
+    /// Seconds the last step spent in the state's own sampling phases, when
+    /// it keeps phase clocks ([`Sampler::last_iteration_phase_seconds`]).
+    fn phase_seconds(&self) -> Option<f64> {
+        None
+    }
+}
+
+impl<S: Sampler + ?Sized> TrainDriver for S {
+    type State = S;
+    /// A sampler's step never fails; only a checkpoint can.
+    type Error = CodecError;
+
+    fn step(&mut self) -> Result<StepExtras, CodecError> {
+        self.run_iteration();
+        Ok(StepExtras::default())
+    }
+
+    fn sampler(&self) -> &S {
+        self
+    }
+
+    fn phase_seconds(&self) -> Option<f64> {
+        self.last_iteration_phase_seconds()
     }
 }
 
@@ -307,23 +373,33 @@ impl<'a> Trainer<'a> {
         log
     }
 
-    /// Like [`train`](Self::train), additionally saving checkpoints at
-    /// `config`'s cadence into `config.checkpoint_dir`.
+    /// Like [`train`](Self::train) for any [`TrainDriver`], additionally
+    /// saving its state at `config`'s cadence into `config.checkpoint_dir`. A
+    /// config without a cadence saves nothing, so this is also how a driver
+    /// whose step can fail (a process cluster) trains at all.
     ///
     /// `vocab` (usually `Some(corpus.vocab())`) is embedded into every
     /// checkpoint so saved models can be inspected standalone.
+    ///
+    /// # Errors
+    /// `D::Error`: a failed step ends the run there, as does a checkpoint
+    /// that did not save.
     ///
     /// # Panics
     /// Panics if `config.checkpoint_every > 0` without a `checkpoint_dir` —
     /// writing to an implicit CWD-relative directory would scatter checkpoint
     /// files wherever the process happens to run.
-    pub fn train_checkpointed(
+    pub fn train_checkpointed<D>(
         &self,
         config: &TrainerConfig,
         name: &str,
-        sampler: &mut (dyn Checkpointable + '_),
+        driver: &mut D,
         vocab: Option<&Vocabulary>,
-    ) -> CodecResult<TrainOutcome> {
+    ) -> Result<TrainOutcome, D::Error>
+    where
+        D: TrainDriver + ?Sized,
+        D::State: Checkpointable,
+    {
         assert!(
             config.checkpoint_every == 0 || config.checkpoint_dir.is_some(),
             "TrainerConfig sets a checkpoint cadence but no checkpoint_dir \
@@ -331,12 +407,12 @@ impl<'a> Trainer<'a> {
         );
         let dir = config.checkpoint_dir.clone().unwrap_or_default();
         let file_stem = sanitize_name(name);
-        let saver = move |s: &(dyn Checkpointable + '_), iteration: u64| -> CodecResult<PathBuf> {
+        let saver = move |s: &D::State, iteration: u64| -> CodecResult<PathBuf> {
             let path = dir.join(format!("{file_stem}-iter{iteration:06}.ckpt"));
             checkpoint::save_checkpoint(s, vocab, &path)?;
             Ok(path)
         };
-        let (log, checkpoints) = self.train_impl(config, name, sampler, Some(&saver))?;
+        let (log, checkpoints) = self.train_impl(config, name, driver, Some(&saver))?;
         Ok(TrainOutcome { log, checkpoints })
     }
 
@@ -358,44 +434,20 @@ impl<'a> Trainer<'a> {
         self.train_checkpointed(config, name, sampler, vocab.or(embedded.as_ref()))
     }
 
-    /// Measures mean sampling throughput: runs `warmup` unmeasured iterations
-    /// (the first iteration pays allocation costs) followed by `iterations`
-    /// measured ones, and returns tokens/second given that one iteration
-    /// processes `tokens_per_iteration` tokens (WarpLDA visits every token
-    /// twice per iteration, so its callers pass `2 * T`).
-    pub fn measure_throughput(
-        &self,
-        sampler: &mut (dyn Sampler + '_),
-        iterations: usize,
-        warmup: usize,
-        tokens_per_iteration: u64,
-    ) -> f64 {
-        assert!(iterations >= 1, "need at least one measurement iteration");
-        for _ in 0..warmup {
-            sampler.run_iteration();
-        }
-        let t0 = Instant::now();
-        for _ in 0..iterations {
-            sampler.run_iteration();
-        }
-        let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-        tokens_per_iteration as f64 * iterations as f64 / elapsed
-    }
-
-    /// The single implementation behind [`train`](Self::train) and
-    /// [`train_checkpointed`](Self::train_checkpointed), generic over whether
-    /// the sampler type supports saving.
-    fn train_impl<S: Sampler + ?Sized>(
+    /// The single loop behind [`train`](Self::train) and
+    /// [`train_checkpointed`](Self::train_checkpointed), generic over the
+    /// driver and over whether its state is saved.
+    fn train_impl<D: TrainDriver + ?Sized>(
         &self,
         config: &TrainerConfig,
         name: &str,
-        sampler: &mut S,
-        saver: Option<SaveHook<'_, S>>,
-    ) -> CodecResult<(IterationLog, Vec<PathBuf>)> {
+        driver: &mut D,
+        saver: Option<SaveHook<'_, D::State>>,
+    ) -> Result<(IterationLog, Vec<PathBuf>), D::Error> {
         let tokens_per_iter = self.doc_view.num_tokens() as u64;
         let mut log = IterationLog::new(name, tokens_per_iter);
         let mut checkpoints = Vec::new();
-        let params = *sampler.params();
+        let params = *driver.sampler().params();
         let corpus = self.corpus;
         let doc_view = &self.doc_view;
         let word_view = &self.word_view;
@@ -417,15 +469,24 @@ impl<'a> Trainer<'a> {
 
             for it in 1..=config.iterations {
                 let t0 = Instant::now();
-                sampler.run_iteration();
+                let extras = match driver.step() {
+                    Ok(extras) => extras,
+                    Err(e) => {
+                        result = Err(e);
+                        break;
+                    }
+                };
                 let iter_secs = t0.elapsed().as_secs_f64();
                 sampling_secs += iter_secs;
+                let sampler = driver.sampler();
                 let iteration = sampler.iterations();
                 log.push(IterationRecord {
                     iteration,
                     seconds: sampling_secs,
                     tokens_per_sec: tokens_per_iter as f64 / iter_secs.max(1e-12),
-                    phase_seconds: sampler.last_iteration_phase_seconds(),
+                    phase_seconds: driver.phase_seconds(),
+                    bytes_exchanged: extras.bytes_exchanged,
+                    recoveries: extras.recoveries,
                     log_likelihood: None,
                 });
 
@@ -451,7 +512,7 @@ impl<'a> Trainer<'a> {
                         match saver(sampler, iteration) {
                             Ok(path) => checkpoints.push(path),
                             Err(e) => {
-                                result = Err(e);
+                                result = Err(e.into());
                                 break;
                             }
                         }
@@ -577,16 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn measure_throughput_is_positive_and_scales_with_token_definition() {
-        let corpus = corpus();
-        let trainer = Trainer::new(&corpus);
-        let mut s =
-            WarpLda::new(&corpus, ModelParams::paper_defaults(4), WarpLdaConfig::default(), 1);
-        let tps = trainer.measure_throughput(&mut s, 2, 1, corpus.num_tokens());
-        assert!(tps > 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "no checkpoint_dir")]
     fn checkpoint_cadence_without_dir_is_rejected() {
         let corpus = corpus();
@@ -606,6 +657,8 @@ mod tests {
                 seconds: it as f64,
                 tokens_per_sec: 100.0,
                 phase_seconds: Some(0.5),
+                bytes_exchanged: 0,
+                recoveries: 0,
                 log_likelihood: Some(ll),
             });
         }

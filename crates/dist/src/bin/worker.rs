@@ -230,7 +230,7 @@ fn build_replica(setup: &Setup<'_>) -> Result<(WarpLda, ShardPlan)> {
     let params = ModelParams::new(setup.num_topics as usize, setup.alpha, setup.beta);
     let config =
         WarpLdaConfig { mh_steps: setup.mh_steps as usize, use_hash_counts: setup.use_hash_counts };
-    let grid = GridPartition::for_cluster(corpus, setup.workers as usize);
+    let grid = GridPartition::build(corpus, setup.workers as usize);
     let mut sampler = WarpLda::new(corpus, params, config, setup.seed);
     if let Some(state) = setup.resume {
         adopt(&mut sampler, state)?;

@@ -31,20 +31,23 @@ pub struct GridPartition {
 }
 
 impl GridPartition {
-    /// Builds the grid for `workers` machines, assigning documents and words
-    /// independently with `strategy` (the paper uses greedy, Figure 4).
+    /// Builds the grid for `workers` machines, sharding documents and words
+    /// independently by the greedy strategy (the paper's, Figure 4).
     /// Document sizes and the cells come from the corpus's own token arrays,
-    /// word sizes from one counting pass over them.
+    /// word sizes from one counting pass over them. This is the grid a
+    /// [`ProcessCluster`](crate::ProcessCluster) runs on: the coordinator and
+    /// every worker rebuild it on their own and must arrive at the same one,
+    /// so the strategy is spelled here and nowhere else.
     ///
     /// # Panics
     /// Panics if `workers` is zero.
-    pub fn build(corpus: &Corpus, workers: usize, strategy: PartitionStrategy) -> Self {
+    pub fn build(corpus: &Corpus, workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
         let docs = corpus.docs();
         let doc_sizes: Vec<u64> = docs.iter().map(|doc| doc.len() as u64).collect();
         let word_sizes = corpus.term_frequencies();
-        let doc_owner = partition_by_size(&doc_sizes, workers, strategy);
-        let word_owner = partition_by_size(&word_sizes, workers, strategy);
+        let shard = |sizes: &[u64]| partition_by_size(sizes, workers, PartitionStrategy::Greedy);
+        let (doc_owner, word_owner) = (shard(&doc_sizes), shard(&word_sizes));
 
         let mut cells = vec![0u64; workers * workers];
         for (doc, &owner) in docs.iter().zip(&doc_owner) {
@@ -68,17 +71,6 @@ impl GridPartition {
             word_loads,
             total_tokens: corpus.num_tokens(),
         }
-    }
-
-    /// The grid a [`ProcessCluster`](crate::ProcessCluster) runs on: both
-    /// sides greedy-sharded. The coordinator and every worker rebuild this
-    /// grid on their own and must arrive at the same one, so the strategy is
-    /// spelled here and nowhere else.
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero.
-    pub fn for_cluster(corpus: &Corpus, workers: usize) -> Self {
-        Self::build(corpus, workers, PartitionStrategy::Greedy)
     }
 
     /// Number of machines `P`.
@@ -152,7 +144,7 @@ mod tests {
     fn cells_partition_every_token_exactly_once() {
         let corpus = DatasetPreset::Tiny.generate_scaled(2);
         for workers in [1usize, 2, 3, 4, 8, 16] {
-            let grid = GridPartition::build(&corpus, workers, PartitionStrategy::Greedy);
+            let grid = GridPartition::build(&corpus, workers);
             let cell_sum: u64 = (0..workers)
                 .flat_map(|i| (0..workers).map(move |j| (i, j)))
                 .map(|(i, j)| grid.cell_tokens(i, j))
@@ -168,7 +160,7 @@ mod tests {
     fn loads_are_row_and_column_sums_of_the_grid() {
         let corpus = DatasetPreset::Tiny.generate_scaled(4);
         let workers = 4;
-        let grid = GridPartition::build(&corpus, workers, PartitionStrategy::Greedy);
+        let grid = GridPartition::build(&corpus, workers);
         for m in 0..workers {
             let row: u64 = (0..workers).map(|j| grid.cell_tokens(m, j)).sum();
             let col: u64 = (0..workers).map(|i| grid.cell_tokens(i, m)).sum();
@@ -180,7 +172,7 @@ mod tests {
     #[test]
     fn owners_agree_with_cells() {
         let corpus = DatasetPreset::Tiny.generate_scaled(8);
-        let grid = GridPartition::build(&corpus, 3, PartitionStrategy::Greedy);
+        let grid = GridPartition::build(&corpus, 3);
         // Recount cells straight from the owner maps.
         let mut recount = [0u64; 9];
         for (d, doc) in corpus.iter() {
@@ -200,7 +192,7 @@ mod tests {
     #[test]
     fn single_machine_exchanges_nothing() {
         let corpus = DatasetPreset::Tiny.generate_scaled(8);
-        let grid = GridPartition::build(&corpus, 1, PartitionStrategy::Greedy);
+        let grid = GridPartition::build(&corpus, 1);
         assert_eq!(grid.tokens_exchanged_per_phase_switch(), 0);
         assert_eq!(grid.doc_phase_imbalance(), 0.0);
         assert_eq!(grid.word_phase_imbalance(), 0.0);
@@ -210,7 +202,7 @@ mod tests {
     fn greedy_keeps_phases_balanced() {
         let corpus = DatasetPreset::Tiny.generate_scaled(2);
         for workers in [2usize, 4, 8] {
-            let grid = GridPartition::build(&corpus, workers, PartitionStrategy::Greedy);
+            let grid = GridPartition::build(&corpus, workers);
             assert!(
                 grid.doc_phase_imbalance() < 0.1,
                 "doc imbalance at {workers} workers: {}",
@@ -228,7 +220,7 @@ mod tests {
     fn the_cluster_grid_balances_words_like_documents() {
         let corpus = DatasetPreset::Tiny.generate();
         for workers in [2usize, 3, 4] {
-            let grid = GridPartition::for_cluster(&corpus, workers);
+            let grid = GridPartition::build(&corpus, workers);
             assert!(
                 grid.word_phase_imbalance() < 0.01,
                 "word imbalance at {workers} workers: {}",
@@ -241,7 +233,7 @@ mod tests {
     fn off_diagonal_volume_is_bounded_by_total() {
         let corpus = DatasetPreset::Tiny.generate_scaled(4);
         for workers in [2usize, 5, 8] {
-            let grid = GridPartition::build(&corpus, workers, PartitionStrategy::Greedy);
+            let grid = GridPartition::build(&corpus, workers);
             let crossing = grid.tokens_exchanged_per_phase_switch();
             assert!(crossing <= grid.total_tokens());
             // With more than one machine some token crosses in practice: the
@@ -254,6 +246,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let corpus = DatasetPreset::Tiny.generate_scaled(16);
-        let _ = GridPartition::build(&corpus, 0, PartitionStrategy::Greedy);
+        let _ = GridPartition::build(&corpus, 0);
     }
 }

@@ -23,15 +23,18 @@
 //!   segments between workers as bytes, and keeps a replica
 //!   whose merged state is bit-identical to the serial
 //!   [`warplda_core::WarpLda`] (and hence to
-//!   [`warplda_core::ParallelWarpLda`]) after every iteration.
+//!   [`warplda_core::ParallelWarpLda`]) after every iteration. It is a
+//!   [`warplda_core::TrainDriver`]: the [`warplda_core::Trainer`] trains it
+//!   like any sampler, with the same likelihood schedule, checkpoint cadence
+//!   and `IterationLog`, whose records carry each iteration's bytes on the
+//!   wire and recoveries.
 //!
 //! ```
 //! use warplda_corpus::DatasetPreset;
 //! use warplda_dist::GridPartition;
-//! use warplda_sparse::PartitionStrategy;
 //!
 //! let corpus = DatasetPreset::Tiny.generate_scaled(4);
-//! let grid = GridPartition::build(&corpus, 4, PartitionStrategy::Greedy);
+//! let grid = GridPartition::build(&corpus, 4);
 //! // Every token is visited in both phases, and each phase waits for its
 //! // largest shard: that bounds the speedup of 4 machines.
 //! let largest = |loads: &[u64]| *loads.iter().max().unwrap();
@@ -54,4 +57,4 @@ pub mod protocol;
 pub use fault::{FaultAction, FaultEvent, FaultPhase, FaultPlan};
 pub use grid::GridPartition;
 pub use plan::ShardPlan;
-pub use process::{DistError, ProcessCluster, ProcessClusterConfig, ProcessIterationReport};
+pub use process::{DistError, ProcessCluster, ProcessClusterConfig};

@@ -308,7 +308,8 @@ impl ShardPlan {
     /// Frame bytes (length prefixes included) a healthy iteration puts on
     /// the sockets, both directions: one `RunIteration` per worker and, per
     /// phase, every worker's delta and sync. Pure arithmetic over the plan —
-    /// what `ProcessIterationReport::bytes_exchanged` must equal.
+    /// what a healthy step's `StepExtras::bytes_exchanged`, and so the
+    /// `IterationRecord::bytes_exchanged` the `Trainer` logs, must equal.
     pub fn iteration_wire_bytes(&self, num_topics: usize, mh_steps: usize) -> u64 {
         let record = record_wire_bytes(num_topics, mh_steps);
         let frames = |head: usize, entries: usize| 4 + head as u64 + entries as u64 * record;
@@ -337,7 +338,7 @@ mod tests {
     fn build_all(corpus: &Corpus, workers: usize) -> Built {
         let dv = DocMajorView::build(corpus);
         let wv = WordMajorView::build(corpus, &dv);
-        let grid = GridPartition::for_cluster(corpus, workers);
+        let grid = GridPartition::build(corpus, workers);
         let sampler =
             WarpLda::new(corpus, ModelParams::new(5, 0.5, 0.1), WarpLdaConfig::with_mh_steps(2), 7);
         let plan = ShardPlan::build(&sampler, &grid);

@@ -24,6 +24,14 @@
 //! an in-process [`ParallelWarpLda`](warplda_core::ParallelWarpLda) run of
 //! the same seed.
 //!
+//! The cluster is a [`TrainDriver`], so it trains through the same
+//! [`Trainer`](warplda_core::Trainer) loop as every in-process sampler: a
+//! step is [`run_iteration`](ProcessCluster::run_iteration), the replica is
+//! what gets evaluated and saved at the checkpoint cadence, and each step's
+//! [`StepExtras`] (bytes on the wire, recoveries) lands in the one
+//! `IterationLog`. A saved replica resumes under any driver and, through
+//! [`from_sampler`](ProcessCluster::from_sampler), any worker count.
+//!
 //! # Supervision
 //!
 //! The coordinator is also a supervisor. Three mechanisms stack:
@@ -68,7 +76,9 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use warplda_core::checkpoint::Checkpointable;
-use warplda_core::{topic_wire_width, ModelParams, Sampler, WarpLda, WarpLdaConfig};
+use warplda_core::{
+    topic_wire_width, ModelParams, Sampler, StepExtras, TrainDriver, WarpLda, WarpLdaConfig,
+};
 use warplda_corpus::io::codec::{CodecError, Encoder};
 use warplda_corpus::Corpus;
 use warplda_net::{FrameBuffer, PollFrame, WireError};
@@ -206,25 +216,6 @@ impl ProcessClusterConfig {
             fault_plan: FaultPlan::new(),
         }
     }
-}
-
-/// Accounting for one multi-process iteration.
-#[derive(Debug, Clone)]
-pub struct ProcessIterationReport {
-    /// Iteration number, 1-based.
-    pub iteration: u64,
-    /// Measured wall seconds of the full iteration (compute + real loopback
-    /// communication + merges, including any recovery work).
-    pub wall_sec: f64,
-    /// Frame bytes of protocol traffic crossing the sockets this iteration
-    /// (both directions, including length prefixes and recovery traffic).
-    /// Heartbeats are not counted — they are proportional to time, not to
-    /// work — so a healthy iteration reports exactly
-    /// [`ShardPlan::iteration_wire_bytes`].
-    pub bytes_exchanged: u64,
-    /// Recoveries — restarts of every worker — performed while completing
-    /// this iteration (0 on a healthy run).
-    pub recoveries: u32,
 }
 
 struct Conn {
@@ -376,7 +367,7 @@ impl ProcessCluster {
             return Err(DistError::Protocol("need 1 to 65 536 workers".into()));
         }
         check_replica_shape(corpus, &sampler)?;
-        let grid = GridPartition::for_cluster(corpus, cfg.workers);
+        let grid = GridPartition::build(corpus, cfg.workers);
         let plan = ShardPlan::build(&sampler, &grid);
         let binary = locate_worker_binary(cfg.worker_binary.as_deref())?;
 
@@ -568,13 +559,6 @@ impl ProcessCluster {
         self.sampler.topic_counts()
     }
 
-    /// The coordinator's replica — checkpoint it with
-    /// `warplda_core::checkpoint::write_checkpoint` to persist the cluster's
-    /// state.
-    pub fn sampler(&self) -> &WarpLda {
-        &self.sampler
-    }
-
     /// Writes one frame — the concatenation of `parts` — to worker `i`.
     fn send_parts(&mut self, i: usize, parts: &[&[u8]]) -> Result<(), DistError> {
         // A worker that died mid-iteration surfaces here as a broken pipe;
@@ -698,16 +682,17 @@ impl ProcessCluster {
     /// replica's boundary, retry — until the iteration completes or the
     /// recovery budget is exhausted. The completed iteration is bit-identical
     /// to a fault-free run.
-    pub fn run_iteration(&mut self) -> Result<ProcessIterationReport, DistError> {
-        let t0 = Instant::now();
+    ///
+    /// Returns the frame bytes the iteration put on the sockets — exactly
+    /// [`ShardPlan::iteration_wire_bytes`] when it needed no recovery — and
+    /// the recoveries it performed.
+    pub fn run_iteration(&mut self) -> Result<StepExtras, DistError> {
         self.bytes_this_iteration = 0;
         let mut recovered_here = 0u32;
         loop {
             let mut err = match self.attempt_iteration() {
                 Ok(()) => {
-                    return Ok(ProcessIterationReport {
-                        iteration: self.sampler.iterations(),
-                        wall_sec: t0.elapsed().as_secs_f64(),
+                    return Ok(StepExtras {
                         bytes_exchanged: self.bytes_this_iteration,
                         recoveries: recovered_here,
                     });
@@ -865,6 +850,25 @@ impl ProcessCluster {
             let _ = child.wait();
         }
         self.children.clear();
+    }
+}
+
+/// The [`Trainer`](warplda_core::Trainer) steps a cluster like any sampler:
+/// a step is [`run_iteration`](ProcessCluster::run_iteration), and the state
+/// it evaluates and checkpoints is the coordinator replica.
+impl TrainDriver for ProcessCluster {
+    type State = WarpLda;
+    type Error = DistError;
+
+    fn step(&mut self) -> Result<StepExtras, DistError> {
+        self.run_iteration()
+    }
+
+    /// The coordinator's replica — what `Trainer::train_checkpointed` saves
+    /// at its cadence, and what `warplda_core::checkpoint::write_checkpoint`
+    /// persists on demand.
+    fn sampler(&self) -> &WarpLda {
+        &self.sampler
     }
 }
 

@@ -22,7 +22,8 @@
 //!
 //! The wire half pins the exchange's arithmetic: the bytes a healthy
 //! iteration reports are a closed form of the plan, `K` and `M`, identical
-//! from run to run.
+//! from run to run, and are what the `Trainer` records for a cluster it
+//! drives.
 //!
 //! The suite lives in the crate that owns the worker binary so that cargo
 //! builds exactly the binary under test and hands over its path: no test
@@ -32,7 +33,10 @@ use std::time::Duration;
 
 use warplda_core::checkpoint::{read_checkpoint, write_checkpoint};
 use warplda_core::eval::{log_joint_likelihood, perplexity_per_token};
-use warplda_core::{Checkpointable, ModelParams, ParallelWarpLda, Sampler, WarpLda, WarpLdaConfig};
+use warplda_core::{
+    Checkpointable, ModelParams, ParallelWarpLda, Sampler, TrainDriver, Trainer, TrainerConfig,
+    WarpLda, WarpLdaConfig,
+};
 use warplda_corpus::{Corpus, DatasetPreset, DocMajorView, WordMajorView};
 use warplda_dist::process::validate_delta;
 use warplda_dist::protocol::begin_delta_frame;
@@ -65,8 +69,8 @@ fn assert_backends_agree(
     let mut serial = WarpLda::new(corpus, params, config, seed);
 
     for iter in 1..=iters {
-        let report = cluster.run_iteration().expect("distributed iteration");
-        assert_eq!(report.iteration, iter);
+        cluster.run_iteration().expect("distributed iteration");
+        assert_eq!(cluster.iterations(), iter);
         serial.run_iteration();
 
         let z = cluster.assignments();
@@ -140,7 +144,7 @@ fn cluster_checkpoints_resume_anywhere_and_any_checkpoint_resumes_on_a_cluster()
     }
     let writers: [(&str, &dyn Checkpointable); 3] =
         [("serial", &serial), ("parallel(3)", &parallel), ("cluster(2)", cluster.sampler())];
-    let files: Vec<(&str, Vec<u8>)> = writers
+    let mut files: Vec<(&str, Vec<u8>)> = writers
         .iter()
         .map(|&(name, writer)| {
             assert_eq!(writer.checkpoint_kind(), "warplda", "{name}");
@@ -151,9 +155,31 @@ fn cluster_checkpoints_resume_anywhere_and_any_checkpoint_resumes_on_a_cluster()
         .collect();
     cluster.shutdown().expect("shutdown");
 
+    // The fourth writer: a cluster the Trainer drives to `split`, saving its
+    // replica at a cadence; its last file is the one resumed below. Every
+    // step of it is healthy, so each record's bytes are the plan's closed
+    // form.
+    let dir = std::env::temp_dir().join(format!("warplda-cluster-ckpt-{}", std::process::id()));
+    let mut driven =
+        ProcessCluster::new(&corpus, params, config, seed, process_config(3)).expect("spawn");
+    let schedule = TrainerConfig::sampling_only(split as usize).checkpoint_into(&dir, 2);
+    let outcome = Trainer::new(&corpus)
+        .train_checkpointed(&schedule, "cluster", &mut driven, None)
+        .expect("a healthy cluster trains under the Trainer");
+    let wire_bytes = driven.plan().iteration_wire_bytes(params.num_topics, config.mh_steps);
+    for record in outcome.log.records() {
+        assert_eq!(record.bytes_exchanged, wire_bytes, "iteration {}", record.iteration);
+        assert_eq!(record.recoveries, 0, "iteration {}", record.iteration);
+    }
+    assert_eq!(outcome.checkpoints.len(), 2, "iterations 2 and {split}");
+    let last = outcome.checkpoints.last().expect("the final iteration is saved");
+    files.push(("Trainer-driven cluster(3)", std::fs::read(last).expect("checkpoint file")));
+    driven.shutdown().expect("shutdown");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+
     // Every file resumes on a cluster of a worker count nobody wrote with.
     // The replica is built under another seed: the checkpoint's governs.
-    for (workers, (name, file)) in [4usize, 1, 3].into_iter().zip(&files) {
+    for (workers, (name, file)) in [4usize, 1, 3, 2].into_iter().zip(&files) {
         let mut replica = WarpLda::new(&corpus, params, config, seed + 1);
         read_checkpoint(&mut replica, &mut file.as_slice()).expect("checkpoint reads");
         assert_eq!(replica.iterations(), split);
@@ -336,21 +362,21 @@ fn killed_worker_surfaces_as_a_typed_error_not_a_hang() {
     }
 }
 
-/// Runs `iters` iterations under `plan`, asserting that every scripted fault
-/// auto-recovers and that the final model — assignments, `c_k`, perplexity —
-/// is bit-identical to a fault-free serial [`WarpLda`] run of the same seed.
+/// Trains `iters` iterations under `plan` through the [`Trainer`], asserting
+/// that every scripted fault auto-recovers, that the records count each
+/// recovery once and put the plan's closed form on the wire in every healthy
+/// iteration, and that the final model — assignments, `c_k`, likelihood — is
+/// bit-identical to a fault-free serial [`WarpLda`] run of the same seed.
 fn assert_recovery_is_bit_identical(
     workers: usize,
     plan: FaultPlan,
-    iters: u64,
+    iters: usize,
     expected_recoveries: u64,
 ) {
     let corpus = DatasetPreset::Tiny.generate_scaled(2);
     let params = ModelParams::paper_defaults(10);
     let config = WarpLdaConfig::with_mh_steps(2);
     let seed = 71;
-    let doc_view = DocMajorView::build(&corpus);
-    let word_view = WordMajorView::build(&corpus, &doc_view);
 
     let mut cfg = process_config(workers);
     // Keep hang detection quick so the hang tests don't dominate the suite.
@@ -360,24 +386,34 @@ fn assert_recovery_is_bit_identical(
     let mut cluster =
         ProcessCluster::new(&corpus, params, config, seed, cfg).expect("spawn cluster");
     let mut oracle = WarpLda::new(&corpus, params, config, seed);
-    let mut recoveries_seen = 0u64;
-    for _ in 0..iters {
-        let report = cluster.run_iteration().expect("iteration must survive scripted faults");
-        recoveries_seen += u64::from(report.recoveries);
-        oracle.run_iteration();
-    }
-    assert_eq!(cluster.recoveries(), expected_recoveries, "{workers} workers: recovery counter");
-    assert_eq!(recoveries_seen, expected_recoveries, "{workers} workers: per-report counters");
+    // Evaluated once, after the last iteration.
+    let schedule = TrainerConfig::new(iters).eval_every(0);
+    let trainer = Trainer::new(&corpus);
+    let log = trainer
+        .train_checkpointed(&schedule, "cluster", &mut cluster, None)
+        .expect("iterations must survive scripted faults")
+        .log;
+    let oracle_log = trainer.train(&schedule, "oracle", &mut oracle);
 
-    let z = cluster.assignments();
-    assert_eq!(z, oracle.assignments(), "{workers} workers: assignments after recovery");
+    assert_eq!(cluster.recoveries(), expected_recoveries, "{workers} workers: recovery counter");
+    let recorded: u64 = log.records().iter().map(|r| u64::from(r.recoveries)).sum();
+    assert_eq!(recorded, expected_recoveries, "{workers} workers: per-record counters");
+    let wire_bytes = cluster.plan().iteration_wire_bytes(params.num_topics, config.mh_steps);
+    for record in log.records().iter().filter(|r| r.recoveries == 0) {
+        assert_eq!(record.bytes_exchanged, wire_bytes, "healthy iteration {}", record.iteration);
+    }
+
+    assert_eq!(
+        cluster.assignments(),
+        oracle.assignments(),
+        "{workers} workers: assignments after recovery"
+    );
     assert_eq!(cluster.topic_counts(), oracle.topic_counts(), "{workers} workers: c_k");
-    let ll = log_joint_likelihood(&corpus, &doc_view, &word_view, &params, &z);
-    let ll_oracle =
-        log_joint_likelihood(&corpus, &doc_view, &word_view, &params, &oracle.assignments());
-    let ppl = perplexity_per_token(ll, corpus.num_tokens()).unwrap();
-    let ppl_oracle = perplexity_per_token(ll_oracle, corpus.num_tokens()).unwrap();
-    assert_eq!(ppl.to_bits(), ppl_oracle.to_bits(), "{workers} workers: perplexity bits");
+    assert_eq!(
+        log.final_ll().to_bits(),
+        oracle_log.final_ll().to_bits(),
+        "{workers} workers: likelihood bits"
+    );
     cluster.shutdown().expect("clean shutdown after recovery");
 }
 

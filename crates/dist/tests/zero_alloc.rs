@@ -4,9 +4,11 @@
 //! validates, routes and imports a whole iteration without touching the heap.
 //!
 //! A counting global allocator tallies every heap operation of this test
-//! binary; the workers are separate processes and do not count. This file
-//! deliberately contains a single `#[test]`: the harness runs the tests of
-//! one binary concurrently, so a second test would pollute the counter.
+//! binary; the workers are separate processes and do not count. The counter
+//! is process-wide, so the binary has no test harness (`harness = false`):
+//! libtest's own thread runs beside a test and can allocate inside a
+//! measured span on any schedule. `main` runs the one check on the only
+//! thread there is and prints one line when it passes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -40,7 +42,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-#[test]
+fn main() {
+    healthy_iterations_do_not_allocate_in_the_coordinator();
+    println!("test healthy_iterations_do_not_allocate_in_the_coordinator ... ok");
+}
+
 fn healthy_iterations_do_not_allocate_in_the_coordinator() {
     let corpus = DatasetPreset::NyTimesLike.generate_scaled(60);
     // K = 300: two bytes per topic, frames well beyond the buffers' initial

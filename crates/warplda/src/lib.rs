@@ -66,7 +66,8 @@ pub mod prelude {
     pub use warplda_core::{
         load_checkpoint, save_checkpoint, Checkpointable, CollapsedGibbs, FPlusLda, IterationLog,
         IterationRecord, LightLda, LightLdaVariant, ModelParams, ParallelWarpLda, Sampler,
-        SamplerState, TrainOutcome, Trainer, TrainerConfig, WarpLda, WarpLdaConfig,
+        SamplerState, StepExtras, TrainDriver, TrainOutcome, Trainer, TrainerConfig, WarpLda,
+        WarpLdaConfig,
     };
     pub use warplda_corpus::{
         Corpus, CorpusBuilder, CorpusStats, DatasetPreset, DocMajorView, Document, LdaGenerator,
@@ -74,7 +75,7 @@ pub mod prelude {
     };
     pub use warplda_dist::{
         DistError, FaultAction, FaultEvent, FaultPhase, FaultPlan, GridPartition, ProcessCluster,
-        ProcessClusterConfig, ProcessIterationReport, ShardPlan,
+        ProcessClusterConfig, ShardPlan,
     };
     pub use warplda_serve::{
         Client, InferConfig, InferScratch, InferenceEngine, LatencyStats, ServeCounters, Server,

@@ -1,8 +1,9 @@
 //! Distributed WarpLDA on a 2-process cluster (`warplda-dist-worker`
 //! children over loopback TCP): the grid's balance and exchange volume, then
-//! a run checked bit-for-bit against the serial sampler. The bytes every
-//! iteration puts on the sockets must equal the closed form of the exchange
-//! plan, or the run exits non-zero. The worker binary must be built first
+//! a run checked bit-for-bit against the serial sampler. Both train through
+//! the one `Trainer` loop, which records each iteration's bytes on the wire
+//! and likelihood; the bytes must equal the closed form of the exchange plan,
+//! or the run exits non-zero. The worker binary must be built first
 //! (`cargo build --release -p warplda-dist --bin warplda-dist-worker`);
 //! without it the cluster refuses to start with an error that says so.
 //!
@@ -22,16 +23,22 @@ use std::time::Duration;
 
 use warplda::prelude::*;
 
+/// Exits with `message` and `e` when a cluster run fails.
+fn or_exit<T>(result: Result<T, DistError>, message: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{message}: {e}");
+        std::process::exit(1);
+    })
+}
+
 fn run_cluster(corpus: &Corpus, params: ModelParams, config: WarpLdaConfig, seed: u64) {
     let workers = 2;
     let iterations = 5;
     println!("\n{workers}-process cluster (loopback TCP):");
-    let mut cluster =
-        ProcessCluster::new(corpus, params, config, seed, ProcessClusterConfig::new(workers))
-            .unwrap_or_else(|e| {
-                eprintln!("cannot spawn the process cluster: {e}");
-                std::process::exit(1);
-            });
+    let mut cluster = or_exit(
+        ProcessCluster::new(corpus, params, config, seed, ProcessClusterConfig::new(workers)),
+        "cannot spawn the process cluster",
+    );
     let grid = cluster.grid();
     println!(
         "grid: doc-phase imbalance {:.4}, word-phase imbalance {:.4}, \
@@ -41,30 +48,46 @@ fn run_cluster(corpus: &Corpus, params: ModelParams, config: WarpLdaConfig, seed
         grid.tokens_exchanged_per_phase_switch(),
         grid.total_tokens(),
     );
+
+    // The cluster and the serial oracle train through the same loop, each
+    // evaluated after every iteration.
+    let trainer = Trainer::new(corpus);
+    let schedule = TrainerConfig::new(iterations).eval_every(1);
+    let log = or_exit(
+        trainer.train_checkpointed(&schedule, "cluster", &mut cluster, None),
+        "distributed training failed",
+    )
+    .log;
     let mut oracle = WarpLda::new(corpus, params, config, seed);
+    let oracle_log = trainer.train(&schedule, "serial", &mut oracle);
+
     let tokens = corpus.num_tokens() as f64;
     let expected = cluster.plan().iteration_wire_bytes(params.num_topics, config.mh_steps);
-    println!("{:<6} {:>14} {:>14} {:>14}", "iter", "Mtokens/s", "wire KB", "wire B/token");
-    for _ in 0..iterations {
-        let report = cluster.run_iteration().unwrap_or_else(|e| {
-            eprintln!("distributed iteration failed: {e}");
-            std::process::exit(1);
-        });
-        oracle.run_iteration();
-        println!(
-            "{:<6} {:>14.2} {:>14.1} {:>14.3}",
-            report.iteration,
-            tokens / report.wall_sec.max(1e-12) / 1e6,
-            report.bytes_exchanged as f64 / 1e3,
-            report.bytes_exchanged as f64 / tokens,
+    println!(
+        "{:<6} {:>14} {:>14} {:>14} {:>18}",
+        "iter", "Mtokens/s", "wire KB", "wire B/token", "log likelihood"
+    );
+    let rows: String = log
+        .records()
+        .iter()
+        .map(|r| {
+            format!(
+                "{:<6} {:>14.2} {:>14.1} {:>14.3} {:>18.1}\n",
+                r.iteration,
+                r.tokens_per_sec / 1e6,
+                r.bytes_exchanged as f64 / 1e3,
+                r.bytes_exchanged as f64 / tokens,
+                r.log_likelihood.unwrap_or(f64::NAN),
+            )
+        })
+        .collect();
+    print!("{rows}");
+    if let Some(r) = log.records().iter().find(|r| r.bytes_exchanged != expected) {
+        eprintln!(
+            "iteration {} exchanged {} bytes but the plan's closed form says {expected}",
+            r.iteration, r.bytes_exchanged
         );
-        if report.bytes_exchanged != expected {
-            eprintln!(
-                "iteration {} exchanged {} bytes but the plan's closed form says {expected}",
-                report.iteration, report.bytes_exchanged
-            );
-            std::process::exit(1);
-        }
+        std::process::exit(1);
     }
     println!(
         "every iteration exchanged the closed form of the plan: {expected} B = {:.3} B/token \
@@ -77,14 +100,15 @@ fn run_cluster(corpus: &Corpus, params: ModelParams, config: WarpLdaConfig, seed
         oracle.assignments(),
         "multi-process training diverged from the serial oracle"
     );
+    let bits = |log: &IterationLog| -> Vec<u64> {
+        log.eval_points().filter_map(|r| r.log_likelihood).map(f64::to_bits).collect()
+    };
+    assert_eq!(bits(&log), bits(&oracle_log), "the likelihood curves differ");
     println!(
-        "after {iterations} iterations the multi-process assignments are bit-identical \
-         to the serial sampler's"
+        "after {iterations} iterations the multi-process assignments and likelihood curve are \
+         bit-identical to the serial sampler's"
     );
-    cluster.shutdown().unwrap_or_else(|e| {
-        eprintln!("shutdown failed: {e}");
-        std::process::exit(1);
-    });
+    or_exit(cluster.shutdown(), "shutdown failed");
 }
 
 /// Fault-injection smoke test: kill one worker, hang another, kill two at
@@ -108,25 +132,36 @@ fn run_fault_smoke(corpus: &Corpus, config: WarpLdaConfig, seed: u64) {
         .crash(2, 5, FaultPhase::Word)
         .crash(3, 5, FaultPhase::Word);
 
-    let mut cluster = ProcessCluster::new(corpus, params, config, seed, cfg).unwrap_or_else(|e| {
-        eprintln!("cannot spawn the process cluster: {e}");
-        std::process::exit(1);
-    });
+    let mut cluster = or_exit(
+        ProcessCluster::new(corpus, params, config, seed, cfg),
+        "cannot spawn the process cluster",
+    );
+    let trainer = Trainer::new(corpus);
+    let schedule = TrainerConfig::sampling_only(iterations);
+    let log = or_exit(
+        trainer.train_checkpointed(&schedule, "fault-smoke", &mut cluster, None),
+        "training did not survive the scripted faults",
+    )
+    .log;
     let mut oracle = WarpLda::new(corpus, params, config, seed);
-    for _ in 0..iterations {
-        let report = cluster.run_iteration().unwrap_or_else(|e| {
-            eprintln!("iteration did not survive the scripted faults: {e}");
-            std::process::exit(1);
-        });
-        oracle.run_iteration();
-        let note = match report.recoveries {
-            0 => String::new(),
-            1 => "   <- cluster restarted".to_string(),
-            n => format!("   <- cluster restarted {n} times"),
-        };
-        println!("  iteration {:>2} complete{note}", report.iteration);
-    }
+    trainer.train(&schedule, "serial", &mut oracle);
 
+    let rows: String = log
+        .records()
+        .iter()
+        .map(|r| {
+            let note = match r.recoveries {
+                0 => String::new(),
+                1 => "   <- cluster restarted".to_string(),
+                n => format!("   <- cluster restarted {n} times"),
+            };
+            format!("  iteration {:>2} complete{note}\n", r.iteration)
+        })
+        .collect();
+    print!("{rows}");
+
+    let recorded: u64 = log.records().iter().map(|r| u64::from(r.recoveries)).sum();
+    assert_eq!(recorded, cluster.recoveries(), "the records count every recovery once");
     assert_eq!(
         cluster.recoveries(),
         3,
@@ -138,10 +173,7 @@ fn run_fault_smoke(corpus: &Corpus, config: WarpLdaConfig, seed: u64) {
         "recovered training diverged from the fault-free oracle"
     );
     assert_eq!(cluster.topic_counts(), oracle.topic_counts(), "topic counts diverged");
-    cluster.shutdown().unwrap_or_else(|e| {
-        eprintln!("shutdown failed: {e}");
-        std::process::exit(1);
-    });
+    or_exit(cluster.shutdown(), "shutdown failed");
     println!(
         "survived 1 kill + 1 hang + 1 double kill; final assignments bit-identical to the \
          fault-free oracle"

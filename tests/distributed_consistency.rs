@@ -12,7 +12,7 @@ fn corpus() -> Corpus {
 fn grid_partition_is_balanced_and_complete() {
     let corpus = corpus();
     for workers in [2usize, 4, 8] {
-        let grid = GridPartition::build(&corpus, workers, PartitionStrategy::Greedy);
+        let grid = GridPartition::build(&corpus, workers);
         assert_eq!(grid.total_tokens(), corpus.num_tokens());
         assert!(
             grid.doc_phase_imbalance() < 0.1,

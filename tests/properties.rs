@@ -374,7 +374,7 @@ proptest! {
         workers in 1usize..6,
     ) {
         let corpus = Corpus::from_token_docs(docs);
-        let grid = GridPartition::for_cluster(&corpus, workers);
+        let grid = GridPartition::build(&corpus, workers);
         prop_assert_eq!(grid.total_tokens(), corpus.num_tokens());
         for d in 0..corpus.num_docs() as u32 {
             prop_assert!((grid.doc_owner(d) as usize) < workers);
@@ -502,7 +502,7 @@ mod exchange {
         /// Runs `phase` on every worker's shard and encodes the deltas.
         pub fn reach(workers: usize, k: usize, phase: FaultPhase) -> Self {
             let corpus = DatasetPreset::Tiny.generate_scaled(16);
-            let grid = GridPartition::for_cluster(&corpus, workers);
+            let grid = GridPartition::build(&corpus, workers);
             let replica = || {
                 let config = WarpLdaConfig::with_mh_steps(2);
                 WarpLda::new(&corpus, ModelParams::new(k, 0.5, 0.1), config, 9)

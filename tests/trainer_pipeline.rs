@@ -211,5 +211,7 @@ fn trainer_drives_every_sampler_kind_through_one_pipeline() {
         assert_eq!(log.records().len(), 3);
         assert!(log.final_ll().is_finite());
         assert!(log.total_seconds() > 0.0);
+        // An in-process step puts nothing on a wire and recovers nothing.
+        assert!(log.records().iter().all(|r| r.bytes_exchanged == 0 && r.recoveries == 0));
     }
 }
