@@ -44,10 +44,6 @@ impl CollapsedGibbs {
 }
 
 impl Sampler for CollapsedGibbs {
-    fn name(&self) -> &'static str {
-        "CGS"
-    }
-
     fn params(&self) -> &ModelParams {
         &self.params
     }
@@ -80,10 +76,6 @@ impl Sampler for CollapsedGibbs {
 
     fn assignments(&self) -> Vec<u32> {
         self.state.assignments().to_vec()
-    }
-
-    fn assignments_slice(&self) -> Option<&[u32]> {
-        Some(self.state.assignments())
     }
 }
 

@@ -16,7 +16,9 @@
 //!   WarpLDA is what checkpoints: [`WarpLda`](crate::WarpLda) and
 //!   [`ParallelWarpLda`](crate::ParallelWarpLda) implement the trait (a
 //!   process cluster saves and resumes through its coordinator replica, a
-//!   `WarpLda`), all under the one kind `"warplda"`. Restoration is
+//!   `WarpLda`). Every checkpoint file opens with the one kind string
+//!   `"warplda"`, which this module writes and checks, so every driver's
+//!   file is the same kind by construction. Restoration is
 //!   **bit-identical** under every driver: a run that is saved, loaded into a
 //!   freshly constructed sampler — serial, threaded or a cluster's replica —
 //!   and continued produces exactly the same assignments as an uninterrupted
@@ -56,10 +58,6 @@ use crate::sampler::Sampler;
 /// (alias tables) are *not* persisted — they are rebuilt from the restored
 /// records.
 pub trait Checkpointable: Sampler {
-    /// Stable identifier written into the checkpoint (`"warplda"`). Loading a
-    /// checkpoint of any other kind is rejected.
-    fn checkpoint_kind(&self) -> &'static str;
-
     /// Writes the resumable state into `enc`.
     fn write_state(&self, enc: &mut Encoder<'_>) -> CodecResult<()>;
 
@@ -70,6 +68,12 @@ pub trait Checkpointable: Sampler {
     /// is adopted, and a rejected state leaves the sampler unchanged.
     fn read_state(&mut self, dec: &mut Decoder<'_>) -> CodecResult<()>;
 }
+
+/// The kind string every checkpoint opens with. WarpLDA is the one sampler
+/// that checkpoints, so there is one kind; [`read_checkpoint`] refuses a file
+/// of any other (a baseline's file from before baselines stopped
+/// checkpointing).
+const CHECKPOINT_KIND: &str = "warplda";
 
 /// Writes `params` through an encoder.
 pub fn write_model_params(enc: &mut Encoder<'_>, params: &ModelParams) -> CodecResult<()> {
@@ -120,7 +124,7 @@ pub fn write_checkpoint<C: Checkpointable + ?Sized>(
     let mut payload = Vec::new();
     {
         let mut enc = Encoder::new(&mut payload);
-        enc.write_str(sampler.checkpoint_kind())?;
+        enc.write_str(CHECKPOINT_KIND)?;
         write_model_params(&mut enc, sampler.params())?;
         sampler.write_state(&mut enc)?;
         match vocab {
@@ -143,10 +147,9 @@ pub fn read_checkpoint(
     let payload = read_framed(r)?;
     let mut dec = Decoder::new(&payload);
     let kind = dec.read_str()?;
-    if kind != sampler.checkpoint_kind() {
+    if kind != CHECKPOINT_KIND {
         return Err(CodecError::Corrupt(format!(
-            "checkpoint holds a {kind:?} sampler, cannot load into {:?}",
-            sampler.checkpoint_kind()
+            "checkpoint holds a {kind:?} sampler, cannot load into {CHECKPOINT_KIND:?}"
         )));
     }
     let params = read_model_params(&mut dec)?;

@@ -111,10 +111,6 @@ impl<P: MemoryProbe> FPlusLda<P> {
 }
 
 impl<P: MemoryProbe> Sampler for FPlusLda<P> {
-    fn name(&self) -> &'static str {
-        "F+LDA"
-    }
-
     fn params(&self) -> &ModelParams {
         &self.params
     }
@@ -196,10 +192,6 @@ impl<P: MemoryProbe> Sampler for FPlusLda<P> {
 
     fn assignments(&self) -> Vec<u32> {
         self.state.assignments().to_vec()
-    }
-
-    fn assignments_slice(&self) -> Option<&[u32]> {
-        Some(self.state.assignments())
     }
 }
 

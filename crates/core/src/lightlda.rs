@@ -292,10 +292,6 @@ impl<P: MemoryProbe> LightLda<P> {
 }
 
 impl<P: MemoryProbe> Sampler for LightLda<P> {
-    fn name(&self) -> &'static str {
-        self.variant.label()
-    }
-
     fn params(&self) -> &ModelParams {
         &self.params
     }
@@ -378,10 +374,6 @@ impl<P: MemoryProbe> Sampler for LightLda<P> {
 
     fn assignments(&self) -> Vec<u32> {
         self.state.assignments().to_vec()
-    }
-
-    fn assignments_slice(&self) -> Option<&[u32]> {
-        Some(self.state.assignments())
     }
 }
 

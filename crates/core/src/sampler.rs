@@ -12,14 +12,15 @@ use crate::state::SamplerState;
 /// An LDA inference algorithm that refines topic assignments iteration by
 /// iteration.
 ///
-/// The trait is deliberately small: the experiment harness only needs to run
-/// iterations, read back assignments and compute likelihoods; everything else
-/// (proposals, count layouts, phases) is an implementation detail of each
-/// sampler.
+/// A sampler provides what its callers read: the model parameters, one
+/// iteration at a time, the iteration count and the assignments. Everything
+/// else (proposals, count layouts, phases) is an implementation detail of
+/// each sampler. The provided methods derive the word-major assignments, a
+/// counted snapshot and the log likelihood from those; a sampler overrides
+/// them where its own layout serves them without a copy. Timing is the
+/// caller's: the [`Trainer`](crate::Trainer) clocks each `run_iteration`, and
+/// that clock is the only iteration clock.
 pub trait Sampler {
-    /// Short human-readable name used in reports ("WarpLDA", "LightLDA", …).
-    fn name(&self) -> &'static str;
-
     /// The model hyper-parameters.
     fn params(&self) -> &ModelParams;
 
@@ -32,37 +33,6 @@ pub trait Sampler {
 
     /// Current topic assignments, in document-major token order.
     fn assignments(&self) -> Vec<u32>;
-
-    /// Seconds the sampler spent inside its sampling phases during the most
-    /// recent [`run_iteration`](Self::run_iteration), measured by the sampler
-    /// itself, when it keeps phase clocks (WarpLDA serial and parallel do).
-    ///
-    /// The harness wall clock around `run_iteration` additionally includes
-    /// whatever bookkeeping the caller does between starting its timer and
-    /// the phase entry (snapshotting, logging, checkpoint scheduling), so
-    /// throughput derived from it mixes harness overhead into the sampler's
-    /// number. Phase time excludes that overhead; an `IterationRecord` carries
-    /// both.
-    /// Both clocks are wall time, so CPU contention from other threads of
-    /// the process (e.g. an overlapped evaluation worker on a
-    /// core-constrained machine) still shows up in either.
-    fn last_iteration_phase_seconds(&self) -> Option<f64> {
-        None
-    }
-
-    /// Borrowed view of the current assignments in document-major token
-    /// order, when the sampler stores them contiguously in that order.
-    ///
-    /// The baseline samplers (CGS, F+LDA, LightLDA) keep their assignments
-    /// doc-major inside a [`SamplerState`] and return `Some`, so evaluation
-    /// never forces the intermediate `Vec<u32>` copy that
-    /// [`assignments`](Self::assignments) makes. WarpLDA stores topics in CSC
-    /// entry order, so it returns `None` (the default): its doc-major order is
-    /// a gather through the row pointers, and a consumer that counts per word
-    /// reads [`word_major_assignments`](Self::word_major_assignments) instead.
-    fn assignments_slice(&self) -> Option<&[u32]> {
-        None
-    }
 
     /// Current assignments in **word-major** token order, with the column
     /// offsets that cut them into words: word `w`'s topics are
@@ -80,14 +50,7 @@ pub trait Sampler {
     fn word_major_assignments(&self, corpus: &Corpus) -> (Cow<'_, [u32]>, Vec<u32>) {
         let matrix =
             TokenMatrix::from_rows(corpus.vocab_size(), corpus.docs().iter().map(Document::tokens));
-        let gathered;
-        let doc_major = match self.assignments_slice() {
-            Some(z) => z,
-            None => {
-                gathered = self.assignments();
-                &gathered
-            }
-        };
+        let doc_major = self.assignments();
         assert_eq!(
             doc_major.len(),
             matrix.num_entries(),
@@ -96,7 +59,7 @@ pub trait Sampler {
             matrix.num_entries()
         );
         let mut z = vec![0; doc_major.len()];
-        for (&e, &t) in matrix.row_ptr().iter().zip(doc_major) {
+        for (&e, &t) in matrix.row_ptr().iter().zip(&doc_major) {
             z[e as usize] = t;
         }
         (Cow::Owned(matrix.col_offsets().to_vec()), z)
@@ -120,21 +83,15 @@ pub trait Sampler {
         doc_view: &DocMajorView,
         word_view: &WordMajorView,
     ) -> f64 {
-        let gathered;
-        let z = match self.assignments_slice() {
-            Some(z) => z,
-            None => {
-                gathered = self.assignments();
-                &gathered
-            }
-        };
-        eval::log_joint_likelihood(corpus, doc_view, word_view, self.params(), z)
+        eval::log_joint_likelihood(corpus, doc_view, word_view, self.params(), &self.assignments())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::log_joint_likelihood_of_state;
+    use crate::CollapsedGibbs;
 
     /// A fake sampler that flips all assignments to topic 0 on the first
     /// iteration; lets us test the trait's default methods in isolation.
@@ -145,9 +102,6 @@ mod tests {
     }
 
     impl Sampler for Fake {
-        fn name(&self) -> &'static str {
-            "Fake"
-        }
         fn params(&self) -> &ModelParams {
             &self.params
         }
@@ -161,8 +115,24 @@ mod tests {
         fn assignments(&self) -> Vec<u32> {
             self.z.clone()
         }
-        fn assignments_slice(&self) -> Option<&[u32]> {
-            Some(&self.z)
+    }
+
+    /// The defaults `s` does not override agree with the assignments: the
+    /// streamed likelihood equals the counted snapshot's bit for bit, and the
+    /// word-major scatter lists each word's topics in the occurrence order of
+    /// the word view.
+    fn check_defaults(s: &dyn Sampler, corpus: &Corpus, dv: &DocMajorView, wv: &WordMajorView) {
+        let z = s.assignments();
+        let state = s.snapshot_state(corpus, dv, wv);
+        assert_eq!(state.assignments(), &z[..]);
+        let ll = s.log_likelihood(corpus, dv, wv);
+        assert_eq!(ll.to_bits(), log_joint_likelihood_of_state(&state).to_bits());
+        let (offsets, word_major) = s.word_major_assignments(corpus);
+        assert_eq!(offsets.len(), wv.num_words() + 1);
+        for (w, range) in offsets.windows(2).enumerate() {
+            let want: Vec<u32> =
+                wv.word_token_indices(w as u32).iter().map(|&i| z[i as usize]).collect();
+            assert_eq!(word_major[range[0] as usize..range[1] as usize], want);
         }
     }
 
@@ -176,26 +146,17 @@ mod tests {
         let wv = WordMajorView::build(&corpus, &dv);
         let params = ModelParams::new(2, 0.5, 0.1);
         let mut fake = Fake { params, z: vec![0, 1, 0, 1, 0], iters: 0 };
-        let ll_before = fake.log_likelihood(&corpus, &dv, &wv);
-        assert!(ll_before.is_finite());
+        check_defaults(&fake, &corpus, &dv, &wv);
         for _ in 0..3 {
             fake.run_iteration();
         }
         assert_eq!(fake.iterations(), 3);
-        assert!(fake.log_likelihood(&corpus, &dv, &wv).is_finite());
-        // The snapshot counts the current assignments.
-        let state = fake.snapshot_state(&corpus, &dv, &wv);
-        assert_eq!(state.assignments(), &fake.assignments()[..]);
-        assert_eq!(state.assignments(), fake.assignments_slice().unwrap());
-        // The word-major scatter lists each word's topics in the occurrence
-        // order of the word view.
-        let (offsets, word_major) = fake.word_major_assignments(&corpus);
-        assert_eq!(offsets.len(), wv.num_words() + 1);
-        let z = fake.assignments();
-        for (w, range) in offsets.windows(2).enumerate() {
-            let want: Vec<u32> =
-                wv.word_token_indices(w as u32).iter().map(|&i| z[i as usize]).collect();
-            assert_eq!(word_major[range[0] as usize..range[1] as usize], want);
-        }
+        check_defaults(&fake, &corpus, &dv, &wv);
+
+        // A baseline takes the same defaults over its own state.
+        let mut cgs = CollapsedGibbs::new(&corpus, params, 7);
+        cgs.run_iteration();
+        cgs.run_iteration();
+        check_defaults(&cgs, &corpus, &dv, &wv);
     }
 }

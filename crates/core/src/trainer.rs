@@ -27,6 +27,10 @@
 //! cluster. [`Trainer::train`] takes in-process samplers and cannot fail;
 //! [`Trainer::train_checkpointed`] takes any driver and returns its error.
 //!
+//! The trainer's wall clock around each [`TrainDriver::step`] is the one
+//! iteration clock of the workspace: no sampler or driver times itself, so
+//! every reported sampling time is measured the same way.
+//!
 //! The produced [`IterationLog`] is the one report format shared by all
 //! call sites: per-iteration sampling time, throughput, the step's extras
 //! and (where evaluated) log likelihood, with the derived quantities
@@ -126,16 +130,10 @@ pub struct IterationRecord {
     /// (excludes evaluation — overlapped or not).
     pub seconds: f64,
     /// Sampling throughput of this iteration, tokens/second, derived from
-    /// the trainer's wall clock around `run_iteration`.
+    /// the trainer's wall clock around [`TrainDriver::step`]. It is wall
+    /// time: CPU taken by other threads of the process (the overlapped
+    /// evaluation worker on a core-constrained machine) shows up in it.
     pub tokens_per_sec: f64,
-    /// Seconds this iteration spent inside the sampler's own phases, when
-    /// the sampler measures them ([`Sampler::last_iteration_phase_seconds`]).
-    /// Unlike `seconds`/`tokens_per_sec` this excludes trainer bookkeeping
-    /// (snapshotting, logging, checkpoint scheduling). It is still wall
-    /// time: CPU stolen by other threads of the process — e.g. the
-    /// overlapped evaluation worker on a core-constrained machine — affects
-    /// both clocks equally.
-    pub phase_seconds: Option<f64>,
     /// Frame bytes the step put on sockets ([`StepExtras::bytes_exchanged`];
     /// 0 for an in-process sampler).
     pub bytes_exchanged: u64,
@@ -256,12 +254,6 @@ pub trait TrainDriver {
 
     /// The state after the last completed step.
     fn sampler(&self) -> &Self::State;
-
-    /// Seconds the last step spent in the state's own sampling phases, when
-    /// it keeps phase clocks ([`Sampler::last_iteration_phase_seconds`]).
-    fn phase_seconds(&self) -> Option<f64> {
-        None
-    }
 }
 
 impl<S: Sampler + ?Sized> TrainDriver for S {
@@ -276,10 +268,6 @@ impl<S: Sampler + ?Sized> TrainDriver for S {
 
     fn sampler(&self) -> &S {
         self
-    }
-
-    fn phase_seconds(&self) -> Option<f64> {
-        self.last_iteration_phase_seconds()
     }
 }
 
@@ -484,7 +472,6 @@ impl<'a> Trainer<'a> {
                     iteration,
                     seconds: sampling_secs,
                     tokens_per_sec: tokens_per_iter as f64 / iter_secs.max(1e-12),
-                    phase_seconds: driver.phase_seconds(),
                     bytes_exchanged: extras.bytes_exchanged,
                     recoveries: extras.recoveries,
                     log_likelihood: None,
@@ -568,11 +555,6 @@ mod tests {
         assert!(log.final_ll().is_finite());
         assert!(log.total_seconds() > 0.0);
         assert!(log.mean_tokens_per_sec() > 0.0);
-        // WarpLDA keeps phase clocks, so every record must carry the
-        // phase-time-only view and it must never exceed the wall measurement.
-        let phase_secs: f64 =
-            log.records().iter().map(|r| r.phase_seconds.expect("phase clocks present")).sum();
-        assert!(phase_secs <= log.total_seconds());
     }
 
     #[test]
@@ -656,7 +638,6 @@ mod tests {
                 iteration: it,
                 seconds: it as f64,
                 tokens_per_sec: 100.0,
-                phase_seconds: Some(0.5),
                 bytes_exchanged: 0,
                 recoveries: 0,
                 log_likelihood: Some(ll),

@@ -547,8 +547,6 @@ pub struct WarpLda<P: MemoryProbe = NoProbe> {
     scratch: PhaseScratch,
     /// Partial `c_k` of the serial driver, kept so it allocates nothing.
     partial_ck: Vec<u32>,
-    /// Wall seconds the most recent `run_iteration` spent in its two phases.
-    last_phase_secs: f64,
     probe: P,
 }
 
@@ -664,7 +662,6 @@ impl<P: MemoryProbe> WarpLda<P> {
             scratch: PhaseScratch::for_matrix(k, &matrix),
             matrix,
             partial_ck: vec![0u32; k],
-            last_phase_secs: 0.0,
             probe,
         }
     }
@@ -924,17 +921,12 @@ impl<P: MemoryProbe> WarpLda<P> {
 }
 
 impl<P: MemoryProbe> Sampler for WarpLda<P> {
-    fn name(&self) -> &'static str {
-        "WarpLDA"
-    }
-
     fn params(&self) -> &ModelParams {
         &self.params
     }
 
     /// The reference mode: every column, then every row, on this thread.
     fn run_iteration(&mut self) {
-        let t0 = std::time::Instant::now();
         let mut partial = std::mem::take(&mut self.partial_ck);
         // Algorithm 2: word phase first, then document phase.
         self.run_phase(PhaseKind::Word, 0..self.num_words() as u32, &mut partial);
@@ -943,7 +935,6 @@ impl<P: MemoryProbe> Sampler for WarpLda<P> {
         self.install_topic_counts(&partial);
         self.partial_ck = partial;
         self.advance_iteration();
-        self.last_phase_secs = t0.elapsed().as_secs_f64();
     }
 
     fn iterations(&self) -> u64 {
@@ -970,10 +961,6 @@ impl<P: MemoryProbe> Sampler for WarpLda<P> {
         (Cow::Borrowed(self.matrix.col_offsets()), z)
     }
 
-    fn last_iteration_phase_seconds(&self) -> Option<f64> {
-        Some(self.last_phase_secs)
-    }
-
     /// The sampler's own on-the-fly counting: one reusable count vector over
     /// the rows and columns of the records, no copy of the assignments and no
     /// count tables. Bit-identical to evaluating a snapshot.
@@ -985,10 +972,6 @@ impl<P: MemoryProbe> Sampler for WarpLda<P> {
 }
 
 impl<P: MemoryProbe> Checkpointable for WarpLda<P> {
-    fn checkpoint_kind(&self) -> &'static str {
-        "warplda"
-    }
-
     /// The chain is a pure function of `(seed, iteration, records, c_k)`, so
     /// that is the whole payload: any driver resumes what any driver wrote,
     /// and a cluster's coordinator sends these same bytes to a worker that

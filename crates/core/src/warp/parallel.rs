@@ -64,8 +64,6 @@ pub struct ParallelWarpLda {
     workers: Vec<WorkerScratch>,
     /// Work queues over the columns and the rows, indexed by [`PhaseKind`].
     cursors: [ChunkCursor; 2],
-    /// Wall seconds the most recent iteration spent in its two phases.
-    last_phase_secs: f64,
 }
 
 impl ParallelWarpLda {
@@ -87,7 +85,7 @@ impl ParallelWarpLda {
             .collect();
         let cursors = [PhaseKind::Word, PhaseKind::Doc]
             .map(|kind| ChunkCursor::by_mass(inner.entity_offsets(kind), num_threads));
-        Self { inner, workers, cursors, last_phase_secs: 0.0 }
+        Self { inner, workers, cursors }
     }
 
     /// Number of worker threads.
@@ -103,7 +101,7 @@ impl ParallelWarpLda {
     /// One phase on the workers: each claims chunks of entities until the
     /// cursor is dry, then the partial `c_k` are merged and installed.
     fn run_phase(&mut self, kind: PhaseKind) {
-        let Self { inner, workers, cursors, .. } = self;
+        let Self { inner, workers, cursors } = self;
         with_topic_type!(inner.record_width(), T => {
             let (phase, ..) = inner.phase::<T>(kind);
             let no_jobs = std::iter::repeat(());
@@ -134,20 +132,14 @@ fn reduce_partials(ck: &mut [u32], workers: &mut [WorkerScratch]) {
 }
 
 impl Sampler for ParallelWarpLda {
-    fn name(&self) -> &'static str {
-        "WarpLDA (parallel)"
-    }
-
     fn params(&self) -> &ModelParams {
         self.inner.params()
     }
 
     fn run_iteration(&mut self) {
-        let t0 = std::time::Instant::now();
         self.run_phase(PhaseKind::Word);
         self.run_phase(PhaseKind::Doc);
         self.inner.advance_iteration();
-        self.last_phase_secs = t0.elapsed().as_secs_f64();
     }
 
     fn iterations(&self) -> u64 {
@@ -162,22 +154,14 @@ impl Sampler for ParallelWarpLda {
         self.inner.word_major_assignments(corpus)
     }
 
-    fn last_iteration_phase_seconds(&self) -> Option<f64> {
-        Some(self.last_phase_secs)
-    }
-
     fn log_likelihood(&self, corpus: &Corpus, dv: &DocMajorView, wv: &WordMajorView) -> f64 {
         self.inner.log_likelihood(corpus, dv, wv)
     }
 }
 
-/// The thread count is not part of the state: a checkpoint is the sampler's,
-/// under the sampler's kind, and resumes under any driver.
+/// The thread count is not part of the state: a checkpoint is the sampler's
+/// and resumes under any driver.
 impl Checkpointable for ParallelWarpLda {
-    fn checkpoint_kind(&self) -> &'static str {
-        self.inner.checkpoint_kind()
-    }
-
     fn write_state(&self, enc: &mut Encoder<'_>) -> CodecResult<()> {
         self.inner.write_state(enc)
     }

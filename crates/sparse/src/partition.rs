@@ -119,7 +119,10 @@ pub fn partition_by_size(
 /// range and odd workers from the back, so two workers claim neighbouring
 /// chunks only where the two ends meet: the records on either side of a
 /// chunk boundary share a cache line, and a line that two cores write in
-/// turn moves between them on every write.
+/// turn moves between them on every write. On a 2-CPU host a cursor that
+/// hands every worker the first unclaimed chunk ran a two-thread
+/// `ParallelWarpLda` iteration 6–12 % slower (1.5 M tokens, K = 50 and 256,
+/// 20 alternating runs each).
 #[derive(Debug)]
 pub struct ChunkCursor {
     /// Chunks claimed from the front (low 32 bits) and from the back (high

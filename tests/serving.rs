@@ -27,6 +27,65 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     cond()
 }
 
+/// Polls `cond` until it holds, for as long as `counter` keeps rising:
+/// `false` once `counter` has stood still for `stuck` with `cond` false. A
+/// slow host stretches the wait; only a server that stopped working ends it.
+fn wait_while_rising(
+    stuck: Duration,
+    counter: impl Fn() -> u64,
+    mut cond: impl FnMut() -> bool,
+) -> bool {
+    let (mut seen, mut since) = (counter(), Instant::now());
+    loop {
+        if cond() {
+            return true;
+        }
+        let now = counter();
+        if now != seen {
+            (seen, since) = (now, Instant::now());
+        } else if since.elapsed() >= stuck {
+            return cond();
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Writes all of `bytes` to `stream`, which must have a short write timeout,
+/// for as long as the server's `answered` count keeps rising
+/// ([`wait_while_rising`]). Bytes still unsent once the count has stood
+/// still for `stuck` are a `TimedOut` error: the server stopped reading.
+/// Any other error (a reset) is returned as it is.
+fn write_while_answered(
+    stream: &mut std::net::TcpStream,
+    mut bytes: &[u8],
+    answered: impl Fn() -> u64,
+    stuck: Duration,
+) -> std::io::Result<()> {
+    use std::io::{ErrorKind, Write as _};
+    let mut failed = None;
+    let sent = wait_while_rising(stuck, answered, || {
+        match stream.write(bytes) {
+            Ok(0) => failed = Some(ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(e) => failed = Some(e),
+        }
+        bytes.is_empty() || failed.is_some()
+    });
+    match failed {
+        Some(e) => Err(e),
+        None if sent => Ok(()),
+        None => Err(std::io::Error::new(
+            ErrorKind::TimedOut,
+            format!("{} bytes unsent and no request answered for {stuck:?}", bytes.len()),
+        )),
+    }
+}
+
 /// Shrinks a socket's kernel receive buffer to a few KB so a reader that
 /// never drains it backs the sender up almost immediately (kernel buffer
 /// autotuning can otherwise absorb tens of MB before a write would block).
@@ -654,8 +713,6 @@ fn connections_beyond_the_cap_get_a_typed_capacity_error() {
 
 #[test]
 fn stalled_readers_are_disconnected_and_shutdown_stays_prompt() {
-    use std::io::Write as _;
-
     let (corpus, model) = frozen_model();
     let stall_timeout = Duration::from_millis(300);
     let config = ServerConfig {
@@ -667,20 +724,33 @@ fn stalled_readers_are_disconnected_and_shutdown_stays_prompt() {
     let handle = Server::bind("127.0.0.1:0", Arc::clone(&model), config).expect("bind loopback");
     let addr = handle.addr();
 
+    // Requests the server has answered on any connection: computed, shed or
+    // expired. It rises while the server reads what it is sent.
+    let answered = || {
+        let c = handle.counters();
+        handle.latency().count + c.shed_overload + c.deadline_expired
+    };
+    let disconnected = || handle.counters().stalled_disconnects >= 1;
+    // How long `answered` may stay frozen while the server still owes work
+    // before the test calls the server stuck.
+    let progress_deadline = Duration::from_secs(10);
+
     // A client that sends requests and never reads a byte: its responses pile
     // up until they overrun the socket buffers, the write stalls, and the
     // server must disconnect it instead of wedging. How many responses that
     // takes is the kernel's business (socket buffers are host-tuned, tens of
     // MB on some hosts), so clamp this client's receive buffer to keep the
     // overrun cheap and send bursts of doubling size. After each burst the
-    // client goes quiet until the counter moves or the stall clock has had
-    // two timeouts' time to run out (a round that ends too early only costs
-    // the next one): a client that kept writing would keep the server's
-    // event loop reading and could hold the stall check off for as long as
-    // it writes.
+    // client goes quiet until the server has answered everything sent so
+    // far, then for two stall timeouts more; only then does a missing
+    // disconnect mean the buffers have not overrun yet and the next burst is
+    // due. A client that kept writing would keep the server's event loop
+    // reading and could hold the stall check off for as long as it writes,
+    // and a burst sent before the server caught up would only pile more
+    // bytes on a slow host.
     let mut stalled = std::net::TcpStream::connect(addr).expect("connect");
     clamp_recv_buffer(&stalled);
-    stalled.set_write_timeout(Some(Duration::from_secs(10))).expect("write timeout");
+    stalled.set_write_timeout(Some(Duration::from_millis(100))).expect("write timeout");
     let doc: Vec<u32> = queries(corpus.vocab_size(), 1).remove(0);
     let burst_of = |requests: usize| {
         let mut burst = Vec::new();
@@ -692,16 +762,23 @@ fn stalled_readers_are_disconnected_and_shutdown_stays_prompt() {
         }
         burst
     };
-    let disconnected = || handle.counters().stalled_disconnects >= 1;
+    let owed_at_start = answered();
     let mut requests_to_stall = 0;
     for round in 0..8 {
         let requests = 4_000 << round;
-        match stalled.write_all(&burst_of(requests)) {
+        match write_while_answered(&mut stalled, &burst_of(requests), answered, progress_deadline) {
             Ok(()) => requests_to_stall += requests,
             // Reset by the server: the disconnect already happened.
             Err(_) if disconnected() => break,
             Err(e) => panic!("the server stopped reading from a client it still holds: {e}"),
         }
+        let owed = owed_at_start + requests_to_stall as u64;
+        assert!(
+            wait_while_rising(progress_deadline, answered, || disconnected() || answered() >= owed),
+            "the server answered {} of the {owed} requests it was sent and then none for {:?}",
+            answered(),
+            progress_deadline
+        );
         if wait_until(2 * stall_timeout, disconnected) {
             break;
         }
@@ -721,20 +798,17 @@ fn stalled_readers_are_disconnected_and_shutdown_stays_prompt() {
     }
 
     // Shutdown is prompt even with a fresh stalled reader attached — the
-    // regression that motivated this PR: a worker stuck in write_all made
+    // regression this guards against: a worker stuck in write_all made
     // ServerHandle::shutdown (and Drop) hang indefinitely. The second reader
     // sends what it took to stall the first on this host, then the test
     // waits for the server to have answered all of it — responses nobody
     // reads — before asking it to stop.
-    let answered = || {
-        let c = handle.counters();
-        handle.latency().count + c.shed_overload + c.deadline_expired
-    };
     let owed = answered() + requests_to_stall as u64;
     let mut second = std::net::TcpStream::connect(addr).expect("connect");
     clamp_recv_buffer(&second);
-    second.set_write_timeout(Some(Duration::from_secs(10))).expect("write timeout");
-    second.write_all(&burst_of(requests_to_stall)).expect("the server reads what it is sent");
+    second.set_write_timeout(Some(Duration::from_millis(100))).expect("write timeout");
+    write_while_answered(&mut second, &burst_of(requests_to_stall), answered, progress_deadline)
+        .expect("the server reads what it is sent");
     assert!(
         wait_until(Duration::from_secs(30), || answered() >= owed),
         "the server answered {} of the {owed} requests it was sent",

@@ -50,9 +50,6 @@ struct WaitingSampler {
 }
 
 impl Sampler for WaitingSampler {
-    fn name(&self) -> &'static str {
-        "WaitingSampler"
-    }
     fn params(&self) -> &ModelParams {
         &self.params
     }
@@ -68,9 +65,6 @@ impl Sampler for WaitingSampler {
     }
     fn assignments(&self) -> Vec<u32> {
         self.z.clone()
-    }
-    fn assignments_slice(&self) -> Option<&[u32]> {
-        Some(&self.z)
     }
 }
 
