@@ -53,10 +53,12 @@ use crate::sampler::Sampler;
 ///
 /// Implementations write everything their `run_iteration` depends on that the
 /// constructor does not deterministically rebuild: the seed every RNG stream
-/// is derived from, the iteration counter, the per-token records (assignment
-/// plus pending MH proposals) and the delayed topic counts. Derived caches
-/// (alias tables) are *not* persisted — they are rebuilt from the restored
-/// records.
+/// is derived from, the iteration counter, the per-token assignments and the
+/// delayed topic counts — WarpLDA's state is `(seed, iteration, z, c_k)`.
+/// What is a function of those is *not* persisted but derived on reading:
+/// the pending MH proposals, which the last doc phase drew from
+/// `(seed, iteration, z)` (the initializer, at iteration 0), and the alias
+/// tables, which every visit rebuilds.
 pub trait Checkpointable: Sampler {
     /// Writes the resumable state into `enc`.
     fn write_state(&self, enc: &mut Encoder<'_>) -> CodecResult<()>;

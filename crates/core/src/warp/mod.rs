@@ -7,7 +7,12 @@
 //! holding the current topic assignment followed by the `M` pending MH
 //! proposals. Assignment and proposals are always read and written
 //! together, so packing them makes each token touch a single sequential
-//! stream instead of two parallel ones. Neither `Cd` nor `Cw` is ever
+//! stream instead of two parallel ones. Only the assignments are state: at
+//! an iteration boundary every pending proposal is a doc proposal, drawn by
+//! random positioning over its document's assignments from a stream keyed on
+//! `(seed, iteration, phase, document)`, so the proposals are a pure function
+//! of `(seed, iteration, z)` and are re-derived wherever a state is adopted
+//! (see "The state is `(seed, iteration, z, c_k)`" below). Neither `Cd` nor `Cw` is ever
 //! materialized — each row/column count vector is recomputed on the fly while
 //! its document/word is being visited and discarded afterwards (Section 4.4,
 //! M-step) — and that holds for evaluation too:
@@ -21,15 +26,15 @@
 //! up to 256 topics, 2 up to 65 536, 4 beyond — and nothing else
 //! ([`WarpLda::heap_bytes`] adds it up; the `memory_footprint` suite pins
 //! it). The width is derived from `K`, never configured, and it is the width
-//! records travel at between processes and rest at in a checkpoint, so those
-//! paths copy bytes instead of repacking them.
+//! records travel at between processes and assignments rest at in a
+//! checkpoint, so those paths copy bytes instead of repacking them.
 //!
 //! **Width dispatch.** A driver turns the width into a type once per
 //! *phase* ([`with_topic_type!`] around its entity loop) and opens a `Phase`
 //! over [`Topic`], whose one column kernel and one row kernel are
 //! monomorphized with it; the bulk operations (initialization,
 //! [`Sampler::assignments`], the validation scan of
-//! [`WarpLda::check_records_packed`], the likelihood) dispatch once per call.
+//! [`WarpLda::check_topics_packed`], the likelihood) dispatch once per call.
 //! Nothing matches on the width per entity, let alone per token.
 //!
 //! **Sharing.** The kernels are safe code over `&[Cell<T>]` that every visitor
@@ -39,11 +44,12 @@
 //!
 //! **Who validates what.** [`PackedRecords`] guarantees shape only; that
 //! every stored id is below `K` is this module's invariant, established by
-//! construction and kept by the kernels. Record bytes from outside enter
-//! through [`WarpLda::check_records_packed`] (width equals
+//! construction and kept by the kernels. Topic bytes from outside enter
+//! through [`WarpLda::check_topics_packed`] (width equals
 //! [`topic_wire_width`]`(K)`, exact length, every id `< K`) before a byte of
 //! them is copied, so a rejected payload leaves the sampler untouched: a
-//! peer's delta or sync through [`WarpLda::import_records_packed`], and whole
+//! peer's records through [`WarpLda::import_records_packed`], a doc delta's
+//! own segment through [`WarpLda::import_assignments_packed`], and whole
 //! states — a checkpoint, or the same bytes as a cluster's resume payload —
 //! through [`Checkpointable::read_state`], the one reader of the one
 //! serialized form.
@@ -116,6 +122,19 @@
 //! All of them produce bit-identical assignments and `c_k` from one seed,
 //! and share one checkpoint kind.
 //!
+//! # The state is `(seed, iteration, z, c_k)`
+//!
+//! A doc visit draws its proposals last, from its row's stream after the
+//! `M · L_d` MH uniforms the row's chains drew whatever they accepted, and
+//! reads nothing but the row's assignments as the visit left them, which are
+//! the assignments at the next boundary. So at boundary `n ≥ 1` row `d`'s
+//! proposals are drawn again, exactly, by opening the stream of iteration
+//! `n − 1`'s doc visit of `d`, skipping `M · L_d` uniforms and running the
+//! kernel's one proposal draw over the stored `z`; at `n = 0` they are the
+//! initializer's, replayed from the seed. The serialized state therefore
+//! holds the assignments alone, and [`Checkpointable::read_state`]
+//! re-derives the proposals in one pass that allocates nothing.
+//!
 //! Steady-state iterations perform **no heap allocation**: every visit
 //! counts into one reusable [`DenseCounts`] over the K topics — the O(K)
 //! vector the module is named for, whatever the row or column length — and
@@ -154,10 +173,10 @@ pub struct WarpLdaConfig {
     /// use 1–16, with 1, 2 or 4 recommended).
     pub mh_steps: usize,
     /// Selects nothing: every visit counts into the dense vector (see the
-    /// module docs), and both values give the same chain bit for bit. The
-    /// field stays only because the checkpoint's state section and the
-    /// cluster's `Setup` carry it as a byte of format version 5, and the
-    /// repository benchmark names it; removing it is a format bump.
+    /// module docs), and both values give the same chain bit for bit. No
+    /// serialized state carries it; the field stays only because the
+    /// repository benchmark names it, here and as the cluster `Setup`'s
+    /// field of the same name.
     pub use_hash_counts: bool,
 }
 
@@ -460,9 +479,8 @@ impl<T: Topic> Phase<'_, T> {
         rng: &mut SmallRng,
         probe: &mut P,
     ) {
-        let VisitCtx { k, alpha, alpha_bar, beta_bar, region_cd, region_ck, .. } = self.ctx;
+        let VisitCtx { alpha, beta_bar, region_cd, region_ck, .. } = self.ctx;
         let (ck, recs) = (self.ck, self.recs);
-        let len = entries.len();
 
         // c_d on the fly.
         for &e in entries {
@@ -501,9 +519,18 @@ impl<T: Topic> Phase<'_, T> {
         // Accumulate the updated c_d into the next c_k.
         cd.for_each(|t, c| next_ck[t as usize] += c);
 
-        // Draw the doc proposals q_doc(k) ∝ C_dk + α by random positioning: with
-        // probability L_d/(L_d + ᾱ) reuse the topic of a uniformly chosen token
-        // of this document, otherwise a uniform topic — one word per proposal.
+        self.draw_doc_proposals(entries, rng);
+    }
+
+    /// Draws the doc proposals `q_doc(k) ∝ C_dk + α` of the row `entries` by
+    /// random positioning: with probability `L_d/(L_d + ᾱ)` the topic of a
+    /// uniformly chosen token of the document, otherwise a uniform topic —
+    /// one word per proposal. Reads the row's assignments and nothing else,
+    /// so the kernel and [`redraw_row`](Self::redraw_row) are one draw.
+    fn draw_doc_proposals(&self, entries: &[u32], rng: &mut SmallRng) {
+        let VisitCtx { k, alpha_bar, .. } = self.ctx;
+        let recs = self.recs;
+        let len = entries.len();
         let mixture = Mixture::new(len as f64 / (len as f64 + alpha_bar));
         for &e in entries {
             for slot in &recs.record(e)[1..] {
@@ -511,6 +538,22 @@ impl<T: Topic> Phase<'_, T> {
                 slot.set(if copy { recs.record(entries[i as usize])[0].get() } else { T::put(i) });
             }
         }
+    }
+
+    /// Draws row `d`'s doc proposals again as this phase's visit of it drew
+    /// them, from the assignments that visit left: the row's stream skips
+    /// the `M · L_d` uniforms its MH steps drew unconditionally, then runs
+    /// the kernel's draw. Allocation-free.
+    fn redraw_row(&self, d: u32) {
+        let entries = self.matrix.row_entry_ids(d);
+        if entries.is_empty() {
+            return;
+        }
+        let mut rng = new_rng(split_seed(self.seed, d as u64));
+        for _ in 0..self.ctx.m * entries.len() {
+            let _: f64 = rng.gen();
+        }
+        self.draw_doc_proposals(entries, &mut rng);
     }
 }
 
@@ -561,42 +604,36 @@ impl WarpLda<NoProbe> {
     }
 }
 
-/// The random initial state in one pass over the ids in storage order, each
-/// record's assignment and proposals together: two uniform topics per 64-bit
-/// word of the one stream `rng`, high half first, each through
-/// [`index_from_word`] (the order the golden hash pins). Two records hold a
-/// whole number of words; an odd last record leaves the low half of its
-/// last word unused when `M + 1` is odd. Assignments are counted into
-/// `topic_counts` on the way.
-fn init_records<T: Topic>(
-    ids: &mut [T],
-    stride: usize,
-    k: usize,
-    rng: &mut SmallRng,
-    topic_counts: &mut [u32],
-) {
-    let k = u32::try_from(k).expect("topic ids are 32-bit");
-    let mut fill = |ids: &mut [T]| {
-        let mut pairs = ids.chunks_exact_mut(2);
-        for pair in &mut pairs {
-            let r = rng.next_u64();
-            pair[0] = T::put(index_from_word((r >> 32) as u32, k, rng));
-            pair[1] = T::put(index_from_word(r as u32, k, rng));
-        }
-        if let [id] = pairs.into_remainder() {
-            *id = T::put(index_from_word((rng.next_u64() >> 32) as u32, k, rng));
-        }
-    };
-    let mut twos = ids.chunks_exact_mut(2 * stride);
-    for recs in &mut twos {
-        fill(recs);
-        topic_counts[recs[0].get() as usize] += 1;
-        topic_counts[recs[stride].get() as usize] += 1;
+/// The random initial state's topic ids in storage order, each record's
+/// assignment and proposals together: two uniform topics per 64-bit word of
+/// one stream from the seed, high half first, each through
+/// [`index_from_word`] (the order the golden hash pins); an odd last id
+/// leaves the low half of its word unused. Construction takes its ids from
+/// here, and a state at iteration 0 is checked and completed against it.
+struct InitialTopics {
+    rng: SmallRng,
+    k: u32,
+    /// The low half of the current word, once its high half is spent.
+    low: Option<u32>,
+}
+
+impl InitialTopics {
+    fn new(seed: u64, k: usize) -> Self {
+        Self { rng: new_rng(seed), k: u32::try_from(k).expect("topic ids are 32-bit"), low: None }
     }
-    let last = twos.into_remainder();
-    if !last.is_empty() {
-        fill(last);
-        topic_counts[last[0].get() as usize] += 1;
+}
+
+impl Iterator for InitialTopics {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        let half = self.low.take().unwrap_or_else(|| {
+            let r = self.rng.next_u64();
+            self.low = Some(r as u32);
+            (r >> 32) as u32
+        });
+        Some(index_from_word(half, self.k, &mut self.rng))
     }
 }
 
@@ -631,14 +668,6 @@ impl<P: MemoryProbe> WarpLda<P> {
             TokenMatrix::from_rows(vocab_size, corpus.docs().iter().map(Document::tokens));
         let num_entries = matrix.num_entries();
 
-        // Random initial topics + proposals, packed per entry.
-        let mut rng = new_rng(seed);
-        let mut records = PackedRecords::new(num_entries, m + 1, topic_wire_width(k));
-        let mut topic_counts = vec![0u32; k];
-        with_topic_type!(records.width(), T => {
-            init_records::<T>(records.ids_mut(), m + 1, k, &mut rng, &mut topic_counts)
-        });
-
         let ctx = VisitCtx {
             k,
             m,
@@ -651,19 +680,40 @@ impl<P: MemoryProbe> WarpLda<P> {
             region_ck: probe.register_region("ck vector", k, 4),
         };
 
-        Self {
+        let mut sampler = Self {
             params,
             config,
             ctx,
-            records,
-            topic_counts,
+            records: PackedRecords::new(num_entries, m + 1, topic_wire_width(k)),
+            topic_counts: vec![0u32; k],
             seed,
             iterations: 0,
             scratch: PhaseScratch::for_matrix(k, &matrix),
             matrix,
             partial_ck: vec![0u32; k],
             probe,
-        }
+        };
+        // Random initial topics + proposals, packed per entry.
+        sampler.fill_initial();
+        let Self { records, topic_counts, .. } = &mut sampler;
+        with_topic_type!(records.width(), T => {
+            for rec in records.ids::<T>().chunks_exact(m + 1) {
+                topic_counts[rec[0].get() as usize] += 1;
+            }
+        });
+        sampler
+    }
+
+    /// Writes the initial state of the seed over every record, assignment
+    /// and proposals alike.
+    fn fill_initial(&mut self) {
+        let (seed, k) = (self.seed, self.ctx.k);
+        with_topic_type!(self.records.width(), T => {
+            let ids = self.records.ids_mut::<T>();
+            for (id, t) in ids.iter_mut().zip(InitialTopics::new(seed, k)) {
+                *id = T::put(t);
+            }
+        });
     }
 
     /// The configuration in use.
@@ -741,7 +791,11 @@ impl<P: MemoryProbe> WarpLda<P> {
 
     /// The full packed record buffer as little-endian bytes at
     /// [`record_width`](Self::record_width) per id — the form records travel
-    /// and rest in, so a checkpoint writes it as is.
+    /// in. On a process cluster's coordinator replica the proposal slots of
+    /// the entries its workers report as bare assignments (the diagonal of
+    /// the grid) are stale: nothing reads them, since the assignments, the
+    /// likelihood, a frozen model and [`Checkpointable::write_state`] read
+    /// slot 0 only, and an adopted state re-derives its proposals.
     pub fn records_bytes(&self) -> &[u8] {
         self.records.as_bytes()
     }
@@ -766,6 +820,16 @@ impl<P: MemoryProbe> WarpLda<P> {
         &mut self,
         kind: PhaseKind,
     ) -> (Phase<'_, T>, &mut PhaseScratch, &mut P) {
+        self.phase_of::<T>(kind, self.iterations)
+    }
+
+    /// [`phase`](Self::phase) of iteration `iteration`, whose streams the
+    /// re-derivation of the doc proposals replays.
+    fn phase_of<T: Topic>(
+        &mut self,
+        kind: PhaseKind,
+        iteration: u64,
+    ) -> (Phase<'_, T>, &mut PhaseScratch, &mut P) {
         let stride = self.records.stride();
         let cells = Cell::from_mut(self.records.ids_mut::<T>()).as_slice_of_cells();
         // What `SharedRecs::record` leaves unchecked in optimized builds.
@@ -776,9 +840,26 @@ impl<P: MemoryProbe> WarpLda<P> {
             matrix: &self.matrix,
             recs: SharedRecs { cells, stride },
             ck: &self.topic_counts,
-            seed: split_seed(self.seed, self.iterations * 2 + kind as u64),
+            seed: split_seed(self.seed, iteration * 2 + kind as u64),
         };
         (phase, &mut self.scratch, &mut self.probe)
+    }
+
+    /// Fills every record's proposal slots from the assignments, seed and
+    /// iteration counter: at boundary `n ≥ 1` with what iteration `n − 1`'s
+    /// doc phase drew over these assignments, at `n = 0` with the
+    /// initializer's draws (whose assignments the caller has checked).
+    /// Allocation-free.
+    fn derive_proposals(&mut self) {
+        match self.iterations.checked_sub(1) {
+            None => self.fill_initial(),
+            Some(last) => with_topic_type!(self.records.width(), T => {
+                let (phase, ..) = self.phase_of::<T>(PhaseKind::Doc, last);
+                for d in 0..phase.matrix.num_rows() as u32 {
+                    phase.redraw_row(d);
+                }
+            }),
+        }
     }
 
     /// The serial driver of one phase: visits `entities` in order on the
@@ -848,30 +929,24 @@ impl<P: MemoryProbe> WarpLda<P> {
         }
     }
 
-    /// Validates `bytes` as the packed records of `entries` entries at
-    /// `width` bytes per topic without applying them: the width is the one
-    /// `K` dictates, the length is exact and every topic is below `K`. This
-    /// is the validation gate for record bytes from outside — off the wire or
-    /// out of a file.
-    pub fn check_records_packed(
-        &self,
-        entries: usize,
-        width: usize,
-        bytes: &[u8],
-    ) -> CodecResult<()> {
-        let (stride, k) = (self.stride(), self.ctx.k);
+    /// Validates `bytes` as `ids` packed topic ids at `width` bytes each
+    /// without applying them: the width is the one `K` dictates, the length
+    /// is exact and every topic is below `K`. This is the validation gate for
+    /// topic bytes from outside — records or assignments, off the wire or out
+    /// of a file.
+    pub fn check_topics_packed(&self, ids: usize, width: usize, bytes: &[u8]) -> CodecResult<()> {
+        let k = self.ctx.k;
         if width != self.records.width() {
             return Err(CodecError::Corrupt(format!(
-                "records at {width} bytes per topic where K = {k} is stored at {}",
+                "topics at {width} bytes per topic where K = {k} is stored at {}",
                 self.records.width()
             )));
         }
-        if bytes.len() != entries * stride * width {
+        if bytes.len() != ids * width {
             return Err(CodecError::Corrupt(format!(
-                "record payload holds {} bytes but {entries} entries × stride {stride} × \
-                 {width} need {}",
+                "topic payload holds {} bytes but {ids} ids × {width} need {}",
                 bytes.len(),
-                entries * stride * width,
+                ids * width,
             )));
         }
         // A branch-free maximum over unaligned ids, so the scan vectorizes.
@@ -887,7 +962,7 @@ impl<P: MemoryProbe> WarpLda<P> {
     /// Overwrites the packed records of `entries` (in that order) with
     /// `bytes`, the form [`export_records_packed`](Self::export_records_packed)
     /// produced on the owning peer. Nothing is written unless
-    /// [`check_records_packed`](Self::check_records_packed) accepts the
+    /// [`check_topics_packed`](Self::check_topics_packed) accepts the
     /// payload; after it, the import is a byte copy per entry.
     pub fn import_records_packed(
         &mut self,
@@ -895,11 +970,62 @@ impl<P: MemoryProbe> WarpLda<P> {
         width: usize,
         bytes: &[u8],
     ) -> CodecResult<()> {
-        self.check_records_packed(entries.len(), width, bytes)?;
+        self.check_topics_packed(entries.len() * self.stride(), width, bytes)?;
         let rb = self.records.record_bytes();
         let dst = self.records.as_bytes_mut();
         for (rec, &e) in bytes.chunks_exact(rb).zip(entries) {
             dst[e as usize * rb..][..rb].copy_from_slice(rec);
+        }
+        Ok(())
+    }
+
+    /// Appends the assignments of `entries` (in that order) to `out`, one
+    /// id of [`record_width`](Self::record_width) bytes each: a doc delta's
+    /// own segment, whose proposals its one reader — the coordinator's
+    /// replica, which serializes assignments only — never reads.
+    pub fn export_assignments_packed(&self, entries: &[u32], out: &mut Vec<u8>) {
+        let (src, rb) = (self.records.as_bytes(), self.records.record_bytes());
+        with_topic_type!(self.records.width(), T => {
+            out.reserve(entries.len() * T::WIDTH);
+            for &e in entries {
+                out.extend_from_slice(&src[e as usize * rb..][..T::WIDTH]);
+            }
+        });
+    }
+
+    /// Overwrites the assignments of `entries` (in that order) with `bytes`,
+    /// the form [`export_assignments_packed`](Self::export_assignments_packed)
+    /// produced, and leaves their proposal slots as they were. Nothing is
+    /// written unless [`check_topics_packed`](Self::check_topics_packed)
+    /// accepts the payload.
+    pub fn import_assignments_packed(
+        &mut self,
+        entries: &[u32],
+        width: usize,
+        bytes: &[u8],
+    ) -> CodecResult<()> {
+        self.check_topics_packed(entries.len(), width, bytes)?;
+        let rb = self.records.record_bytes();
+        let dst = self.records.as_bytes_mut();
+        with_topic_type!(width, T => {
+            for (z, &e) in bytes.chunks_exact(T::WIDTH).zip(entries) {
+                dst[e as usize * rb..][..T::WIDTH].copy_from_slice(z);
+            }
+        });
+        Ok(())
+    }
+
+    /// Writes every record's assignment, in storage order, at `T`'s width,
+    /// staged through a stack chunk so the writer sees kilobyte blocks.
+    fn write_assignments<T: Topic>(&self, enc: &mut Encoder<'_>) -> CodecResult<()> {
+        let mut chunk = [0u8; 4096];
+        let rb = self.records.record_bytes();
+        for recs in self.records.as_bytes().chunks(rb * (chunk.len() / T::WIDTH)) {
+            let n = recs.len() / rb * T::WIDTH;
+            for (z, rec) in chunk[..n].chunks_exact_mut(T::WIDTH).zip(recs.chunks_exact(rb)) {
+                z.copy_from_slice(&rec[..T::WIDTH]);
+            }
+            enc.write_bytes(&chunk[..n])?;
         }
         Ok(())
     }
@@ -972,38 +1098,38 @@ impl<P: MemoryProbe> Sampler for WarpLda<P> {
 }
 
 impl<P: MemoryProbe> Checkpointable for WarpLda<P> {
-    /// The chain is a pure function of `(seed, iteration, records, c_k)`, so
-    /// that is the whole payload: any driver resumes what any driver wrote,
-    /// and a cluster's coordinator sends these same bytes to a worker that
-    /// must rejoin an iteration boundary. The records are written as they are
-    /// stored — `width:u8, n:u64, n × width` bytes, the layout they also
-    /// cross the wire in.
+    /// The chain is a pure function of `(seed, iteration, z, c_k)` (see the
+    /// module docs), so that is the whole payload: any driver resumes what
+    /// any driver wrote, and a cluster's coordinator sends these same bytes
+    /// to a worker that must rejoin an iteration boundary. The assignments
+    /// are written in storage order at the records' width —
+    /// `width:u8, n:u64, n × width` bytes with `n = T`, the layout topic
+    /// ids also cross the wire in — and `M` is written for the reader to
+    /// check.
     fn write_state(&self, enc: &mut Encoder<'_>) -> CodecResult<()> {
         enc.write_u64(self.seed)?;
         enc.write_u64(self.iterations)?;
         enc.write_usize(self.config.mh_steps)?;
-        enc.write_bool(self.config.use_hash_counts)?;
         enc.write_u8(self.records.width() as u8)?;
-        enc.write_usize(self.num_entries() * self.stride())?;
-        enc.write_bytes(self.records.as_bytes())?;
+        enc.write_usize(self.num_entries())?;
+        with_topic_type!(self.records.width(), T => self.write_assignments::<T>(enc))?;
         enc.write_u32_slice(&self.topic_counts)
     }
 
     /// Adopts a state where it lies in `dec`'s input: every check runs
-    /// against the borrowed bytes — `M` and the hash flag, the record shape,
-    /// every id `< K`, `c_k` equal to the assignment histogram — and only then
-    /// are the records copied, once. A rejected state leaves the sampler as it
-    /// was.
+    /// against the borrowed bytes — `M`, the assignment section's shape,
+    /// every id `< K`, `c_k` equal to the assignment histogram and, at
+    /// iteration 0, the assignments equal to the seed's initial ones — and
+    /// only then are the assignments copied, once, and the proposals
+    /// re-derived from them. A rejected state leaves the sampler as it was.
     fn read_state(&mut self, dec: &mut Decoder<'_>) -> CodecResult<()> {
         let seed = dec.read_u64()?;
         let iterations = dec.read_u64()?;
         let mh_steps = dec.read_usize()?;
-        let use_hash = dec.read_bool()?;
-        if mh_steps != self.config.mh_steps || use_hash != self.config.use_hash_counts {
+        if mh_steps != self.config.mh_steps {
             return Err(CodecError::Corrupt(format!(
-                "checkpoint config (M = {mh_steps}, hash counts = {use_hash}) does not match \
-                 the sampler (M = {}, hash counts = {})",
-                self.config.mh_steps, self.config.use_hash_counts,
+                "checkpoint has M = {mh_steps} where the sampler has M = {}",
+                self.config.mh_steps,
             )));
         }
         // Phase streams are keyed on `2 · iteration + phase`; no run gets
@@ -1015,8 +1141,8 @@ impl<P: MemoryProbe> Checkpointable for WarpLda<P> {
         }
         let width = dec.read_u8()? as usize;
         let ids = dec.read_count(width)?;
-        let records = dec.bytes(ids * width)?;
-        self.check_records_packed(self.num_entries(), width, records)?;
+        let z = dec.bytes(ids * width)?;
+        self.check_topics_packed(self.num_entries(), width, z)?;
         let k = self.ctx.k;
         let counts = dec.read_count(4)?;
         if counts != k {
@@ -1027,8 +1153,8 @@ impl<P: MemoryProbe> Checkpointable for WarpLda<P> {
         // topic histogram of the assignments.
         let mut hist = vec![0u32; k];
         with_topic_type!(width, T => {
-            for rec in records.chunks_exact(self.records.record_bytes()) {
-                hist[T::read(rec) as usize] += 1;
+            for t in z.chunks_exact(T::WIDTH) {
+                hist[T::read(t) as usize] += 1;
             }
         });
         if !counts.iter().map(|c| u32::from_le_bytes(*c)).eq(hist.iter().copied()) {
@@ -1036,11 +1162,31 @@ impl<P: MemoryProbe> Checkpointable for WarpLda<P> {
                 "topic counts do not match the assignment histogram".to_string(),
             ));
         }
-        self.records.as_bytes_mut().copy_from_slice(records);
+        // Before the first iteration the assignments are the seed's.
+        let stride = self.stride();
+        if iterations == 0 {
+            let initial = InitialTopics::new(seed, k).step_by(stride);
+            let stray = with_topic_type!(width, T => {
+                initial.zip(z.chunks_exact(T::WIDTH)).position(|(t, z)| T::read(z) != t)
+            });
+            if let Some(e) = stray {
+                return Err(CodecError::Corrupt(format!(
+                    "a state at iteration 0 holds the initial assignments of its seed, but \
+                     entry {e}'s is not"
+                )));
+            }
+        }
+        with_topic_type!(width, T => {
+            let records = self.records.ids_mut::<T>().chunks_exact_mut(stride);
+            for (rec, t) in records.zip(z.chunks_exact(T::WIDTH)) {
+                rec[0] = T::put(T::read(t));
+            }
+        });
         self.topic_counts = hist;
         self.iterations = iterations;
         // The state's seed, not the constructor's, governs continuation.
         self.seed = seed;
+        self.derive_proposals();
         Ok(())
     }
 }
@@ -1374,36 +1520,43 @@ mod tests {
         assert_eq!(s.records_bytes(), &before[..], "rejected input must not be applied");
 
         // A state as `write_state` lays it out, around the given sections.
-        let state = |m: usize, width: u8, records: &[u8], ck: &[u32]| {
+        let state = |(seed, iteration): (u64, u64), m: usize, width: u8, z: &[u8], ck: &[u32]| {
             let mut out = Vec::new();
             let mut enc = Encoder::new(&mut out);
-            enc.write_u64(77).unwrap();
-            enc.write_u64(9).unwrap();
+            enc.write_u64(seed).unwrap();
+            enc.write_u64(iteration).unwrap();
             enc.write_usize(m).unwrap();
-            enc.write_bool(true).unwrap();
             enc.write_u8(width).unwrap();
-            enc.write_usize(records.len() / width.max(1) as usize).unwrap();
-            enc.write_bytes(records).unwrap();
+            enc.write_usize(z.len() / width.max(1) as usize).unwrap();
+            enc.write_bytes(z).unwrap();
             enc.write_u32_slice(ck).unwrap();
             out
         };
-        // A c_k that is not the assignment histogram, a short record buffer,
-        // a c_k of the wrong length, another M, a width K does not travel at,
-        // an id >= K, and every truncation of a valid state.
+        // K = 6 travels at one byte per topic: the assignments are every
+        // record's first byte.
+        let z: Vec<u8> = before.iter().step_by(stride).copied().collect();
+        // A c_k that is not the assignment histogram, a short assignment
+        // section, a c_k of the wrong length, another M, a width K does not
+        // travel at, an id >= K, the records where the assignments belong,
+        // assignments at iteration 0 that are not the initial ones of the
+        // state's seed, and every truncation of a valid state.
         let good_ck = s.topic_counts().to_vec();
         let mut bad_ck = good_ck.clone();
         bad_ck[0] = bad_ck[0].wrapping_add(1);
-        let mut bad_id = before.clone();
-        bad_id[stride] = params.num_topics as u8;
-        let good = state(2, 1, &before, &good_ck);
+        let mut bad_id = z.clone();
+        bad_id[1] = params.num_topics as u8;
+        let at = (77, 9);
+        let good = state(at, 2, 1, &z, &good_ck);
         let mut rejected = vec![
-            state(2, 1, &before, &bad_ck),
-            state(2, 1, &before[..before.len() - 1], &good_ck),
-            state(2, 1, &before, &good_ck[..good_ck.len() - 1]),
-            state(3, 1, &before, &good_ck),
-            state(2, 2, &before, &good_ck),
-            state(2, 0, &before, &good_ck),
-            state(2, 1, &bad_id, &good_ck),
+            state(at, 2, 1, &z, &bad_ck),
+            state(at, 2, 1, &z[..z.len() - 1], &good_ck),
+            state(at, 2, 1, &z, &good_ck[..good_ck.len() - 1]),
+            state(at, 3, 1, &z, &good_ck),
+            state(at, 2, 2, &z, &good_ck),
+            state(at, 2, 0, &z, &good_ck),
+            state(at, 2, 1, &bad_id, &good_ck),
+            state(at, 2, 1, &before, &good_ck),
+            state((77, 0), 2, 1, &z, &good_ck),
         ];
         rejected.extend((0..good.len()).step_by(7).map(|cut| good[..cut].to_vec()));
         for bytes in &rejected {
@@ -1412,6 +1565,10 @@ mod tests {
         }
         assert_eq!(s.records_bytes(), &before[..], "rejected input must not be applied");
         assert_eq!((s.iterations(), s.seed()), (0, 5));
+        // The initial state of its own seed is accepted, and its proposals
+        // are the constructor's.
+        s.read_state(&mut Decoder::new(&state((5, 0), 2, 1, &z, &good_ck))).unwrap();
+        assert_eq!(s.records_bytes(), &before[..], "the initializer's proposals");
         let mut dec = Decoder::new(&good);
         s.read_state(&mut dec).unwrap();
         dec.finish().unwrap();

@@ -98,6 +98,11 @@ impl ParallelWarpLda {
         self.inner.topic_counts()
     }
 
+    /// The packed records, as [`WarpLda::records_bytes`].
+    pub fn records_bytes(&self) -> &[u8] {
+        self.inner.records_bytes()
+    }
+
     /// One phase on the workers: each claims chunks of entities until the
     /// cursor is dry, then the partial `c_k` are merged and installed.
     fn run_phase(&mut self, kind: PhaseKind) {

@@ -18,7 +18,9 @@ use warplda_core::{
     topic_wire_width, Checkpointable, CollapsedGibbs, FPlusLda, LightLda, LightLdaVariant,
     ModelParams, ParallelWarpLda, Sampler, WarpLda, WarpLdaConfig,
 };
-use warplda_corpus::io::codec::{checksum64, fnv1a64, CodecError, FORMAT_VERSION, MAGIC};
+use warplda_corpus::io::codec::{
+    checksum64, fnv1a64, CodecError, Decoder, Encoder, FORMAT_VERSION, MAGIC,
+};
 use warplda_corpus::{Corpus, DatasetPreset};
 
 const ITERATIONS: usize = 3;
@@ -322,7 +324,7 @@ fn any_driver_resumes_any_drivers_checkpoint_bit_identically_at_every_width() {
             }
             let mut file = Vec::new();
             write_checkpoint(first.as_ref(), None, &mut file).unwrap();
-            assert_eq!(&file[8..12], &5u32.to_le_bytes(), "container format version");
+            assert_eq!(&file[8..12], &6u32.to_le_bytes(), "container format version");
 
             for reader in 0..3 {
                 // Built under another seed: the checkpoint's governs continuation.
@@ -354,8 +356,53 @@ fn reframe(payload: &[u8], version: u32) -> Vec<u8> {
     file
 }
 
+/// A state is `(seed, iteration, z, c_k)`: the proposals its reader
+/// re-derives are the writer's, byte for byte, at every record width, at
+/// `M` = 1, 2 and 4, and at the initial boundary as well as later ones —
+/// under the serial and the threaded driver, each reader built under another
+/// seed — and both chains go on byte-identical.
 #[test]
-fn a_checkpoint_is_the_records_at_their_width_and_damage_is_typed_and_harmless() {
+fn a_state_read_back_rederives_every_proposal_byte_for_byte() {
+    fn round_trip<S: Checkpointable>(
+        mut writer: S,
+        mut reader: S,
+        records: fn(&S) -> &[u8],
+        boundary: usize,
+        what: &str,
+    ) {
+        for _ in 0..boundary {
+            writer.run_iteration();
+        }
+        let mut state = Vec::new();
+        writer.write_state(&mut Encoder::new(&mut state)).unwrap();
+        let mut dec = Decoder::new(&state);
+        reader.read_state(&mut dec).unwrap();
+        dec.finish().unwrap();
+        assert_eq!(records(&reader), records(&writer), "{what}: read back");
+        for more in 1..=2 {
+            writer.run_iteration();
+            reader.run_iteration();
+            assert_eq!(records(&reader), records(&writer), "{what}: {more} more iterations");
+        }
+    }
+    for k in WIDTH_KS {
+        for m in [1, 2, 4] {
+            let case = Case { preset: DatasetPreset::Tiny, scale: 4, k, m, seed: 21 };
+            let (corpus, params, config) = (case.corpus(), case.params(), case.config());
+            for boundary in [0, 1, 3] {
+                let what = format!("K = {k}, M = {m}, boundary {boundary}");
+                let serial = |seed| WarpLda::new(&corpus, params, config, seed);
+                round_trip(serial(21), serial(1021), WarpLda::records_bytes, boundary, &what);
+                let parallel = |seed| ParallelWarpLda::new(&corpus, params, config, seed, 2);
+                let records = ParallelWarpLda::records_bytes;
+                round_trip(parallel(21), parallel(1021), records, boundary, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_checkpoint_is_the_assignments_at_their_width_and_damage_is_typed_and_harmless() {
     const HEADER: usize = 28;
     let mut sizes = Vec::new();
     for k in WIDTH_KS {
@@ -368,16 +415,23 @@ fn a_checkpoint_is_the_records_at_their_width_and_damage_is_typed_and_harmless()
         write_checkpoint(&writer, None, &mut file).unwrap();
         sizes.push(file.len());
 
-        // Payload: kind, K, α, β, seed, iteration, M, hash flag, then the
-        // record section `width:u8, n:u64, n × width bytes` — the sampler's
-        // buffer, byte for byte.
+        // Payload: kind, K, α, β, seed, iteration, M, then the assignment
+        // section `width:u8, n:u64, n × width bytes` with n = T — every
+        // record's first id, in storage order, at the records' width.
         let payload = &file[HEADER..];
-        let width_at = (8 + "warplda".len()) + 3 * 8 + 2 * 8 + 8 + 1;
-        let ids = writer.num_entries() * writer.stride();
+        let width_at = (8 + "warplda".len()) + 3 * 8 + 2 * 8 + 8;
+        let ids = writer.num_entries();
         assert_eq!(payload[width_at] as usize, width);
         assert_eq!(payload[width_at + 1..width_at + 9], (ids as u64).to_le_bytes());
-        let records_at = width_at + 9;
-        assert_eq!(&payload[records_at..records_at + ids * width], writer.records_bytes());
+        let z_at = width_at + 9;
+        let record_bytes = writer.stride() * width;
+        let z: Vec<u8> = writer
+            .records_bytes()
+            .chunks_exact(record_bytes)
+            .flat_map(|r| &r[..width])
+            .copied()
+            .collect();
+        assert_eq!(&payload[z_at..z_at + ids * width], &z[..]);
 
         let mut reader = WarpLda::new(&corpus, case.params(), case.config(), case.seed + 1);
         let untouched = (reader.records_bytes().to_vec(), reader.topic_counts().to_vec());
@@ -390,8 +444,9 @@ fn a_checkpoint_is_the_records_at_their_width_and_damage_is_typed_and_harmless()
         };
 
         // The previous formats are refused by version, whatever they hold:
-        // v3 wrote the records as a u32 array, v4 checksummed byte by byte.
-        for legacy in [3, 4] {
+        // v3 wrote the records as a u32 array, v4 checksummed byte by byte,
+        // v5 stored the proposals beside the assignments.
+        for legacy in [3, 4, 5] {
             let err = refuse(&reframe(payload, legacy), "legacy");
             assert!(matches!(err, CodecError::LegacyVersion(v) if v == legacy), "{err}");
         }
@@ -402,22 +457,23 @@ fn a_checkpoint_is_the_records_at_their_width_and_damage_is_typed_and_harmless()
         let err = refuse(&reframe(&damaged, FORMAT_VERSION), "width");
         assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
 
-        // A short record section: the count says one id fewer.
+        // A short assignment section: the count says one id fewer.
         let mut damaged = payload.to_vec();
         damaged[width_at + 1..width_at + 9].copy_from_slice(&(ids as u64 - 1).to_le_bytes());
         let err = refuse(&reframe(&damaged, FORMAT_VERSION), "length");
         assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
 
-        // A topic id ≥ K in the last record.
+        // A topic id ≥ K in the last assignment.
         let mut damaged = payload.to_vec();
-        let last = records_at + (ids - 1) * width;
+        let last = z_at + (ids - 1) * width;
         damaged[last..last + width].copy_from_slice(&(k as u32).to_le_bytes()[..width]);
         let err = refuse(&reframe(&damaged, FORMAT_VERSION), "topic range");
         assert!(matches!(err, CodecError::Corrupt(_)), "{err}");
 
-        // And the undamaged file still loads into that same sampler.
+        // And the undamaged file still loads into that same sampler, with
+        // the writer's proposals.
         read_checkpoint(&mut reader, &mut file.as_slice()).unwrap();
-        assert_eq!(reader.assignments(), writer.assignments());
+        assert_eq!(reader.records_bytes(), writer.records_bytes());
     }
     // Same corpus, same M: the files differ by the record width alone
     // (and the K-slot c_k).

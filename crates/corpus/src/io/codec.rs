@@ -48,14 +48,20 @@
 //! the header's checksum: [`checksum64`] runs FNV-1a's step over 8-byte words
 //! in four interleaved lanes instead of over single bytes, so verifying a
 //! payload costs a small fraction of reading it (v4's byte-serial FNV-1a ran
-//! at about 570 MB/s, one dependent multiply per byte).
-//! v1, v2, v3 and v4 files are rejected with the typed
+//! at about 570 MB/s, one dependent multiply per byte). Version 6 writes the
+//! WarpLDA state as `(seed, iteration, M, assignments, c_k)`: the pending MH
+//! proposals are a pure function of the seed, the iteration and the
+//! assignments, so the reader re-derives them instead of reading `M`
+//! further ids per token, and the hash-count flag byte, which selected
+//! nothing, is gone.
+//! v1, v2, v3, v4 and v5 files are rejected with the typed
 //! [`CodecError::LegacyVersion`] — re-train or re-save under the current
 //! format. There is no in-place migration and no second reader: a v2 serial
 //! checkpoint can only be continued by the sequential stream it saved, which
 //! no sampler draws from any more, so resuming it would silently run a
-//! different chain than the one that was saved; a v3 file could be widened
-//! and a v4 file re-hashed, but a reader kept for files only this repository's own runs ever wrote
+//! different chain than the one that was saved; a v3 file could be widened,
+//! a v4 file re-hashed and a v5 file stripped of its proposals, but a reader
+//! kept for files only this repository's own runs ever wrote
 //! is a second code path with no user. The version is the container's, so
 //! older serving models are refused with it and are re-frozen from their
 //! sampler.
@@ -88,7 +94,7 @@ pub const MODEL_MAGIC: [u8; 8] = *b"WLDAMODL";
 /// Current format version of the framed container. Bump when the payload
 /// layout changes incompatibly; readers reject versions they do not know.
 /// See the module docs for the format history.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Errors produced while encoding or decoding framed binary data.
 #[derive(Debug)]
@@ -131,7 +137,8 @@ impl std::fmt::Display for CodecError {
                     "checkpoint format version {v} is superseded (current: {FORMAT_VERSION}): \
                      v1 predates the packed token-record layout, v2 the per-entity RNG streams \
                      every sampler now draws from, v3 the width-native records, v4 the \
-                     word-lane checksum — re-train or re-save the model"
+                     word-lane checksum, v5 the assignment-only state — re-train or re-save \
+                     the model"
                 )
             }
             CodecError::ChecksumMismatch { expected, found } => {
@@ -179,7 +186,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(FNV_OFFSET, |h, &b| fnv_step(h, u64::from(b)))
 }
 
-/// The integrity checksum of the framed container (format v5). FNV-1a's step
+/// The integrity checksum of the framed container (since format v5). FNV-1a's step
 /// runs over the little-endian 8-byte words of `bytes` in four interleaved
 /// lanes (word `i` goes to lane `i mod 4`, so the lanes' multiplies do not
 /// wait on each other); then the tail bytes past the last 32-byte block and
@@ -683,6 +690,7 @@ mod tests {
             (2, "per-entity RNG streams"),
             (3, "width-native records"),
             (4, "word-lane checksum"),
+            (5, "assignment-only state"),
         ] {
             let mut file = Vec::new();
             write_framed(&mut file, b"x").unwrap();

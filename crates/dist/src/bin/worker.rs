@@ -10,8 +10,9 @@
 //! (the replica is a deterministic function of the corpus and seed, the
 //! plan of the replica's matrix and the corpus's greedy grid for the worker
 //! count), then serves `RunIteration` requests: advance the owned shard of a
-//! phase, report a partial `c_k` plus one record segment per destination
-//! worker (built in place in a reused frame buffer), and absorb the merged
+//! phase, report a partial `c_k` plus one segment per destination worker —
+//! records for the peers, assignments alone for the coordinator's own
+//! segment (built in place in a reused frame buffer) — and absorb the merged
 //! `c_k` plus the segments the peers addressed to this worker (applied in
 //! place from the receive buffer). A healthy iteration allocates nothing.
 //!
@@ -27,7 +28,8 @@
 //! streams make the replay bit-identical. That state is the sampler section
 //! of a checkpoint, adopted through the checkpoint reader
 //! ([`Checkpointable::read_state`]) where it lies in the receive buffer:
-//! validated in place, copied once, into the sampler.
+//! validated in place, its assignments copied once into the sampler, and
+//! the pending proposals re-derived from them.
 //!
 //! Scripted faults from `Setup.faults` fire at the start of their target
 //! phase: crash (exit mid-protocol), hang (stop heartbeats and stall), delay
@@ -45,13 +47,13 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use warplda_core::checkpoint::Checkpointable;
-use warplda_core::{topic_wire_width, ModelParams, Sampler, WarpLda, WarpLdaConfig};
+use warplda_core::{ModelParams, Sampler, WarpLda, WarpLdaConfig};
 use warplda_corpus::io::codec::Decoder;
 use warplda_corpus::Corpus;
 use warplda_dist::fault::{FaultAction, FaultPhase, FaultTimeline};
 use warplda_dist::plan::ShardPlan;
 use warplda_dist::protocol::{
-    begin_delta_frame, decode_message, encode_message, Message, Setup, DIST_MAX_FRAME_BYTES,
+    decode_message, encode_message, Message, Setup, DIST_MAX_FRAME_BYTES,
 };
 use warplda_dist::GridPartition;
 use warplda_net::{write_frame, FrameBuffer};
@@ -298,7 +300,6 @@ fn serve(
     faults: &mut FaultTimeline,
     buffers: &mut Buffers,
 ) -> Result<()> {
-    let width = topic_wire_width(sampler.params().num_topics);
     loop {
         let epoch = match decode_message(link.reader.recv()?)? {
             Message::RunIteration { epoch } => epoch,
@@ -323,11 +324,8 @@ fn serve(
                 FaultPhase::Doc => sampler.run_doc_phase_shard(&plan.owned_docs[id], partial),
             }
             let exchange = plan.phase(phase);
-            let entries = &exchange.delta_entries[id];
             let frame = &mut buffers.frame;
-            let values = entries.len() * sampler.stride();
-            begin_delta_frame(frame, phase, id as u32, epoch, width, partial, values);
-            sampler.export_records_packed(entries, frame);
+            exchange.encode_delta(sampler, id, epoch, partial, frame);
             match sabotage {
                 Some(FaultAction::CorruptDelta) => {
                     // Flip the tag byte (right after the length prefix) so

@@ -3,8 +3,8 @@
 //! The coordinator and every worker build the *same* [`ShardPlan`] from the
 //! same inputs — the replica's token matrix and the [`GridPartition`] — so
 //! entry lists never cross the wire: a delta or sync frame carries only
-//! packed records, and both ends already agree — in order — on which entries
-//! those records belong to.
+//! packed topic ids, and both ends already agree — in order — on which
+//! entries those ids belong to.
 //!
 //! Per worker `i` the plan holds the columns/rows it advances
 //! (`owned_words[i]` / `owned_docs[i]`) and, per phase, a [`PhasePlan`]: the
@@ -19,6 +19,12 @@
 //!   only the coordinator's replica needs (it is how the replica learns the
 //!   iteration's result). After a word phase the own segment is empty: the
 //!   replica is not touched mid-iteration, and worker `i` already has it.
+//!
+//! The segments to peers travel as whole records (`M + 1` ids per entry):
+//! their receivers run the next phase on those proposals. The own segment
+//! travels as assignments only (one id per entry): the replica serializes
+//! assignments alone and re-derives proposals wherever a state is adopted,
+//! so the proposals of its diagonal entries are never read and go stale.
 //!
 //! The sync worker `j` receives at a boundary is therefore the
 //! concatenation of the segments `i → j` over the senders `i ≠ j`,
@@ -40,7 +46,7 @@ use warplda_corpus::io::codec::{CodecError, CodecResult};
 use crate::fault::FaultPhase;
 use crate::grid::GridPartition;
 use crate::protocol::{
-    delta_head_bytes, parse_delta, parse_sync, record_wire_bytes, sync_head_bytes, Blocks,
+    begin_delta_frame, delta_head_bytes, parse_delta, parse_sync, sync_head_bytes, Blocks,
     RUN_ITERATION_BYTES,
 };
 
@@ -110,11 +116,56 @@ impl PhasePlan {
         self.sync_sources(to).map(|from| self.segments[from][to].len()).sum()
     }
 
+    /// Topic ids in worker `sender`'s delta at `stride = M + 1`: a whole
+    /// record per entry of the segments to peers, the assignment alone per
+    /// entry of the own segment (see the module docs).
+    pub fn delta_ids(&self, sender: usize, stride: usize) -> usize {
+        let own = self.segment(sender, sender);
+        own.start * stride + own.len()
+    }
+
+    /// Builds worker `sender`'s delta of this phase as a complete frame in
+    /// `frame` (cleared first): the head with `partial_ck`, the segments to
+    /// peers as whole records, then the own segment as assignments.
+    pub fn encode_delta(
+        &self,
+        replica: &WarpLda,
+        sender: usize,
+        epoch: u64,
+        partial_ck: &[u32],
+        frame: &mut Vec<u8>,
+    ) {
+        let (entries, own) = (&self.delta_entries[sender], self.segment(sender, sender));
+        let ids = self.delta_ids(sender, replica.stride());
+        let width = replica.record_width();
+        begin_delta_frame(frame, self.phase, sender as u32, epoch, width, partial_ck, ids);
+        replica.export_records_packed(&entries[..own.start], frame);
+        replica.export_assignments_packed(&entries[own], frame);
+    }
+
+    /// The coordinator's import of worker `sender`'s delta `ids`, which
+    /// [`check_delta`](Self::check_delta) accepted: the segments to peers
+    /// as records, the own segment into the assignment slots.
+    pub fn import_delta(
+        &self,
+        replica: &mut WarpLda,
+        sender: usize,
+        ids: &[u8],
+    ) -> CodecResult<()> {
+        let (entries, own) = (&self.delta_entries[sender], self.segment(sender, sender));
+        let width = replica.record_width();
+        let (records, assignments) = ids
+            .split_at_checked(own.start * replica.stride() * width)
+            .ok_or_else(|| CodecError::Corrupt("a delta shorter than its records".into()))?;
+        replica.import_records_packed(&entries[..own.start], width, records)?;
+        replica.import_assignments_packed(&entries[own], width, assignments)
+    }
+
     /// The coordinator's gate for worker `sender`'s delta `payload`: it is a
     /// delta of this phase and of `epoch`, from `sender`, at the width `K`
-    /// dictates, with exactly the plan's record count, every topic below `K`
-    /// and a partial `c_k` that sums to the sender's shard. On success the
-    /// partial `c_k` is added into `merged` and the record bytes are
+    /// dictates, with exactly the plan's id count, every topic below `K` and
+    /// a partial `c_k` that sums to the sender's shard. On success the
+    /// partial `c_k` is added into `merged` and the topic bytes are
     /// returned; on failure `merged` is untouched.
     pub fn check_delta<'a>(
         &self,
@@ -132,8 +183,8 @@ impl PhasePlan {
                 delta.phase, delta.worker_id, delta.epoch, self.phase
             )));
         }
-        let entries = self.delta_entries[sender].len();
-        self.check_blocks(replica, &delta.blocks, entries, self.shard_tokens[sender])?;
+        let ids = self.delta_ids(sender, replica.stride());
+        self.check_blocks(replica, &delta.blocks, ids, self.shard_tokens[sender])?;
         for (m, c) in merged.iter_mut().zip(delta.blocks.counts()) {
             *m += c;
         }
@@ -141,12 +192,12 @@ impl PhasePlan {
     }
 
     /// What a delta and a sync have in common: the wire width of `K`, one
-    /// count per topic summing to `tokens`, and `entries` valid records.
+    /// count per topic summing to `tokens`, and `ids` valid topic ids.
     fn check_blocks(
         &self,
         replica: &WarpLda,
         blocks: &Blocks<'_>,
-        entries: usize,
+        ids: usize,
         tokens: u64,
     ) -> CodecResult<()> {
         let k = replica.topic_counts().len();
@@ -165,7 +216,7 @@ impl PhasePlan {
         if sum != tokens {
             return Err(CodecError::Corrupt(format!("c_k sums to {sum} over {tokens} tokens")));
         }
-        replica.check_records_packed(entries, blocks.width, blocks.records)
+        replica.check_topics_packed(ids, blocks.width, blocks.records)
     }
 
     /// The worker side of a boundary: validates the sync `payload` addressed
@@ -189,7 +240,8 @@ impl PhasePlan {
             )));
         }
         let tokens = replica.num_entries() as u64;
-        self.check_blocks(replica, &sync.blocks, self.sync_len(me), tokens)?;
+        let ids = self.sync_len(me) * replica.stride();
+        self.check_blocks(replica, &sync.blocks, ids, tokens)?;
         for (slot, c) in counts.iter_mut().zip(sync.blocks.counts()) {
             *slot = c;
         }
@@ -307,18 +359,20 @@ impl ShardPlan {
 
     /// Frame bytes (length prefixes included) a healthy iteration puts on
     /// the sockets, both directions: one `RunIteration` per worker and, per
-    /// phase, every worker's delta and sync. Pure arithmetic over the plan —
-    /// what a healthy step's `StepExtras::bytes_exchanged`, and so the
+    /// phase, every worker's delta and sync — `w` bytes per topic id, `M + 1`
+    /// ids per entry of a segment to a peer and one per entry of an own
+    /// segment. Pure arithmetic over the plan — what a healthy step's
+    /// `StepExtras::bytes_exchanged`, and so the
     /// `IterationRecord::bytes_exchanged` the `Trainer` logs, must equal.
     pub fn iteration_wire_bytes(&self, num_topics: usize, mh_steps: usize) -> u64 {
-        let record = record_wire_bytes(num_topics, mh_steps);
-        let frames = |head: usize, entries: usize| 4 + head as u64 + entries as u64 * record;
+        let (width, stride) = (topic_wire_width(num_topics) as u64, mh_steps + 1);
+        let frames = |head: usize, ids: usize| 4 + head as u64 + ids as u64 * width;
         let exchanged: u64 = [&self.word, &self.doc]
             .into_iter()
             .flat_map(|phase| {
                 (0..self.workers()).map(move |i| {
-                    frames(delta_head_bytes(num_topics), phase.delta_entries[i].len())
-                        + frames(sync_head_bytes(num_topics), phase.sync_len(i))
+                    frames(delta_head_bytes(num_topics), phase.delta_ids(i, stride))
+                        + frames(sync_head_bytes(num_topics), phase.sync_len(i) * stride)
                 })
             })
             .sum();

@@ -13,8 +13,13 @@
 //!
 //! The coordinator also owns a full [`WarpLda`] replica, and **the replica is
 //! the snapshot**: it is not touched at the word boundary, and at the doc
-//! boundary it absorbs the workers' doc deltas (which carry every record)
-//! only after all of them validated and every sync was written. A failed
+//! boundary it absorbs the workers' doc deltas (which carry every
+//! assignment) only after all of them validated and every sync was written.
+//! An own segment carries assignments without proposals, so the replica's
+//! proposal slots of diagonal entries go stale; nothing reads them — the
+//! assignments, the likelihood, a frozen model and the serialized state
+//! read the assignment slot alone, and a state adopted anywhere re-derives
+//! its proposals. A failed
 //! attempt therefore never leaves a mark on it — it is always exactly the
 //! last iteration boundary, inspectable
 //! ([`assignments`](ProcessCluster::assignments),
@@ -224,13 +229,14 @@ struct Conn {
     /// When this connection last produced a frame (heartbeats included)
     /// while being waited on — the liveness clock.
     last_heard: Instant,
-    /// Where in `buf` the record bytes of this phase's validated delta sit,
+    /// Where in `buf` the topic bytes of this phase's validated delta sit,
     /// until the next frame is read.
     delta: Range<usize>,
 }
 
 impl Conn {
-    /// The record bytes of this phase's validated delta.
+    /// The topic bytes of this phase's validated delta: the records of the
+    /// segments to peers, then the own segment's assignments.
     fn delta_records(&self) -> &[u8] {
         self.buf.payload(self.delta.clone())
     }
@@ -319,6 +325,10 @@ fn check_replica_shape(corpus: &Corpus, sampler: &WarpLda) -> Result<(), DistErr
 }
 
 /// A coordinator over `workers` spawned `warplda-dist-worker` processes.
+///
+/// Its replica holds every assignment of the last iteration boundary; the
+/// proposal slots of the grid's diagonal entries, which arrive as bare
+/// assignments, go stale and are never read (see the module docs).
 pub struct ProcessCluster {
     sampler: WarpLda,
     grid: GridPartition,
@@ -493,8 +503,9 @@ impl ProcessCluster {
     /// The state of the replica — always exactly the last iteration boundary
     /// — as a checkpoint would hold it.
     fn encode_replica(&self) -> Vec<u8> {
-        // The records and c_k, plus a head of a few dozen bytes.
-        let sections = self.sampler.records_bytes().len() + 4 * self.merged.len();
+        // The assignments and c_k, plus a head of a few dozen bytes.
+        let sampler = &self.sampler;
+        let sections = sampler.num_entries() * sampler.record_width() + 4 * self.merged.len();
         let mut state = Vec::with_capacity(sections + 64);
         self.sampler
             .write_state(&mut Encoder::new(&mut state))
@@ -737,12 +748,10 @@ impl ProcessCluster {
         }
 
         // Every doc delta validated and every worker has its boundary: the
-        // doc deltas carry each record exactly once, so importing them makes
-        // the replica the state after this iteration.
-        let width = topic_wire_width(self.merged.len());
+        // doc deltas carry each assignment exactly once, so importing them
+        // makes the replica the state after this iteration.
         for (i, conn) in self.conns.iter().enumerate() {
-            let entries = &self.plan.doc.delta_entries[i];
-            self.sampler.import_records_packed(entries, width, conn.delta_records())?;
+            self.plan.doc.import_delta(&mut self.sampler, i, conn.delta_records())?;
         }
         self.sampler.install_topic_counts(&self.merged);
         self.sampler.advance_iteration();
@@ -882,7 +891,7 @@ impl Drop for ProcessCluster {
 /// The coordinator's gate for the `phase` delta `payload` it received on
 /// worker `sender`'s connection
 /// ([`PhasePlan::check_delta`](crate::plan::PhasePlan::check_delta)):
-/// returns the record bytes and adds the partial `c_k` into `merged`. Every
+/// returns the topic bytes and adds the partial `c_k` into `merged`. Every
 /// defect — including an out-of-range topic in a segment that would only be
 /// forwarded to a peer — is the **sender's** recoverable failure; the
 /// replica is not touched either way.

@@ -16,7 +16,7 @@
 //!               ←  RunIteration{epoch}
 //! WordDelta     →                  (partial c_k + one record segment per peer)
 //!               ←  WordSync        (merged c_k + the segments addressed to this worker)
-//! DocDelta      →                  (partial c_k + a segment per peer + the own segment)
+//! DocDelta      →                  (partial c_k + a segment per peer + own assignments)
 //!               ←  DocSync
 //! shutdown:
 //!               ←  Shutdown
@@ -28,16 +28,22 @@
 //!
 //! # The phase exchange is routed, not reprocessed
 //!
-//! Records are the only bulk data, and the coordinator moves them as bytes.
+//! Topic ids are the only bulk data, and the coordinator moves them as bytes.
 //! The [`ShardPlan`](crate::ShardPlan) orders every worker's delta as one
 //! contiguous **segment** per destination worker, each in ascending entry
 //! id (storage order), so the sync for worker `j`
 //! is the concatenation of the segments `i → j` of all senders `i ≠ j`,
 //! ascending: the coordinator writes a sync head and then those byte ranges
-//! straight out of the senders' receive buffers. With `P = 2` an iteration
-//! moves 2.5 records per token (word phase: the cross-owner half up and down;
-//! doc phase: everything up — the coordinator's replica needs it — and the
-//! cross-owner half down).
+//! straight out of the senders' receive buffers. A segment to a peer carries
+//! whole records, `M + 1` ids per entry, because its receiver runs the next
+//! phase on the proposals. A doc delta's trailing own segment, which only
+//! the coordinator's replica reads, carries one assignment per entry: the
+//! replica's state is the assignments, and the proposals are re-derived
+//! wherever a state is adopted. With a fraction `x` of the tokens off the
+//! grid's diagonal an iteration therefore moves `4x·(M+1)·w + (1−x)·w` bytes
+//! of topic ids per token at `w` bytes per id (word phase: the cross-owner
+//! records up and down; doc phase: the same, plus the diagonal's assignments
+//! up) — 6.5 bytes at `P = 2`, `x ≈ ½`, `M = 2` and `K ≤ 256`.
 //!
 //! ```text
 //! payload layouts (all integers little-endian)
@@ -47,10 +53,12 @@
 //! Setup    tag:u8  …head…  has_resume:u8  [state]
 //!
 //! counts   K:u64      K × u32                    (a partial or merged c_k)
-//! records  width:u8   n:u64   n × width bytes    (n topic ids, stride M + 1 per entry)
+//! records  width:u8   n:u64   n × width bytes    (n topic ids: M + 1 per entry of a
+//!                                                 segment to a peer, 1 per entry of
+//!                                                 an own segment)
 //! state    what `Checkpointable::write_state` writes: the sampler section of a
-//!          checkpoint file, byte for byte (seed, iteration, M, hash flag,
-//!          records, c_k)
+//!          checkpoint file, byte for byte (seed, iteration, M, assignments,
+//!          c_k)
 //! ```
 //!
 //! `width` is [`topic_wire_width`]`(K)` — 1, 2 or 4 bytes per topic — on every
@@ -70,11 +78,12 @@
 //! tail on as the bytes it is, borrowed from the frame, and the worker adopts
 //! them through
 //! [`Checkpointable::read_state`](warplda_core::checkpoint::Checkpointable::read_state)
-//! — the reader every checkpoint load runs — which checks `M`, the hash
-//! flag, width, count, every id `< K` and `c_k` against the assignment
-//! histogram where the bytes lie in the frame buffer, then copies the records
-//! once, into the sampler. Every count on this wire passes the one length
-//! rule of [`Decoder::fits`] before anything is sliced or allocated.
+//! — the reader every checkpoint load runs — which checks `M`, width, count,
+//! every id `< K` and `c_k` against the assignment histogram where the bytes
+//! lie in the frame buffer, then copies the assignments once, into the
+//! sampler, and re-derives the proposals from them. Every count on this wire
+//! passes the one length rule of [`Decoder::fits`] before anything is sliced
+//! or allocated.
 //!
 //! The owning [`Delta`] and [`Sync`] forms use the same layouts; their
 //! encoder picks the narrowest width that holds every value. They are the
@@ -104,8 +113,8 @@ use warplda_corpus::io::codec::{
 use warplda_corpus::Corpus;
 
 /// Frame-size bound of distributed-training connections: Setup frames carry
-/// the whole corpus and a state carries the full packed records, both far
-/// beyond the serving default.
+/// the whole corpus and a state carries every assignment, both far beyond
+/// the serving default.
 pub const DIST_MAX_FRAME_BYTES: u32 = 1 << 28;
 
 const TAG_HELLO: u8 = 1;
@@ -182,7 +191,7 @@ pub struct Setup<'a> {
     /// MH proposals per token `M`.
     pub mh_steps: u64,
     /// [`WarpLdaConfig::use_hash_counts`](warplda_core::WarpLdaConfig::use_hash_counts):
-    /// selects nothing, carried because the v4 layout has the byte.
+    /// selects nothing; kept because the repository benchmark names it.
     pub use_hash_counts: bool,
     /// The training corpus, shipped in full (every replica holds it).
     pub corpus: Corpus,
@@ -197,7 +206,7 @@ pub struct Setup<'a> {
     pub faults: Vec<FaultEvent>,
 }
 
-/// A worker's phase result in owning form: the packed records of its delta
+/// A worker's phase result in owning form: the topic ids of its delta
 /// entries (in the deterministic plan order) plus its partial `c_k`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delta {
@@ -205,7 +214,8 @@ pub struct Delta {
     pub worker_id: u32,
     /// Epoch the phase belongs to (= completed iterations when it started).
     pub epoch: u64,
-    /// Packed records of the sender's delta entries, `entries × stride` words.
+    /// The delta's topic ids: whole records (`M + 1` ids each) for the
+    /// segments to peers, then one assignment per entry of the own segment.
     pub records: Vec<u32>,
     /// The sender's partial `c_k` accumulated over its shard.
     pub partial_ck: Vec<u32>,

@@ -39,7 +39,6 @@ use warplda_core::{
 };
 use warplda_corpus::{Corpus, DatasetPreset, DocMajorView, WordMajorView};
 use warplda_dist::process::validate_delta;
-use warplda_dist::protocol::begin_delta_frame;
 use warplda_dist::{DistError, FaultPhase, FaultPlan, ProcessCluster, ProcessClusterConfig};
 
 fn process_config(workers: usize) -> ProcessClusterConfig {
@@ -116,8 +115,11 @@ fn multi_process_training_matches_the_oracles_on_nytimes_like() {
 /// `differential` suite): a checkpoint of the coordinator replica resumes
 /// under every in-process driver, and every driver's checkpoint — the
 /// cluster's own included — resumes under `ProcessCluster::from_sampler`
-/// with a different worker count. Continuation is bit-identical to the
-/// uninterrupted serial run either way.
+/// with a different worker count. The serial, threaded and cluster files of
+/// one boundary are one file, byte for byte (a state is the assignments, and
+/// the replica's stale diagonal proposals are not in it); every read
+/// re-derives the serial writer's records, proposals included; continuation
+/// is bit-identical to the uninterrupted serial run either way.
 #[test]
 fn cluster_checkpoints_resume_anywhere_and_any_checkpoint_resumes_on_a_cluster() {
     let corpus = DatasetPreset::Tiny.generate_scaled(2);
@@ -153,6 +155,9 @@ fn cluster_checkpoints_resume_anywhere_and_any_checkpoint_resumes_on_a_cluster()
         })
         .collect();
     cluster.shutdown().expect("shutdown");
+    for (name, file) in &files[1..] {
+        assert!(file == &files[0].1, "{name}'s file is not the serial writer's");
+    }
 
     // The fourth writer: a cluster the Trainer drives to `split`, saving its
     // replica at a cadence; its last file is the one resumed below. Every
@@ -182,6 +187,7 @@ fn cluster_checkpoints_resume_anywhere_and_any_checkpoint_resumes_on_a_cluster()
         let mut replica = WarpLda::new(&corpus, params, config, seed + 1);
         read_checkpoint(&mut replica, &mut file.as_slice()).expect("checkpoint reads");
         assert_eq!(replica.iterations(), split);
+        assert!(replica.records_bytes() == serial.records_bytes(), "{name}: records read back");
         let mut resumed = ProcessCluster::from_sampler(&corpus, replica, process_config(workers))
             .expect("respawn");
         for _ in split..total {
@@ -192,14 +198,21 @@ fn cluster_checkpoints_resume_anywhere_and_any_checkpoint_resumes_on_a_cluster()
         resumed.shutdown().expect("shutdown");
     }
 
-    // The cluster's file resumes under the in-process drivers.
+    // The cluster's file resumes under the in-process drivers, each read
+    // re-deriving the serial writer's records.
     let cluster_file = &files[2].1;
-    let mut readers: [(&str, Box<dyn Checkpointable>); 2] = [
-        ("serial", Box::new(WarpLda::new(&corpus, params, config, seed + 1))),
-        ("parallel(2)", Box::new(ParallelWarpLda::new(&corpus, params, config, seed + 1, 2))),
-    ];
-    for (name, reader) in &mut readers {
-        read_checkpoint(reader.as_mut(), &mut cluster_file.as_slice()).expect("checkpoint reads");
+    let mut reader = WarpLda::new(&corpus, params, config, seed + 1);
+    read_checkpoint(&mut reader, &mut cluster_file.as_slice()).expect("checkpoint reads");
+    assert!(reader.records_bytes() == serial.records_bytes(), "cluster(2) → serial: records");
+    let mut parallel_reader = ParallelWarpLda::new(&corpus, params, config, seed + 1, 2);
+    read_checkpoint(&mut parallel_reader, &mut cluster_file.as_slice()).expect("checkpoint reads");
+    assert!(
+        parallel_reader.records_bytes() == serial.records_bytes(),
+        "cluster(2) → parallel(2): records"
+    );
+    let readers: [(&str, &mut dyn Sampler); 2] =
+        [("serial", &mut reader), ("parallel(2)", &mut parallel_reader)];
+    for (name, reader) in readers {
         for _ in split..total {
             reader.run_iteration();
         }
@@ -210,7 +223,8 @@ fn cluster_checkpoints_resume_anywhere_and_any_checkpoint_resumes_on_a_cluster()
 /// `bytes_exchanged` of a healthy iteration is arithmetic: one `RunIteration`
 /// per worker plus, per phase, every worker's delta and sync frame — spelled
 /// out here byte by byte from the plan's segment lengths, for every worker
-/// count and every record width. Two clusters of one seed report the same.
+/// count and every record width. A segment to a peer carries `M + 1` ids per
+/// entry, an own segment one. Two clusters of one seed report the same.
 #[test]
 fn healthy_iterations_exchange_exactly_the_closed_form_byte_count() {
     let corpus = DatasetPreset::Tiny.generate_scaled(4);
@@ -226,14 +240,16 @@ fn healthy_iterations_exchange_exactly_the_closed_form_byte_count() {
                         .expect("spawn cluster");
                 let plan = cluster.plan().clone();
                 let counts = 8 + 4 * k as u64; // K, then K × u32
-                let records = |entries: usize| 1 + 8 + entries as u64 * stride * width;
+                let topics = |ids: u64| 1 + 8 + ids * width;
                 let mut expected = workers as u64 * (4 + 1 + 8); // RunIteration{epoch}
                 for phase in [&plan.word, &plan.doc] {
                     for i in 0..workers {
-                        let reported = phase.delta_entries[i].len();
-                        expected += 4 + (1 + 4 + 8) + counts + records(reported); // delta
-                        expected += 4 + (1 + 8) + counts + records(phase.sync_len(i));
-                        // sync
+                        let own = phase.segment(i, i).len() as u64;
+                        let to_peers = phase.delta_entries[i].len() as u64 - own;
+                        let delta = topics(to_peers * stride + own);
+                        expected += 4 + (1 + 4 + 8) + counts + delta;
+                        let sync = topics(phase.sync_len(i) as u64 * stride);
+                        expected += 4 + (1 + 8) + counts + sync;
                     }
                 }
                 assert_eq!(plan.iteration_wire_bytes(k, config.mh_steps), expected);
@@ -469,10 +485,11 @@ fn a_worker_killed_after_the_word_boundary_leaves_the_replica_at_the_last_iterat
     assert_recovery_is_bit_identical(2, plan, 4, 1);
 }
 
-/// A delta whose *forwarded* segment carries an out-of-range topic is the
-/// sender's failure — caught by the coordinator before a byte is routed,
-/// not by the peer that would have imported it — and, like every other
-/// defect of a delta, leaves the replica and the `c_k` merge untouched.
+/// A delta whose *forwarded* segment, or whose own segment of bare
+/// assignments, carries an out-of-range topic is the sender's failure —
+/// caught by the coordinator before a byte is routed or imported, not by
+/// the peer that would have imported it — and, like every other defect of a
+/// delta, leaves the replica and the `c_k` merge untouched.
 #[test]
 fn a_poisoned_forwarded_segment_is_blamed_on_its_sender() {
     let corpus = DatasetPreset::Tiny.generate_scaled(2);
@@ -482,40 +499,60 @@ fn a_poisoned_forwarded_segment_is_blamed_on_its_sender() {
         ProcessCluster::new(&corpus, params, config, seed, process_config(2)).expect("spawn");
     let (replica, plan) = (cluster.sampler(), cluster.plan());
 
-    // Worker 1's word delta, built the way the worker binary builds it.
     let sender = 1;
     let mut worker = WarpLda::new(&corpus, params, config, seed);
     let mut partial = vec![0u32; k];
-    worker.run_word_phase_shard(&plan.owned_words[sender], &mut partial);
-    let entries = &plan.word.delta_entries[sender];
-    assert!(!plan.word.segment(sender, 0).is_empty(), "worker 1 has records for worker 0");
-    let mut frame = Vec::new();
-    let values = entries.len() * worker.stride();
-    begin_delta_frame(&mut frame, FaultPhase::Word, sender as u32, 0, 1, &partial, values);
-    worker.export_records_packed(entries, &mut frame);
-
-    let mut merged = vec![0u32; k];
-    let records =
-        validate_delta(replica, plan, FaultPhase::Word, sender, 0, &frame[4..], &mut merged)
-            .expect("the honest delta validates");
-    assert_eq!(records.len(), values);
-    assert_eq!(merged, partial);
-
-    // Poison one topic of the segment addressed to worker 0.
-    let before = (replica.records_bytes().to_vec(), replica.topic_counts().to_vec());
-    let at = frame.len() - values + plan.word.segment(sender, 0).start * worker.stride();
-    frame[at] = k as u8;
-    merged.fill(0);
-    match validate_delta(replica, plan, FaultPhase::Word, sender, 0, &frame[4..], &mut merged) {
-        Err(DistError::WorkerFailed { worker, message }) => {
-            assert_eq!(worker as usize, sender);
-            assert!(message.contains("out of range"), "{message}");
+    for phase in [FaultPhase::Word, FaultPhase::Doc] {
+        // Worker 1's delta, built by the function the worker binary builds
+        // it with.
+        match phase {
+            FaultPhase::Word => {
+                worker.run_word_phase_shard(&plan.owned_words[sender], &mut partial)
+            }
+            FaultPhase::Doc => worker.run_doc_phase_shard(&plan.owned_docs[sender], &mut partial),
         }
-        other => panic!("expected WorkerFailed, got {other:?}"),
+        let exchange = plan.phase(phase);
+        let mut frame = Vec::new();
+        exchange.encode_delta(&worker, sender, 0, &partial, &mut frame);
+        let ids = exchange.delta_ids(sender, worker.stride());
+
+        let mut merged = vec![0u32; k];
+        let records = validate_delta(replica, plan, phase, sender, 0, &frame[4..], &mut merged)
+            .expect("the honest delta validates");
+        assert_eq!(records.len(), ids);
+        assert_eq!(merged, partial);
+
+        // Poison one topic (K = 10 travels at one byte per id): after the
+        // word phase in the segment addressed to worker 0, after the doc
+        // phase in the last assignment of the own segment.
+        let at = match phase {
+            FaultPhase::Word => {
+                let to_peer = exchange.segment(sender, 0);
+                assert!(!to_peer.is_empty(), "worker 1 has records for worker 0");
+                to_peer.start * worker.stride()
+            }
+            FaultPhase::Doc => {
+                let own = exchange.segment(sender, sender);
+                assert!(!own.is_empty(), "worker 1 has diagonal tokens");
+                assert_eq!(own.start * worker.stride() + own.len(), ids, "the own segment is last");
+                ids - 1
+            }
+        };
+        let before = (replica.records_bytes().to_vec(), replica.topic_counts().to_vec());
+        let at = frame.len() - ids + at;
+        frame[at] = k as u8;
+        merged.fill(0);
+        match validate_delta(replica, plan, phase, sender, 0, &frame[4..], &mut merged) {
+            Err(DistError::WorkerFailed { worker, message }) => {
+                assert_eq!(worker as usize, sender, "{phase:?}");
+                assert!(message.contains("out of range"), "{phase:?}: {message}");
+            }
+            other => panic!("{phase:?}: expected WorkerFailed, got {other:?}"),
+        }
+        assert!(merged.iter().all(|&c| c == 0), "{phase:?}: a rejected delta reached the merge");
+        assert_eq!(before.0, replica.records_bytes(), "{phase:?}");
+        assert_eq!(before.1, replica.topic_counts(), "{phase:?}");
     }
-    assert!(merged.iter().all(|&c| c == 0), "a rejected delta must not reach the merge");
-    assert_eq!(before.0, replica.records_bytes());
-    assert_eq!(before.1, replica.topic_counts());
     cluster.shutdown().expect("clean shutdown");
 }
 

@@ -510,7 +510,6 @@ mod exchange {
             let coordinator = replica();
             let plan = ShardPlan::build(&coordinator, &grid);
             let mut replicas: Vec<WarpLda> = (0..workers).map(|_| replica()).collect();
-            let width = topic_wire_width(k);
             let mut partial = vec![0u32; k];
             let deltas = replicas
                 .iter_mut()
@@ -524,11 +523,8 @@ mod exchange {
                             replica.run_doc_phase_shard(&plan.owned_docs[i], &mut partial)
                         }
                     }
-                    let entries = &plan.phase(phase).delta_entries[i];
-                    let values = entries.len() * replica.stride();
                     let mut frame = Vec::new();
-                    begin_delta_frame(&mut frame, phase, i as u32, 0, width, &partial, values);
-                    replica.export_records_packed(entries, &mut frame);
+                    plan.phase(phase).encode_delta(replica, i, 0, &partial, &mut frame);
                     frame.split_off(4)
                 })
                 .collect();
@@ -722,8 +718,7 @@ mod exchange {
         // the partial c_k can be honest — is still not this session's format.
         let boundary = Boundary::reach(2, 300, FaultPhase::Doc);
         let exchange = boundary.exchange();
-        let entries = &exchange.delta_entries[0];
-        let values = entries.len() * boundary.coordinator.stride();
+        let values = exchange.delta_ids(0, boundary.coordinator.stride());
         let mut partial = vec![0u32; 300];
         partial[0] = boundary.plan.owned_docs[0]
             .iter()
@@ -746,7 +741,7 @@ mod exchange {
 // comes in through — a checkpoint and a `Setup` with a state tail — and the
 // serving model's. From one valid payload each: every truncation and
 // every element count blown up is refused; single-bit flips (a socket has no
-// checksum, so a flipped proposal `< K` is legal) are refused or leave a state
+// checksum, so a flipped bit of the seed is legal) are refused or leave a state
 // that still satisfies what `read_state` enforces; nothing panics; a refused
 // read allocates a small multiple of its input, whatever the input declares;
 // and a refusal leaves the target sampler as it was (or, where the payload
@@ -871,9 +866,9 @@ mod doors {
         source.run_iteration();
         let mut state = Vec::new();
         source.write_state(&mut Encoder::new(&mut state)).unwrap();
-        // seed, iteration, M (8 each), hash flag, width, then `n`; c_k's
-        // count follows the records.
-        let state_counts = |at: usize| [(at + 26, 8), (at + 34 + source.records_bytes().len(), 8)];
+        // seed, iteration, M (8 each), width, then `n`; c_k's count follows
+        // the assignments, two bytes each at K = 300.
+        let state_counts = |at: usize| [(at + 25, 8), (at + 33 + 2 * source.num_entries(), 8)];
         let mut vocab = Vec::new();
         write_vocab(&mut Encoder::new(&mut vocab), corpus.vocab()).unwrap();
 
@@ -966,8 +961,8 @@ mod doors {
     }
 
     /// What `read_state` enforces, checked from outside: every assignment is
-    /// a topic, `c_k` is their histogram, and — every proposal being a topic
-    /// too — an iteration runs.
+    /// a topic, `c_k` is their histogram, and — every re-derived proposal
+    /// being a topic too — an iteration runs.
     fn assert_consistent(target: &mut WarpLda, what: &str) {
         let mut hist = vec![0u32; K];
         for t in target.assignments() {

@@ -87,9 +87,10 @@ fn corrupted_checkpoints_are_rejected() {
 
     // Legacy files — v1 (split assignment/proposal arrays), v2 (serial
     // checkpoints continuing from a saved sequential RNG state), v3
-    // (records as a `u32` array) and v4 (a byte-serial FNV-1a checksum):
-    // rejected with the dedicated typed error, not misread.
-    for version in [1u32, 2, 3, 4] {
+    // (records as a `u32` array), v4 (a byte-serial FNV-1a checksum) and v5
+    // (proposals stored beside the assignments): rejected with the
+    // dedicated typed error, not misread.
+    for version in [1u32, 2, 3, 4, 5] {
         let mut legacy = buf.clone();
         legacy[8..12].copy_from_slice(&version.to_le_bytes());
         let err = read_checkpoint(&mut target, &mut legacy.as_slice()).unwrap_err();
