@@ -57,23 +57,15 @@ pub struct TrainerConfig {
     pub eval_every: usize,
     /// Always evaluate after the final iteration, regardless of `eval_every`.
     pub eval_final: bool,
-    /// Save a checkpoint every `checkpoint_every` iterations (`0` means
-    /// never; the final iteration is always saved when a cadence is set).
-    pub checkpoint_every: usize,
-    /// Directory checkpoints are written to (required when
-    /// `checkpoint_every > 0` in [`Trainer::train_checkpointed`]).
-    pub checkpoint_dir: Option<PathBuf>,
+    /// `(dir, every)`: save a checkpoint into `dir` every `every`
+    /// iterations, and after the final one (`None` or `every == 0` means
+    /// never). Set by [`checkpoint_into`](Self::checkpoint_into).
+    pub checkpoint: Option<(PathBuf, usize)>,
 }
 
 impl Default for TrainerConfig {
     fn default() -> Self {
-        Self {
-            iterations: 100,
-            eval_every: 10,
-            eval_final: true,
-            checkpoint_every: 0,
-            checkpoint_dir: None,
-        }
+        Self { iterations: 100, eval_every: 10, eval_final: true, checkpoint: None }
     }
 }
 
@@ -104,8 +96,7 @@ impl TrainerConfig {
 
     /// Enables checkpoints every `every` iterations into `dir`.
     pub fn checkpoint_into(mut self, dir: impl Into<PathBuf>, every: usize) -> Self {
-        self.checkpoint_dir = Some(dir.into());
-        self.checkpoint_every = every;
+        self.checkpoint = Some((dir.into(), every));
         self
     }
 
@@ -115,9 +106,8 @@ impl TrainerConfig {
     }
 
     fn wants_checkpoint(&self, iteration_in_run: usize) -> bool {
-        self.checkpoint_every > 0
-            && (iteration_in_run.is_multiple_of(self.checkpoint_every)
-                || iteration_in_run == self.iterations)
+        matches!(self.checkpoint, Some((_, every)) if every > 0
+            && (iteration_in_run.is_multiple_of(every) || iteration_in_run == self.iterations))
     }
 }
 
@@ -362,8 +352,8 @@ impl<'a> Trainer<'a> {
     }
 
     /// Like [`train`](Self::train) for any [`TrainDriver`], additionally
-    /// saving its state at `config`'s cadence into `config.checkpoint_dir`. A
-    /// config without a cadence saves nothing, so this is also how a driver
+    /// saving its state at `config`'s cadence into its directory. A config
+    /// without a cadence saves nothing, so this is also how a driver
     /// whose step can fail (a process cluster) trains at all.
     ///
     /// `vocab` (usually `Some(corpus.vocab())`) is embedded into every
@@ -372,11 +362,6 @@ impl<'a> Trainer<'a> {
     /// # Errors
     /// `D::Error`: a failed step ends the run there, as does a checkpoint
     /// that did not save.
-    ///
-    /// # Panics
-    /// Panics if `config.checkpoint_every > 0` without a `checkpoint_dir` —
-    /// writing to an implicit CWD-relative directory would scatter checkpoint
-    /// files wherever the process happens to run.
     pub fn train_checkpointed<D>(
         &self,
         config: &TrainerConfig,
@@ -388,19 +373,16 @@ impl<'a> Trainer<'a> {
         D: TrainDriver + ?Sized,
         D::State: Checkpointable,
     {
-        assert!(
-            config.checkpoint_every == 0 || config.checkpoint_dir.is_some(),
-            "TrainerConfig sets a checkpoint cadence but no checkpoint_dir \
-             (use TrainerConfig::checkpoint_into)"
-        );
-        let dir = config.checkpoint_dir.clone().unwrap_or_default();
         let file_stem = sanitize_name(name);
-        let saver = move |s: &D::State, iteration: u64| -> CodecResult<PathBuf> {
-            let path = dir.join(format!("{file_stem}-iter{iteration:06}.ckpt"));
-            checkpoint::save_checkpoint(s, vocab, &path)?;
-            Ok(path)
-        };
-        let (log, checkpoints) = self.train_impl(config, name, driver, Some(&saver))?;
+        let saver = config.checkpoint.as_ref().map(|(dir, _)| {
+            move |s: &D::State, iteration: u64| -> CodecResult<PathBuf> {
+                let path = dir.join(format!("{file_stem}-iter{iteration:06}.ckpt"));
+                checkpoint::save_checkpoint(s, vocab, &path)?;
+                Ok(path)
+            }
+        });
+        let saver = saver.as_ref().map(|f| f as SaveHook<'_, D::State>);
+        let (log, checkpoints) = self.train_impl(config, name, driver, saver)?;
         Ok(TrainOutcome { log, checkpoints })
     }
 
@@ -617,17 +599,6 @@ mod tests {
         for p in log.eval_points() {
             assert_eq!(p.log_likelihood.unwrap(), corpus.num_tokens() as f64);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no checkpoint_dir")]
-    fn checkpoint_cadence_without_dir_is_rejected() {
-        let corpus = corpus();
-        let trainer = Trainer::new(&corpus);
-        let mut s =
-            WarpLda::new(&corpus, ModelParams::paper_defaults(4), WarpLdaConfig::default(), 1);
-        let config = TrainerConfig { checkpoint_every: 2, ..TrainerConfig::new(4) };
-        let _ = trainer.train_checkpointed(&config, "bad", &mut s, None);
     }
 
     #[test]

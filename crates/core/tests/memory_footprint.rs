@@ -14,48 +14,15 @@
 //! allocate inside a measured span on any schedule. `main` runs the one
 //! check on the only thread there is and prints one line when it passes.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::measured;
 use warplda_core::eval::log_joint_likelihood_of_state;
 use warplda_core::{
     log_joint_likelihood, topic_wire_width, ModelParams, Sampler, WarpLda, WarpLdaConfig,
 };
 use warplda_corpus::{Corpus, DatasetPreset, DocMajorView, WordMajorView};
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Runs `f`; returns its result with the allocator calls and the bytes they
-/// asked for.
-fn measured<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
-    let (calls, bytes) = (ALLOC_CALLS.load(Relaxed), ALLOC_BYTES.load(Relaxed));
-    let out = f();
-    (out, ALLOC_CALLS.load(Relaxed) - calls, ALLOC_BYTES.load(Relaxed) - bytes)
-}
 
 fn footprint_is_the_closed_form(corpus: &Corpus) {
     let (t, d, v) = (corpus.num_tokens() as usize, corpus.num_docs(), corpus.vocab_size());

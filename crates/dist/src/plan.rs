@@ -191,8 +191,9 @@ impl PhasePlan {
         Ok(delta.blocks.records)
     }
 
-    /// What a delta and a sync have in common: the wire width of `K`, one
-    /// count per topic summing to `tokens`, and `ids` valid topic ids.
+    /// What a delta and a sync have in common: one count per topic summing
+    /// to `tokens`, and `ids` valid topic ids. The parse already holds the
+    /// records to the wire width of the counts block's length.
     fn check_blocks(
         &self,
         replica: &WarpLda,
@@ -201,13 +202,6 @@ impl PhasePlan {
         tokens: u64,
     ) -> CodecResult<()> {
         let k = replica.topic_counts().len();
-        if blocks.width != topic_wire_width(k) {
-            return Err(CodecError::Corrupt(format!(
-                "records at {} bytes per topic where K = {k} travels at {}",
-                blocks.width,
-                topic_wire_width(k)
-            )));
-        }
         let counts = blocks.counts();
         if counts.len() != k {
             return Err(CodecError::Corrupt(format!("c_k has {} slots for K = {k}", counts.len())));

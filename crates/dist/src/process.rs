@@ -41,8 +41,8 @@
 //!
 //! The coordinator is also a supervisor. Three mechanisms stack:
 //!
-//! * **Liveness.** Workers pulse `Heartbeat` frames from a side thread every
-//!   [`heartbeat_interval`](ProcessClusterConfig::heartbeat_interval). While
+//! * **Liveness.** Workers pulse `Heartbeat` frames from a side thread 20
+//!   times per [`liveness_timeout`](ProcessClusterConfig::liveness_timeout). While
 //!   waiting on a worker the coordinator polls in short slices, so it can
 //!   distinguish a *dead* process (child exited / connection closed → typed
 //!   [`DistError::WorkerFailed`]) from a *hung* one (process alive, socket
@@ -191,10 +191,8 @@ pub struct ProcessClusterConfig {
     /// the worker bin lands in — once the worker has been built into the same
     /// profile).
     pub worker_binary: Option<PathBuf>,
-    /// Interval between worker heartbeats.
-    pub heartbeat_interval: Duration,
     /// Heartbeat silence after which a worker mid-iteration is declared hung.
-    /// Must comfortably exceed `heartbeat_interval`.
+    /// Workers heartbeat every twentieth of it.
     pub liveness_timeout: Duration,
     /// Total recoveries the cluster will perform over its lifetime before
     /// giving up and propagating the error; one recovery is one restart of
@@ -207,15 +205,14 @@ pub struct ProcessClusterConfig {
 }
 
 impl ProcessClusterConfig {
-    /// Defaults: a 30 s I/O bound, 250 ms heartbeats with a 5 s liveness
-    /// timeout, up to 3 recoveries, no scripted faults, automatic
+    /// Defaults: a 30 s I/O bound, a 5 s liveness timeout (so 250 ms
+    /// heartbeats), up to 3 recoveries, no scripted faults, automatic
     /// worker-binary discovery.
     pub fn new(workers: usize) -> Self {
         Self {
             workers,
             io_timeout: Duration::from_secs(30),
             worker_binary: None,
-            heartbeat_interval: Duration::from_millis(250),
             liveness_timeout: Duration::from_secs(5),
             max_recoveries: 3,
             fault_plan: FaultPlan::new(),
@@ -393,7 +390,7 @@ impl ProcessCluster {
             use_hash_counts: config.use_hash_counts,
             corpus: corpus.clone(),
             resume: None,
-            heartbeat_interval_ms: cfg.heartbeat_interval.as_millis() as u64,
+            heartbeat_interval_ms: (cfg.liveness_timeout / 20).as_millis() as u64,
             faults: Vec::new(),
         };
         let mut cluster = Self {
@@ -928,9 +925,7 @@ fn kind_of(msg: &Message<'_>) -> &'static str {
         Message::Ready { .. } => "Ready",
         Message::RunIteration { .. } => "RunIteration",
         Message::WordDelta(_) => "WordDelta",
-        Message::WordSync(_) => "WordSync",
         Message::DocDelta(_) => "DocDelta",
-        Message::DocSync(_) => "DocSync",
         Message::Shutdown => "Shutdown",
         Message::Bye { .. } => "Bye",
         Message::Fault { .. } => "Fault",

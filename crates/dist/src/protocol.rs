@@ -14,10 +14,10 @@
 //! Ready{id}     →                  (replica built, bit-identical start)
 //! per iteration (epoch = completed iterations, a barrier per phase):
 //!               ←  RunIteration{epoch}
-//! WordDelta     →                  (partial c_k + one record segment per peer)
-//!               ←  WordSync        (merged c_k + the segments addressed to this worker)
-//! DocDelta      →                  (partial c_k + a segment per peer + own assignments)
-//!               ←  DocSync
+//! word delta    →                  (partial c_k + one record segment per peer)
+//!               ←  word sync       (merged c_k + the segments addressed to this worker)
+//! doc delta     →                  (partial c_k + a segment per peer + own assignments)
+//!               ←  doc sync
 //! shutdown:
 //!               ←  Shutdown
 //! Bye{id}       →
@@ -48,32 +48,34 @@
 //! ```text
 //! payload layouts (all integers little-endian)
 //!
-//! delta    tag:u8  worker_id:u32  epoch:u64  counts  records
-//! sync     tag:u8                 epoch:u64  counts  records
+//! delta    tag:u8  worker_id:u32  epoch:u64  counts  records   (begin_delta_frame, Delta)
+//! sync     tag:u8                 epoch:u64  counts  records   (begin_sync_frame only)
 //! Setup    tag:u8  …head…  has_resume:u8  [state]
 //!
 //! counts   K:u64      K × u32                    (a partial or merged c_k)
 //! records  width:u8   n:u64   n × width bytes    (n topic ids: M + 1 per entry of a
 //!                                                 segment to a peer, 1 per entry of
-//!                                                 an own segment)
+//!                                                 an own segment; width is that of
+//!                                                 the K just before it)
 //! state    what `Checkpointable::write_state` writes: the sampler section of a
 //!          checkpoint file, byte for byte (seed, iteration, M, assignments,
 //!          c_k)
 //! ```
 //!
-//! `width` is [`topic_wire_width`]`(K)` — 1, 2 or 4 bytes per topic — on every
-//! frame of a training session; both ends derive it from `K` and refuse any
-//! other value. The segment table is not on the wire: both ends compute the
-//! same plan, so a frame carries only the record bytes and the plan says
-//! which entries they belong to.
+//! `width` is [`topic_wire_width`]`(K)` — 1, 2 or 4 bytes per topic — where
+//! `K` is the length of the frame's own `counts` block, on every delta and
+//! sync; a frame at any other width does not parse. The segment table is
+//! not on the wire: both ends compute the same plan, so a frame carries only
+//! the record bytes and the plan says which entries they belong to.
 //!
 //! **Who validates what.** The coordinator checks every delta in place
 //! before a byte of it is forwarded or imported
 //! ([`PhasePlan::check_delta`](crate::plan::PhasePlan::check_delta)): sender
-//! id, epoch, width, record count against the plan, every topic `< K`, and
-//! `Σ partial c_k` against the sender's shard. A defect is the **sender's**
-//! failure, never the receiver's. Workers check a sync the same way before
-//! applying it ([`PhasePlan::apply_sync`](crate::plan::PhasePlan::apply_sync)).
+//! id, epoch, width (the parse refuses any other), record count against the
+//! plan, every topic `< K`, and `Σ partial c_k` against the sender's shard.
+//! A defect is the **sender's** failure, never the receiver's. Workers check
+//! a sync the same way before applying it
+//! ([`PhasePlan::apply_sync`](crate::plan::PhasePlan::apply_sync)).
 //! A `state` is opaque to this module: [`decode_message`] hands a `Setup`'s
 //! tail on as the bytes it is, borrowed from the frame, and the worker adopts
 //! them through
@@ -85,9 +87,12 @@
 //! passes the one length rule of [`Decoder::fits`] before anything is sliced
 //! or allocated.
 //!
-//! The owning [`Delta`] and [`Sync`] forms use the same layouts; their
-//! encoder picks the narrowest width that holds every value. They are the
-//! cold/test form — the healthy path of neither process builds one.
+//! A phase frame has one form on the wire. Syncs exist only in place: the
+//! coordinator builds them with [`begin_sync_frame`] and workers read them
+//! with [`PhasePlan::apply_sync`](crate::plan::PhasePlan::apply_sync). A
+//! delta also has an owning form, [`Delta`], which [`encode_message`] writes
+//! through the head writer of [`begin_delta_frame`] at the width of its own
+//! `K` and [`decode_message`] reads back; the healthy path builds none.
 //!
 //! # Liveness and recovery
 //!
@@ -146,11 +151,6 @@ pub const fn sync_tag(phase: FaultPhase) -> u8 {
         FaultPhase::Word => TAG_WORD_SYNC,
         FaultPhase::Doc => TAG_DOC_SYNC,
     }
-}
-
-/// Bytes one token's record (`z` plus `M` proposals) takes on the wire.
-pub fn record_wire_bytes(num_topics: usize, mh_steps: usize) -> u64 {
-    (topic_wire_width(num_topics) * (mh_steps + 1)) as u64
 }
 
 /// Payload bytes of a `RunIteration` message: tag + epoch.
@@ -221,18 +221,6 @@ pub struct Delta {
     pub partial_ck: Vec<u32>,
 }
 
-/// The coordinator's phase-boundary answer in owning form: the merged global
-/// `c_k` plus the packed records of the segments addressed to the receiver.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Sync {
-    /// Epoch the boundary belongs to.
-    pub epoch: u64,
-    /// The merged global `c_k` every replica installs.
-    pub topic_counts: Vec<u32>,
-    /// Packed records of the receiver's sync entries, `entries × stride`.
-    pub records: Vec<u32>,
-}
-
 /// One protocol message (the decoded, owning form).
 #[derive(Debug, Clone)]
 pub enum Message<'a> {
@@ -255,12 +243,8 @@ pub enum Message<'a> {
     },
     /// Worker → coordinator: word-phase result.
     WordDelta(Delta),
-    /// Coordinator → worker: word-phase boundary.
-    WordSync(Sync),
     /// Worker → coordinator: doc-phase result.
     DocDelta(Delta),
-    /// Coordinator → worker: doc-phase boundary.
-    DocSync(Sync),
     /// Coordinator → worker: clean shutdown.
     Shutdown,
     /// Worker → coordinator: shutting down.
@@ -308,11 +292,19 @@ fn write_blocks_head(
 }
 
 /// Appends `values` at `width` (1, 2 or 4) bytes each.
+///
+/// # Panics
+/// Panics if a value does not fit in `width` bytes: an id is never
+/// truncated.
 fn put_topics(out: &mut Vec<u8>, values: &[u32], width: usize) {
     fn put<const W: usize>(dst: &mut [u8], values: &[u32]) {
         for (slot, v) in dst.as_chunks_mut::<W>().0.iter_mut().zip(values) {
             slot.copy_from_slice(&v.to_le_bytes()[..W]);
         }
+    }
+    if let Some(&max) = values.iter().max() {
+        let needs = topic_wire_width(max as usize + 1);
+        assert!(needs <= width, "topic id {max} needs {needs} bytes, the frame has {width}");
     }
     let at = out.len();
     out.resize(at + values.len() * width, 0);
@@ -321,14 +313,6 @@ fn put_topics(out: &mut Vec<u8>, values: &[u32], width: usize) {
         2 => put::<2>(&mut out[at..], values),
         _ => put::<4>(&mut out[at..], values),
     }
-}
-
-/// Appends `counts` and all of `records` at the narrowest width that holds
-/// every value.
-fn put_blocks(out: &mut Vec<u8>, counts: &[u32], records: &[u32]) {
-    let width = topic_wire_width(records.iter().copied().max().map_or(0, |max| max as usize + 1));
-    put(out, |enc| write_blocks_head(enc, counts, width, records.len()));
-    put_topics(out, records, width);
 }
 
 /// A `counts` block and a `records` block, borrowed from a payload.
@@ -343,13 +327,17 @@ pub struct Blocks<'a> {
 }
 
 impl<'a> Blocks<'a> {
-    /// Takes the two blocks off `dec`.
+    /// Takes the two blocks off `dec`. The records must travel at the wire
+    /// width of the counts block's own `K`.
     fn take(dec: &mut Decoder<'a>) -> CodecResult<Self> {
         let k = dec.read_count(4)?;
         let counts = dec.bytes(4 * k)?;
         let width = dec.read_u8()? as usize;
-        if !matches!(width, 1 | 2 | 4) {
-            return Err(CodecError::Corrupt(format!("record width {width} is not 1, 2 or 4")));
+        if width != topic_wire_width(k) {
+            return Err(CodecError::Corrupt(format!(
+                "records at {width} bytes per topic where K = {k} travels at {}",
+                topic_wire_width(k)
+            )));
         }
         let n = dec.read_count(width)?;
         let records = dec.bytes(n * width)?;
@@ -397,11 +385,25 @@ pub fn begin_delta_frame(
     out.clear();
     put(out, |enc| {
         enc.write_u32((delta_head_bytes(partial_ck.len()) + values * width) as u32)?;
-        enc.write_u8(delta_tag(phase))?;
-        enc.write_u32(worker_id)?;
-        enc.write_u64(epoch)?;
-        write_blocks_head(enc, partial_ck, width, values)
+        write_delta_head(enc, phase, worker_id, epoch, width, partial_ck, values)
     });
+}
+
+/// Writes a delta payload up to its record bytes: what [`begin_delta_frame`]
+/// and [`encode_message`] put after the length prefix.
+fn write_delta_head(
+    enc: &mut Encoder<'_>,
+    phase: FaultPhase,
+    worker_id: u32,
+    epoch: u64,
+    width: usize,
+    partial_ck: &[u32],
+    values: usize,
+) -> CodecResult<()> {
+    enc.write_u8(delta_tag(phase))?;
+    enc.write_u32(worker_id)?;
+    enc.write_u64(epoch)?;
+    write_blocks_head(enc, partial_ck, width, values)
 }
 
 /// Starts a complete sync **frame** in `out` (cleared first), as
@@ -549,14 +551,11 @@ pub fn encode_message_into(msg: &Message<'_>, out: &mut Vec<u8>) {
         })
     };
     let delta = |out: &mut Vec<u8>, phase, d: &Delta| {
-        tagged_id(out, delta_tag(phase), d.worker_id);
-        put(out, |enc| enc.write_u64(d.epoch));
-        put_blocks(out, &d.partial_ck, &d.records);
-    };
-    let sync = |out: &mut Vec<u8>, phase, s: &Sync| {
-        out.push(sync_tag(phase));
-        put(out, |enc| enc.write_u64(s.epoch));
-        put_blocks(out, &s.topic_counts, &s.records);
+        let (width, ids) = (topic_wire_width(d.partial_ck.len()), d.records.len());
+        put(out, |enc| {
+            write_delta_head(enc, phase, d.worker_id, d.epoch, width, &d.partial_ck, ids)
+        });
+        put_topics(out, &d.records, width);
     };
     match msg {
         Message::Hello { worker_id } => tagged_id(out, TAG_HELLO, *worker_id),
@@ -570,9 +569,7 @@ pub fn encode_message_into(msg: &Message<'_>, out: &mut Vec<u8>) {
             put(out, |enc| enc.write_u64(*epoch));
         }
         Message::WordDelta(d) => delta(out, FaultPhase::Word, d),
-        Message::WordSync(s) => sync(out, FaultPhase::Word, s),
         Message::DocDelta(d) => delta(out, FaultPhase::Doc, d),
-        Message::DocSync(s) => sync(out, FaultPhase::Doc, s),
         Message::Shutdown => out.push(TAG_SHUTDOWN),
         Message::Bye { worker_id } => tagged_id(out, TAG_BYE, *worker_id),
         Message::Fault { worker_id, message } => {
@@ -597,20 +594,10 @@ pub fn decode_message(payload: &[u8]) -> CodecResult<Message<'_>> {
             partial_ck: d.blocks.counts().collect(),
         })
     };
-    let owned_sync = || {
-        let s = parse_sync(payload)?;
-        Ok(Sync {
-            epoch: s.epoch,
-            topic_counts: s.blocks.counts().collect(),
-            records: s.blocks.records_vec(),
-        })
-    };
     let mut dec = Decoder::new(payload);
     let msg = match dec.read_u8()? {
         TAG_WORD_DELTA => return owned_delta().map(Message::WordDelta),
         TAG_DOC_DELTA => return owned_delta().map(Message::DocDelta),
-        TAG_WORD_SYNC => return owned_sync().map(Message::WordSync),
-        TAG_DOC_SYNC => return owned_sync().map(Message::DocSync),
         TAG_SETUP => Message::Setup(Box::new(read_setup(&mut dec)?)),
         TAG_HELLO => Message::Hello { worker_id: dec.read_u32()? },
         TAG_READY => Message::Ready { worker_id: dec.read_u32()? },
@@ -676,8 +663,8 @@ mod tests {
             setup(None),
             Message::Ready { worker_id: 1 },
             Message::RunIteration { epoch: 42 },
-            // One delta per record width: the encoder picks the narrowest
-            // that holds every value.
+            // One delta per record width, `K` = 2, 300 and 70 000: the
+            // encoder writes the width of `K`, and every id fits it.
             Message::WordDelta(Delta {
                 worker_id: 0,
                 epoch: 5,
@@ -688,22 +675,20 @@ mod tests {
                 worker_id: 0,
                 epoch: 5,
                 records: vec![1, 256, 65_535],
-                partial_ck: vec![4, 5],
+                partial_ck: vec![4; 300],
             }),
             Message::DocDelta(Delta {
                 worker_id: 1,
                 epoch: 5,
-                records: vec![65_536, u32::MAX],
-                partial_ck: vec![0, u32::MAX],
+                records: vec![65_536, 69_999, u32::MAX],
+                partial_ck: vec![u32::MAX; 70_000],
             }),
-            Message::WordSync(Sync { epoch: 5, topic_counts: vec![9, 9], records: vec![7] }),
             Message::DocDelta(Delta {
                 worker_id: 1,
                 epoch: 5,
                 records: vec![],
                 partial_ck: vec![0, 0],
             }),
-            Message::DocSync(Sync { epoch: 5, topic_counts: vec![1], records: vec![] }),
             Message::Shutdown,
             Message::Bye { worker_id: 0 },
             Message::Fault { worker_id: 2, message: "shard went sideways".into() },
@@ -737,9 +722,7 @@ mod tests {
                     assert_eq!(a, b)
                 }
                 (Message::WordDelta(a), Message::WordDelta(b)) => assert_eq!(a, b),
-                (Message::WordSync(a), Message::WordSync(b)) => assert_eq!(a, b),
                 (Message::DocDelta(a), Message::DocDelta(b)) => assert_eq!(a, b),
-                (Message::DocSync(a), Message::DocSync(b)) => assert_eq!(a, b),
                 (Message::Shutdown, Message::Shutdown) => {}
                 (Message::Bye { worker_id: a }, Message::Bye { worker_id: b }) => {
                     assert_eq!(a, b)
@@ -789,8 +772,43 @@ mod tests {
         let view = parse_sync(&frame[4..]).unwrap();
         assert_eq!((view.phase, view.epoch, view.blocks.width), (FaultPhase::Word, 11, 2));
         assert!(view.blocks.counts().eq(partial.iter().copied()));
-        assert_eq!(record_wire_bytes(k, 2), 6);
         assert_eq!(RUN_ITERATION_BYTES, encode_message(&Message::RunIteration { epoch: 1 }).len());
+    }
+
+    #[test]
+    fn an_owning_delta_travels_at_the_width_of_its_k() {
+        // Every id is below 256, but K = 300 travels at two bytes per id.
+        let delta =
+            Delta { worker_id: 1, epoch: 2, records: vec![0, 7, 255], partial_ck: vec![1; 300] };
+        let payload = encode_message(&Message::WordDelta(delta.clone()));
+        let width_at = 1 + 4 + 8 + 8 + 4 * 300;
+        assert_eq!(payload[width_at], 2);
+        assert_eq!(payload.len(), delta_head_bytes(300) + 3 * 2);
+        match decode_message(&payload).unwrap() {
+            Message::WordDelta(back) => assert_eq!(back, delta),
+            other => panic!("expected WordDelta, got {other:?}"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "topic id 256 needs 2 bytes")]
+    fn an_owning_delta_never_truncates_an_id() {
+        let delta = Delta { worker_id: 0, epoch: 0, records: vec![3, 256], partial_ck: vec![1; 6] };
+        encode_message(&Message::DocDelta(delta));
+    }
+
+    #[test]
+    fn a_delta_at_another_width_than_its_k_is_refused() {
+        let partial = vec![1u32; 300];
+        for width in [1usize, 4] {
+            let mut frame = Vec::new();
+            begin_delta_frame(&mut frame, FaultPhase::Word, 0, 1, width, &partial, 2);
+            put_topics(&mut frame, &[7, 9], width);
+            match decode_message(&frame[4..]) {
+                Err(CodecError::Corrupt(msg)) => assert!(msg.contains("K = 300"), "{msg}"),
+                other => panic!("width {width} at K = 300: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

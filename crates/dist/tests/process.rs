@@ -396,7 +396,6 @@ fn assert_recovery_is_bit_identical(
     let mut cfg = process_config(workers);
     // Keep hang detection quick so the hang tests don't dominate the suite.
     cfg.liveness_timeout = Duration::from_secs(2);
-    cfg.heartbeat_interval = Duration::from_millis(100);
     cfg.fault_plan = plan;
     let mut cluster =
         ProcessCluster::new(&corpus, params, config, seed, cfg).expect("spawn cluster");
@@ -590,7 +589,6 @@ fn delayed_but_heartbeating_worker_is_not_declared_hung() {
     let config = WarpLdaConfig::with_mh_steps(2);
     let mut cfg = process_config(2);
     cfg.liveness_timeout = Duration::from_secs(1);
-    cfg.heartbeat_interval = Duration::from_millis(100);
     cfg.fault_plan = FaultPlan::new().delay(1, 2, FaultPhase::Word, 3_000);
     let mut cluster = ProcessCluster::new(&corpus, params, config, 5, cfg).expect("spawn");
     let mut oracle = WarpLda::new(&corpus, params, config, 5);
@@ -611,7 +609,6 @@ fn hung_worker_with_recovery_disabled_is_a_typed_hang_error() {
     let mut cfg = process_config(2);
     cfg.max_recoveries = 0;
     cfg.liveness_timeout = Duration::from_secs(1);
-    cfg.heartbeat_interval = Duration::from_millis(100);
     cfg.fault_plan = FaultPlan::new().hang(1, 1, FaultPhase::Doc, 600_000);
     let mut cluster = ProcessCluster::new(&corpus, params, config, 9, cfg).expect("spawn");
 

@@ -10,37 +10,15 @@
 //! measured span on any schedule. `main` runs the one check on the only
 //! thread there is and prints one line when it passes.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::time::Duration;
 
+use counting_alloc::allocs_during;
 use warplda_core::{ModelParams, Sampler, WarpLda, WarpLdaConfig};
 use warplda_corpus::DatasetPreset;
 use warplda_dist::{ProcessCluster, ProcessClusterConfig};
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: every operation is forwarded unchanged to the system allocator.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn main() {
     healthy_iterations_do_not_allocate_in_the_coordinator();
@@ -59,18 +37,19 @@ fn healthy_iterations_do_not_allocate_in_the_coordinator() {
         cfg.io_timeout = Duration::from_secs(60);
         let mut cluster = ProcessCluster::new(&corpus, params, config, 3, cfg).expect("spawn");
         let mut oracle = WarpLda::new(&corpus, params, config, 3);
-        let before = ALLOC_CALLS.load(Relaxed);
-        for _ in 0..2 {
-            cluster.run_iteration().expect("warm-up iteration");
-            oracle.run_iteration();
-        }
-        assert!(ALLOC_CALLS.load(Relaxed) > before, "the warm-up grows the frame buffers");
+        let warm_up = allocs_during(|| {
+            for _ in 0..2 {
+                cluster.run_iteration().expect("warm-up iteration");
+                oracle.run_iteration();
+            }
+        });
+        assert!(warm_up > 0, "the warm-up grows the frame buffers");
 
-        let before = ALLOC_CALLS.load(Relaxed);
-        for _ in 0..4 {
-            cluster.run_iteration().expect("steady-state iteration");
-        }
-        let allocs = ALLOC_CALLS.load(Relaxed) - before;
+        let allocs = allocs_during(|| {
+            for _ in 0..4 {
+                cluster.run_iteration().expect("steady-state iteration");
+            }
+        });
         assert_eq!(allocs, 0, "{workers} workers: the coordinator allocated in steady state");
 
         // The iterations above did real work.

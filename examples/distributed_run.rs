@@ -90,10 +90,8 @@ fn run_cluster(corpus: &Corpus, params: ModelParams, config: WarpLdaConfig, seed
         std::process::exit(1);
     }
     println!(
-        "every iteration exchanged the closed form of the plan: {expected} B = {:.3} B/token \
-         ({} B records)",
+        "every iteration exchanged the closed form of the plan: {expected} B = {:.3} B/token",
         expected as f64 / tokens,
-        warplda::dist::protocol::record_wire_bytes(params.num_topics, config.mh_steps),
     );
     assert_eq!(
         cluster.assignments(),
@@ -124,7 +122,6 @@ fn run_fault_smoke(corpus: &Corpus, config: WarpLdaConfig, seed: u64) {
     println!("            workers 2 and 3 killed in iteration 5 (word phase)");
 
     let mut cfg = ProcessClusterConfig::new(workers);
-    cfg.heartbeat_interval = Duration::from_millis(100);
     cfg.liveness_timeout = Duration::from_secs(2);
     cfg.fault_plan = FaultPlan::new()
         .crash(1, 2, FaultPhase::Word)

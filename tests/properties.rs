@@ -2,6 +2,9 @@
 //! sampler invariants (counts match assignments, determinism across drivers
 //! and partitions) and on every reader of bytes from outside the program.
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
 use proptest::prelude::*;
 
 use warplda::cachesim::{MemoryProbe, NoProbe};
@@ -304,8 +307,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Distributed protocol: delta/sync messages survive an encode/decode roundtrip
-// bit-for-bit, for arbitrary payload contents.
+// Distributed protocol: delta messages survive an encode/decode roundtrip
+// bit-for-bit, for arbitrary payload contents at every record width.
 // ---------------------------------------------------------------------------
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -314,12 +317,20 @@ proptest! {
     fn dist_delta_messages_roundtrip(
         worker_id in 0u32..64,
         epoch in 0u64..10_000,
-        records in prop::collection::vec(0u32..1000, 0..200),
+        records in prop::collection::vec(0u32..u32::MAX, 0..200),
         partial_ck in prop::collection::vec(0u32..100_000, 0..64),
+        wide in 0usize..3,
         word in prop::bool::ANY,
     ) {
         use warplda::dist::protocol::{decode_message, encode_message, Delta, Message};
+        use warplda::lda::topic_wire_width;
 
+        // K past 256 or 65 536 topics moves the delta to 2 or 4 bytes per
+        // id; every id is drawn to fit the width of K.
+        let mut partial_ck = partial_ck;
+        partial_ck.resize(partial_ck.len() + [0, 257, 65_537][wide], 0);
+        let ids = 1u64 << (8 * topic_wire_width(partial_ck.len()));
+        let records = records.iter().map(|&id| (u64::from(id) % ids) as u32).collect();
         let delta = Delta { worker_id, epoch, records, partial_ck };
         let msg = if word {
             Message::WordDelta(delta.clone())
@@ -336,27 +347,6 @@ proptest! {
         prop_assert_eq!(back.epoch, delta.epoch);
         prop_assert_eq!(back.records, delta.records);
         prop_assert_eq!(back.partial_ck, delta.partial_ck);
-    }
-
-    #[test]
-    fn dist_sync_messages_roundtrip(
-        epoch in 0u64..10_000,
-        topic_counts in prop::collection::vec(0u32..1_000_000, 0..64),
-        records in prop::collection::vec(0u32..1000, 0..200),
-    ) {
-        use warplda::dist::protocol::{decode_message, encode_message, Message, Sync};
-
-        let sync = Sync { epoch, topic_counts, records };
-        let payload = encode_message(&Message::WordSync(sync.clone()));
-        let decoded = decode_message(&payload).expect("roundtrip decodes");
-        match decoded {
-            Message::WordSync(back) => {
-                prop_assert_eq!(back.epoch, sync.epoch);
-                prop_assert_eq!(back.topic_counts, sync.topic_counts);
-                prop_assert_eq!(back.records, sync.records);
-            }
-            other => return Err(TestCaseError::Fail(format!("wrong variant: {other:?}"))),
-        }
     }
 }
 
@@ -749,60 +739,12 @@ mod exchange {
 // ---------------------------------------------------------------------------
 mod doors {
     use super::*;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
+    use crate::counting_alloc::thread_peak_above_base;
     use warplda::corpus::io::codec::{
         write_framed, write_framed_section, write_vocab, Decoder, Encoder, MODEL_MAGIC,
     };
     use warplda::dist::protocol::{decode_message, encode_message, Message, Setup};
     use warplda::lda::checkpoint::{read_checkpoint, write_checkpoint};
-
-    thread_local! {
-        static LIVE: Cell<isize> = const { Cell::new(0) };
-        static PEAK: Cell<isize> = const { Cell::new(0) };
-    }
-
-    /// Tracks each thread's live heap bytes and their high-water mark — per
-    /// thread, because the harness runs this binary's tests concurrently.
-    struct PeakAllocator;
-
-    fn track(delta: isize) {
-        let _ = LIVE.try_with(|live| {
-            live.set(live.get() + delta);
-            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-        });
-    }
-
-    // SAFETY: every call is forwarded to `System` unchanged; the bookkeeping
-    // touches only const-initialised thread-locals, which never allocate.
-    unsafe impl GlobalAlloc for PeakAllocator {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            track(layout.size() as isize);
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            track(-(layout.size() as isize));
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            track(new_size as isize - layout.size() as isize);
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    #[global_allocator]
-    static ALLOCATOR: PeakAllocator = PeakAllocator;
-
-    /// Runs `f` and returns the most heap it held at once beyond what was
-    /// live when it started.
-    fn peak_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
-        let base = LIVE.with(Cell::get);
-        PEAK.with(|peak| peak.set(base));
-        let result = f();
-        (result, (PEAK.with(Cell::get) - base) as usize)
-    }
 
     const K: usize = 300;
 
@@ -984,7 +926,7 @@ mod doors {
             let mut knock = |payload: &[u8], what: &str| -> bool {
                 let input = (door.wrap)(payload);
                 let before = exchange::state(&target);
-                let (outcome, peak) = peak_during(|| (door.read)(&input, &mut target));
+                let (outcome, peak) = thread_peak_above_base(|| (door.read)(&input, &mut target));
                 match &outcome {
                     Ok(()) => assert_consistent(&mut target, &format!("{name}, {what}")),
                     Err(e) => {

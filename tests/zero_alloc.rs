@@ -22,65 +22,12 @@
 //! allocate inside a measured span on any schedule. `main` runs the one
 //! check on the only thread there is and prints one line when it passes.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::{allocs_during, peak_above_base};
 use warplda::prelude::*;
 use warplda::sampling::new_rng;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-/// Bytes allocated and not yet freed, and the most there have been since
-/// [`peak_above_base`] last reset it.
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-fn grow_live(bytes: usize) {
-    let live = LIVE_BYTES.fetch_add(bytes, Relaxed) + bytes;
-    PEAK_BYTES.fetch_max(live, Relaxed);
-}
-
-struct CountingAllocator;
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
-        grow_live(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
-        if new_size >= layout.size() {
-            grow_live(new_size - layout.size());
-        } else {
-            LIVE_BYTES.fetch_sub(layout.size() - new_size, Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOC_CALLS.load(Relaxed);
-    f();
-    ALLOC_CALLS.load(Relaxed) - before
-}
-
-/// Runs `f` and returns its result with the most bytes that were live at
-/// once during it, above those live when it started.
-fn peak_above_base<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let base = LIVE_BYTES.load(Relaxed);
-    PEAK_BYTES.store(base, Relaxed);
-    let out = f();
-    (out, PEAK_BYTES.load(Relaxed) - base)
-}
 
 fn main() {
     steady_state_iterations_do_not_allocate();
