@@ -319,21 +319,20 @@ fn train(corpus: &Corpus, k: usize, iterations: usize, algo: Algo) -> IterationL
     let params = ModelParams::paper_defaults(k);
     let trainer = Trainer::new(corpus);
     let schedule = TrainerConfig::new(iterations).eval_every((iterations / 12).max(1));
-    let name = format!("{algo:?}");
     match algo {
         Algo::Warp(m) => {
             let mut s = WarpLda::new(corpus, params, WarpLdaConfig::with_mh_steps(m), SEED);
-            trainer.train(&schedule, &name, &mut s)
+            trainer.train(&schedule, &mut s)
         }
         Algo::Light(m, rung) => {
             let mut s = LightLda::with_variant(corpus, params, m, SEED, ladder(rung));
-            trainer.train(&schedule, &name, &mut s)
+            trainer.train(&schedule, &mut s)
         }
-        Algo::FPlus => trainer.train(&schedule, &name, &mut FPlusLda::new(corpus, params, SEED)),
+        Algo::FPlus => trainer.train(&schedule, &mut FPlusLda::new(corpus, params, SEED)),
         Algo::Parallel(m, threads) => {
             let config = WarpLdaConfig::with_mh_steps(m);
             let mut s = ParallelWarpLda::new(corpus, params, config, SEED, threads);
-            trainer.train(&schedule, &name, &mut s)
+            trainer.train(&schedule, &mut s)
         }
     }
 }
@@ -493,7 +492,7 @@ fn fig9a(runs: &mut Runs, s: &Setting) -> Values {
         // Unmeasured: the first iteration pays the allocation costs.
         sampler.run_iteration();
         let schedule = TrainerConfig::sampling_only(s.iterations);
-        trainer.train(&schedule, "fig9a", &mut sampler).mean_tokens_per_sec()
+        trainer.train(&schedule, &mut sampler).mean_tokens_per_sec()
     };
     values.push(("host_cpus".to_string(), host_cpus() as f64));
     values.push((format!("speedup@{threads}"), tokens_per_sec(threads) / tokens_per_sec(1)));
@@ -580,12 +579,12 @@ fn table4(runs: &mut Runs, s: &Setting) -> Values {
             (Trainer::new(corpus), TrainerConfig::sampling_only(s.iterations));
         let mut light =
             LightLda::with_variant_and_probe(corpus, params, 1, SEED, ladder(0), probe());
-        trainer.train(&sampling, "LightLDA", &mut light);
+        trainer.train(&sampling, &mut light);
         let mut fplus = FPlusLda::with_probe(corpus, params, SEED, probe());
-        trainer.train(&sampling, "F+LDA", &mut fplus);
+        trainer.train(&sampling, &mut fplus);
         let config = WarpLdaConfig::with_mh_steps(1);
         let mut warp = WarpLda::with_probe(corpus, params, config, SEED, probe());
-        trainer.train(&sampling, "WarpLDA", &mut warp);
+        trainer.train(&sampling, &mut warp);
         let stats = [light.probe().stats(), fplus.probe().stats(), warp.probe().stats()];
         for (algo, st) in ["LightLDA", "F+LDA", "WarpLDA"].into_iter().zip(stats) {
             let at = format!("{algo}@{}", describe(shape));

@@ -2,7 +2,7 @@
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessOutcome {
+pub(crate) enum AccessOutcome {
     /// The line was present.
     Hit,
     /// The line was not present and has been filled (possibly evicting
@@ -18,7 +18,7 @@ pub enum AccessOutcome {
 /// positive configuration works, which keeps the simulator flexible for
 /// sensitivity experiments.
 #[derive(Debug, Clone)]
-pub struct SetAssociativeCache {
+pub(crate) struct SetAssociativeCache {
     line_size: u64,
     num_sets: u64,
     associativity: usize,
@@ -27,8 +27,6 @@ pub struct SetAssociativeCache {
     /// LRU clock per way (higher = more recently used).
     stamps: Vec<u64>,
     clock: u64,
-    accesses: u64,
-    misses: u64,
 }
 
 impl SetAssociativeCache {
@@ -37,7 +35,7 @@ impl SetAssociativeCache {
     ///
     /// # Panics
     /// Panics if any parameter is zero or the configuration yields zero sets.
-    pub fn new(size_bytes: u64, line_size: u64, associativity: usize) -> Self {
+    pub(crate) fn new(size_bytes: u64, line_size: u64, associativity: usize) -> Self {
         assert!(
             size_bytes > 0 && line_size > 0 && associativity > 0,
             "cache parameters must be positive"
@@ -52,52 +50,11 @@ impl SetAssociativeCache {
             tags: vec![u64::MAX; (num_sets as usize) * associativity],
             stamps: vec![0; (num_sets as usize) * associativity],
             clock: 0,
-            accesses: 0,
-            misses: 0,
         }
-    }
-
-    /// Line size in bytes.
-    pub fn line_size(&self) -> u64 {
-        self.line_size
-    }
-
-    /// Total accesses so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Total misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Miss rate (0 when no accesses have been made).
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
-    /// Resets the statistics but keeps the cache contents.
-    pub fn reset_stats(&mut self) {
-        self.accesses = 0;
-        self.misses = 0;
-    }
-
-    /// Clears contents and statistics.
-    pub fn clear(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
-        self.clock = 0;
-        self.reset_stats();
     }
 
     /// Accesses the byte address `addr` and returns whether it hit.
-    pub fn access(&mut self, addr: u64) -> AccessOutcome {
-        self.accesses += 1;
+    pub(crate) fn access(&mut self, addr: u64) -> AccessOutcome {
         self.clock += 1;
         let line = addr / self.line_size;
         let set = (line % self.num_sets) as usize;
@@ -112,7 +69,6 @@ impl SetAssociativeCache {
         }
 
         // Miss: fill an empty way, or evict the LRU way.
-        self.misses += 1;
         let victim = (0..self.associativity)
             .min_by_key(|&w| {
                 if self.tags[base + w] == u64::MAX {
@@ -139,8 +95,6 @@ mod tests {
         assert_eq!(c.access(0), AccessOutcome::Hit);
         assert_eq!(c.access(8), AccessOutcome::Hit, "same line");
         assert_eq!(c.access(64), AccessOutcome::Miss, "next line");
-        assert_eq!(c.misses(), 2);
-        assert_eq!(c.accesses(), 4);
     }
 
     #[test]
@@ -148,14 +102,16 @@ mod tests {
         // 1 KiB cache, stream over 64 KiB repeatedly: every access to a new line misses.
         let mut c = SetAssociativeCache::new(1024, 64, 4);
         let lines = 1024u64; // 64 KiB / 64 B
+        let mut misses = 0;
         for _round in 0..3 {
             for l in 0..lines {
-                c.access(l * 64);
+                misses += usize::from(c.access(l * 64) == AccessOutcome::Miss);
             }
         }
         // After the first round the cache can hold only 16 lines of 1024, so the
         // miss rate stays essentially 1.
-        assert!(c.miss_rate() > 0.95, "miss rate {}", c.miss_rate());
+        let rate = misses as f64 / (3 * lines) as f64;
+        assert!(rate > 0.95, "miss rate {rate}");
     }
 
     #[test]
@@ -165,13 +121,11 @@ mod tests {
         for l in 0..lines {
             c.access(l * 64);
         }
-        c.reset_stats();
         for _ in 0..10 {
             for l in 0..lines {
-                c.access(l * 64);
+                assert_eq!(c.access(l * 64), AccessOutcome::Hit, "everything should fit");
             }
         }
-        assert_eq!(c.misses(), 0, "everything should fit");
     }
 
     #[test]
@@ -191,27 +145,12 @@ mod tests {
         let c = SetAssociativeCache::new(30 * 1024 * 1024, 64, 20);
         // 30 MiB / 64 B / 20 ways = 24576 sets.
         assert_eq!(c.num_sets, 24576);
-        assert_eq!(c.line_size(), 64);
-    }
-
-    #[test]
-    fn clear_resets_contents() {
-        let mut c = SetAssociativeCache::new(1024, 64, 2);
-        c.access(0);
-        c.clear();
-        assert_eq!(c.accesses(), 0);
-        assert_eq!(c.access(0), AccessOutcome::Miss);
+        assert_eq!(c.line_size, 64);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_size_panics() {
         let _ = SetAssociativeCache::new(0, 64, 2);
-    }
-
-    #[test]
-    fn miss_rate_zero_without_accesses() {
-        let c = SetAssociativeCache::new(1024, 64, 2);
-        assert_eq!(c.miss_rate(), 0.0);
     }
 }

@@ -21,10 +21,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cache;
+mod cache;
 pub mod hierarchy;
 pub mod probe;
 
-pub use cache::{AccessOutcome, SetAssociativeCache};
-pub use hierarchy::{CacheLevelConfig, HierarchyConfig, HierarchyStats, MemoryHierarchy};
+pub use hierarchy::{CacheLevelConfig, HierarchyConfig, HierarchyStats};
 pub use probe::{CacheProbe, CountingProbe, MemoryProbe, NoProbe, RegionId};

@@ -51,20 +51,18 @@ impl MemoryProbe for NoProbe {
 
 /// Metadata of a registered region.
 #[derive(Debug, Clone)]
-pub struct RegionInfo {
+struct RegionInfo {
     /// Name supplied at registration (for reports).
     pub name: String,
     /// Base byte address assigned in the synthetic address space.
     pub base: u64,
     /// Element size in bytes.
     pub elem_size: u64,
-    /// Number of elements.
-    pub elements: u64,
 }
 
 /// Shared region registry used by the concrete probes.
 #[derive(Debug, Clone, Default)]
-pub struct RegionTable {
+struct RegionTable {
     regions: Vec<RegionInfo>,
     next_base: u64,
 }
@@ -72,7 +70,7 @@ pub struct RegionTable {
 impl RegionTable {
     /// Registers a region, aligning its base to a fresh 4 KiB page so regions
     /// never share cache lines.
-    pub fn register(&mut self, name: &str, elements: usize, elem_size: usize) -> RegionId {
+    fn register(&mut self, name: &str, elements: usize, elem_size: usize) -> RegionId {
         let id = RegionId(self.regions.len() as u32);
         let base = (self.next_base + 4095) & !4095;
         let bytes = (elements.max(1) as u64) * (elem_size.max(1) as u64);
@@ -80,42 +78,34 @@ impl RegionTable {
             name: name.to_owned(),
             base,
             elem_size: elem_size.max(1) as u64,
-            elements: elements.max(1) as u64,
         });
         self.next_base = base + bytes;
         id
     }
 
     /// Byte address of `(region, index)`.
-    pub fn address(&self, region: RegionId, index: usize) -> u64 {
+    fn address(&self, region: RegionId, index: usize) -> u64 {
         let info = &self.regions[region.0 as usize];
         info.base + (index as u64) * info.elem_size
     }
 
     /// All registered regions.
-    pub fn regions(&self) -> &[RegionInfo] {
+    fn regions(&self) -> &[RegionInfo] {
         &self.regions
     }
 }
 
-/// A probe that replays every access through a [`MemoryHierarchy`].
+/// A probe that replays every access through a `MemoryHierarchy`.
 #[derive(Debug, Clone)]
 pub struct CacheProbe {
     table: RegionTable,
     hierarchy: MemoryHierarchy,
-    reads: u64,
-    writes: u64,
 }
 
 impl CacheProbe {
     /// Creates a probe backed by the given hierarchy configuration.
     pub fn new(config: HierarchyConfig) -> Self {
-        Self {
-            table: RegionTable::default(),
-            hierarchy: MemoryHierarchy::new(config),
-            reads: 0,
-            writes: 0,
-        }
+        Self { table: RegionTable::default(), hierarchy: MemoryHierarchy::new(config) }
     }
 
     /// Creates a probe with the Table 1 Ivy Bridge hierarchy.
@@ -127,29 +117,6 @@ impl CacheProbe {
     pub fn stats(&self) -> HierarchyStats {
         self.hierarchy.stats()
     }
-
-    /// Number of recorded reads.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Number of recorded writes.
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Resets the statistics (keeps cache contents, e.g. after a warm-up
-    /// iteration).
-    pub fn reset_stats(&mut self) {
-        self.hierarchy.reset_stats();
-        self.reads = 0;
-        self.writes = 0;
-    }
-
-    /// The registered regions.
-    pub fn regions(&self) -> &[RegionInfo] {
-        self.table.regions()
-    }
 }
 
 impl MemoryProbe for CacheProbe {
@@ -159,14 +126,12 @@ impl MemoryProbe for CacheProbe {
 
     #[inline]
     fn read(&mut self, region: RegionId, index: usize) {
-        self.reads += 1;
         let addr = self.table.address(region, index);
         self.hierarchy.access(addr);
     }
 
     #[inline]
     fn write(&mut self, region: RegionId, index: usize) {
-        self.writes += 1;
         let addr = self.table.address(region, index);
         self.hierarchy.access(addr);
     }
@@ -185,11 +150,6 @@ impl CountingProbe {
     /// Creates an empty counting probe.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Reads and writes recorded for a region.
-    pub fn counts(&self, region: RegionId) -> (u64, u64) {
-        self.counts[region.0 as usize]
     }
 
     /// Total reads and writes across all regions.
@@ -275,12 +235,10 @@ mod tests {
         p.read(a, 0);
         p.read(a, 1);
         p.write(b, 2);
-        assert_eq!(p.counts(a), (2, 0));
-        assert_eq!(p.counts(b), (0, 1));
         assert_eq!(p.totals(), (2, 1));
         let report = p.report();
-        assert_eq!(report[0].0, "cd");
-        assert_eq!(report[1].0, "cw");
+        assert_eq!(report[0], ("cd".to_owned(), 2, 0));
+        assert_eq!(report[1], ("cw".to_owned(), 0, 1));
     }
 
     #[test]
@@ -299,9 +257,6 @@ mod tests {
             p.read(r, i);
         }
         p.write(r, 0);
-        assert_eq!(p.reads(), 16);
-        assert_eq!(p.writes(), 1);
         assert_eq!(p.stats().accesses, 17);
-        assert_eq!(p.regions().len(), 1);
     }
 }

@@ -42,7 +42,7 @@ pub struct AccessProfile {
 
 /// Mean number of distinct topics per document (`K_d`) and per word (`K_w`)
 /// for a given state; `K_w` averages over the words that occur.
-pub fn mean_distinct_topics(state: &SamplerState) -> (f64, f64) {
+fn mean_distinct_topics(state: &SamplerState) -> (f64, f64) {
     let num_docs = state.num_docs().max(1);
     let kd: f64 =
         (0..num_docs).map(|d| state.doc_counts(d as u32).num_nonzero() as f64).sum::<f64>()

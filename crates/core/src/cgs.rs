@@ -38,7 +38,8 @@ impl CollapsedGibbs {
     }
 
     /// The current state (counts + assignments).
-    pub fn state(&self) -> &SamplerState {
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> &SamplerState {
         &self.state
     }
 }

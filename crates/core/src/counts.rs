@@ -108,18 +108,14 @@ impl HashCounts {
     /// `min{K, L}` distinct topics, so this capacity keeps the load factor at
     /// or below 1/2 without ever growing — while staying a factor of two
     /// smaller in the worst case than capping at `2·K`.
-    pub fn capacity_for(expected: usize, num_topics: usize) -> usize {
+    fn capacity_for(expected: usize, num_topics: usize) -> usize {
         num_topics.min(expected.saturating_mul(2)).max(4).next_power_of_two()
     }
 
     /// Current slot capacity.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
         self.keys.len()
-    }
-
-    /// Bytes of heap the table holds.
-    pub fn heap_bytes(&self) -> usize {
-        4 * (self.keys.capacity() + self.values.capacity() + self.occupied.capacity())
     }
 
     #[inline]
@@ -260,13 +256,8 @@ impl DenseCounts {
         }
     }
 
-    /// The underlying dense slice.
-    pub fn as_slice(&self) -> &[u32] {
-        &self.values
-    }
-
     /// Bytes of heap the vector holds.
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         4 * (self.values.capacity() + self.touched.capacity()) + self.listed.capacity()
     }
 }
@@ -556,7 +547,7 @@ mod tests {
     fn dense_exposes_slice() {
         let mut d = DenseCounts::new(5);
         d.add(2, 3);
-        assert_eq!(d.as_slice(), &[0, 0, 3, 0, 0]);
+        assert_eq!(d.values, &[0, 0, 3, 0, 0]);
     }
 
     #[test]

@@ -75,7 +75,8 @@ impl<P: MemoryProbe> FPlusLda<P> {
     }
 
     /// The current state (counts + assignments).
-    pub fn state(&self) -> &SamplerState {
+    #[cfg(test)]
+    fn state(&self) -> &SamplerState {
         &self.state
     }
 

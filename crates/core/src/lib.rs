@@ -41,7 +41,7 @@ pub mod counts;
 pub mod eval;
 pub mod fpluslda;
 pub mod lightlda;
-pub mod math;
+mod math;
 pub mod params;
 pub mod sampler;
 pub mod state;

@@ -176,13 +176,9 @@ impl<P: MemoryProbe> LightLda<P> {
     }
 
     /// The current (instantly updated) state.
-    pub fn state(&self) -> &SamplerState {
+    #[cfg(test)]
+    fn state(&self) -> &SamplerState {
         &self.state
-    }
-
-    /// The variant in use.
-    pub fn variant(&self) -> LightLdaVariant {
-        self.variant
     }
 
     /// The memory probe.

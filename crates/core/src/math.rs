@@ -24,7 +24,7 @@ const LANCZOS_COEF: [f64; 9] = [
 ///
 /// # Panics
 /// Panics (in debug builds) if `x` is not strictly positive.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     debug_assert!(x > 0.0, "ln_gamma requires a positive argument, got {x}");
     if x < 0.5 {
         // Reflection formula: Γ(x)Γ(1−x) = π / sin(πx).
@@ -42,7 +42,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 
 /// `ln Γ(x + n) − ln Γ(x)` computed stably; for small integer `n` this is just
 /// the log of a rising factorial, which avoids cancellation for large `x`.
-pub fn ln_gamma_ratio(x: f64, n: u64) -> f64 {
+pub(crate) fn ln_gamma_ratio(x: f64, n: u64) -> f64 {
     if n <= 32 {
         let mut acc = 0.0;
         for i in 0..n {

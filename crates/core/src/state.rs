@@ -42,7 +42,7 @@ impl SamplerState {
     }
 
     /// Creates a state from existing topic assignments (doc-major token order).
-    pub fn from_assignments(corpus: &Corpus, params: ModelParams, z: Vec<u32>) -> Self {
+    pub(crate) fn from_assignments(corpus: &Corpus, params: ModelParams, z: Vec<u32>) -> Self {
         assert_eq!(z.len() as u64, corpus.num_tokens(), "one topic per token required");
         assert!(z.iter().all(|&t| (t as usize) < params.num_topics), "topic out of range");
         let k = params.num_topics;
@@ -68,23 +68,23 @@ impl SamplerState {
     }
 
     /// Model hyper-parameters.
-    pub fn params(&self) -> &ModelParams {
+    pub(crate) fn params(&self) -> &ModelParams {
         &self.params
     }
 
     /// Topic of token `token_index`.
     #[inline]
-    pub fn topic_of(&self, token_index: usize) -> u32 {
+    pub(crate) fn topic_of(&self, token_index: usize) -> u32 {
         self.z[token_index]
     }
 
     /// All topic assignments, indexed by doc-major token index.
-    pub fn assignments(&self) -> &[u32] {
+    pub(crate) fn assignments(&self) -> &[u32] {
         &self.z
     }
 
     /// Number of documents the state tracks counts for.
-    pub fn num_docs(&self) -> usize {
+    pub(crate) fn num_docs(&self) -> usize {
         self.doc_counts.len()
     }
 
@@ -95,7 +95,7 @@ impl SamplerState {
     }
 
     /// Per-document sparse counts.
-    pub fn doc_counts(&self, doc: u32) -> &HashCounts {
+    pub(crate) fn doc_counts(&self, doc: u32) -> &HashCounts {
         &self.doc_counts[doc as usize]
     }
 
@@ -111,26 +111,26 @@ impl SamplerState {
 
     /// Count of `topic` in document `doc` (`C_dk`).
     #[inline]
-    pub fn doc_topic(&self, doc: u32, topic: u32) -> u32 {
+    pub(crate) fn doc_topic(&self, doc: u32, topic: u32) -> u32 {
         self.doc_counts[doc as usize].get(topic)
     }
 
     /// Count of `topic` for word `word` (`C_wk`).
     #[inline]
-    pub fn word_topic(&self, word: u32, topic: u32) -> u32 {
+    pub(crate) fn word_topic(&self, word: u32, topic: u32) -> u32 {
         self.word_counts[word as usize].get(topic)
     }
 
     /// Count of `topic` globally (`C_k`).
     #[inline]
-    pub fn topic(&self, topic: u32) -> u32 {
+    pub(crate) fn topic(&self, topic: u32) -> u32 {
         self.topic_counts[topic as usize]
     }
 
     /// Removes the current assignment of a token from all counts (the `¬dn`
     /// exclusion of Eq. 1).
     #[inline]
-    pub fn remove_token(&mut self, doc: u32, word: u32, token_index: usize) -> u32 {
+    pub(crate) fn remove_token(&mut self, doc: u32, word: u32, token_index: usize) -> u32 {
         let topic = self.z[token_index];
         self.doc_counts[doc as usize].decrement(topic);
         self.word_counts[word as usize].decrement(topic);
@@ -140,7 +140,7 @@ impl SamplerState {
 
     /// Assigns `topic` to a token and adds it to all counts.
     #[inline]
-    pub fn assign_token(&mut self, doc: u32, word: u32, token_index: usize, topic: u32) {
+    pub(crate) fn assign_token(&mut self, doc: u32, word: u32, token_index: usize, topic: u32) {
         self.z[token_index] = topic;
         self.doc_counts[doc as usize].increment(topic);
         self.word_counts[word as usize].increment(topic);
@@ -150,7 +150,8 @@ impl SamplerState {
     /// Verifies the internal consistency invariants against `corpus`:
     /// `Σ_k C_dk = L_d`, `Σ_k C_wk = L_w`, `Σ_d C_dk = Σ_w C_wk = C_k`, and
     /// `Σ_k C_k = T`. Panics with a description if any is violated.
-    pub fn assert_consistent(&self, corpus: &Corpus) {
+    #[cfg(test)]
+    pub(crate) fn assert_consistent(&self, corpus: &Corpus) {
         let k = self.params.num_topics;
         let mut from_docs = vec![0u64; k];
         assert_eq!(self.doc_counts.len(), corpus.num_docs(), "one row per document");

@@ -138,7 +138,6 @@ pub struct IterationRecord {
 /// by the bench harness, the process cluster, the examples and the tests.
 #[derive(Debug, Clone)]
 pub struct IterationLog {
-    name: String,
     tokens_per_iteration: u64,
     records: Vec<IterationRecord>,
 }
@@ -146,19 +145,8 @@ pub struct IterationLog {
 impl IterationLog {
     /// An empty log for a sampler processing `tokens_per_iteration` tokens
     /// per iteration.
-    pub fn new(name: impl Into<String>, tokens_per_iteration: u64) -> Self {
-        Self { name: name.into(), tokens_per_iteration, records: Vec::new() }
-    }
-
-    /// Display name of the run.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Tokens processed per iteration (the corpus token count for
-    /// single-pass samplers).
-    pub fn tokens_per_iteration(&self) -> u64 {
-        self.tokens_per_iteration
+    fn new(tokens_per_iteration: u64) -> Self {
+        Self { tokens_per_iteration, records: Vec::new() }
     }
 
     /// All records, in iteration order.
@@ -167,7 +155,7 @@ impl IterationLog {
     }
 
     /// Appends a record.
-    pub fn push(&mut self, record: IterationRecord) {
+    fn push(&mut self, record: IterationRecord) {
         self.records.push(record);
     }
 
@@ -175,11 +163,6 @@ impl IterationLog {
     /// of a convergence curve.
     pub fn eval_points(&self) -> impl Iterator<Item = &IterationRecord> {
         self.records.iter().filter(|r| r.log_likelihood.is_some())
-    }
-
-    /// The evaluated likelihood at iteration `iteration`, if any.
-    pub fn likelihood_at(&self, iteration: u64) -> Option<f64> {
-        self.records.iter().find(|r| r.iteration == iteration).and_then(|r| r.log_likelihood)
     }
 
     /// The last evaluated log likelihood (`-inf` when nothing was evaluated,
@@ -278,7 +261,7 @@ pub struct EvalInput<'a> {
 
 /// A replaceable evaluation metric; the default computes the log joint
 /// likelihood of the snapshot.
-pub type EvalFn = Box<dyn Fn(EvalInput<'_>) -> f64 + Send + Sync>;
+type EvalFn = Box<dyn Fn(EvalInput<'_>) -> f64 + Send + Sync>;
 
 /// Internal hook that saves a checkpoint of `S` at an iteration and returns
 /// the written path.
@@ -339,14 +322,9 @@ impl<'a> Trainer<'a> {
     ///
     /// Evaluations follow `config`'s schedule and run on a background worker
     /// overlapped with the next sampling iterations.
-    pub fn train(
-        &self,
-        config: &TrainerConfig,
-        name: &str,
-        sampler: &mut (dyn Sampler + '_),
-    ) -> IterationLog {
+    pub fn train(&self, config: &TrainerConfig, sampler: &mut (dyn Sampler + '_)) -> IterationLog {
         let (log, _) = self
-            .train_impl(config, name, sampler, None)
+            .train_impl(config, sampler, None)
             .expect("training without checkpoints cannot fail");
         log
     }
@@ -382,7 +360,7 @@ impl<'a> Trainer<'a> {
             }
         });
         let saver = saver.as_ref().map(|f| f as SaveHook<'_, D::State>);
-        let (log, checkpoints) = self.train_impl(config, name, driver, saver)?;
+        let (log, checkpoints) = self.train_impl(config, driver, saver)?;
         Ok(TrainOutcome { log, checkpoints })
     }
 
@@ -410,12 +388,11 @@ impl<'a> Trainer<'a> {
     fn train_impl<D: TrainDriver + ?Sized>(
         &self,
         config: &TrainerConfig,
-        name: &str,
         driver: &mut D,
         saver: Option<SaveHook<'_, D::State>>,
     ) -> Result<(IterationLog, Vec<PathBuf>), D::Error> {
         let tokens_per_iter = self.doc_view.num_tokens() as u64;
-        let mut log = IterationLog::new(name, tokens_per_iter);
+        let mut log = IterationLog::new(tokens_per_iter);
         let mut checkpoints = Vec::new();
         let params = *driver.sampler().params();
         let corpus = self.corpus;
@@ -530,7 +507,7 @@ mod tests {
         let trainer = Trainer::new(&corpus);
         let mut s =
             WarpLda::new(&corpus, ModelParams::paper_defaults(6), WarpLdaConfig::default(), 1);
-        let log = trainer.train(&TrainerConfig::new(7).eval_every(3), "warp", &mut s);
+        let log = trainer.train(&TrainerConfig::new(7).eval_every(3), &mut s);
         assert_eq!(log.records().len(), 7);
         let evaluated: Vec<u64> = log.eval_points().map(|r| r.iteration).collect();
         assert_eq!(evaluated, vec![3, 6, 7], "cadence 3 plus the forced final evaluation");
@@ -545,7 +522,7 @@ mod tests {
         let trainer = Trainer::new(&corpus);
         let mut s =
             WarpLda::new(&corpus, ModelParams::paper_defaults(6), WarpLdaConfig::default(), 1);
-        let log = trainer.train(&TrainerConfig::sampling_only(4), "warp", &mut s);
+        let log = trainer.train(&TrainerConfig::sampling_only(4), &mut s);
         assert_eq!(log.records().len(), 4);
         assert_eq!(log.eval_points().count(), 0);
         assert_eq!(log.final_ll(), f64::NEG_INFINITY);
@@ -559,7 +536,7 @@ mod tests {
         let trainer = Trainer::new(&corpus);
 
         let mut a = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 3);
-        let overlapped = trainer.train(&TrainerConfig::new(10).eval_every(2), "overlapped", &mut a);
+        let overlapped = trainer.train(&TrainerConfig::new(10).eval_every(2), &mut a);
         let lls: Vec<(u64, f64)> =
             overlapped.eval_points().map(|r| (r.iteration, r.log_likelihood.unwrap())).collect();
         assert_eq!(lls.len(), 5, "iterations 2, 4, 6, 8, 10");
@@ -583,7 +560,7 @@ mod tests {
         let params = ModelParams::paper_defaults(6);
         let trainer = Trainer::new(&corpus);
         let mut s = ParallelWarpLda::new(&corpus, params, WarpLdaConfig::default(), 5, 3);
-        let log = trainer.train(&TrainerConfig::new(3).eval_every(1), "parallel", &mut s);
+        let log = trainer.train(&TrainerConfig::new(3).eval_every(1), &mut s);
         assert_eq!(log.eval_points().count(), 3);
         assert!(log.final_ll().is_finite());
     }
@@ -595,7 +572,7 @@ mod tests {
             Trainer::new(&corpus).with_eval_fn(Box::new(|input| input.assignments.len() as f64));
         let mut s =
             WarpLda::new(&corpus, ModelParams::paper_defaults(4), WarpLdaConfig::default(), 1);
-        let log = trainer.train(&TrainerConfig::new(2).eval_every(1), "custom", &mut s);
+        let log = trainer.train(&TrainerConfig::new(2).eval_every(1), &mut s);
         for p in log.eval_points() {
             assert_eq!(p.log_likelihood.unwrap(), corpus.num_tokens() as f64);
         }
@@ -603,7 +580,7 @@ mod tests {
 
     #[test]
     fn targets_helpers_find_crossings() {
-        let mut log = IterationLog::new("x", 100);
+        let mut log = IterationLog::new(100);
         for (it, ll) in [(1u64, -100.0), (2, -50.0), (3, -25.0)] {
             log.push(IterationRecord {
                 iteration: it,
@@ -617,6 +594,6 @@ mod tests {
         assert_eq!(log.iterations_to_reach(-60.0), Some(2));
         assert_eq!(log.seconds_to_reach(-60.0), Some(2.0));
         assert_eq!(log.iterations_to_reach(0.0), None);
-        assert_eq!(log.likelihood_at(3), Some(-25.0));
+        assert_eq!(log.final_ll(), -25.0);
     }
 }

@@ -88,11 +88,6 @@ impl ParallelWarpLda {
         Self { inner, workers, cursors }
     }
 
-    /// Number of worker threads.
-    pub fn num_threads(&self) -> usize {
-        self.workers.len()
-    }
-
     /// The global topic counts `c_k`.
     pub fn topic_counts(&self) -> &[u32] {
         self.inner.topic_counts()

@@ -115,15 +115,10 @@ impl CorpusBuilder {
     }
 
     /// Adds a document given as token ids.
-    pub fn push_token_doc(&mut self, tokens: Vec<WordId>) -> DocId {
+    fn push_token_doc(&mut self, tokens: Vec<WordId>) -> DocId {
         let id = self.docs.len() as DocId;
         self.docs.push(Document::from_tokens(tokens));
         id
-    }
-
-    /// Number of documents added so far.
-    pub fn num_docs(&self) -> usize {
-        self.docs.len()
     }
 
     /// Finalizes the corpus.

@@ -14,11 +14,6 @@ pub struct Document {
 }
 
 impl Document {
-    /// Creates an empty document.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a document from a list of token occurrences.
     pub fn from_tokens(tokens: Vec<WordId>) -> Self {
         Self { tokens }
@@ -26,7 +21,7 @@ impl Document {
 
     /// Creates a document from `(word, count)` pairs, expanding counts into
     /// individual token occurrences (the UCI bag-of-words representation).
-    pub fn from_counts<I: IntoIterator<Item = (WordId, u32)>>(counts: I) -> Self {
+    pub(crate) fn from_counts<I: IntoIterator<Item = (WordId, u32)>>(counts: I) -> Self {
         let mut tokens = Vec::new();
         for (w, c) in counts {
             for _ in 0..c {
@@ -50,11 +45,6 @@ impl Document {
     pub fn tokens(&self) -> &[WordId] {
         &self.tokens
     }
-
-    /// Appends a token occurrence.
-    pub fn push(&mut self, word: WordId) {
-        self.tokens.push(word);
-    }
 }
 
 impl FromIterator<WordId> for Document {
@@ -76,16 +66,14 @@ mod tests {
 
     #[test]
     fn empty_document() {
-        let d = Document::new();
+        let d = Document::default();
         assert!(d.is_empty());
+        assert!(!Document::from_tokens(vec![4]).is_empty());
     }
 
     #[test]
     fn push_and_collect() {
-        let mut d = Document::new();
-        d.push(1);
-        d.push(1);
-        d.push(2);
+        let d = Document::from_tokens(vec![1, 1, 2]);
         assert_eq!(d.len(), 3);
         let d2: Document = vec![1u32, 1, 2].into_iter().collect();
         assert_eq!(d, d2);

@@ -29,11 +29,11 @@ thread_local! {
 }
 
 /// Distinguishes injected write faults from genuine I/O errors in tests.
-pub const INJECTED_WRITE_FAULT: &str = "injected write fault";
+const INJECTED_WRITE_FAULT: &str = "injected write fault";
 
 /// Arms the fault injector: the `n`-th `write` call (1-based) issued through
 /// an [`atomic_write`] writer **on this thread** fails with a typed
-/// [`std::io::Error`] whose message is [`INJECTED_WRITE_FAULT`]. The fault
+/// [`std::io::Error`] whose message is `INJECTED_WRITE_FAULT`. The fault
 /// fires once and disarms itself; call [`disarm_write_faults`] to cancel an
 /// armed fault that never fired.
 pub fn fail_nth_write(n: u64) {

@@ -23,8 +23,7 @@ use crate::{Corpus, CorpusError, Document, Vocabulary, WordId};
 
 /// Reads a corpus in the UCI `docword` bag-of-words format.
 ///
-/// The vocabulary is synthetic (`w0`, `w1`, …) unless `vocab` is supplied from
-/// a matching `vocab.*.txt` file via [`read_uci_vocab`].
+/// The vocabulary is synthetic (`w0`, `w1`, …) unless `vocab` is supplied.
 pub fn read_uci_bag_of_words<R: Read>(
     reader: R,
     vocab: Option<Vocabulary>,
@@ -89,19 +88,6 @@ pub fn read_uci_bag_of_words<R: Read>(
 
     let docs: Vec<Document> = docs.into_iter().map(Document::from_counts).collect();
     Corpus::from_parts(docs, vocab)
-}
-
-/// Reads the UCI `vocab.*.txt` companion file: one word per line, in id order.
-pub fn read_uci_vocab<R: Read>(reader: R) -> Result<Vocabulary, CorpusError> {
-    let mut vocab = Vocabulary::new();
-    for line in BufReader::new(reader).lines() {
-        let line = line.map_err(CorpusError::Io)?;
-        let w = line.trim();
-        if !w.is_empty() {
-            vocab.intern(w);
-        }
-    }
-    Ok(vocab)
 }
 
 /// Writes a corpus in the UCI `docword` format (1-based ids, one triple per
@@ -245,10 +231,17 @@ mod tests {
         ));
     }
 
+    fn vocab_of(words: &[&str]) -> Vocabulary {
+        let mut vocab = Vocabulary::new();
+        for w in words {
+            vocab.intern(w);
+        }
+        vocab
+    }
+
     #[test]
     fn uci_with_explicit_vocab() {
-        let vocab_txt = "alpha\nbeta\ngamma\ndelta\n";
-        let vocab = read_uci_vocab(vocab_txt.as_bytes()).unwrap();
+        let vocab = vocab_of(&["alpha", "beta", "gamma", "delta"]);
         let corpus = read_uci_bag_of_words(SAMPLE.as_bytes(), Some(vocab)).unwrap();
         assert_eq!(corpus.vocab().word(0), Some("alpha"));
         assert_eq!(corpus.vocab().word(3), Some("delta"));
@@ -256,7 +249,7 @@ mod tests {
 
     #[test]
     fn uci_rejects_too_small_vocab() {
-        let vocab = read_uci_vocab("only\none\n".as_bytes()).unwrap();
+        let vocab = vocab_of(&["only", "one"]);
         assert!(read_uci_bag_of_words(SAMPLE.as_bytes(), Some(vocab)).is_err());
     }
 

@@ -13,9 +13,9 @@
 //! * [`io`] — readers and writers for the UCI "bag of words" `docword` format
 //!   used by the NYTimes and PubMed datasets, plus a whitespace tokenizer for
 //!   raw text.
-//! * [`synth`] — synthetic corpus generators: an LDA generative-model
-//!   generator (planted topics) and a Zipfian unigram generator, used when the
-//!   paper's corpora are not available locally.
+//! * [`synth`] — synthetic corpora: an LDA generative-model generator
+//!   (planted topics), used when the paper's corpora are not available
+//!   locally, and a Zipfian word-frequency profile.
 //! * [`presets`] — scaled-down presets mimicking the shape (D, V, T/D) of the
 //!   NYTimes, PubMed and ClueWeb12 corpora from Table 3.
 
@@ -40,7 +40,7 @@ pub use io::{tokenize_query_into, OovPolicy};
 pub use presets::DatasetPreset;
 pub use stats::CorpusStats;
 pub use synth::{LdaGenerator, SyntheticConfig, ZipfGenerator};
-pub use views::{DocMajorView, TokenRef, WordMajorView};
+pub use views::{DocMajorView, WordMajorView};
 pub use vocab::Vocabulary;
 
 /// Identifier of a word in the vocabulary (a *word*, not an occurrence).

@@ -27,14 +27,6 @@ pub enum DatasetPreset {
 }
 
 impl DatasetPreset {
-    /// All presets, in Table 3 order.
-    pub const ALL: [DatasetPreset; 4] = [
-        DatasetPreset::NyTimesLike,
-        DatasetPreset::PubMedLike,
-        DatasetPreset::ClueWebSubsetLike,
-        DatasetPreset::Tiny,
-    ];
-
     /// Human-readable name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -124,9 +116,14 @@ mod tests {
 
     #[test]
     fn preset_names_are_distinct() {
-        let names: std::collections::HashSet<_> =
-            DatasetPreset::ALL.iter().map(|p| p.name()).collect();
-        assert_eq!(names.len(), DatasetPreset::ALL.len());
+        let all = [
+            DatasetPreset::NyTimesLike,
+            DatasetPreset::PubMedLike,
+            DatasetPreset::ClueWebSubsetLike,
+            DatasetPreset::Tiny,
+        ];
+        let names: std::collections::HashSet<_> = all.iter().map(|p| p.name()).collect();
+        assert_eq!(names.len(), all.len());
     }
 
     #[test]

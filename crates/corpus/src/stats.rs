@@ -26,7 +26,7 @@ pub struct CorpusStats {
 
 impl CorpusStats {
     /// Computes statistics for a corpus.
-    pub fn from_corpus(corpus: &Corpus) -> Self {
+    pub(crate) fn from_corpus(corpus: &Corpus) -> Self {
         let num_docs = corpus.num_docs();
         let num_tokens = corpus.num_tokens();
         let vocab_size = corpus.vocab_size();

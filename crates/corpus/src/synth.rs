@@ -154,16 +154,6 @@ impl LdaGenerator {
         Self { config, topic_word }
     }
 
-    /// The planted topic-word distributions (row `k` sums to one).
-    pub fn planted_topics(&self) -> &[Vec<f64>] {
-        &self.topic_word
-    }
-
-    /// The configuration used to build the generator.
-    pub fn config(&self) -> &SyntheticConfig {
-        &self.config
-    }
-
     /// Generates the corpus. Deterministic for a fixed configuration.
     pub fn generate(&self) -> Corpus {
         let cfg = &self.config;
@@ -187,9 +177,9 @@ impl LdaGenerator {
     }
 }
 
-/// Generates corpora whose words are drawn i.i.d. from a Zipf distribution
-/// (no topic structure). Used by the partitioning and cache experiments,
-/// which only depend on the word-frequency power law.
+/// The Zipfian word-frequency profile of a corpus with no topic structure.
+/// Used by the partitioning experiment, which only depends on the
+/// word-frequency power law.
 #[derive(Debug, Clone)]
 pub struct ZipfGenerator {
     config: SyntheticConfig,
@@ -200,23 +190,6 @@ impl ZipfGenerator {
     pub fn new(config: SyntheticConfig) -> Self {
         assert!(config.vocab_size > 0, "need a non-empty vocabulary");
         Self { config }
-    }
-
-    /// Generates the corpus. Deterministic for a fixed configuration.
-    pub fn generate(&self) -> Corpus {
-        let cfg = &self.config;
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let weights: Vec<f64> =
-            (0..cfg.vocab_size).map(|i| 1.0 / ((i + 1) as f64).powf(cfg.zipf_exponent)).collect();
-        let cdf = Cdf::from_weights(&weights);
-        let mut docs = Vec::with_capacity(cfg.num_docs);
-        for _ in 0..cfg.num_docs {
-            let len = sample_doc_len(&mut rng, cfg.mean_doc_len);
-            let tokens: Vec<WordId> = (0..len).map(|_| cdf.sample(&mut rng) as WordId).collect();
-            docs.push(Document::from_tokens(tokens));
-        }
-        let vocab = Vocabulary::synthetic(cfg.vocab_size);
-        Corpus::from_parts(docs, vocab).expect("generated tokens are always in range")
     }
 
     /// Just the term-frequency profile (column sizes), without materializing
@@ -310,7 +283,7 @@ mod tests {
             num_topics: 5,
             ..Default::default()
         });
-        for phi in gen.planted_topics() {
+        for phi in &gen.topic_word {
             let s: f64 = phi.iter().sum();
             assert!((s - 1.0).abs() < 1e-9);
         }
@@ -318,20 +291,12 @@ mod tests {
 
     #[test]
     fn zipf_generator_produces_power_law() {
-        let cfg = SyntheticConfig {
-            num_docs: 300,
-            vocab_size: 1000,
-            mean_doc_len: 100,
-            zipf_exponent: 1.1,
-            ..Default::default()
-        };
-        let c = ZipfGenerator::new(cfg).generate();
-        let mut tf = c.term_frequencies();
-        tf.sort_unstable_by(|a, b| b.cmp(a));
-        // The most frequent word should dominate: top-1% of words should carry a
-        // disproportionate share of tokens.
+        let cfg = SyntheticConfig { vocab_size: 1000, zipf_exponent: 1.1, ..Default::default() };
+        let tf = ZipfGenerator::new(cfg).term_frequency_profile(30_000);
+        // The most frequent words dominate: the top 1 % of words carry a
+        // disproportionate share of the tokens.
         let top: u64 = tf.iter().take(10).sum();
-        assert!(top as f64 > 0.2 * c.num_tokens() as f64, "top-10 share too small: {top}");
+        assert!(top as f64 > 0.2 * 30_000.0, "top-10 share too small: {top}");
     }
 
     #[test]

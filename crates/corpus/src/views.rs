@@ -6,8 +6,8 @@
 //! word (column-major). The samplers need both orderings: document phases
 //! visit tokens document-by-document, word phases word-by-word.
 //!
-//! A [`TokenRef`] identifies one token occurrence by a stable *token index*
-//! `0..T` assigned in document-major order, so that per-token state (topic
+//! Both views name a token occurrence by a stable *token index* `0..T`
+//! assigned in document-major order, so that per-token state (topic
 //! assignment, MH proposals) can live in flat arrays indexed by it regardless
 //! of the visiting order.
 //!
@@ -19,17 +19,6 @@
 //! the corpus or from their own totals.
 
 use crate::{Corpus, DocId, WordId};
-
-/// A reference to a single token occurrence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TokenRef {
-    /// Document the token belongs to.
-    pub doc: DocId,
-    /// Word of the token.
-    pub word: WordId,
-    /// Stable token index in `0..T` (document-major order).
-    pub index: u32,
-}
 
 /// Document-major view: for each document, the contiguous range of token
 /// indices and their word ids.
@@ -70,35 +59,14 @@ impl DocMajorView {
         self.offsets[d] as usize..self.offsets[d + 1] as usize
     }
 
-    /// Words of document `d`, indexed by position within the document.
-    pub fn doc_words(&self, d: DocId) -> &[WordId] {
-        &self.words[self.doc_range(d)]
-    }
-
     /// Word of token index `i`.
     pub fn word_of(&self, token_index: usize) -> WordId {
         self.words[token_index]
     }
 
-    /// Flat word array, indexed by token index.
-    pub fn words(&self) -> &[WordId] {
-        &self.words
-    }
-
     /// Document length `L_d`.
     pub fn doc_len(&self, d: DocId) -> usize {
         self.doc_range(d).len()
-    }
-
-    /// Iterates over every token as a [`TokenRef`], document by document.
-    pub fn iter_tokens(&self) -> impl Iterator<Item = TokenRef> + '_ {
-        (0..self.num_docs()).flat_map(move |d| {
-            self.doc_range(d as DocId).map(move |i| TokenRef {
-                doc: d as DocId,
-                word: self.words[i],
-                index: i as u32,
-            })
-        })
     }
 }
 
@@ -162,11 +130,6 @@ impl WordMajorView {
         self.offsets.len() - 1
     }
 
-    /// Total number of tokens.
-    pub fn num_tokens(&self) -> usize {
-        self.token_indices.len()
-    }
-
     /// Occurrence range of word `w`.
     pub fn word_range(&self, w: WordId) -> std::ops::Range<usize> {
         let w = w as usize;
@@ -187,17 +150,6 @@ impl WordMajorView {
     /// [`word_token_indices`](Self::word_token_indices).
     pub fn word_docs(&self, w: WordId) -> &[DocId] {
         &self.docs[self.word_range(w)]
-    }
-
-    /// Iterates over every token as a [`TokenRef`], word by word.
-    pub fn iter_tokens(&self) -> impl Iterator<Item = TokenRef> + '_ {
-        (0..self.num_words()).flat_map(move |w| {
-            self.word_range(w as WordId).map(move |slot| TokenRef {
-                doc: self.docs[slot],
-                word: w as WordId,
-                index: self.token_indices[slot],
-            })
-        })
     }
 }
 
@@ -224,7 +176,7 @@ mod tests {
         assert_eq!(dv.doc_len(1), 4);
         assert_eq!(dv.doc_len(2), 2);
         let apple = c.vocab().get("apple").unwrap();
-        assert_eq!(dv.doc_words(1).iter().filter(|&&w| w == apple).count(), 2);
+        assert_eq!(dv.doc_range(1).filter(|&i| dv.word_of(i) == apple).count(), 2);
     }
 
     #[test]
@@ -232,12 +184,13 @@ mod tests {
         let c = fig1_corpus();
         let dv = DocMajorView::build(&c);
         let wv = WordMajorView::build(&c, &dv);
-        assert_eq!(wv.num_tokens(), dv.num_tokens());
         let mut seen = vec![false; dv.num_tokens()];
-        for t in wv.iter_tokens() {
-            assert_eq!(dv.word_of(t.index as usize), t.word);
-            assert!(!seen[t.index as usize], "token index repeated");
-            seen[t.index as usize] = true;
+        for w in 0..wv.num_words() as WordId {
+            for &i in wv.word_token_indices(w) {
+                assert_eq!(dv.word_of(i as usize), w);
+                assert!(!seen[i as usize], "token index repeated");
+                seen[i as usize] = true;
+            }
         }
         assert!(seen.iter().all(|&s| s));
     }
@@ -272,19 +225,19 @@ mod tests {
         assert_eq!(dv.num_docs(), 0);
         assert_eq!(dv.num_tokens(), 0);
         assert_eq!(wv.num_words(), 0);
-        assert_eq!(wv.iter_tokens().count(), 0);
     }
 
     #[test]
-    fn doc_iter_tokens_covers_all_tokens_in_order() {
+    fn doc_ranges_cover_all_tokens_in_order() {
         let c = fig1_corpus();
         let dv = DocMajorView::build(&c);
-        let tokens: Vec<TokenRef> = dv.iter_tokens().collect();
-        assert_eq!(tokens.len(), 8);
-        for (i, t) in tokens.iter().enumerate() {
-            assert_eq!(t.index as usize, i);
+        let mut next = 0;
+        for d in 0..dv.num_docs() as DocId {
+            assert_eq!(dv.doc_range(d).start, next, "doc {d} starts where doc {d} - 1 ends");
+            next = dv.doc_range(d).end;
         }
-        assert_eq!(tokens[0].doc, 0);
-        assert_eq!(tokens[7].doc, 2);
+        assert_eq!(next, 8);
+        assert_eq!(dv.doc_range(0), 0..2);
+        assert_eq!(dv.doc_range(2), 6..8);
     }
 }

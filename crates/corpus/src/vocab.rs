@@ -49,7 +49,7 @@ impl Vocabulary {
     ///
     /// Used by the synthetic corpus generators, where words carry no meaning
     /// beyond their id.
-    pub fn synthetic(n: usize) -> Self {
+    pub(crate) fn synthetic(n: usize) -> Self {
         let mut v = Self::with_capacity(n);
         for i in 0..n {
             v.intern(&format!("w{i}"));
@@ -58,7 +58,7 @@ impl Vocabulary {
     }
 
     /// Creates an empty vocabulary with room for `capacity` words.
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         Self::with_capacities(capacity, 0)
     }
 

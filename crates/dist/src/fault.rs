@@ -92,18 +92,8 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// True when the plan scripts nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// All scripted events.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
     /// Adds an arbitrary event.
-    pub fn event(mut self, ev: FaultEvent) -> Self {
+    fn event(mut self, ev: FaultEvent) -> Self {
         self.events.push(ev);
         self
     }
@@ -181,7 +171,7 @@ const ACTION_CORRUPT_DELTA: u8 = 3;
 const ACTION_TRUNCATE_DELTA: u8 = 4;
 
 /// Writes a list of events (the `Setup.faults` field).
-pub fn write_fault_events(enc: &mut Encoder<'_>, events: &[FaultEvent]) -> CodecResult<()> {
+pub(crate) fn write_fault_events(enc: &mut Encoder<'_>, events: &[FaultEvent]) -> CodecResult<()> {
     enc.write_u32(events.len() as u32)?;
     for ev in events {
         enc.write_u32(ev.worker)?;
@@ -204,7 +194,7 @@ pub fn write_fault_events(enc: &mut Encoder<'_>, events: &[FaultEvent]) -> Codec
 }
 
 /// Reads a list of events written by [`write_fault_events`].
-pub fn read_fault_events(dec: &mut Decoder<'_>) -> CodecResult<Vec<FaultEvent>> {
+pub(crate) fn read_fault_events(dec: &mut Decoder<'_>) -> CodecResult<Vec<FaultEvent>> {
     // An event is 22 bytes: worker, iteration, phase, action tag, ms.
     let n = dec.read_u32()?;
     let n = dec.fits(n.into(), 22)?;
@@ -242,7 +232,7 @@ mod tests {
             .crash(1, 2, FaultPhase::Word)
             .hang(0, 3, FaultPhase::Doc, 10_000)
             .corrupt_delta(1, 4, FaultPhase::Doc);
-        assert_eq!(plan.events().len(), 3);
+        assert_eq!(plan.events.len(), 3);
         assert_eq!(plan.for_worker(1, 1).len(), 2);
         assert_eq!(plan.for_worker(0, 1).len(), 1);
         assert!(plan.for_worker(2, 1).is_empty());
@@ -275,10 +265,10 @@ mod tests {
         let restart = |worker| plan.for_worker(worker, 1 + 2);
         assert!(restart(0).is_empty());
         assert!(restart(1).is_empty());
-        assert_eq!(restart(2), [plan.events()[3]]);
+        assert_eq!(restart(2), [plan.events[3]]);
         // At start-up, every event of iteration 2 on ships.
         let start_up: usize = (0..3).map(|w| plan.for_worker(w, 1 + 1).len()).sum();
-        assert_eq!(start_up, plan.events().len());
+        assert_eq!(start_up, plan.events.len());
     }
 
     #[test]

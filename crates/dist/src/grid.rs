@@ -74,7 +74,7 @@ impl GridPartition {
     }
 
     /// Number of machines `P`.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
     }
 
@@ -89,7 +89,7 @@ impl GridPartition {
     }
 
     /// Token count of grid cell `(doc_machine, word_machine)`.
-    pub fn cell_tokens(&self, doc_machine: usize, word_machine: usize) -> u64 {
+    pub(crate) fn cell_tokens(&self, doc_machine: usize, word_machine: usize) -> u64 {
         self.cells[doc_machine * self.workers + word_machine]
     }
 

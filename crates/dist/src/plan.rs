@@ -146,7 +146,7 @@ impl PhasePlan {
     /// The coordinator's import of worker `sender`'s delta `ids`, which
     /// [`check_delta`](Self::check_delta) accepted: the segments to peers
     /// as records, the own segment into the assignment slots.
-    pub fn import_delta(
+    pub(crate) fn import_delta(
         &self,
         replica: &mut WarpLda,
         sender: usize,
@@ -339,7 +339,7 @@ impl ShardPlan {
     }
 
     /// Cluster size `P`.
-    pub fn workers(&self) -> usize {
+    fn workers(&self) -> usize {
         self.owned_words.len()
     }
 

@@ -525,7 +525,7 @@ impl ProcessCluster {
     }
 
     /// Cluster size `P`.
-    pub fn workers(&self) -> usize {
+    fn workers(&self) -> usize {
         self.cfg.workers
     }
 

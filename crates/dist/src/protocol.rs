@@ -133,12 +133,12 @@ const TAG_DOC_SYNC: u8 = 8;
 const TAG_SHUTDOWN: u8 = 9;
 const TAG_BYE: u8 = 10;
 /// Tag of a [`Message::Fault`] frame.
-pub const TAG_FAULT: u8 = 11;
+pub(crate) const TAG_FAULT: u8 = 11;
 /// Tag of a [`Message::Heartbeat`] frame.
-pub const TAG_HEARTBEAT: u8 = 12;
+pub(crate) const TAG_HEARTBEAT: u8 = 12;
 
 /// Tag of the delta frame a worker sends after `phase`.
-pub const fn delta_tag(phase: FaultPhase) -> u8 {
+pub(crate) const fn delta_tag(phase: FaultPhase) -> u8 {
     match phase {
         FaultPhase::Word => TAG_WORD_DELTA,
         FaultPhase::Doc => TAG_DOC_DELTA,
@@ -146,7 +146,7 @@ pub const fn delta_tag(phase: FaultPhase) -> u8 {
 }
 
 /// Tag of the sync frame the coordinator answers `phase`'s deltas with.
-pub const fn sync_tag(phase: FaultPhase) -> u8 {
+const fn sync_tag(phase: FaultPhase) -> u8 {
     match phase {
         FaultPhase::Word => TAG_WORD_SYNC,
         FaultPhase::Doc => TAG_DOC_SYNC,
@@ -154,7 +154,7 @@ pub const fn sync_tag(phase: FaultPhase) -> u8 {
 }
 
 /// Payload bytes of a `RunIteration` message: tag + epoch.
-pub const RUN_ITERATION_BYTES: usize = 1 + 8;
+pub(crate) const RUN_ITERATION_BYTES: usize = 1 + 8;
 
 /// Bytes of a `counts` block plus the `width` and `n` fields of the
 /// `records` block that follows it.
@@ -168,7 +168,7 @@ pub const fn delta_head_bytes(num_topics: usize) -> usize {
 }
 
 /// Payload bytes of a sync before its record bytes.
-pub const fn sync_head_bytes(num_topics: usize) -> usize {
+pub(crate) const fn sync_head_bytes(num_topics: usize) -> usize {
     1 + 8 + blocks_head_bytes(num_topics)
 }
 
@@ -317,7 +317,7 @@ fn put_topics(out: &mut Vec<u8>, values: &[u32], width: usize) {
 
 /// A `counts` block and a `records` block, borrowed from a payload.
 #[derive(Debug, Clone, Copy)]
-pub struct Blocks<'a> {
+pub(crate) struct Blocks<'a> {
     /// The `K × u32` little-endian bytes of the `c_k` vector.
     pub counts: &'a [u8],
     /// Bytes per topic of `records`, as announced by the frame.
@@ -345,7 +345,7 @@ impl<'a> Blocks<'a> {
     }
 
     /// The `c_k` values, in order.
-    pub fn counts(&self) -> impl ExactSizeIterator<Item = u32> + 'a {
+    pub(crate) fn counts(&self) -> impl ExactSizeIterator<Item = u32> + 'a {
         self.counts.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
@@ -427,7 +427,7 @@ pub fn begin_sync_frame(
 
 /// A delta payload parsed in place.
 #[derive(Debug, Clone, Copy)]
-pub struct DeltaView<'a> {
+pub(crate) struct DeltaView<'a> {
     /// The phase the tag names.
     pub phase: FaultPhase,
     /// Sender's worker id.
@@ -440,7 +440,7 @@ pub struct DeltaView<'a> {
 
 /// A sync payload parsed in place.
 #[derive(Debug, Clone, Copy)]
-pub struct SyncView<'a> {
+pub(crate) struct SyncView<'a> {
     /// The phase the tag names.
     pub phase: FaultPhase,
     /// Epoch the boundary belongs to.
@@ -452,7 +452,7 @@ pub struct SyncView<'a> {
 /// Parses a delta payload without copying it. Anything but a well-formed
 /// delta — wrong tag, short or trailing bytes, a bad width — is a typed
 /// error.
-pub fn parse_delta(payload: &[u8]) -> CodecResult<DeltaView<'_>> {
+pub(crate) fn parse_delta(payload: &[u8]) -> CodecResult<DeltaView<'_>> {
     let mut dec = Decoder::new(payload);
     let phase = match dec.read_u8()? {
         TAG_WORD_DELTA => FaultPhase::Word,
@@ -467,7 +467,7 @@ pub fn parse_delta(payload: &[u8]) -> CodecResult<DeltaView<'_>> {
 }
 
 /// Parses a sync payload without copying it; the mirror of [`parse_delta`].
-pub fn parse_sync(payload: &[u8]) -> CodecResult<SyncView<'_>> {
+pub(crate) fn parse_sync(payload: &[u8]) -> CodecResult<SyncView<'_>> {
     let mut dec = Decoder::new(payload);
     let phase = match dec.read_u8()? {
         TAG_WORD_SYNC => FaultPhase::Word,
@@ -487,7 +487,7 @@ pub fn parse_sync(payload: &[u8]) -> CodecResult<SyncView<'_>> {
 /// Encodes a `Setup` payload up to and including its `has_resume` flag,
 /// ignoring `setup.resume`: with `resuming` set, the payload is completed by
 /// appending a `state` section.
-pub fn encode_setup_head(setup: &Setup<'_>, resuming: bool) -> Vec<u8> {
+pub(crate) fn encode_setup_head(setup: &Setup<'_>, resuming: bool) -> Vec<u8> {
     let mut out = Vec::new();
     put(&mut out, |enc| write_setup_head(enc, setup, resuming));
     out
@@ -543,7 +543,7 @@ pub fn encode_message(msg: &Message<'_>) -> Vec<u8> {
 
 /// Appends the payload of `msg` to `out`; [`encode_message`] into a buffer
 /// the caller reuses.
-pub fn encode_message_into(msg: &Message<'_>, out: &mut Vec<u8>) {
+pub(crate) fn encode_message_into(msg: &Message<'_>, out: &mut Vec<u8>) {
     let tagged_id = |out: &mut Vec<u8>, tag: u8, worker_id: u32| {
         put(out, |enc| {
             enc.write_u8(tag)?;

@@ -407,7 +407,7 @@ fn assert_recovery_is_bit_identical(
         .train_checkpointed(&schedule, "cluster", &mut cluster, None)
         .expect("iterations must survive scripted faults")
         .log;
-    let oracle_log = trainer.train(&schedule, "oracle", &mut oracle);
+    let oracle_log = trainer.train(&schedule, &mut oracle);
 
     assert_eq!(cluster.recoveries(), expected_recoveries, "{workers} workers: recovery counter");
     let recorded: u64 = log.records().iter().map(|r| u64::from(r.recoveries)).sum();

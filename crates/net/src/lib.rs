@@ -14,8 +14,8 @@
 //!   maximum frame size is enforced in **exactly one place** (the internal
 //!   length peek consulted by [`take_frame`](FrameBuffer::take_frame) and
 //!   [`read_frame`](FrameBuffer::read_frame)), and is configurable per
-//!   buffer: the query server keeps the conservative
-//!   [`DEFAULT_MAX_FRAME_BYTES`], the distributed runtime raises it for
+//!   buffer: the query server keeps the conservative default of 16 MiB,
+//!   the distributed runtime raises it for
 //!   corpus and record-delta frames.
 //!
 //! Encoding is in-place: [`begin_frame`]/[`end_frame`] reserve and patch the
@@ -36,7 +36,7 @@ use std::time::Duration;
 /// Default bound on a single frame's payload. Frames announcing more are
 /// rejected before any allocation happens — a corrupt or hostile length
 /// prefix must not OOM the receiver.
-pub const DEFAULT_MAX_FRAME_BYTES: u32 = 16 << 20;
+const DEFAULT_MAX_FRAME_BYTES: u32 = 16 << 20;
 
 /// Errors of the framing layer.
 #[derive(Debug)]
@@ -131,7 +131,7 @@ pub struct FrameBuffer {
 impl FrameBuffer {
     /// A buffer starting at `capacity` bytes (it grows to the largest frame
     /// seen and is then reused without further allocation), enforcing the
-    /// [`DEFAULT_MAX_FRAME_BYTES`] bound.
+    /// default 16 MiB bound.
     pub fn new(capacity: usize) -> Self {
         Self::with_max_frame(capacity, DEFAULT_MAX_FRAME_BYTES)
     }

@@ -9,8 +9,8 @@
 
 use rand::Rng;
 
-/// Reusable worklists for [`AliasTable::rebuild`] /
-/// [`SparseAliasTable::rebuild`]: once the buffers have grown to the largest
+/// Reusable worklists for [`SparseAliasTable::rebuild`] and
+/// [`SparseAliasStore::fill`]: once the buffers have grown to the largest
 /// distribution a caller builds, rebuilding tables allocates nothing. One
 /// scratch can serve any number of tables (WarpLDA keeps one per worker).
 #[derive(Debug, Clone, Default)]
@@ -138,8 +138,6 @@ pub struct AliasTable {
     prob: Vec<f64>,
     /// The alias outcome of each bin.
     alias: Vec<u32>,
-    /// Total weight the table was built from (before normalization).
-    total_weight: f64,
 }
 
 impl AliasTable {
@@ -148,58 +146,15 @@ impl AliasTable {
     /// # Panics
     /// Panics if `weights` is empty or contains a negative or non-finite value.
     pub fn new(weights: &[f64]) -> Self {
-        let mut table = Self::with_capacity(weights.len());
-        table.rebuild(weights, &mut AliasBuildScratch::with_capacity(weights.len()));
-        table
-    }
-
-    /// An empty table whose buffers are pre-sized for distributions of up to
-    /// `n` outcomes. [`rebuild`](Self::rebuild) must run before
-    /// [`sample`](Self::sample) can be used.
-    pub fn with_capacity(n: usize) -> Self {
-        Self { prob: Vec::with_capacity(n), alias: Vec::with_capacity(n), total_weight: 0.0 }
-    }
-
-    /// Rebuilds the table in place from unnormalized weights, reusing this
-    /// table's bins and `scratch`'s worklists. Once both have grown to the
-    /// largest distribution seen, rebuilding performs no heap allocation.
-    /// The resulting table is identical to `AliasTable::new(weights)`.
-    ///
-    /// # Panics
-    /// Panics if `weights` is empty or contains a negative or non-finite value.
-    pub fn rebuild(&mut self, weights: &[f64], scratch: &mut AliasBuildScratch) {
         assert!(!weights.is_empty(), "alias table needs at least one outcome");
         let n = weights.len();
-        let (prob, alias) = (&mut self.prob, &mut self.alias);
-        prob.clear();
-        prob.resize(n, 1.0);
-        alias.clear();
-        alias.extend(0..n as u32);
-        self.total_weight = walker(weights.iter().copied(), scratch, |bin, p, a| {
+        let mut prob = vec![1.0; n];
+        let mut alias: Vec<u32> = (0..n as u32).collect();
+        walker(weights.iter().copied(), &mut AliasBuildScratch::with_capacity(n), |bin, p, a| {
             prob[bin] = p;
             alias[bin] = a as u32;
         });
-    }
-
-    /// Bytes of heap the table holds.
-    pub fn heap_bytes(&self) -> usize {
-        8 * self.prob.capacity() + 4 * self.alias.capacity()
-    }
-
-    /// Number of outcomes.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Returns `true` if the table has no outcomes (never true for a
-    /// successfully constructed table).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
-    /// Total (unnormalized) weight the table was built from.
-    pub fn total_weight(&self) -> f64 {
-        self.total_weight
+        Self { prob, alias }
     }
 
     /// Draws one outcome in O(1).
@@ -409,16 +364,6 @@ impl SparseAliasStore {
         pair_bins(table, entries.map(|(_, w)| w), scratch)
     }
 
-    /// Bins in all tables.
-    pub fn len(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Returns `true` when the store holds no bins.
-    pub fn is_empty(&self) -> bool {
-        self.bins.is_empty()
-    }
-
     /// Bytes of heap the store holds: 16 per bin.
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<AliasBin>() * self.bins.capacity()
@@ -440,7 +385,7 @@ mod tests {
 
     fn empirical(table: &AliasTable, draws: usize, seed: u64) -> Vec<f64> {
         let mut rng = new_rng(seed);
-        let mut counts = vec![0usize; table.len()];
+        let mut counts = vec![0usize; table.prob.len()];
         for _ in 0..draws {
             counts[table.sample(&mut rng)] += 1;
         }
@@ -589,7 +534,7 @@ mod tests {
             let total = SparseAliasStore::fill(table, entries.iter().copied(), &mut scratch);
             assert_eq!(total.to_bits(), SparseAliasTable::new(entries).total_weight().to_bits());
         }
-        assert_eq!(store.len(), *offsets.last().unwrap());
+        assert_eq!(store.bins.len(), *offsets.last().unwrap());
         for (entries, range) in sets.iter().zip(offsets.windows(2)) {
             reused.rebuild(entries, &mut scratch);
             let fresh = SparseAliasTable::new(entries);
@@ -617,7 +562,8 @@ mod tests {
             let sparse = SparseAliasTable::new(entries);
             let weights: Vec<f64> = entries.iter().map(|&(_, w)| w).collect();
             let dense = AliasTable::new(&weights);
-            assert_eq!(sparse.total_weight().to_bits(), dense.total_weight().to_bits());
+            let total = weights.iter().fold(0.0, |sum, w| sum + w);
+            assert_eq!(sparse.total_weight().to_bits(), total.to_bits());
             let mut a = new_rng(37);
             let mut b = new_rng(37);
             for _ in 0..2_000 {
@@ -637,7 +583,7 @@ mod tests {
     fn large_table_builds_and_normalizes() {
         let weights: Vec<f64> = (0..10_000).map(|i| (i % 97) as f64).collect();
         let table = AliasTable::new(&weights);
-        assert_eq!(table.len(), 10_000);
+        assert_eq!(table.prob.len(), 10_000);
         let mut rng = new_rng(23);
         for _ in 0..1000 {
             assert!(table.sample(&mut rng) < 10_000);

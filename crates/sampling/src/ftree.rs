@@ -42,21 +42,6 @@ impl FTree {
         Self { len, leaf_base, tree }
     }
 
-    /// Builds a tree of `len` zero weights.
-    pub fn zeros(len: usize) -> Self {
-        Self::new(&vec![0.0; len.max(1)])
-    }
-
-    /// Number of outcomes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when the tree has no outcomes (never for constructed trees).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The current weight of `outcome`.
     pub fn weight(&self, outcome: usize) -> f64 {
         assert!(outcome < self.len, "outcome {outcome} out of range");
@@ -82,13 +67,6 @@ impl FTree {
             }
             i /= 2;
         }
-    }
-
-    /// Adds `delta` (possibly negative) to the weight of `outcome` in O(log K).
-    /// The resulting weight is clamped at zero to absorb floating-point noise.
-    pub fn add(&mut self, outcome: usize, delta: f64) {
-        let w = (self.weight(outcome) + delta).max(0.0);
-        self.set(outcome, w);
     }
 
     /// Draws an outcome with probability proportional to its weight, O(log K).
@@ -137,7 +115,7 @@ mod tests {
     #[test]
     fn total_and_weights_after_build() {
         let t = FTree::new(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(t.len(), 5);
+        assert_eq!(t.len, 5);
         assert!((t.total() - 15.0).abs() < 1e-12);
         assert!((t.weight(2) - 3.0).abs() < 1e-12);
     }
@@ -147,19 +125,11 @@ mod tests {
         let mut t = FTree::new(&[1.0, 1.0, 1.0]);
         t.set(1, 5.0);
         assert!((t.total() - 7.0).abs() < 1e-12);
-        t.add(0, 2.0);
+        t.set(0, 3.0);
         assert!((t.total() - 9.0).abs() < 1e-12);
-        t.add(2, -1.0);
+        t.set(2, 0.0);
         assert!((t.total() - 8.0).abs() < 1e-12);
         assert_eq!(t.weight(2), 0.0);
-    }
-
-    #[test]
-    fn add_clamps_at_zero() {
-        let mut t = FTree::new(&[1.0]);
-        t.add(0, -5.0);
-        assert_eq!(t.weight(0), 0.0);
-        assert_eq!(t.total(), 0.0);
     }
 
     #[test]
@@ -204,7 +174,7 @@ mod tests {
 
     #[test]
     fn zero_total_falls_back_to_uniform() {
-        let t = FTree::zeros(4);
+        let t = FTree::new(&[0.0; 4]);
         let mut rng = new_rng(37);
         let mut seen = [false; 4];
         for _ in 0..1000 {

@@ -159,16 +159,6 @@ impl<'m> InferenceEngine<'m> {
         Self { model, config }
     }
 
-    /// The frozen model.
-    pub fn model(&self) -> &'m TopicModel {
-        self.model
-    }
-
-    /// The inference configuration.
-    pub fn config(&self) -> &InferConfig {
-        &self.config
-    }
-
     /// Infers θ for `words` (token ids of the unseen document, OOV already
     /// removed), writing θ and the top-topic list into `scratch`. The result
     /// is a pure function of `(model, config, words, seed)`.

@@ -52,6 +52,6 @@ pub mod server;
 pub mod wire;
 
 pub use infer::{InferConfig, InferScratch, InferenceEngine, InferenceResult};
-pub use model::{ModelHandle, TopicModel};
+pub use model::TopicModel;
 pub use server::{Client, LatencyStats, ServeCounters, Server, ServerConfig, ServerHandle};
 pub use wire::{Request, Response};

@@ -315,8 +315,6 @@ impl Assembler {
 #[derive(Debug)]
 pub struct TopicModel {
     params: ModelParams,
-    /// Total training tokens (`Σ_k c_k`); the mass behind the φ estimates.
-    num_train_tokens: u64,
     /// Global topic counts `c_k`.
     topic_counts: Vec<u32>,
     /// `word_offsets[w]..word_offsets[w+1]` indexes the pair arrays.
@@ -542,7 +540,6 @@ impl TopicModel {
         let PairColumns { topic_counts, word_offsets, pair_topics, pair_counts } = columns;
         Ok(Self {
             params,
-            num_train_tokens: topic_counts.iter().map(|&c| c as u64).sum(),
             topic_counts,
             word_offsets,
             pair_topics,
@@ -571,29 +568,19 @@ impl TopicModel {
         self.word_totals.len()
     }
 
-    /// Total training tokens behind the frozen counts.
-    pub fn num_train_tokens(&self) -> u64 {
-        self.num_train_tokens
-    }
-
     /// The frozen vocabulary, when one was embedded.
     pub fn vocab(&self) -> Option<&Vocabulary> {
         self.vocab.as_ref()
     }
 
     /// Global topic counts `c_k`.
-    pub fn topic_counts(&self) -> &[u32] {
+    pub(crate) fn topic_counts(&self) -> &[u32] {
         &self.topic_counts
     }
 
     /// `β̄ = V·β`.
-    pub fn beta_bar(&self) -> f64 {
+    pub(crate) fn beta_bar(&self) -> f64 {
         self.beta_bar
-    }
-
-    /// Term frequency `L_w` of `word` in the training corpus.
-    pub fn word_total(&self, word: u32) -> u32 {
-        self.word_totals[word as usize]
     }
 
     /// Frozen count `C_wk`, from the word's index: the home slot of a word
@@ -645,7 +632,7 @@ impl TopicModel {
     /// without counts gets `Mixture::new(0.0)`, which never picks the count
     /// part. Computed once per token, not per draw.
     #[inline]
-    pub fn word_mixture(&self, word: u32) -> Mixture {
+    pub(crate) fn word_mixture(&self, word: u32) -> Mixture {
         let count_mass = self.word_totals[word as usize] as f64;
         Mixture::new(count_mass / (count_mass + self.params.num_topics as f64 * self.params.beta))
     }
@@ -655,7 +642,12 @@ impl TopicModel {
     /// and either a bin of the word's pre-built count alias bins (then one
     /// coin between the bin's two labels) or a uniform topic.
     #[inline]
-    pub fn sample_word_proposal(&self, word: u32, mixture: Mixture, rng: &mut SmallRng) -> u32 {
+    pub(crate) fn sample_word_proposal(
+        &self,
+        word: u32,
+        mixture: Mixture,
+        rng: &mut SmallRng,
+    ) -> u32 {
         let w = word as usize;
         let (start, end) = (self.word_offsets[w], self.word_offsets[w + 1]);
         match mixture.draw(rng, end - start, self.params.num_topics as u32) {
@@ -760,7 +752,7 @@ impl TopicModel {
 /// the model they started with while [`swap`](Self::swap) promotes a new one
 /// — a freshly trained checkpoint goes live without dropping a request.
 #[derive(Debug)]
-pub struct ModelHandle {
+pub(crate) struct ModelHandle {
     slot: RwLock<Arc<TopicModel>>,
     /// Bumped on every swap; responses echo it so clients can observe
     /// promotions.
@@ -769,12 +761,12 @@ pub struct ModelHandle {
 
 impl ModelHandle {
     /// Creates a handle serving `model` at epoch 0.
-    pub fn new(model: Arc<TopicModel>) -> Self {
+    pub(crate) fn new(model: Arc<TopicModel>) -> Self {
         Self { slot: RwLock::new(model), epoch: AtomicU32::new(0) }
     }
 
     /// The live model and the epoch it was promoted at.
-    pub fn current(&self) -> (Arc<TopicModel>, u32) {
+    pub(crate) fn current(&self) -> (Arc<TopicModel>, u32) {
         let guard = self.slot.read().expect("model slot poisoned");
         // The epoch is read under the same lock the slot is, so a response
         // never pairs an old model with a new epoch.
@@ -782,12 +774,12 @@ impl ModelHandle {
     }
 
     /// Number of swaps performed so far.
-    pub fn epoch(&self) -> u32 {
+    pub(crate) fn epoch(&self) -> u32 {
         self.epoch.load(Ordering::Acquire)
     }
 
     /// Atomically promotes `model`, returning the one it replaced.
-    pub fn swap(&self, model: Arc<TopicModel>) -> Arc<TopicModel> {
+    pub(crate) fn swap(&self, model: Arc<TopicModel>) -> Arc<TopicModel> {
         let mut guard = self.slot.write().expect("model slot poisoned");
         let old = std::mem::replace(&mut *guard, model);
         self.epoch.fetch_add(1, Ordering::AcqRel);
@@ -822,7 +814,10 @@ mod tests {
     fn freeze_preserves_counts_and_phi_normalizes() {
         let (corpus, model) = trained_model();
         assert_eq!(model.num_words(), corpus.vocab_size());
-        assert_eq!(model.num_train_tokens(), corpus.num_tokens());
+        assert_eq!(
+            model.topic_counts().iter().map(|&c| c as u64).sum::<u64>(),
+            corpus.num_tokens()
+        );
         // Each φ_·k = (C_wk + β) / (c_k + β̄) is a probability distribution
         // over the vocabulary exactly when the word counts of topic k add up
         // to c_k.
@@ -834,7 +829,7 @@ mod tests {
         // Per-word totals are the term frequencies.
         let tf = corpus.term_frequencies();
         for (w, &f) in tf.iter().enumerate() {
-            assert_eq!(model.word_total(w as u32) as u64, f, "word {w}");
+            assert_eq!(model.word_totals[w] as u64, f, "word {w}");
         }
     }
 
@@ -991,7 +986,7 @@ mod tests {
             assert_index_matches_the_pair_columns(m);
             assert_eq!(m.word_topic_count(0, u32::MAX), 0);
             assert_eq!(m.word_topic_count(1, 0), 0);
-            assert_eq!(m.word_total(1), 0);
+            assert_eq!(m.word_totals[1], 0);
         }
     }
 
@@ -1032,7 +1027,7 @@ mod tests {
                 hist[model.sample_word_proposal(w, mixture, &mut rng) as usize] += 1;
             }
             let k = model.num_topics() as f64;
-            let total_mass = model.word_total(w) as f64 + k * model.params().beta;
+            let total_mass = model.word_totals[w as usize] as f64 + k * model.params().beta;
             for (t, &h) in hist.iter().enumerate() {
                 let expect =
                     (model.word_topic_count(w, t as u32) as f64 + model.params().beta) / total_mass;
@@ -1053,7 +1048,6 @@ mod tests {
         assert_eq!(back.pair_topics, model.pair_topics);
         assert_eq!(back.pair_counts, model.pair_counts);
         assert_eq!(back.word_totals, model.word_totals);
-        assert_eq!(back.num_train_tokens, model.num_train_tokens);
         assert_eq!(back.vocab.as_ref().map(|v| v.len()), model.vocab.as_ref().map(|v| v.len()));
         // The rebuilt alias bins draw the same stream as the originals.
         let mut a = warplda_sampling::new_rng(11);

@@ -33,7 +33,7 @@
 //!   per-connection sequence number, so responses always come back in
 //!   request order.
 //! * **Atomic hot swap** and **latency accounting**: the live model is an
-//!   `Arc` slot behind a [`ModelHandle`], and per-request time (admission →
+//!   `Arc` slot behind a `ModelHandle`, and per-request time (admission →
 //!   response encoded, i.e. queue wait included) accumulates in a lock-free
 //!   log-scale histogram ([`ServerHandle::latency`]).
 //! * **Shutdown** stops the loop, which drops its end of both channels: a

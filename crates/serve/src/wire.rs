@@ -46,14 +46,14 @@ pub use warplda_net::{FrameBuffer, WireError};
 
 /// Opcode of a raw-text query (tokenized server-side against the frozen
 /// vocabulary).
-pub const OP_QUERY_TEXT: u8 = 1;
+const OP_QUERY_TEXT: u8 = 1;
 /// Opcode of a pre-tokenized query (client already holds word ids).
-pub const OP_QUERY_TOKENS: u8 = 2;
+const OP_QUERY_TOKENS: u8 = 2;
 
 /// Response status: success.
 pub const STATUS_OK: u8 = 0;
 /// Response status: the request was rejected; the payload carries a message.
-pub const STATUS_ERROR: u8 = 1;
+const STATUS_ERROR: u8 = 1;
 
 /// A query request (the owning, client-side form).
 #[derive(Debug, Clone)]
@@ -155,7 +155,7 @@ pub fn encode_ok_response(
 }
 
 /// Appends an error-response frame to `out`.
-pub fn encode_error_response(out: &mut Vec<u8>, message: &str) {
+pub(crate) fn encode_error_response(out: &mut Vec<u8>, message: &str) {
     let at = begin_frame(out);
     out.push(STATUS_ERROR);
     out.extend_from_slice(&(message.len() as u32).to_le_bytes());

@@ -59,7 +59,7 @@ fn run_cluster(corpus: &Corpus, params: ModelParams, config: WarpLdaConfig, seed
     )
     .log;
     let mut oracle = WarpLda::new(corpus, params, config, seed);
-    let oracle_log = trainer.train(&schedule, "serial", &mut oracle);
+    let oracle_log = trainer.train(&schedule, &mut oracle);
 
     let tokens = corpus.num_tokens() as f64;
     let expected = cluster.plan().iteration_wire_bytes(params.num_topics, config.mh_steps);
@@ -141,7 +141,7 @@ fn run_fault_smoke(corpus: &Corpus, config: WarpLdaConfig, seed: u64) {
     )
     .log;
     let mut oracle = WarpLda::new(corpus, params, config, seed);
-    trainer.train(&schedule, "serial", &mut oracle);
+    trainer.train(&schedule, &mut oracle);
 
     let rows: String = log
         .records()

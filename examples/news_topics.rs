@@ -57,7 +57,7 @@ fn main() {
     let params = ModelParams::new(3, 0.5, 0.05);
     let mut sampler = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(4), 2024);
     let trainer = Trainer::new(&corpus);
-    trainer.train(&TrainerConfig::sampling_only(120), "news", &mut sampler);
+    trainer.train(&TrainerConfig::sampling_only(120), &mut sampler);
 
     // Freeze the trained model (counts + vocabulary), save it and read it
     // back — the artifact downstream consumers and the query server load.

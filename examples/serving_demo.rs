@@ -41,7 +41,7 @@ fn main() {
     let params = ModelParams::paper_defaults(3);
     let trainer = Trainer::new(&corpus);
     let mut sampler = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(4), 42);
-    let log = trainer.train(&TrainerConfig::new(60).eval_every(20), "serving-demo", &mut sampler);
+    let log = trainer.train(&TrainerConfig::new(60).eval_every(20), &mut sampler);
     println!("trained 60 iterations, final log-likelihood {:.1}", log.final_ll());
 
     // 2. Freeze and persist the serving artifact, then reload it — queries

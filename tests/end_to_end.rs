@@ -38,7 +38,7 @@ fn warplda_recovers_planted_topics() {
     let trainer = Trainer::new(&corpus);
     let (doc_view, word_view) = (trainer.doc_view(), trainer.word_view());
     let ll_start = sampler.log_likelihood(&corpus, doc_view, word_view);
-    let log = trainer.train(&TrainerConfig::new(80).eval_every(0), "warp", &mut sampler);
+    let log = trainer.train(&TrainerConfig::new(80).eval_every(0), &mut sampler);
     let ll_end = log.final_ll();
     assert!(ll_end > ll_start, "training must improve the likelihood: {ll_start} -> {ll_end}");
 
@@ -78,7 +78,7 @@ fn perplexity_decreases_during_training() {
     let mut sampler = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(2), 3);
     let trainer = Trainer::new(&corpus);
 
-    let log = trainer.train(&TrainerConfig::new(40).eval_every(10), "warp", &mut sampler);
+    let log = trainer.train(&TrainerConfig::new(40).eval_every(10), &mut sampler);
     let perplexities: Vec<f64> = log
         .eval_points()
         .map(|p| {
@@ -102,8 +102,8 @@ fn parallel_sampler_under_the_trainer_is_the_serial_sampler() {
 
     let mut serial = WarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(2), 5);
     let mut parallel = ParallelWarpLda::new(&corpus, params, WarpLdaConfig::with_mh_steps(2), 5, 4);
-    let ll_s = trainer.train(&schedule, "serial", &mut serial).final_ll();
-    let ll_p = trainer.train(&schedule, "parallel", &mut parallel).final_ll();
+    let ll_s = trainer.train(&schedule, &mut serial).final_ll();
+    let ll_p = trainer.train(&schedule, &mut parallel).final_ll();
     assert_eq!(serial.assignments(), parallel.assignments());
     assert_eq!(ll_s.to_bits(), ll_p.to_bits(), "parallel ({ll_p}) vs serial ({ll_s})");
 }
@@ -127,7 +127,7 @@ fn uci_round_trip_preserves_training_behaviour() {
     let schedule = TrainerConfig::new(20).eval_every(0);
     let mut a = WarpLda::new(&corpus, params, WarpLdaConfig::default(), 11);
     let mut b = WarpLda::new(&reread, params, WarpLdaConfig::default(), 11);
-    let ll_a = Trainer::new(&corpus).train(&schedule, "original", &mut a).final_ll();
-    let ll_b = Trainer::new(&reread).train(&schedule, "round-tripped", &mut b).final_ll();
+    let ll_a = Trainer::new(&corpus).train(&schedule, &mut a).final_ll();
+    let ll_b = Trainer::new(&reread).train(&schedule, &mut b).final_ll();
     assert!((ll_a - ll_b).abs() < 0.05 * ll_a.abs(), "{ll_a} vs {ll_b}");
 }

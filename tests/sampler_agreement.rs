@@ -183,7 +183,7 @@ fn corpus() -> Corpus {
 
 fn final_ll(sampler: &mut dyn Sampler, corpus: &Corpus, iterations: usize) -> f64 {
     let trainer = Trainer::new(corpus);
-    trainer.train(&TrainerConfig::new(iterations).eval_every(0), "run", sampler).final_ll()
+    trainer.train(&TrainerConfig::new(iterations).eval_every(0), sampler).final_ll()
 }
 
 #[test]

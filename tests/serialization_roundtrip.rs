@@ -29,7 +29,7 @@ fn warplda_checkpoint_round_trip_is_lossless() {
     let mut sampler = WarpLda::new(&corpus, params, config, 7);
     let mut fresh = WarpLda::new(&corpus, params, config, 99);
     let trainer = Trainer::new(&corpus);
-    trainer.train(&TrainerConfig::sampling_only(5), "warplda", &mut sampler);
+    trainer.train(&TrainerConfig::sampling_only(5), &mut sampler);
 
     let mut buf = Vec::new();
     write_checkpoint(&sampler, Some(corpus.vocab()), &mut buf).expect("checkpoint writes");
@@ -143,19 +143,19 @@ fn assert_resume_is_bit_identical<S: Checkpointable>(
 
     // The uninterrupted reference run.
     let mut continuous = make(11);
-    trainer.train(&TrainerConfig::sampling_only(total), "continuous", &mut continuous);
+    trainer.train(&TrainerConfig::sampling_only(total), &mut continuous);
 
     // The interrupted run: train to `split`, checkpoint, reload into a fresh
     // sampler (different seed — the checkpoint must carry the seed), continue.
     let mut first_half = make(11);
-    trainer.train(&TrainerConfig::sampling_only(split), "first-half", &mut first_half);
+    trainer.train(&TrainerConfig::sampling_only(split), &mut first_half);
     let mut buf = Vec::new();
     write_checkpoint(&first_half, None, &mut buf).expect("checkpoint writes");
 
     let mut resumed = make(1234);
     read_checkpoint(&mut resumed, &mut buf.as_slice()).expect("checkpoint reads");
     assert_eq!(resumed.assignments(), first_half.assignments());
-    trainer.train(&TrainerConfig::sampling_only(total - split), "second-half", &mut resumed);
+    trainer.train(&TrainerConfig::sampling_only(total - split), &mut resumed);
 
     assert_eq!(resumed.iterations(), continuous.iterations());
     assert_eq!(

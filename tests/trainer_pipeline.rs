@@ -97,8 +97,7 @@ fn overlapped_evaluation_does_not_serialize_sampling() {
         iters: 0,
         shared: Arc::clone(&shared),
     };
-    let log =
-        trainer.train(&TrainerConfig::new(iterations as usize).eval_every(1), "w", &mut sampler);
+    let log = trainer.train(&TrainerConfig::new(iterations as usize).eval_every(1), &mut sampler);
     assert_eq!(log.eval_points().count(), iterations as usize);
 
     let progress = shared.0.lock().unwrap();
@@ -121,7 +120,7 @@ fn overlapped_and_inline_produce_identical_likelihoods_and_chains() {
     let trainer = Trainer::new(&corpus);
 
     let mut a = WarpLda::new(&corpus, params, config, 21);
-    let overlapped = trainer.train(&TrainerConfig::new(12).eval_every(3), "overlapped", &mut a);
+    let overlapped = trainer.train(&TrainerConfig::new(12).eval_every(3), &mut a);
     let lls: Vec<(u64, u64)> = overlapped
         .eval_points()
         .map(|r| (r.iteration, r.log_likelihood.unwrap().to_bits()))
@@ -201,7 +200,7 @@ fn trainer_drives_every_sampler_kind_through_one_pipeline() {
         Box::new(ParallelWarpLda::new(&corpus, params, WarpLdaConfig::default(), 1, 2)),
     ];
     for sampler in &mut samplers {
-        let log = trainer.train(&schedule, "any", sampler.as_mut());
+        let log = trainer.train(&schedule, sampler.as_mut());
         assert_eq!(log.records().len(), 3);
         assert!(log.final_ll().is_finite());
         assert!(log.total_seconds() > 0.0);
